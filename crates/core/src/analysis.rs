@@ -17,10 +17,9 @@
 //! paper's Fig. 10 shows breaking accuracy when loosened too far.
 
 use fedsu_fl::LrSchedule;
-use serde::{Deserialize, Serialize};
 
 /// Problem constants of Assumptions 1-2 plus the initial optimality gap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProblemConstants {
     /// Smoothness constant β.
     pub beta: f64,
@@ -38,7 +37,7 @@ impl Default for ProblemConstants {
 
 /// The three terms of Eq. 4, separated so their relative magnitudes can be
 /// inspected.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergenceBound {
     /// Optimization term `4(F(x₀)−F(x*)) / Ση_k`.
     pub optimization_term: f64,

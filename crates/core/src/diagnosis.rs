@@ -14,10 +14,8 @@
 //! i.e. linear updating) and `R ≈ 1` when they consistently point one way
 //! (curvature). Memory cost is two floats per scalar — no history window.
 
-use serde::{Deserialize, Serialize};
-
 /// Paired EMAs of a signal and of its absolute value.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EmaPair {
     /// EMA of the signed signal, `⟨g′⟩_θ`.
     pub signed: f32,
@@ -62,7 +60,7 @@ impl EmaPair {
 /// current ratio. This standalone form is used by the motivation figures
 /// (Fig. 1/2) and by offline analysis; the FedSU manager embeds the same
 /// arithmetic in its round loop.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OscillationDiagnostic {
     theta: f32,
     prev_value: Vec<f32>,

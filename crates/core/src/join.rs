@@ -4,12 +4,10 @@
 //! its local `FedSU_Manager` replica makes the same decisions as everyone
 //! else's.
 //!
-//! The snapshot has a compact little-endian wire encoding (built with the
-//! `bytes` crate) so the runtime can account for its download cost exactly.
+//! The snapshot has a compact little-endian wire encoding so the runtime
+//! can account for its download cost exactly.
 
 use crate::diagnosis::EmaPair;
-use bytes::{Buf, BufMut, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Magic header guarding the wire format.
@@ -36,7 +34,7 @@ impl fmt::Display for JoinStateError {
 impl std::error::Error for JoinStateError {}
 
 /// Everything a joining client needs to replicate the FedSU manager state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JoinState {
     /// Predictability mask.
     pub predictable: Vec<bool>,
@@ -74,10 +72,10 @@ impl JoinState {
     /// (f32) | `no_check_len, no_check_remaining, obs` (u16).
     pub fn to_bytes(&self) -> Vec<u8> {
         let n = self.predictable.len();
-        let mut buf = BytesMut::with_capacity(16 + n.div_ceil(8) + n * (16 + 6));
-        buf.put_u32_le(MAGIC);
-        buf.put_u32_le(n as u32);
-        buf.put_u64_le(self.rounds_seen);
+        let mut buf = Vec::with_capacity(16 + n.div_ceil(8) + n * (16 + 6));
+        buf.extend_from_slice(&MAGIC.to_le_bytes());
+        buf.extend_from_slice(&u32::try_from(n).unwrap_or(u32::MAX).to_le_bytes());
+        buf.extend_from_slice(&self.rounds_seen.to_le_bytes());
         // Bit-packed predictability mask.
         let mut byte = 0u8;
         for (i, &p) in self.predictable.iter().enumerate() {
@@ -85,25 +83,25 @@ impl JoinState {
                 byte |= 1 << (i % 8);
             }
             if i % 8 == 7 {
-                buf.put_u8(byte);
+                buf.push(byte);
                 byte = 0;
             }
         }
         if n % 8 != 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
         }
         for j in 0..n {
-            buf.put_f32_le(self.slope[j]);
-            buf.put_f32_le(self.prev_update[j]);
-            buf.put_f32_le(self.ema[j].signed);
-            buf.put_f32_le(self.ema[j].magnitude);
+            buf.extend_from_slice(&self.slope[j].to_le_bytes());
+            buf.extend_from_slice(&self.prev_update[j].to_le_bytes());
+            buf.extend_from_slice(&self.ema[j].signed.to_le_bytes());
+            buf.extend_from_slice(&self.ema[j].magnitude.to_le_bytes());
         }
         for j in 0..n {
-            buf.put_u16_le(self.no_check_len[j]);
-            buf.put_u16_le(self.no_check_remaining[j]);
-            buf.put_u16_le(self.obs[j]);
+            buf.extend_from_slice(&self.no_check_len[j].to_le_bytes());
+            buf.extend_from_slice(&self.no_check_remaining[j].to_le_bytes());
+            buf.extend_from_slice(&self.obs[j].to_le_bytes());
         }
-        buf.to_vec()
+        buf
     }
 
     /// Parses the wire format produced by [`JoinState::to_bytes`].
@@ -112,15 +110,17 @@ impl JoinState {
     ///
     /// Returns [`JoinStateError`] on truncation or a bad header.
     pub fn from_bytes(mut data: &[u8]) -> Result<Self, JoinStateError> {
-        if data.remaining() < 16 {
+        if data.len() < 16 {
             return Err(JoinStateError::Truncated);
         }
-        let magic = data.get_u32_le();
+        let data = &mut data;
+        let magic = u32::from_le_bytes(take(data)?);
         if magic != MAGIC {
             return Err(JoinStateError::BadMagic(magic));
         }
-        let n = data.get_u32_le() as usize;
-        let rounds_seen = data.get_u64_le();
+        let n = usize::try_from(u32::from_le_bytes(take(data)?))
+            .map_err(|_| JoinStateError::Truncated)?;
+        let rounds_seen = u64::from_le_bytes(take(data)?);
         let mask_bytes = n.div_ceil(8);
         // Checked math: `n` comes off the wire, so an adversarial or corrupt
         // count must surface as Truncated, not as a usize overflow panic (or
@@ -129,12 +129,12 @@ impl JoinState {
             .checked_mul(16 + 6)
             .and_then(|per_client| per_client.checked_add(mask_bytes))
             .ok_or(JoinStateError::Truncated)?;
-        if data.remaining() < needed_bytes {
+        if data.len() < needed_bytes {
             return Err(JoinStateError::Truncated);
         }
         let mut predictable = Vec::with_capacity(n);
         for i in 0..mask_bytes {
-            let byte = data.get_u8();
+            let [byte] = take(data)?;
             for bit in 0..8 {
                 let idx = i * 8 + bit;
                 if idx < n {
@@ -146,19 +146,19 @@ impl JoinState {
         let mut prev_update = Vec::with_capacity(n);
         let mut ema = Vec::with_capacity(n);
         for _ in 0..n {
-            slope.push(data.get_f32_le());
-            prev_update.push(data.get_f32_le());
-            let signed = data.get_f32_le();
-            let magnitude = data.get_f32_le();
+            slope.push(f32::from_le_bytes(take(data)?));
+            prev_update.push(f32::from_le_bytes(take(data)?));
+            let signed = f32::from_le_bytes(take(data)?);
+            let magnitude = f32::from_le_bytes(take(data)?);
             ema.push(EmaPair { signed, magnitude });
         }
         let mut no_check_len = Vec::with_capacity(n);
         let mut no_check_remaining = Vec::with_capacity(n);
         let mut obs = Vec::with_capacity(n);
         for _ in 0..n {
-            no_check_len.push(data.get_u16_le());
-            no_check_remaining.push(data.get_u16_le());
-            obs.push(data.get_u16_le());
+            no_check_len.push(u16::from_le_bytes(take(data)?));
+            no_check_remaining.push(u16::from_le_bytes(take(data)?));
+            obs.push(u16::from_le_bytes(take(data)?));
         }
         Ok(JoinState {
             predictable,
@@ -171,6 +171,13 @@ impl JoinState {
             rounds_seen,
         })
     }
+}
+
+/// Splits the next `N` bytes off the front of `data`.
+fn take<const N: usize>(data: &mut &[u8]) -> Result<[u8; N], JoinStateError> {
+    let (head, tail) = data.split_first_chunk::<N>().ok_or(JoinStateError::Truncated)?;
+    *data = tail;
+    Ok(*head)
 }
 
 #[cfg(test)]
@@ -202,9 +209,32 @@ mod tests {
     #[test]
     fn truncated_rejected() {
         let bytes = sample(10).to_bytes();
-        assert_eq!(JoinState::from_bytes(&bytes[..bytes.len() - 1]), Err(JoinStateError::Truncated));
-        assert_eq!(JoinState::from_bytes(&bytes[..4]), Err(JoinStateError::Truncated));
-        assert_eq!(JoinState::from_bytes(&[]), Err(JoinStateError::Truncated));
+        for cut in 0..bytes.len() {
+            let got = JoinState::from_bytes(&bytes[..cut]);
+            assert_eq!(got, Err(JoinStateError::Truncated), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn wire_image_is_pinned() {
+        // sample(9).to_bytes() as the `BytesMut`-built encoder produced it.
+        #[rustfmt::skip]
+        const GOLDEN: [u8; 216] = [
+            1, 0, 213, 254, 9, 0, 0, 0, 42, 0, 0, 0, 0, 0, 0, 0, 73, 0,
+            0, 0, 0, 0, 0, 0, 0, 128, 0, 0, 0, 0, 0, 0, 128, 63,
+            205, 204, 204, 61, 10, 215, 35, 188, 0, 0, 128, 63, 0, 0, 0, 64,
+            205, 204, 76, 62, 10, 215, 163, 188, 0, 0, 0, 64, 0, 0, 64, 64,
+            154, 153, 153, 62, 143, 194, 245, 188, 0, 0, 64, 64, 0, 0, 128, 64,
+            205, 204, 204, 62, 10, 215, 35, 189, 0, 0, 128, 64, 0, 0, 160, 64,
+            0, 0, 0, 63, 204, 204, 76, 189, 0, 0, 160, 64, 0, 0, 192, 64,
+            154, 153, 25, 63, 143, 194, 117, 189, 0, 0, 192, 64, 0, 0, 224, 64,
+            51, 51, 51, 63, 41, 92, 143, 189, 0, 0, 224, 64, 0, 0, 0, 65,
+            205, 204, 76, 63, 10, 215, 163, 189, 0, 0, 0, 65, 0, 0, 16, 65,
+            0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 2, 0, 2, 0, 2, 0,
+            3, 0, 3, 0, 3, 0, 4, 0, 4, 0, 4, 0, 5, 0, 0, 0, 5, 0,
+            6, 0, 1, 0, 6, 0, 0, 0, 2, 0, 7, 0, 1, 0, 3, 0, 8, 0,
+        ];
+        assert_eq!(sample(9).to_bytes(), GOLDEN);
     }
 
     #[test]

@@ -7,10 +7,9 @@ use crate::join::JoinState;
 use fedsu_fl::{AggregateOutcome, SyncStrategy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// FedSU hyper-parameters (Sec. VI-A defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FedSuConfig {
     /// Predictability threshold `T_R` on the oscillation ratio (paper: 0.01).
     pub t_r: f64,
@@ -70,7 +69,7 @@ enum ExitPolicy {
 }
 
 /// What happened to a tracked parameter's mask.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MaskEventKind {
     /// The parameter entered speculative updating with the given slope.
     Enter {
@@ -85,7 +84,7 @@ pub enum MaskEventKind {
 }
 
 /// A mask transition of one tracked parameter (drives Fig. 6's markers).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaskEvent {
     /// Round in which the transition happened.
     pub round: usize,
@@ -97,22 +96,17 @@ pub struct MaskEvent {
 
 /// Per-round aggregate statistics of the manager (instrumentation for the
 /// microscopic figures and for monitoring deployments).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundStats {
     /// Round index.
-    #[serde(default)]
     pub round: usize,
     /// Scalars in speculative mode during the round.
-    #[serde(default)]
     pub predictable: usize,
     /// Error checks performed (scalar aggregations paid).
-    #[serde(default)]
     pub checks: usize,
     /// Parameters that entered speculation this round.
-    #[serde(default)]
     pub enters: usize,
     /// Parameters demoted to regular updating this round.
-    #[serde(default)]
     pub exits: usize,
 }
 

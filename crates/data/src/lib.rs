@@ -28,16 +28,12 @@
 
 #![warn(missing_docs)]
 
-mod augment;
 mod dataset;
-mod idx;
 mod loader;
 mod partition;
 mod synthetic;
 
-pub use augment::Augment;
 pub use dataset::InMemoryDataset;
-pub use idx::{read_idx_images, read_idx_labels, IdxError};
 pub use loader::Batcher;
 pub use partition::{dirichlet_partition, label_distribution};
 pub use synthetic::SyntheticConfig;

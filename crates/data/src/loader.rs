@@ -1,6 +1,6 @@
 //! Mini-batch loader over a client's partition of a shared dataset.
 
-use crate::{Augment, InMemoryDataset};
+use crate::InMemoryDataset;
 use fedsu_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -16,7 +16,6 @@ pub struct Batcher {
     indices: Vec<usize>,
     pos: usize,
     rng: StdRng,
-    augment: Option<Augment>,
 }
 
 impl Batcher {
@@ -29,17 +28,9 @@ impl Batcher {
     pub fn new(dataset: Arc<InMemoryDataset>, indices: Vec<usize>, seed: u64) -> Self {
         assert!(!indices.is_empty(), "batcher needs at least one sample");
         assert!(indices.iter().all(|&i| i < dataset.len()), "index out of range");
-        let mut b = Batcher { dataset, indices, pos: 0, rng: StdRng::seed_from_u64(seed), augment: None };
+        let mut b = Batcher { dataset, indices, pos: 0, rng: StdRng::seed_from_u64(seed) };
         b.indices.shuffle(&mut b.rng);
         b
-    }
-
-    /// Enables per-sample augmentation (applied at batch time; off by
-    /// default, matching the paper's setup). Only meaningful for image
-    /// datasets with a `[c, h, w]` sample shape.
-    pub fn with_augmentation(mut self, augment: Augment) -> Self {
-        self.augment = if augment.is_identity() { None } else { Some(augment) };
-        self
     }
 
     /// Number of samples in this client's partition.
@@ -67,19 +58,9 @@ impl Batcher {
         }
         let end = (self.pos + batch_size).min(self.indices.len());
         let batch_indices = &self.indices[self.pos..end];
-        let (mut tensor, labels) = self.dataset.batch(batch_indices);
-        if let Some(aug) = self.augment {
-            let shape = self.dataset.sample_shape().to_vec();
-            if let [c, h, w] = shape[..] {
-                let sample_len = c * h * w;
-                let data = tensor.data_mut();
-                for i in 0..labels.len() {
-                    aug.apply(&mut data[i * sample_len..(i + 1) * sample_len], c, h, w, &mut self.rng);
-                }
-            }
-        }
+        let batch = self.dataset.batch(batch_indices);
         self.pos = end;
-        (tensor, labels)
+        batch
     }
 }
 
@@ -153,38 +134,5 @@ mod tests {
     #[should_panic(expected = "index out of range")]
     fn out_of_range_index_panics() {
         Batcher::new(dataset(), vec![99], 0);
-    }
-}
-
-
-#[cfg(test)]
-mod augment_tests {
-    use super::*;
-    use crate::SyntheticConfig;
-
-    #[test]
-    fn augmented_batches_differ_from_plain() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let data = Arc::new(SyntheticConfig::new(2, 1, 6, 6).samples_per_class(10).build(&mut rng));
-        let plain = Batcher::new(Arc::clone(&data), (0..20).collect(), 5);
-        let mut augmented = Batcher::new(Arc::clone(&data), (0..20).collect(), 5)
-            .with_augmentation(Augment::light());
-        let mut plain = plain;
-        let (a, la) = plain.next_batch(20);
-        let (b, lb) = augmented.next_batch(20);
-        assert_eq!(la, lb, "labels unchanged");
-        assert_ne!(a.data(), b.data(), "pixels augmented");
-    }
-
-    #[test]
-    fn identity_augmentation_is_free() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let data = Arc::new(SyntheticConfig::new(2, 1, 4, 4).samples_per_class(5).build(&mut rng));
-        let mut plain = Batcher::new(Arc::clone(&data), (0..10).collect(), 9);
-        let mut ident = Batcher::new(Arc::clone(&data), (0..10).collect(), 9)
-            .with_augmentation(Augment::default());
-        let (a, _) = plain.next_batch(10);
-        let (b, _) = ident.next_batch(10);
-        assert_eq!(a.data(), b.data());
     }
 }

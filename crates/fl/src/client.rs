@@ -7,12 +7,11 @@ use fedsu_nn::flat::{flatten_params, load_params, param_count};
 use fedsu_nn::loss::softmax_cross_entropy;
 use fedsu_nn::optim::Sgd;
 use fedsu_nn::{Layer, Sequential};
-use serde::{Deserialize, Serialize};
 
 /// Local-training hyper-parameters shared by every client (the paper's
 /// Sec. VI-A setup: batch 32, 50 iterations per round, SGD with weight
 /// decay 1e-3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientConfig {
     /// Mini-batch size per iteration.
     pub batch_size: usize,

@@ -854,7 +854,7 @@ fn train_one(client: &mut Client, id: usize, global: &[f32], round: usize) -> Re
 }
 
 /// Trains every active client for one round, spreading clients across
-/// available cores with crossbeam scoped threads. Fills `out` — reusing its
+/// available cores with scoped threads. Fills `out` — reusing its
 /// allocation — with one result per client: `Ok(mean training loss)` (0.0
 /// for inactive clients) or the client's individual failure — a panicking
 /// client never aborts the process. Each worker thread writes straight into
@@ -890,14 +890,14 @@ fn train_all(
     // scheduling, never results.
     let saved_kernel_threads = fedsu_tensor::kernel_threads_setting();
     fedsu_tensor::set_kernel_threads(1);
-    let scope_result = crossbeam::thread::scope(|s| {
+    let dead_chunks = std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(threads);
         for (ci, (chunk_clients, chunk_out)) in
             clients.chunks_mut(chunk).zip(out.chunks_mut(chunk)).enumerate()
         {
             let base = ci * chunk;
             let active = &active;
-            handles.push(s.spawn(move |_| {
+            handles.push(s.spawn(move || {
                 for (off, (client, slot)) in
                     chunk_clients.iter_mut().zip(chunk_out.iter_mut()).enumerate()
                 {
@@ -921,22 +921,11 @@ fn train_all(
     });
     fedsu_tensor::set_kernel_threads(saved_kernel_threads);
 
-    match scope_result {
-        Ok(dead_chunks) => {
-            for ci in dead_chunks {
-                let base = ci * chunk;
-                for id in base..(base + chunk).min(active.len()) {
-                    if active[id] {
-                        out[id] = Err(FlError::ClientFailed { id });
-                    }
-                }
-            }
-        }
-        Err(_) => {
-            for (slot, (id, &is_active)) in out.iter_mut().zip(active.iter().enumerate()) {
-                if is_active {
-                    *slot = Err(FlError::ClientFailed { id });
-                }
+    for ci in dead_chunks {
+        let base = ci * chunk;
+        for id in base..(base + chunk).min(active.len()) {
+            if active[id] {
+                out[id] = Err(FlError::ClientFailed { id });
             }
         }
     }

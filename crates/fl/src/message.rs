@@ -5,13 +5,11 @@
 //! sparse updates (4 bytes per `f32` scalar). These helpers keep that
 //! accounting in one place.
 
-use serde::{Deserialize, Serialize};
-
 /// Wire size of one `f32` scalar.
 pub const BYTES_PER_SCALAR: u64 = 4;
 
 /// Per-round communication accounting across the whole cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundComm {
     /// Upload bytes for every client (indexed by client id).
     pub upload_bytes: Vec<u64>,

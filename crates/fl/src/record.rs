@@ -1,67 +1,48 @@
 //! Experiment output records.
 
-use serde::{Deserialize, Serialize};
-
 /// Everything recorded about one communication round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundRecord {
     /// Round index (0-based).
-    #[serde(default)]
     pub round: usize,
     /// Emulated duration of this round in seconds.
-    #[serde(default)]
     pub duration_secs: f64,
     /// Cumulative emulated time at round end.
-    #[serde(default)]
     pub sim_time_secs: f64,
     /// Test accuracy, if this round was an evaluation round.
-    #[serde(default)]
     pub accuracy: Option<f32>,
     /// Test loss, if this round was an evaluation round.
-    #[serde(default)]
     pub test_loss: Option<f32>,
     /// Mean client training loss this round.
-    #[serde(default)]
     pub train_loss: f32,
     /// Fraction of scalars that skipped synchronization (paper's
     /// sparsification ratio).
-    #[serde(default)]
     pub sparsification_ratio: f64,
     /// Total bytes on the wire this round (both directions, all clients).
-    #[serde(default)]
     pub bytes: u64,
     /// Clients whose updates were aggregated.
-    #[serde(default)]
     pub participants: usize,
     /// Clients that dropped out this round (mid-round dropout, crash,
     /// exhausted upload retries, panic, or missed deadline).
-    #[serde(default)]
     pub dropped: usize,
     /// Uploads rejected by validation (non-finite or norm-outlier).
-    #[serde(default)]
     pub quarantined: usize,
     /// Extra upload bytes spent on retransmissions after lost uploads.
-    #[serde(default)]
     pub retransmitted_bytes: u64,
     /// 1 if this round's aggregation was rolled back to the last checkpoint.
-    #[serde(default)]
     pub rollbacks: usize,
 }
 
 /// A completed experiment: configuration echo plus per-round records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentResult {
     /// Strategy display name.
-    #[serde(default)]
     pub strategy: String,
     /// Model display name.
-    #[serde(default)]
     pub model: String,
     /// Per-round records, in order.
-    #[serde(default)]
     pub rounds: Vec<RoundRecord>,
     /// Total scalar parameters in the model.
-    #[serde(default)]
     pub param_count: usize,
 }
 

@@ -5,10 +5,8 @@
 //! (Eq. 13), e.g. `η_k = O(1/√T)`. The schedules here cover the constant
 //! rate the evaluation uses plus the decaying forms the theorem calls for.
 
-use serde::{Deserialize, Serialize};
-
 /// A per-round learning-rate schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LrSchedule {
     /// Constant learning rate (the paper's experimental setting).
     #[default]

@@ -1,10 +1,8 @@
 //! The [`SyncStrategy`] trait — the plug-point where FedAvg, CMFL, APF and
 //! FedSU implement their synchronization rules.
 
-use serde::{Deserialize, Serialize};
-
 /// Accounting returned by [`SyncStrategy::aggregate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AggregateOutcome {
     /// Scalars each client downloads after aggregation (broadcast volume).
     pub broadcast_scalars: usize,

@@ -1,9 +1,7 @@
 //! Empirical cumulative distribution functions.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical CDF over `f64` samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }

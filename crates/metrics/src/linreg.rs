@@ -2,10 +2,8 @@
 //! avoids at runtime, used here to validate the cheap oscillation-ratio
 //! diagnosis and to annotate trajectory figures.
 
-use serde::{Deserialize, Serialize};
-
 /// Result of fitting `y ≈ slope·x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Fitted slope.
     pub slope: f64,

@@ -1,9 +1,7 @@
 //! Per-round recorder for selected scalar parameters (Figs. 1 and 6).
 
-use serde::{Deserialize, Serialize};
-
 /// Records the values of a fixed set of scalar parameters after every round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrajectoryRecorder {
     indices: Vec<usize>,
     /// `trajectories[k]` holds the per-round values of `indices[k]`.

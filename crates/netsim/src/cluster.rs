@@ -4,10 +4,9 @@ use crate::{BandwidthTrace, Link};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, LogNormal};
-use serde::{Deserialize, Serialize};
 
 /// Static description of an emulated FL cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Number of FL clients.
     pub n_clients: usize,
@@ -39,7 +38,7 @@ impl ClusterConfig {
 }
 
 /// A realized cluster: the config plus each client's sampled compute factor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     config: ClusterConfig,
     speed_factors: Vec<f64>,

@@ -17,8 +17,6 @@
 //! regardless of query order, and a zero-probability plan is exactly the
 //! clean path.
 
-use serde::{Deserialize, Serialize};
-
 const SALT_DROPOUT: u64 = 0xD509;
 const SALT_LOSS: u64 = 0x1055;
 const SALT_CORRUPT: u64 = 0xC0BB;
@@ -43,7 +41,7 @@ fn mix(mut z: u64) -> u64 {
 
 /// Probabilities and shape parameters of the injected faults. All
 /// probabilities default to zero (the clean path).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Per-(client, round) probability of a mid-round dropout: the client
     /// trains, but its upload never reaches the server.
@@ -66,37 +64,25 @@ pub struct FaultConfig {
     /// Per-frame probability that the wire silently drops an outbound frame
     /// (data or ack). Consumed by the transport chaos bus; the emulation
     /// models the same loss analytically via [`FaultConfig::upload_loss_prob`].
-    #[serde(default)]
     pub wire_drop_prob: f64,
     /// Per-frame probability that a delivered frame arrives bit-corrupted
     /// (the session layer's checksum must reject it).
-    #[serde(default)]
     pub wire_corrupt_prob: f64,
     /// Per-frame probability that a frame is delivered twice (the session
     /// layer's dedup must drop the copy).
-    #[serde(default)]
     pub wire_duplicate_prob: f64,
     /// Per-frame probability that a frame is held back one slot and
     /// delivered after the next frame on the same link (adjacent reorder).
-    #[serde(default)]
     pub wire_reorder_prob: f64,
     /// Per-frame probability that a frame is delayed
     /// [`FaultConfig::wire_delay_depth`] subsequent sends before delivery.
-    #[serde(default)]
     pub wire_delay_prob: f64,
     /// How many subsequent sends on the same link a delayed frame waits
     /// before it is released (clamped to at least 1 when a delay fires).
-    #[serde(default = "default_wire_delay_depth")]
     pub wire_delay_depth: usize,
     /// Seed of the fault schedule, independent of the experiment's master
     /// seed so fault sweeps hold the learning problem fixed.
     pub seed: u64,
-}
-
-/// Serde default for [`FaultConfig::wire_delay_depth`], matching
-/// [`FaultConfig::default`].
-fn default_wire_delay_depth() -> usize {
-    2
 }
 
 impl Default for FaultConfig {
@@ -114,7 +100,7 @@ impl Default for FaultConfig {
             wire_duplicate_prob: 0.0,
             wire_reorder_prob: 0.0,
             wire_delay_prob: 0.0,
-            wire_delay_depth: default_wire_delay_depth(),
+            wire_delay_depth: 2,
             seed: 0xFA17,
         }
     }
@@ -169,7 +155,7 @@ pub struct WireFrame {
 ///
 /// Cheap to clone; every query is a pure hash of `(seed, kind, client,
 /// round)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     config: FaultConfig,
 }

@@ -1,9 +1,7 @@
 //! Point-to-point link model.
 
-use serde::{Deserialize, Serialize};
-
 /// A network link with fixed bandwidth and one-way latency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// Bandwidth in megabits per second.
     pub bandwidth_mbps: f64,

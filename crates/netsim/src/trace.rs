@@ -4,10 +4,8 @@
 //! mobile links fluctuate. These traces scale a client's bandwidth per
 //! round so experiments can test sensitivity to network dynamics.
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic per-(client, round) bandwidth multiplier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum BandwidthTrace {
     /// No variation (the paper's wondershaper setting).
     #[default]

@@ -44,7 +44,6 @@ pub mod activation;
 pub mod blocks;
 pub mod conv2d;
 pub mod dense;
-pub mod dropout;
 /// Error types.
 pub mod error;
 pub mod flat;

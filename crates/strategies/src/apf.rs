@@ -9,10 +9,9 @@
 //! zigzagging around a converged value.
 
 use fedsu_fl::{AggregateOutcome, SyncStrategy};
-use serde::{Deserialize, Serialize};
 
 /// APF hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApfConfig {
     /// Effective-perturbation threshold below which a parameter freezes
     /// (paper default 0.05).

@@ -4,10 +4,9 @@
 //! round's *global* update.
 
 use fedsu_fl::{AggregateOutcome, SyncStrategy};
-use serde::{Deserialize, Serialize};
 
 /// CMFL hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CmflConfig {
     /// Minimum fraction of sign-consistent entries required to transmit
     /// (paper default 0.8).

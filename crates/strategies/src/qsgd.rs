@@ -13,14 +13,13 @@ use fedsu_fl::{AggregateOutcome, SyncStrategy};
 use fedsu_tensor::simd;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Largest `levels` value whose codes fit the 7 magnitude bits of the wire
 /// format (sign bit + level byte; see [`Qsgd::quantize_to_codes`]).
 pub const MAX_WIRE_LEVELS: u32 = 126;
 
 /// QSGD hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QsgdConfig {
     /// Number of quantization levels `s` (e.g. 15 for 4-bit magnitudes).
     pub levels: u32,

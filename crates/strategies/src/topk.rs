@@ -10,10 +10,9 @@
 
 use fedsu_fl::{AggregateOutcome, SyncStrategy};
 use fedsu_tensor::simd;
-use serde::{Deserialize, Serialize};
 
 /// Top-K hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopKConfig {
     /// Fraction of scalars uploaded per client per round (0 < f <= 1).
     pub fraction: f64,

@@ -1,6 +1,5 @@
 use crate::{Result, TensorError};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An owned, contiguous, row-major `f32` n-dimensional array.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.shape(), &[2, 3]);
 /// assert_eq!(t.len(), 6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Vec<usize>,

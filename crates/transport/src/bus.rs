@@ -3,9 +3,8 @@
 //! real wire volume).
 
 use crate::{DecodeError, Message};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Cumulative traffic counters of one endpoint.
@@ -21,14 +20,20 @@ pub struct TransportStats {
     pub messages_received: u64,
 }
 
+/// The counters are plain saturating sums, valid after every single update,
+/// so a lock poisoned by a panicking holder is recovered rather than
+/// propagated: accounting keeps working whatever happened to that thread.
 #[derive(Debug, Default)]
 struct Counter {
     stats: Mutex<TransportStats>,
 }
 
 impl Counter {
+    fn lock(&self) -> MutexGuard<'_, TransportStats> {
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
+    }
     fn sent(&self, bytes: usize) {
-        let mut s = self.stats.lock();
+        let mut s = self.lock();
         // usize -> u64 is infallible on every supported target; saturate
         // the conversion *and* the accumulation rather than panic so
         // accounting can never abort a transfer (a bare `+=` still aborts
@@ -37,7 +42,7 @@ impl Counter {
         s.messages_sent = s.messages_sent.saturating_add(1);
     }
     fn received(&self, bytes: usize) {
-        let mut s = self.stats.lock();
+        let mut s = self.lock();
         s.bytes_received = s.bytes_received.saturating_add(u64::try_from(bytes).unwrap_or(u64::MAX));
         s.messages_received = s.messages_received.saturating_add(1);
     }
@@ -164,7 +169,7 @@ impl ServerEndpoint {
 
     /// Traffic counters for this endpoint.
     pub fn stats(&self) -> TransportStats {
-        *self.counter.stats.lock()
+        *self.counter.lock()
     }
 }
 
@@ -234,7 +239,7 @@ impl ClientEndpoint {
 
     /// Traffic counters for this endpoint.
     pub fn stats(&self) -> TransportStats {
-        *self.counter.stats.lock()
+        *self.counter.lock()
     }
 }
 
@@ -266,12 +271,12 @@ impl LocalBus {
     /// Panics if `n == 0`.
     pub fn star(n: usize) -> (ServerEndpoint, Vec<ClientEndpoint>) {
         assert!(n > 0, "need at least one client");
-        let (client_tx, server_inbox) = unbounded::<Vec<u8>>();
+        let (client_tx, server_inbox) = channel::<Vec<u8>>();
         let server_counter = Arc::new(Counter::default());
         let mut to_clients = Vec::with_capacity(n);
         let mut clients = Vec::with_capacity(n);
         for id in 0..n {
-            let (tx, rx) = unbounded::<Vec<u8>>();
+            let (tx, rx) = channel::<Vec<u8>>();
             to_clients.push(tx);
             clients.push(ClientEndpoint {
                 id,
@@ -356,6 +361,24 @@ mod tests {
         for h in handles {
             assert!(h.join().unwrap());
         }
+    }
+
+    #[test]
+    fn poisoned_stats_lock_still_yields_its_data() {
+        let (server, clients) = LocalBus::star(1);
+        clients[0].send(&Message::Pull { client: 0 }).unwrap();
+        server.recv(T).unwrap();
+        let counter = Arc::clone(&server.counter);
+        let holder = std::thread::spawn(move || {
+            let _guard = counter.stats.lock().unwrap();
+            panic!("holder dies with the stats lock held");
+        });
+        assert!(holder.join().is_err());
+        assert!(server.counter.stats.is_poisoned());
+        assert_eq!(server.stats().messages_received, 1);
+        clients[0].send(&Message::Pull { client: 0 }).unwrap();
+        server.recv(T).unwrap();
+        assert_eq!(server.stats().messages_received, 2, "counting continues after the poisoning");
     }
 
     #[test]

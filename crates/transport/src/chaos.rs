@@ -30,7 +30,7 @@ use crate::bus::{ByteLink, ServerByteLink};
 use crate::session::{Envelope, FrameKind};
 use crate::BusError;
 use fedsu_netsim::{FaultPlan, WireFrame};
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Counters of what the chaos decorator did to one link (or, from
@@ -91,6 +91,19 @@ struct LinkState {
     /// lock, drained by the caller after releasing it, then stored back so
     /// steady-state sends never reallocate the outer vector.
     due_scratch: Vec<Vec<u8>>,
+}
+
+/// One direction's [`LinkState`] behind a mutex that never reports
+/// poisoning: every field is a counter or a queue of whole frames, valid
+/// after each single update, so a holder that panicked leaves nothing to
+/// repair and the link keeps working.
+#[derive(Debug, Default)]
+struct Link(Mutex<LinkState>);
+
+impl Link {
+    fn lock(&self) -> MutexGuard<'_, LinkState> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 const DIR_TO_SERVER: u64 = 0;
@@ -222,7 +235,7 @@ pub struct ChaosClient<L: ByteLink> {
     inner: L,
     plan: FaultPlan,
     client: u64,
-    state: Mutex<LinkState>,
+    state: Link,
 }
 
 impl<L: ByteLink> ChaosClient<L> {
@@ -232,7 +245,7 @@ impl<L: ByteLink> ChaosClient<L> {
             inner,
             plan,
             client: u64::try_from(client).unwrap_or(u64::MAX),
-            state: Mutex::new(LinkState::default()),
+            state: Link::default(),
         }
     }
 
@@ -302,14 +315,14 @@ impl<L: ByteLink> ByteLink for ChaosClient<L> {
 pub struct ChaosServer<L: ServerByteLink> {
     inner: L,
     plan: FaultPlan,
-    states: Vec<Mutex<LinkState>>,
+    states: Vec<Link>,
 }
 
 impl<L: ServerByteLink> ChaosServer<L> {
     /// Wraps the server link with `plan`'s wire faults.
     pub fn new(inner: L, plan: FaultPlan) -> Self {
         let n = inner.client_count();
-        ChaosServer { inner, plan, states: (0..n).map(|_| Mutex::new(LinkState::default())).collect() }
+        ChaosServer { inner, plan, states: (0..n).map(|_| Link::default()).collect() }
     }
 
     /// Decorator counters summed over every destination link.

@@ -41,6 +41,7 @@
 
 mod bus;
 mod chaos;
+mod cursor;
 mod message;
 mod session;
 

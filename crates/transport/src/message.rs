@@ -5,7 +5,9 @@
 //! reports when a check is due, and joiners request the replicated manager
 //! state. All payloads are length-prefixed little-endian.
 
-use bytes::Buf;
+use crate::cursor::{
+    take, take_f32s, take_len, take_u16, take_u32, take_u32s, take_u8, Truncated,
+};
 use std::fmt;
 
 const MAGIC: u16 = 0xF5ED;
@@ -69,36 +71,18 @@ impl SparseValues {
     }
 
     fn decode_from(data: &mut &[u8]) -> Result<Self, DecodeError> {
-        if data.remaining() < 1 {
-            return Err(DecodeError::Truncated);
-        }
-        let tag = data.get_u8();
-        let indices: Option<Vec<u32>> = match tag {
+        let indices = match take_u8(data)? {
             0 => None,
             1 => {
-                if data.remaining() < 4 {
-                    return Err(DecodeError::Truncated);
-                }
-                let n = data.get_u32_le() as usize;
-                if data.remaining() < n * 4 {
-                    return Err(DecodeError::Truncated);
-                }
-                Some((0..n).map(|_| data.get_u32_le()).collect())
+                let n = take_len(data)?;
+                Some(take_u32s(data, n)?)
             }
             other => return Err(DecodeError::BadTag(other)),
         };
-        if data.remaining() < 4 {
-            return Err(DecodeError::Truncated);
-        }
-        let n = data.get_u32_le() as usize;
-        if data.remaining() < n * 4 {
-            return Err(DecodeError::Truncated);
-        }
-        let values = (0..n).map(|_| data.get_f32_le()).collect();
-        if let Some(idx) = &indices {
-            if idx.len() != n {
-                return Err(DecodeError::Inconsistent("index/value counts differ"));
-            }
+        let n = take_len(data)?;
+        let values = take_f32s(data, n)?;
+        if indices.as_ref().is_some_and(|idx| idx.len() != values.len()) {
+            return Err(DecodeError::Inconsistent("index/value counts differ"));
         }
         Ok(SparseValues { indices, values })
     }
@@ -172,26 +156,15 @@ impl QuantizedValues {
     }
 
     fn decode_from(data: &mut &[u8]) -> Result<Self, DecodeError> {
-        if data.remaining() < 12 {
-            return Err(DecodeError::Truncated);
-        }
-        let levels = data.get_u32_le();
+        let levels = take_u32(data)?;
         if levels > 126 {
             return Err(DecodeError::Inconsistent("quantization levels exceed 7-bit codes"));
         }
-        let chunk_len = data.get_u32_le();
-        let n_scales = data.get_u32_le() as usize;
-        if data.remaining() < n_scales * 4 {
-            return Err(DecodeError::Truncated);
-        }
-        let scales: Vec<f32> = (0..n_scales).map(|_| data.get_f32_le()).collect();
-        if data.remaining() < 4 {
-            return Err(DecodeError::Truncated);
-        }
-        let n_codes = data.get_u32_le() as usize;
-        let (code_bytes, rest) = data.split_at_checked(n_codes).ok_or(DecodeError::Truncated)?;
-        let codes = code_bytes.to_vec();
-        *data = rest;
+        let chunk_len = take_u32(data)?;
+        let n_scales = take_len(data)?;
+        let scales = take_f32s(data, n_scales)?;
+        let n_codes = take_len(data)?;
+        let codes = take(data, n_codes)?.to_vec();
         if expected_chunks(codes.len(), chunk_len) != Some(scales.len()) {
             return Err(DecodeError::Inconsistent("scale count does not cover the codes"));
         }
@@ -333,55 +306,45 @@ impl Message {
     /// Returns [`DecodeError`] on truncation, bad magic/version, or an
     /// unknown tag.
     pub fn decode(mut data: &[u8]) -> Result<Self, DecodeError> {
-        if data.remaining() < 4 {
-            return Err(DecodeError::Truncated);
-        }
-        let magic = data.get_u16_le();
+        let data = &mut data;
+        let magic = take_u16(data)?;
         if magic != MAGIC {
             return Err(DecodeError::BadMagic(magic));
         }
-        let version = data.get_u8();
+        let version = take_u8(data)?;
         if version != VERSION {
             return Err(DecodeError::BadVersion(version));
         }
-        let tag = data.get_u8();
-        let need_u32 = |data: &mut &[u8]| -> Result<u32, DecodeError> {
-            if data.remaining() < 4 {
-                Err(DecodeError::Truncated)
-            } else {
-                Ok(data.get_u32_le())
-            }
-        };
-        match tag {
-            1 => Ok(Message::Pull { client: need_u32(&mut data)? }),
+        match take_u8(data)? {
+            1 => Ok(Message::Pull { client: take_u32(data)? }),
             2 => {
-                let round = need_u32(&mut data)?;
-                let values = SparseValues::decode_from(&mut data)?;
+                let round = take_u32(data)?;
+                let values = SparseValues::decode_from(data)?;
                 Ok(Message::Model { round, values })
             }
             3 => {
-                let round = need_u32(&mut data)?;
-                let client = need_u32(&mut data)?;
-                let values = SparseValues::decode_from(&mut data)?;
+                let round = take_u32(data)?;
+                let client = take_u32(data)?;
+                let values = SparseValues::decode_from(data)?;
                 Ok(Message::Update { round, client, values })
             }
             4 => {
-                let round = need_u32(&mut data)?;
-                let client = need_u32(&mut data)?;
-                let errors = SparseValues::decode_from(&mut data)?;
+                let round = take_u32(data)?;
+                let client = take_u32(data)?;
+                let errors = SparseValues::decode_from(data)?;
                 Ok(Message::ErrorReport { round, client, errors })
             }
-            5 => Ok(Message::JoinRequest { client: need_u32(&mut data)? }),
+            5 => Ok(Message::JoinRequest { client: take_u32(data)? }),
             6 => {
-                let n = need_u32(&mut data)? as usize;
-                let payload = data.get(..n).ok_or(DecodeError::Truncated)?.to_vec();
+                let n = take_len(data)?;
+                let payload = take(data, n)?.to_vec();
                 Ok(Message::JoinState { payload })
             }
             7 => Ok(Message::Shutdown),
             8 => {
-                let round = need_u32(&mut data)?;
-                let client = need_u32(&mut data)?;
-                let values = QuantizedValues::decode_from(&mut data)?;
+                let round = take_u32(data)?;
+                let client = take_u32(data)?;
+                let values = QuantizedValues::decode_from(data)?;
                 Ok(Message::QuantizedUpdate { round, client, values })
             }
             other => Err(DecodeError::BadTag(other)),
@@ -418,6 +381,12 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+impl From<Truncated> for DecodeError {
+    fn from(_: Truncated) -> Self {
+        DecodeError::Truncated
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,10 +417,33 @@ mod tests {
 
     #[test]
     fn truncated_rejected() {
-        let bytes = Message::Model { round: 1, values: SparseValues::dense(vec![1.0; 8]) }.encode();
-        for cut in [0, 3, 5, bytes.len() - 1] {
-            assert!(Message::decode(&bytes[..cut]).is_err(), "cut at {cut}");
+        let variants = [
+            Message::Model { round: 1, values: SparseValues::dense(vec![1.0; 8]) },
+            Message::Update {
+                round: 9,
+                client: 2,
+                values: SparseValues::sparse(vec![0, 5, 9], vec![0.1, 0.2, 0.3]),
+            },
+            quantized_msg(),
+            Message::JoinState { payload: vec![1, 2, 3, 4, 5] },
+            Message::Shutdown,
+        ];
+        for msg in variants {
+            let bytes = msg.encode();
+            for cut in 0..bytes.len() {
+                assert_eq!(
+                    Message::decode(&bytes[..cut]),
+                    Err(DecodeError::Truncated),
+                    "{msg:?} cut at {cut}"
+                );
+            }
         }
+        // A count no buffer can back: the byte length must fail the bounds
+        // check, not wrap around it.
+        let mut bytes = Message::Model { round: 1, values: SparseValues::dense(vec![]) }.encode();
+        let at = bytes.len() - 4;
+        bytes[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(Message::decode(&bytes), Err(DecodeError::Truncated));
     }
 
     #[test]
@@ -508,14 +500,6 @@ mod tests {
         // 4 header + 8 (round, client) + 12 (levels, chunk_len, scale count)
         // + 3×4 scales + 4 code count + 9 codes.
         assert_eq!(msg.encode().len(), 4 + 8 + 12 + 12 + 4 + 9);
-    }
-
-    #[test]
-    fn quantized_truncation_rejected_at_every_cut() {
-        let bytes = quantized_msg().encode();
-        for cut in 0..bytes.len() {
-            assert!(Message::decode(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
     }
 
     #[test]

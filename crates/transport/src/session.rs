@@ -24,6 +24,7 @@
 //! `RoundRecord::retransmitted_bytes`.
 
 use crate::bus::{ByteLink, ServerByteLink};
+use crate::cursor::{take, take_len, take_u16, take_u32, take_u8, Truncated};
 use crate::{BusError, Message};
 use std::collections::{BTreeSet, VecDeque};
 use std::time::Duration;
@@ -107,6 +108,12 @@ impl std::fmt::Display for EnvelopeError {
 
 impl std::error::Error for EnvelopeError {}
 
+impl From<Truncated> for EnvelopeError {
+    fn from(_: Truncated) -> Self {
+        EnvelopeError::Truncated
+    }
+}
+
 /// FNV-1a 32-bit over `bytes` — cheap, deterministic, and plenty to catch
 /// the chaos bus's bit flips.
 fn fnv1a(bytes: &[u8]) -> u32 {
@@ -136,33 +143,6 @@ fn restamp_attempt(frame: &mut [u8], attempt: u16) {
     if let Some(tail) = frame.get_mut(body_len..) {
         tail.copy_from_slice(&sum.to_le_bytes());
     }
-}
-
-fn take<'a>(data: &mut &'a [u8], n: usize) -> Result<&'a [u8], EnvelopeError> {
-    if data.len() < n {
-        return Err(EnvelopeError::Truncated);
-    }
-    let (head, tail) = data.split_at(n);
-    *data = tail;
-    Ok(head)
-}
-
-fn take_u16(data: &mut &[u8]) -> Result<u16, EnvelopeError> {
-    take(data, 2)?
-        .try_into()
-        .map(u16::from_le_bytes)
-        .map_err(|_| EnvelopeError::Truncated)
-}
-
-fn take_u32(data: &mut &[u8]) -> Result<u32, EnvelopeError> {
-    take(data, 4)?
-        .try_into()
-        .map(u32::from_le_bytes)
-        .map_err(|_| EnvelopeError::Truncated)
-}
-
-fn take_u8(data: &mut &[u8]) -> Result<u8, EnvelopeError> {
-    take(data, 1).map(|h| h.first().copied().unwrap_or(0))
 }
 
 impl Envelope {
@@ -235,7 +215,7 @@ impl Envelope {
         let epoch = take_u32(&mut data)?;
         let seq = take_u32(&mut data)?;
         let attempt = take_u16(&mut data)?;
-        let payload_len = take_u32(&mut data)? as usize;
+        let payload_len = take_len(&mut data)?;
         // `data` now holds payload + 4-byte checksum; reject splices.
         if data.len() < 4 {
             return Err(EnvelopeError::Truncated);

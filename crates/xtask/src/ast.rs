@@ -1,10 +1,10 @@
 //! A lightweight item tree over the token stream from [`crate::lexer`].
 //!
 //! This is deliberately not a full Rust AST: the lint rules need to know
-//! *where things are* — function bodies (token ranges), struct fields and
-//! their attributes, `use` declarations with aliases, and which token spans
-//! are `#[cfg(test)]` code — not full expression structure. Expression-level
-//! matching happens directly on the token slices the items delimit.
+//! *where things are* — function bodies (token ranges), `use` declarations
+//! with aliases, and which token spans are `#[cfg(test)]` code — not full
+//! expression structure. Expression-level matching happens directly on the
+//! token slices the items delimit.
 
 use crate::lexer::{Token, TokenKind};
 
@@ -36,34 +36,6 @@ pub struct FnItem {
     pub line: usize,
 }
 
-/// One named field of a braced struct.
-#[derive(Debug, Clone)]
-pub struct FieldItem {
-    /// Field name.
-    pub name: String,
-    /// Attribute texts directly above the field (tokens joined by spaces).
-    pub attrs: Vec<String>,
-    /// 1-based line of the field name.
-    pub line: usize,
-}
-
-/// A struct definition with enough shape for the serde-default rule.
-#[derive(Debug, Clone)]
-pub struct StructItem {
-    /// Struct name.
-    pub name: String,
-    /// Attribute texts above the struct (tokens joined by spaces).
-    pub attrs: Vec<String>,
-    /// Named fields (empty for tuple/unit structs).
-    pub fields: Vec<FieldItem>,
-    /// `true` for `struct S { … }` (only braced structs have named fields).
-    pub braced: bool,
-    /// `true` when the struct is inside test-only code.
-    pub in_test: bool,
-    /// 1-based line of the `struct` keyword.
-    pub line: usize,
-}
-
 /// A parsed file: tokens plus the item structure the rules consume.
 #[derive(Debug, Clone)]
 pub struct ParsedFile {
@@ -76,8 +48,6 @@ pub struct ParsedFile {
     pub uses: Vec<UseAlias>,
     /// Every function, in source order.
     pub fns: Vec<FnItem>,
-    /// Every struct, in source order.
-    pub structs: Vec<StructItem>,
 }
 
 /// Parser state threaded through item recursion.
@@ -93,7 +63,6 @@ pub fn parse(tokens: Vec<Token>) -> ParsedFile {
         tokens,
         uses: Vec::new(),
         fns: Vec::new(),
-        structs: Vec::new(),
     };
     let end = file.tokens.len();
     let mut pos = 0usize;
@@ -161,7 +130,6 @@ fn parse_items(file: &mut ParsedFile, pos: &mut usize, end: usize, ctx: &Ctx) {
         let kw = if tok.kind == TokenKind::Ident { tok.text.as_str() } else { "" };
         match kw {
             "fn" => parse_fn(file, pos, end, ctx, in_test, item_start),
-            "struct" => parse_struct(file, pos, end, attrs, in_test, item_start),
             "mod" => {
                 *pos += 1;
                 skip_name(&file.tokens, pos, end);
@@ -201,11 +169,13 @@ fn parse_items(file: &mut ParsedFile, pos: &mut usize, end: usize, ctx: &Ctx) {
                 parse_use_tree(file, pos, end, &mut Vec::new());
                 skip_past_semi(&file.tokens, pos, end);
             }
-            "enum" | "union" => {
+            "struct" | "enum" | "union" => {
                 *pos += 1;
                 skip_to_block_or_semi(&file.tokens, pos, end);
                 if *pos < end && file.tokens[*pos].is_punct("{") {
                     *pos = (matching_brace(&file.tokens, *pos, end) + 1).min(end);
+                } else {
+                    skip_past_semi(&file.tokens, pos, end); // tuple or unit struct
                 }
             }
             "macro_rules" => {
@@ -483,83 +453,6 @@ fn skip_angles(tokens: &[Token], pos: &mut usize, end: usize) {
     }
 }
 
-/// Parses `struct Name …` starting at the `struct` keyword.
-fn parse_struct(
-    file: &mut ParsedFile,
-    pos: &mut usize,
-    end: usize,
-    attrs: Vec<String>,
-    in_test: bool,
-    _item_start: usize,
-) {
-    let line = file.tokens[*pos].line;
-    *pos += 1;
-    let name = ident_text(&file.tokens, *pos).unwrap_or_default();
-    skip_name(&file.tokens, pos, end);
-    skip_to_block_or_semi(&file.tokens, pos, end);
-    let mut item =
-        StructItem { name, attrs, fields: Vec::new(), braced: false, in_test, line };
-    if *pos < end && file.tokens[*pos].is_punct("{") {
-        item.braced = true;
-        let close = matching_brace(&file.tokens, *pos, end);
-        let mut k = *pos + 1;
-        while k < close {
-            let field_attrs = {
-                let mut fp = k;
-                let a = collect_attrs(&file.tokens, &mut fp, close);
-                k = fp;
-                a
-            };
-            skip_visibility(&file.tokens, &mut k, close);
-            let Some(fname) = ident_text(&file.tokens, k) else { break };
-            let fline = file.tokens[k].line;
-            k += 1;
-            if k < close && file.tokens[k].is_punct(":") {
-                item.fields.push(FieldItem { name: fname, attrs: field_attrs, line: fline });
-                // Skip the type up to the next comma at depth zero (commas
-                // inside generics/tuples/arrays are nested in delimiters we
-                // skip wholesale; angle depth is tracked explicitly).
-                let mut angle = 0i64;
-                while k < close {
-                    let t = &file.tokens[k];
-                    if t.is_punct("(") {
-                        k = (matching_delim(&file.tokens, k, close, "(", ")") + 1).min(close);
-                        continue;
-                    }
-                    if t.is_punct("[") {
-                        k = (matching_delim(&file.tokens, k, close, "[", "]") + 1).min(close);
-                        continue;
-                    }
-                    if t.kind == TokenKind::Punct {
-                        for c in t.text.chars() {
-                            match c {
-                                '<' => angle += 1,
-                                '>' => angle -= 1,
-                                _ => {}
-                            }
-                        }
-                        if t.text == "->" {
-                            angle += 1;
-                        }
-                    }
-                    if t.is_punct(",") && angle <= 0 {
-                        k += 1;
-                        break;
-                    }
-                    k += 1;
-                }
-            } else {
-                break;
-            }
-        }
-        *pos = (close + 1).min(end);
-    } else {
-        // Tuple or unit struct: fields are positional, nothing to default.
-        skip_past_semi(&file.tokens, pos, end);
-    }
-    file.structs.push(item);
-}
-
 /// Parses one `use` tree after the `use` keyword (or after a `::` inside a
 /// group), appending leaf bindings. `prefix` holds the segments so far.
 fn parse_use_tree(file: &mut ParsedFile, pos: &mut usize, end: usize, prefix: &mut Vec<String>) {
@@ -692,26 +585,12 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields_and_attrs() {
+    fn struct_bodies_are_skipped() {
         let f = parse_src(
-            "#[derive(Serialize, Deserialize)]\npub struct FooRecord {\n    pub a: u64,\n    #[serde(default)]\n    pub b: BTreeMap<u64, u32>,\n    pub c: f32,\n}",
+            "struct A(u32, f64);\nstruct B;\nstruct C { x: fn() -> u32, y: [u8; 4] }\nfn after() {}",
         );
-        let s = &f.structs[0];
-        assert_eq!(s.name, "FooRecord");
-        assert!(s.braced);
-        assert!(s.attrs[0].contains("Deserialize"));
-        let names: Vec<&str> = s.fields.iter().map(|x| x.name.as_str()).collect();
-        assert_eq!(names, vec!["a", "b", "c"]);
-        assert!(s.fields[1].attrs[0].contains("serde"));
-        assert!(s.fields[0].attrs.is_empty());
-    }
-
-    #[test]
-    fn tuple_and_unit_structs() {
-        let f = parse_src("struct A(u32, f64);\nstruct B;");
-        assert_eq!(f.structs.len(), 2);
-        assert!(!f.structs[0].braced);
-        assert!(f.structs[1].fields.is_empty());
+        assert_eq!(f.fns.len(), 1);
+        assert_eq!(f.fns[0].name, "after");
     }
 
     #[test]

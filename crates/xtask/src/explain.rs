@@ -3,8 +3,8 @@
 //! The text answers the three questions a developer hitting a finding
 //! actually has — *why is this a hazard in this workspace*, *what does a
 //! finding look like*, and *what are my options when the code is right
-//! anyway* (waiver policy: `lint-allow.toml` for reviewed permanent waivers,
-//! `lint-baseline.toml` for ratcheted pre-existing debt).
+//! anyway* (waiver policy: there is no waiver file — the finding is fixed
+//! or it is ratcheted in `lint-baseline.toml` / `alloc-budget.toml`).
 
 use crate::rules::{ALLOC_RULES, RULE_IDS};
 
@@ -39,13 +39,6 @@ pub fn explain(rule: &str) -> Option<String> {
              an `.expect(\"…\")` message of at least 10 chars documenting the \
              invariant that makes failure impossible.",
             "let x = v.pop().unwrap();   // flagged; .expect(\"ring is never empty\") passes",
-        ),
-        "serde-default" => (
-            "Persisted record structs (*Record/*Result/*Stats deriving \
-             Deserialize) are read back by future binaries. Every field needs \
-             #[serde(default)] (or a container-level default) so records written \
-             by an older binary stay loadable after fields are added.",
-            "pub struct RoundRecord { pub loss: f64 }   // field flagged without a default",
         ),
         "panic-path" => (
             "Functions transitively reachable (name-based call graph) from the \
@@ -152,9 +145,9 @@ pub fn explain(rule: &str) -> Option<String> {
     };
     Some(format!(
         "rule: {rule}\n\nwhy\n  {}\n\nexample\n  {}\n\nwaiver policy\n  \
-         Correct-by-design code gets a reviewed [[allow]] entry in \
-         crates/xtask/lint-allow.toml (rule/path/contains/reason — the reason is \
-         mandatory). {}\n",
+         There is no waiver file: restructure the code so the rule no longer \
+         fires, or record the finding in the ratchet and justify it in review. \
+         {}\n",
         wrap(rationale, 74),
         example,
         ratchet

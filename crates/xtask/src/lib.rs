@@ -5,21 +5,21 @@
 //! aliases and local type hints ([`resolve`]), builds a name-based call
 //! graph ([`callgraph`]), and runs the token-level rules ([`rules`]):
 //! nondeterministic hash-collection iteration, wall-clock reads, truncating
-//! casts in accounting statements, undocumented panics, non-evolvable record
-//! schemas, panics on hot experiment paths, unchecked wire-byte/sim-time
-//! arithmetic, and order-nondeterministic float accumulation.
+//! casts in accounting statements, undocumented panics, panics on hot
+//! experiment paths, unchecked wire-byte/sim-time arithmetic, and
+//! order-nondeterministic float accumulation.
 //!
-//! Findings are gated two ways: the empty-by-policy allow file
-//! (`lint-allow.toml`, [`allowlist`]) and the ratchet baseline
-//! (`lint-baseline.toml`, [`baseline`]) that tolerates pre-existing findings
-//! while rejecting new ones and stale entries. `--format sarif` ([`sarif`])
-//! emits SARIF 2.1.0 for CI annotation.
+//! Findings are gated by two ratchets that tolerate pre-existing findings
+//! while rejecting new ones and stale entries: the baseline
+//! (`lint-baseline.toml`, [`baseline`]) and, for the allocation families,
+//! the budget (`alloc-budget.toml`, [`budget`]). There is no waiver file: a
+//! finding is fixed or it is ratcheted. `--format sarif` ([`sarif`]) emits
+//! SARIF 2.1.0 for CI annotation.
 //!
 //! Deliberately std-only: the gate must build in seconds on an offline CI
 //! runner.
 
 pub mod allocflow;
-pub mod allowlist;
 pub mod ast;
 pub mod baseline;
 pub mod benchcheck;
@@ -44,14 +44,10 @@ use workspace::{SourceFile, SourceKind};
 /// Result of a full lint run.
 #[derive(Debug)]
 pub struct LintReport {
-    /// New findings: not baselined, not allow-listed (fail the run).
+    /// New findings: neither baselined nor budgeted (fail the run).
     pub violations: Vec<Diagnostic>,
     /// Findings matched by a `lint-baseline.toml` entry (tolerated).
     pub baselined: Vec<Diagnostic>,
-    /// Findings waived by `lint-allow.toml`.
-    pub suppressed: Vec<Diagnostic>,
-    /// Allow entries that matched nothing (fail the run: stale waivers rot).
-    pub unused_allows: Vec<allowlist::AllowEntry>,
     /// Baseline entries in scanned files that matched nothing (fail the run:
     /// the ratchet must shrink when findings are fixed).
     pub stale_baseline: Vec<baseline::BaselineEntry>,
@@ -69,25 +65,22 @@ impl LintReport {
     /// `true` when the gate should pass.
     pub fn clean(&self) -> bool {
         self.violations.is_empty()
-            && self.unused_allows.is_empty()
             && self.stale_baseline.is_empty()
             && self.stale_budget.is_empty()
     }
 }
 
-/// Lints `files` applying allow entries from `allow_text`, ratchet entries
-/// from `baseline_text`, and allocation-budget entries from `budget_text`.
+/// Lints `files` applying ratchet entries from `baseline_text` and
+/// allocation-budget entries from `budget_text`.
 ///
 /// # Errors
-/// Returns a message when a file cannot be read or any gate file is
+/// Returns a message when a file cannot be read or either gate file is
 /// malformed.
 pub fn lint_files(
     files: &[SourceFile],
-    allow_text: &str,
     baseline_text: &str,
     budget_text: &str,
 ) -> Result<LintReport, String> {
-    let allow_entries = allowlist::parse(allow_text).map_err(|e| e.to_string())?;
     let baseline_entries = baseline::parse(baseline_text).map_err(|e| e.to_string())?;
     let alloc_budget = budget::parse(budget_text).map_err(|e| e.to_string())?;
 
@@ -113,13 +106,12 @@ pub fn lint_files(
         diags.extend(check_prepared(&f.rel, f.kind, p, &graph, &flow));
     }
 
-    let (kept, suppressed, unused_allows) = allowlist::apply(diags, &allow_entries);
     let scanned: BTreeSet<String> = files.iter().map(|f| f.rel.clone()).collect();
     // The allocation families ratchet through alloc-budget.toml; everything
     // else goes through the baseline. Partition before gating so neither
     // file can waive the other's rules.
     let (alloc_diags, other_diags): (Vec<_>, Vec<_>) =
-        kept.into_iter().partition(|d| rules::ALLOC_RULES.contains(&d.rule));
+        diags.into_iter().partition(|d| rules::ALLOC_RULES.contains(&d.rule));
     let (violations, baselined, stale_baseline) =
         baseline::apply(other_diags, &baseline_entries, &scanned);
     let (alloc_new, budgeted, stale_budget) =
@@ -132,8 +124,6 @@ pub fn lint_files(
     Ok(LintReport {
         violations,
         baselined,
-        suppressed,
-        unused_allows,
         stale_baseline,
         budgeted,
         stale_budget,
@@ -181,10 +171,7 @@ pub fn lint_source(rel: &str, kind: SourceKind, text: &str) -> Vec<Diagnostic> {
     check_prepared(rel, kind, &p, &graph, &flow)
 }
 
-/// Default location of the allow file, relative to the workspace root.
-pub const ALLOW_FILE: &str = "crates/xtask/lint-allow.toml";
-
-/// Reads a gate file (allow or baseline), treating a missing file as empty.
+/// Reads a gate file (baseline or budget), treating a missing file as empty.
 ///
 /// # Errors
 /// Returns a message for I/O errors other than "not found".
@@ -194,14 +181,6 @@ pub fn read_gate_file(path: &Path) -> Result<String, String> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(String::new()),
         Err(e) => Err(format!("{}: cannot read: {e}", path.display())),
     }
-}
-
-/// Reads the allow file, treating a missing file as empty (nothing waived).
-///
-/// # Errors
-/// Returns a message for I/O errors other than "not found".
-pub fn read_allow_file(path: &Path) -> Result<String, String> {
-    read_gate_file(path)
 }
 
 #[cfg(test)]

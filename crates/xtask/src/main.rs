@@ -1,10 +1,9 @@
 //! CLI entry point:
-//! `cargo run -p fedsu-xtask -- lint [--allow FILE] [--baseline FILE]
-//! [--budget FILE] [--format text|sarif] [--fix-baseline] [--fix-budget]
-//! [PATH...]`.
+//! `cargo run -p fedsu-xtask -- lint [--baseline FILE] [--budget FILE]
+//! [--format text|sarif] [--fix-baseline] [--fix-budget] [PATH...]`.
 //!
-//! Exit codes: `0` clean (new findings absent, no stale allow/baseline/
-//! budget entries), `1` gate failure, `2` usage or I/O error.
+//! Exit codes: `0` clean (new findings absent, no stale baseline/budget
+//! entries), `1` gate failure, `2` usage or I/O error.
 //! `--fix-baseline` rewrites `crates/xtask/lint-baseline.toml` and
 //! `--fix-budget` rewrites `crates/xtask/alloc-budget.toml` (preserving its
 //! `[runtime]` ceilings) deterministically; both exit 0.
@@ -13,9 +12,7 @@ use fedsu_xtask::baseline::BASELINE_FILE;
 use fedsu_xtask::budget::BUDGET_FILE;
 use fedsu_xtask::rules::RULE_IDS;
 use fedsu_xtask::workspace::{self, SourceFile};
-use fedsu_xtask::{
-    baseline, benchcheck, budget, explain, lint_files, read_gate_file, sarif, ALLOW_FILE,
-};
+use fedsu_xtask::{baseline, benchcheck, budget, explain, lint_files, read_gate_file, sarif};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -38,15 +35,14 @@ fn main() -> ExitCode {
 
 fn print_usage() {
     eprintln!(
-        "usage: cargo run -p fedsu-xtask -- lint [--allow FILE] [--baseline FILE]\n\
-         \x20                                       [--budget FILE] [--format text|sarif]\n\
+        "usage: cargo run -p fedsu-xtask -- lint [--baseline FILE] [--budget FILE]\n\
+         \x20                                       [--format text|sarif]\n\
          \x20                                       [--fix-baseline] [--fix-budget]\n\
          \x20                                       [--explain RULE] [PATH...]"
     );
     eprintln!();
     eprintln!("Lints workspace .rs sources for determinism/safety hazards.");
     eprintln!("With no PATH arguments, walks the whole workspace.");
-    eprintln!("Suppressions: {ALLOW_FILE} (rule/path/contains/reason entries).");
     eprintln!("Ratchet:      {BASELINE_FILE} (regenerate with --fix-baseline).");
     eprintln!("Alloc budget: {BUDGET_FILE} (regenerate with --fix-budget).");
     eprintln!("--format sarif emits SARIF 2.1.0 on stdout for CI annotation.");
@@ -191,7 +187,6 @@ fn usage_error(msg: &str) -> ExitCode {
 
 /// Parsed `lint` flags.
 struct LintArgs {
-    allow_override: Option<PathBuf>,
     baseline_override: Option<PathBuf>,
     budget_override: Option<PathBuf>,
     format: OutputFormat,
@@ -209,7 +204,6 @@ enum OutputFormat {
 
 fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
     let mut out = LintArgs {
-        allow_override: None,
         baseline_override: None,
         budget_override: None,
         format: OutputFormat::Text,
@@ -221,10 +215,6 @@ fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--allow" => {
-                let p = it.next().ok_or("--allow requires a file argument")?;
-                out.allow_override = Some(PathBuf::from(p));
-            }
             "--baseline" => {
                 let p = it.next().ok_or("--baseline requires a file argument")?;
                 out.baseline_override = Some(PathBuf::from(p));
@@ -311,13 +301,11 @@ fn lint_command(raw_args: &[String]) -> ExitCode {
     };
 
     // The checked-in defaults may legitimately be absent (fresh checkout
-    // with no waivers / no debt), but an explicitly named file must exist: a
-    // typo'd path would otherwise silently disable every suppression.
-    for (flag, p) in [
-        ("--allow", &args.allow_override),
-        ("--baseline", &args.baseline_override),
-        ("--budget", &args.budget_override),
-    ] {
+    // with no debt), but an explicitly named file must exist: a typo'd path
+    // would otherwise silently disable the whole ratchet.
+    for (flag, p) in
+        [("--baseline", &args.baseline_override), ("--budget", &args.budget_override)]
+    {
         if let Some(p) = p {
             if !p.is_file() {
                 eprintln!("error: {flag} {}: no such file", p.display());
@@ -325,14 +313,6 @@ fn lint_command(raw_args: &[String]) -> ExitCode {
             }
         }
     }
-    let allow_path = args.allow_override.clone().unwrap_or_else(|| root.join(ALLOW_FILE));
-    let allow_text = match read_gate_file(&allow_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
     let baseline_path =
         args.baseline_override.clone().unwrap_or_else(|| root.join(BASELINE_FILE));
     let budget_path = args.budget_override.clone().unwrap_or_else(|| root.join(BUDGET_FILE));
@@ -353,13 +333,13 @@ fn lint_command(raw_args: &[String]) -> ExitCode {
     };
 
     if args.fix_baseline {
-        return fix_baseline(&files, &allow_text, &budget_text, &baseline_path);
+        return fix_baseline(&files, &budget_text, &baseline_path);
     }
     if args.fix_budget {
-        return fix_budget(&files, &allow_text, &baseline_text, &budget_text, &budget_path);
+        return fix_budget(&files, &baseline_text, &budget_text, &budget_path);
     }
 
-    let report = match lint_files(&files, &allow_text, &baseline_text, &budget_text) {
+    let report = match lint_files(&files, &baseline_text, &budget_text) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -373,13 +353,6 @@ fn lint_command(raw_args: &[String]) -> ExitCode {
         for d in &report.violations {
             println!("{}:{}: error[{}]: {}", d.path, d.line, d.rule, d.message);
             println!("    | {}", d.snippet);
-        }
-        for e in &report.unused_allows {
-            println!(
-                "{}: error[stale-allow]: [[allow]] entry for rule `{}` matched nothing \
-                 (reason was: {}); remove it",
-                e.path, e.rule, e.reason
-            );
         }
         for e in &report.stale_baseline {
             println!(
@@ -399,14 +372,11 @@ fn lint_command(raw_args: &[String]) -> ExitCode {
         }
         println!(
             "fedsu-xtask lint: {} file(s), {} new violation(s), {} baselined, \
-             {} budgeted, {} suppressed, {} stale allow(s), {} stale baseline \
-             entr(ies), {} stale budget entr(ies)",
+             {} budgeted, {} stale baseline entr(ies), {} stale budget entr(ies)",
             report.files_scanned,
             report.violations.len(),
             report.baselined.len(),
             report.budgeted.len(),
-            report.suppressed.len(),
-            report.unused_allows.len(),
             report.stale_baseline.len(),
             report.stale_budget.len()
         );
@@ -422,27 +392,14 @@ fn lint_command(raw_args: &[String]) -> ExitCode {
 /// stays in force — its rules ratchet separately) and writes every remaining
 /// non-allocation finding to `baseline_path`, deterministically sorted.
 /// Exits 0 even when findings exist — recording them is the point.
-fn fix_baseline(
-    files: &[SourceFile],
-    allow_text: &str,
-    budget_text: &str,
-    baseline_path: &Path,
-) -> ExitCode {
-    let report = match lint_files(files, allow_text, "", budget_text) {
+fn fix_baseline(files: &[SourceFile], budget_text: &str, baseline_path: &Path) -> ExitCode {
+    let report = match lint_files(files, "", budget_text) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    if !report.unused_allows.is_empty() {
-        eprintln!(
-            "error: {} stale [[allow]] entr(ies); fix {ALLOW_FILE} before regenerating \
-             the baseline",
-            report.unused_allows.len()
-        );
-        return ExitCode::FAILURE;
-    }
     let findings: Vec<_> = report
         .violations
         .iter()
@@ -467,7 +424,6 @@ fn fix_baseline(
 /// carrying the existing `[runtime]` ceilings through unchanged.
 fn fix_budget(
     files: &[SourceFile],
-    allow_text: &str,
     baseline_text: &str,
     budget_text: &str,
     budget_path: &Path,
@@ -480,21 +436,13 @@ fn fix_budget(
             return ExitCode::from(2);
         }
     };
-    let report = match lint_files(files, allow_text, baseline_text, "") {
+    let report = match lint_files(files, baseline_text, "") {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    if !report.unused_allows.is_empty() {
-        eprintln!(
-            "error: {} stale [[allow]] entr(ies); fix {ALLOW_FILE} before regenerating \
-             the budget",
-            report.unused_allows.len()
-        );
-        return ExitCode::FAILURE;
-    }
     let findings: Vec<_> = report
         .violations
         .iter()

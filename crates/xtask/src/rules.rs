@@ -3,9 +3,9 @@
 //!
 //! All rules skip test code (`#[cfg(test)]` items, `#[test]` functions)
 //! because the hazards they guard against — nondeterministic iteration
-//! order, wall-clock reads, silently-truncating or wrapping arithmetic,
-//! panicking accessors, and non-evolvable record schemas — only threaten the
-//! *emulation and its persisted results*, not assertions inside tests.
+//! order, wall-clock reads, silently-truncating or wrapping arithmetic, and
+//! panicking accessors — only threaten the *emulation and its results*, not
+//! assertions inside tests.
 //!
 //! Rules operate on tokens, never on raw text: a `HashMap` inside a string
 //! literal or comment does not exist at this layer, and `use … as` aliases
@@ -25,11 +25,11 @@ pub struct Diagnostic {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Stable rule identifier (used by `lint-allow.toml` and the baseline).
+    /// Stable rule identifier (used by the baseline and the alloc budget).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
-    /// The offending source line (trimmed), for allow/baseline matching.
+    /// The offending source line (trimmed), for baseline/budget matching.
     pub snippet: String,
 }
 
@@ -52,12 +52,11 @@ impl Diagnostic {
 }
 
 /// Stable identifiers of every rule, in reporting order.
-pub const RULE_IDS: [&str; 14] = [
+pub const RULE_IDS: [&str; 13] = [
     "hash-collections",
     "wall-clock",
     "truncating-cast",
     "no-unwrap",
-    "serde-default",
     "panic-path",
     "unchecked-arith",
     "float-determinism",
@@ -88,7 +87,6 @@ pub fn check_all(
     out.extend(check_wall_clock(path, src));
     out.extend(check_truncating_cast(path, src));
     out.extend(check_no_unwrap(path, src));
-    out.extend(check_serde_default(path, src));
     out.extend(check_panic_path(path, src, graph));
     out.extend(check_unchecked_arith(path, src));
     out.extend(check_float_determinism(path, src));
@@ -291,57 +289,6 @@ fn check_no_unwrap(path: &str, src: &PreparedSource) -> Vec<Diagnostic> {
                     ),
                 ));
             }
-        }
-    }
-    out
-}
-
-/// Struct-name suffixes that mark persisted experiment records.
-const RECORD_SUFFIXES: [&str; 3] = ["Record", "Result", "Stats"];
-
-/// `true` when an attribute text (tokens joined by spaces) is a
-/// `#[serde(default…)]`-style container/field default.
-fn attr_is_serde_default(attr: &str) -> bool {
-    let t = attr.trim_start();
-    t.starts_with("serde") && t.contains("default")
-}
-
-/// Rule `serde-default`: persisted record structs (`*Record`, `*Result`,
-/// `*Stats` deriving `Deserialize`) must mark every field `#[serde(default)]`
-/// (or carry a container-level default). Records written by an older binary
-/// must stay loadable after fields are added — PR 1's fault columns were
-/// exactly such an evolution.
-fn check_serde_default(path: &str, src: &PreparedSource) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for s in &src.file.structs {
-        if s.in_test || !s.braced {
-            continue;
-        }
-        if !RECORD_SUFFIXES.iter().any(|suf| s.name.ends_with(suf)) {
-            continue;
-        }
-        if !s.attrs.iter().any(|a| a.contains("Deserialize")) {
-            continue;
-        }
-        if s.attrs.iter().any(|a| attr_is_serde_default(a)) {
-            continue; // container-level default covers every field
-        }
-        for f in &s.fields {
-            if f.attrs.iter().any(|a| attr_is_serde_default(a)) {
-                continue;
-            }
-            out.push(Diagnostic::at(
-                src,
-                path,
-                f.line,
-                "serde-default",
-                format!(
-                    "field `{}` of record struct `{}` lacks #[serde(default)]; \
-                     persisted records from older binaries must stay loadable \
-                     when fields are added",
-                    f.name, s.name
-                ),
-            ));
         }
     }
     out
@@ -1037,26 +984,6 @@ mod tests {
     fn unwrap_mentioned_in_comment_or_string_is_fine() {
         let src = "fn f() { // please don't .unwrap() here\n  let s = \"x.unwrap()\"; }\n";
         assert!(run("no-unwrap", src).is_empty());
-    }
-
-    #[test]
-    fn serde_default_flags_undefaulted_record_field() {
-        let src = "#[derive(Serialize, Deserialize)]\npub struct FooRecord {\n    pub a: u64,\n    #[serde(default)]\n    pub b: u64,\n}\n";
-        let d = run("serde-default", src);
-        assert_eq!(d.len(), 1);
-        assert!(d[0].message.contains("`a`"));
-    }
-
-    #[test]
-    fn serde_default_container_level_is_enough() {
-        let src = "#[derive(Serialize, Deserialize)]\n#[serde(default)]\npub struct FooRecord {\n    pub a: u64,\n}\n";
-        assert!(run("serde-default", src).is_empty());
-    }
-
-    #[test]
-    fn serde_default_ignores_non_record_and_non_serde_structs() {
-        let src = "#[derive(Serialize, Deserialize)]\npub struct Config {\n    pub a: u64,\n}\npub struct BareStats {\n    pub a: u64,\n}\n";
-        assert!(run("serde-default", src).is_empty());
     }
 
     #[test]

@@ -19,7 +19,6 @@ fn rule_summary(id: &str) -> &'static str {
         "wall-clock" => "wall-clock read in emulation code; use the deterministic sim clock",
         "truncating-cast" => "`as <int>` on byte/time accounting silently truncates",
         "no-unwrap" => "unwrap or undocumented expect in library code",
-        "serde-default" => "persisted record field lacks #[serde(default)]",
         "panic-path" => "possible panic on a path reachable from the experiment round loop",
         "unchecked-arith" => "bare +/* on wire-byte or sim-time accounting values can wrap",
         "float-determinism" => "float accumulation over nondeterministic iteration order",
@@ -139,8 +138,6 @@ mod tests {
         LintReport {
             violations,
             baselined,
-            suppressed: Vec::new(),
-            unused_allows: Vec::new(),
             stale_baseline: Vec::new(),
             budgeted: Vec::new(),
             stale_budget: Vec::new(),

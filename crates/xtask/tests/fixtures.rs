@@ -1,15 +1,14 @@
 //! End-to-end tests of the lint rules against the seeded fixture files in
 //! `crates/xtask/fixtures/`: each rule fires exactly once on its fixture
-//! (at the exact file:line the fixture documents), the adversarial lexer
-//! fixtures yield zero diagnostics, and a `lint-allow.toml` entry
-//! suppresses seeded findings.
+//! (at the exact file:line the fixture documents) and the adversarial lexer
+//! fixtures yield zero diagnostics.
 
 // Tests and benches may unwrap: a panic here IS the failure report
 // (mirrors allow-unwrap-in-tests in clippy.toml for non-#[test] helpers).
 #![allow(clippy::unwrap_used)]
 
 use fedsu_xtask::workspace::SourceKind;
-use fedsu_xtask::{allowlist, lint_source, rules::Diagnostic};
+use fedsu_xtask::{lint_source, rules::Diagnostic};
 use std::path::PathBuf;
 
 /// Reads a fixture's text from disk.
@@ -69,44 +68,6 @@ fn truncating_cast_fires_exactly_once() {
 fn no_unwrap_fires_exactly_once_outside_tests() {
     let d = assert_fires_once("no_unwrap.rs", "no-unwrap");
     assert!(d.snippet.contains(".unwrap()"), "should point at the unwrap: {d:?}");
-}
-
-#[test]
-fn serde_default_fires_exactly_once() {
-    let d = assert_fires_once("serde_default.rs", "serde-default");
-    assert!(d.message.contains("wire_total"), "should name the uncovered field: {d:?}");
-}
-
-#[test]
-fn allow_entry_suppresses_the_seeded_violation() {
-    for (name, rule) in [
-        ("hash_collections.rs", "hash-collections"),
-        ("wall_clock.rs", "wall-clock"),
-        ("truncating_cast.rs", "truncating-cast"),
-        ("no_unwrap.rs", "no-unwrap"),
-        ("serde_default.rs", "serde-default"),
-    ] {
-        let diags = lint_fixture(name);
-        let allow_text = format!(
-            "[[allow]]\nrule = \"{rule}\"\npath = \"crates/xtask/fixtures/{name}\"\nreason = \"seeded fixture violation, waived for the suppression test\"\n"
-        );
-        let entries = allowlist::parse(&allow_text).expect("generated allow text is well-formed");
-        let (kept, suppressed, unused) = allowlist::apply(diags, &entries);
-        assert!(kept.is_empty(), "{name}: entry should suppress the finding: {kept:?}");
-        assert_eq!(suppressed.len(), 1, "{name}");
-        assert!(unused.is_empty(), "{name}: the entry matched, it must not be stale");
-    }
-}
-
-#[test]
-fn non_matching_allow_entry_is_reported_stale() {
-    let diags = lint_fixture("wall_clock.rs");
-    let allow_text = "[[allow]]\nrule = \"wall-clock\"\npath = \"crates/other/file.rs\"\nreason = \"points at the wrong file on purpose\"\n";
-    let entries = allowlist::parse(allow_text).expect("allow text is well-formed");
-    let (kept, suppressed, unused) = allowlist::apply(diags, &entries);
-    assert_eq!(kept.len(), 1, "violation must survive a non-matching entry");
-    assert!(suppressed.is_empty());
-    assert_eq!(unused.len(), 1, "the non-matching entry must be flagged stale");
 }
 
 #[test]
@@ -447,19 +408,6 @@ fn every_registered_rule_explains_itself() {
     assert!(
         fedsu_xtask::explain::explain("no-such-rule").is_none(),
         "unknown rules must be rejected, not given empty text"
-    );
-}
-
-#[test]
-fn checked_in_allow_file_parses_and_is_empty() {
-    let dir = option_env!("CARGO_MANIFEST_DIR").unwrap_or("crates/xtask");
-    let path = PathBuf::from(dir).join("lint-allow.toml");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{} must exist: {e}", path.display()));
-    let entries = allowlist::parse(&text).expect("checked-in allow file must parse");
-    assert!(
-        entries.is_empty(),
-        "the workspace should need zero waivers; justify any addition in review"
     );
 }
 

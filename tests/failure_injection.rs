@@ -18,8 +18,15 @@ impl SyncStrategy for Saboteur {
     fn name(&self) -> &str {
         "saboteur"
     }
-    fn prepare_uploads(&mut self, _round: usize, locals: &[Vec<f32>], _global: &[f32]) -> Vec<u64> {
-        locals.iter().map(|l| l.len() as u64).collect()
+    fn prepare_uploads_into(
+        &mut self,
+        _round: usize,
+        locals: &[Vec<f32>],
+        _global: &[f32],
+        out: &mut Vec<u64>,
+    ) {
+        out.clear();
+        out.extend(locals.iter().map(|l| l.len() as u64));
     }
     fn aggregate(
         &mut self,
@@ -137,8 +144,15 @@ fn strategy_contract_violation_is_detected() {
         fn name(&self) -> &str {
             "short"
         }
-        fn prepare_uploads(&mut self, _round: usize, _locals: &[Vec<f32>], _global: &[f32]) -> Vec<u64> {
-            vec![0] // wrong length: one entry for many clients
+        fn prepare_uploads_into(
+            &mut self,
+            _round: usize,
+            _locals: &[Vec<f32>],
+            _global: &[f32],
+            out: &mut Vec<u64>,
+        ) {
+            out.clear();
+            out.push(0); // wrong length: one entry for many clients
         }
         fn aggregate(
             &mut self,
