@@ -1,15 +1,15 @@
 //! Table II — computation and memory overhead of FedSU.
 //!
-//! Criterion micro-benchmarks the per-round synchronization step (FedAvg's
-//! plain averaging vs FedSU's diagnosis + speculative update + feedback) on
-//! model-sized parameter vectors, and the harness prints the memory
-//! inflation of FedSU's per-client state relative to the model itself.
+//! Times the per-round synchronization step (FedAvg's plain averaging vs
+//! FedSU's diagnosis + speculative update + feedback) on model-sized
+//! parameter vectors — warm-up, then the median of a fixed number of timed
+//! steps — and prints the memory inflation of FedSU's per-client state
+//! relative to the model itself.
 //!
 //! The paper reports ≤ 2.15% computation-time inflation and ≤ 10% memory
 //! inflation; the relevant comparison here is the sync-step delta against
 //! the emulated per-round compute time.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedsu_core::{FedSu, FedSuConfig};
 use fedsu_fl::SyncStrategy;
 use fedsu_metrics::Table;
@@ -17,8 +17,16 @@ use fedsu_repro::scenario::ModelKind;
 use fedsu_strategies::FedAvg;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::Instant;
 
 const CLIENTS: usize = 8;
+
+/// Untimed steps before measuring: FedSU's scratch reaches its final
+/// capacity and its first masks form.
+const WARMUP_STEPS: usize = 20;
+
+/// Timed steps per strategy and model size; the median is reported.
+const TIMED_STEPS: usize = 201;
 
 struct SyncFixture {
     locals: Vec<Vec<f32>>,
@@ -33,7 +41,7 @@ impl SyncFixture {
         let mut rng = StdRng::seed_from_u64(seed);
         let global: Vec<f32> = (0..n_params).map(|_| rng.gen_range(-0.5..0.5)).collect();
         let locals = (0..CLIENTS)
-            .map(|_| global.iter().map(|g| g - 0.01 + rng.gen_range(-0.002..0.002)).collect())
+            .map(|_| global.iter().map(|g| g - 0.01 + rng.gen_range(-0.002f32..0.002)).collect())
             .collect();
         SyncFixture {
             locals,
@@ -59,21 +67,48 @@ impl SyncFixture {
     }
 }
 
-fn bench_sync_step(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table2_sync_step");
-    for &(name, n_params) in &[("cnn_40k", 40_314usize), ("resnet_45k", 44_850), ("densenet_6k", 5_767)] {
-        group.bench_with_input(BenchmarkId::new("fedavg", name), &n_params, |b, &n| {
-            let mut fixture = SyncFixture::new(n, 1);
-            let mut strat = FedAvg::new();
-            b.iter(|| fixture.step(&mut strat));
-        });
-        group.bench_with_input(BenchmarkId::new("fedsu", name), &n_params, |b, &n| {
-            let mut fixture = SyncFixture::new(n, 1);
-            let mut strat = FedSu::new(FedSuConfig { t_r: 0.1, t_s: 10.0, ..FedSuConfig::default() });
-            b.iter(|| fixture.step(&mut strat));
-        });
+/// Median wall time in microseconds of one sync step of `strategy` on
+/// `n_params` parameters, after [`WARMUP_STEPS`] untimed steps.
+// A bench measures the host clock by design.
+#[allow(clippy::disallowed_methods)]
+fn median_step_us(n_params: usize, strategy: &mut dyn SyncStrategy) -> f64 {
+    let mut fixture = SyncFixture::new(n_params, 1);
+    for _ in 0..WARMUP_STEPS {
+        fixture.step(strategy);
     }
-    group.finish();
+    let mut samples: Vec<f64> = (0..TIMED_STEPS)
+        .map(|_| {
+            let t0 = Instant::now();
+            fixture.step(strategy);
+            t0.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[TIMED_STEPS / 2]
+}
+
+fn print_sync_step_table() {
+    println!("\n== Table II (computation): one sync step, FedAvg vs FedSU ==\n");
+    let mut table = Table::new(&["Model", "Model params", "FedAvg us", "FedSU us", "FedSU / FedAvg"]);
+    for (name, n_params) in [("cnn_40k", 40_314usize), ("resnet_45k", 44_850), ("densenet_6k", 5_767)] {
+        let fedavg = median_step_us(n_params, &mut FedAvg::new());
+        let fedsu = median_step_us(
+            n_params,
+            &mut FedSu::new(FedSuConfig { t_r: 0.1, t_s: 10.0, ..FedSuConfig::default() }),
+        );
+        table.row(&[
+            name,
+            &n_params.to_string(),
+            &format!("{fedavg:.1}"),
+            &format!("{fedsu:.1}"),
+            &format!("{:.1}x", fedsu / fedavg),
+        ]);
+    }
+    println!("{table}");
+    println!(
+        "Median of {TIMED_STEPS} steps after {WARMUP_STEPS} warm-up steps, {CLIENTS} clients. The paper's\n\
+         figure is this delta against a round's training compute, not against FedAvg's step."
+    );
 }
 
 fn print_memory_table() {
@@ -105,14 +140,7 @@ fn print_memory_table() {
     println!("Expectation (paper): memory inflation below ~10%, computation\ninflation (sync-step delta vs per-round compute) around 1-2%.");
 }
 
-fn overhead(c: &mut Criterion) {
+fn main() {
     print_memory_table();
-    bench_sync_step(c);
+    print_sync_step_table();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = overhead
-}
-criterion_main!(benches);

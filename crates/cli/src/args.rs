@@ -57,16 +57,6 @@ pub struct RunArgs {
     pub fault_corrupt: f64,
     /// Seed for the deterministic fault plan (independent of `seed`).
     pub fault_seed: u64,
-    /// Per-frame probability that a wire frame is dropped (chaos bus).
-    pub wire_drop: f64,
-    /// Per-frame probability that a wire frame has bits flipped.
-    pub wire_corrupt: f64,
-    /// Per-frame probability that a wire frame is duplicated.
-    pub wire_dup: f64,
-    /// Per-frame probability that a wire frame is delivered one slot late.
-    pub wire_reorder: f64,
-    /// Per-frame probability that a wire frame is held several slots.
-    pub wire_delay: f64,
     /// Kernel-level thread budget for tensor matmuls (`0` = auto-detect).
     pub kernel_threads: usize,
     /// Optional CSV output path for per-round records.
@@ -85,11 +75,6 @@ impl Default for RunArgs {
             fault_dropout: 0.0,
             fault_corrupt: 0.0,
             fault_seed: 0xFA17,
-            wire_drop: 0.0,
-            wire_corrupt: 0.0,
-            wire_dup: 0.0,
-            wire_reorder: 0.0,
-            wire_delay: 0.0,
             kernel_threads: 0,
             csv: None,
         }
@@ -189,11 +174,6 @@ fn run_args(flags: &BTreeMap<String, String>) -> Result<RunArgs, ParseError> {
                 args.fault_seed =
                     value.parse().map_err(|_| ParseError(format!("bad --fault-seed `{value}`")))?
             }
-            "wire-drop" => args.wire_drop = parse_prob(value, "wire-drop")?,
-            "wire-corrupt" => args.wire_corrupt = parse_prob(value, "wire-corrupt")?,
-            "wire-dup" => args.wire_dup = parse_prob(value, "wire-dup")?,
-            "wire-reorder" => args.wire_reorder = parse_prob(value, "wire-reorder")?,
-            "wire-delay" => args.wire_delay = parse_prob(value, "wire-delay")?,
             "kernel-threads" => {
                 args.kernel_threads = value
                     .parse()
@@ -320,42 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_fault_flags_parse_and_default_to_zero() {
-        let cmd = parse(s(&[
-            "run",
-            "--wire-drop",
-            "0.1",
-            "--wire-corrupt",
-            "0.05",
-            "--wire-dup",
-            "0.02",
-            "--wire-reorder",
-            "0.03",
-            "--wire-delay",
-            "0.04",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Run(a) => {
-                assert!((a.wire_drop - 0.1).abs() < 1e-12);
-                assert!((a.wire_corrupt - 0.05).abs() < 1e-12);
-                assert!((a.wire_dup - 0.02).abs() < 1e-12);
-                assert!((a.wire_reorder - 0.03).abs() < 1e-12);
-                assert!((a.wire_delay - 0.04).abs() < 1e-12);
-            }
-            other => panic!("{other:?}"),
-        }
-        let d = RunArgs::default();
-        assert_eq!(
-            (d.wire_drop, d.wire_corrupt, d.wire_dup, d.wire_reorder, d.wire_delay),
-            (0.0, 0.0, 0.0, 0.0, 0.0)
-        );
-        // Wire knobs are probabilities too.
-        assert!(parse(s(&["run", "--wire-drop", "2.0"])).unwrap_err().0.contains("probability"));
-        assert!(parse(s(&["run", "--wire-delay", "-1"])).unwrap_err().0.contains("probability"));
-    }
-
-    #[test]
     fn fault_probabilities_are_range_checked() {
         assert!(parse(s(&["run", "--fault-dropout", "1.5"]))
             .unwrap_err()
@@ -391,5 +335,7 @@ mod tests {
         assert!(parse(s(&["sweep", "--values", "1"])).unwrap_err().0.contains("--param"));
         assert!(parse(s(&["sweep", "--param", "t_r"])).unwrap_err().0.contains("--values"));
         assert!(parse(s(&["run", "--bogus", "1"])).unwrap_err().0.contains("unknown flag"));
+        // No carrier sends frames under `fedsu run`, so it takes no wire-fault knobs.
+        assert!(parse(s(&["run", "--wire-drop", "0.2"])).unwrap_err().0.contains("unknown flag"));
     }
 }

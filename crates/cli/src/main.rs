@@ -23,8 +23,6 @@ USAGE:
   fedsu run     [--model M] [--strategy S] [--clients N] [--rounds R]
                 [--alpha A] [--seed K] [--csv PATH] [--kernel-threads N]
                 [--fault-dropout P] [--fault-corrupt P] [--fault-seed K]
-                [--wire-drop P] [--wire-corrupt P] [--wire-dup P]
-                [--wire-reorder P] [--wire-delay P]
   fedsu compare [--model M] [--clients N] [--rounds R] [--alpha A] [--seed K]
   fedsu sweep   --param t_r|t_s --values a,b,c [--model M] [--rounds R] ...
   fedsu info
@@ -37,10 +35,6 @@ FAULTS:     --fault-dropout/--fault-corrupt inject per-round client dropout
             and upload corruption with the given probability; a non-zero rate
             auto-enables the server-side defenses (retry, quarantine,
             rollback). --fault-seed picks the deterministic fault plan.
-            --wire-drop/--wire-corrupt/--wire-dup/--wire-reorder/--wire-delay
-            set the fault plan's per-frame wire knobs, consumed by the chaos
-            bus (`examples/chaos_wire.rs` and the transport parity tests);
-            the emulated round loop models their cost via the same plan.
 
 THREADS:    --kernel-threads N caps the tensor-kernel thread pool (0 = auto,
             the default; 1 = serial). A pure performance knob: parallel
@@ -60,11 +54,6 @@ fn scenario_of(a: &RunArgs) -> Scenario {
     let faults = FaultConfig {
         dropout_prob: a.fault_dropout,
         corrupt_prob: a.fault_corrupt,
-        wire_drop_prob: a.wire_drop,
-        wire_corrupt_prob: a.wire_corrupt,
-        wire_duplicate_prob: a.wire_dup,
-        wire_reorder_prob: a.wire_reorder,
-        wire_delay_prob: a.wire_delay,
         seed: a.fault_seed,
         ..FaultConfig::default()
     };

@@ -353,10 +353,19 @@ impl Experiment {
             let mut rollbacks = 0usize;
 
             // Joining clients additionally download the strategy's replicated
-            // state (the paper's dynamicity protocol, Sec. V).
-            let join_state_bytes = self.strategy.join_state().map_or(0, |s| {
-                u64::try_from(s.len()).expect("join-state size fits in u64 on supported targets")
-            });
+            // state (the paper's dynamicity protocol, Sec. V). Serialising it
+            // is the strategy's most expensive call, so ask only in a round
+            // that has a joiner.
+            let any_joiner = round > 0
+                && scratch.active.iter().zip(&scratch.was_active).any(|(&act, &was)| act && !was);
+            let join_state_bytes = if any_joiner {
+                self.strategy.join_state().map_or(0, |s| {
+                    u64::try_from(s.len())
+                        .expect("join-state size fits in u64 on supported targets")
+                })
+            } else {
+                0
+            };
             scratch.download_bytes.clear();
             scratch.download_bytes.resize(n, 0);
             for ((db, &is_active), &was) in scratch
@@ -816,30 +825,6 @@ fn validate_uploads_into(
     returned.iter().zip(valid.iter()).filter(|&(&r, &v)| r && !v).count()
 }
 
-/// Allocating wrapper over [`validate_uploads_into`], kept for the unit
-/// tests' convenience.
-#[cfg(test)]
-fn validate_uploads(
-    locals: &[Vec<f32>],
-    global: &[f32],
-    returned: &[bool],
-    outlier_norm_factor: f32,
-) -> (Vec<bool>, usize) {
-    let mut valid = Vec::new();
-    let mut update_norm = Vec::new();
-    let mut finite_norms = Vec::new();
-    let quarantined = validate_uploads_into(
-        locals,
-        global,
-        returned,
-        outlier_norm_factor,
-        &mut valid,
-        &mut update_norm,
-        &mut finite_norms,
-    );
-    (valid, quarantined)
-}
-
 /// Pulls the global into one client and trains it for one round, converting
 /// a panic anywhere inside into [`FlError::ClientFailed`].
 fn train_one(client: &mut Client, id: usize, global: &[f32], round: usize) -> Result<f32> {
@@ -937,6 +922,7 @@ mod tests {
     use crate::strategy::{average_into, AggregateOutcome};
     use fedsu_data::SyntheticConfig;
     use fedsu_netsim::FaultConfig;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Plain FedAvg used as the reference strategy in runtime tests.
     struct TestAvg;
@@ -971,7 +957,48 @@ mod tests {
         }
     }
 
+    /// [`TestAvg`] plus an 8-byte join state, counting how often the runtime
+    /// asks for it.
+    struct CountingJoin(Arc<AtomicUsize>);
+    impl SyncStrategy for CountingJoin {
+        fn name(&self) -> &str {
+            "test-counting-join"
+        }
+        fn prepare_uploads_into(
+            &mut self,
+            round: usize,
+            locals: &[Vec<f32>],
+            global: &[f32],
+            out: &mut Vec<u64>,
+        ) {
+            TestAvg.prepare_uploads_into(round, locals, global, out);
+        }
+        fn aggregate(
+            &mut self,
+            round: usize,
+            locals: &[Vec<f32>],
+            selected: &[usize],
+            active: &[bool],
+            global: &mut [f32],
+        ) -> AggregateOutcome {
+            TestAvg.aggregate(round, locals, selected, active, global)
+        }
+        fn join_state(&self) -> Option<Vec<u8>> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Some(vec![0; 8])
+        }
+    }
+
     fn quick_experiment_with(
+        n_clients: usize,
+        rounds: usize,
+        tweak: impl FnOnce(&mut ExperimentConfig),
+    ) -> Experiment {
+        quick_experiment_of(Box::new(TestAvg), n_clients, rounds, tweak)
+    }
+
+    fn quick_experiment_of(
+        strategy: Box<dyn SyncStrategy>,
         n_clients: usize,
         rounds: usize,
         tweak: impl FnOnce(&mut ExperimentConfig),
@@ -997,7 +1024,7 @@ mod tests {
             clip_norm: None,
         };
         tweak(&mut cfg);
-        Experiment::new(cfg, factory, train, test, Box::new(TestAvg)).unwrap()
+        Experiment::new(cfg, factory, train, test, strategy).unwrap()
     }
 
     fn quick_experiment(n_clients: usize, rounds: usize) -> Experiment {
@@ -1078,6 +1105,27 @@ mod tests {
         // The joiner's catch-up download makes round 1 strictly heavier than
         // a steady-state round.
         assert!(result.rounds[1].bytes >= result.rounds[2].bytes);
+    }
+
+    #[test]
+    fn join_state_is_requested_only_in_a_round_with_a_joiner() {
+        let late_joiner = |cfg: &mut ExperimentConfig| {
+            cfg.availability = Some(Arc::new(|client, round| client != 3 || round >= 2));
+        };
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counting = || Box::new(CountingJoin(Arc::clone(&calls)));
+
+        quick_experiment_of(counting(), 4, 5, |_| {}).run(None).unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "no client ever joins a churn-free run");
+
+        let churn = quick_experiment_of(counting(), 4, 5, late_joiner).run(None).unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "one round has a joiner");
+        // The joiner still pays for the state: the same run under a strategy
+        // without one is lighter by exactly those 8 bytes, in that round only.
+        let plain = quick_experiment_with(4, 5, late_joiner).run(None).unwrap();
+        let extra: Vec<u64> =
+            churn.rounds.iter().zip(&plain.rounds).map(|(c, p)| c.bytes - p.bytes).collect();
+        assert_eq!(extra, vec![0, 0, 8, 0, 0]);
     }
 
     #[test]
@@ -1256,12 +1304,18 @@ mod tests {
             vec![1.0e8, 0.0, 0.0, 0.0],
             vec![0.1, 0.2, 0.1, 0.0],
         ];
-        let returned = vec![true, true, true, true];
-        let (valid, quarantined) = validate_uploads(&locals, &global, &returned, 8.0);
+        let (mut valid, mut norms, mut finite) = (Vec::new(), Vec::new(), Vec::new());
+        let returned = [true, true, true, true];
+        let quarantined = validate_uploads_into(
+            &locals, &global, &returned, 8.0, &mut valid, &mut norms, &mut finite,
+        );
         assert_eq!(valid, vec![true, false, false, true]);
         assert_eq!(quarantined, 2);
         // Clients that never returned are not counted as quarantined.
-        let (valid, quarantined) = validate_uploads(&locals, &global, &[true, false, false, true], 8.0);
+        let returned = [true, false, false, true];
+        let quarantined = validate_uploads_into(
+            &locals, &global, &returned, 8.0, &mut valid, &mut norms, &mut finite,
+        );
         assert_eq!(valid, vec![true, false, false, true]);
         assert_eq!(quarantined, 0);
     }

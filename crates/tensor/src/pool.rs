@@ -1,9 +1,10 @@
 //! Size-classed, sharded buffer pool backing the steady round loop.
 //!
 //! The FedSU round loop used to re-allocate its tensors, masks, and
-//! staging buffers every round (see `crates/xtask/alloc-budget.toml`).
+//! staging buffers every round (see the `hot-alloc` entries of
+//! `crates/xtask/lint-baseline.toml`).
 //! This module is the fix: a process-wide [`BufferPool`] of reusable
-//! `f32`/`usize`/byte buffers, organised as power-of-two size classes
+//! `f32`/`usize` buffers, organised as power-of-two size classes
 //! inside independently locked shards. Hot paths check a buffer out,
 //! use it, and return it; after warm-up the loop runs on recycled
 //! capacity instead of fresh allocations.
@@ -67,7 +68,6 @@ const PER_CLASS_CAP: usize = 4;
 struct Shard {
     f32s: [Vec<Vec<f32>>; NUM_CLASSES],
     usizes: [Vec<Vec<usize>>; NUM_CLASSES],
-    u8s: [Vec<Vec<u8>>; NUM_CLASSES],
 }
 
 /// The process-wide sharded buffer pool. Obtain it via [`global`].
@@ -94,7 +94,6 @@ fn new_pool() -> BufferPool {
         shards.push(Mutex::new(Shard {
             f32s: std::array::from_fn(|_| Vec::new()),
             usizes: std::array::from_fn(|_| Vec::new()),
-            u8s: std::array::from_fn(|_| Vec::new()),
         }));
     }
     BufferPool { shards, balance: AtomicU64::new(0) }
@@ -139,11 +138,6 @@ fn new_f32_storage(len: usize) -> Vec<f32> {
 
 /// Allocator fallback for a `usize` pool miss.
 fn new_usize_storage(len: usize) -> Vec<usize> {
-    Vec::with_capacity(len)
-}
-
-/// Allocator fallback for a byte pool miss.
-fn new_u8_storage(len: usize) -> Vec<u8> {
     Vec::with_capacity(len)
 }
 
@@ -230,41 +224,6 @@ impl BufferPool {
         }
     }
 
-    /// Checks out a zero-filled byte buffer of exactly `len` elements.
-    pub fn take_u8(&self, len: usize) -> Vec<u8> {
-        self.balance.fetch_add(1, Ordering::Relaxed);
-        let mut buf = self.pop_u8(len);
-        buf.clear();
-        buf.resize(len, 0);
-        buf
-    }
-
-    fn pop_u8(&self, len: usize) -> Vec<u8> {
-        if let Some(mut shard) = self.lock_shard(my_shard()) {
-            if let Some(free) = shard.u8s.get_mut(class_of(len)) {
-                if let Some(buf) = free.pop() {
-                    return buf;
-                }
-            }
-        }
-        new_u8_storage(len)
-    }
-
-    /// Returns a byte buffer to the calling thread's shard.
-    pub fn give_u8(&self, buf: Vec<u8>) {
-        self.balance.fetch_sub(1, Ordering::Relaxed);
-        if let Some(mut shard) = self.lock_shard(my_shard()) {
-            if let Some(free) = shard.u8s.get_mut(class_of(buf.capacity())) {
-                if free.len() < PER_CLASS_CAP {
-                    if free.capacity() < PER_CLASS_CAP {
-                        free.reserve_exact(PER_CLASS_CAP);
-                    }
-                    free.push(buf);
-                }
-            }
-        }
-    }
-
     /// Wrapping balance of checkouts minus returns across all buffer
     /// types. Balanced code leaves this unchanged; tests use it to prove
     /// no checkout leaks across a `catch_unwind` boundary.
@@ -334,16 +293,6 @@ pub fn take_usize_buf(len: usize) -> Vec<usize> {
 /// Returns a `usize` buffer to the global pool.
 pub fn give_usize_buf(buf: Vec<usize>) {
     global().give_usize(buf);
-}
-
-/// Checks out a zero-filled byte buffer from the global pool.
-pub fn take_u8_buf(len: usize) -> Vec<u8> {
-    global().take_u8(len)
-}
-
-/// Returns a byte buffer to the global pool.
-pub fn give_u8_buf(buf: Vec<u8>) {
-    global().give_u8(buf);
 }
 
 /// A zero-filled tensor of `shape` whose data and shape buffers both come

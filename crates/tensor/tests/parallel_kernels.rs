@@ -8,10 +8,11 @@
 //! parallel-dispatch threshold, with ±0.0, NaN, and ±inf planted in the
 //! operands.
 //!
-//! Tests deliberately never assert *which* execution path ran (the global
-//! thread and SIMD-level settings are process-wide and tests run
-//! concurrently); they assert only bit-equality, which must hold at any
-//! setting.
+//! The thread-count and SIMD-level settings are process-wide and the strict
+//! comparisons below are only meaningful while the level they pinned is
+//! still in force, so every test that sets either global holds [`gate`] for
+//! its whole body; `cargo test` may still run the binary's tests on
+//! parallel threads.
 //!
 //! Two comparison strengths (DESIGN.md §10.1):
 //!
@@ -31,8 +32,17 @@ use fedsu_tensor::{
     matmul_transpose_b_into, reference, set_kernel_threads, set_simd_level, simd, simd_level,
     ConvDims, SimdLevel, Tensor,
 };
+use std::sync::Mutex;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// Serializes the tests that set the global kernel-thread count or SIMD
+/// level (poison-tolerant: one failed test must not fail the rest).
+static GATE: Mutex<()> = Mutex::new(());
+
+fn gate() -> std::sync::MutexGuard<'static, ()> {
+    GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// (m, k, n) shapes: degenerate, small, awkward odd sizes, and sizes big
 /// enough to trigger parallel dispatch (m·k·n above the internal threshold).
@@ -143,16 +153,19 @@ fn sweep(specials: bool) {
 
 #[test]
 fn kernels_bit_identical_to_reference_across_thread_counts() {
+    let _g = gate();
     sweep(false);
 }
 
 #[test]
 fn kernels_bit_identical_with_ieee_specials_planted() {
+    let _g = gate();
     sweep(true);
 }
 
 #[test]
 fn tensor_wrappers_match_reference_across_thread_counts() {
+    let _g = gate();
     let (m, k, n) = (37, 23, 29);
     let a = Tensor::from_vec(filled(m * k, 7, true), &[m, k]).expect("a");
     let b = Tensor::from_vec(filled(k * n, 11, true), &[k, n]).expect("b");
@@ -167,6 +180,7 @@ fn tensor_wrappers_match_reference_across_thread_counts() {
 
 #[test]
 fn nan_in_b_behind_zero_row_of_a_propagates_at_every_thread_count() {
+    let _g = gate();
     // Regression for the removed `av == 0.0` sparsity shortcut: a zero row in
     // A must NOT mask a NaN in B (IEEE 754: 0.0 * NaN = NaN). Use a shape big
     // enough that the parallel path is exercised at multi-thread settings.
@@ -205,6 +219,7 @@ fn supported_levels() -> Vec<SimdLevel> {
 /// naive reference (modulo NaN payload), repeated with each level forced.
 #[test]
 fn reference_sweep_holds_at_every_simd_level() {
+    let _g = gate();
     let prior = simd_level();
     for level in supported_levels() {
         set_simd_level(level);
@@ -223,6 +238,7 @@ fn reference_sweep_holds_at_every_simd_level() {
 /// but not portable between them (DESIGN.md §10.1).
 #[test]
 fn kernels_bit_identical_across_simd_levels_and_thread_counts() {
+    let _g = gate();
     let prior = simd_level();
     for &(m, k, n) in &SHAPES {
         let a = filled(m * k, 0x9E37_79B9 ^ (m as u64) << 32 | k as u64, true);
@@ -280,6 +296,7 @@ fn kernels_bit_identical_across_simd_levels_and_thread_counts() {
 /// specials planted — compared against a fixed scalar-at-Scalar-level run.
 #[test]
 fn conv_lowering_bit_identical_across_simd_levels_and_thread_counts() {
+    let _g = gate();
     let geometries = [
         ConvDims { in_channels: 2, in_h: 7, in_w: 9, kernel: 3, stride: 1, padding: 1 },
         ConvDims { in_channels: 3, in_h: 6, in_w: 11, kernel: 5, stride: 2, padding: 3 },
@@ -351,6 +368,7 @@ fn elementwise_lanes_bit_identical_across_simd_levels() {
 
 #[test]
 fn signed_zero_semantics_match_reference() {
+    let _g = gate();
     // (-0.0) * x accumulated from +0.0 keeps IEEE signed-zero behaviour
     // identical between reference and blocked/parallel kernels.
     let (m, k, n) = (4, 3, 4);

@@ -16,18 +16,17 @@
 //!   never read again: the copy exists only to appease the borrow checker
 //!   and the original could have been moved instead.
 //!
-//! Findings ratchet through `crates/xtask/alloc-budget.toml` (the
-//! allocation analogue of `lint-baseline.toml`): known hot-path allocations
-//! are budgeted, new ones fail the lint until either removed or explicitly
-//! re-budgeted with `lint --fix-budget`. The counting allocator in
-//! `fedsu-tensor::alloc_stats` cross-validates the static picture with real
-//! per-round allocator traffic.
+//! Findings ratchet through `crates/xtask/lint-baseline.toml` like every
+//! other family: known hot-path allocations are baselined, new ones fail the
+//! lint until removed. The counting allocator in `fedsu-tensor::alloc_stats`
+//! cross-validates the static picture with real per-round allocator traffic
+//! (`tests/alloc_budget.rs`).
 //!
 //! Known imprecision (documented, accepted): the steady closure is
 //! name-based, so a setup helper not matching the naming contract is
 //! audited as hot; intra-function setup before the round loop in `run`
 //! itself is indistinguishable from per-round work at this layer. Both
-//! over-approximate — extra findings land in the budget, none are missed.
+//! over-approximate — extra findings land in the baseline, none are missed.
 
 use crate::callgraph::CallGraph;
 use crate::dataflow::block_close;
@@ -87,8 +86,7 @@ pub fn check_hot_alloc(path: &str, src: &PreparedSource, graph: &CallGraph) -> V
                         "hot-alloc",
                         format!(
                             "{what} in `{}`, which runs every round; hoist the buffer \
-                             out of the loop, reuse a scratch allocation, or budget it \
-                             in alloc-budget.toml",
+                             out of the loop or reuse a scratch allocation",
                             f.name
                         ),
                     ));

@@ -10,6 +10,12 @@
 //! invalidates its entries on purpose (rerun `lint --fix-baseline`, review
 //! the diff). Regeneration is deterministic — sorted by path, line, rule —
 //! so the file never produces noisy diffs.
+//!
+//! Every rule family ratchets through this one file, and the direction is
+//! a property of the one command that rewrites it: `lint --fix-baseline`
+//! refuses to write a file in which any rule has more entries than the file
+//! it replaces ([`grown_rules`]). New debt can enter only by a hand edit of
+//! the TOML, which is a reviewed diff.
 
 use crate::rules::Diagnostic;
 use std::collections::BTreeSet;
@@ -46,7 +52,7 @@ impl std::fmt::Display for BaselineParseError {
 }
 
 /// Escapes a string for a double-quoted TOML value.
-pub(crate) fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -61,7 +67,7 @@ pub(crate) fn escape(s: &str) -> String {
 }
 
 /// Unescapes a double-quoted TOML value body.
-pub(crate) fn unescape(s: &str) -> String {
+fn unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -215,23 +221,47 @@ pub fn apply(
     (new, baselined, stale)
 }
 
+/// The entries `diags` would render to: `(path, line, rule, snippet)`
+/// sorted, duplicates collapsed.
+fn entry_keys(diags: &[Diagnostic]) -> Vec<(&str, usize, &'static str, &str)> {
+    let mut keys: Vec<_> =
+        diags.iter().map(|d| (d.path.as_str(), d.line, d.rule, d.snippet.as_str())).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// The ratchet's direction check: every rule that would have more entries
+/// in a baseline rendered from `new` than it has in `old`, as `(rule, old
+/// count, new count)` in [`crate::rules::RULE_IDS`] order. Entries may move
+/// or be swapped freely within a rule; a rule absent from `old` counts 0.
+pub fn grown_rules(
+    old: &[BaselineEntry],
+    new: &[Diagnostic],
+) -> Vec<(&'static str, usize, usize)> {
+    let keys = entry_keys(new);
+    crate::rules::RULE_IDS
+        .iter()
+        .filter_map(|&rule| {
+            let was = old.iter().filter(|e| e.rule == rule).count();
+            let now = keys.iter().filter(|&&(_, _, r, _)| r == rule).count();
+            (now > was).then_some((rule, was, now))
+        })
+        .collect()
+}
+
 /// Renders a deterministic baseline for `diags`: sorted by path, then line,
 /// then rule, then snippet; duplicates collapsed.
 pub fn render(diags: &[Diagnostic]) -> String {
-    let mut keys: Vec<(&str, usize, &str, &str)> = diags
-        .iter()
-        .map(|d| (d.path.as_str(), d.line, d.rule, d.snippet.as_str()))
-        .collect();
-    keys.sort_unstable();
-    keys.dedup();
     let mut out = String::new();
     out.push_str(
-        "# fedsu-xtask lint baseline — pre-existing findings the ratchet tolerates.\n\
-         # Generated by `cargo run -p fedsu-xtask -- lint --fix-baseline`; do not edit\n\
-         # by hand. Fixing a finding? Rerun --fix-baseline and commit the shrunken\n\
-         # file. New findings are NOT added here — fix them instead.\n",
+        "# fedsu-xtask lint baseline — pre-existing findings the ratchet tolerates,\n\
+         # every rule family in one file. Regenerate with `cargo run -p fedsu-xtask --\n\
+         # lint --fix-baseline` after fixing or moving a finding and commit the result;\n\
+         # the command refuses to write a file in which any rule has more entries than\n\
+         # before. New findings are NOT added here — fix them instead.\n",
     );
-    for (path, line, rule, snippet) in keys {
+    for (path, line, rule, snippet) in entry_keys(diags) {
         out.push_str("\n[[finding]]\n");
         out.push_str(&format!("rule = \"{}\"\n", escape(rule)));
         out.push_str(&format!("path = \"{}\"\n", escape(path)));
@@ -316,6 +346,39 @@ mod tests {
         assert_eq!(new.len(), 1, "moved finding counts as new");
         assert!(baselined.is_empty());
         assert_eq!(stale.len(), 1, "old position is stale — rerun --fix-baseline");
+    }
+
+    #[test]
+    fn grown_rules_compares_per_rule_counts() {
+        let old = parse(&render(&[
+            diag("panic-path", "a.rs", 1, "t[i]"),
+            diag("panic-path", "a.rs", 2, "t[j]"),
+            diag("hot-alloc", "a.rs", 3, "vec![0; n]"),
+        ]))
+        .expect("parses");
+        // Shrink: one panic-path site fixed, nothing grew.
+        let shrunk =
+            [diag("panic-path", "a.rs", 1, "t[i]"), diag("hot-alloc", "a.rs", 3, "vec![0; n]")];
+        assert!(grown_rules(&old, &shrunk).is_empty());
+        // Swap within a rule: sites moved or were traded, counts equal.
+        let swapped = [
+            diag("panic-path", "b.rs", 9, "u[k]"),
+            diag("panic-path", "a.rs", 5, "t[i]"),
+            diag("hot-alloc", "c.rs", 1, "x.to_vec()"),
+        ];
+        assert!(grown_rules(&old, &swapped).is_empty());
+        // Grow: a third panic-path site, and a rule that had no entries. A
+        // shrinking rule does not pay for a growing one, and a finding
+        // reported twice is one entry.
+        let grown = [
+            diag("panic-path", "a.rs", 1, "t[i]"),
+            diag("panic-path", "a.rs", 2, "t[j]"),
+            diag("panic-path", "a.rs", 7, "t[k]"),
+            diag("panic-path", "a.rs", 7, "t[k]"),
+            diag("lock-order", "a.rs", 8, "tx.send(1)"),
+        ];
+        assert_eq!(grown_rules(&old, &grown), vec![("panic-path", 2, 3), ("lock-order", 0, 1)]);
+        assert!(grown_rules(&old, &[]).is_empty());
     }
 
     #[test]

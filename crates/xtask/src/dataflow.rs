@@ -1,14 +1,13 @@
-//! Intra-procedural dataflow over function bodies: lock-guard liveness, a
-//! cross-function lock-acquisition graph, and forward nondeterminism taint.
+//! Intra-procedural dataflow over function bodies: lock-guard liveness and a
+//! cross-function lock-acquisition graph.
 //!
 //! Everything here is token-level and deliberately approximate, in the same
 //! spirit as the rest of the analyzer: over-approximate toward *flagging*
 //! (false positives land in the ratchet baseline and get reviewed) and keep
 //! the machinery simple enough to audit by hand.
 //!
-//! Three engines live here, consumed by the `lock-order`,
-//! `channel-discipline`, and `nondeterminism-taint` rules in
-//! [`crate::rules`]:
+//! Two engines live here, consumed by the `lock-order` and
+//! `channel-discipline` rules in [`crate::rules`]:
 //!
 //! * [`fn_guards`] — which lock guards (`let g = x.lock()` and friends) are
 //!   live over which token ranges, with `drop(g)` and shadowing re-`let`s
@@ -16,12 +15,7 @@
 //! * [`WorkspaceFlow`] — the cross-file pass: a lock-acquisition graph
 //!   (edges "lock A held while acquiring lock B", including one-level
 //!   acquisition through calls) with cycle detection, plus the function-name
-//!   sets used for one-level call inlining (taint sources, channel drains);
-//! * [`fn_taint`] — forward taint from nondeterminism sources (unordered-map
-//!   iteration, thread counts, wall clock) through `let` bindings,
-//!   assignments, tuple destructuring, and `for` patterns, into the sinks
-//!   the paper's reproducibility claims care about (record fields, wire
-//!   payloads, float accumulators).
+//!   set used for one-level call inlining of channel drains.
 
 use crate::ast::ParsedFile;
 use crate::lexer::{Token, TokenKind};
@@ -66,22 +60,6 @@ pub fn block_close(toks: &[Token], open: usize) -> usize {
         if t.is_punct("{") {
             depth += 1;
         } else if t.is_punct("}") {
-            depth = depth.saturating_sub(1);
-            if depth == 0 {
-                return j;
-            }
-        }
-    }
-    toks.len().saturating_sub(1)
-}
-
-/// Index of the `)` matching the `(` at `open` (or the last token).
-pub fn paren_close(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct("(") {
-            depth += 1;
-        } else if t.is_punct(")") {
             depth = depth.saturating_sub(1);
             if depth == 0 {
                 return j;
@@ -224,14 +202,11 @@ pub struct LockEdgeSite {
 }
 
 /// Cross-file dataflow facts shared by the rule pass: lock-order cycle
-/// sites, and the function-name sets used for one-level call inlining.
+/// sites, and the function-name set used for one-level call inlining.
 #[derive(Debug, Default)]
 pub struct WorkspaceFlow {
     /// Acquisition sites on a cyclic lock-order edge.
     pub cycle_edges: Vec<LockEdgeSite>,
-    /// Functions whose body reads a nondeterminism source directly; a call
-    /// to one of these names propagates taint (one inlining level).
-    pub tainted_fns: BTreeSet<String>,
     /// Functions whose body performs a blocking channel receive; a call to
     /// one of these names counts as a drain on the path.
     pub drain_fns: BTreeSet<String>,
@@ -251,7 +226,6 @@ impl WorkspaceFlow {
         // Acquisitions under a held guard, and calls under a held guard.
         let mut local_edges: Vec<LockEdgeSite> = Vec::new();
         let mut guarded_calls: Vec<(String, String, String, usize)> = Vec::new();
-        let mut tainted_fns = BTreeSet::new();
         let mut drain_fns = BTreeSet::new();
 
         for (rel, pf) in files {
@@ -299,9 +273,6 @@ impl WorkspaceFlow {
                             ));
                         }
                     }
-                }
-                if direct_source_in(toks, &symbols, (bs, be)).is_some() {
-                    tainted_fns.insert(f.name.clone());
                 }
             }
         }
@@ -360,11 +331,7 @@ impl WorkspaceFlow {
             .cloned()
             .collect();
 
-        WorkspaceFlow {
-            cycle_edges: cycle_edges.into_iter().collect(),
-            tainted_fns,
-            drain_fns,
-        }
+        WorkspaceFlow { cycle_edges: cycle_edges.into_iter().collect(), drain_fns }
     }
 }
 
@@ -384,349 +351,6 @@ fn reachable(adj: &BTreeMap<&str, BTreeSet<&str>>, from: &str, to: &str) -> bool
         }
     }
     false
-}
-
-/// Iterator methods whose order is nondeterministic on an unordered map.
-const MAP_ITER_METHODS: [&str; 6] =
-    ["values", "keys", "into_values", "into_keys", "iter", "into_iter"];
-
-/// Scans `[s, e]` for a *direct* nondeterminism source (no taint-set
-/// lookup): unordered-map iteration, thread identity/counts, wall clock.
-/// Returns a human-readable description of the first source found.
-fn direct_source_in(
-    toks: &[Token],
-    symbols: &SymbolTable,
-    range: (usize, usize),
-) -> Option<String> {
-    let (s, e) = clamp(range, toks.len());
-    for i in s..=e {
-        let t = &toks[i];
-        if t.is_punct(".") {
-            if let Some(m) = toks.get(i + 1) {
-                if m.kind == TokenKind::Ident && toks.get(i + 2).is_some_and(|t| t.is_punct("(")) {
-                    if MAP_ITER_METHODS.contains(&m.text.as_str()) {
-                        let (ss, _) = statement_span(toks, i);
-                        let chain = left_chain_idents(toks, i, ss.saturating_sub(1));
-                        if let Some(root) = chain.first() {
-                            if symbols.hint(root) == Some(TypeHint::UnorderedMap) {
-                                return Some(format!(
-                                    "iteration over unordered map `{root}`"
-                                ));
-                            }
-                        }
-                    }
-                    if m.is_ident("elapsed") {
-                        return Some("wall-clock `.elapsed()` read".to_string());
-                    }
-                }
-            }
-        } else if t.kind == TokenKind::Ident {
-            let canon = symbols.canonical(&t.text);
-            if (canon == "Instant" || canon == "SystemTime")
-                && toks.get(i + 1).is_some_and(|n| n.is_punct("::"))
-                && toks.get(i + 2).is_some_and(|n| n.is_ident("now"))
-            {
-                return Some(format!("wall-clock `{canon}::now()` read"));
-            }
-            if t.is_ident("available_parallelism") {
-                return Some("hardware thread count".to_string());
-            }
-            if t.is_ident("thread")
-                && toks.get(i + 1).is_some_and(|n| n.is_punct("::"))
-                && toks.get(i + 2).is_some_and(|n| n.is_ident("current"))
-            {
-                return Some("thread identity".to_string());
-            }
-        }
-    }
-    None
-}
-
-/// Scans `[s, e]` for anything tainted: a direct source, a tainted local, or
-/// a call to a function known to read a source (one inlining level).
-fn tainted_expr(
-    toks: &[Token],
-    symbols: &SymbolTable,
-    range: (usize, usize),
-    tainted: &BTreeSet<String>,
-    tainted_fns: &BTreeSet<String>,
-) -> Option<String> {
-    if let Some(why) = direct_source_in(toks, symbols, range) {
-        return Some(why);
-    }
-    let (s, e) = clamp(range, toks.len());
-    for i in s..=e {
-        let t = &toks[i];
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        // `.name` is a field or method, not a local read.
-        let after_dot = i > 0 && toks[i - 1].is_punct(".");
-        if !after_dot && tainted.contains(&t.text) {
-            return Some(format!("tainted value `{}`", t.text));
-        }
-        if toks.get(i + 1).is_some_and(|n| n.is_punct("(")) && tainted_fns.contains(&t.text) {
-            return Some(format!("call to `{}()`, which reads a nondeterminism source", t.text));
-        }
-    }
-    None
-}
-
-/// Collects the identifiers bound by a pattern starting at `at` (after
-/// `let` / `for`), stopping at a top-level `:` type annotation, `=`, or the
-/// `in` keyword. Tuple and struct patterns contribute every identifier.
-fn pattern_idents(toks: &[Token], at: usize, end: usize) -> (Vec<String>, usize) {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut j = at;
-    while j <= end && j < toks.len() {
-        let t = &toks[j];
-        if t.is_punct("(") || t.is_punct("[") {
-            depth += 1;
-        } else if t.is_punct(")") || t.is_punct("]") {
-            depth = depth.saturating_sub(1);
-        } else if depth == 0 && (t.is_punct("=") || t.is_punct(":") || t.is_ident("in")) {
-            break;
-        } else if t.kind == TokenKind::Ident
-            && !t.is_ident("mut")
-            && !t.is_ident("ref")
-            && !toks.get(j + 1).is_some_and(|n| n.is_punct("(") || n.is_punct("::"))
-        {
-            out.push(t.text.clone());
-        }
-        j += 1;
-    }
-    (out, j)
-}
-
-/// One nondeterminism-taint finding inside a function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaintFinding {
-    /// 1-based line of the sink.
-    pub line: usize,
-    /// What flowed where.
-    pub message: String,
-    /// `true` when the sink is a float accumulator (the rule scopes those to
-    /// the numeric crates).
-    pub float_sink: bool,
-}
-
-/// `true` when `name` (resolved through aliases) is a persisted-record type
-/// name for sink purposes.
-fn record_type_name(symbols: &SymbolTable, name: &str) -> bool {
-    let canon = symbols.canonical(name);
-    canon.len() > 6 && (canon.ends_with("Record") || canon.ends_with("Result"))
-}
-
-/// Forward taint pass over one function body: propagates from sources
-/// through `let` bindings (including tuple destructuring), assignments, and
-/// `for` patterns, and reports flows into record fields, wire payloads, and
-/// float accumulators. Two passes approximate a fixpoint through loops.
-pub fn fn_taint(
-    toks: &[Token],
-    symbols: &SymbolTable,
-    in_test: &[bool],
-    body: (usize, usize),
-    tainted_fns: &BTreeSet<String>,
-) -> Vec<TaintFinding> {
-    if toks.is_empty() {
-        return Vec::new();
-    }
-    let (bs, be) = clamp(body, toks.len());
-    let mut tainted: BTreeSet<String> = BTreeSet::new();
-    let mut findings: Vec<TaintFinding> = Vec::new();
-    for pass in 0..2 {
-        let report = pass == 1;
-        let mut i = bs;
-        while i <= be {
-            let t = &toks[i];
-            if t.is_ident("let") {
-                let mut k = i + 1;
-                if toks.get(k).is_some_and(|t| t.is_ident("mut")) {
-                    k += 1;
-                }
-                let (names, stop) = pattern_idents(toks, k, be);
-                let (_, e) = statement_span(toks, i);
-                if let Some(eq) = (stop..=e).find(|&j| toks[j].is_punct("=")) {
-                    if tainted_expr(toks, symbols, (eq + 1, e), &tainted, tainted_fns).is_some() {
-                        tainted.extend(names);
-                    }
-                }
-            } else if t.is_ident("for") {
-                let (names, stop) = pattern_idents(toks, i + 1, be);
-                let (_, e) = statement_span(toks, stop.min(be));
-                if tainted_expr(toks, symbols, (stop, e), &tainted, tainted_fns).is_some()
-                    || iterates_unordered(toks, symbols, (stop, e))
-                {
-                    tainted.extend(names);
-                }
-            } else if t.kind == TokenKind::Ident
-                && !(i > 0 && (toks[i - 1].is_punct(".") || toks[i - 1].is_ident("let")))
-            {
-                // Assignment (`x = …`, `x += …`, `x.f = …`) or record
-                // literal (`SomeRecord { … }`).
-                let root = &toks[i].text;
-                let mut j = i + 1;
-                let mut field: Option<String> = None;
-                while toks.get(j).is_some_and(|t| t.is_punct("."))
-                    && toks.get(j + 1).is_some_and(|t| t.kind == TokenKind::Ident)
-                    && !toks.get(j + 2).is_some_and(|t| t.is_punct("("))
-                {
-                    field = Some(toks[j + 1].text.clone());
-                    j += 2;
-                }
-                let op = toks.get(j).filter(|t| t.is_punct("=") || t.is_punct("+="));
-                if let Some(op) = op.map(|t| t.text.clone()) {
-                    let (_, e) = statement_span(toks, j);
-                    let why = tainted_expr(toks, symbols, (j + 1, e), &tainted, tainted_fns);
-                    if let Some(why) = why {
-                        let is_record = symbols.hint(root) == Some(TypeHint::RecordLike);
-                        if field.is_some() && is_record {
-                            if report && !in_test.get(i).copied().unwrap_or(false) {
-                                findings.push(TaintFinding {
-                                    line: toks[i].line,
-                                    message: format!(
-                                        "{} flows into persisted record field `{}.{}`",
-                                        why,
-                                        root,
-                                        field.unwrap_or_default()
-                                    ),
-                                    float_sink: false,
-                                });
-                            }
-                        } else if field.is_none()
-                            && op == "+="
-                            && symbols.hint(root) == Some(TypeHint::Float)
-                        {
-                            if report && !in_test.get(i).copied().unwrap_or(false) {
-                                findings.push(TaintFinding {
-                                    line: toks[i].line,
-                                    message: format!(
-                                        "{why} flows into float accumulator `{root}`"
-                                    ),
-                                    float_sink: true,
-                                });
-                            }
-                            tainted.insert(root.clone());
-                        } else if field.is_none() {
-                            tainted.insert(root.clone());
-                        }
-                    }
-                } else if record_type_name(symbols, root)
-                    && toks.get(i + 1).is_some_and(|t| t.is_punct("{"))
-                {
-                    if report {
-                        findings.extend(record_literal_sinks(
-                            toks,
-                            symbols,
-                            in_test,
-                            i,
-                            &tainted,
-                            tainted_fns,
-                        ));
-                    }
-                    i = block_close(toks, i + 1);
-                }
-            } else if t.is_punct(".") {
-                // Wire payload sink: `.send_bytes(…)` / `.send_bytes_to(…)`.
-                if let Some(m) = toks.get(i + 1) {
-                    if (m.is_ident("send_bytes") || m.is_ident("send_bytes_to"))
-                        && toks.get(i + 2).is_some_and(|t| t.is_punct("("))
-                    {
-                        let close = paren_close(toks, i + 2);
-                        let why =
-                            tainted_expr(toks, symbols, (i + 3, close), &tainted, tainted_fns);
-                        if let Some(why) = why {
-                            if report && !in_test.get(i).copied().unwrap_or(false) {
-                                findings.push(TaintFinding {
-                                    line: m.line,
-                                    message: format!(
-                                        "{} flows into wire payload `.{}(…)`",
-                                        why, m.text
-                                    ),
-                                    float_sink: false,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            i += 1;
-        }
-    }
-    findings.sort_by(|a, b| (a.line, a.message.clone()).cmp(&(b.line, b.message.clone())));
-    findings.dedup();
-    findings
-}
-
-/// `true` when the `for`-loop iterable in `range` is a bare unordered map
-/// (`for (k, v) in &m` with `m: HashMap<…>`).
-fn iterates_unordered(toks: &[Token], symbols: &SymbolTable, range: (usize, usize)) -> bool {
-    let (s, e) = clamp(range, toks.len());
-    toks[s..=e].iter().any(|t| {
-        t.kind == TokenKind::Ident && symbols.hint(&t.text) == Some(TypeHint::UnorderedMap)
-    })
-}
-
-/// Taint sinks inside one record struct literal starting at the type name
-/// token `at` (`Name { field: expr, … }`).
-fn record_literal_sinks(
-    toks: &[Token],
-    symbols: &SymbolTable,
-    in_test: &[bool],
-    at: usize,
-    tainted: &BTreeSet<String>,
-    tainted_fns: &BTreeSet<String>,
-) -> Vec<TaintFinding> {
-    let open = at + 1;
-    let close = block_close(toks, open);
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut j = open;
-    while j < close {
-        let t = &toks[j];
-        if t.is_punct("{") || t.is_punct("(") || t.is_punct("[") {
-            depth += 1;
-        } else if t.is_punct("}") || t.is_punct(")") || t.is_punct("]") {
-            depth = depth.saturating_sub(1);
-        } else if depth == 1
-            && t.kind == TokenKind::Ident
-            && toks.get(j + 1).is_some_and(|n| n.is_punct(":"))
-            && !toks.get(j + 2).is_some_and(|n| n.is_punct(":"))
-        {
-            // Field value runs to the next `,` at this depth (or the close).
-            let mut end = j + 2;
-            let mut d = 0usize;
-            while end < close {
-                let v = &toks[end];
-                if v.is_punct("{") || v.is_punct("(") || v.is_punct("[") {
-                    d += 1;
-                } else if v.is_punct("}") || v.is_punct(")") || v.is_punct("]") {
-                    d = d.saturating_sub(1);
-                } else if d == 0 && v.is_punct(",") {
-                    break;
-                }
-                end += 1;
-            }
-            let why = tainted_expr(toks, symbols, (j + 2, end.saturating_sub(1)), tainted, tainted_fns);
-            if let Some(why) = why {
-                if !in_test.get(j).copied().unwrap_or(false) {
-                    out.push(TaintFinding {
-                        line: t.line,
-                        message: format!(
-                            "{} flows into record literal field `{}: …` of `{}`",
-                            why, t.text, toks[at].text
-                        ),
-                        float_sink: false,
-                    });
-                }
-            }
-            j = end;
-            continue;
-        }
-        j += 1;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -837,39 +461,5 @@ mod tests {
         let files = vec![("crates/a/src/l.rs".to_string(), &pf)];
         let flow = WorkspaceFlow::build(&files);
         assert!(!flow.cycle_edges.is_empty(), "call-level edges close the cycle");
-    }
-
-    #[test]
-    fn taint_flows_through_let_and_tuple() {
-        let src = "fn f(m: HashMap<u32, f32>, rec: &mut FooRecord) {\n\
-                   let total = m.values().count();\n\
-                   let (a, b) = (total, 2);\n\
-                   rec.loss = a;\n}";
-        let (pf, symbols) = prepared(src);
-        let body = pf.fns[0].body.expect("body");
-        let fs = fn_taint(&pf.tokens, &symbols, &pf.in_test, body, &BTreeSet::new());
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert!(fs[0].message.contains("rec.loss"), "{fs:?}");
-    }
-
-    #[test]
-    fn ordered_map_is_not_a_source() {
-        let src = "fn f(m: BTreeMap<u32, f32>, rec: &mut FooRecord) {\n\
-                   let total = m.values().count();\nrec.loss = total;\n}";
-        let (pf, symbols) = prepared(src);
-        let body = pf.fns[0].body.expect("body");
-        let fs = fn_taint(&pf.tokens, &symbols, &pf.in_test, body, &BTreeSet::new());
-        assert!(fs.is_empty(), "BTreeMap iteration is deterministic: {fs:?}");
-    }
-
-    #[test]
-    fn one_level_call_inlining() {
-        let src = "fn f(rec: &mut FooRecord) { let n = helper(); rec.n = n; }";
-        let (pf, symbols) = prepared(src);
-        let body = pf.fns[0].body.expect("body");
-        let mut tfns = BTreeSet::new();
-        tfns.insert("helper".to_string());
-        let fs = fn_taint(&pf.tokens, &symbols, &pf.in_test, body, &tfns);
-        assert_eq!(fs.len(), 1, "{fs:?}");
     }
 }

@@ -4,9 +4,9 @@
 //! actually has — *why is this a hazard in this workspace*, *what does a
 //! finding look like*, and *what are my options when the code is right
 //! anyway* (waiver policy: there is no waiver file — the finding is fixed
-//! or it is ratcheted in `lint-baseline.toml` / `alloc-budget.toml`).
+//! or it is ratcheted in `lint-baseline.toml`).
 
-use crate::rules::{ALLOC_RULES, RULE_IDS};
+use crate::rules::RULE_IDS;
 
 /// Full explanation for one rule id, or `None` for an unknown id.
 pub fn explain(rule: &str) -> Option<String> {
@@ -87,19 +87,6 @@ pub fn explain(rule: &str) -> Option<String> {
              call to a receiving function) grows the queue without bound.",
             "loop { tx.send(job); }   // flagged: unbounded send loop with no drain",
         ),
-        "nondeterminism-taint" => (
-            "Forward taint tracking from nondeterminism sources to the sinks the \
-             reproducibility contract protects. Sources: iteration over \
-             hash-based maps/sets, thread identity and hardware thread counts \
-             (available_parallelism), and wall-clock reads. Taint propagates \
-             through let bindings (including tuple destructuring), assignments, \
-             for-loop patterns, and one level of call inlining. Sinks: fields of \
-             persisted *Record/*Result values, wire payload bytes \
-             (send_bytes/send_bytes_to), and float accumulators in the numeric \
-             crates. Emulation outputs must be a pure function of config and \
-             seed; order the iteration or derive the value from the sim clock.",
-            "rec.loss = m.values().sum();   // flagged when `m` is a HashMap",
-        ),
         "hot-alloc" => (
             "Allocation expressions (Vec::new, vec![…], with_capacity, \
              .to_vec()/.collect(), format!, Box::new, .clone() of a buffer) in \
@@ -132,25 +119,17 @@ pub fn explain(rule: &str) -> Option<String> {
         ),
         _ => return None,
     };
-    let ratchet = if ALLOC_RULES.contains(&rule) {
-        "Known hot-path allocations live in crates/xtask/alloc-budget.toml, \
-         regenerated with `lint --fix-budget` (its [runtime] per-round ceilings \
-         are preserved and cross-checked by tests/alloc_budget.rs); the ratchet \
-         fails on new findings and on stale entries, so the count only moves \
-         down."
-    } else {
-        "Pre-existing debt lives in crates/xtask/lint-baseline.toml, \
-         regenerated with `lint --fix-baseline`; the ratchet fails on new \
-         findings and on stale entries, so the count only moves down."
-    };
     Some(format!(
         "rule: {rule}\n\nwhy\n  {}\n\nexample\n  {}\n\nwaiver policy\n  \
          There is no waiver file: restructure the code so the rule no longer \
          fires, or record the finding in the ratchet and justify it in review. \
-         {}\n",
+         Pre-existing debt of every rule lives in crates/xtask/lint-baseline.toml; \
+         the lint fails on new findings and on stale entries, and `lint \
+         --fix-baseline` regenerates the file but refuses to write one in which \
+         any rule has more entries than before, so each count only moves down. \
+         A finding that has to stay is a hand-written, reviewed entry.\n",
         wrap(rationale, 74),
-        example,
-        ratchet
+        example
     ))
 }
 
@@ -189,18 +168,8 @@ mod tests {
             let text = explain(id).expect("registered rule must have explain text");
             assert!(text.contains("waiver policy"), "{id}: missing waiver section");
             assert!(text.contains("example"), "{id}: missing example section");
+            assert!(text.contains("lint-baseline.toml"), "{id}: must name the ratchet file");
         }
-    }
-
-    #[test]
-    fn alloc_rules_point_at_the_budget_ratchet() {
-        for id in ALLOC_RULES {
-            let text = explain(id).expect("alloc rule must have explain text");
-            assert!(text.contains("alloc-budget.toml"), "{id}: must name the budget file");
-            assert!(text.contains("--fix-budget"), "{id}: must name the regeneration flag");
-        }
-        let other = explain("panic-path").expect("panic-path explains");
-        assert!(other.contains("lint-baseline.toml"));
     }
 
     #[test]

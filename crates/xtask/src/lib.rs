@@ -9,12 +9,11 @@
 //! experiment paths, unchecked wire-byte/sim-time arithmetic, and
 //! order-nondeterministic float accumulation.
 //!
-//! Findings are gated by two ratchets that tolerate pre-existing findings
+//! Findings are gated by one ratchet that tolerates pre-existing findings
 //! while rejecting new ones and stale entries: the baseline
-//! (`lint-baseline.toml`, [`baseline`]) and, for the allocation families,
-//! the budget (`alloc-budget.toml`, [`budget`]). There is no waiver file: a
-//! finding is fixed or it is ratcheted. `--format sarif` ([`sarif`]) emits
-//! SARIF 2.1.0 for CI annotation.
+//! (`lint-baseline.toml`, [`baseline`]). There is no waiver file: a finding
+//! is fixed or it is ratcheted. `--format sarif` ([`sarif`]) emits SARIF
+//! 2.1.0 for CI annotation.
 //!
 //! Deliberately std-only: the gate must build in seconds on an offline CI
 //! runner.
@@ -23,7 +22,6 @@ pub mod allocflow;
 pub mod ast;
 pub mod baseline;
 pub mod benchcheck;
-pub mod budget;
 pub mod callgraph;
 pub mod dataflow;
 pub mod explain;
@@ -44,19 +42,13 @@ use workspace::{SourceFile, SourceKind};
 /// Result of a full lint run.
 #[derive(Debug)]
 pub struct LintReport {
-    /// New findings: neither baselined nor budgeted (fail the run).
+    /// New findings: not in the baseline (fail the run).
     pub violations: Vec<Diagnostic>,
     /// Findings matched by a `lint-baseline.toml` entry (tolerated).
     pub baselined: Vec<Diagnostic>,
     /// Baseline entries in scanned files that matched nothing (fail the run:
     /// the ratchet must shrink when findings are fixed).
     pub stale_baseline: Vec<baseline::BaselineEntry>,
-    /// Allocation-family findings matched by an `alloc-budget.toml` entry
-    /// (tolerated; see [`budget`]).
-    pub budgeted: Vec<Diagnostic>,
-    /// Budget entries in scanned files that matched nothing (fail the run:
-    /// the alloc ratchet only turns one way, like the baseline).
-    pub stale_budget: Vec<baseline::BaselineEntry>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
@@ -64,25 +56,17 @@ pub struct LintReport {
 impl LintReport {
     /// `true` when the gate should pass.
     pub fn clean(&self) -> bool {
-        self.violations.is_empty()
-            && self.stale_baseline.is_empty()
-            && self.stale_budget.is_empty()
+        self.violations.is_empty() && self.stale_baseline.is_empty()
     }
 }
 
-/// Lints `files` applying ratchet entries from `baseline_text` and
-/// allocation-budget entries from `budget_text`.
+/// Lints `files` applying ratchet entries from `baseline_text`.
 ///
 /// # Errors
-/// Returns a message when a file cannot be read or either gate file is
+/// Returns a message when a file cannot be read or the baseline is
 /// malformed.
-pub fn lint_files(
-    files: &[SourceFile],
-    baseline_text: &str,
-    budget_text: &str,
-) -> Result<LintReport, String> {
+pub fn lint_files(files: &[SourceFile], baseline_text: &str) -> Result<LintReport, String> {
     let baseline_entries = baseline::parse(baseline_text).map_err(|e| e.to_string())?;
-    let alloc_budget = budget::parse(budget_text).map_err(|e| e.to_string())?;
 
     // Phase 1: lex + parse every lintable file (the call graph needs the
     // whole workspace before any rule can run).
@@ -107,28 +91,9 @@ pub fn lint_files(
     }
 
     let scanned: BTreeSet<String> = files.iter().map(|f| f.rel.clone()).collect();
-    // The allocation families ratchet through alloc-budget.toml; everything
-    // else goes through the baseline. Partition before gating so neither
-    // file can waive the other's rules.
-    let (alloc_diags, other_diags): (Vec<_>, Vec<_>) =
-        diags.into_iter().partition(|d| rules::ALLOC_RULES.contains(&d.rule));
     let (violations, baselined, stale_baseline) =
-        baseline::apply(other_diags, &baseline_entries, &scanned);
-    let (alloc_new, budgeted, stale_budget) =
-        budget::apply(alloc_diags, &alloc_budget, &scanned);
-    let mut violations = violations;
-    violations.extend(alloc_new);
-    violations.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule))
-    });
-    Ok(LintReport {
-        violations,
-        baselined,
-        stale_baseline,
-        budgeted,
-        stale_budget,
-        files_scanned: files.len(),
-    })
+        baseline::apply(diags, &baseline_entries, &scanned);
+    Ok(LintReport { violations, baselined, stale_baseline, files_scanned: files.len() })
 }
 
 /// Rule pass for one prepared file, with the target-kind policy applied:
@@ -171,7 +136,7 @@ pub fn lint_source(rel: &str, kind: SourceKind, text: &str) -> Vec<Diagnostic> {
     check_prepared(rel, kind, &p, &graph, &flow)
 }
 
-/// Reads a gate file (baseline or budget), treating a missing file as empty.
+/// Reads the baseline file, treating a missing file as empty.
 ///
 /// # Errors
 /// Returns a message for I/O errors other than "not found".

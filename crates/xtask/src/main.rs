@@ -1,18 +1,20 @@
 //! CLI entry point:
-//! `cargo run -p fedsu-xtask -- lint [--baseline FILE] [--budget FILE]
-//! [--format text|sarif] [--fix-baseline] [--fix-budget] [PATH...]`.
+//! `cargo run -p fedsu-xtask -- lint [--baseline FILE] [--format text|sarif]
+//! [--fix-baseline] [--explain RULE] [PATH...]`.
 //!
-//! Exit codes: `0` clean (new findings absent, no stale baseline/budget
-//! entries), `1` gate failure, `2` usage or I/O error.
-//! `--fix-baseline` rewrites `crates/xtask/lint-baseline.toml` and
-//! `--fix-budget` rewrites `crates/xtask/alloc-budget.toml` (preserving its
-//! `[runtime]` ceilings) deterministically; both exit 0.
+//! Exit codes: `0` clean (new findings absent, no stale baseline entries),
+//! `1` gate failure, `2` usage or I/O error.
+//! `--fix-baseline` rewrites `crates/xtask/lint-baseline.toml`
+//! deterministically and exits 0 — unless some rule would end up with more
+//! entries than the file it replaces, in which case it writes nothing and
+//! exits 1.
 
 use fedsu_xtask::baseline::BASELINE_FILE;
-use fedsu_xtask::budget::BUDGET_FILE;
-use fedsu_xtask::rules::RULE_IDS;
+use fedsu_xtask::rules::{Diagnostic, RULE_IDS};
 use fedsu_xtask::workspace::{self, SourceFile};
-use fedsu_xtask::{baseline, benchcheck, budget, explain, lint_files, read_gate_file, sarif};
+use fedsu_xtask::{
+    baseline, benchcheck, explain, lint_files, read_gate_file, sarif, LintReport,
+};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -35,16 +37,13 @@ fn main() -> ExitCode {
 
 fn print_usage() {
     eprintln!(
-        "usage: cargo run -p fedsu-xtask -- lint [--baseline FILE] [--budget FILE]\n\
-         \x20                                       [--format text|sarif]\n\
-         \x20                                       [--fix-baseline] [--fix-budget]\n\
-         \x20                                       [--explain RULE] [PATH...]"
+        "usage: cargo run -p fedsu-xtask -- lint [--baseline FILE] [--format text|sarif]\n\
+         \x20                                       [--fix-baseline] [--explain RULE] [PATH...]"
     );
     eprintln!();
     eprintln!("Lints workspace .rs sources for determinism/safety hazards.");
     eprintln!("With no PATH arguments, walks the whole workspace.");
-    eprintln!("Ratchet:      {BASELINE_FILE} (regenerate with --fix-baseline).");
-    eprintln!("Alloc budget: {BUDGET_FILE} (regenerate with --fix-budget).");
+    eprintln!("Ratchet: {BASELINE_FILE} (regenerate with --fix-baseline; no rule may grow).");
     eprintln!("--format sarif emits SARIF 2.1.0 on stdout for CI annotation.");
     eprintln!("--explain RULE prints a rule's rationale, example, and waiver policy.");
     eprintln!();
@@ -188,10 +187,8 @@ fn usage_error(msg: &str) -> ExitCode {
 /// Parsed `lint` flags.
 struct LintArgs {
     baseline_override: Option<PathBuf>,
-    budget_override: Option<PathBuf>,
     format: OutputFormat,
     fix_baseline: bool,
-    fix_budget: bool,
     explain: Option<String>,
     paths: Vec<PathBuf>,
 }
@@ -205,10 +202,8 @@ enum OutputFormat {
 fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
     let mut out = LintArgs {
         baseline_override: None,
-        budget_override: None,
         format: OutputFormat::Text,
         fix_baseline: false,
-        fix_budget: false,
         explain: None,
         paths: Vec::new(),
     };
@@ -219,10 +214,6 @@ fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
                 let p = it.next().ok_or("--baseline requires a file argument")?;
                 out.baseline_override = Some(PathBuf::from(p));
             }
-            "--budget" => {
-                let p = it.next().ok_or("--budget requires a file argument")?;
-                out.budget_override = Some(PathBuf::from(p));
-            }
             "--format" => match it.next().map(String::as_str) {
                 Some("text") => out.format = OutputFormat::Text,
                 Some("sarif") => out.format = OutputFormat::Sarif,
@@ -230,7 +221,6 @@ fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
                 None => return Err("--format requires text|sarif".to_string()),
             },
             "--fix-baseline" => out.fix_baseline = true,
-            "--fix-budget" => out.fix_budget = true,
             "--explain" => {
                 let r = it.next().ok_or("--explain requires a rule name")?;
                 out.explain = Some(r.clone());
@@ -239,10 +229,10 @@ fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
             p => out.paths.push(PathBuf::from(p)),
         }
     }
-    if (out.fix_baseline || out.fix_budget) && !out.paths.is_empty() {
+    if out.fix_baseline && !out.paths.is_empty() {
         return Err(
-            "--fix-baseline/--fix-budget regenerate whole-workspace ratchet \
-             files; explicit PATH arguments would silently drop entries"
+            "--fix-baseline regenerates the whole-workspace ratchet file; \
+             explicit PATH arguments would silently drop entries"
                 .to_string(),
         );
     }
@@ -300,22 +290,17 @@ fn lint_command(raw_args: &[String]) -> ExitCode {
         }
     };
 
-    // The checked-in defaults may legitimately be absent (fresh checkout
+    // The checked-in default may legitimately be absent (fresh checkout
     // with no debt), but an explicitly named file must exist: a typo'd path
     // would otherwise silently disable the whole ratchet.
-    for (flag, p) in
-        [("--baseline", &args.baseline_override), ("--budget", &args.budget_override)]
-    {
-        if let Some(p) = p {
-            if !p.is_file() {
-                eprintln!("error: {flag} {}: no such file", p.display());
-                return ExitCode::from(2);
-            }
+    if let Some(p) = &args.baseline_override {
+        if !p.is_file() {
+            eprintln!("error: --baseline {}: no such file", p.display());
+            return ExitCode::from(2);
         }
     }
     let baseline_path =
         args.baseline_override.clone().unwrap_or_else(|| root.join(BASELINE_FILE));
-    let budget_path = args.budget_override.clone().unwrap_or_else(|| root.join(BUDGET_FILE));
 
     let baseline_text = match read_gate_file(&baseline_path) {
         Ok(t) => t,
@@ -324,36 +309,22 @@ fn lint_command(raw_args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let budget_text = match read_gate_file(&budget_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
 
-    if args.fix_baseline {
-        return fix_baseline(&files, &budget_text, &baseline_path);
-    }
-    if args.fix_budget {
-        return fix_budget(&files, &baseline_text, &budget_text, &budget_path);
-    }
-
-    let report = match lint_files(&files, &baseline_text, &budget_text) {
+    let report = match lint_files(&files, &baseline_text) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
+    if args.fix_baseline {
+        return fix_baseline(report, &baseline_text, &baseline_path);
+    }
 
     if args.format == OutputFormat::Sarif {
         println!("{}", sarif::render(&report));
     } else {
-        for d in &report.violations {
-            println!("{}:{}: error[{}]: {}", d.path, d.line, d.rule, d.message);
-            println!("    | {}", d.snippet);
-        }
+        report.violations.iter().for_each(print_violation);
         for e in &report.stale_baseline {
             println!(
                 "{}:{}: error[stale-baseline]: [[finding]] entry for rule `{}` matched \
@@ -362,23 +333,13 @@ fn lint_command(raw_args: &[String]) -> ExitCode {
                 e.path, e.line, e.rule
             );
         }
-        for e in &report.stale_budget {
-            println!(
-                "{}:{}: error[stale-budget]: [[alloc]] entry for rule `{}` matched \
-                 nothing — the allocation moved or was fixed; rerun `lint --fix-budget` \
-                 and commit the shrunken file",
-                e.path, e.line, e.rule
-            );
-        }
         println!(
             "fedsu-xtask lint: {} file(s), {} new violation(s), {} baselined, \
-             {} budgeted, {} stale baseline entr(ies), {} stale budget entr(ies)",
+             {} stale baseline entr(ies)",
             report.files_scanned,
             report.violations.len(),
             report.baselined.len(),
-            report.budgeted.len(),
-            report.stale_baseline.len(),
-            report.stale_budget.len()
+            report.stale_baseline.len()
         );
     }
     if report.clean() {
@@ -388,24 +349,44 @@ fn lint_command(raw_args: &[String]) -> ExitCode {
     }
 }
 
-/// `lint --fix-baseline`: lints against an empty baseline (the alloc budget
-/// stays in force — its rules ratchet separately) and writes every remaining
-/// non-allocation finding to `baseline_path`, deterministically sorted.
-/// Exits 0 even when findings exist — recording them is the point.
-fn fix_baseline(files: &[SourceFile], budget_text: &str, baseline_path: &Path) -> ExitCode {
-    let report = match lint_files(files, "", budget_text) {
-        Ok(r) => r,
+fn print_violation(d: &Diagnostic) {
+    println!("{}:{}: error[{}]: {}", d.path, d.line, d.rule, d.message);
+    println!("    | {}", d.snippet);
+}
+
+/// `lint --fix-baseline`: writes every finding of `report` (the lint of the
+/// whole workspace against the current baseline) to `baseline_path`,
+/// deterministically sorted, and exits 0 even though findings exist —
+/// recording them is the point. The one thing it refuses is growth: when any
+/// rule would have more entries than in `old_text` it prints the new sites,
+/// the rule and both counts, writes nothing and exits 1, so debt can be added
+/// only by a reviewed hand edit of the file.
+fn fix_baseline(report: LintReport, old_text: &str, baseline_path: &Path) -> ExitCode {
+    let old = match baseline::parse(old_text) {
+        Ok(entries) => entries,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    let findings: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|d| !fedsu_xtask::rules::ALLOC_RULES.contains(&d.rule))
-        .cloned()
-        .collect();
+    let mut findings = report.baselined;
+    findings.extend(report.violations);
+    let grown = baseline::grown_rules(&old, &findings);
+    if !grown.is_empty() {
+        // An entry whose line merely shifted is a violation too; a site is new
+        // when the old file has no entry with its rule, path and text.
+        let known = |d: &Diagnostic| {
+            old.iter().any(|e| e.rule == d.rule && e.path == d.path && e.snippet == d.snippet)
+        };
+        for (rule, was, now) in &grown {
+            findings.iter().filter(|d| d.rule == *rule && !known(d)).for_each(print_violation);
+            eprintln!(
+                "error: refusing --fix-baseline: rule `{rule}` would grow {was} → {now} \
+                 entries; fix the new site(s), or hand-write justified [[finding]] entries"
+            );
+        }
+        return ExitCode::FAILURE;
+    }
     let text = baseline::render(&findings);
     if let Err(e) = std::fs::write(baseline_path, &text) {
         eprintln!("error: {}: cannot write baseline: {e}", baseline_path.display());
@@ -415,49 +396,6 @@ fn fix_baseline(files: &[SourceFile], budget_text: &str, baseline_path: &Path) -
         "fedsu-xtask lint: baseline regenerated with {} finding(s) at {}",
         findings.len(),
         baseline_path.display()
-    );
-    ExitCode::SUCCESS
-}
-
-/// `lint --fix-budget`: lints against an empty budget (the baseline stays in
-/// force) and writes every allocation-family finding to `budget_path`,
-/// carrying the existing `[runtime]` ceilings through unchanged.
-fn fix_budget(
-    files: &[SourceFile],
-    baseline_text: &str,
-    budget_text: &str,
-    budget_path: &Path,
-) -> ExitCode {
-    // Preserve the hand-tuned runtime ceilings across regeneration.
-    let runtime = match budget::parse(budget_text) {
-        Ok(b) => b.runtime,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = match lint_files(files, baseline_text, "") {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let findings: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|d| fedsu_xtask::rules::ALLOC_RULES.contains(&d.rule))
-        .cloned()
-        .collect();
-    let text = budget::render(&findings, &runtime);
-    if let Err(e) = std::fs::write(budget_path, &text) {
-        eprintln!("error: {}: cannot write budget: {e}", budget_path.display());
-        return ExitCode::from(2);
-    }
-    println!(
-        "fedsu-xtask lint: alloc budget regenerated with {} finding(s) at {}",
-        findings.len(),
-        budget_path.display()
     );
     ExitCode::SUCCESS
 }

@@ -18,15 +18,11 @@ pub enum TypeHint {
     /// An *ordered* map/set (`BTreeMap` etc.): iteration order is stable but
     /// key-dependent, which is still a float-accumulation ordering hazard.
     MapLike,
-    /// A hash-based map/set whose iteration order differs per process — a
-    /// genuine nondeterminism source for the taint rule.
+    /// A hash-based map/set whose iteration order differs per process.
     UnorderedMap,
     /// A `Mutex`/`RwLock`: `.lock()`/`.read()`/`.write()` on it produces a
     /// guard the lock-order rule must track.
     Lock,
-    /// A persisted experiment record (`*Record`/`*Result`): its fields are
-    /// nondeterminism-taint sinks.
-    RecordLike,
     /// A growable heap buffer (`Vec`/`VecDeque`/`String`/`Box`/`Tensor`):
     /// cloning or growing one on a hot path is what the allocation-flow
     /// rules audit.
@@ -63,11 +59,6 @@ const LOCK_TYPES: [&str; 2] = ["Mutex", "RwLock"];
 /// workspace's owned f32 array — cloning one is a full-model copy.
 pub(crate) const BUFFER_TYPES: [&str; 5] = ["Vec", "VecDeque", "String", "Box", "Tensor"];
 
-/// `true` when `name` is a persisted-record type for taint purposes.
-fn is_record_type(name: &str) -> bool {
-    name.len() > 6 && (name.ends_with("Record") || name.ends_with("Result"))
-}
-
 /// Classifies a resolved (post-alias) type name.
 fn classify_type_name(name: &str) -> TypeHint {
     if name == "f32" || name == "f64" {
@@ -80,8 +71,6 @@ fn classify_type_name(name: &str) -> TypeHint {
         TypeHint::Lock
     } else if BUFFER_TYPES.contains(&name) {
         TypeHint::Buffer
-    } else if is_record_type(name) {
-        TypeHint::RecordLike
     } else {
         TypeHint::Other
     }
@@ -186,8 +175,8 @@ impl SymbolTable {
 
 /// Classifies an initializer expression starting at token `at`: a float
 /// literal (or one wrapped in a unary minus/paren) hints Float; calling
-/// `Map::new`/`Mutex::new`-style constructors or writing a record struct
-/// literal hints the corresponding hazard class.
+/// `Map::new`/`Mutex::new`-style constructors hints the corresponding hazard
+/// class.
 fn hint_from_init(toks: &[crate::lexer::Token], mut at: usize, table: &SymbolTable) -> TypeHint {
     while at < toks.len() && (toks[at].is_punct("-") || toks[at].is_punct("(")) {
         at += 1;
@@ -202,9 +191,7 @@ fn hint_from_init(toks: &[crate::lexer::Token], mut at: usize, table: &SymbolTab
         TokenKind::Ident => {
             let name = table.canonical(&t.text);
             let ctor = toks.get(at + 1).is_some_and(|n| n.is_punct("::"));
-            let literal = toks.get(at + 1).is_some_and(|n| n.is_punct("{"));
             match classify_type_name(name) {
-                TypeHint::RecordLike if ctor || literal => TypeHint::RecordLike,
                 hint if ctor && hint != TypeHint::Other && hint != TypeHint::Float => hint,
                 _ => TypeHint::Other,
             }
@@ -246,16 +233,6 @@ mod tests {
         assert_eq!(t.hint("jobs"), Some(TypeHint::Lock));
         assert_eq!(t.hint("state"), Some(TypeHint::Lock));
         assert_eq!(t.hint("r"), Some(TypeHint::Lock));
-    }
-
-    #[test]
-    fn record_hints_from_annotation_and_literal() {
-        let t = table(
-            "fn f(rec: &mut RoundRecord) { let out = ExperimentResult { loss: 0.0 }; let plain = Config { x: 1 }; }",
-        );
-        assert_eq!(t.hint("rec"), Some(TypeHint::RecordLike));
-        assert_eq!(t.hint("out"), Some(TypeHint::RecordLike));
-        assert_eq!(t.hint("plain"), Some(TypeHint::Other));
     }
 
     #[test]

@@ -25,11 +25,11 @@ pub struct Diagnostic {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Stable rule identifier (used by the baseline and the alloc budget).
+    /// Stable rule identifier (used by the baseline).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
-    /// The offending source line (trimmed), for baseline/budget matching.
+    /// The offending source line (trimmed), for baseline matching.
     pub snippet: String,
 }
 
@@ -52,7 +52,7 @@ impl Diagnostic {
 }
 
 /// Stable identifiers of every rule, in reporting order.
-pub const RULE_IDS: [&str; 13] = [
+pub const RULE_IDS: [&str; 12] = [
     "hash-collections",
     "wall-clock",
     "truncating-cast",
@@ -62,20 +62,19 @@ pub const RULE_IDS: [&str; 13] = [
     "float-determinism",
     "lock-order",
     "channel-discipline",
-    "nondeterminism-taint",
     "hot-alloc",
     "loop-realloc",
     "redundant-clone",
 ];
 
-/// The allocation-flow rule families: these ratchet through
-/// `alloc-budget.toml` (see [`crate::budget`]) instead of the baseline.
+/// The allocation-flow rule families (see [`crate::allocflow`]): examples
+/// are exempt from them, a demo's allocations are not round-loop traffic.
 pub const ALLOC_RULES: [&str; 3] = ["hot-alloc", "loop-realloc", "redundant-clone"];
 
 /// Runs every rule over one prepared source file. `graph` supplies hot-path
 /// and worker reachability; `flow` supplies the cross-file lock-acquisition
-/// graph and the tainted/drain function-name sets (both built over all files
-/// in the run).
+/// graph and the drain function-name set (both built over all files in the
+/// run).
 pub fn check_all(
     path: &str,
     src: &PreparedSource,
@@ -92,7 +91,6 @@ pub fn check_all(
     out.extend(check_float_determinism(path, src));
     out.extend(check_lock_order(path, src, graph, flow));
     out.extend(check_channel_discipline(path, src, graph, flow));
-    out.extend(check_nondet_taint(path, src, flow));
     out.extend(crate::allocflow::check_hot_alloc(path, src, graph));
     out.extend(crate::allocflow::check_loop_realloc(path, src));
     out.extend(crate::allocflow::check_redundant_clone(path, src));
@@ -840,45 +838,6 @@ fn unbounded_send_loops(
     out
 }
 
-/// Rule `nondeterminism-taint`: forward taint from nondeterminism sources
-/// (unordered-map iteration, thread identity/counts, wall clock) through
-/// `let` bindings, tuple destructuring, assignments, and one level of
-/// call-graph inlining, into the sinks the reproducibility contract
-/// protects: persisted `*Record`/`*Result` fields, wire payload bytes
-/// (`send_bytes*`), and float accumulators in the numeric crates.
-fn check_nondet_taint(path: &str, src: &PreparedSource, flow: &WorkspaceFlow) -> Vec<Diagnostic> {
-    let toks = &src.file.tokens;
-    let mut out = Vec::new();
-    let mut fired = BTreeSet::new();
-    for f in &src.file.fns {
-        if f.in_test {
-            continue;
-        }
-        let Some(body) = f.body else { continue };
-        for t in dataflow::fn_taint(toks, &src.symbols, &src.file.in_test, body, &flow.tainted_fns)
-        {
-            if t.float_sink && !FLOAT_DET_SCOPE.iter().any(|p| path.starts_with(p)) {
-                continue;
-            }
-            if fired.insert((t.line, t.message.clone())) {
-                out.push(Diagnostic::at(
-                    src,
-                    path,
-                    t.line,
-                    "nondeterminism-taint",
-                    format!(
-                        "{}; emulation outputs must be a pure function of config and \
-                         seed — order the iteration (BTreeMap / sorted Vec) or derive \
-                         the value from the sim clock",
-                        t.message
-                    ),
-                ));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1143,40 +1102,5 @@ mod tests {
         // `for` loops are bounded by their iterator.
         let bounded = "fn f() { for c in chunks { tx.send(c); } }\n";
         assert!(run("channel-discipline", bounded).is_empty());
-    }
-
-    #[test]
-    fn taint_unordered_iteration_into_record_field() {
-        let src = "fn f(m: HashMap<u32, f32>, rec: &mut RoundRecord) {\n\
-                   let first = m.keys().next();\nrec.chosen = first;\n}\n";
-        let d = run("nondeterminism-taint", src);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].message.contains("rec.chosen"), "{d:?}");
-    }
-
-    #[test]
-    fn taint_float_accumulator_is_scoped() {
-        let src = "fn f(m: HashMap<u32, f32>) {\nlet mut acc = 0.0f32;\n\
-                   for v in m.values() { acc += v; }\n}\n";
-        // In the numeric crates: fires.
-        assert_eq!(run_at("nondeterminism-taint", "crates/tensor/src/x.rs", src).len(), 1);
-        // Elsewhere: the float-accumulator sink is out of scope.
-        assert!(run_at("nondeterminism-taint", "crates/fl/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn taint_wire_payload_sink() {
-        let src = "fn f(m: HashMap<u32, Vec<u8>>, bus: &Bus) {\n\
-                   let frame = m.values().next();\nbus.send_bytes(frame);\n}\n";
-        let d = run("nondeterminism-taint", src);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].message.contains("wire payload"), "{d:?}");
-    }
-
-    #[test]
-    fn taint_ordered_sources_are_clean() {
-        let src = "fn f(m: BTreeMap<u32, f32>, rec: &mut RoundRecord) {\n\
-                   let first = m.keys().next();\nrec.chosen = first;\n}\n";
-        assert!(run("nondeterminism-taint", src).is_empty());
     }
 }

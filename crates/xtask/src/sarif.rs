@@ -28,9 +28,6 @@ fn rule_summary(id: &str) -> &'static str {
         "channel-discipline" => {
             "blocking recv on a pool-worker path, send after close, or unbounded send loop"
         }
-        "nondeterminism-taint" => {
-            "nondeterministic value (unordered iteration, thread count, wall clock) reaches a record, wire, or float sink"
-        }
         "hot-alloc" => {
             "allocation expression on a steady-state path reachable from the round loop"
         }
@@ -57,15 +54,17 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Renders one SARIF `result` object. `suppressed_by` names the ratchet
-/// file that tolerates the finding (`None` for live violations).
-fn result_json(d: &Diagnostic, suppressed_by: Option<&str>) -> String {
-    let suppressions = match suppressed_by {
-        Some(file) => format!(
+/// Renders one SARIF `result` object; `baselined` findings carry an
+/// external suppression naming the ratchet file.
+fn result_json(d: &Diagnostic, baselined: bool) -> String {
+    let suppressions = if baselined {
+        format!(
             ",\"suppressions\":[{{\"kind\":\"external\",\"justification\":\
-             \"baselined pre-existing finding ({file})\"}}]"
-        ),
-        None => String::new(),
+             \"baselined pre-existing finding ({})\"}}]",
+            crate::baseline::BASELINE_FILE
+        )
+    } else {
+        String::new()
     };
     format!(
         "{{\"ruleId\":\"{}\",\"level\":\"error\",\"message\":{{\"text\":\"{}\"}},\
@@ -81,8 +80,7 @@ fn result_json(d: &Diagnostic, suppressed_by: Option<&str>) -> String {
 }
 
 /// Renders a full SARIF 2.1.0 log for a lint report: unsuppressed violations
-/// as plain results, baselined and budgeted findings as externally-suppressed
-/// results (naming their respective ratchet files).
+/// as plain results, baselined findings as externally-suppressed results.
 pub fn render(report: &LintReport) -> String {
     let rules: Vec<String> = RULE_IDS
         .iter()
@@ -96,16 +94,8 @@ pub fn render(report: &LintReport) -> String {
         })
         .collect();
     let mut results: Vec<String> =
-        report.violations.iter().map(|d| result_json(d, None)).collect();
-    results.extend(
-        report
-            .baselined
-            .iter()
-            .map(|d| result_json(d, Some(crate::baseline::BASELINE_FILE))),
-    );
-    results.extend(
-        report.budgeted.iter().map(|d| result_json(d, Some(crate::budget::BUDGET_FILE))),
-    );
+        report.violations.iter().map(|d| result_json(d, false)).collect();
+    results.extend(report.baselined.iter().map(|d| result_json(d, true)));
     format!(
         "{{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
          \"version\":\"2.1.0\",\"runs\":[{{\"tool\":{{\"driver\":{{\
@@ -135,14 +125,7 @@ mod tests {
     }
 
     fn report(violations: Vec<Diagnostic>, baselined: Vec<Diagnostic>) -> LintReport {
-        LintReport {
-            violations,
-            baselined,
-            stale_baseline: Vec::new(),
-            budgeted: Vec::new(),
-            stale_budget: Vec::new(),
-            files_scanned: 1,
-        }
+        LintReport { violations, baselined, stale_baseline: Vec::new(), files_scanned: 1 }
     }
 
     /// Minimal structural JSON validator: balanced delimiters outside
@@ -180,25 +163,27 @@ mod tests {
     fn sarif_is_structurally_valid_json_with_escapes() {
         let r = report(
             vec![diag("no-unwrap", "crates/fl/src/a.rs", 3, "x.expect(\"why \\\" here\");")],
-            vec![diag("panic-path", "crates/core/src/b.rs", 7, "let v = t[i];")],
+            vec![
+                diag("panic-path", "crates/core/src/b.rs", 7, "let v = t[i];"),
+                diag("hot-alloc", "crates/fl/src/experiment.rs", 4, "vec![0.0; n]"),
+            ],
         );
         let s = render(&r);
         assert_valid_json(&s);
         assert!(s.contains("\"version\":\"2.1.0\""));
         assert!(s.contains("\"ruleId\":\"no-unwrap\""));
         assert!(s.contains("\"startLine\":3"));
-        assert!(s.contains("\"kind\":\"external\""), "baselined finding carries suppression");
-        assert!(s.contains("lint-baseline.toml"), "suppression names the ratchet file");
-    }
-
-    #[test]
-    fn budgeted_findings_are_suppressed_by_the_budget_file() {
-        let mut r = report(Vec::new(), Vec::new());
-        r.budgeted = vec![diag("hot-alloc", "crates/fl/src/experiment.rs", 4, "vec![0.0; n]")];
-        let s = render(&r);
-        assert_valid_json(&s);
         assert!(s.contains("\"ruleId\":\"hot-alloc\""));
-        assert!(s.contains("alloc-budget.toml"), "suppression names the budget file: {s}");
+        assert_eq!(
+            s.matches("\"kind\":\"external\"").count(),
+            2,
+            "every baselined finding, whatever its family, carries a suppression"
+        );
+        assert_eq!(
+            s.matches("lint-baseline.toml").count(),
+            2,
+            "each suppression names the one ratchet file"
+        );
     }
 
     #[test]

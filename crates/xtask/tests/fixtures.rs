@@ -279,57 +279,6 @@ fn channel_discipline_is_silent_on_disciplined_shapes() {
 }
 
 #[test]
-fn taint_flows_from_hash_iteration_into_a_record_field() {
-    let diags = lint_fixture("taint_record_sink.rs");
-    assert_eq!(
-        sorted_findings(&diags),
-        vec![("hash-collections", 9), ("nondeterminism-taint", 14)],
-        "the HashMap signature and the tainted `train_loss` field: {diags:?}"
-    );
-    let taint = diags.iter().find(|d| d.rule == "nondeterminism-taint").unwrap();
-    assert!(
-        taint.message.contains("train_loss") && taint.message.contains("RoundRecord"),
-        "the finding should name the record field sink: {taint:?}"
-    );
-}
-
-#[test]
-fn taint_survives_tuple_destructuring_into_a_wire_payload() {
-    let diags = lint_fixture("taint_tuple.rs");
-    assert_eq!(
-        sorted_findings(&diags),
-        vec![("hash-collections", 8), ("nondeterminism-taint", 12)],
-        "the tuple-bound payload must carry taint into `send_bytes`: {diags:?}"
-    );
-    let taint = diags.iter().find(|d| d.rule == "nondeterminism-taint").unwrap();
-    assert!(
-        taint.message.contains("wire payload"),
-        "the finding should name the wire sink: {taint:?}"
-    );
-}
-
-#[test]
-fn taint_is_silent_on_ordered_sources_and_sink_free_flows() {
-    let diags = lint_fixture("taint_negative.rs");
-    assert!(
-        diags.is_empty(),
-        "BTreeMap iteration is ordered and a sink-free thread-count flow is \
-         benign: {diags:?}"
-    );
-}
-
-#[test]
-fn taint_is_silent_on_the_ordered_matmul_accumulation_shape() {
-    // Linted as the real kernel file so float-accumulator sinks are in
-    // scope — the ascending-index accumulation must still be clean.
-    let diags = lint_fixture_as("taint_matmul_negative.rs", "crates/tensor/src/matmul.rs");
-    assert!(
-        diags.is_empty(),
-        "slice-ordered `acc += x * y` is deterministic and must not fire: {diags:?}"
-    );
-}
-
-#[test]
 fn hot_alloc_fires_on_the_steady_path_and_skips_setup() {
     // Linted as the real hot-path root file so `run` seeds the steady
     // closure.
@@ -427,23 +376,44 @@ fn checked_in_baseline_parses_and_is_canonically_ordered() {
 }
 
 #[test]
-fn checked_in_alloc_budget_parses_and_is_canonically_ordered() {
-    let dir = option_env!("CARGO_MANIFEST_DIR").unwrap_or("crates/xtask");
-    let path = PathBuf::from(dir).join("alloc-budget.toml");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{} must exist: {e}", path.display()));
-    let budget = fedsu_xtask::budget::parse(&text).expect("checked-in budget must parse");
-    assert!(
-        budget.runtime.max_round_allocs > 0 && budget.runtime.max_round_bytes > 0,
-        "the [runtime] ceilings must be real limits, not zero"
+fn fix_baseline_refuses_to_grow_a_rule() {
+    // A one-crate workspace whose `run` reaches the fixture's one indexing
+    // site, with that site baselined; then a second site is seeded.
+    let root = std::env::temp_dir().join(format!("fedsu-xtask-ratchet-{}", std::process::id()));
+    let src_dir = root.join("crates/fl/src");
+    std::fs::create_dir_all(&src_dir).unwrap();
+    std::fs::create_dir_all(root.join("crates/xtask")).unwrap();
+    std::fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
+    let rel = "crates/fl/src/experiment.rs";
+    let clean = fixture_text("panic_path.rs");
+    let baseline = fedsu_xtask::baseline::render(&lint_fixture_as("panic_path.rs", rel));
+    let baseline_path = root.join(fedsu_xtask::baseline::BASELINE_FILE);
+    std::fs::write(&baseline_path, &baseline).unwrap();
+    let fix_baseline = || {
+        std::process::Command::new(env!("CARGO_BIN_EXE_fedsu-xtask"))
+            .args(["lint", "--fix-baseline"])
+            .current_dir(&root)
+            .output()
+            .unwrap()
+    };
+
+    std::fs::write(src_dir.join("experiment.rs"), &clean).unwrap();
+    let out = fix_baseline();
+    assert_eq!(out.status.code(), Some(0), "an unchanged tree regenerates: {out:?}");
+    assert_eq!(std::fs::read_to_string(&baseline_path).unwrap(), baseline, "byte-identical");
+
+    let seeded = clean.replace("    plan[0]\n", "    plan[0]\n        + plan[1]\n");
+    assert_ne!(seeded, clean, "the fixture still has the line the test seeds after");
+    std::fs::write(src_dir.join("experiment.rs"), seeded).unwrap();
+    let out = fix_baseline();
+    let said = format!(
+        "{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
     );
-    assert!(!budget.entries.is_empty(), "the alloc ratchet starts from the seeded findings");
-    let mut sorted = budget.entries.clone();
-    sorted.sort_by(|a, b| {
-        (&a.path, a.line, &a.rule, &a.snippet).cmp(&(&b.path, b.line, &b.rule, &b.snippet))
-    });
-    assert_eq!(
-        budget.entries, sorted,
-        "regenerate with `cargo run -p fedsu-xtask -- lint --fix-budget`"
-    );
+    assert_eq!(out.status.code(), Some(1), "growth is a gate failure: {said}");
+    assert!(said.contains("rule `panic-path` would grow 1 → 2"), "names rule and counts: {said}");
+    assert!(said.contains(&format!("{rel}:18: error[panic-path]")), "names the new site: {said}");
+    assert_eq!(std::fs::read_to_string(&baseline_path).unwrap(), baseline, "file untouched");
+    std::fs::remove_dir_all(&root).unwrap();
 }

@@ -1,11 +1,12 @@
-//! Counting-allocator cross-validation of `crates/xtask/alloc-budget.toml`.
+//! Counting-allocator cross-validation of the allocation-flow lint rules.
 //!
-//! The static allocation-flow rules say *where* the round loop allocates;
-//! the `[runtime]` ceilings in the budget say *how much* it is allowed to.
+//! The static rules (`hot-alloc` and friends, ratcheted in
+//! `crates/xtask/lint-baseline.toml`) say *where* the round loop allocates;
+//! the two ceilings below say *how much* it is allowed to.
 //! This test runs a small sweep with the counting `#[global_allocator]`
 //! armed (`--features alloc-stats`) and asserts that every steady round —
 //! all rounds after the first, which still pays one-time warm-up costs —
-//! stays within the checked-in ceilings. A hot-path copy regression (say,
+//! stays within the ceilings. A hot-path copy regression (say,
 //! reintroducing the per-round global `.to_vec()` or the per-retransmission
 //! frame re-encode) blows the allocs ceiling long before it shows up in a
 //! wall-clock benchmark.
@@ -23,32 +24,18 @@ use fedsu_repro::tensor::alloc_stats;
 
 const ROUNDS: usize = 6;
 
-/// Minimal `[runtime]` reader for `crates/xtask/alloc-budget.toml`: this
-/// test binary must not depend on the xtask crate, and the section is two
-/// `key = integer` lines.
-fn read_ceilings() -> (u64, u64) {
-    // Compile-time manifest dir under cargo; cwd (the package root under
-    // `cargo test`) otherwise.
-    let root = option_env!("CARGO_MANIFEST_DIR").unwrap_or(".");
-    let path = format!("{root}/crates/xtask/alloc-budget.toml");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{path}: alloc budget must be checked in: {e}"));
-    let field = |key: &str| -> u64 {
-        text.lines()
-            .find_map(|l| l.trim().strip_prefix(key))
-            .and_then(|rest| rest.trim().strip_prefix('='))
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or_else(|| panic!("{path}: missing/invalid `{key}` in [runtime]"))
-    };
-    (field("max_round_allocs"), field("max_round_bytes"))
-}
+/// Per-round ceilings for a steady round (which measures ~370 allocations
+/// and ~80 KiB in this sweep): tight enough that a reintroduced per-round
+/// model copy trips this test, loose enough to absorb eval-round jitter.
+/// Lower them by hand as the hot path sheds copies.
+const MAX_ROUND_ALLOCS: u64 = 2000;
+const MAX_ROUND_BYTES: u64 = 524288;
 
 /// One test, not several: the alloc-stats switch and the process counters
 /// are global, so phases must run in a fixed order, and kernel threads are
 /// pinned to one so worker-pool bookkeeping never bleeds into round deltas.
 #[test]
 fn steady_rounds_stay_within_the_checked_in_budget() {
-    let (max_allocs, max_bytes) = read_ceilings();
     fedsu_repro::tensor::set_kernel_threads(1);
     alloc_stats::set_enabled(true);
 
@@ -82,17 +69,15 @@ fn steady_rounds_stay_within_the_checked_in_budget() {
     // must fit the budget.
     for r in rounds.iter().skip(1) {
         assert!(
-            r.allocs <= max_allocs,
-            "round {} made {} allocations, budget allows {max_allocs} \
-             (crates/xtask/alloc-budget.toml [runtime]); a hot-path copy \
-             crept back in",
+            r.allocs <= MAX_ROUND_ALLOCS,
+            "round {} made {} allocations, the ceiling is {MAX_ROUND_ALLOCS}; a hot-path \
+             copy crept back in",
             r.round,
             r.allocs
         );
         assert!(
-            r.bytes <= max_bytes,
-            "round {} requested {} bytes, budget allows {max_bytes} \
-             (crates/xtask/alloc-budget.toml [runtime])",
+            r.bytes <= MAX_ROUND_BYTES,
+            "round {} requested {} bytes, the ceiling is {MAX_ROUND_BYTES}",
             r.round,
             r.bytes
         );

@@ -1,25 +1,23 @@
 //! The runtime invariant guards (`FEDSU_CHECK_INVARIANTS`) must be pure
 //! observers: arming them may abort on violation but must never perturb the
 //! emulation. A zero-fault run with every guard armed has to reproduce the
-//! legacy `RoundRecord`s bit-for-bit.
+//! legacy `RoundRecord`s bit-for-bit. The same holds for the kernel thread
+//! count: it may change wall time and nothing else.
 
 // Tests and benches may unwrap: a panic here IS the failure report
 // (mirrors allow-unwrap-in-tests in clippy.toml for non-#[test] helpers).
 #![allow(clippy::unwrap_used)]
 
-use fedsu_repro::fl::ExperimentResult;
+use fedsu_repro::fl::{ExperimentResult, RoundRecord};
 use fedsu_repro::scenario::{ModelKind, Scenario, StrategyKind};
 use fedsu_repro::tensor::invariant;
 
+fn scenario() -> Scenario {
+    Scenario::new(ModelKind::Mlp).clients(5).rounds(12).samples_per_class(20).seed(11)
+}
+
 fn run(strategy: StrategyKind) -> ExperimentResult {
-    let mut e = Scenario::new(ModelKind::Mlp)
-        .clients(5)
-        .rounds(12)
-        .samples_per_class(20)
-        .seed(11)
-        .build(strategy)
-        .unwrap();
-    e.run(None).unwrap()
+    scenario().build(strategy).unwrap().run(None).unwrap()
 }
 
 /// One test, not several: the invariant switch is process-global, so the
@@ -47,4 +45,32 @@ fn armed_guards_reproduce_zero_fault_records_bit_for_bit() {
             "{strategy:?}: arming FEDSU_CHECK_INVARIANTS changed the records"
         );
     }
+}
+
+/// Records and wire volumes must not depend on how many threads the host
+/// lends the kernels: the same scenario at `kernel_threads` 1 and 4 yields
+/// equal `RoundRecord`s and a bit-equal final global model. (Every
+/// `Experiment::run` in this binary sets the process-wide thread count, so
+/// the other test can lower the 4 mid-run; equality has to hold at any
+/// setting, so that can weaken this check but never fail it.)
+#[test]
+fn kernel_thread_count_changes_neither_records_nor_the_final_model() {
+    let run_at = |threads: usize| {
+        let mut last_global: Vec<u32> = Vec::new();
+        let mut hook = |_: &RoundRecord, global: &[f32]| {
+            last_global = global.iter().map(|v| v.to_bits()).collect();
+        };
+        let result = scenario()
+            .kernel_threads(threads)
+            .build(StrategyKind::FedSuCalibrated)
+            .unwrap()
+            .run(Some(&mut hook))
+            .unwrap();
+        (result, last_global)
+    };
+    let (serial, serial_model) = run_at(1);
+    let (parallel, parallel_model) = run_at(4);
+    assert_eq!(serial, parallel, "kernel_threads changed the records");
+    assert!(!serial_model.is_empty(), "the hook saw the final global");
+    assert_eq!(serial_model, parallel_model, "kernel_threads changed the final model");
 }
