@@ -70,11 +70,6 @@ impl FedSuCoarse {
         }
     }
 
-    /// The configured chunk size.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk
-    }
-
     fn n_chunks(&self) -> usize {
         self.n_params.div_ceil(self.chunk)
     }

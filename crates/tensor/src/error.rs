@@ -51,10 +51,6 @@ impl TensorError {
         TensorError::LengthMismatch { len, shape: shape.to_vec() }
     }
 
-    /// Cold constructor for [`TensorError::RankMismatch`].
-    pub fn new_rank_mismatch(expected: usize, actual: usize, op: &'static str) -> TensorError {
-        TensorError::RankMismatch { expected, actual, op }
-    }
 }
 
 impl fmt::Display for TensorError {

@@ -80,7 +80,7 @@ fn check_rank2(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
 }
 
 fn check_len(buf: &[f32], rows: usize, cols: usize) -> Result<()> {
-    if buf.len() != rows * cols {
+    if rows.checked_mul(cols) != Some(buf.len()) {
         return Err(TensorError::new_length_mismatch(buf.len(), &[rows, cols]));
     }
     Ok(())
@@ -513,6 +513,10 @@ mod tests {
         assert!(matmul_into(&[0.0; 4], &[0.0; 4], &mut short, 2, 2, 2).is_err());
         assert!(matmul_transpose_a_into(&[0.0; 3], &[0.0; 4], &mut out, 2, 2, 2).is_err());
         assert!(matmul_transpose_b_into(&[0.0; 3], &[0.0; 4], &mut out, 2, 2, 2).is_err());
+        // 2^63 · 2 wraps to 0, the length of an empty buffer: the shape
+        // product must be checked, not wrapped (or, in this profile, panic).
+        let half = usize::MAX / 2 + 1;
+        assert!(matches!(matmul_into(&[], &[], &mut [], half, 2, 0), Err(TensorError::LengthMismatch { .. })));
     }
 
     #[test]

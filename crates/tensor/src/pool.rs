@@ -239,17 +239,6 @@ pub struct PoolBuf {
     data: Vec<f32>,
 }
 
-impl PoolBuf {
-    /// Consumes the guard, keeping the buffer (the checkout stays
-    /// outstanding until the caller hands the buffer back with
-    /// [`give_f32_buf`]).
-    pub fn into_vec(mut self) -> Vec<f32> {
-        let data = std::mem::take(&mut self.data);
-        std::mem::forget(self);
-        data
-    }
-}
-
 impl Deref for PoolBuf {
     type Target = [f32];
     fn deref(&self) -> &[f32] {

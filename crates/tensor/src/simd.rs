@@ -59,15 +59,30 @@
 //! `unsafe_code` is denied workspace-wide; this module carries the one
 //! reviewed `#![allow]`. The waiver is kept narrow by construction:
 //!
-//! * Intrinsics for a feature level are only reachable through the
-//!   level-checked dispatch in this module: `Avx2`/`Sse2` variants run only
-//!   when [`hardware_simd_level`] has observed the feature, and every
-//!   override is clamped to that detected capability.
-//! * All loads and stores go through pointers obtained from subslices whose
-//!   length was just established by `chunks_exact`/`chunks_exact_mut`/
-//!   `split_at`(`_mut`) or a checked `get` — there is no pointer arithmetic
-//!   beyond what those length-checked subslices imply.
+//! * Each vector kernel is one generic body over the private `Lanes`
+//!   register trait. Raw-pointer loads and stores exist in exactly two
+//!   places, the `load`/`store` methods of `impl Lanes for __m256` and
+//!   `impl Lanes for __m128`, and each checks that its slice is exactly one
+//!   register long before touching it. Kernel bodies hand them subslices
+//!   carved by `chunks_exact`/`chunks_exact_mut`/`split_at`(`_mut`) or a
+//!   checked `get` (so the check folds away) and never index — there is no
+//!   pointer arithmetic anywhere.
+//! * What is left of `unsafe` is one precondition, "this instruction set is
+//!   present". The only `#[target_feature]` functions are the two one-call
+//!   wrappers the `kernels!` table emits per row, reachable only through
+//!   that row's `match level`: `Avx2`/`Sse2` arms run only when
+//!   [`hardware_simd_level`] has observed the feature, and every override is
+//!   clamped to that detected capability.
 //! * Remainder lanes always fall back to plain safe scalar code.
+//!
+//! ## Adding a kernel
+//!
+//! 1. The ground truth: an `#[inline(never)]` loop in `mod scalar`.
+//! 2. One `#[inline(always)] unsafe fn name<V: Lanes>` body in `mod x86`:
+//!    chunk by `V::N`, keep the scalar loop's operand order
+//!    (`acc.fadd(a.fmul(b))`, never fused), give the remainder to `scalar::name`.
+//! 3. One row in the `kernels!` table — it emits both levels' wrappers and
+//!    the `name_with` dispatcher — and a unit test against `scalar::name`.
 #![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -357,999 +372,530 @@ mod scalar {
 // x86-64 vector implementations
 // ---------------------------------------------------------------------------
 
-/// AVX2 (`f32x8`) and SSE2 (`f32x4`) variants of every operation.
+/// The vector kernels, each written **once** over the `Lanes` register
+/// type; the `kernels!` table instantiates every body at `__m256` (AVX2) and
+/// `__m128` (SSE2).
 ///
-/// Every function is `unsafe` with the same contract: the caller must have
-/// verified (via [`hardware_simd_level`]) that the named feature is
-/// available. Inside, raw-pointer loads/stores only ever target subslices
-/// whose length was just established safely.
+/// Every function is `unsafe` with the same contract: the caller must be
+/// running with the CPU feature of the lane type it names (see `Lanes`). All
+/// of them are `#[inline(always)]` so the whole body is compiled inside the
+/// `#[target_feature]` wrapper that names the type — one compiled instance of
+/// each kernel per level.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::scalar;
     use std::arch::x86_64::{
-        __m128, __m256, _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_castsi256_ps,
-        _mm256_cmp_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_or_ps, _mm256_permute2f128_ps,
-        _CMP_UNORD_Q, _mm_cmpunord_ps,
-        _mm256_permutevar8x32_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_set_ps,
-        _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_sub_ps,
-        _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_add_ps, _mm_and_ps, _mm_andnot_ps,
-        _mm_castsi128_ps, _mm_cmpgt_ps, _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_mul_ps,
-        _mm_or_ps, _mm_set1_epi32, _mm_set1_ps, _mm_set_ps, _mm_setzero_ps, _mm_shuffle_ps,
-        _mm_storeu_ps, _mm_sub_ps, _mm_unpackhi_ps, _mm_unpacklo_ps, _CMP_GT_OQ,
+        __m128, __m256, _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_cmp_ps,
+        _mm256_loadu_ps, _mm256_mul_ps, _mm256_or_ps, _mm256_permute2f128_ps, _mm256_set1_ps,
+        _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm256_unpackhi_ps,
+        _mm256_unpacklo_ps, _mm_add_ps, _mm_and_ps, _mm_andnot_ps, _mm_cmpgt_ps, _mm_cmpunord_ps,
+        _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_mul_ps, _mm_or_ps, _mm_set1_ps,
+        _mm_setzero_ps, _mm_storeu_ps, _mm_sub_ps, _mm_unpackhi_ps, _mm_unpacklo_ps, _CMP_GT_OQ,
+        _CMP_UNORD_Q,
     };
 
-    /// `x > 0` as a full-width lane mask (NaN compares false, like the
-    /// scalar `>`).
-    #[target_feature(enable = "avx2")]
-    unsafe fn gt_zero8(x: __m256) -> __m256 {
-        _mm256_cmp_ps::<_CMP_GT_OQ>(x, _mm256_setzero_ps())
-    }
+    /// The widest [`Lanes::N`]: sizes the stack arrays a generic body cannot
+    /// size with `V::N`.
+    const MAX_N: usize = 8;
 
-    #[target_feature(enable = "sse2")]
-    unsafe fn gt_zero4(x: __m128) -> __m128 {
-        _mm_cmpgt_ps(x, _mm_setzero_ps())
-    }
+    /// One `f32` vector register type: what a kernel body needs to know about
+    /// "how wide, and which instructions". Operations map one-to-one onto
+    /// single instructions — in particular `fmul` and `fadd` stay separate
+    /// (never an FMA) — so a body's written operand order *is* its IEEE
+    /// operation sequence at every width. (The arithmetic carries LLVM's
+    /// `f` prefix because the xtask call graph resolves calls by name alone:
+    /// a kernel calling `.sub(…)` would put `Tensor::sub` on the hot path.)
+    ///
+    /// # Safety
+    ///
+    /// Every method requires the CPU feature of its impl (AVX for `__m256`,
+    /// SSE2 for `__m128`). The methods carry no `#[target_feature]`
+    /// themselves: they are `#[inline(always)]` into a kernel body, which is
+    /// `#[inline(always)]` into the `kernels!` wrapper that enables the
+    /// feature, after the dispatcher has checked the level against the
+    /// hardware.
+    pub(super) trait Lanes: Copy {
+        /// Lanes per register.
+        const N: usize;
+        /// Reads `s`, which must be exactly [`Self::N`] long (checked).
+        unsafe fn load(s: &[f32]) -> Self;
+        /// Overwrites `s`, which must be exactly [`Self::N`] long (checked).
+        unsafe fn store(self, s: &mut [f32]);
+        /// `a` in every lane, bit-exact.
+        unsafe fn splat(a: f32) -> Self;
+        /// `+0.0` in every lane.
+        unsafe fn zero() -> Self;
+        /// Lanewise `self + o`.
+        unsafe fn fadd(self, o: Self) -> Self;
+        /// Lanewise `self - o`.
+        unsafe fn fsub(self, o: Self) -> Self;
+        /// Lanewise `self * o`.
+        unsafe fn fmul(self, o: Self) -> Self;
+        /// Bitwise `self & o`.
+        unsafe fn and(self, o: Self) -> Self;
+        /// Bitwise `!self & o`.
+        unsafe fn andnot(self, o: Self) -> Self;
+        /// Bitwise `self | o`.
+        unsafe fn or(self, o: Self) -> Self;
+        /// `self > 0` as a full-width lane mask (NaN compares false, like the
+        /// scalar `>`).
+        unsafe fn gt_zero(self) -> Self;
+        /// `self.is_nan()` as a full-width lane mask.
+        unsafe fn is_nan(self) -> Self;
+        /// In-register transpose of the `N × N` block held in the first
+        /// [`Self::N`] registers: lane `j` of output `t` is lane `t` of input
+        /// `j`. Registers past `N` pass through.
+        unsafe fn transpose(rows: [Self; MAX_N]) -> [Self; MAX_N];
 
-    /// All-lanes sign-bit-clear mask (`!sign` per lane).
-    #[target_feature(enable = "avx2")]
-    unsafe fn abs_mask8() -> __m256 {
-        _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff))
-    }
-
-    #[target_feature(enable = "sse2")]
-    unsafe fn abs_mask4() -> __m128 {
-        _mm_castsi128_ps(_mm_set1_epi32(0x7fff_ffff))
-    }
-
-    /// Generates the AVX2 + SSE2 bodies for a unary/binary elementwise map.
-    /// Each arm walks full-width chunks, then hands the remainder to the
-    /// scalar ground truth.
-    macro_rules! elementwise {
-        (
-            $(#[$meta:meta])*
-            avx2: $name8:ident, sse2: $name4:ident,
-            |$($arg:ident : $ty:ty),*| lanes8 $body8:block lanes4 $body4:block
-        ) => {
-            $(#[$meta])*
-            #[target_feature(enable = "avx2")]
-            pub(super) unsafe fn $name8($($arg: $ty),*) $body8
-
-            $(#[$meta])*
-            #[target_feature(enable = "sse2")]
-            pub(super) unsafe fn $name4($($arg: $ty),*) $body4
-        };
-    }
-
-    elementwise! {
-        /// `y[i] += a * x[i]`: lanewise `add(y, mul(a, x))`, same
-        /// mul-then-add order as the scalar loop.
-        avx2: axpy_avx2, sse2: axpy_sse2,
-        |y: &mut [f32], a: f32, x: &[f32]| lanes8 {
-            let av = _mm256_set1_ps(a);
-            let mut yc = y.chunks_exact_mut(8);
-            let mut xc = x.chunks_exact(8);
-            for (ys, xs) in (&mut yc).zip(&mut xc) {
-                // SAFETY: both subslices are exactly 8 lanes long.
-                unsafe {
-                    let yv = _mm256_loadu_ps(ys.as_ptr());
-                    let xv = _mm256_loadu_ps(xs.as_ptr());
-                    _mm256_storeu_ps(ys.as_mut_ptr(), _mm256_add_ps(yv, _mm256_mul_ps(av, xv)));
-                }
-            }
-            scalar::axpy(yc.into_remainder(), a, xc.remainder());
-        } lanes4 {
-            let av = _mm_set1_ps(a);
-            let mut yc = y.chunks_exact_mut(4);
-            let mut xc = x.chunks_exact(4);
-            for (ys, xs) in (&mut yc).zip(&mut xc) {
-                // SAFETY: both subslices are exactly 4 lanes long.
-                unsafe {
-                    let yv = _mm_loadu_ps(ys.as_ptr());
-                    let xv = _mm_loadu_ps(xs.as_ptr());
-                    _mm_storeu_ps(ys.as_mut_ptr(), _mm_add_ps(yv, _mm_mul_ps(av, xv)));
-                }
-            }
-            scalar::axpy(yc.into_remainder(), a, xc.remainder());
+        /// `mask ? a : b` per lane, as `(mask & a) | (!mask & b)`: moves bits,
+        /// so NaN payloads and signed zeros travel unchanged.
+        #[inline(always)]
+        unsafe fn select(mask: Self, a: Self, b: Self) -> Self {
+            mask.and(a).or(mask.andnot(b))
         }
     }
 
-    elementwise! {
-        /// `y[i] += x[i]`.
-        avx2: add_assign_avx2, sse2: add_assign_sse2,
-        |y: &mut [f32], x: &[f32]| lanes8 {
-            let mut yc = y.chunks_exact_mut(8);
-            let mut xc = x.chunks_exact(8);
-            for (ys, xs) in (&mut yc).zip(&mut xc) {
-                // SAFETY: both subslices are exactly 8 lanes long.
-                unsafe {
-                    let yv = _mm256_loadu_ps(ys.as_ptr());
-                    let xv = _mm256_loadu_ps(xs.as_ptr());
-                    _mm256_storeu_ps(ys.as_mut_ptr(), _mm256_add_ps(yv, xv));
-                }
-            }
-            scalar::add_assign(yc.into_remainder(), xc.remainder());
-        } lanes4 {
-            let mut yc = y.chunks_exact_mut(4);
-            let mut xc = x.chunks_exact(4);
-            for (ys, xs) in (&mut yc).zip(&mut xc) {
-                // SAFETY: both subslices are exactly 4 lanes long.
-                unsafe {
-                    let yv = _mm_loadu_ps(ys.as_ptr());
-                    let xv = _mm_loadu_ps(xs.as_ptr());
-                    _mm_storeu_ps(ys.as_mut_ptr(), _mm_add_ps(yv, xv));
-                }
-            }
-            scalar::add_assign(yc.into_remainder(), xc.remainder());
+    impl Lanes for __m256 {
+        const N: usize = 8;
+        #[inline(always)]
+        unsafe fn load(s: &[f32]) -> Self {
+            assert_eq!(s.len(), Self::N);
+            // SAFETY: `s` is exactly the 8 lanes this unaligned load reads.
+            unsafe { _mm256_loadu_ps(s.as_ptr()) }
+        }
+        #[inline(always)]
+        unsafe fn store(self, s: &mut [f32]) {
+            assert_eq!(s.len(), Self::N);
+            // SAFETY: `s` is exactly the 8 lanes this unaligned store writes.
+            unsafe { _mm256_storeu_ps(s.as_mut_ptr(), self) }
+        }
+        #[inline(always)]
+        unsafe fn splat(a: f32) -> Self {
+            _mm256_set1_ps(a)
+        }
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm256_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn fadd(self, o: Self) -> Self {
+            _mm256_add_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn fsub(self, o: Self) -> Self {
+            _mm256_sub_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn fmul(self, o: Self) -> Self {
+            _mm256_mul_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn and(self, o: Self) -> Self {
+            _mm256_and_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn andnot(self, o: Self) -> Self {
+            _mm256_andnot_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn or(self, o: Self) -> Self {
+            _mm256_or_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn gt_zero(self) -> Self {
+            _mm256_cmp_ps::<_CMP_GT_OQ>(self, _mm256_setzero_ps())
+        }
+        #[inline(always)]
+        unsafe fn is_nan(self) -> Self {
+            _mm256_cmp_ps::<_CMP_UNORD_Q>(self, self)
+        }
+        /// 8×8: unpack pairs, shuffle quads, then swap 128-bit halves.
+        #[inline(always)]
+        unsafe fn transpose([v0, v1, v2, v3, v4, v5, v6, v7]: [Self; MAX_N]) -> [Self; MAX_N] {
+            let t0 = _mm256_unpacklo_ps(v0, v1);
+            let t1 = _mm256_unpackhi_ps(v0, v1);
+            let t2 = _mm256_unpacklo_ps(v2, v3);
+            let t3 = _mm256_unpackhi_ps(v2, v3);
+            let t4 = _mm256_unpacklo_ps(v4, v5);
+            let t5 = _mm256_unpackhi_ps(v4, v5);
+            let t6 = _mm256_unpacklo_ps(v6, v7);
+            let t7 = _mm256_unpackhi_ps(v6, v7);
+            let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+            let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+            let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+            let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+            let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+            let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+            let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+            let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+            [
+                _mm256_permute2f128_ps::<0x20>(u0, u4),
+                _mm256_permute2f128_ps::<0x20>(u1, u5),
+                _mm256_permute2f128_ps::<0x20>(u2, u6),
+                _mm256_permute2f128_ps::<0x20>(u3, u7),
+                _mm256_permute2f128_ps::<0x31>(u0, u4),
+                _mm256_permute2f128_ps::<0x31>(u1, u5),
+                _mm256_permute2f128_ps::<0x31>(u2, u6),
+                _mm256_permute2f128_ps::<0x31>(u3, u7),
+            ]
         }
     }
 
-    elementwise! {
-        /// NaN-holding scatter add: `select(isnan(y), y, y + x)` per lane,
-        /// matching the scalar guard bit-for-bit (see
-        /// [`scalar::scatter_add`] for why the guard exists).
-        avx2: scatter_add_avx2, sse2: scatter_add_sse2,
-        |y: &mut [f32], x: &[f32]| lanes8 {
-            let mut yc = y.chunks_exact_mut(8);
-            let mut xc = x.chunks_exact(8);
-            for (ys, xs) in (&mut yc).zip(&mut xc) {
-                // SAFETY: both subslices are exactly 8 lanes long.
-                unsafe {
-                    let yv = _mm256_loadu_ps(ys.as_ptr());
-                    let xv = _mm256_loadu_ps(xs.as_ptr());
-                    let m = _mm256_cmp_ps::<_CMP_UNORD_Q>(yv, yv);
-                    let s = _mm256_add_ps(yv, xv);
-                    _mm256_storeu_ps(
-                        ys.as_mut_ptr(),
-                        _mm256_or_ps(_mm256_and_ps(m, yv), _mm256_andnot_ps(m, s)),
-                    );
-                }
-            }
-            scalar::scatter_add(yc.into_remainder(), xc.remainder());
-        } lanes4 {
-            let mut yc = y.chunks_exact_mut(4);
-            let mut xc = x.chunks_exact(4);
-            for (ys, xs) in (&mut yc).zip(&mut xc) {
-                // SAFETY: both subslices are exactly 4 lanes long.
-                unsafe {
-                    let yv = _mm_loadu_ps(ys.as_ptr());
-                    let xv = _mm_loadu_ps(xs.as_ptr());
-                    let m = _mm_cmpunord_ps(yv, yv);
-                    let s = _mm_add_ps(yv, xv);
-                    _mm_storeu_ps(
-                        ys.as_mut_ptr(),
-                        _mm_or_ps(_mm_and_ps(m, yv), _mm_andnot_ps(m, s)),
-                    );
-                }
-            }
-            scalar::scatter_add(yc.into_remainder(), xc.remainder());
+    impl Lanes for __m128 {
+        const N: usize = 4;
+        #[inline(always)]
+        unsafe fn load(s: &[f32]) -> Self {
+            assert_eq!(s.len(), Self::N);
+            // SAFETY: `s` is exactly the 4 lanes this unaligned load reads.
+            unsafe { _mm_loadu_ps(s.as_ptr()) }
+        }
+        #[inline(always)]
+        unsafe fn store(self, s: &mut [f32]) {
+            assert_eq!(s.len(), Self::N);
+            // SAFETY: `s` is exactly the 4 lanes this unaligned store writes.
+            unsafe { _mm_storeu_ps(s.as_mut_ptr(), self) }
+        }
+        #[inline(always)]
+        unsafe fn splat(a: f32) -> Self {
+            _mm_set1_ps(a)
+        }
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn fadd(self, o: Self) -> Self {
+            _mm_add_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn fsub(self, o: Self) -> Self {
+            _mm_sub_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn fmul(self, o: Self) -> Self {
+            _mm_mul_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn and(self, o: Self) -> Self {
+            _mm_and_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn andnot(self, o: Self) -> Self {
+            _mm_andnot_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn or(self, o: Self) -> Self {
+            _mm_or_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn gt_zero(self) -> Self {
+            _mm_cmpgt_ps(self, _mm_setzero_ps())
+        }
+        #[inline(always)]
+        unsafe fn is_nan(self) -> Self {
+            _mm_cmpunord_ps(self, self)
+        }
+        /// 4×4: unpack pairs, then move 64-bit halves.
+        #[inline(always)]
+        unsafe fn transpose([v0, v1, v2, v3, rest @ ..]: [Self; MAX_N]) -> [Self; MAX_N] {
+            let t0 = _mm_unpacklo_ps(v0, v1);
+            let t1 = _mm_unpacklo_ps(v2, v3);
+            let t2 = _mm_unpackhi_ps(v0, v1);
+            let t3 = _mm_unpackhi_ps(v2, v3);
+            let (c0, c1) = (_mm_movelh_ps(t0, t1), _mm_movehl_ps(t1, t0));
+            let (c2, c3) = (_mm_movelh_ps(t2, t3), _mm_movehl_ps(t3, t2));
+            let [r4, r5, r6, r7] = rest;
+            [c0, c1, c2, c3, r4, r5, r6, r7]
         }
     }
 
-    elementwise! {
-        /// `r[i] += l[i] - g[i]`: lanewise `add(r, sub(l, g))`, matching the
-        /// scalar `r + (l - g)` evaluation order.
-        avx2: add_diff_avx2, sse2: add_diff_sse2,
-        |r: &mut [f32], l: &[f32], g: &[f32]| lanes8 {
-            let mut rc = r.chunks_exact_mut(8);
-            let mut lc = l.chunks_exact(8);
-            let mut gc = g.chunks_exact(8);
-            for ((rs, ls), gs) in (&mut rc).zip(&mut lc).zip(&mut gc) {
-                // SAFETY: all three subslices are exactly 8 lanes long.
-                unsafe {
-                    let rv = _mm256_loadu_ps(rs.as_ptr());
-                    let lv = _mm256_loadu_ps(ls.as_ptr());
-                    let gv = _mm256_loadu_ps(gs.as_ptr());
-                    _mm256_storeu_ps(rs.as_mut_ptr(), _mm256_add_ps(rv, _mm256_sub_ps(lv, gv)));
-                }
-            }
-            scalar::add_diff(rc.into_remainder(), lc.remainder(), gc.remainder());
-        } lanes4 {
-            let mut rc = r.chunks_exact_mut(4);
-            let mut lc = l.chunks_exact(4);
-            let mut gc = g.chunks_exact(4);
-            for ((rs, ls), gs) in (&mut rc).zip(&mut lc).zip(&mut gc) {
-                // SAFETY: all three subslices are exactly 4 lanes long.
-                unsafe {
-                    let rv = _mm_loadu_ps(rs.as_ptr());
-                    let lv = _mm_loadu_ps(ls.as_ptr());
-                    let gv = _mm_loadu_ps(gs.as_ptr());
-                    _mm_storeu_ps(rs.as_mut_ptr(), _mm_add_ps(rv, _mm_sub_ps(lv, gv)));
-                }
-            }
-            scalar::add_diff(rc.into_remainder(), lc.remainder(), gc.remainder());
+    /// `y[i] += a * x[i]`: lanewise `add(y, mul(a, x))`, same mul-then-add
+    /// order as the scalar loop.
+    #[inline(always)]
+    pub(super) unsafe fn axpy<V: Lanes>(y: &mut [f32], a: f32, x: &[f32]) {
+        let av = V::splat(a);
+        let mut yc = y.chunks_exact_mut(V::N);
+        let mut xc = x.chunks_exact(V::N);
+        for (ys, xs) in (&mut yc).zip(&mut xc) {
+            V::load(ys).fadd(av.fmul(V::load(xs))).store(ys);
+        }
+        scalar::axpy(yc.into_remainder(), a, xc.remainder());
+    }
+
+    /// `y[i] += x[i]`.
+    #[inline(always)]
+    pub(super) unsafe fn add_assign<V: Lanes>(y: &mut [f32], x: &[f32]) {
+        let mut yc = y.chunks_exact_mut(V::N);
+        let mut xc = x.chunks_exact(V::N);
+        for (ys, xs) in (&mut yc).zip(&mut xc) {
+            V::load(ys).fadd(V::load(xs)).store(ys);
+        }
+        scalar::add_assign(yc.into_remainder(), xc.remainder());
+    }
+
+    /// NaN-holding scatter add: `select(isnan(y), y, y + x)` per lane,
+    /// matching the scalar guard bit-for-bit (see [`scalar::scatter_add`] for
+    /// why the guard exists).
+    #[inline(always)]
+    pub(super) unsafe fn scatter_add<V: Lanes>(y: &mut [f32], x: &[f32]) {
+        let mut yc = y.chunks_exact_mut(V::N);
+        let mut xc = x.chunks_exact(V::N);
+        for (ys, xs) in (&mut yc).zip(&mut xc) {
+            let yv = V::load(ys);
+            V::select(yv.is_nan(), yv, yv.fadd(V::load(xs))).store(ys);
+        }
+        scalar::scatter_add(yc.into_remainder(), xc.remainder());
+    }
+
+    /// `r[i] += l[i] - g[i]`: lanewise `add(r, sub(l, g))`, matching the
+    /// scalar `r + (l - g)` evaluation order.
+    #[inline(always)]
+    pub(super) unsafe fn add_diff<V: Lanes>(r: &mut [f32], l: &[f32], g: &[f32]) {
+        let mut rc = r.chunks_exact_mut(V::N);
+        let mut lc = l.chunks_exact(V::N);
+        let mut gc = g.chunks_exact(V::N);
+        for ((rs, ls), gs) in (&mut rc).zip(&mut lc).zip(&mut gc) {
+            V::load(rs).fadd(V::load(ls).fsub(V::load(gs))).store(rs);
+        }
+        scalar::add_diff(rc.into_remainder(), lc.remainder(), gc.remainder());
+    }
+
+    /// `out[i] = |x[i]|` by clearing the sign bit — exactly what the scalar
+    /// `f32::abs` does, so NaN payloads are preserved.
+    #[inline(always)]
+    pub(super) unsafe fn abs_into<V: Lanes>(out: &mut [f32], x: &[f32]) {
+        let mask = V::splat(f32::from_bits(0x7fff_ffff));
+        let mut oc = out.chunks_exact_mut(V::N);
+        let mut xc = x.chunks_exact(V::N);
+        for (os, xs) in (&mut oc).zip(&mut xc) {
+            V::load(xs).and(mask).store(os);
+        }
+        scalar::abs_into(oc.into_remainder(), xc.remainder());
+    }
+
+    /// ReLU forward as compare+select: lanes where `x > 0` keep `x`
+    /// (bit-exact, NaN payloads included); all others become `+0.0`.
+    #[inline(always)]
+    pub(super) unsafe fn relu_fwd<V: Lanes>(x: &[f32], out: &mut [f32]) {
+        let mut xc = x.chunks_exact(V::N);
+        let mut oc = out.chunks_exact_mut(V::N);
+        for (xs, os) in (&mut xc).zip(&mut oc) {
+            let xv = V::load(xs);
+            xv.gt_zero().and(xv).store(os);
+        }
+        scalar::relu_fwd(xc.remainder(), oc.into_remainder());
+    }
+
+    /// ReLU backward: lanes where `x > 0` pass `g` through unchanged, all
+    /// others emit `+0.0`.
+    #[inline(always)]
+    pub(super) unsafe fn relu_bwd<V: Lanes>(x: &[f32], g: &[f32], out: &mut [f32]) {
+        let mut xc = x.chunks_exact(V::N);
+        let mut gc = g.chunks_exact(V::N);
+        let mut oc = out.chunks_exact_mut(V::N);
+        for ((xs, gs), os) in (&mut xc).zip(&mut gc).zip(&mut oc) {
+            V::load(xs).gt_zero().and(V::load(gs)).store(os);
+        }
+        scalar::relu_bwd(xc.remainder(), gc.remainder(), oc.into_remainder());
+    }
+
+    /// Leaky-ReLU forward: `select(x > 0, x, slope * x)`. The negative
+    /// branch multiplies exactly like the scalar else-arm (including
+    /// `slope * -0.0 = -0.0`).
+    #[inline(always)]
+    pub(super) unsafe fn leaky_fwd<V: Lanes>(x: &[f32], slope: f32, out: &mut [f32]) {
+        let sv = V::splat(slope);
+        let mut xc = x.chunks_exact(V::N);
+        let mut oc = out.chunks_exact_mut(V::N);
+        for (xs, os) in (&mut xc).zip(&mut oc) {
+            let xv = V::load(xs);
+            V::select(xv.gt_zero(), xv, sv.fmul(xv)).store(os);
+        }
+        scalar::leaky_fwd(xc.remainder(), slope, oc.into_remainder());
+    }
+
+    /// Leaky-ReLU backward: `select(x > 0, g, slope * g)`.
+    #[inline(always)]
+    pub(super) unsafe fn leaky_bwd<V: Lanes>(x: &[f32], g: &[f32], slope: f32, out: &mut [f32]) {
+        let sv = V::splat(slope);
+        let mut xc = x.chunks_exact(V::N);
+        let mut gc = g.chunks_exact(V::N);
+        let mut oc = out.chunks_exact_mut(V::N);
+        for ((xs, gs), os) in (&mut xc).zip(&mut gc).zip(&mut oc) {
+            let gv = V::load(gs);
+            V::select(V::load(xs).gt_zero(), gv, sv.fmul(gv)).store(os);
+        }
+        scalar::leaky_bwd(xc.remainder(), gc.remainder(), slope, oc.into_remainder());
+    }
+
+    /// SGD step: `eff = g + wd·x; x -= lr·eff; g = 0`, all in the scalar
+    /// evaluation order.
+    #[inline(always)]
+    pub(super) unsafe fn sgd_step<V: Lanes>(x: &mut [f32], g: &mut [f32], lr: f32, wd: f32) {
+        let (lrv, wdv) = (V::splat(lr), V::splat(wd));
+        let mut xc = x.chunks_exact_mut(V::N);
+        let mut gc = g.chunks_exact_mut(V::N);
+        for (xs, gs) in (&mut xc).zip(&mut gc) {
+            let xv = V::load(xs);
+            let eff = V::load(gs).fadd(wdv.fmul(xv));
+            xv.fsub(lrv.fmul(eff)).store(xs);
+            V::zero().store(gs);
+        }
+        scalar::sgd_step(xc.into_remainder(), gc.into_remainder(), lr, wd);
+    }
+
+    /// Momentum-SGD step: `eff = g + wd·x; m = mu·m + eff; x -= lr·m;
+    /// g = 0`, all in the scalar evaluation order.
+    #[inline(always)]
+    pub(super) unsafe fn sgd_momentum_step<V: Lanes>(x: &mut [f32], g: &mut [f32], m: &mut [f32], lr: f32, wd: f32, mu: f32) {
+        let (lrv, wdv, muv) = (V::splat(lr), V::splat(wd), V::splat(mu));
+        let mut xc = x.chunks_exact_mut(V::N);
+        let mut gc = g.chunks_exact_mut(V::N);
+        let mut mc = m.chunks_exact_mut(V::N);
+        for ((xs, gs), ms) in (&mut xc).zip(&mut gc).zip(&mut mc) {
+            let xv = V::load(xs);
+            let eff = V::load(gs).fadd(wdv.fmul(xv));
+            let vel = muv.fmul(V::load(ms)).fadd(eff);
+            vel.store(ms);
+            xv.fsub(lrv.fmul(vel)).store(xs);
+            V::zero().store(gs);
+        }
+        scalar::sgd_momentum_step(xc.into_remainder(), gc.into_remainder(), mc.into_remainder(), lr, wd, mu);
+    }
+
+    /// The `W` accumulators of one `W·N`-column register block, resumed from
+    /// the output strip.
+    #[inline(always)]
+    unsafe fn load_block<V: Lanes, const W: usize>(cs: &[f32]) -> [V; W] {
+        let mut acc = [V::zero(); W];
+        for (acc, c) in acc.iter_mut().zip(cs.chunks_exact(V::N)) {
+            *acc = V::load(c);
+        }
+        acc
+    }
+
+    /// Writes a register block back to the strip [`load_block`] read it from.
+    #[inline(always)]
+    unsafe fn store_block<V: Lanes, const W: usize>(acc: [V; W], cs: &mut [f32]) {
+        for (acc, c) in acc.iter().zip(cs.chunks_exact_mut(V::N)) {
+            acc.store(c);
         }
     }
 
-    elementwise! {
-        /// `out[i] = |x[i]|` by clearing the sign bit — exactly what the
-        /// scalar `f32::abs` does, so NaN payloads are preserved.
-        avx2: abs_into_avx2, sse2: abs_into_sse2,
-        |out: &mut [f32], x: &[f32]| lanes8 {
-            let mask = abs_mask8();
-            let mut oc = out.chunks_exact_mut(8);
-            let mut xc = x.chunks_exact(8);
-            for (os, xs) in (&mut oc).zip(&mut xc) {
-                // SAFETY: both subslices are exactly 8 lanes long.
-                unsafe {
-                    let xv = _mm256_loadu_ps(xs.as_ptr());
-                    _mm256_storeu_ps(os.as_mut_ptr(), _mm256_and_ps(xv, mask));
-                }
+    /// One `W·N`-column register block of one output row over the `k`-tile:
+    /// each column's ascending-`p` chain stays in one lane of one
+    /// accumulator for the whole tile. Loading the accumulators from the
+    /// output strip and storing them back at tile boundaries resumes the
+    /// exact scalar chain. `col` is the block's first column within the
+    /// `n`-wide rows of `b_tile`.
+    #[inline(always)]
+    unsafe fn row_block<V: Lanes, const W: usize>(cs: &mut [f32], a_tile: &[f32], b_tile: &[f32], n: usize, col: usize) {
+        let mut acc = load_block::<V, W>(cs);
+        for (&av, b_row) in a_tile.iter().zip(b_tile.chunks_exact(n)) {
+            let Some(bs) = b_row.get(col..col + W * V::N) else { continue };
+            let avv = V::splat(av);
+            for (acc, b) in acc.iter_mut().zip(bs.chunks_exact(V::N)) {
+                *acc = acc.fadd(avv.fmul(V::load(b)));
             }
-            scalar::abs_into(oc.into_remainder(), xc.remainder());
-        } lanes4 {
-            let mask = abs_mask4();
-            let mut oc = out.chunks_exact_mut(4);
-            let mut xc = x.chunks_exact(4);
-            for (os, xs) in (&mut oc).zip(&mut xc) {
-                // SAFETY: both subslices are exactly 4 lanes long.
-                unsafe {
-                    let xv = _mm_loadu_ps(xs.as_ptr());
-                    _mm_storeu_ps(os.as_mut_ptr(), _mm_and_ps(xv, mask));
-                }
-            }
-            scalar::abs_into(oc.into_remainder(), xc.remainder());
         }
+        store_block(acc, cs);
     }
 
-    elementwise! {
-        /// ReLU forward as compare+select: lanes where `x > 0` keep `x`
-        /// (bit-exact, NaN payloads included); all others become `+0.0`.
-        avx2: relu_fwd_avx2, sse2: relu_fwd_sse2,
-        |x: &[f32], out: &mut [f32]| lanes8 {
-            let mut xc = x.chunks_exact(8);
-            let mut oc = out.chunks_exact_mut(8);
-            for (xs, os) in (&mut xc).zip(&mut oc) {
-                // SAFETY: both subslices are exactly 8 lanes long.
-                unsafe {
-                    let xv = _mm256_loadu_ps(xs.as_ptr());
-                    _mm256_storeu_ps(os.as_mut_ptr(), _mm256_and_ps(gt_zero8(xv), xv));
-                }
-            }
-            scalar::relu_fwd(xc.remainder(), oc.into_remainder());
-        } lanes4 {
-            let mut xc = x.chunks_exact(4);
-            let mut oc = out.chunks_exact_mut(4);
-            for (xs, os) in (&mut xc).zip(&mut oc) {
-                // SAFETY: both subslices are exactly 4 lanes long.
-                unsafe {
-                    let xv = _mm_loadu_ps(xs.as_ptr());
-                    _mm_storeu_ps(os.as_mut_ptr(), _mm_and_ps(gt_zero4(xv), xv));
-                }
-            }
-            scalar::relu_fwd(xc.remainder(), oc.into_remainder());
-        }
-    }
-
-    elementwise! {
-        /// ReLU backward: lanes where `x > 0` pass `g` through unchanged,
-        /// all others emit `+0.0`.
-        avx2: relu_bwd_avx2, sse2: relu_bwd_sse2,
-        |x: &[f32], g: &[f32], out: &mut [f32]| lanes8 {
-            let mut xc = x.chunks_exact(8);
-            let mut gc = g.chunks_exact(8);
-            let mut oc = out.chunks_exact_mut(8);
-            for ((xs, gs), os) in (&mut xc).zip(&mut gc).zip(&mut oc) {
-                // SAFETY: all three subslices are exactly 8 lanes long.
-                unsafe {
-                    let xv = _mm256_loadu_ps(xs.as_ptr());
-                    let gv = _mm256_loadu_ps(gs.as_ptr());
-                    _mm256_storeu_ps(os.as_mut_ptr(), _mm256_and_ps(gt_zero8(xv), gv));
-                }
-            }
-            scalar::relu_bwd(xc.remainder(), gc.remainder(), oc.into_remainder());
-        } lanes4 {
-            let mut xc = x.chunks_exact(4);
-            let mut gc = g.chunks_exact(4);
-            let mut oc = out.chunks_exact_mut(4);
-            for ((xs, gs), os) in (&mut xc).zip(&mut gc).zip(&mut oc) {
-                // SAFETY: all three subslices are exactly 4 lanes long.
-                unsafe {
-                    let xv = _mm_loadu_ps(xs.as_ptr());
-                    let gv = _mm_loadu_ps(gs.as_ptr());
-                    _mm_storeu_ps(os.as_mut_ptr(), _mm_and_ps(gt_zero4(xv), gv));
-                }
-            }
-            scalar::relu_bwd(xc.remainder(), gc.remainder(), oc.into_remainder());
-        }
-    }
-
-    elementwise! {
-        /// Leaky-ReLU forward: `select(x > 0, x, slope * x)`. The negative
-        /// branch multiplies exactly like the scalar else-arm (including
-        /// `slope * -0.0 = -0.0`).
-        avx2: leaky_fwd_avx2, sse2: leaky_fwd_sse2,
-        |x: &[f32], slope: f32, out: &mut [f32]| lanes8 {
-            let sv = _mm256_set1_ps(slope);
-            let mut xc = x.chunks_exact(8);
-            let mut oc = out.chunks_exact_mut(8);
-            for (xs, os) in (&mut xc).zip(&mut oc) {
-                // SAFETY: both subslices are exactly 8 lanes long.
-                unsafe {
-                    let xv = _mm256_loadu_ps(xs.as_ptr());
-                    let m = gt_zero8(xv);
-                    let neg = _mm256_mul_ps(sv, xv);
-                    _mm256_storeu_ps(
-                        os.as_mut_ptr(),
-                        _mm256_or_ps(_mm256_and_ps(m, xv), _mm256_andnot_ps(m, neg)),
-                    );
-                }
-            }
-            scalar::leaky_fwd(xc.remainder(), slope, oc.into_remainder());
-        } lanes4 {
-            let sv = _mm_set1_ps(slope);
-            let mut xc = x.chunks_exact(4);
-            let mut oc = out.chunks_exact_mut(4);
-            for (xs, os) in (&mut xc).zip(&mut oc) {
-                // SAFETY: both subslices are exactly 4 lanes long.
-                unsafe {
-                    let xv = _mm_loadu_ps(xs.as_ptr());
-                    let m = gt_zero4(xv);
-                    let neg = _mm_mul_ps(sv, xv);
-                    _mm_storeu_ps(
-                        os.as_mut_ptr(),
-                        _mm_or_ps(_mm_and_ps(m, xv), _mm_andnot_ps(m, neg)),
-                    );
-                }
-            }
-            scalar::leaky_fwd(xc.remainder(), slope, oc.into_remainder());
-        }
-    }
-
-    elementwise! {
-        /// Leaky-ReLU backward: `select(x > 0, g, slope * g)`.
-        avx2: leaky_bwd_avx2, sse2: leaky_bwd_sse2,
-        |x: &[f32], g: &[f32], slope: f32, out: &mut [f32]| lanes8 {
-            let sv = _mm256_set1_ps(slope);
-            let mut xc = x.chunks_exact(8);
-            let mut gc = g.chunks_exact(8);
-            let mut oc = out.chunks_exact_mut(8);
-            for ((xs, gs), os) in (&mut xc).zip(&mut gc).zip(&mut oc) {
-                // SAFETY: all three subslices are exactly 8 lanes long.
-                unsafe {
-                    let xv = _mm256_loadu_ps(xs.as_ptr());
-                    let gv = _mm256_loadu_ps(gs.as_ptr());
-                    let m = gt_zero8(xv);
-                    let neg = _mm256_mul_ps(sv, gv);
-                    _mm256_storeu_ps(
-                        os.as_mut_ptr(),
-                        _mm256_or_ps(_mm256_and_ps(m, gv), _mm256_andnot_ps(m, neg)),
-                    );
-                }
-            }
-            scalar::leaky_bwd(xc.remainder(), gc.remainder(), slope, oc.into_remainder());
-        } lanes4 {
-            let sv = _mm_set1_ps(slope);
-            let mut xc = x.chunks_exact(4);
-            let mut gc = g.chunks_exact(4);
-            let mut oc = out.chunks_exact_mut(4);
-            for ((xs, gs), os) in (&mut xc).zip(&mut gc).zip(&mut oc) {
-                // SAFETY: all three subslices are exactly 4 lanes long.
-                unsafe {
-                    let xv = _mm_loadu_ps(xs.as_ptr());
-                    let gv = _mm_loadu_ps(gs.as_ptr());
-                    let m = gt_zero4(xv);
-                    let neg = _mm_mul_ps(sv, gv);
-                    _mm_storeu_ps(
-                        os.as_mut_ptr(),
-                        _mm_or_ps(_mm_and_ps(m, gv), _mm_andnot_ps(m, neg)),
-                    );
-                }
-            }
-            scalar::leaky_bwd(xc.remainder(), gc.remainder(), slope, oc.into_remainder());
-        }
-    }
-
-    elementwise! {
-        /// SGD step: `eff = g + wd·x; x -= lr·eff; g = 0`, all in the
-        /// scalar evaluation order.
-        avx2: sgd_step_avx2, sse2: sgd_step_sse2,
-        |x: &mut [f32], g: &mut [f32], lr: f32, wd: f32| lanes8 {
-            let lrv = _mm256_set1_ps(lr);
-            let wdv = _mm256_set1_ps(wd);
-            let zero = _mm256_setzero_ps();
-            let mut xc = x.chunks_exact_mut(8);
-            let mut gc = g.chunks_exact_mut(8);
-            for (xs, gs) in (&mut xc).zip(&mut gc) {
-                // SAFETY: both subslices are exactly 8 lanes long.
-                unsafe {
-                    let xv = _mm256_loadu_ps(xs.as_ptr());
-                    let gv = _mm256_loadu_ps(gs.as_ptr());
-                    let eff = _mm256_add_ps(gv, _mm256_mul_ps(wdv, xv));
-                    _mm256_storeu_ps(xs.as_mut_ptr(), _mm256_sub_ps(xv, _mm256_mul_ps(lrv, eff)));
-                    _mm256_storeu_ps(gs.as_mut_ptr(), zero);
-                }
-            }
-            scalar::sgd_step(xc.into_remainder(), gc.into_remainder(), lr, wd);
-        } lanes4 {
-            let lrv = _mm_set1_ps(lr);
-            let wdv = _mm_set1_ps(wd);
-            let zero = _mm_setzero_ps();
-            let mut xc = x.chunks_exact_mut(4);
-            let mut gc = g.chunks_exact_mut(4);
-            for (xs, gs) in (&mut xc).zip(&mut gc) {
-                // SAFETY: both subslices are exactly 4 lanes long.
-                unsafe {
-                    let xv = _mm_loadu_ps(xs.as_ptr());
-                    let gv = _mm_loadu_ps(gs.as_ptr());
-                    let eff = _mm_add_ps(gv, _mm_mul_ps(wdv, xv));
-                    _mm_storeu_ps(xs.as_mut_ptr(), _mm_sub_ps(xv, _mm_mul_ps(lrv, eff)));
-                    _mm_storeu_ps(gs.as_mut_ptr(), zero);
-                }
-            }
-            scalar::sgd_step(xc.into_remainder(), gc.into_remainder(), lr, wd);
-        }
-    }
-
-    elementwise! {
-        /// Momentum-SGD step: `eff = g + wd·x; m = mu·m + eff;
-        /// x -= lr·m; g = 0`, all in the scalar evaluation order.
-        avx2: sgd_momentum_step_avx2, sse2: sgd_momentum_step_sse2,
-        |x: &mut [f32], g: &mut [f32], m: &mut [f32], lr: f32, wd: f32, mu: f32| lanes8 {
-            let lrv = _mm256_set1_ps(lr);
-            let wdv = _mm256_set1_ps(wd);
-            let muv = _mm256_set1_ps(mu);
-            let zero = _mm256_setzero_ps();
-            let mut xc = x.chunks_exact_mut(8);
-            let mut gc = g.chunks_exact_mut(8);
-            let mut mc = m.chunks_exact_mut(8);
-            for ((xs, gs), ms) in (&mut xc).zip(&mut gc).zip(&mut mc) {
-                // SAFETY: all three subslices are exactly 8 lanes long.
-                unsafe {
-                    let xv = _mm256_loadu_ps(xs.as_ptr());
-                    let gv = _mm256_loadu_ps(gs.as_ptr());
-                    let mv = _mm256_loadu_ps(ms.as_ptr());
-                    let eff = _mm256_add_ps(gv, _mm256_mul_ps(wdv, xv));
-                    let vel = _mm256_add_ps(_mm256_mul_ps(muv, mv), eff);
-                    _mm256_storeu_ps(ms.as_mut_ptr(), vel);
-                    _mm256_storeu_ps(xs.as_mut_ptr(), _mm256_sub_ps(xv, _mm256_mul_ps(lrv, vel)));
-                    _mm256_storeu_ps(gs.as_mut_ptr(), zero);
-                }
-            }
-            scalar::sgd_momentum_step(
-                xc.into_remainder(), gc.into_remainder(), mc.into_remainder(), lr, wd, mu,
-            );
-        } lanes4 {
-            let lrv = _mm_set1_ps(lr);
-            let wdv = _mm_set1_ps(wd);
-            let muv = _mm_set1_ps(mu);
-            let zero = _mm_setzero_ps();
-            let mut xc = x.chunks_exact_mut(4);
-            let mut gc = g.chunks_exact_mut(4);
-            let mut mc = m.chunks_exact_mut(4);
-            for ((xs, gs), ms) in (&mut xc).zip(&mut gc).zip(&mut mc) {
-                // SAFETY: all three subslices are exactly 4 lanes long.
-                unsafe {
-                    let xv = _mm_loadu_ps(xs.as_ptr());
-                    let gv = _mm_loadu_ps(gs.as_ptr());
-                    let mv = _mm_loadu_ps(ms.as_ptr());
-                    let eff = _mm_add_ps(gv, _mm_mul_ps(wdv, xv));
-                    let vel = _mm_add_ps(_mm_mul_ps(muv, mv), eff);
-                    _mm_storeu_ps(ms.as_mut_ptr(), vel);
-                    _mm_storeu_ps(xs.as_mut_ptr(), _mm_sub_ps(xv, _mm_mul_ps(lrv, vel)));
-                    _mm_storeu_ps(gs.as_mut_ptr(), zero);
-                }
-            }
-            scalar::sgd_momentum_step(
-                xc.into_remainder(), gc.into_remainder(), mc.into_remainder(), lr, wd, mu,
-            );
-        }
-    }
-
-    /// AVX2 ikj strip kernel: register-blocks 32 output columns (4 × f32x8
-    /// accumulators), keeping each column's ascending-`p` chain in one lane
-    /// across the whole `k`-tile. Loading the accumulator from the output
-    /// strip and storing it back at tile boundaries resumes the exact scalar
-    /// chain. `col0` is the strip's first column within the `n`-wide rows of
-    /// `b_tile`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn nn_tile_cols_avx2(c_cols: &mut [f32], a_tile: &[f32], b_tile: &[f32], n: usize, col0: usize) {
+    /// ikj strip kernel: `4·N`-column register blocks, then single-register
+    /// blocks, then the scalar tail.
+    #[inline(always)]
+    pub(super) unsafe fn nn_tile_cols<V: Lanes>(c_cols: &mut [f32], a_tile: &[f32], b_tile: &[f32], n: usize, col0: usize) {
         let mut col = col0;
-        let mut blocks = c_cols.chunks_exact_mut(32);
+        let mut blocks = c_cols.chunks_exact_mut(4 * V::N);
         for cs in &mut blocks {
-            let (lo, hi) = cs.split_at_mut(16);
-            let (c0, c1) = lo.split_at_mut(8);
-            let (c2, c3) = hi.split_at_mut(8);
-            // SAFETY: each cN is exactly 8 lanes of the 32-wide block.
-            let (mut acc0, mut acc1, mut acc2, mut acc3) = unsafe {
-                (
-                    _mm256_loadu_ps(c0.as_ptr()),
-                    _mm256_loadu_ps(c1.as_ptr()),
-                    _mm256_loadu_ps(c2.as_ptr()),
-                    _mm256_loadu_ps(c3.as_ptr()),
-                )
-            };
-            for (&av, b_row) in a_tile.iter().zip(b_tile.chunks_exact(n)) {
-                let Some(bs) = b_row.get(col..col + 32) else { continue };
-                let (blo, bhi) = bs.split_at(16);
-                let (b0, b1) = blo.split_at(8);
-                let (b2, b3) = bhi.split_at(8);
-                let avv = _mm256_set1_ps(av);
-                // SAFETY: each bN is exactly 8 lanes of the checked 32-wide
-                // window of this B row.
-                unsafe {
-                    acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(avv, _mm256_loadu_ps(b0.as_ptr())));
-                    acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(avv, _mm256_loadu_ps(b1.as_ptr())));
-                    acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(avv, _mm256_loadu_ps(b2.as_ptr())));
-                    acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(avv, _mm256_loadu_ps(b3.as_ptr())));
-                }
-            }
-            // SAFETY: same 8-lane subslices the accumulators were loaded from.
-            unsafe {
-                _mm256_storeu_ps(c0.as_mut_ptr(), acc0);
-                _mm256_storeu_ps(c1.as_mut_ptr(), acc1);
-                _mm256_storeu_ps(c2.as_mut_ptr(), acc2);
-                _mm256_storeu_ps(c3.as_mut_ptr(), acc3);
-            }
-            col += 32;
+            row_block::<V, 4>(cs, a_tile, b_tile, n, col);
+            col += 4 * V::N;
         }
-        let mut tail = blocks.into_remainder().chunks_exact_mut(8);
+        let mut tail = blocks.into_remainder().chunks_exact_mut(V::N);
         for cs in &mut tail {
-            // SAFETY: cs is exactly 8 lanes.
-            let mut acc = unsafe { _mm256_loadu_ps(cs.as_ptr()) };
-            for (&av, b_row) in a_tile.iter().zip(b_tile.chunks_exact(n)) {
-                let Some(bs) = b_row.get(col..col + 8) else { continue };
-                // SAFETY: bs is exactly 8 lanes.
-                unsafe {
-                    acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(av), _mm256_loadu_ps(bs.as_ptr())));
-                }
-            }
-            // SAFETY: cs is exactly 8 lanes.
-            unsafe { _mm256_storeu_ps(cs.as_mut_ptr(), acc) };
-            col += 8;
+            row_block::<V, 1>(cs, a_tile, b_tile, n, col);
+            col += V::N;
         }
         scalar::nn_tile_tail(tail.into_remainder(), a_tile, b_tile, n, col);
     }
 
-    /// SSE2 ikj strip kernel: 16-column register blocks (4 × f32x4).
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn nn_tile_cols_sse2(c_cols: &mut [f32], a_tile: &[f32], b_tile: &[f32], n: usize, col0: usize) {
+    /// Two-row ikj strip kernel: `4·N`-column register blocks with both rows'
+    /// accumulators live (8 registers), so each `B` load feeds two rows'
+    /// multiply-adds — the register-blocking step that makes the kernel
+    /// load-port- rather than bandwidth-bound on wide outputs. Each element
+    /// still receives its `+= a·b` updates in ascending-`p` order; the column
+    /// remainder of each row finishes through the single-row kernel.
+    #[inline(always)]
+    pub(super) unsafe fn nn_tile_cols2<V: Lanes>(c0_cols: &mut [f32], c1_cols: &mut [f32], a0_tile: &[f32], a1_tile: &[f32], b_tile: &[f32], n: usize, col0: usize) {
         let mut col = col0;
-        let mut blocks = c_cols.chunks_exact_mut(16);
-        for cs in &mut blocks {
-            let (lo, hi) = cs.split_at_mut(8);
-            let (c0, c1) = lo.split_at_mut(4);
-            let (c2, c3) = hi.split_at_mut(4);
-            // SAFETY: each cN is exactly 4 lanes of the 16-wide block.
-            let (mut acc0, mut acc1, mut acc2, mut acc3) = unsafe {
-                (
-                    _mm_loadu_ps(c0.as_ptr()),
-                    _mm_loadu_ps(c1.as_ptr()),
-                    _mm_loadu_ps(c2.as_ptr()),
-                    _mm_loadu_ps(c3.as_ptr()),
-                )
-            };
-            for (&av, b_row) in a_tile.iter().zip(b_tile.chunks_exact(n)) {
-                let Some(bs) = b_row.get(col..col + 16) else { continue };
-                let (blo, bhi) = bs.split_at(8);
-                let (b0, b1) = blo.split_at(4);
-                let (b2, b3) = bhi.split_at(4);
-                let avv = _mm_set1_ps(av);
-                // SAFETY: each bN is exactly 4 lanes of the checked 16-wide
-                // window of this B row.
-                unsafe {
-                    acc0 = _mm_add_ps(acc0, _mm_mul_ps(avv, _mm_loadu_ps(b0.as_ptr())));
-                    acc1 = _mm_add_ps(acc1, _mm_mul_ps(avv, _mm_loadu_ps(b1.as_ptr())));
-                    acc2 = _mm_add_ps(acc2, _mm_mul_ps(avv, _mm_loadu_ps(b2.as_ptr())));
-                    acc3 = _mm_add_ps(acc3, _mm_mul_ps(avv, _mm_loadu_ps(b3.as_ptr())));
-                }
-            }
-            // SAFETY: same 4-lane subslices the accumulators were loaded from.
-            unsafe {
-                _mm_storeu_ps(c0.as_mut_ptr(), acc0);
-                _mm_storeu_ps(c1.as_mut_ptr(), acc1);
-                _mm_storeu_ps(c2.as_mut_ptr(), acc2);
-                _mm_storeu_ps(c3.as_mut_ptr(), acc3);
-            }
-            col += 16;
-        }
-        let mut tail = blocks.into_remainder().chunks_exact_mut(4);
-        for cs in &mut tail {
-            // SAFETY: cs is exactly 4 lanes.
-            let mut acc = unsafe { _mm_loadu_ps(cs.as_ptr()) };
-            for (&av, b_row) in a_tile.iter().zip(b_tile.chunks_exact(n)) {
-                let Some(bs) = b_row.get(col..col + 4) else { continue };
-                // SAFETY: bs is exactly 4 lanes.
-                unsafe {
-                    acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(av), _mm_loadu_ps(bs.as_ptr())));
-                }
-            }
-            // SAFETY: cs is exactly 4 lanes.
-            unsafe { _mm_storeu_ps(cs.as_mut_ptr(), acc) };
-            col += 4;
-        }
-        scalar::nn_tile_tail(tail.into_remainder(), a_tile, b_tile, n, col);
-    }
-
-    /// AVX2 two-row ikj strip kernel: 32-column register blocks with both
-    /// rows' accumulators live (8 × f32x8), so each `B` load feeds two
-    /// rows' multiply-adds — the register-blocking step that makes the
-    /// kernel load-port- rather than bandwidth-bound on wide outputs. Each
-    /// element still receives its `+= a·b` updates in ascending-`p` order;
-    /// the column remainder finishes through the single-row kernel.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn nn_tile_cols2_avx2(c0_cols: &mut [f32], c1_cols: &mut [f32], a0_tile: &[f32], a1_tile: &[f32], b_tile: &[f32], n: usize, col0: usize) {
-        let mut col = col0;
-        let mut blocks0 = c0_cols.chunks_exact_mut(32);
-        let mut blocks1 = c1_cols.chunks_exact_mut(32);
+        let mut blocks0 = c0_cols.chunks_exact_mut(4 * V::N);
+        let mut blocks1 = c1_cols.chunks_exact_mut(4 * V::N);
         for (cs0, cs1) in (&mut blocks0).zip(&mut blocks1) {
-            let (lo0, hi0) = cs0.split_at_mut(16);
-            let (c00, c01) = lo0.split_at_mut(8);
-            let (c02, c03) = hi0.split_at_mut(8);
-            let (lo1, hi1) = cs1.split_at_mut(16);
-            let (c10, c11) = lo1.split_at_mut(8);
-            let (c12, c13) = hi1.split_at_mut(8);
-            // SAFETY: each cNM is exactly 8 lanes of its row's 32-wide block.
-            let (mut acc00, mut acc01, mut acc02, mut acc03) = unsafe {
-                (
-                    _mm256_loadu_ps(c00.as_ptr()),
-                    _mm256_loadu_ps(c01.as_ptr()),
-                    _mm256_loadu_ps(c02.as_ptr()),
-                    _mm256_loadu_ps(c03.as_ptr()),
-                )
-            };
-            // SAFETY: as above, for the second row.
-            let (mut acc10, mut acc11, mut acc12, mut acc13) = unsafe {
-                (
-                    _mm256_loadu_ps(c10.as_ptr()),
-                    _mm256_loadu_ps(c11.as_ptr()),
-                    _mm256_loadu_ps(c12.as_ptr()),
-                    _mm256_loadu_ps(c13.as_ptr()),
-                )
-            };
+            let mut acc0 = load_block::<V, 4>(cs0);
+            let mut acc1 = load_block::<V, 4>(cs1);
             for ((&av0, &av1), b_row) in a0_tile.iter().zip(a1_tile.iter()).zip(b_tile.chunks_exact(n)) {
-                let Some(bs) = b_row.get(col..col + 32) else { continue };
-                let (blo, bhi) = bs.split_at(16);
-                let (b0, b1) = blo.split_at(8);
-                let (b2, b3) = bhi.split_at(8);
-                let av0v = _mm256_set1_ps(av0);
-                let av1v = _mm256_set1_ps(av1);
-                // SAFETY: each bN is exactly 8 lanes of the checked 32-wide
-                // window of this B row; each load is shared by both rows.
-                unsafe {
-                    let bv0 = _mm256_loadu_ps(b0.as_ptr());
-                    let bv1 = _mm256_loadu_ps(b1.as_ptr());
-                    let bv2 = _mm256_loadu_ps(b2.as_ptr());
-                    let bv3 = _mm256_loadu_ps(b3.as_ptr());
-                    acc00 = _mm256_add_ps(acc00, _mm256_mul_ps(av0v, bv0));
-                    acc01 = _mm256_add_ps(acc01, _mm256_mul_ps(av0v, bv1));
-                    acc02 = _mm256_add_ps(acc02, _mm256_mul_ps(av0v, bv2));
-                    acc03 = _mm256_add_ps(acc03, _mm256_mul_ps(av0v, bv3));
-                    acc10 = _mm256_add_ps(acc10, _mm256_mul_ps(av1v, bv0));
-                    acc11 = _mm256_add_ps(acc11, _mm256_mul_ps(av1v, bv1));
-                    acc12 = _mm256_add_ps(acc12, _mm256_mul_ps(av1v, bv2));
-                    acc13 = _mm256_add_ps(acc13, _mm256_mul_ps(av1v, bv3));
+                let Some(bs) = b_row.get(col..col + 4 * V::N) else { continue };
+                let (av0v, av1v) = (V::splat(av0), V::splat(av1));
+                for ((acc0, acc1), b) in acc0.iter_mut().zip(acc1.iter_mut()).zip(bs.chunks_exact(V::N)) {
+                    let bv = V::load(b);
+                    *acc0 = acc0.fadd(av0v.fmul(bv));
+                    *acc1 = acc1.fadd(av1v.fmul(bv));
                 }
             }
-            // SAFETY: same 8-lane subslices the accumulators were loaded from.
-            unsafe {
-                _mm256_storeu_ps(c00.as_mut_ptr(), acc00);
-                _mm256_storeu_ps(c01.as_mut_ptr(), acc01);
-                _mm256_storeu_ps(c02.as_mut_ptr(), acc02);
-                _mm256_storeu_ps(c03.as_mut_ptr(), acc03);
-                _mm256_storeu_ps(c10.as_mut_ptr(), acc10);
-                _mm256_storeu_ps(c11.as_mut_ptr(), acc11);
-                _mm256_storeu_ps(c12.as_mut_ptr(), acc12);
-                _mm256_storeu_ps(c13.as_mut_ptr(), acc13);
-            }
-            col += 32;
+            store_block(acc0, cs0);
+            store_block(acc1, cs1);
+            col += 4 * V::N;
         }
-        // Column remainder: each row finishes independently through the
-        // single-row kernel, continuing at `col`.
-        // SAFETY: caller verified AVX2, the same contract this fn has.
-        unsafe {
-            nn_tile_cols_avx2(blocks0.into_remainder(), a0_tile, b_tile, n, col);
-            nn_tile_cols_avx2(blocks1.into_remainder(), a1_tile, b_tile, n, col);
-        }
+        nn_tile_cols::<V>(blocks0.into_remainder(), a0_tile, b_tile, n, col);
+        nn_tile_cols::<V>(blocks1.into_remainder(), a1_tile, b_tile, n, col);
     }
 
-    /// SSE2 two-row ikj strip kernel: 16-column register blocks shared
-    /// across two rows (8 × f32x4 accumulators).
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn nn_tile_cols2_sse2(c0_cols: &mut [f32], c1_cols: &mut [f32], a0_tile: &[f32], a1_tile: &[f32], b_tile: &[f32], n: usize, col0: usize) {
-        let mut col = col0;
-        let mut blocks0 = c0_cols.chunks_exact_mut(16);
-        let mut blocks1 = c1_cols.chunks_exact_mut(16);
-        for (cs0, cs1) in (&mut blocks0).zip(&mut blocks1) {
-            let (lo0, hi0) = cs0.split_at_mut(8);
-            let (c00, c01) = lo0.split_at_mut(4);
-            let (c02, c03) = hi0.split_at_mut(4);
-            let (lo1, hi1) = cs1.split_at_mut(8);
-            let (c10, c11) = lo1.split_at_mut(4);
-            let (c12, c13) = hi1.split_at_mut(4);
-            // SAFETY: each cNM is exactly 4 lanes of its row's 16-wide block.
-            let (mut acc00, mut acc01, mut acc02, mut acc03) = unsafe {
-                (
-                    _mm_loadu_ps(c00.as_ptr()),
-                    _mm_loadu_ps(c01.as_ptr()),
-                    _mm_loadu_ps(c02.as_ptr()),
-                    _mm_loadu_ps(c03.as_ptr()),
-                )
-            };
-            // SAFETY: as above, for the second row.
-            let (mut acc10, mut acc11, mut acc12, mut acc13) = unsafe {
-                (
-                    _mm_loadu_ps(c10.as_ptr()),
-                    _mm_loadu_ps(c11.as_ptr()),
-                    _mm_loadu_ps(c12.as_ptr()),
-                    _mm_loadu_ps(c13.as_ptr()),
-                )
-            };
-            for ((&av0, &av1), b_row) in a0_tile.iter().zip(a1_tile.iter()).zip(b_tile.chunks_exact(n)) {
-                let Some(bs) = b_row.get(col..col + 16) else { continue };
-                let (blo, bhi) = bs.split_at(8);
-                let (b0, b1) = blo.split_at(4);
-                let (b2, b3) = bhi.split_at(4);
-                let av0v = _mm_set1_ps(av0);
-                let av1v = _mm_set1_ps(av1);
-                // SAFETY: each bN is exactly 4 lanes of the checked 16-wide
-                // window of this B row; each load is shared by both rows.
-                unsafe {
-                    let bv0 = _mm_loadu_ps(b0.as_ptr());
-                    let bv1 = _mm_loadu_ps(b1.as_ptr());
-                    let bv2 = _mm_loadu_ps(b2.as_ptr());
-                    let bv3 = _mm_loadu_ps(b3.as_ptr());
-                    acc00 = _mm_add_ps(acc00, _mm_mul_ps(av0v, bv0));
-                    acc01 = _mm_add_ps(acc01, _mm_mul_ps(av0v, bv1));
-                    acc02 = _mm_add_ps(acc02, _mm_mul_ps(av0v, bv2));
-                    acc03 = _mm_add_ps(acc03, _mm_mul_ps(av0v, bv3));
-                    acc10 = _mm_add_ps(acc10, _mm_mul_ps(av1v, bv0));
-                    acc11 = _mm_add_ps(acc11, _mm_mul_ps(av1v, bv1));
-                    acc12 = _mm_add_ps(acc12, _mm_mul_ps(av1v, bv2));
-                    acc13 = _mm_add_ps(acc13, _mm_mul_ps(av1v, bv3));
-                }
+    /// `A·Bᵀ` row kernel: `N` output columns at a time. `N`-lane windows of
+    /// the `N` rows of `B` are transposed in registers so that lane `j` of
+    /// the accumulator carries output column `j`'s one sequential
+    /// ascending-`p` dot chain (broadcast-multiply-add per `p`, no horizontal
+    /// reduction anywhere). Requires `k > 0`.
+    #[inline(always)]
+    pub(super) unsafe fn tb_row<V: Lanes>(c_row: &mut [f32], a_row: &[f32], b: &[f32], k: usize) {
+        let mut c_blocks = c_row.chunks_exact_mut(V::N);
+        let mut b_groups = b.chunks_exact(V::N * k);
+        'blocks: for (cs, group) in (&mut c_blocks).zip(&mut b_groups) {
+            let mut rows: [&[f32]; MAX_N] = [&[]; MAX_N];
+            let mut rest = group;
+            for r in rows.iter_mut().take(V::N) {
+                // Unreachable `else`: a group is exactly N rows of k.
+                let Some((row, tail)) = rest.split_at_checked(k) else { continue 'blocks };
+                (*r, rest) = (row, tail);
             }
-            // SAFETY: same 4-lane subslices the accumulators were loaded from.
-            unsafe {
-                _mm_storeu_ps(c00.as_mut_ptr(), acc00);
-                _mm_storeu_ps(c01.as_mut_ptr(), acc01);
-                _mm_storeu_ps(c02.as_mut_ptr(), acc02);
-                _mm_storeu_ps(c03.as_mut_ptr(), acc03);
-                _mm_storeu_ps(c10.as_mut_ptr(), acc10);
-                _mm_storeu_ps(c11.as_mut_ptr(), acc11);
-                _mm_storeu_ps(c12.as_mut_ptr(), acc12);
-                _mm_storeu_ps(c13.as_mut_ptr(), acc13);
-            }
-            col += 16;
-        }
-        // SAFETY: caller verified SSE2, the same contract this fn has.
-        unsafe {
-            nn_tile_cols_sse2(blocks0.into_remainder(), a0_tile, b_tile, n, col);
-            nn_tile_cols_sse2(blocks1.into_remainder(), a1_tile, b_tile, n, col);
-        }
-    }
-
-    /// AVX2 `A·Bᵀ` row kernel: 8 output columns at a time. Eight contiguous
-    /// loads from the 8 B rows are transposed in registers so that lane `j`
-    /// of the accumulator carries output column `j`'s one sequential
-    /// ascending-`p` dot chain (broadcast-multiply-add per `p`, no
-    /// horizontal reduction anywhere). Requires `k > 0`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn tb_row_avx2(c_row: &mut [f32], a_row: &[f32], b: &[f32], k: usize) {
-        let mut c_blocks = c_row.chunks_exact_mut(8);
-        let mut b_groups = b.chunks_exact(8 * k);
-        for (cs, group) in (&mut c_blocks).zip(&mut b_groups) {
-            let mut rows = group.chunks_exact(k);
-            let (r0, r1, r2, r3, r4, r5, r6, r7) = match (
-                rows.next(), rows.next(), rows.next(), rows.next(),
-                rows.next(), rows.next(), rows.next(), rows.next(),
-            ) {
-                (Some(r0), Some(r1), Some(r2), Some(r3), Some(r4), Some(r5), Some(r6), Some(r7)) => {
-                    (r0, r1, r2, r3, r4, r5, r6, r7)
-                }
-                // Unreachable: an 8·k group always yields eight k-rows.
-                _ => continue,
-            };
-            let mut acc = _mm256_setzero_ps();
-            let main = k - (k % 8);
+            let mut acc = V::zero();
             let mut p = 0usize;
-            while p < main {
-                if let (Some(s0), Some(s1), Some(s2), Some(s3), Some(s4), Some(s5), Some(s6), Some(s7), Some(sa)) = (
-                    r0.get(p..p + 8), r1.get(p..p + 8), r2.get(p..p + 8), r3.get(p..p + 8),
-                    r4.get(p..p + 8), r5.get(p..p + 8), r6.get(p..p + 8), r7.get(p..p + 8),
-                    a_row.get(p..p + 8),
-                ) {
-                    // SAFETY: every subslice is exactly 8 lanes.
-                    unsafe {
-                        let v0 = _mm256_loadu_ps(s0.as_ptr());
-                        let v1 = _mm256_loadu_ps(s1.as_ptr());
-                        let v2 = _mm256_loadu_ps(s2.as_ptr());
-                        let v3 = _mm256_loadu_ps(s3.as_ptr());
-                        let v4 = _mm256_loadu_ps(s4.as_ptr());
-                        let v5 = _mm256_loadu_ps(s5.as_ptr());
-                        let v6 = _mm256_loadu_ps(s6.as_ptr());
-                        let v7 = _mm256_loadu_ps(s7.as_ptr());
-                        // 8×8 in-register transpose: col[t] lane j = element
-                        // p+t of row j.
-                        let t0 = _mm256_unpacklo_ps(v0, v1);
-                        let t1 = _mm256_unpackhi_ps(v0, v1);
-                        let t2 = _mm256_unpacklo_ps(v2, v3);
-                        let t3 = _mm256_unpackhi_ps(v2, v3);
-                        let t4 = _mm256_unpacklo_ps(v4, v5);
-                        let t5 = _mm256_unpackhi_ps(v4, v5);
-                        let t6 = _mm256_unpacklo_ps(v6, v7);
-                        let t7 = _mm256_unpackhi_ps(v6, v7);
-                        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
-                        let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
-                        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
-                        let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
-                        let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
-                        let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
-                        let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
-                        let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
-                        let col0 = _mm256_permute2f128_ps::<0x20>(u0, u4);
-                        let col1 = _mm256_permute2f128_ps::<0x20>(u1, u5);
-                        let col2 = _mm256_permute2f128_ps::<0x20>(u2, u6);
-                        let col3 = _mm256_permute2f128_ps::<0x20>(u3, u7);
-                        let col4 = _mm256_permute2f128_ps::<0x31>(u0, u4);
-                        let col5 = _mm256_permute2f128_ps::<0x31>(u1, u5);
-                        let col6 = _mm256_permute2f128_ps::<0x31>(u2, u6);
-                        let col7 = _mm256_permute2f128_ps::<0x31>(u3, u7);
-                        // Ascending p: one mul+add per step, per lane.
-                        let a0 = _mm256_loadu_ps(sa.as_ptr());
-                        acc = _mm256_add_ps(acc, _mm256_mul_ps(broadcast_lane(a0, 0), col0));
-                        acc = _mm256_add_ps(acc, _mm256_mul_ps(broadcast_lane(a0, 1), col1));
-                        acc = _mm256_add_ps(acc, _mm256_mul_ps(broadcast_lane(a0, 2), col2));
-                        acc = _mm256_add_ps(acc, _mm256_mul_ps(broadcast_lane(a0, 3), col3));
-                        acc = _mm256_add_ps(acc, _mm256_mul_ps(broadcast_lane(a0, 4), col4));
-                        acc = _mm256_add_ps(acc, _mm256_mul_ps(broadcast_lane(a0, 5), col5));
-                        acc = _mm256_add_ps(acc, _mm256_mul_ps(broadcast_lane(a0, 6), col6));
-                        acc = _mm256_add_ps(acc, _mm256_mul_ps(broadcast_lane(a0, 7), col7));
+            let mut a_main = a_row.chunks_exact(V::N);
+            for a_win in &mut a_main {
+                let mut cols = [V::zero(); MAX_N];
+                for (col, row) in cols.iter_mut().zip(rows.iter().take(V::N)) {
+                    if let Some(win) = row.get(p..p + V::N) {
+                        *col = V::load(win);
                     }
                 }
-                p += 8;
+                // After the transpose, cols[t] lane j = element p+t of row j:
+                // ascending p, one mul+add per step, per lane.
+                for (&av, col) in a_win.iter().zip(V::transpose(cols)) {
+                    acc = acc.fadd(V::splat(av).fmul(col));
+                }
+                p += V::N;
             }
-            for p in main..k {
-                let col = _mm256_set_ps(
-                    r7.get(p).copied().unwrap_or(0.0),
-                    r6.get(p).copied().unwrap_or(0.0),
-                    r5.get(p).copied().unwrap_or(0.0),
-                    r4.get(p).copied().unwrap_or(0.0),
-                    r3.get(p).copied().unwrap_or(0.0),
-                    r2.get(p).copied().unwrap_or(0.0),
-                    r1.get(p).copied().unwrap_or(0.0),
-                    r0.get(p).copied().unwrap_or(0.0),
-                );
-                let av = _mm256_set1_ps(a_row.get(p).copied().unwrap_or(0.0));
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(av, col));
+            for (&av, p) in a_main.remainder().iter().zip(p..) {
+                let mut col = [0.0f32; MAX_N];
+                for (lane, row) in col.iter_mut().zip(rows) {
+                    *lane = row.get(p).copied().unwrap_or(0.0);
+                }
+                acc = acc.fadd(V::splat(av).fmul(V::load(col.split_at(V::N).0)));
             }
-            // SAFETY: cs is exactly 8 lanes; this is the single overwrite of
-            // these outputs (`*c = acc`), matching the scalar kernel.
-            unsafe { _mm256_storeu_ps(cs.as_mut_ptr(), acc) };
+            // The single overwrite of these outputs (`*c = acc`), matching
+            // the scalar kernel.
+            acc.store(cs);
         }
         scalar::tb_row(c_blocks.into_remainder(), a_row, b_groups.remainder(), k);
-    }
-
-    /// SSE2 `A·Bᵀ` row kernel: 4 output columns at a time via a 4×4
-    /// in-register transpose. Requires `k > 0`.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn tb_row_sse2(c_row: &mut [f32], a_row: &[f32], b: &[f32], k: usize) {
-        let mut c_blocks = c_row.chunks_exact_mut(4);
-        let mut b_groups = b.chunks_exact(4 * k);
-        for (cs, group) in (&mut c_blocks).zip(&mut b_groups) {
-            let mut rows = group.chunks_exact(k);
-            let (r0, r1, r2, r3) = match (rows.next(), rows.next(), rows.next(), rows.next()) {
-                (Some(r0), Some(r1), Some(r2), Some(r3)) => (r0, r1, r2, r3),
-                // Unreachable: a 4·k group always yields four k-rows.
-                _ => continue,
-            };
-            let mut acc = _mm_setzero_ps();
-            let main = k - (k % 4);
-            let mut p = 0usize;
-            while p < main {
-                if let (Some(s0), Some(s1), Some(s2), Some(s3), Some(sa)) = (
-                    r0.get(p..p + 4), r1.get(p..p + 4), r2.get(p..p + 4), r3.get(p..p + 4),
-                    a_row.get(p..p + 4),
-                ) {
-                    // SAFETY: every subslice is exactly 4 lanes.
-                    unsafe {
-                        let v0 = _mm_loadu_ps(s0.as_ptr());
-                        let v1 = _mm_loadu_ps(s1.as_ptr());
-                        let v2 = _mm_loadu_ps(s2.as_ptr());
-                        let v3 = _mm_loadu_ps(s3.as_ptr());
-                        let t0 = _mm_unpacklo_ps(v0, v1);
-                        let t1 = _mm_unpacklo_ps(v2, v3);
-                        let t2 = _mm_unpackhi_ps(v0, v1);
-                        let t3 = _mm_unpackhi_ps(v2, v3);
-                        let col0 = _mm_movelh_ps(t0, t1);
-                        let col1 = _mm_movehl_ps(t1, t0);
-                        let col2 = _mm_movelh_ps(t2, t3);
-                        let col3 = _mm_movehl_ps(t3, t2);
-                        let a0 = _mm_loadu_ps(sa.as_ptr());
-                        acc = _mm_add_ps(acc, _mm_mul_ps(broadcast_lane4(a0, 0), col0));
-                        acc = _mm_add_ps(acc, _mm_mul_ps(broadcast_lane4(a0, 1), col1));
-                        acc = _mm_add_ps(acc, _mm_mul_ps(broadcast_lane4(a0, 2), col2));
-                        acc = _mm_add_ps(acc, _mm_mul_ps(broadcast_lane4(a0, 3), col3));
-                    }
-                }
-                p += 4;
-            }
-            for p in main..k {
-                let col = _mm_set_ps(
-                    r3.get(p).copied().unwrap_or(0.0),
-                    r2.get(p).copied().unwrap_or(0.0),
-                    r1.get(p).copied().unwrap_or(0.0),
-                    r0.get(p).copied().unwrap_or(0.0),
-                );
-                let av = _mm_set1_ps(a_row.get(p).copied().unwrap_or(0.0));
-                acc = _mm_add_ps(acc, _mm_mul_ps(av, col));
-            }
-            // SAFETY: cs is exactly 4 lanes.
-            unsafe { _mm_storeu_ps(cs.as_mut_ptr(), acc) };
-        }
-        scalar::tb_row(c_blocks.into_remainder(), a_row, b_groups.remainder(), k);
-    }
-
-    /// Broadcasts lane `lane` (0..=7) of `v` to all 8 lanes (vpermps with a
-    /// splatted index vector; folds to a constant permute for literal args).
-    #[target_feature(enable = "avx2")]
-    unsafe fn broadcast_lane(v: __m256, lane: i32) -> __m256 {
-        _mm256_permutevar8x32_ps(v, _mm256_set1_epi32(lane))
-    }
-
-    /// Broadcasts lane `lane` (0..=3) of `v` to all 4 lanes.
-    #[target_feature(enable = "sse2")]
-    unsafe fn broadcast_lane4(v: __m128, lane: i32) -> __m128 {
-        match lane {
-            0 => _mm_shuffle_ps::<0x00>(v, v),
-            1 => _mm_shuffle_ps::<0x55>(v, v),
-            2 => _mm_shuffle_ps::<0xAA>(v, v),
-            _ => _mm_shuffle_ps::<0xFF>(v, v),
-        }
-    }
-}
-
-/// Fallback shims for non-x86 targets: the dispatch below never selects
-/// `Sse2`/`Avx2` there (detection returns `Scalar` and overrides clamp to
-/// it), but the call sites still need the symbols to compile. Each shim has
-/// the same (vacuously satisfied) safety contract as its x86 counterpart.
-#[cfg(not(target_arch = "x86_64"))]
-mod x86 {
-    use super::scalar;
-
-    macro_rules! shim {
-        ($($name:ident($($arg:ident : $ty:ty),*) => $target:ident;)*) => {
-            $(
-                /// Non-x86 shim: delegates to the scalar ground truth.
-                ///
-                /// # Safety
-                ///
-                /// Always safe; `unsafe` only mirrors the x86 signature.
-                pub(super) unsafe fn $name($($arg: $ty),*) {
-                    scalar::$target($($arg),*)
-                }
-            )*
-        };
-    }
-
-    shim! {
-        axpy_avx2(y: &mut [f32], a: f32, x: &[f32]) => axpy;
-        axpy_sse2(y: &mut [f32], a: f32, x: &[f32]) => axpy;
-        add_assign_avx2(y: &mut [f32], x: &[f32]) => add_assign;
-        add_assign_sse2(y: &mut [f32], x: &[f32]) => add_assign;
-        scatter_add_avx2(y: &mut [f32], x: &[f32]) => scatter_add;
-        scatter_add_sse2(y: &mut [f32], x: &[f32]) => scatter_add;
-        add_diff_avx2(r: &mut [f32], l: &[f32], g: &[f32]) => add_diff;
-        add_diff_sse2(r: &mut [f32], l: &[f32], g: &[f32]) => add_diff;
-        abs_into_avx2(out: &mut [f32], x: &[f32]) => abs_into;
-        abs_into_sse2(out: &mut [f32], x: &[f32]) => abs_into;
-        relu_fwd_avx2(x: &[f32], out: &mut [f32]) => relu_fwd;
-        relu_fwd_sse2(x: &[f32], out: &mut [f32]) => relu_fwd;
-        relu_bwd_avx2(x: &[f32], g: &[f32], out: &mut [f32]) => relu_bwd;
-        relu_bwd_sse2(x: &[f32], g: &[f32], out: &mut [f32]) => relu_bwd;
-        leaky_fwd_avx2(x: &[f32], slope: f32, out: &mut [f32]) => leaky_fwd;
-        leaky_fwd_sse2(x: &[f32], slope: f32, out: &mut [f32]) => leaky_fwd;
-        leaky_bwd_avx2(x: &[f32], g: &[f32], slope: f32, out: &mut [f32]) => leaky_bwd;
-        leaky_bwd_sse2(x: &[f32], g: &[f32], slope: f32, out: &mut [f32]) => leaky_bwd;
-        sgd_step_avx2(x: &mut [f32], g: &mut [f32], lr: f32, wd: f32) => sgd_step;
-        sgd_step_sse2(x: &mut [f32], g: &mut [f32], lr: f32, wd: f32) => sgd_step;
-        sgd_momentum_step_avx2(x: &mut [f32], g: &mut [f32], m: &mut [f32], lr: f32, wd: f32, mu: f32) => sgd_momentum_step;
-        sgd_momentum_step_sse2(x: &mut [f32], g: &mut [f32], m: &mut [f32], lr: f32, wd: f32, mu: f32) => sgd_momentum_step;
-        nn_tile_cols_avx2(c_cols: &mut [f32], a_tile: &[f32], b_tile: &[f32], n: usize, col0: usize) => nn_tile_cols;
-        nn_tile_cols_sse2(c_cols: &mut [f32], a_tile: &[f32], b_tile: &[f32], n: usize, col0: usize) => nn_tile_cols;
-        nn_tile_cols2_avx2(c0_cols: &mut [f32], c1_cols: &mut [f32], a0_tile: &[f32], a1_tile: &[f32], b_tile: &[f32], n: usize, col0: usize) => nn_tile_cols2;
-        nn_tile_cols2_sse2(c0_cols: &mut [f32], c1_cols: &mut [f32], a0_tile: &[f32], a1_tile: &[f32], b_tile: &[f32], n: usize, col0: usize) => nn_tile_cols2;
-        tb_row_avx2(c_row: &mut [f32], a_row: &[f32], b: &[f32], k: usize) => tb_row;
-        tb_row_sse2(c_row: &mut [f32], a_row: &[f32], b: &[f32], k: usize) => tb_row;
     }
 }
 
@@ -1357,131 +903,129 @@ mod x86 {
 // Dispatched entry points
 // ---------------------------------------------------------------------------
 
-/// Generates the `_with(level, …)` dispatcher plus (optionally) the public
-/// entry point that resolves [`simd_level`] once per call.
-macro_rules! dispatch {
-    (
-        $(#[$meta:meta])*
-        $vis:vis fn $name:ident / $with:ident ($($arg:ident : $ty:ty),*) => ($scalar_fn:ident, $sse2_fn:ident, $avx2_fn:ident)
-    ) => {
-        $(#[$meta])*
-        $vis fn $name($($arg: $ty),*) {
+/// The kernel table, one row per kernel: `name: name_with[, name](args);`.
+///
+/// `name` is the kernel — `scalar::name` and the generic `x86::name::<V>`.
+/// Every row gets the level-pinned dispatcher `name_with(level, args)` and,
+/// inside it, the two `#[target_feature]` wrappers that instantiate the one
+/// body at each lane type; these wrappers are the only `#[target_feature]`
+/// functions in the workspace. A row that also lists the plain `name` gets
+/// the entry point that resolves [`simd_level`] once per call (only kernels
+/// with a caller outside a level-pinned loop list one). The `Sse2`/`Avx2`
+/// arms exist on x86-64 only; everywhere else every level runs the scalar
+/// kernel.
+macro_rules! kernels {
+    ($($(#[$doc:meta])* $name:ident: $($entry:ident),+ ($($arg:ident: $ty:ty),*);)*) => {
+        $(kernels!(@row $(#[$doc])* $name: $($entry),+ ($($arg: $ty),*));)*
+    };
+    (@row $(#[$doc:meta])* $name:ident: $with:ident, $plain:ident ($($arg:ident: $ty:ty),*)) => {
+        $(#[$doc])*
+        pub fn $plain($($arg: $ty),*) {
             $with(simd_level(), $($arg),*);
         }
 
-        dispatch! {
-            with $with ($($arg: $ty),*) => ($scalar_fn, $sse2_fn, $avx2_fn)
-        }
+        kernels!(@row $(#[$doc])* $name: $with ($($arg: $ty),*));
     };
-    (
-        with $with:ident ($($arg:ident : $ty:ty),*) => ($scalar_fn:ident, $sse2_fn:ident, $avx2_fn:ident)
-    ) => {
-        /// Level-pinned dispatcher, so tight loops resolve the level once.
-        /// `level` must not exceed [`hardware_simd_level`] (both
-        /// [`simd_level`] and [`set_simd_level`] guarantee this).
+    (@row $(#[$doc:meta])* $name:ident: $with:ident ($($arg:ident: $ty:ty),*)) => {
+        $(#[$doc])*
+        ///
+        /// Level-pinned form, so tight loops resolve the level once. `level`
+        /// must not exceed [`hardware_simd_level`] (both [`simd_level`] and
+        /// [`set_simd_level`] guarantee this).
         pub fn $with(level: SimdLevel, $($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            unsafe fn avx2($($arg: $ty),*) {
+                // SAFETY: this fn enables AVX2, which includes the AVX that
+                // `Lanes for __m256` requires.
+                unsafe { x86::$name::<std::arch::x86_64::__m256>($($arg),*) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "sse2")]
+            unsafe fn sse2($($arg: $ty),*) {
+                // SAFETY: this fn enables the SSE2 that `Lanes for __m128`
+                // requires.
+                unsafe { x86::$name::<std::arch::x86_64::__m128>($($arg),*) }
+            }
             match level {
-                SimdLevel::Scalar => scalar::$scalar_fn($($arg),*),
-                // SAFETY: `level` is clamped to the detected hardware
-                // capability, so the required target feature is present.
-                SimdLevel::Sse2 => unsafe { x86::$sse2_fn($($arg),*) },
-                // SAFETY: as above, AVX2 was detected at runtime.
-                SimdLevel::Avx2 => unsafe { x86::$avx2_fn($($arg),*) },
+                // SAFETY (both arms): `level` never exceeds the detected
+                // hardware capability — the one precondition of this fn — so
+                // the feature the wrapper enables is present.
+                #[cfg(target_arch = "x86_64")]
+                SimdLevel::Avx2 => unsafe { avx2($($arg),*) },
+                #[cfg(target_arch = "x86_64")]
+                SimdLevel::Sse2 => unsafe { sse2($($arg),*) },
+                _ => scalar::$name($($arg),*),
             }
         }
     };
 }
 
-dispatch! {
+kernels! {
     /// `y[i] += a * x[i]` over the common prefix of `y` and `x`.
     ///
     /// Bit-identical at every SIMD level (separate mul+add, one chain per
     /// element).
-    pub fn axpy / axpy_with (y: &mut [f32], a: f32, x: &[f32]) => (axpy, axpy_sse2, axpy_avx2)
-}
+    axpy: axpy_with(y: &mut [f32], a: f32, x: &[f32]);
 
-dispatch! {
     /// `y[i] += x[i]` over the common prefix of `y` and `x`.
-    pub fn add_assign / add_assign_with (y: &mut [f32], x: &[f32]) => (add_assign, add_assign_sse2, add_assign_avx2)
-}
+    add_assign: add_assign_with(y: &mut [f32], x: &[f32]);
 
-// NaN-holding scatter add for accumulation chains that span multiple kernel
-// calls (conv col2im): `y[i] += x[i]` unless `y[i]` is NaN, which is held
-// bit-exactly so double-NaN operand-order ambiguity can never arise.
-dispatch! {
-    with scatter_add_with (y: &mut [f32], x: &[f32]) => (scatter_add, scatter_add_sse2, scatter_add_avx2)
-}
+    /// NaN-holding scatter add for accumulation chains that span multiple
+    /// kernel calls (conv col2im): `y[i] += x[i]` unless `y[i]` is NaN, which
+    /// is held bit-exactly so double-NaN operand-order ambiguity can never
+    /// arise.
+    scatter_add: scatter_add_with(y: &mut [f32], x: &[f32]);
 
-dispatch! {
     /// `r[i] += l[i] - g[i]` over the common prefix (top-k residual
     /// accumulation: evaluated as `r + (l - g)` at every level).
-    pub fn add_diff / add_diff_with (r: &mut [f32], l: &[f32], g: &[f32]) => (add_diff, add_diff_sse2, add_diff_avx2)
-}
+    add_diff: add_diff_with(r: &mut [f32], l: &[f32], g: &[f32]);
 
-dispatch! {
     /// `out[i] = |x[i]|` over the common prefix: clears the sign bit,
     /// preserving NaN payloads, exactly like `f32::abs`.
-    pub fn abs_into / abs_into_with (out: &mut [f32], x: &[f32]) => (abs_into, abs_into_sse2, abs_into_avx2)
-}
+    abs_into: abs_into_with(out: &mut [f32], x: &[f32]);
 
-dispatch! {
     /// ReLU forward: `out[i] = x[i] if x[i] > 0 else +0.0`. NaN inputs
     /// yield `+0.0` (the comparison is false), `-0.0` yields `+0.0`.
-    pub fn relu_fwd / relu_fwd_with (x: &[f32], out: &mut [f32]) => (relu_fwd, relu_fwd_sse2, relu_fwd_avx2)
-}
+    relu_fwd: relu_fwd_with, relu_fwd(x: &[f32], out: &mut [f32]);
 
-dispatch! {
     /// ReLU backward: `out[i] = g[i] if x[i] > 0 else +0.0` (the
     /// subgradient at 0 is 0).
-    pub fn relu_bwd / relu_bwd_with (x: &[f32], g: &[f32], out: &mut [f32]) => (relu_bwd, relu_bwd_sse2, relu_bwd_avx2)
-}
+    relu_bwd: relu_bwd_with, relu_bwd(x: &[f32], g: &[f32], out: &mut [f32]);
 
-dispatch! {
     /// Leaky-ReLU forward: `out[i] = x[i] if x[i] > 0 else slope * x[i]`.
-    pub fn leaky_fwd / leaky_fwd_with (x: &[f32], slope: f32, out: &mut [f32]) => (leaky_fwd, leaky_fwd_sse2, leaky_fwd_avx2)
-}
+    leaky_fwd: leaky_fwd_with, leaky_fwd(x: &[f32], slope: f32, out: &mut [f32]);
 
-dispatch! {
     /// Leaky-ReLU backward: `out[i] = g[i] if x[i] > 0 else slope * g[i]`.
-    pub fn leaky_bwd / leaky_bwd_with (x: &[f32], g: &[f32], slope: f32, out: &mut [f32]) => (leaky_bwd, leaky_bwd_sse2, leaky_bwd_avx2)
-}
+    leaky_bwd: leaky_bwd_with, leaky_bwd(x: &[f32], g: &[f32], slope: f32, out: &mut [f32]);
 
-dispatch! {
     /// Fused SGD step over the common prefix: `eff = g + wd·x;
     /// x -= lr·eff; g = 0`, in exactly that scalar evaluation order.
-    pub fn sgd_step / sgd_step_with (x: &mut [f32], g: &mut [f32], lr: f32, wd: f32) => (sgd_step, sgd_step_sse2, sgd_step_avx2)
-}
+    sgd_step: sgd_step_with, sgd_step(x: &mut [f32], g: &mut [f32], lr: f32, wd: f32);
 
-dispatch! {
     /// Fused momentum-SGD step: `eff = g + wd·x; m = mu·m + eff;
     /// x -= lr·m; g = 0`, in exactly that scalar evaluation order.
-    pub fn sgd_momentum_step / sgd_momentum_step_with (x: &mut [f32], g: &mut [f32], m: &mut [f32], lr: f32, wd: f32, mu: f32) => (sgd_momentum_step, sgd_momentum_step_sse2, sgd_momentum_step_avx2)
-}
+    sgd_momentum_step: sgd_momentum_step_with, sgd_momentum_step(x: &mut [f32], g: &mut [f32], m: &mut [f32], lr: f32, wd: f32, mu: f32);
 
-// One column strip of one output row of the ikj `C = A·B` kernel over one
-// `k`-tile: `c_cols[j] += a_tile[p] * b_tile[p·n + col0 + j]` for ascending
-// `p` (`b_tile` is `len(a_tile)` rows of `n`; `col0` is the strip's first
-// column). Strip-wise calls let the caller keep a narrow `B` window
-// cache-resident across many output rows without changing any element's
-// accumulation order.
-dispatch! {
-    with nn_tile_cols_with (c_cols: &mut [f32], a_tile: &[f32], b_tile: &[f32], n: usize, col0: usize) => (nn_tile_cols, nn_tile_cols_sse2, nn_tile_cols_avx2)
-}
+    /// One column strip of one output row of the ikj `C = A·B` kernel over
+    /// one `k`-tile: `c_cols[j] += a_tile[p] * b_tile[p·n + col0 + j]` for
+    /// ascending `p` (`b_tile` is `len(a_tile)` rows of `n`; `col0` is the
+    /// strip's first column). Strip-wise calls let the caller keep a narrow
+    /// `B` window cache-resident across many output rows without changing
+    /// any element's accumulation order.
+    nn_tile_cols: nn_tile_cols_with(c_cols: &mut [f32], a_tile: &[f32], b_tile: &[f32], n: usize, col0: usize);
 
-// Two-row variant of `nn_tile_cols_with`: the same strip of two output rows,
-// sharing each `B` load across both rows' accumulators at the vector levels.
-// Callers must pair rows the same way at every thread count (the matmul
-// driver pairs within `MC`-aligned blocks) so each element always runs
-// through the same compiled kernel instance.
-dispatch! {
-    with nn_tile_cols2_with (c0_cols: &mut [f32], c1_cols: &mut [f32], a0_tile: &[f32], a1_tile: &[f32], b_tile: &[f32], n: usize, col0: usize) => (nn_tile_cols2, nn_tile_cols2_sse2, nn_tile_cols2_avx2)
-}
+    /// Two-row variant of [`nn_tile_cols_with`]: the same strip of two output
+    /// rows, sharing each `B` load across both rows' accumulators at the
+    /// vector levels. Callers must pair rows the same way at every thread
+    /// count (the matmul driver pairs within `MC`-aligned blocks) so each
+    /// element always runs through the same compiled kernel instance.
+    nn_tile_cols2: nn_tile_cols2_with(c0_cols: &mut [f32], c1_cols: &mut [f32], a0_tile: &[f32], a1_tile: &[f32], b_tile: &[f32], n: usize, col0: usize);
 
-// One output row of the `C = A·Bᵀ` kernel: `c_row[j] = dot(a_row,
-// b[j·k..][..k])`, each dot one sequential ascending-`p` chain. Requires
-// `k > 0` (the caller short-circuits empty dots).
-dispatch! {
-    with tb_row_with (c_row: &mut [f32], a_row: &[f32], b: &[f32], k: usize) => (tb_row, tb_row_sse2, tb_row_avx2)
+    /// One output row of the `C = A·Bᵀ` kernel: `c_row[j] = dot(a_row,
+    /// b[j·k..][..k])`, each dot one sequential ascending-`p` chain. Requires
+    /// `k > 0` (the caller short-circuits empty dots).
+    tb_row: tb_row_with(c_row: &mut [f32], a_row: &[f32], b: &[f32], k: usize);
 }
 
 #[cfg(test)]

@@ -128,36 +128,6 @@ impl Tensor {
         (self.data, self.shape)
     }
 
-    /// Like [`Tensor::zeros`], but drawing the data and shape buffers
-    /// from `pool` instead of the allocator.
-    pub fn zeros_in(shape: &[usize], pool: &crate::pool::BufferPool) -> Tensor {
-        let mut len = 1usize;
-        for &d in shape {
-            len = len.saturating_mul(d);
-        }
-        let data = pool.take_f32(len);
-        let mut dims = pool.take_usize(shape.len());
-        dims.copy_from_slice(shape);
-        Tensor { data, shape: dims }
-    }
-
-    /// Wraps a pooled RAII buffer into a tensor, consuming the guard (the
-    /// checkout stays outstanding until the tensor is recycled).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if the buffer's length does
-    /// not equal the product of `shape`.
-    pub fn from_pool(buf: crate::pool::PoolBuf, shape: &[usize]) -> Result<Tensor> {
-        let expected: usize = shape.iter().product();
-        if buf.len() != expected {
-            return Err(TensorError::new_length_mismatch(buf.len(), shape));
-        }
-        let mut dims = crate::pool::take_usize_buf(shape.len());
-        dims.copy_from_slice(shape);
-        Ok(Tensor { data: buf.into_vec(), shape: dims })
-    }
-
     /// Returns the element at a flat (row-major) index.
     ///
     /// # Errors
@@ -181,39 +151,6 @@ impl Tensor {
             return Err(TensorError::new_length_mismatch(self.data.len(), shape));
         }
         Ok(Tensor { data: self.data.clone(), shape: shape.to_vec() })
-    }
-
-    /// Consuming reshape: reuses both the data and the shape allocation,
-    /// where [`Tensor::reshape`] clones the full buffer. Prefer this when
-    /// the caller owns the tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] when the element counts
-    /// differ (the tensor is consumed either way).
-    pub fn into_reshaped(self, shape: &[usize]) -> Result<Tensor> {
-        let expected: usize = shape.iter().product();
-        if expected != self.data.len() {
-            return Err(TensorError::new_length_mismatch(self.data.len(), shape));
-        }
-        let Tensor { data, shape: mut dims } = self;
-        dims.clear();
-        dims.extend_from_slice(shape);
-        Ok(Tensor { data, shape: dims })
-    }
-
-    /// In-place reshape (no copy).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] when the element counts differ.
-    pub fn reshape_in_place(&mut self, shape: &[usize]) -> Result<()> {
-        let expected: usize = shape.iter().product();
-        if expected != self.data.len() {
-            return Err(TensorError::LengthMismatch { len: self.data.len(), shape: shape.to_vec() });
-        }
-        self.shape = shape.to_vec();
-        Ok(())
     }
 
     fn check_same_shape(&self, other: &Tensor, op: &'static str) -> Result<()> {

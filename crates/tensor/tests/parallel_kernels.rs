@@ -44,9 +44,13 @@ fn gate() -> std::sync::MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// (m, k, n) shapes: degenerate, small, awkward odd sizes, and sizes big
-/// enough to trigger parallel dispatch (m·k·n above the internal threshold).
-const SHAPES: [(usize, usize, usize); 9] = [
+/// (m, k, n) shapes: degenerate, small, awkward odd sizes, sizes big enough
+/// to trigger parallel dispatch (m·k·n above the internal threshold), and the
+/// paper CNN's training shapes in every orientation `BENCHMARK.json` meters
+/// (`tensor.matmul{,_ta,_tb}_gflops.*`), whose widths hit every split of the
+/// vector kernels at both lane widths: 784 = 24·32 + 2·8, 196 = 6·32 + 4,
+/// 588 = 18·32 + 8 + 4, 150 = 4·32 + 2·8 + 6.
+const SHAPES: [(usize, usize, usize); 18] = [
     (0, 3, 2),
     (3, 0, 2),
     (3, 4, 0),
@@ -56,6 +60,15 @@ const SHAPES: [(usize, usize, usize); 9] = [
     (17, 9, 13),
     (64, 64, 64),
     (33, 129, 65),
+    (6, 25, 784),
+    (12, 150, 196),
+    (16, 64, 588),
+    (1, 64, 128),
+    (150, 12, 196),
+    (64, 16, 588),
+    (12, 196, 150),
+    (16, 588, 64),
+    (1, 128, 64),
 ];
 
 struct XorShift(u64);
