@@ -10,6 +10,7 @@
 //! or per-tensor masking, which the `ablation_granularity` bench compares.
 
 use crate::diagnosis::EmaPair;
+use crate::manager::resync_rejoiners;
 use fedsu_fl::{AggregateOutcome, SyncStrategy};
 
 /// FedSU with one predictability decision per fixed-size chunk of scalars.
@@ -34,6 +35,8 @@ pub struct FedSuCoarse {
     prev_update: Vec<f32>,
     // Per-client, per-chunk accumulated mean errors.
     errors: Vec<Vec<f32>>,
+    // Which clients took part in the previous aggregation.
+    prev_active: Vec<bool>,
     predictable_rounds: Vec<u64>,
     rounds_seen: usize,
     n_params: usize,
@@ -64,6 +67,7 @@ impl FedSuCoarse {
             slope: Vec::new(),
             prev_update: Vec::new(),
             errors: Vec::new(),
+            prev_active: Vec::new(),
             predictable_rounds: Vec::new(),
             rounds_seen: 0,
             n_params: 0,
@@ -149,7 +153,19 @@ impl SyncStrategy for FedSuCoarse {
         global: &mut [f32],
     ) -> AggregateOutcome {
         self.ensure_capacity(global.len(), locals.len());
-        let inv = 1.0 / selected.len().max(1) as f32;
+        resync_rejoiners(&mut self.errors, &mut self.prev_active, active);
+        if selected.is_empty() {
+            // Nothing usable arrived: hold every value and all mask and
+            // feedback state (as `FedSu::aggregate`) rather than average
+            // nothing into the regular scalars.
+            self.rounds_seen += 1;
+            return AggregateOutcome {
+                broadcast_scalars: 0,
+                synced_scalars: 0,
+                total_scalars: self.n_params,
+            };
+        }
+        let inv = 1.0 / selected.len() as f32;
         let mut synced = 0usize;
         let mut checked = 0usize;
 
@@ -338,6 +354,40 @@ mod tests {
             assert_eq!(out.total_scalars, 7);
         }
         assert_eq!(f.n_chunks(), 3);
+    }
+
+    #[test]
+    fn empty_selection_holds_values_and_state() {
+        let mut f = FedSuCoarse::new(2, 0.1, 10.0);
+        let mut global = vec![1.0f32, 2.0, 3.0];
+        let locals = vec![vec![9.0f32; 3]];
+        let out = f.aggregate(0, &locals, &[], &[false], &mut global);
+        assert_eq!(global, [1.0, 2.0, 3.0]);
+        assert_eq!((out.broadcast_scalars, out.synced_scalars, out.total_scalars), (0, 0, 3));
+        assert_eq!(f.rounds_seen, 1, "the round still counts");
+        assert!(f.obs.iter().all(|&o| o == 0), "no diagnosis ran");
+    }
+
+    #[test]
+    fn rejoiner_starts_from_a_clean_error_accumulator() {
+        // Two clients on one linear chunk; every local lands exactly on the
+        // speculated value, so a round adds (almost) nothing to an accumulator.
+        fn step(f: &mut FedSuCoarse, global: &mut [f32], selected: &[usize], active: &[bool]) {
+            let locals = vec![global.iter().map(|g| g - 0.01).collect::<Vec<f32>>(); 2];
+            f.aggregate(0, &locals, selected, active, global);
+        }
+        let mut f = FedSuCoarse::new(2, 0.1, 10.0);
+        let mut global = vec![0.0f32; 2];
+        for _ in 0..8 {
+            step(&mut f, &mut global, &[0, 1], &[true, true]);
+        }
+        assert!(f.predictable[0], "the linear chunk must speculate");
+        f.errors[1][0] = 0.5; // what client 1 had accumulated when it left
+        f.no_check_remaining[0] = 8; // keep the check out of the way
+        step(&mut f, &mut global, &[0], &[true, false]);
+        assert_eq!(f.errors[1][0], 0.5, "an absent client's accumulator is left alone");
+        step(&mut f, &mut global, &[0, 1], &[true, true]);
+        assert!(f.errors[1][0].abs() < 1e-6, "stale error survived the rejoin: {}", f.errors[1][0]);
     }
 
     #[test]

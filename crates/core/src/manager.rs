@@ -148,6 +148,26 @@ pub struct FedSu {
     history: Vec<RoundStats>,
 }
 
+/// Re-synchronizes per-client state for clients that were absent at the
+/// previous aggregation and are active again now (Sec. V's rejoin path):
+/// a rejoiner downloads fresh replicated state, so its stale local error
+/// accumulator must not poison the feedback signal `S`. `errors` is one
+/// accumulator per client; shared with `FedSuCoarse`.
+pub(crate) fn resync_rejoiners(errors: &mut [Vec<f32>], prev_active: &mut Vec<bool>, active: &[bool]) {
+    if prev_active.len() != active.len() {
+        prev_active.clear();
+        prev_active.resize(active.len(), false);
+    }
+    // `prev_active` was just resized to `active.len()`, so the zip walks
+    // all clients.
+    for ((errs, &act), &prev) in errors.iter_mut().zip(active).zip(prev_active.iter()) {
+        if act && !prev {
+            errs.fill(0.0);
+        }
+    }
+    prev_active.copy_from_slice(active);
+}
+
 impl FedSu {
     /// Standard FedSU: oscillation-ratio diagnosis + error feedback.
     pub fn new(config: FedSuConfig) -> Self {
@@ -383,25 +403,6 @@ impl FedSu {
         }
     }
 
-    /// Re-synchronizes per-client state for clients that were absent at the
-    /// previous aggregation and are active again now (Sec. V's rejoin path):
-    /// a rejoiner downloads fresh replicated state, so its stale local error
-    /// accumulator must not poison the feedback signal `S`.
-    fn resync_rejoiners(&mut self, active: &[bool]) {
-        if self.prev_active.len() != active.len() {
-            self.prev_active.clear();
-            self.prev_active.resize(active.len(), false);
-        }
-        // `prev_active` was just resized to `active.len()` and `errors` is
-        // one accumulator per client, so the zip walks all clients.
-        for ((errs, &act), &prev) in self.errors.iter_mut().zip(active).zip(&self.prev_active) {
-            if act && !prev {
-                errs.fill(0.0);
-            }
-        }
-        self.prev_active.copy_from_slice(active);
-    }
-
     fn promote(&mut self, j: usize, slope: f32, round: usize) {
         self.total_enters += 1;
         // Every caller passes `j < n` (the aggregate loop index) and all the
@@ -545,7 +546,7 @@ impl SyncStrategy for FedSu {
         global: &mut [f32],
     ) -> AggregateOutcome {
         self.ensure_capacity(global.len(), locals.len());
-        self.resync_rejoiners(active);
+        resync_rejoiners(&mut self.errors, &mut self.prev_active, active);
         let n = global.len();
         if selected.is_empty() {
             // Nothing usable arrived (every upload dropped, lost, or

@@ -34,9 +34,7 @@ pub use client::{Client, ClientConfig};
 pub use error::FlError;
 pub use experiment::{DefenseConfig, Experiment, ExperimentConfig, RoundHook};
 pub use fedsu_netsim::{FaultConfig, FaultPlan};
-pub use message::{
-    bytes_with_retries, retransmitted_bytes, scalars_to_bytes, RoundComm, BYTES_PER_SCALAR,
-};
+pub use message::{bytes_with_retries, retransmitted_bytes, scalars_to_bytes, BYTES_PER_SCALAR};
 pub use record::{ExperimentResult, RoundRecord};
 pub use schedule::LrSchedule;
 pub use server::Server;

@@ -8,41 +8,6 @@
 /// Wire size of one `f32` scalar.
 pub const BYTES_PER_SCALAR: u64 = 4;
 
-/// Per-round communication accounting across the whole cluster.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundComm {
-    /// Upload bytes for every client (indexed by client id).
-    pub upload_bytes: Vec<u64>,
-    /// Download bytes for every client (indexed by client id).
-    pub download_bytes: Vec<u64>,
-    /// Scalars realistically synchronized this round (upload side, including
-    /// any error-aggregation payloads).
-    pub synced_scalars: usize,
-    /// Total scalar parameters in the model.
-    pub total_scalars: usize,
-}
-
-impl RoundComm {
-    /// Fraction of scalars that skipped synchronization this round —
-    /// the paper's "sparsification ratio" (communication compression).
-    pub fn sparsification_ratio(&self) -> f64 {
-        if self.total_scalars == 0 {
-            0.0
-        } else {
-            1.0 - self.synced_scalars as f64 / self.total_scalars as f64
-        }
-    }
-
-    /// Total bytes moved this round, both directions, all clients.
-    pub fn total_bytes(&self) -> u64 {
-        self.upload_bytes
-            .iter()
-            .sum::<u64>()
-            .checked_add(self.download_bytes.iter().sum::<u64>())
-            .expect("round byte total fits in u64: per-client payloads are model-sized")
-    }
-}
-
 /// Converts a scalar count to wire bytes.
 pub fn scalars_to_bytes(scalars: usize) -> u64 {
     u64::try_from(scalars).expect("scalar count fits in u64 on all supported targets")
@@ -73,29 +38,6 @@ pub fn retransmitted_bytes(bytes: u64, attempts: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sparsification_ratio_basic() {
-        let c = RoundComm {
-            upload_bytes: vec![4, 4],
-            download_bytes: vec![8, 8],
-            synced_scalars: 25,
-            total_scalars: 100,
-        };
-        assert!((c.sparsification_ratio() - 0.75).abs() < 1e-12);
-        assert_eq!(c.total_bytes(), 24);
-    }
-
-    #[test]
-    fn empty_model_has_zero_ratio() {
-        let c = RoundComm {
-            upload_bytes: vec![],
-            download_bytes: vec![],
-            synced_scalars: 0,
-            total_scalars: 0,
-        };
-        assert_eq!(c.sparsification_ratio(), 0.0);
-    }
 
     #[test]
     fn scalar_byte_conversion() {

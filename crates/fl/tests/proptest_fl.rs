@@ -1,35 +1,11 @@
-//! Property-based tests for the FL runtime's pure components: accounting
-//! arithmetic and learning-rate schedules.
+//! Property-based tests for the FL runtime's pure components: the
+//! learning-rate schedules.
 
-use fedsu_fl::{LrSchedule, RoundComm};
+use fedsu_fl::LrSchedule;
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn sparsification_ratio_is_a_fraction(synced in 0usize..10_000, extra in 0usize..10_000) {
-        let total = synced + extra;
-        let comm = RoundComm {
-            upload_bytes: vec![],
-            download_bytes: vec![],
-            synced_scalars: synced,
-            total_scalars: total,
-        };
-        let r = comm.sparsification_ratio();
-        prop_assert!((0.0..=1.0).contains(&r));
-        if total > 0 {
-            prop_assert!((r - (extra as f64 / total as f64)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn total_bytes_sums_both_directions(up in proptest::collection::vec(0u64..1_000_000, 0..16),
-                                        down in proptest::collection::vec(0u64..1_000_000, 0..16)) {
-        let expected: u64 = up.iter().sum::<u64>() + down.iter().sum::<u64>();
-        let comm = RoundComm { upload_bytes: up, download_bytes: down, synced_scalars: 0, total_scalars: 1 };
-        prop_assert_eq!(comm.total_bytes(), expected);
-    }
 
     #[test]
     fn schedules_are_positive_and_bounded_by_base(base in 0.001f32..1.0, round in 0usize..10_000) {

@@ -7,9 +7,9 @@ use fedsu_tensor::{pool, simd, Tensor};
 /// Rectified linear unit: `y = max(x, 0)`, elementwise over any shape.
 ///
 /// Forward and backward run on the dispatched `fedsu_tensor::simd` lanes;
-/// the training-mode cache keeps the raw input (a pooled copy, like
-/// [`Tanh`]) instead of a boolean mask so the backward pass can ride the
-/// same compare+select kernel.
+/// the training-mode cache keeps the raw input (a pooled copy) instead of
+/// a boolean mask so the backward pass can ride the same compare+select
+/// kernel.
 #[derive(Debug, Default)]
 pub struct Relu {
     input: Option<Tensor>,
@@ -52,147 +52,6 @@ impl Layer for Relu {
         }
         let mut out = pool::pooled_like(grad_output);
         simd::relu_bwd(cached.data(), grad_output.data(), out.data_mut());
-        pool::recycle(cached);
-        Ok(out)
-    }
-}
-
-/// Leaky rectified linear unit: `y = x` for `x > 0`, `y = slope·x`
-/// otherwise.
-#[derive(Debug)]
-pub struct LeakyRelu {
-    slope: f32,
-    input: Option<Tensor>,
-}
-
-impl LeakyRelu {
-    /// Creates a leaky ReLU with the given negative-side slope.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= slope < 1`.
-    pub fn new(slope: f32) -> Self {
-        assert!((0.0..1.0).contains(&slope), "slope must be in [0, 1)");
-        LeakyRelu { slope, input: None }
-    }
-}
-
-impl Layer for LeakyRelu {
-    fn name(&self) -> &str {
-        "leaky_relu"
-    }
-
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        let mut out = pool::pooled_like(input);
-        simd::leaky_fwd(input.data(), self.slope, out.data_mut());
-        if train {
-            let mut cache = pool::pooled_like(input);
-            cache.data_mut().copy_from_slice(input.data());
-            self.input = Some(cache);
-        }
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let cached = self
-            .input
-            .take()
-            .ok_or_else(|| NnError::new_missing_forward(self.name()))?;
-        if cached.len() != grad_output.len() {
-            return Err(NnError::new_bad_input(
-                self.name(),
-                format_args!("grad with {} elements", cached.len()),
-                grad_output.shape(),
-            ));
-        }
-        let mut out = pool::pooled_like(grad_output);
-        simd::leaky_bwd(cached.data(), grad_output.data(), self.slope, out.data_mut());
-        pool::recycle(cached);
-        Ok(out)
-    }
-}
-
-/// Hyperbolic tangent activation.
-#[derive(Debug, Default)]
-pub struct Tanh {
-    output: Option<Tensor>,
-}
-
-impl Tanh {
-    /// Creates a tanh layer.
-    pub fn new() -> Self {
-        Tanh { output: None }
-    }
-}
-
-impl Layer for Tanh {
-    fn name(&self) -> &str {
-        "tanh"
-    }
-
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        let out = input.map(f32::tanh);
-        if train {
-            let mut cache = pool::pooled_like(&out);
-            cache.data_mut().copy_from_slice(out.data());
-            self.output = Some(cache);
-        }
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let cached = self
-            .output
-            .take()
-            .ok_or_else(|| NnError::new_missing_forward(self.name()))?;
-        // d tanh(x)/dx = 1 - tanh(x)^2
-        let mut out = pool::pooled_like(grad_output);
-        for ((o, &g), &y) in out.data_mut().iter_mut().zip(grad_output.data()).zip(cached.data()) {
-            *o = g * (1.0 - y * y);
-        }
-        pool::recycle(cached);
-        Ok(out)
-    }
-}
-
-/// Logistic sigmoid activation.
-#[derive(Debug, Default)]
-pub struct Sigmoid {
-    output: Option<Tensor>,
-}
-
-impl Sigmoid {
-    /// Creates a sigmoid layer.
-    pub fn new() -> Self {
-        Sigmoid { output: None }
-    }
-}
-
-impl Layer for Sigmoid {
-    fn name(&self) -> &str {
-        "sigmoid"
-    }
-
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        let out = input.map(|v| 1.0 / (1.0 + (-v).exp()));
-        if train {
-            let mut cache = pool::pooled_like(&out);
-            cache.data_mut().copy_from_slice(out.data());
-            self.output = Some(cache);
-        }
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let cached = self
-            .output
-            .take()
-            .ok_or_else(|| NnError::new_missing_forward(self.name()))?;
-        // dσ(x)/dx = σ(x)(1 - σ(x))
-        let mut out = pool::pooled_like(grad_output);
-        for ((o, &g), &y) in out.data_mut().iter_mut().zip(grad_output.data()).zip(cached.data()) {
-            *o = g * y * (1.0 - y);
-        }
         pool::recycle(cached);
         Ok(out)
     }
@@ -242,72 +101,5 @@ mod tests {
         let x = Tensor::ones(&[2]);
         r.forward(&x, false).unwrap();
         assert!(r.backward(&Tensor::ones(&[2])).is_err());
-    }
-}
-
-#[cfg(test)]
-mod more_activation_tests {
-    use super::*;
-
-    fn finite_diff_check(layer: &mut dyn Layer, x: &Tensor) {
-        let y = layer.forward(x, true).unwrap();
-        let dy = Tensor::ones(y.shape());
-        let dx = layer.backward(&dy).unwrap();
-        let eps = 1e-3f32;
-        let mut x2 = x.clone();
-        for idx in 0..x.len() {
-            let orig = x2.data_mut()[idx];
-            x2.data_mut()[idx] = orig + eps;
-            let lp = layer.forward(&x2, true).unwrap().sum();
-            x2.data_mut()[idx] = orig - eps;
-            let lm = layer.forward(&x2, true).unwrap().sum();
-            x2.data_mut()[idx] = orig;
-            let numeric = (lp - lm) / (2.0 * eps);
-            assert!(
-                (numeric - dx.data()[idx]).abs() < 1e-2,
-                "{} idx {idx}: {numeric} vs {}",
-                layer.name(),
-                dx.data()[idx]
-            );
-        }
-    }
-
-    #[test]
-    fn leaky_relu_known_values_and_gradient() {
-        let mut l = LeakyRelu::new(0.1);
-        let x = Tensor::from_slice(&[-2.0, 0.5]);
-        let y = l.forward(&x, true).unwrap();
-        assert!((y.data()[0] + 0.2).abs() < 1e-6);
-        assert_eq!(y.data()[1], 0.5);
-        finite_diff_check(&mut l, &Tensor::from_slice(&[-1.0, -0.3, 0.2, 1.7]));
-    }
-
-    #[test]
-    fn tanh_gradient_matches_finite_difference() {
-        let mut t = Tanh::new();
-        finite_diff_check(&mut t, &Tensor::from_slice(&[-1.5, -0.2, 0.0, 0.8, 2.0]));
-    }
-
-    #[test]
-    fn sigmoid_range_and_gradient() {
-        let mut s = Sigmoid::new();
-        let y = s.forward(&Tensor::from_slice(&[-10.0, 0.0, 10.0]), false).unwrap();
-        assert!(y.data()[0] < 0.01);
-        assert!((y.data()[1] - 0.5).abs() < 1e-6);
-        assert!(y.data()[2] > 0.99);
-        finite_diff_check(&mut s, &Tensor::from_slice(&[-2.0, -0.1, 0.4, 1.3]));
-    }
-
-    #[test]
-    fn backward_without_forward_errors_for_all() {
-        assert!(LeakyRelu::new(0.1).backward(&Tensor::ones(&[1])).is_err());
-        assert!(Tanh::new().backward(&Tensor::ones(&[1])).is_err());
-        assert!(Sigmoid::new().backward(&Tensor::ones(&[1])).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "slope must be in")]
-    fn bad_leaky_slope_panics() {
-        LeakyRelu::new(1.0);
     }
 }

@@ -22,13 +22,6 @@ pub fn flatten_params(model: &dyn Layer) -> Vec<f32> {
     out
 }
 
-/// Copies every accumulated gradient into one flat vector (visit order).
-pub fn flatten_grads(model: &dyn Layer) -> Vec<f32> {
-    let mut out = Vec::with_capacity(param_count(model));
-    model.visit_params(&mut |p| out.extend_from_slice(p.grad.data()));
-    out
-}
-
 /// Copies every parameter into `out` (visit order), reusing its allocation.
 ///
 /// The steady-round counterpart of [`flatten_params`]: callers that stage
@@ -96,151 +89,9 @@ mod tests {
     }
 
     #[test]
-    fn grads_flatten_in_same_order() {
-        let mut m = model();
-        let mut i = 0.0f32;
-        m.visit_params_mut(&mut |p| {
-            for g in p.grad.data_mut() {
-                *g = i;
-                i += 1.0;
-            }
-        });
-        let grads = flatten_grads(&m);
-        for (k, g) in grads.iter().enumerate() {
-            assert_eq!(*g, k as f32);
-        }
-    }
-
-    #[test]
     fn identical_models_flatten_identically() {
         let a = model();
         let b = model();
         assert_eq!(flatten_params(&a), flatten_params(&b));
-    }
-}
-
-/// Magic header of the checkpoint wire format.
-const CHECKPOINT_MAGIC: u32 = 0xFED5_C4EC;
-
-/// Errors while restoring a checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckpointError {
-    /// Payload shorter than declared.
-    Truncated,
-    /// Magic header mismatch (not a checkpoint).
-    BadMagic(u32),
-    /// Checkpoint holds a different parameter count than the model.
-    WrongSize {
-        /// Parameters in the checkpoint.
-        checkpoint: usize,
-        /// Parameters in the model.
-        model: usize,
-    },
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Truncated => write!(f, "checkpoint truncated"),
-            CheckpointError::BadMagic(m) => write!(f, "bad checkpoint magic {m:#x}"),
-            CheckpointError::WrongSize { checkpoint, model } => {
-                write!(f, "checkpoint has {checkpoint} params, model has {model}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
-/// Serializes the model's parameters to a compact checkpoint
-/// (magic, count, little-endian f32 values).
-pub fn save_checkpoint(model: &dyn Layer) -> Vec<u8> {
-    let flat = flatten_params(model);
-    let mut out = Vec::with_capacity(8 + flat.len() * 4);
-    out.extend_from_slice(&CHECKPOINT_MAGIC.to_le_bytes());
-    let count = u32::try_from(flat.len())
-        .expect("checkpoint format caps the parameter count at u32::MAX");
-    out.extend_from_slice(&count.to_le_bytes());
-    for v in flat {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Restores parameters saved by [`save_checkpoint`] into `model`.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError`] on malformed payloads or a parameter-count
-/// mismatch (wrong architecture/preset).
-pub fn load_checkpoint(model: &mut dyn Layer, bytes: &[u8]) -> std::result::Result<(), CheckpointError> {
-    if bytes.len() < 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    let magic = u32::from_le_bytes(bytes[0..4].try_into().expect("slice is exactly 4 bytes"));
-    if magic != CHECKPOINT_MAGIC {
-        return Err(CheckpointError::BadMagic(magic));
-    }
-    let count = u32::from_le_bytes(bytes[4..8].try_into().expect("slice is exactly 4 bytes"));
-    let n = usize::try_from(count).expect("u32 count fits in usize on all supported targets");
-    let expected = param_count(model);
-    if n != expected {
-        return Err(CheckpointError::WrongSize { checkpoint: n, model: expected });
-    }
-    if bytes.len() < 8 + n * 4 {
-        return Err(CheckpointError::Truncated);
-    }
-    let flat: Vec<f32> = (0..n)
-        .map(|i| {
-            let word = bytes[8 + i * 4..12 + i * 4]
-                .try_into()
-                .expect("slice is exactly 4 bytes");
-            f32::from_le_bytes(word)
-        })
-        .collect();
-    load_params(model, &flat).expect("length checked above");
-    Ok(())
-}
-
-#[cfg(test)]
-mod checkpoint_tests {
-    use super::*;
-    use crate::models::mlp;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn checkpoint_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let m = mlp(&[4, 6, 2], &mut rng).unwrap();
-        let bytes = save_checkpoint(&m);
-        let mut fresh = mlp(&[4, 6, 2], &mut StdRng::seed_from_u64(99)).unwrap();
-        assert_ne!(flatten_params(&m), flatten_params(&fresh));
-        load_checkpoint(&mut fresh, &bytes).unwrap();
-        assert_eq!(flatten_params(&m), flatten_params(&fresh));
-    }
-
-    #[test]
-    fn wrong_architecture_rejected() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let m = mlp(&[4, 6, 2], &mut rng).unwrap();
-        let bytes = save_checkpoint(&m);
-        let mut other = mlp(&[4, 8, 2], &mut rng).unwrap();
-        assert!(matches!(
-            load_checkpoint(&mut other, &bytes),
-            Err(CheckpointError::WrongSize { .. })
-        ));
-    }
-
-    #[test]
-    fn corrupt_payloads_rejected() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut m = mlp(&[4, 6, 2], &mut rng).unwrap();
-        let bytes = save_checkpoint(&m);
-        assert_eq!(load_checkpoint(&mut m, &bytes[..4]), Err(CheckpointError::Truncated));
-        assert_eq!(load_checkpoint(&mut m, &bytes[..bytes.len() - 2]), Err(CheckpointError::Truncated));
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xFF;
-        assert!(matches!(load_checkpoint(&mut m, &bad), Err(CheckpointError::BadMagic(_))));
     }
 }

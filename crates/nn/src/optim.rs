@@ -1,43 +1,29 @@
-//! Stochastic gradient descent with optional weight decay and momentum.
+//! Stochastic gradient descent with optional weight decay.
 
 use crate::layer::Layer;
 use crate::Result;
-use fedsu_tensor::{simd, Tensor};
-
-/// Allocates one zeroed state tensor per parameter. Cold path: optimizers
-/// call this once, on their first step.
-fn init_state(model: &dyn Layer, state: &mut Vec<Tensor>) {
-    model.visit_params(&mut |p| state.push(Tensor::zeros(p.value.shape())));
-}
+use fedsu_tensor::simd;
 
 /// SGD optimizer matching the paper's training setup (plain SGD with weight
-/// decay; momentum available but off by default).
+/// decay).
 ///
 /// The optimizer zeroes each parameter's gradient after applying it.
 #[derive(Debug)]
 pub struct Sgd {
     lr: f32,
     weight_decay: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
 }
 
 impl Sgd {
-    /// Creates an SGD optimizer with the given learning rate, no weight
-    /// decay, and no momentum.
+    /// Creates an SGD optimizer with the given learning rate and no weight
+    /// decay.
     pub fn new(lr: f32) -> Self {
-        Sgd { lr, weight_decay: 0.0, momentum: 0.0, velocity: Vec::new() }
+        Sgd { lr, weight_decay: 0.0 }
     }
 
     /// Sets L2 weight decay (the paper uses `1e-3`).
     pub fn with_weight_decay(mut self, wd: f32) -> Self {
         self.weight_decay = wd;
-        self
-    }
-
-    /// Sets classical momentum.
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        self.momentum = momentum;
         self
     }
 
@@ -59,33 +45,10 @@ impl Sgd {
     /// Currently infallible for well-formed models; the `Result` return
     /// keeps the signature stable if validation is added.
     pub fn step(&mut self, model: &mut dyn Layer) -> Result<()> {
-        let lr = self.lr;
-        let wd = self.weight_decay;
-        let mu = self.momentum;
-        if mu == 0.0 {
-            model.visit_params_mut(&mut |p| {
-                simd::sgd_step(p.value.data_mut(), p.grad.data_mut(), lr, wd);
-            });
-        } else {
-            // Lazily size the velocity buffers on first use.
-            if self.velocity.is_empty() {
-                init_state(model, &mut self.velocity);
-            }
-            let mut velocity = self.velocity.iter_mut();
-            model.visit_params_mut(&mut |p| {
-                let Some(vel) = velocity.next() else {
-                    return;
-                };
-                simd::sgd_momentum_step(
-                    p.value.data_mut(),
-                    p.grad.data_mut(),
-                    vel.data_mut(),
-                    lr,
-                    wd,
-                    mu,
-                );
-            });
-        }
+        let (lr, wd) = (self.lr, self.weight_decay);
+        model.visit_params_mut(&mut |p| {
+            simd::sgd_step(p.value.data_mut(), p.grad.data_mut(), lr, wd);
+        });
         Ok(())
     }
 }
@@ -126,19 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn momentum_accumulates() {
-        let mut d = unit_dense();
-        let mut opt = Sgd::new(0.1).with_momentum(0.9);
-        d.visit_params_mut(&mut |p| p.grad.fill(1.0));
-        opt.step(&mut d).unwrap(); // v=1, x=1-0.1
-        d.visit_params_mut(&mut |p| p.grad.fill(1.0));
-        opt.step(&mut d).unwrap(); // v=1.9, x=0.9-0.19
-        let mut vals = Vec::new();
-        d.visit_params(&mut |p| vals.push(p.value.data()[0]));
-        assert!((vals[0] - 0.71).abs() < 1e-5, "{}", vals[0]);
-    }
-
-    #[test]
     fn set_lr_changes_step_size() {
         let mut d = unit_dense();
         let mut opt = Sgd::new(0.1);
@@ -147,159 +97,5 @@ mod tests {
         d.visit_params_mut(&mut |p| p.grad.fill(1.0));
         opt.step(&mut d).unwrap();
         d.visit_params(&mut |p| assert!((p.value.data()[0] - 0.8).abs() < 1e-6));
-    }
-}
-
-/// Adam optimizer (Kingma & Ba). Not used by the paper's evaluation (plain
-/// SGD there), but provided so downstream users can pair FedSU with
-/// adaptive local optimizers.
-#[derive(Debug)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
-    step_count: u64,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-}
-
-impl Adam {
-    /// Creates Adam with the standard defaults (β₁ 0.9, β₂ 0.999, ε 1e-8).
-    pub fn new(lr: f32) -> Self {
-        Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, weight_decay: 0.0, step_count: 0, m: Vec::new(), v: Vec::new() }
-    }
-
-    /// Sets L2 weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-
-    /// Sets the moment decay rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both betas are in `[0, 1)`.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2), "betas must be in [0, 1)");
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Updates the learning rate.
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    /// Applies one Adam step to every parameter, then zeroes gradients.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible for well-formed models (stable signature).
-    pub fn step(&mut self, model: &mut dyn Layer) -> Result<()> {
-        if self.m.is_empty() {
-            init_state(model, &mut self.m);
-            init_state(model, &mut self.v);
-        }
-        self.step_count += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.step_count as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.step_count as i32);
-        let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
-        let mut state = self.m.iter_mut().zip(self.v.iter_mut());
-        model.visit_params_mut(&mut |p| {
-            let Some((m, v)) = state.next() else {
-                return;
-            };
-            let m = m.data_mut();
-            let v = v.data_mut();
-            let x = p.value.data_mut();
-            let g = p.grad.data_mut();
-            for (((xi, gi), mi), vi) in x.iter_mut().zip(g.iter_mut()).zip(m.iter_mut()).zip(v.iter_mut()) {
-                let eff = *gi + wd * *xi;
-                *mi = b1 * *mi + (1.0 - b1) * eff;
-                *vi = b2 * *vi + (1.0 - b2) * eff * eff;
-                let m_hat = *mi / bc1;
-                let v_hat = *vi / bc2;
-                *xi -= lr * m_hat / (v_hat.sqrt() + eps);
-                *gi = 0.0;
-            }
-        });
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod adam_tests {
-    use super::*;
-    use crate::dense::Dense;
-    use crate::layer::Layer;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn unit_dense() -> Dense {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut d = Dense::new(1, 1, &mut rng).unwrap();
-        d.visit_params_mut(&mut |p| p.value.fill(1.0));
-        d
-    }
-
-    #[test]
-    fn first_step_moves_by_approximately_lr() {
-        // With bias correction, the first Adam step is ~lr in the gradient
-        // direction regardless of gradient magnitude.
-        let mut d = unit_dense();
-        d.visit_params_mut(&mut |p| p.grad.fill(1000.0));
-        Adam::new(0.01).step(&mut d).unwrap();
-        d.visit_params(&mut |p| {
-            let moved = 1.0 - p.value.data()[0];
-            assert!((moved - 0.01).abs() < 1e-4, "moved {moved}");
-        });
-    }
-
-    #[test]
-    fn gradients_are_zeroed_after_step() {
-        let mut d = unit_dense();
-        d.visit_params_mut(&mut |p| p.grad.fill(1.0));
-        Adam::new(0.01).step(&mut d).unwrap();
-        d.visit_params(&mut |p| assert_eq!(p.grad.data()[0], 0.0));
-    }
-
-    #[test]
-    fn adam_trains_a_model() {
-        use crate::loss::softmax_cross_entropy;
-        use crate::models::mlp;
-        use fedsu_tensor::Tensor;
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut m = mlp(&[4, 12, 3], &mut rng).unwrap();
-        let x = Tensor::rand_uniform(&[12, 4], -1.0, 1.0, &mut rng);
-        let labels: Vec<usize> = (0..12).map(|i| i % 3).collect();
-        let mut opt = Adam::new(0.02);
-        let mut first = None;
-        let mut last = 0.0;
-        for _ in 0..25 {
-            let y = m.forward(&x, true).unwrap();
-            let (l, g) = softmax_cross_entropy(&y, &labels).unwrap();
-            m.backward(&g).unwrap();
-            opt.step(&mut m).unwrap();
-            if first.is_none() {
-                first = Some(l);
-            }
-            last = l;
-        }
-        assert!(last < first.unwrap() * 0.5, "loss {:?} -> {last}", first);
-    }
-
-    #[test]
-    #[should_panic(expected = "betas must be in")]
-    fn invalid_betas_panic() {
-        Adam::new(0.01).with_betas(1.0, 0.9);
     }
 }

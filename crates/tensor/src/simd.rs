@@ -283,39 +283,12 @@ mod scalar {
         }
     }
 
-    /// `out[i] = x[i]` if `x[i] > 0`, else `slope * x[i]`.
-    #[inline(never)]
-    pub(super) fn leaky_fwd(x: &[f32], slope: f32, out: &mut [f32]) {
-        for (o, &v) in out.iter_mut().zip(x.iter()) {
-            *o = if v > 0.0 { v } else { slope * v };
-        }
-    }
-
-    /// `out[i] = g[i]` if `x[i] > 0`, else `slope * g[i]`.
-    #[inline(never)]
-    pub(super) fn leaky_bwd(x: &[f32], g: &[f32], slope: f32, out: &mut [f32]) {
-        for ((o, &v), &gv) in out.iter_mut().zip(x.iter()).zip(g.iter()) {
-            *o = if v > 0.0 { gv } else { slope * gv };
-        }
-    }
-
     /// One SGD step with weight decay; zeroes the gradient.
     #[inline(never)]
     pub(super) fn sgd_step(x: &mut [f32], g: &mut [f32], lr: f32, wd: f32) {
         for (x, gr) in x.iter_mut().zip(g.iter_mut()) {
             let eff = *gr + wd * *x;
             *x -= lr * eff;
-            *gr = 0.0;
-        }
-    }
-
-    /// One momentum-SGD step with weight decay; zeroes the gradient.
-    #[inline(never)]
-    pub(super) fn sgd_momentum_step(x: &mut [f32], g: &mut [f32], m: &mut [f32], lr: f32, wd: f32, mu: f32) {
-        for ((x, gr), m) in x.iter_mut().zip(g.iter_mut()).zip(m.iter_mut()) {
-            let eff = *gr + wd * *x;
-            *m = mu * *m + eff;
-            *x -= lr * *m;
             *gr = 0.0;
         }
     }
@@ -699,35 +672,6 @@ mod x86 {
         scalar::relu_bwd(xc.remainder(), gc.remainder(), oc.into_remainder());
     }
 
-    /// Leaky-ReLU forward: `select(x > 0, x, slope * x)`. The negative
-    /// branch multiplies exactly like the scalar else-arm (including
-    /// `slope * -0.0 = -0.0`).
-    #[inline(always)]
-    pub(super) unsafe fn leaky_fwd<V: Lanes>(x: &[f32], slope: f32, out: &mut [f32]) {
-        let sv = V::splat(slope);
-        let mut xc = x.chunks_exact(V::N);
-        let mut oc = out.chunks_exact_mut(V::N);
-        for (xs, os) in (&mut xc).zip(&mut oc) {
-            let xv = V::load(xs);
-            V::select(xv.gt_zero(), xv, sv.fmul(xv)).store(os);
-        }
-        scalar::leaky_fwd(xc.remainder(), slope, oc.into_remainder());
-    }
-
-    /// Leaky-ReLU backward: `select(x > 0, g, slope * g)`.
-    #[inline(always)]
-    pub(super) unsafe fn leaky_bwd<V: Lanes>(x: &[f32], g: &[f32], slope: f32, out: &mut [f32]) {
-        let sv = V::splat(slope);
-        let mut xc = x.chunks_exact(V::N);
-        let mut gc = g.chunks_exact(V::N);
-        let mut oc = out.chunks_exact_mut(V::N);
-        for ((xs, gs), os) in (&mut xc).zip(&mut gc).zip(&mut oc) {
-            let gv = V::load(gs);
-            V::select(V::load(xs).gt_zero(), gv, sv.fmul(gv)).store(os);
-        }
-        scalar::leaky_bwd(xc.remainder(), gc.remainder(), slope, oc.into_remainder());
-    }
-
     /// SGD step: `eff = g + wd·x; x -= lr·eff; g = 0`, all in the scalar
     /// evaluation order.
     #[inline(always)]
@@ -742,25 +686,6 @@ mod x86 {
             V::zero().store(gs);
         }
         scalar::sgd_step(xc.into_remainder(), gc.into_remainder(), lr, wd);
-    }
-
-    /// Momentum-SGD step: `eff = g + wd·x; m = mu·m + eff; x -= lr·m;
-    /// g = 0`, all in the scalar evaluation order.
-    #[inline(always)]
-    pub(super) unsafe fn sgd_momentum_step<V: Lanes>(x: &mut [f32], g: &mut [f32], m: &mut [f32], lr: f32, wd: f32, mu: f32) {
-        let (lrv, wdv, muv) = (V::splat(lr), V::splat(wd), V::splat(mu));
-        let mut xc = x.chunks_exact_mut(V::N);
-        let mut gc = g.chunks_exact_mut(V::N);
-        let mut mc = m.chunks_exact_mut(V::N);
-        for ((xs, gs), ms) in (&mut xc).zip(&mut gc).zip(&mut mc) {
-            let xv = V::load(xs);
-            let eff = V::load(gs).fadd(wdv.fmul(xv));
-            let vel = muv.fmul(V::load(ms)).fadd(eff);
-            vel.store(ms);
-            xv.fsub(lrv.fmul(vel)).store(xs);
-            V::zero().store(gs);
-        }
-        scalar::sgd_momentum_step(xc.into_remainder(), gc.into_remainder(), mc.into_remainder(), lr, wd, mu);
     }
 
     /// The `W` accumulators of one `W·N`-column register block, resumed from
@@ -993,19 +918,9 @@ kernels! {
     /// subgradient at 0 is 0).
     relu_bwd: relu_bwd_with, relu_bwd(x: &[f32], g: &[f32], out: &mut [f32]);
 
-    /// Leaky-ReLU forward: `out[i] = x[i] if x[i] > 0 else slope * x[i]`.
-    leaky_fwd: leaky_fwd_with, leaky_fwd(x: &[f32], slope: f32, out: &mut [f32]);
-
-    /// Leaky-ReLU backward: `out[i] = g[i] if x[i] > 0 else slope * g[i]`.
-    leaky_bwd: leaky_bwd_with, leaky_bwd(x: &[f32], g: &[f32], slope: f32, out: &mut [f32]);
-
     /// Fused SGD step over the common prefix: `eff = g + wd·x;
     /// x -= lr·eff; g = 0`, in exactly that scalar evaluation order.
     sgd_step: sgd_step_with, sgd_step(x: &mut [f32], g: &mut [f32], lr: f32, wd: f32);
-
-    /// Fused momentum-SGD step: `eff = g + wd·x; m = mu·m + eff;
-    /// x -= lr·m; g = 0`, in exactly that scalar evaluation order.
-    sgd_momentum_step: sgd_momentum_step_with, sgd_momentum_step(x: &mut [f32], g: &mut [f32], m: &mut [f32], lr: f32, wd: f32, mu: f32);
 
     /// One column strip of one output row of the ikj `C = A·B` kernel over
     /// one `k`-tile: `c_cols[j] += a_tile[p] * b_tile[p·n + col0 + j]` for
@@ -1193,12 +1108,6 @@ mod tests {
                 scalar::relu_bwd(&x, &g, &mut want);
                 relu_bwd_with(level, &x, &g, &mut got);
                 assert_bits_eq(&got, &want, &format!("relu_bwd {tag}"));
-                scalar::leaky_fwd(&x, 0.1, &mut want);
-                leaky_fwd_with(level, &x, 0.1, &mut got);
-                assert_bits_eq(&got, &want, &format!("leaky_fwd {tag}"));
-                scalar::leaky_bwd(&x, &g, 0.1, &mut want);
-                leaky_bwd_with(level, &x, &g, 0.1, &mut got);
-                assert_bits_eq(&got, &want, &format!("leaky_bwd {tag}"));
             }
         }
     }
@@ -1221,19 +1130,14 @@ mod tests {
         for &len in &LENS {
             let mut want_x = filled(len, 41);
             let mut want_g = filled(len, 43);
-            let mut want_m = filled(len, 47);
             scalar::sgd_step(&mut want_x, &mut want_g, 0.05, 1e-3);
-            scalar::sgd_momentum_step(&mut want_x, &mut want_g, &mut want_m, 0.05, 1e-3, 0.9);
             for level in levels() {
                 let mut x = filled(len, 41);
                 let mut g = filled(len, 43);
-                let mut m = filled(len, 47);
                 sgd_step_with(level, &mut x, &mut g, 0.05, 1e-3);
-                sgd_momentum_step_with(level, &mut x, &mut g, &mut m, 0.05, 1e-3, 0.9);
                 let tag = format!("{level:?} len {len}");
                 assert_bits_eq(&x, &want_x, &format!("sgd x {tag}"));
                 assert_bits_eq(&g, &want_g, &format!("sgd g {tag}"));
-                assert_bits_eq(&m, &want_m, &format!("sgd m {tag}"));
             }
         }
     }

@@ -71,48 +71,42 @@ impl std::fmt::Display for BusError {
 
 impl std::error::Error for BusError {}
 
-/// A directed byte-moving endpoint from one client toward the server: the
-/// primitive the session and chaos layers stack on. [`ClientEndpoint`]
-/// implements it directly; [`crate::ChaosClient`] decorates any
+/// A byte-moving endpoint addressed by peer index: the primitive the session
+/// and chaos layers stack on. In a star a client is a server with one peer:
+/// [`ServerEndpoint`]'s peers are its clients, [`ClientEndpoint`] has exactly
+/// one, the server, at index 0. [`crate::Chaos`] decorates any
 /// implementation with deterministic wire faults.
-pub trait ByteLink {
-    /// Sends one opaque frame.
+pub trait Link {
+    /// Sends one opaque frame to `peer`.
     ///
     /// # Errors
     ///
-    /// Returns [`BusError::Disconnected`] when the peer is gone.
-    fn send_bytes(&self, bytes: Vec<u8>) -> Result<(), BusError>;
+    /// Returns [`BusError::Disconnected`] when the peer is gone or unknown.
+    fn send_bytes_to(&self, peer: usize, bytes: Vec<u8>) -> Result<(), BusError>;
 
-    /// Receives the next frame (blocking with timeout).
+    /// Receives the next frame from any peer (blocking with timeout).
     ///
     /// # Errors
     ///
     /// Returns [`BusError::Timeout`] / [`BusError::Disconnected`].
     fn recv_bytes(&self, timeout: Duration) -> Result<Vec<u8>, BusError>;
+
+    /// Number of connected peers.
+    fn peer_count(&self) -> usize;
 }
 
-/// The server-side byte-moving endpoint: one shared inbox, per-client
-/// outboxes. [`ServerEndpoint`] implements it directly;
-/// [`crate::ChaosServer`] decorates any implementation with deterministic
-/// wire faults.
-pub trait ServerByteLink {
-    /// Sends one opaque frame to `client`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BusError::Disconnected`] when the client is gone or
-    /// unknown.
-    fn send_bytes_to(&self, client: usize, bytes: Vec<u8>) -> Result<(), BusError>;
-
-    /// Receives the next frame from any client (blocking with timeout).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BusError::Timeout`] / [`BusError::Disconnected`].
-    fn recv_bytes(&self, timeout: Duration) -> Result<Vec<u8>, BusError>;
-
-    /// Number of connected clients.
-    fn client_count(&self) -> usize;
+/// Takes the next frame off `inbox`, counting it.
+fn recv_counted(
+    inbox: &Receiver<Vec<u8>>,
+    counter: &Counter,
+    timeout: Duration,
+) -> Result<Vec<u8>, BusError> {
+    let bytes = inbox.recv_timeout(timeout).map_err(|e| match e {
+        RecvTimeoutError::Timeout => BusError::Timeout,
+        RecvTimeoutError::Disconnected => BusError::Disconnected,
+    })?;
+    counter.received(bytes.len());
+    Ok(bytes)
 }
 
 /// The server's side of the bus: receives from all clients on one queue,
@@ -158,13 +152,8 @@ impl ServerEndpoint {
     /// Returns [`BusError::Timeout`] / [`BusError::Disconnected`] /
     /// [`BusError::Decode`] accordingly.
     pub fn recv(&self, timeout: Duration) -> Result<Message, BusError> {
-        let bytes = ServerByteLink::recv_bytes(self, timeout)?;
+        let bytes = self.recv_bytes(timeout)?;
         Message::decode(&bytes).map_err(BusError::Decode)
-    }
-
-    /// Number of connected clients.
-    pub fn clients(&self) -> usize {
-        self.to_clients.len()
     }
 
     /// Traffic counters for this endpoint.
@@ -173,26 +162,21 @@ impl ServerEndpoint {
     }
 }
 
-impl ServerByteLink for ServerEndpoint {
-    fn send_bytes_to(&self, client: usize, bytes: Vec<u8>) -> Result<(), BusError> {
+impl Link for ServerEndpoint {
+    fn send_bytes_to(&self, peer: usize, bytes: Vec<u8>) -> Result<(), BusError> {
         self.counter.sent(bytes.len());
         self.to_clients
-            .get(client)
+            .get(peer)
             .ok_or(BusError::Disconnected)?
             .send(bytes)
             .map_err(|_| BusError::Disconnected)
     }
 
     fn recv_bytes(&self, timeout: Duration) -> Result<Vec<u8>, BusError> {
-        let bytes = self.inbox.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => BusError::Timeout,
-            RecvTimeoutError::Disconnected => BusError::Disconnected,
-        })?;
-        self.counter.received(bytes.len());
-        Ok(bytes)
+        recv_counted(&self.inbox, &self.counter, timeout)
     }
 
-    fn client_count(&self) -> usize {
+    fn peer_count(&self) -> usize {
         self.to_clients.len()
     }
 }
@@ -223,7 +207,7 @@ impl ClientEndpoint {
     ///
     /// Returns [`BusError::Disconnected`] if the server endpoint is gone.
     pub fn send(&self, msg: &Message) -> Result<(), BusError> {
-        self.send_bytes(msg.encode())
+        self.send_bytes_to(0, msg.encode())
     }
 
     /// Receives the next server message (blocking with timeout).
@@ -233,7 +217,7 @@ impl ClientEndpoint {
     /// Returns [`BusError::Timeout`] / [`BusError::Disconnected`] /
     /// [`BusError::Decode`] accordingly.
     pub fn recv(&self, timeout: Duration) -> Result<Message, BusError> {
-        let bytes = ByteLink::recv_bytes(self, timeout)?;
+        let bytes = self.recv_bytes(timeout)?;
         Message::decode(&bytes).map_err(BusError::Decode)
     }
 
@@ -243,19 +227,21 @@ impl ClientEndpoint {
     }
 }
 
-impl ByteLink for ClientEndpoint {
-    fn send_bytes(&self, bytes: Vec<u8>) -> Result<(), BusError> {
+impl Link for ClientEndpoint {
+    fn send_bytes_to(&self, peer: usize, bytes: Vec<u8>) -> Result<(), BusError> {
         self.counter.sent(bytes.len());
+        if peer != 0 {
+            return Err(BusError::Disconnected);
+        }
         self.to_server.send(bytes).map_err(|_| BusError::Disconnected)
     }
 
     fn recv_bytes(&self, timeout: Duration) -> Result<Vec<u8>, BusError> {
-        let bytes = self.inbox.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => BusError::Timeout,
-            RecvTimeoutError::Disconnected => BusError::Disconnected,
-        })?;
-        self.counter.received(bytes.len());
-        Ok(bytes)
+        recv_counted(&self.inbox, &self.counter, timeout)
+    }
+
+    fn peer_count(&self) -> usize {
+        1
     }
 }
 

@@ -1,11 +1,12 @@
 //! Deterministic wire-fault injection: a decorator over any byte link.
 //!
-//! [`ChaosClient`] and [`ChaosServer`] wrap a [`ByteLink`] /
-//! [`ServerByteLink`] and apply a [`FaultPlan`]'s wire knobs to every
-//! frame the wrapped link *sends*: drop, bit corruption, duplication,
-//! one-slot reordering, and multi-slot delay. Receiving passes through
-//! untouched (each direction of a link is chaos'd by its sender, so no
-//! frame is faulted twice).
+//! [`Chaos`] wraps a [`Link`] — a client's ([`Chaos::client`]) or the
+//! server's ([`Chaos::server`]) — and applies a [`FaultPlan`]'s wire knobs
+//! to every frame the wrapped link *sends*: drop, bit corruption,
+//! duplication, one-slot reordering, and multi-slot delay, with independent
+//! state per destination peer. Receiving passes through untouched (each
+//! direction of a link is chaos'd by its sender, so no frame is faulted
+//! twice).
 //!
 //! Every decision is a pure hash of `(seed, link, epoch, seq, attempt)` —
 //! the same splitmix-style scheme the emulation uses for client dropouts
@@ -24,17 +25,17 @@
 //! — i.e. a reordered frame is delivered right *after* its successor.
 //! Because every release needs a later send, liveness comes from the
 //! session layer's retransmissions (each retry ticks the clock); a final
-//! [`ChaosClient::flush`] drains anything still held at shutdown.
+//! [`Chaos::flush`] drains anything still held at shutdown.
 
-use crate::bus::{ByteLink, ServerByteLink};
+use crate::bus::Link;
 use crate::session::{Envelope, FrameKind};
 use crate::BusError;
 use fedsu_netsim::{FaultPlan, WireFrame};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// Counters of what the chaos decorator did to one link (or, from
-/// [`ChaosServer::stats`], all links summed).
+/// Counters of what the chaos decorator did toward one peer
+/// ([`Chaos::stats_for`]) or all peers summed ([`Chaos::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosStats {
     /// Frames offered to the decorator.
@@ -93,14 +94,14 @@ struct LinkState {
     due_scratch: Vec<Vec<u8>>,
 }
 
-/// One direction's [`LinkState`] behind a mutex that never reports
+/// One destination's [`LinkState`] behind a mutex that never reports
 /// poisoning: every field is a counter or a queue of whole frames, valid
 /// after each single update, so a holder that panicked leaves nothing to
 /// repair and the link keeps working.
 #[derive(Debug, Default)]
-struct Link(Mutex<LinkState>);
+struct Peer(Mutex<LinkState>);
 
-impl Link {
+impl Peer {
     fn lock(&self) -> MutexGuard<'_, LinkState> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -228,113 +229,46 @@ fn release_all(state: &mut LinkState, out: &mut Vec<Vec<u8>>) {
     }
 }
 
-/// A [`ByteLink`] decorator injecting the plan's deterministic wire faults
-/// into everything the wrapped client endpoint sends.
+/// A [`Link`] decorator injecting the plan's deterministic wire faults into
+/// everything the wrapped endpoint sends, with independent chaos state per
+/// destination peer.
 #[derive(Debug)]
-pub struct ChaosClient<L: ByteLink> {
+pub struct Chaos<L: Link> {
     inner: L,
     plan: FaultPlan,
-    client: u64,
-    state: Link,
+    /// `Some(id)` on client `id`'s link, whose fates are keyed `(id,
+    /// DIR_TO_SERVER)`; `None` on the server's, keyed `(destination peer,
+    /// DIR_TO_CLIENT)`.
+    client: Option<u64>,
+    peers: Vec<Peer>,
 }
 
-impl<L: ByteLink> ChaosClient<L> {
+impl<L: Link> Chaos<L> {
     /// Wraps client `client`'s link with `plan`'s wire faults.
-    pub fn new(inner: L, plan: FaultPlan, client: usize) -> Self {
-        ChaosClient {
-            inner,
-            plan,
-            client: u64::try_from(client).unwrap_or(u64::MAX),
-            state: Link::default(),
-        }
+    pub fn client(inner: L, plan: FaultPlan, client: usize) -> Self {
+        Self::new(inner, plan, Some(u64::try_from(client).unwrap_or(u64::MAX)))
     }
 
-    /// What the decorator has done so far on this link.
-    pub fn stats(&self) -> ChaosStats {
-        self.state.lock().stats
-    }
-
-    /// The wrapped link.
-    pub fn inner(&self) -> &L {
-        &self.inner
-    }
-
-    /// Delivers every frame still held in the delay queue.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the wrapped link's send failure.
-    pub fn flush(&self) -> Result<(), BusError> {
-        let mut due = {
-            let mut state = self.state.lock();
-            let mut out = std::mem::take(&mut state.due_scratch);
-            out.clear();
-            release_all(&mut state, &mut out);
-            out
-        };
-        for b in due.drain(..) {
-            self.inner.send_bytes(b)?;
-        }
-        self.state.lock().due_scratch = due;
-        Ok(())
-    }
-}
-
-impl<L: ByteLink> ByteLink for ChaosClient<L> {
-    fn send_bytes(&self, bytes: Vec<u8>) -> Result<(), BusError> {
-        if self.plan.wire_is_zero() {
-            return self.inner.send_bytes(bytes);
-        }
-        // Decide fates and mutate the holdback queue under the lock; put
-        // the due frames on the wire only after it is released. The staging
-        // vector is borrowed from the link state and handed back afterward
-        // so its capacity survives from send to send.
-        let mut due = {
-            let mut state = self.state.lock();
-            let mut out = std::mem::take(&mut state.due_scratch);
-            out.clear();
-            chaos_send(&self.plan, self.client, DIR_TO_SERVER, &mut state, bytes, &mut out);
-            out
-        };
-        for b in due.drain(..) {
-            self.inner.send_bytes(b)?;
-        }
-        self.state.lock().due_scratch = due;
-        Ok(())
-    }
-
-    fn recv_bytes(&self, timeout: Duration) -> Result<Vec<u8>, BusError> {
-        self.inner.recv_bytes(timeout)
-    }
-}
-
-/// A [`ServerByteLink`] decorator injecting the plan's deterministic wire
-/// faults into everything the wrapped server endpoint sends, with
-/// independent per-destination chaos state.
-#[derive(Debug)]
-pub struct ChaosServer<L: ServerByteLink> {
-    inner: L,
-    plan: FaultPlan,
-    states: Vec<Link>,
-}
-
-impl<L: ServerByteLink> ChaosServer<L> {
     /// Wraps the server link with `plan`'s wire faults.
-    pub fn new(inner: L, plan: FaultPlan) -> Self {
-        let n = inner.client_count();
-        ChaosServer { inner, plan, states: (0..n).map(|_| Link::default()).collect() }
+    pub fn server(inner: L, plan: FaultPlan) -> Self {
+        Self::new(inner, plan, None)
     }
 
-    /// Decorator counters summed over every destination link.
+    fn new(inner: L, plan: FaultPlan, client: Option<u64>) -> Self {
+        let peers = (0..inner.peer_count()).map(|_| Peer::default()).collect();
+        Chaos { inner, plan, client, peers }
+    }
+
+    /// Decorator counters summed over every destination peer.
     pub fn stats(&self) -> ChaosStats {
-        self.states
+        self.peers
             .iter()
             .fold(ChaosStats::default(), |acc, s| acc.merged(&s.lock().stats))
     }
 
-    /// Decorator counters for the link toward one client.
-    pub fn stats_for(&self, client: usize) -> ChaosStats {
-        self.states.get(client).map(|s| s.lock().stats).unwrap_or_default()
+    /// Decorator counters for the link toward one peer.
+    pub fn stats_for(&self, peer: usize) -> ChaosStats {
+        self.peers.get(peer).map(|s| s.lock().stats).unwrap_or_default()
     }
 
     /// The wrapped link.
@@ -342,66 +276,59 @@ impl<L: ServerByteLink> ChaosServer<L> {
         &self.inner
     }
 
-    /// Delivers every frame still held in any destination's delay queue.
+    /// Delivers every frame still held in any peer's delay queue.
     ///
     /// # Errors
     ///
     /// Propagates the first send failure.
     pub fn flush(&self) -> Result<(), BusError> {
-        for (client, state) in self.states.iter().enumerate() {
-            let mut due = {
-                let mut state = state.lock();
-                let mut out = std::mem::take(&mut state.due_scratch);
-                out.clear();
-                release_all(&mut state, &mut out);
-                out
-            };
-            for b in due.drain(..) {
-                self.inner.send_bytes_to(client, b)?;
-            }
-            state.lock().due_scratch = due;
-        }
-        Ok(())
+        (0..self.peers.len()).try_for_each(|peer| self.deliver(peer, release_all))
     }
-}
 
-impl<L: ServerByteLink> ServerByteLink for ChaosServer<L> {
-    fn send_bytes_to(&self, client: usize, bytes: Vec<u8>) -> Result<(), BusError> {
-        if self.plan.wire_is_zero() {
-            return self.inner.send_bytes_to(client, bytes);
-        }
-        let Some(state) = self.states.get(client) else {
-            return Err(BusError::Disconnected);
-        };
-        // Same discipline as the client side: fates under the lock, wire
-        // I/O after it is released.
+    /// Lets `stage` decide fates and mutate `peer`'s holdback queue under
+    /// the state lock, then puts the frames it staged on the wire only
+    /// after the lock is released. The staging vector is borrowed from the
+    /// link state and handed back afterward so its capacity survives from
+    /// send to send.
+    fn deliver(
+        &self,
+        peer: usize,
+        stage: impl FnOnce(&mut LinkState, &mut Vec<Vec<u8>>),
+    ) -> Result<(), BusError> {
+        let state = self.peers.get(peer).ok_or(BusError::Disconnected)?;
         let mut due = {
             let mut guard = state.lock();
             let mut out = std::mem::take(&mut guard.due_scratch);
             out.clear();
-            chaos_send(
-                &self.plan,
-                u64::try_from(client).unwrap_or(u64::MAX),
-                DIR_TO_CLIENT,
-                &mut guard,
-                bytes,
-                &mut out,
-            );
+            stage(&mut guard, &mut out);
             out
         };
         for b in due.drain(..) {
-            self.inner.send_bytes_to(client, b)?;
+            self.inner.send_bytes_to(peer, b)?;
         }
         state.lock().due_scratch = due;
         Ok(())
+    }
+}
+
+impl<L: Link> Link for Chaos<L> {
+    fn send_bytes_to(&self, peer: usize, bytes: Vec<u8>) -> Result<(), BusError> {
+        if self.plan.wire_is_zero() {
+            return self.inner.send_bytes_to(peer, bytes);
+        }
+        let (client, dir) = match self.client {
+            Some(id) => (id, DIR_TO_SERVER),
+            None => (u64::try_from(peer).unwrap_or(u64::MAX), DIR_TO_CLIENT),
+        };
+        self.deliver(peer, |state, out| chaos_send(&self.plan, client, dir, state, bytes, out))
     }
 
     fn recv_bytes(&self, timeout: Duration) -> Result<Vec<u8>, BusError> {
         self.inner.recv_bytes(timeout)
     }
 
-    fn client_count(&self) -> usize {
-        self.inner.client_count()
+    fn peer_count(&self) -> usize {
+        self.inner.peer_count()
     }
 }
 
@@ -424,12 +351,12 @@ mod tests {
     #[test]
     fn zero_plan_is_fully_transparent() {
         let (server, mut clients) = LocalBus::star(1);
-        let chaos = ChaosClient::new(clients.remove(0), plan(FaultConfig::default()), 0);
+        let chaos = Chaos::client(clients.remove(0), plan(FaultConfig::default()), 0);
         for seq in 0..8 {
-            chaos.send_bytes(frame(seq)).unwrap();
+            chaos.send_bytes_to(0, frame(seq)).unwrap();
         }
         for seq in 0..8 {
-            let got = ServerByteLink::recv_bytes(&server, T).unwrap();
+            let got = server.recv_bytes(T).unwrap();
             assert_eq!(got, frame(seq), "zero plan must not drop, mutate, or reorder");
         }
         assert_eq!(chaos.stats(), ChaosStats::default());
@@ -448,13 +375,13 @@ mod tests {
         };
         let run = || {
             let (server, mut clients) = LocalBus::star(1);
-            let chaos = ChaosClient::new(clients.remove(0), plan(config.clone()), 0);
+            let chaos = Chaos::client(clients.remove(0), plan(config.clone()), 0);
             for seq in 0..64 {
-                chaos.send_bytes(frame(seq)).unwrap();
+                chaos.send_bytes_to(0, frame(seq)).unwrap();
             }
             chaos.flush().unwrap();
             let mut out = Vec::new();
-            while let Ok(bytes) = ServerByteLink::recv_bytes(&server, Duration::from_millis(10)) {
+            while let Ok(bytes) = server.recv_bytes(Duration::from_millis(10)) {
                 out.push(bytes);
             }
             (out, chaos.stats())
@@ -471,11 +398,11 @@ mod tests {
         let config =
             FaultConfig { wire_drop_prob: 1.0, seed: 3, ..FaultConfig::default() };
         let (server, mut clients) = LocalBus::star(1);
-        let chaos = ChaosClient::new(clients.remove(0), plan(config), 0);
+        let chaos = Chaos::client(clients.remove(0), plan(config), 0);
         for seq in 0..4 {
-            chaos.send_bytes(frame(seq)).unwrap();
+            chaos.send_bytes_to(0, frame(seq)).unwrap();
         }
-        assert!(ServerByteLink::recv_bytes(&server, Duration::from_millis(10)).is_err());
+        assert!(server.recv_bytes(Duration::from_millis(10)).is_err());
         let stats = chaos.stats();
         assert_eq!(stats.drops, 4);
         assert!(stats.dropped_bytes > 0);
@@ -487,10 +414,10 @@ mod tests {
         let config =
             FaultConfig { wire_duplicate_prob: 1.0, seed: 11, ..FaultConfig::default() };
         let (server, mut clients) = LocalBus::star(1);
-        let chaos = ChaosClient::new(clients.remove(0), plan(config), 0);
-        chaos.send_bytes(frame(0)).unwrap();
-        let a = ServerByteLink::recv_bytes(&server, T).unwrap();
-        let b = ServerByteLink::recv_bytes(&server, T).unwrap();
+        let chaos = Chaos::client(clients.remove(0), plan(config), 0);
+        chaos.send_bytes_to(0, frame(0)).unwrap();
+        let a = server.recv_bytes(T).unwrap();
+        let b = server.recv_bytes(T).unwrap();
         assert_eq!(a, frame(0));
         assert_eq!(b, frame(0));
 
@@ -501,21 +428,21 @@ mod tests {
             ..FaultConfig::default()
         };
         let (server, mut clients) = LocalBus::star(1);
-        let chaos = ChaosClient::new(clients.remove(0), plan(config), 0);
+        let chaos = Chaos::client(clients.remove(0), plan(config), 0);
         // Every frame is held 2 ticks: frame 0 (sent at tick 1, release 3)
         // must come out only after the tick-3 send.
-        chaos.send_bytes(frame(0)).unwrap();
-        chaos.send_bytes(frame(1)).unwrap();
+        chaos.send_bytes_to(0, frame(0)).unwrap();
+        chaos.send_bytes_to(0, frame(1)).unwrap();
         assert!(
-            ServerByteLink::recv_bytes(&server, Duration::from_millis(10)).is_err(),
+            server.recv_bytes(Duration::from_millis(10)).is_err(),
             "nothing released before its tick"
         );
-        chaos.send_bytes(frame(2)).unwrap();
-        let got = ServerByteLink::recv_bytes(&server, T).unwrap();
+        chaos.send_bytes_to(0, frame(2)).unwrap();
+        let got = server.recv_bytes(T).unwrap();
         assert_eq!(got, frame(0), "held frame released once the clock passes its tick");
         chaos.flush().unwrap();
-        assert_eq!(ServerByteLink::recv_bytes(&server, T).unwrap(), frame(1));
-        assert_eq!(ServerByteLink::recv_bytes(&server, T).unwrap(), frame(2));
+        assert_eq!(server.recv_bytes(T).unwrap(), frame(1));
+        assert_eq!(server.recv_bytes(T).unwrap(), frame(2));
         assert_eq!(chaos.stats().delays, 3);
     }
 
@@ -523,7 +450,7 @@ mod tests {
     fn server_side_chaos_is_per_destination() {
         let config = FaultConfig { wire_drop_prob: 0.5, seed: 5, ..FaultConfig::default() };
         let (server, clients) = LocalBus::star(4);
-        let chaos = ChaosServer::new(server, plan(config));
+        let chaos = Chaos::server(server, plan(config));
         let payload = Message::Shutdown.encode();
         for round in 0..16u32 {
             for c in 0..4 {
@@ -545,7 +472,7 @@ mod tests {
         );
         let mut received = 0;
         for c in &clients {
-            while ByteLink::recv_bytes(c, Duration::from_millis(5)).is_ok() {
+            while c.recv_bytes(Duration::from_millis(5)).is_ok() {
                 received += 1;
             }
         }
@@ -553,12 +480,35 @@ mod tests {
     }
 
     #[test]
+    fn direction_is_part_of_the_fault_key() {
+        // The same frames toward and from client 2 under one plan: were the
+        // direction not keyed, both links would drop the same ones.
+        let config = FaultConfig { wire_drop_prob: 0.5, seed: 5, ..FaultConfig::default() };
+        let (server, mut clients) = LocalBus::star(3);
+        let up = Chaos::client(clients.remove(2), plan(config.clone()), 2);
+        let down = Chaos::server(server, plan(config));
+        fn dropped<L: Link>(chaos: &Chaos<L>, peer: usize) -> Vec<bool> {
+            (0..64)
+                .map(|seq| {
+                    let before = chaos.stats().drops;
+                    let frame = Envelope::data(2, 0, seq, 0, Vec::new()).encode();
+                    chaos.send_bytes_to(peer, frame).unwrap();
+                    chaos.stats().drops > before
+                })
+                .collect()
+        }
+        let (up_pattern, down_pattern) = (dropped(&up, 0), dropped(&down, 2));
+        assert!(up_pattern.contains(&true) && down_pattern.contains(&true));
+        assert_ne!(up_pattern, down_pattern);
+    }
+
+    #[test]
     fn corruption_flips_bits_but_keeps_length() {
         let config = FaultConfig { wire_corrupt_prob: 1.0, seed: 2, ..FaultConfig::default() };
         let (server, mut clients) = LocalBus::star(1);
-        let chaos = ChaosClient::new(clients.remove(0), plan(config), 0);
-        chaos.send_bytes(frame(0)).unwrap();
-        let got = ServerByteLink::recv_bytes(&server, T).unwrap();
+        let chaos = Chaos::client(clients.remove(0), plan(config), 0);
+        chaos.send_bytes_to(0, frame(0)).unwrap();
+        let got = server.recv_bytes(T).unwrap();
         assert_eq!(got.len(), frame(0).len());
         assert_ne!(got, frame(0));
         assert!(Envelope::decode(&got).is_err(), "checksum catches the flip");
@@ -573,16 +523,16 @@ mod tests {
         let config = FaultConfig { wire_drop_prob: 0.6, seed: 13, ..FaultConfig::default() };
         let p = plan(config);
         let (server, mut clients) = LocalBus::star(1);
-        let chaos = ChaosClient::new(clients.remove(0), p, 0);
+        let chaos = Chaos::client(clients.remove(0), p, 0);
         let mut recovered = false;
         for seq in 0..32u32 {
-            chaos.send_bytes(Envelope::data(0, 0, seq, 0, Vec::new()).encode()).unwrap();
-            let first = ServerByteLink::recv_bytes(&server, Duration::from_millis(5));
+            chaos.send_bytes_to(0, Envelope::data(0, 0, seq, 0, Vec::new()).encode()).unwrap();
+            let first = server.recv_bytes(Duration::from_millis(5));
             if first.is_ok() {
                 continue;
             }
-            chaos.send_bytes(Envelope::data(0, 0, seq, 1, Vec::new()).encode()).unwrap();
-            if ServerByteLink::recv_bytes(&server, Duration::from_millis(5)).is_ok() {
+            chaos.send_bytes_to(0, Envelope::data(0, 0, seq, 1, Vec::new()).encode()).unwrap();
+            if server.recv_bytes(Duration::from_millis(5)).is_ok() {
                 recovered = true;
                 break;
             }

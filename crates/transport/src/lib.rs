@@ -14,20 +14,21 @@
 //! fault-tolerant session layer landed, that the protocol survives an
 //! actively hostile wire.
 //!
-//! The crate is a small stack:
+//! The crate is a small stack, each layer written once and addressed by
+//! peer index — in a star a client is a server with one peer (the server,
+//! at index 0):
 //!
 //! * [`LocalBus`] endpoints move opaque frames between threads and count
-//!   bytes ([`ByteLink`] / [`ServerByteLink`] are the seams);
-//! * [`ChaosClient`] / [`ChaosServer`] optionally decorate a link with a
-//!   seeded [`FaultPlan`]'s wire faults — drop, corruption, duplication,
-//!   reordering, delay — every decision a pure hash of
-//!   `(client, round epoch, seq, attempt)`, shared with the emulator's
-//!   fault model;
-//! * [`ClientSession`] / [`ServerSession`] restore exactly-once delivery
-//!   on top with acks, bounded deterministic retransmission, `(epoch,
-//!   seq)` dedup, and stale-epoch rejection, reporting
-//!   [`ReliabilityStats`] whose `retransmitted_bytes` matches the fl
-//!   runtime's per-round accounting.
+//!   bytes ([`Link`] is the seam);
+//! * [`Chaos`] optionally decorates a link with a seeded [`FaultPlan`]'s
+//!   wire faults — drop, corruption, duplication, reordering, delay —
+//!   every decision a pure hash of `(client, round epoch, seq, attempt)`,
+//!   shared with the emulator's fault model;
+//! * [`ClientSession`] / [`ServerSession`], two faces of one state
+//!   machine, restore exactly-once delivery on top with acks, bounded
+//!   deterministic retransmission, `(epoch, seq)` dedup, and stale-epoch
+//!   rejection, reporting [`ReliabilityStats`] whose `retransmitted_bytes`
+//!   matches the fl runtime's per-round accounting.
 //!
 //! ```
 //! use fedsu_transport::{Message, SparseValues};
@@ -45,10 +46,8 @@ mod cursor;
 mod message;
 mod session;
 
-pub use bus::{
-    BusError, ByteLink, ClientEndpoint, LocalBus, ServerByteLink, ServerEndpoint, TransportStats,
-};
-pub use chaos::{ChaosClient, ChaosServer, ChaosStats};
+pub use bus::{BusError, ClientEndpoint, Link, LocalBus, ServerEndpoint, TransportStats};
+pub use chaos::{Chaos, ChaosStats};
 pub use fedsu_netsim::{FaultConfig, FaultPlan, WireFrame};
 pub use message::{DecodeError, Message, QuantizedValues, SparseValues};
 pub use session::{

@@ -1,7 +1,7 @@
 //! Reliable session protocol over an unreliable byte link.
 //!
 //! The [`crate::LocalBus`] (and any future socket transport) moves opaque
-//! frames; the [`crate::ChaosBus`](crate::ChaosClient) may lose, corrupt,
+//! frames; the chaos bus ([`crate::Chaos`]) may lose, corrupt,
 //! duplicate, reorder, or delay them. This module restores exactly-once,
 //! integrity-checked delivery on top:
 //!
@@ -23,7 +23,7 @@
 //! the same quantity the `fedsu-fl` runtime records per round in
 //! `RoundRecord::retransmitted_bytes`.
 
-use crate::bus::{ByteLink, ServerByteLink};
+use crate::bus::Link;
 use crate::cursor::{take, take_len, take_u16, take_u32, take_u8, Truncated};
 use crate::{BusError, Message};
 use std::collections::{BTreeSet, VecDeque};
@@ -413,56 +413,214 @@ impl RxState {
     }
 }
 
-/// One client's reliable session over any [`ByteLink`].
-#[derive(Debug)]
-pub struct ClientSession<L: ByteLink> {
-    link: L,
-    client: u32,
-    epoch: u32,
+/// What a session keeps per peer: the next sequence number toward it and
+/// the dedup state for what it sends.
+#[derive(Debug, Default)]
+struct PeerState {
     next_seq: u32,
     rx: RxState,
-    inbox: VecDeque<Message>,
+}
+
+/// The reliable-session state machine, written once for both ends of the
+/// star: a client's session is a server's with one peer. [`ClientSession`]
+/// and [`ServerSession`] are its two faces.
+#[derive(Debug)]
+struct Engine<L: Link> {
+    link: L,
+    /// `Some(id)` for client `id`'s session: it stamps `id` on every data
+    /// frame and attributes every frame it receives to its one peer, the
+    /// server. `None` for the server's: it stamps the destination peer's
+    /// index and attributes a frame to the client slot the frame names.
+    client: Option<u32>,
+    epoch: u32,
+    peers: Vec<PeerState>,
+    inbox: VecDeque<(usize, Message)>,
     config: SessionConfig,
     stats: ReliabilityStats,
 }
 
-impl<L: ByteLink> ClientSession<L> {
-    /// Wraps `link` as the reliable session of client `client`.
-    pub fn new(link: L, client: u32, config: SessionConfig) -> Self {
-        ClientSession {
+impl<L: Link> Engine<L> {
+    fn new(link: L, client: Option<u32>, config: SessionConfig) -> Self {
+        let peers = (0..link.peer_count()).map(|_| PeerState::default()).collect();
+        Engine {
             link,
             client,
             epoch: 0,
-            next_seq: 0,
-            rx: RxState::default(),
+            peers,
             inbox: VecDeque::new(),
             config,
             stats: ReliabilityStats::default(),
         }
     }
 
+    fn begin_epoch(&mut self, epoch: u32) {
+        self.epoch = epoch;
+        for p in &mut self.peers {
+            p.next_seq = 0;
+            p.rx.begin_epoch(epoch);
+        }
+    }
+
+    fn send_reliable(&mut self, peer: usize, msg: &Message) -> Result<(), SessionError> {
+        let client = self.client.unwrap_or(u32::try_from(peer).unwrap_or(u32::MAX));
+        let payload = msg.encode();
+        let payload_len = payload.len();
+        let seq = {
+            let slot = &mut self.peers.get_mut(peer).ok_or(BusError::Disconnected)?.next_seq;
+            let seq = *slot;
+            *slot = slot.wrapping_add(1);
+            seq
+        };
+        // Encode the envelope once for this (epoch, seq); each attempt only
+        // re-stamps the attempt field and checksum in the cached bytes.
+        let mut frame = Envelope::data(client, self.epoch, seq, 0, payload).encode();
+        let mut attempt: u32 = 0;
+        loop {
+            restamp_attempt(&mut frame, u16::try_from(attempt).unwrap_or(u16::MAX));
+            self.link.send_bytes_to(peer, frame.clone())?;
+            self.stats.data_frames_sent = self.stats.data_frames_sent.saturating_add(1);
+            if attempt > 0 {
+                self.stats.retransmits = self.stats.retransmits.saturating_add(1);
+                self.stats.retransmitted_bytes = self
+                    .stats
+                    .retransmitted_bytes
+                    .saturating_add(u64::try_from(payload_len).unwrap_or(u64::MAX));
+            }
+            let wait = self.config.wait_for(attempt);
+            loop {
+                match self.read_one(wait) {
+                    Err(SessionError::Bus(BusError::Timeout)) => break,
+                    Err(e) => return Err(e),
+                    Ok(Some((p, e, s))) if p == peer && e == self.epoch && s == seq => {
+                        return Ok(())
+                    }
+                    Ok(_) => {}
+                }
+            }
+            if attempt >= self.config.max_retries {
+                return Err(SessionError::RetriesExhausted {
+                    client,
+                    epoch: self.epoch,
+                    seq,
+                    attempts: attempt.saturating_add(1),
+                });
+            }
+            attempt = attempt.saturating_add(1);
+        }
+    }
+
+    fn recv_reliable(&mut self, timeout: Duration) -> Result<(usize, Message), SessionError> {
+        loop {
+            if let Some(pair) = self.inbox.pop_front() {
+                return Ok(pair);
+            }
+            self.read_one(timeout)?;
+        }
+    }
+
+    fn linger(&mut self, grace: Duration) {
+        while self.read_one(grace).is_ok() {}
+    }
+
+    /// Reads and processes one frame. Returns `Ok(Some((peer, epoch,
+    /// seq)))` when the frame was an ack, `Ok(None)` otherwise (data frames
+    /// are admitted into the inbox as a side effect).
+    fn read_one(&mut self, timeout: Duration) -> Result<Option<(usize, u32, u32)>, SessionError> {
+        let bytes = self.link.recv_bytes(timeout)?;
+        let env = match Envelope::decode(&bytes) {
+            Ok(env) => env,
+            Err(_) => {
+                self.stats.corrupt_frames_rejected =
+                    self.stats.corrupt_frames_rejected.saturating_add(1);
+                return Ok(None);
+            }
+        };
+        let peer = match self.client {
+            Some(_) => 0,
+            None => usize::try_from(env.client).unwrap_or(usize::MAX),
+        };
+        let Some(state) = self.peers.get_mut(peer) else {
+            // A well-formed frame for a client slot we do not have is
+            // indistinguishable from corruption that survived the checksum.
+            self.stats.corrupt_frames_rejected =
+                self.stats.corrupt_frames_rejected.saturating_add(1);
+            return Ok(None);
+        };
+        match env.kind {
+            FrameKind::Ack => {
+                self.stats.acks_received = self.stats.acks_received.saturating_add(1);
+                Ok(Some((peer, env.epoch, env.seq)))
+            }
+            FrameKind::Data => {
+                match state.rx.admit(env.epoch, env.seq) {
+                    Admit::Stale => {
+                        self.stats.stale_epoch_rejected =
+                            self.stats.stale_epoch_rejected.saturating_add(1);
+                        self.send_ack(peer, &env);
+                    }
+                    Admit::Dup => {
+                        self.stats.dups_dropped = self.stats.dups_dropped.saturating_add(1);
+                        self.send_ack(peer, &env);
+                    }
+                    Admit::Fresh => match Message::decode(&env.payload) {
+                        Ok(msg) => {
+                            self.send_ack(peer, &env);
+                            self.stats.data_frames_delivered =
+                                self.stats.data_frames_delivered.saturating_add(1);
+                            self.inbox.push_back((peer, msg));
+                        }
+                        Err(_) => {
+                            // Checksummed frame with an undecodable payload:
+                            // a sender-side framing bug. Un-admit so a good
+                            // copy could still deliver, never ack garbage.
+                            state.rx.seen.remove(&(env.epoch, env.seq));
+                            self.stats.corrupt_frames_rejected =
+                                self.stats.corrupt_frames_rejected.saturating_add(1);
+                        }
+                    },
+                }
+                Ok(None)
+            }
+        }
+    }
+
+    /// Acknowledges `data` to the peer it came from.
+    fn send_ack(&mut self, peer: usize, data: &Envelope) {
+        // Ack loss is recovered by peer retransmission; a disconnect will
+        // surface on the session's next send/recv.
+        let ack = Envelope::ack(data.client, data.epoch, data.seq, data.attempt);
+        if self.link.send_bytes_to(peer, ack.encode()).is_ok() {
+            self.stats.acks_sent = self.stats.acks_sent.saturating_add(1);
+        }
+    }
+}
+
+/// One client's reliable session over any [`Link`] whose one peer is the
+/// server.
+#[derive(Debug)]
+pub struct ClientSession<L: Link>(Engine<L>);
+
+impl<L: Link> ClientSession<L> {
+    /// Wraps `link` as the reliable session of client `client`.
+    pub fn new(link: L, client: u32, config: SessionConfig) -> Self {
+        ClientSession(Engine::new(link, Some(client), config))
+    }
+
     /// Advances the session to round `epoch`: frames from earlier epochs
     /// are rejected as stale from now on, and dedup memory for them is
     /// released.
     pub fn begin_epoch(&mut self, epoch: u32) {
-        self.epoch = epoch;
-        self.next_seq = 0;
-        self.rx.begin_epoch(epoch);
-    }
-
-    /// Current epoch.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
+        self.0.begin_epoch(epoch);
     }
 
     /// Reliability counters of this endpoint.
     pub fn stats(&self) -> ReliabilityStats {
-        self.stats
+        self.0.stats
     }
 
     /// The wrapped link (e.g. to read its transport or chaos stats).
     pub fn link(&self) -> &L {
-        &self.link
+        &self.0.link
     }
 
     /// Sends `msg` with at-least-once retransmission and waits for the
@@ -475,44 +633,7 @@ impl<L: ByteLink> ClientSession<L> {
     /// [`SessionError::RetriesExhausted`] when the retry budget runs out;
     /// [`SessionError::Bus`] on disconnect.
     pub fn send_reliable(&mut self, msg: &Message) -> Result<(), SessionError> {
-        let payload = msg.encode();
-        let payload_len = payload.len();
-        let seq = self.next_seq;
-        self.next_seq = self.next_seq.wrapping_add(1);
-        // Encode the envelope once for this (epoch, seq); each attempt only
-        // re-stamps the attempt field and checksum in the cached bytes.
-        let mut frame = Envelope::data(self.client, self.epoch, seq, 0, payload).encode();
-        let mut attempt: u32 = 0;
-        loop {
-            restamp_attempt(&mut frame, u16::try_from(attempt).unwrap_or(u16::MAX));
-            self.link.send_bytes(frame.clone())?;
-            self.stats.data_frames_sent = self.stats.data_frames_sent.saturating_add(1);
-            if attempt > 0 {
-                self.stats.retransmits = self.stats.retransmits.saturating_add(1);
-                self.stats.retransmitted_bytes = self
-                    .stats
-                    .retransmitted_bytes
-                    .saturating_add(u64::try_from(payload_len).unwrap_or(u64::MAX));
-            }
-            let wait = self.config.wait_for(attempt);
-            loop {
-                match self.read_one(wait) {
-                    Err(SessionError::Bus(BusError::Timeout)) => break,
-                    Err(e) => return Err(e),
-                    Ok(Some((e, s))) if e == self.epoch && s == seq => return Ok(()),
-                    Ok(_) => {}
-                }
-            }
-            if attempt >= self.config.max_retries {
-                return Err(SessionError::RetriesExhausted {
-                    client: self.client,
-                    epoch: self.epoch,
-                    seq,
-                    attempts: attempt.saturating_add(1),
-                });
-            }
-            attempt = attempt.saturating_add(1);
-        }
+        self.0.send_reliable(0, msg)
     }
 
     /// Receives the next exactly-once message from the server.
@@ -522,12 +643,7 @@ impl<L: ByteLink> ClientSession<L> {
     /// [`SessionError::Bus`] with [`BusError::Timeout`] when nothing
     /// deliverable arrives within one quiet `timeout` window.
     pub fn recv_reliable(&mut self, timeout: Duration) -> Result<Message, SessionError> {
-        loop {
-            if let Some(m) = self.inbox.pop_front() {
-                return Ok(m);
-            }
-            self.read_one(timeout)?;
-        }
+        self.0.recv_reliable(timeout).map(|(_, msg)| msg)
     }
 
     /// Services the link until `grace` elapses with no traffic, re-acking
@@ -539,127 +655,35 @@ impl<L: ByteLink> ClientSession<L> {
     ///
     /// [`send_reliable`]: ServerSession::send_reliable
     pub fn linger(&mut self, grace: Duration) {
-        while self.read_one(grace).is_ok() {}
-    }
-
-    /// Reads and processes one frame. Returns `Ok(Some((epoch, seq)))`
-    /// when the frame was an ack, `Ok(None)` otherwise (data frames are
-    /// admitted into the inbox as a side effect).
-    fn read_one(&mut self, timeout: Duration) -> Result<Option<(u32, u32)>, SessionError> {
-        let bytes = self.link.recv_bytes(timeout)?;
-        let env = match Envelope::decode(&bytes) {
-            Ok(env) => env,
-            Err(_) => {
-                self.stats.corrupt_frames_rejected =
-                    self.stats.corrupt_frames_rejected.saturating_add(1);
-                return Ok(None);
-            }
-        };
-        match env.kind {
-            FrameKind::Ack => {
-                self.stats.acks_received = self.stats.acks_received.saturating_add(1);
-                Ok(Some((env.epoch, env.seq)))
-            }
-            FrameKind::Data => {
-                match self.rx.admit(env.epoch, env.seq) {
-                    Admit::Stale => {
-                        self.stats.stale_epoch_rejected =
-                            self.stats.stale_epoch_rejected.saturating_add(1);
-                        self.send_ack(env.client, env.epoch, env.seq, env.attempt);
-                    }
-                    Admit::Dup => {
-                        self.stats.dups_dropped = self.stats.dups_dropped.saturating_add(1);
-                        self.send_ack(env.client, env.epoch, env.seq, env.attempt);
-                    }
-                    Admit::Fresh => match Message::decode(&env.payload) {
-                        Ok(msg) => {
-                            self.send_ack(env.client, env.epoch, env.seq, env.attempt);
-                            self.stats.data_frames_delivered =
-                                self.stats.data_frames_delivered.saturating_add(1);
-                            self.inbox.push_back(msg);
-                        }
-                        Err(_) => {
-                            // Checksummed frame with an undecodable payload:
-                            // a sender-side framing bug. Un-admit so a good
-                            // copy could still deliver, never ack garbage.
-                            self.rx.seen.remove(&(env.epoch, env.seq));
-                            self.stats.corrupt_frames_rejected =
-                                self.stats.corrupt_frames_rejected.saturating_add(1);
-                        }
-                    },
-                }
-                Ok(None)
-            }
-        }
-    }
-
-    fn send_ack(&mut self, client: u32, epoch: u32, seq: u32, attempt: u16) {
-        // Ack loss is recovered by peer retransmission; a disconnect will
-        // surface on the session's next send/recv.
-        if self.link.send_bytes(Envelope::ack(client, epoch, seq, attempt).encode()).is_ok() {
-            self.stats.acks_sent = self.stats.acks_sent.saturating_add(1);
-        }
+        self.0.linger(grace);
     }
 }
 
-/// The server's reliable session over any [`ServerByteLink`]: per-client
-/// sequence numbers and dedup state, one shared inbox.
+/// The server's reliable session over any [`Link`]: per-client sequence
+/// numbers and dedup state, one shared inbox.
 #[derive(Debug)]
-pub struct ServerSession<L: ServerByteLink> {
-    link: L,
-    epoch: u32,
-    next_seq: Vec<u32>,
-    rx: Vec<RxState>,
-    inbox: VecDeque<(usize, Message)>,
-    config: SessionConfig,
-    stats: ReliabilityStats,
-}
+pub struct ServerSession<L: Link>(Engine<L>);
 
-impl<L: ServerByteLink> ServerSession<L> {
-    /// Wraps `link` (sizing per-client state from its client count).
+impl<L: Link> ServerSession<L> {
+    /// Wraps `link` (sizing per-client state from its peer count).
     pub fn new(link: L, config: SessionConfig) -> Self {
-        let n = link.client_count();
-        ServerSession {
-            link,
-            epoch: 0,
-            next_seq: vec![0; n],
-            rx: (0..n).map(|_| RxState::default()).collect(),
-            inbox: VecDeque::new(),
-            config,
-            stats: ReliabilityStats::default(),
-        }
+        ServerSession(Engine::new(link, None, config))
     }
 
     /// Advances every client session to round `epoch` (see
     /// [`ClientSession::begin_epoch`]).
     pub fn begin_epoch(&mut self, epoch: u32) {
-        self.epoch = epoch;
-        for s in &mut self.next_seq {
-            *s = 0;
-        }
-        for rx in &mut self.rx {
-            rx.begin_epoch(epoch);
-        }
-    }
-
-    /// Current epoch.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
+        self.0.begin_epoch(epoch);
     }
 
     /// Aggregate reliability counters across all client sessions.
     pub fn stats(&self) -> ReliabilityStats {
-        self.stats
+        self.0.stats
     }
 
     /// The wrapped link (e.g. to read its transport or chaos stats).
     pub fn link(&self) -> &L {
-        &self.link
-    }
-
-    /// Number of client sessions.
-    pub fn client_count(&self) -> usize {
-        self.rx.len()
+        &self.0.link
     }
 
     /// Reliably sends `msg` to `client` (see
@@ -670,51 +694,7 @@ impl<L: ServerByteLink> ServerSession<L> {
     /// [`SessionError::RetriesExhausted`] when the retry budget runs out;
     /// [`SessionError::Bus`] on disconnect or unknown client.
     pub fn send_reliable(&mut self, client: usize, msg: &Message) -> Result<(), SessionError> {
-        let client_u32 = u32::try_from(client).unwrap_or(u32::MAX);
-        let payload = msg.encode();
-        let payload_len = payload.len();
-        let seq = {
-            let slot = self.next_seq.get_mut(client).ok_or(BusError::Disconnected)?;
-            let seq = *slot;
-            *slot = slot.wrapping_add(1);
-            seq
-        };
-        // Encode the envelope once for this (epoch, seq); each attempt only
-        // re-stamps the attempt field and checksum in the cached bytes.
-        let mut frame = Envelope::data(client_u32, self.epoch, seq, 0, payload).encode();
-        let mut attempt: u32 = 0;
-        loop {
-            restamp_attempt(&mut frame, u16::try_from(attempt).unwrap_or(u16::MAX));
-            self.link.send_bytes_to(client, frame.clone())?;
-            self.stats.data_frames_sent = self.stats.data_frames_sent.saturating_add(1);
-            if attempt > 0 {
-                self.stats.retransmits = self.stats.retransmits.saturating_add(1);
-                self.stats.retransmitted_bytes = self
-                    .stats
-                    .retransmitted_bytes
-                    .saturating_add(u64::try_from(payload_len).unwrap_or(u64::MAX));
-            }
-            let wait = self.config.wait_for(attempt);
-            loop {
-                match self.read_one(wait) {
-                    Err(SessionError::Bus(BusError::Timeout)) => break,
-                    Err(e) => return Err(e),
-                    Ok(Some((c, e, s))) if c == client && e == self.epoch && s == seq => {
-                        return Ok(())
-                    }
-                    Ok(_) => {}
-                }
-            }
-            if attempt >= self.config.max_retries {
-                return Err(SessionError::RetriesExhausted {
-                    client: client_u32,
-                    epoch: self.epoch,
-                    seq,
-                    attempts: attempt.saturating_add(1),
-                });
-            }
-            attempt = attempt.saturating_add(1);
-        }
+        self.0.send_reliable(client, msg)
     }
 
     /// Reliably sends `msg` to every client, in client order.
@@ -723,10 +703,7 @@ impl<L: ServerByteLink> ServerSession<L> {
     ///
     /// Returns the first per-client failure.
     pub fn broadcast_reliable(&mut self, msg: &Message) -> Result<(), SessionError> {
-        for c in 0..self.client_count() {
-            self.send_reliable(c, msg)?;
-        }
-        Ok(())
+        (0..self.0.peers.len()).try_for_each(|c| self.0.send_reliable(c, msg))
     }
 
     /// Receives the next exactly-once `(client, message)` pair.
@@ -736,12 +713,7 @@ impl<L: ServerByteLink> ServerSession<L> {
     /// [`SessionError::Bus`] with [`BusError::Timeout`] when nothing
     /// deliverable arrives within one quiet `timeout` window.
     pub fn recv_reliable(&mut self, timeout: Duration) -> Result<(usize, Message), SessionError> {
-        loop {
-            if let Some(pair) = self.inbox.pop_front() {
-                return Ok(pair);
-            }
-            self.read_one(timeout)?;
-        }
+        self.0.recv_reliable(timeout)
     }
 
     /// Services the link until `grace` elapses with no traffic, re-acking
@@ -751,80 +723,7 @@ impl<L: ServerByteLink> ServerSession<L> {
     /// loop until every client is done; a disconnect also ends the linger
     /// (quietly: the peers are gone, so there is nothing left to service).
     pub fn linger(&mut self, grace: Duration) {
-        while self.read_one(grace).is_ok() {}
-    }
-
-    /// Reads and processes one frame. Returns `Ok(Some((client, epoch,
-    /// seq)))` for an ack, `Ok(None)` otherwise.
-    fn read_one(&mut self, timeout: Duration) -> Result<Option<(usize, u32, u32)>, SessionError> {
-        let bytes = self.link.recv_bytes(timeout)?;
-        let env = match Envelope::decode(&bytes) {
-            Ok(env) => env,
-            Err(_) => {
-                self.stats.corrupt_frames_rejected =
-                    self.stats.corrupt_frames_rejected.saturating_add(1);
-                return Ok(None);
-            }
-        };
-        let client = usize::try_from(env.client).unwrap_or(usize::MAX);
-        if self.rx.get(client).is_none() {
-            // A well-formed frame for a client slot we do not have is
-            // indistinguishable from corruption that survived the checksum.
-            self.stats.corrupt_frames_rejected =
-                self.stats.corrupt_frames_rejected.saturating_add(1);
-            return Ok(None);
-        }
-        match env.kind {
-            FrameKind::Ack => {
-                self.stats.acks_received = self.stats.acks_received.saturating_add(1);
-                Ok(Some((client, env.epoch, env.seq)))
-            }
-            FrameKind::Data => {
-                let admit = self
-                    .rx
-                    .get_mut(client)
-                    .map(|rx| rx.admit(env.epoch, env.seq))
-                    .unwrap_or(Admit::Stale);
-                match admit {
-                    Admit::Stale => {
-                        self.stats.stale_epoch_rejected =
-                            self.stats.stale_epoch_rejected.saturating_add(1);
-                        self.send_ack(client, env.epoch, env.seq, env.attempt);
-                    }
-                    Admit::Dup => {
-                        self.stats.dups_dropped = self.stats.dups_dropped.saturating_add(1);
-                        self.send_ack(client, env.epoch, env.seq, env.attempt);
-                    }
-                    Admit::Fresh => match Message::decode(&env.payload) {
-                        Ok(msg) => {
-                            self.send_ack(client, env.epoch, env.seq, env.attempt);
-                            self.stats.data_frames_delivered =
-                                self.stats.data_frames_delivered.saturating_add(1);
-                            self.inbox.push_back((client, msg));
-                        }
-                        Err(_) => {
-                            if let Some(rx) = self.rx.get_mut(client) {
-                                rx.seen.remove(&(env.epoch, env.seq));
-                            }
-                            self.stats.corrupt_frames_rejected =
-                                self.stats.corrupt_frames_rejected.saturating_add(1);
-                        }
-                    },
-                }
-                Ok(None)
-            }
-        }
-    }
-
-    fn send_ack(&mut self, client: usize, epoch: u32, seq: u32, attempt: u16) {
-        let client_u32 = u32::try_from(client).unwrap_or(u32::MAX);
-        if self
-            .link
-            .send_bytes_to(client, Envelope::ack(client_u32, epoch, seq, attempt).encode())
-            .is_ok()
-        {
-            self.stats.acks_sent = self.stats.acks_sent.saturating_add(1);
-        }
+        self.0.linger(grace);
     }
 }
 
@@ -945,8 +844,8 @@ mod tests {
         // Hand-craft the same data frame twice (a wire duplicate).
         let payload = Message::Pull { client: 0 }.encode();
         let frame = Envelope::data(0, 0, 0, 0, payload).encode();
-        crate::bus::ByteLink::send_bytes(&client, frame.clone()).unwrap();
-        crate::bus::ByteLink::send_bytes(&client, frame).unwrap();
+        client.send_bytes_to(0, frame.clone()).unwrap();
+        client.send_bytes_to(0, frame).unwrap();
         let (from, msg) = srv.recv_reliable(T).unwrap();
         assert_eq!((from, msg), (0, Message::Pull { client: 0 }));
         // No second delivery; the dup was dropped but still acked.
@@ -955,8 +854,8 @@ mod tests {
         assert_eq!(srv.stats().dups_dropped, 1);
         assert_eq!(srv.stats().acks_sent, 2);
         // Both acks arrived at the client endpoint.
-        let a = crate::bus::ByteLink::recv_bytes(&client, T).unwrap();
-        let b = crate::bus::ByteLink::recv_bytes(&client, T).unwrap();
+        let a = client.recv_bytes(T).unwrap();
+        let b = client.recv_bytes(T).unwrap();
         assert_eq!(Envelope::decode(&a).unwrap(), Envelope::ack(0, 0, 0, 0));
         assert_eq!(Envelope::decode(&b).unwrap(), Envelope::ack(0, 0, 0, 0));
     }
@@ -968,7 +867,7 @@ mod tests {
         srv.begin_epoch(3);
         let client = clients.remove(0);
         let frame = Envelope::data(0, 2, 0, 0, Message::Pull { client: 0 }.encode()).encode();
-        crate::bus::ByteLink::send_bytes(&client, frame).unwrap();
+        client.send_bytes_to(0, frame).unwrap();
         assert!(srv.recv_reliable(Duration::from_millis(20)).is_err());
         assert_eq!(srv.stats().stale_epoch_rejected, 1);
         assert_eq!(srv.stats().data_frames_delivered, 0);
@@ -1001,7 +900,7 @@ mod tests {
         // All three attempts are on the server inbox; attempts are marked.
         let mut attempts = Vec::new();
         for _ in 0..3 {
-            let bytes = crate::bus::ServerByteLink::recv_bytes(&server, T).unwrap();
+            let bytes = server.recv_bytes(T).unwrap();
             attempts.push(Envelope::decode(&bytes).unwrap().attempt);
         }
         assert_eq!(attempts, vec![0, 1, 2]);
@@ -1012,14 +911,130 @@ mod tests {
         let (server, mut clients) = LocalBus::star(1);
         let mut srv = ServerSession::new(server, cfg());
         let client = clients.remove(0);
-        crate::bus::ByteLink::send_bytes(&client, vec![1, 2, 3, 4]).unwrap();
+        client.send_bytes_to(0, vec![1, 2, 3, 4]).unwrap();
         let mut good = Envelope::data(0, 0, 0, 0, Message::Pull { client: 0 }.encode()).encode();
         let last = good.len() - 1;
         good[last] ^= 0xFF; // break the checksum
-        crate::bus::ByteLink::send_bytes(&client, good).unwrap();
+        client.send_bytes_to(0, good).unwrap();
         assert!(srv.recv_reliable(Duration::from_millis(20)).is_err());
         assert_eq!(srv.stats().corrupt_frames_rejected, 2);
         assert_eq!(srv.stats().data_frames_delivered, 0);
+    }
+
+    /// Either facade, driven through the calls the two share.
+    enum Facade {
+        Client(ClientSession<crate::ClientEndpoint>),
+        Server(ServerSession<crate::ServerEndpoint>, usize),
+    }
+
+    impl Facade {
+        fn begin_epoch(&mut self, epoch: u32) {
+            match self {
+                Facade::Client(s) => s.begin_epoch(epoch),
+                Facade::Server(s, _) => s.begin_epoch(epoch),
+            }
+        }
+        fn send(&mut self, msg: &Message) -> Result<(), SessionError> {
+            match self {
+                Facade::Client(s) => s.send_reliable(msg),
+                Facade::Server(s, peer) => s.send_reliable(*peer, msg),
+            }
+        }
+        fn recv(&mut self, timeout: Duration) -> Result<(usize, Message), SessionError> {
+            match self {
+                Facade::Client(s) => s.recv_reliable(timeout).map(|m| (0, m)),
+                Facade::Server(s, _) => s.recv_reliable(timeout),
+            }
+        }
+        fn stats(&self) -> ReliabilityStats {
+            match self {
+                Facade::Client(s) => s.stats(),
+                Facade::Server(s, _) => s.stats(),
+            }
+        }
+    }
+
+    #[test]
+    fn both_facades_put_the_same_frames_on_the_wire() {
+        // No one acks, so every send makes exactly two attempts and gives up.
+        let quick = SessionConfig {
+            max_retries: 1,
+            ack_timeout: Duration::from_millis(5),
+            backoff: Duration::from_millis(1),
+        };
+        let short = Duration::from_millis(20);
+        let pull = Message::Pull { client: 9 };
+        let payload = pull.encode();
+        let (server_a, mut clients_a) = LocalBus::star(3);
+        let (server_b, mut clients_b) = LocalBus::star(3);
+        // (facade, raw far end and the facade's index on it, client field
+        // the facade stamps, index it reports the far end as, whether a
+        // frame for slot `peer_count()` is delivered)
+        let cases: [(Facade, Box<dyn Link>, usize, u32, usize, bool); 2] = [
+            (
+                Facade::Client(ClientSession::new(clients_a.remove(2), 2, quick)),
+                Box::new(server_a),
+                2,
+                2,
+                0,
+                true,
+            ),
+            (
+                Facade::Server(ServerSession::new(server_b, quick), 1),
+                Box::new(clients_b.remove(1)),
+                0,
+                1,
+                1,
+                false,
+            ),
+        ];
+        for (mut facade, raw, to, stamp, from, unknown_slot_delivered) in cases {
+            // Data frames: `client` is the stamp, `seq` restarts per epoch,
+            // a retransmission changes the attempt field and checksum only.
+            for (epoch, sends) in [(5u32, 2u32), (6, 1)] {
+                facade.begin_epoch(epoch);
+                for seq in 0..sends {
+                    assert_eq!(
+                        facade.send(&pull),
+                        Err(SessionError::RetriesExhausted { client: stamp, epoch, seq, attempts: 2 })
+                    );
+                    let first = raw.recv_bytes(T).unwrap();
+                    let again = raw.recv_bytes(T).unwrap();
+                    assert_eq!(first, Envelope::data(stamp, epoch, seq, 0, payload.clone()).encode());
+                    assert_eq!(again, Envelope::data(stamp, epoch, seq, 1, payload.clone()).encode());
+                    let body = ATTEMPT_OFFSET + 2..first.len() - 4;
+                    assert_eq!(first[..ATTEMPT_OFFSET], again[..ATTEMPT_OFFSET]);
+                    assert_eq!(first[body.clone()], again[body]);
+                }
+            }
+            // Acks echo the data frame's (client, epoch, seq, attempt), for
+            // fresh, duplicate and stale frames alike.
+            let slot = 3; // == peer_count() of the server
+            for (client, epoch, seq, attempt, delivered, acked) in [
+                (stamp, 6, 0, 3, true, true),
+                (stamp, 6, 0, 4, false, true),
+                (stamp, 5, 0, 0, false, true),
+                (slot, 6, 1, 2, unknown_slot_delivered, unknown_slot_delivered),
+            ] {
+                let data = Envelope::data(client, epoch, seq, attempt, payload.clone());
+                raw.send_bytes_to(to, data.encode()).unwrap();
+                let got = facade.recv(short);
+                if delivered {
+                    assert_eq!(got, Ok((from, pull.clone())));
+                } else {
+                    assert_eq!(got, Err(SessionError::Bus(BusError::Timeout)));
+                }
+                let ack = raw.recv_bytes(short);
+                if acked {
+                    assert_eq!(ack, Ok(Envelope::ack(client, epoch, seq, attempt).encode()));
+                } else {
+                    assert_eq!(ack, Err(BusError::Timeout));
+                }
+            }
+            let rejected = u64::from(!unknown_slot_delivered);
+            assert_eq!(facade.stats().corrupt_frames_rejected, rejected);
+            assert_eq!(facade.stats().data_frames_delivered, 2 - rejected);
+        }
     }
 
     #[test]

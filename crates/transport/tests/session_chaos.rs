@@ -11,7 +11,7 @@
 #![allow(clippy::unwrap_used)]
 
 use fedsu_transport::{
-    ChaosClient, ChaosServer, ChaosStats, ClientSession, FaultConfig, FaultPlan, LocalBus,
+    Chaos, ChaosStats, ClientSession, FaultConfig, FaultPlan, LocalBus,
     Message, ReliabilityStats, ServerSession, SessionConfig, SparseValues,
 };
 use std::time::Duration;
@@ -54,14 +54,14 @@ struct RunOutcome {
 /// comparable across plans.
 fn run_sessioned_fedavg(faults: &FaultConfig) -> RunOutcome {
     let (server, clients) = LocalBus::star(CLIENTS);
-    let chaos_server = ChaosServer::new(server, FaultPlan::new(faults.clone()));
+    let chaos_server = Chaos::server(server, FaultPlan::new(faults.clone()));
     let mut srv = ServerSession::new(chaos_server, session_cfg());
 
     let handles: Vec<_> = clients
         .into_iter()
         .map(|endpoint| {
             let id = endpoint.id();
-            let chaos = ChaosClient::new(endpoint, FaultPlan::new(faults.clone()), id);
+            let chaos = Chaos::client(endpoint, FaultPlan::new(faults.clone()), id);
             std::thread::spawn(move || {
                 let mut session = ClientSession::new(chaos, id as u32, session_cfg());
                 for round in 0..ROUNDS {

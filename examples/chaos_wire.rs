@@ -13,7 +13,7 @@
 use fedsu_repro::metrics::Table;
 use fedsu_repro::netsim::{FaultConfig, FaultPlan};
 use fedsu_repro::transport::{
-    ChaosClient, ChaosServer, ChaosStats, ClientSession, LocalBus, Message, ReliabilityStats,
+    Chaos, ChaosStats, ClientSession, LocalBus, Message, ReliabilityStats,
     ServerSession, SessionConfig, SparseValues,
 };
 use std::time::Duration;
@@ -49,14 +49,14 @@ struct Outcome {
 
 fn run(faults: &FaultConfig) -> Outcome {
     let (server, clients) = LocalBus::star(CLIENTS);
-    let chaos_server = ChaosServer::new(server, FaultPlan::new(*faults));
+    let chaos_server = Chaos::server(server, FaultPlan::new(*faults));
     let mut srv = ServerSession::new(chaos_server, session_cfg());
 
     let handles: Vec<_> = clients
         .into_iter()
         .map(|endpoint| {
             let id = endpoint.id();
-            let chaos = ChaosClient::new(endpoint, FaultPlan::new(*faults), id);
+            let chaos = Chaos::client(endpoint, FaultPlan::new(*faults), id);
             std::thread::spawn(move || -> Result<(ReliabilityStats, ChaosStats), String> {
                 let mut session = ClientSession::new(chaos, id as u32, session_cfg());
                 for round in 0..ROUNDS {

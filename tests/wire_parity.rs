@@ -30,7 +30,7 @@
 use fedsu_repro::fl::{retransmitted_bytes, RoundRecord, BYTES_PER_SCALAR};
 use fedsu_repro::netsim::{FaultConfig, FaultPlan};
 use fedsu_repro::transport::{
-    ChaosClient, ChaosServer, ClientSession, LocalBus, Message, ReliabilityStats, ServerSession,
+    Chaos, ClientSession, LocalBus, Message, ReliabilityStats, ServerSession,
     SessionConfig, SparseValues,
 };
 use std::time::Duration;
@@ -100,14 +100,14 @@ struct WireRun {
 /// records filled from observed traffic.
 fn wire_leg(faults: &FaultConfig) -> WireRun {
     let (server, clients) = LocalBus::star(CLIENTS);
-    let chaos_server = ChaosServer::new(server, FaultPlan::new(*faults));
+    let chaos_server = Chaos::server(server, FaultPlan::new(*faults));
     let mut srv = ServerSession::new(chaos_server, session_cfg());
 
     let handles: Vec<_> = clients
         .into_iter()
         .map(|endpoint| {
             let id = endpoint.id();
-            let chaos = ChaosClient::new(endpoint, FaultPlan::new(*faults), id);
+            let chaos = Chaos::client(endpoint, FaultPlan::new(*faults), id);
             std::thread::spawn(move || {
                 let mut session = ClientSession::new(chaos, id as u32, session_cfg());
                 for round in 0..ROUNDS {
@@ -351,11 +351,11 @@ fn qsgd_emulated_globals() -> Vec<Vec<f32>> {
 fn qsgd_wire_leg() -> (Vec<Vec<f32>>, u64) {
     let (server, clients) = LocalBus::star(1);
     let faults = FaultConfig::default();
-    let chaos_server = ChaosServer::new(server, FaultPlan::new(faults));
+    let chaos_server = Chaos::server(server, FaultPlan::new(faults));
     let mut srv = ServerSession::new(chaos_server, session_cfg());
 
     let endpoint = clients.into_iter().next().unwrap();
-    let chaos = ChaosClient::new(endpoint, FaultPlan::new(faults), 0);
+    let chaos = Chaos::client(endpoint, FaultPlan::new(faults), 0);
     let handle = std::thread::spawn(move || {
         let mut session = ClientSession::new(chaos, 0, session_cfg());
         let mut encoder = Qsgd::new(QCFG);
