@@ -74,6 +74,11 @@ impl FedSuCoarse {
         }
     }
 
+    /// The current predictability mask, one entry per chunk.
+    pub fn predictable_mask(&self) -> &[bool] {
+        &self.predictable
+    }
+
     fn n_chunks(&self) -> usize {
         self.n_params.div_ceil(self.chunk)
     }
@@ -215,6 +220,7 @@ impl SyncStrategy for FedSuCoarse {
                 // Regular sync + chunk-aggregate diagnosis.
                 let chunk_len = range.len() as f32;
                 let mut mean_g2 = 0.0f32;
+                let mut mean_abs_update = 0.0f32;
                 for j in range.clone() {
                     let old = global[j];
                     let mut avg = 0.0f32;
@@ -225,14 +231,20 @@ impl SyncStrategy for FedSuCoarse {
                     global[j] = avg;
                     let g = avg - old;
                     mean_g2 += (g - self.prev_update[j]) / chunk_len;
+                    mean_abs_update += g.abs() / chunk_len;
                     self.prev_update[j] = g;
                 }
                 if self.obs[c] == 0 {
                     self.obs[c] = 1; // prev_update seeded this round
                 } else {
-                    self.ema[c].observe(mean_g2, self.theta);
+                    let ema = &mut self.ema[c];
+                    ema.observe(mean_g2, self.theta);
+                    // As `FedSu::aggregate`: second differences negligible
+                    // relative to the update are float noise on a linear
+                    // trajectory, whatever their ratio.
+                    let linear = ema.magnitude <= 1e-3 * mean_abs_update || ema.ratio() < self.t_r;
                     self.obs[c] = self.obs[c].saturating_add(1);
-                    if self.obs[c] >= self.warmup_updates && self.ema[c].ratio() < self.t_r {
+                    if self.obs[c] >= self.warmup_updates && linear {
                         self.predictable[c] = true;
                         for j in range.clone() {
                             self.slope[j] = self.prev_update[j];

@@ -1,0 +1,220 @@
+//! Property tests of the oscillation-ratio diagnosis (Eq. 2) and of the two
+//! differential checks the crate gets for free: the standalone diagnostic
+//! against the manager's embedded copy, and `FedSuCoarse` at chunk size 1
+//! against per-scalar `FedSu`.
+
+use fedsu_cases::{check, ends_then_draw, vec_of, Rng, StdRng};
+use fedsu_core::{EmaPair, FedSu, FedSuCoarse, FedSuConfig, OscillationDiagnostic};
+use fedsu_fl::SyncStrategy;
+
+const CASES: u64 = 64;
+
+fn ratio_stays_in_unit_interval(values: &[f32], theta: f32) {
+    let mut e = EmaPair::default();
+    for &v in values {
+        e.observe(v, theta);
+        let r = e.ratio();
+        assert!((0.0..=1.0).contains(&r), "ratio {r}");
+    }
+}
+
+#[test]
+fn ratio_always_in_unit_interval() {
+    // Both ends of the length range by name: no observation, and a full window.
+    ratio_stays_in_unit_interval(&[], 0.9);
+    ratio_stays_in_unit_interval(&[100.0; 63], 0.5);
+    check("ratio_always_in_unit_interval", CASES, |rng| {
+        let values = vec_of(rng, 0..64, |r| r.gen_range(-100.0f32..100.0));
+        ratio_stays_in_unit_interval(&values, rng.gen_range(0.5f32..0.99));
+    });
+}
+
+#[test]
+fn constant_sign_signal_has_ratio_one() {
+    check("constant_sign_signal_has_ratio_one", CASES, |rng| {
+        let magnitudes = vec_of(rng, 3..32, |r| r.gen_range(0.01f32..10.0));
+        let theta = rng.gen_range(0.5f32..0.99);
+        // All-positive observations: |EMA| equals EMA of magnitudes.
+        let mut e = EmaPair::default();
+        for m in &magnitudes {
+            e.observe(*m, theta);
+        }
+        assert!((e.ratio() - 1.0).abs() < 1e-5, "ratio {}", e.ratio());
+    });
+}
+
+#[test]
+fn scaling_a_signal_leaves_the_ratio_invariant() {
+    check("scaling_a_signal_leaves_the_ratio_invariant", CASES, |rng| {
+        let values = vec_of(rng, 3..32, |r| r.gen_range(-10.0f32..10.0));
+        let scale = rng.gen_range(0.01f32..100.0);
+        let mut a = EmaPair::default();
+        let mut b = EmaPair::default();
+        for v in &values {
+            a.observe(*v, 0.9);
+            b.observe(*v * scale, 0.9);
+        }
+        assert!((a.ratio() - b.ratio()).abs() < 1e-3, "{} vs {}", a.ratio(), b.ratio());
+    });
+}
+
+fn affine_trajectory_diagnoses_linear(slope: f32, intercept: f32, horizon: usize) {
+    let mut d = OscillationDiagnostic::new(1, 0.9);
+    for k in 0..horizon {
+        d.observe_params(&[intercept + slope * k as f32]);
+    }
+    assert!(d.is_linear(0, 0.01), "ratio {}", d.ratio(0));
+}
+
+#[test]
+fn affine_trajectories_always_diagnose_linear() {
+    check("affine_trajectories_always_diagnose_linear", CASES, |rng| {
+        let (slope, intercept) = (rng.gen_range(-5.0f32..5.0), rng.gen_range(-5.0f32..5.0));
+        for horizon in ends_then_draw(rng, 5..40) {
+            affine_trajectory_diagnoses_linear(slope, intercept, horizon);
+        }
+    });
+}
+
+/// The one failure the property ever recorded (float rounding on an exactly
+/// linear trajectory gave an arbitrary raw ratio before the relative guard).
+#[test]
+fn affine_trajectory_with_rounding_noise_diagnoses_linear() {
+    affine_trajectory_diagnoses_linear(1.607_409_5, 0.0, 13);
+}
+
+#[test]
+fn diagnosis_is_per_scalar_independent() {
+    check("diagnosis_is_per_scalar_independent", CASES, |rng| {
+        let (slope, horizon) = (rng.gen_range(0.01f32..1.0), rng.gen_range(8usize..32));
+        // Scalar 0 linear, scalar 1 with alternating curvature; adding the
+        // second must not change the first's ratio.
+        let mut solo = OscillationDiagnostic::new(1, 0.9);
+        let mut pair = OscillationDiagnostic::new(2, 0.9);
+        for k in 0..horizon {
+            let lin = -slope * k as f32;
+            let curved = if k % 2 == 0 { 1.0 } else { -1.0 };
+            solo.observe_params(&[lin]);
+            pair.observe_params(&[lin, curved]);
+        }
+        assert!((solo.ratio(0) - pair.ratio(0)).abs() < 1e-9);
+    });
+}
+
+/// `diagnosis.rs` says the manager "embeds the same arithmetic in its round
+/// loop": on one trajectory the two must report the same bits.
+///
+/// Alignment: the manager seeds its first difference from the initial global
+/// in round 0, so the diagnostic is shown the initial vector first and each
+/// post-aggregation vector after. The one deliberate difference is kept out
+/// of reach: `OscillationDiagnostic::ratio` folds the negligible-second-
+/// difference guard into the ratio (→ 0), the manager applies the same guard
+/// at its entry decision and reports the raw `EmaPair::ratio`. Every second
+/// difference here is at least 0.01 against updates below 0.4, so the guard
+/// never fires, and `t_r` is small enough that nothing enters speculation.
+#[test]
+fn manager_and_standalone_diagnostic_agree_on_eq2() {
+    check("manager_and_standalone_diagnostic_agree_on_eq2", CASES, |rng| {
+        let n = rng.gen_range(1usize..12);
+        let theta = rng.gen_range(0.5f32..0.99);
+        let slopes = vec_of(rng, n..=n, |r| r.gen_range(-0.05f32..0.05));
+        let curvature = vec_of(rng, n..=n, |r| r.gen_range(0.0f32..0.01));
+        let mut manager = FedSu::new(FedSuConfig { t_r: 1e-12, theta, ..FedSuConfig::default() });
+        let mut diagnostic = OscillationDiagnostic::new(n, theta);
+        let mut global = vec_of(rng, n..=n, |r| r.gen_range(-1.0f32..1.0));
+        diagnostic.observe_params(&global);
+        let mut curved = false;
+        for round in 0..30 {
+            let sign = if round % 2 == 0 { 1.0 } else { -1.0 };
+            let local: Vec<f32> = (0..n)
+                .map(|j| {
+                    global[j]
+                        + slopes[j]
+                        + curvature[j] * round as f32
+                        + sign * rng.gen_range(0.01f32..0.02)
+                })
+                .collect();
+            let locals = [local];
+            manager.prepare_uploads(round, &locals, &global);
+            manager.aggregate(round, &locals, &[0], &[true], &mut global);
+            diagnostic.observe_params(&global);
+            assert_eq!(
+                manager.predictable_count(),
+                0,
+                "round {round}: a scalar entered speculation"
+            );
+            for j in 0..n {
+                let (m, d) = (manager.oscillation_ratio(j), diagnostic.ratio(j));
+                assert_eq!(
+                    m.to_bits(),
+                    d.to_bits(),
+                    "round {round} scalar {j}: manager {m} vs diagnostic {d}"
+                );
+                curved |= m > 0.0;
+            }
+        }
+        assert!(curved, "the trajectory never produced a non-zero ratio");
+    });
+}
+
+/// Who is present this round (clients leave and rejoin; at least one stays)
+/// and which of those the server waits for (rotating; one round in eight
+/// nothing usable arrives).
+fn participation(rng: &mut StdRng, round: usize, active: &mut [bool]) -> Vec<usize> {
+    for a in active.iter_mut() {
+        if rng.gen_bool(0.15) {
+            *a = !*a;
+        }
+    }
+    if !active.contains(&true) {
+        active[round % active.len()] = true;
+    }
+    if round % 8 == 7 {
+        return Vec::new();
+    }
+    let present: Vec<usize> = (0..active.len()).filter(|&i| active[i]).collect();
+    let skip = present[round % present.len()];
+    present.iter().copied().filter(|&i| present.len() == 1 || i != skip).collect()
+}
+
+/// `coarse.rs` says "with chunk size 1 it degenerates to per-scalar FedSU";
+/// this is that sentence as a differential test (ROADMAP 1c), over seeded
+/// slopes, noise, rotating `selected ⊂ active` and join/leave patterns.
+#[test]
+fn coarse_chunk_one_is_per_scalar_fedsu() {
+    check("coarse_chunk_one_is_per_scalar_fedsu", CASES, |rng| {
+        let n = rng.gen_range(1usize..=24);
+        let slopes = vec_of(rng, n..=n, |r| r.gen_range(-0.05f32..0.05));
+        // Every third scalar is genuinely noisy; the rest are linear up to
+        // float noise, which only the negligible clause admits.
+        let noise = |j: usize| if j % 3 == 0 { 0.02f32 } else { 1e-6 };
+        let mut active = vec![true; rng.gen_range(1usize..=4)];
+        let mut fine = FedSu::new(FedSuConfig { t_r: 0.1, t_s: 10.0, ..FedSuConfig::default() });
+        let mut coarse = FedSuCoarse::new(1, 0.1, 10.0);
+        let mut global = vec![0.0f32; n];
+        let mut coarse_global = global.clone();
+        for round in 0..40 {
+            let selected = participation(rng, round, &mut active);
+            let locals: Vec<Vec<f32>> = active
+                .iter()
+                .map(|_| {
+                    (0..n)
+                        .map(|j| global[j] + slopes[j] + noise(j) * rng.gen_range(-1.0f32..1.0))
+                        .collect()
+                })
+                .collect();
+            assert_eq!(
+                fine.prepare_uploads(round, &locals, &global),
+                coarse.prepare_uploads(round, &locals, &coarse_global),
+                "round {round}: upload volumes"
+            );
+            let out = fine.aggregate(round, &locals, &selected, &active, &mut global);
+            let coarse_out =
+                coarse.aggregate(round, &locals, &selected, &active, &mut coarse_global);
+            assert_eq!(out, coarse_out, "round {round}");
+            assert_eq!(fine.predictable_mask(), coarse.predictable_mask(), "round {round}: masks");
+            let bits = |g: &[f32]| g.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(bits(&global), bits(&coarse_global), "round {round}: globals");
+        }
+    });
+}

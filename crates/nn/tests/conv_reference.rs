@@ -5,12 +5,10 @@
 // (mirrors allow-unwrap-in-tests in clippy.toml for non-#[test] helpers).
 #![allow(clippy::unwrap_used)]
 
+use fedsu_cases::{check, Rng};
 use fedsu_nn::conv2d::Conv2d;
 use fedsu_nn::{Layer, Param};
 use fedsu_tensor::Tensor;
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Geometry of the naive reference convolution (NCHW input, square kernel).
 #[derive(Debug, Clone, Copy)]
@@ -58,23 +56,15 @@ fn naive_conv(input: &[f32], weight: &[f32], bias: &[f32], g: NaiveConvGeom) -> 
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn im2col_conv_matches_naive_reference(seed in 0u64..10_000,
-                                           batch in 1usize..3,
-                                           in_c in 1usize..3,
-                                           out_c in 1usize..4,
-                                           h in 3usize..9,
-                                           w in 3usize..9,
-                                           k in 1usize..4,
-                                           stride in 1usize..3,
-                                           pad in 0usize..2) {
-        prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut conv = Conv2d::new(in_c, out_c, k, stride, pad, &mut rng).unwrap();
-        let x = Tensor::rand_uniform(&[batch, in_c, h, w], -1.0, 1.0, &mut rng);
+#[test]
+fn im2col_conv_matches_naive_reference() {
+    check("im2col_conv_matches_naive_reference", 24, |rng| {
+        let (batch, in_c) = (rng.gen_range(1usize..3), rng.gen_range(1usize..3));
+        let (out_c, k) = (rng.gen_range(1usize..4), rng.gen_range(1usize..4));
+        let (h, w) = (rng.gen_range(3usize..9), rng.gen_range(3usize..9));
+        let (stride, pad) = (rng.gen_range(1usize..3), rng.gen_range(0usize..2));
+        let mut conv = Conv2d::new(in_c, out_c, k, stride, pad, rng).unwrap();
+        let x = Tensor::rand_uniform(&[batch, in_c, h, w], -1.0, 1.0, rng);
 
         // Pull the layer's actual weights/bias through the Param visitor
         // (visit order: weight then bias).
@@ -86,9 +76,9 @@ proptest! {
         let fast = conv.forward(&x, false).unwrap();
         let geom = NaiveConvGeom { batch, in_c, h, w, out_c, k, stride, pad };
         let reference = naive_conv(x.data(), &weight, &bias, geom);
-        prop_assert_eq!(fast.len(), reference.len());
+        assert_eq!(fast.len(), reference.len());
         for (a, b) in fast.data().iter().zip(&reference) {
-            prop_assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
-    }
+    });
 }

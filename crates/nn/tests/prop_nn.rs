@@ -1,10 +1,11 @@
-//! Property-based tests for the NN substrate: gradient checks on random
+//! Property tests for the NN substrate: gradient checks on random
 //! layer configurations and structural invariants.
 
 // Tests and benches may unwrap: a panic here IS the failure report
 // (mirrors allow-unwrap-in-tests in clippy.toml for non-#[test] helpers).
 #![allow(clippy::unwrap_used)]
 
+use fedsu_cases::{check, ends_then_draw, Rng, SeedableRng, StdRng};
 use fedsu_nn::activation::Relu;
 use fedsu_nn::dense::Dense;
 use fedsu_nn::flat::{flatten_params, load_params, param_count};
@@ -13,18 +14,16 @@ use fedsu_nn::models::{mlp, ModelPreset};
 use fedsu_nn::optim::Sgd;
 use fedsu_nn::{Layer, Sequential};
 use fedsu_tensor::Tensor;
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+const CASES: u64 = 24;
 
-    #[test]
-    fn dense_gradient_check_random_configs(seed in 0u64..1000, inf in 1usize..6, outf in 1usize..6, batch in 1usize..4) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut d = Dense::new(inf, outf, &mut rng).unwrap();
-        let x = Tensor::rand_uniform(&[batch, inf], -1.0, 1.0, &mut rng);
+#[test]
+fn dense_gradient_check_random_configs() {
+    check("dense_gradient_check_random_configs", CASES, |rng| {
+        let (inf, outf, batch) =
+            (rng.gen_range(1usize..6), rng.gen_range(1usize..6), rng.gen_range(1usize..4));
+        let mut d = Dense::new(inf, outf, rng).unwrap();
+        let x = Tensor::rand_uniform(&[batch, inf], -1.0, 1.0, rng);
         let y = d.forward(&x, true).unwrap();
         let dy = Tensor::ones(y.shape());
         let dx = d.backward(&dy).unwrap();
@@ -39,58 +38,67 @@ proptest! {
             let lm = d.forward(&x2, true).unwrap().sum();
             x2.data_mut()[idx] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
-            prop_assert!((numeric - dx.data()[idx]).abs() < 0.05 * (1.0 + numeric.abs()));
+            assert!((numeric - dx.data()[idx]).abs() < 0.05 * (1.0 + numeric.abs()));
         }
-    }
+    });
+}
 
-    #[test]
-    fn loss_gradient_rows_sum_to_zero(seed in 0u64..1000, batch in 1usize..5, classes in 2usize..6) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let logits = Tensor::rand_uniform(&[batch, classes], -3.0, 3.0, &mut rng);
+#[test]
+fn loss_gradient_rows_sum_to_zero() {
+    check("loss_gradient_rows_sum_to_zero", CASES, |rng| {
+        let (batch, classes) = (rng.gen_range(1usize..5), rng.gen_range(2usize..6));
+        let logits = Tensor::rand_uniform(&[batch, classes], -3.0, 3.0, rng);
         let labels: Vec<usize> = (0..batch).map(|i| i % classes).collect();
         let (loss, grad) = softmax_cross_entropy(&logits, &labels).unwrap();
-        prop_assert!(loss >= 0.0);
+        assert!(loss >= 0.0);
         for n in 0..batch {
             let s: f32 = grad.data()[n * classes..(n + 1) * classes].iter().sum();
-            prop_assert!(s.abs() < 1e-5);
+            assert!(s.abs() < 1e-5);
         }
-    }
+    });
+}
 
-    #[test]
-    fn flat_roundtrip_arbitrary_values(seed in 0u64..1000, scale in 0.1f32..5.0) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut m = mlp(&[3, 5, 2], &mut rng).unwrap();
+#[test]
+fn flat_roundtrip_arbitrary_values() {
+    check("flat_roundtrip_arbitrary_values", CASES, |rng| {
+        let scale = rng.gen_range(0.1f32..5.0);
+        let mut m = mlp(&[3, 5, 2], rng).unwrap();
         let n = param_count(&m);
         let values: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.7).sin() * scale).collect();
         load_params(&mut m, &values).unwrap();
-        prop_assert_eq!(flatten_params(&m), values);
-    }
+        assert_eq!(flatten_params(&m), values);
+    });
+}
 
-    #[test]
-    fn relu_is_idempotent(seed in 0u64..1000, len in 1usize..32) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let x = Tensor::rand_uniform(&[1, len], -2.0, 2.0, &mut rng);
-        let mut r1 = Relu::new();
-        let mut r2 = Relu::new();
-        let once = r1.forward(&x, false).unwrap();
-        let twice = r2.forward(&once, false).unwrap();
-        prop_assert_eq!(once.data(), twice.data());
-    }
+#[test]
+fn relu_is_idempotent() {
+    check("relu_is_idempotent", CASES, |rng| {
+        for len in ends_then_draw(rng, 1..32) {
+            let x = Tensor::rand_uniform(&[1, len], -2.0, 2.0, rng);
+            let mut r1 = Relu::new();
+            let mut r2 = Relu::new();
+            let once = r1.forward(&x, false).unwrap();
+            let twice = r2.forward(&once, false).unwrap();
+            assert_eq!(once.data(), twice.data());
+        }
+    });
+}
 
-    #[test]
-    fn sgd_without_grad_and_decay_is_identity(seed in 0u64..1000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut m = mlp(&[3, 4, 2], &mut rng).unwrap();
+#[test]
+fn sgd_without_grad_and_decay_is_identity() {
+    check("sgd_without_grad_and_decay_is_identity", CASES, |rng| {
+        let mut m = mlp(&[3, 4, 2], rng).unwrap();
         let before = flatten_params(&m);
         Sgd::new(0.1).step(&mut m).unwrap();
-        prop_assert_eq!(flatten_params(&m), before);
-    }
+        assert_eq!(flatten_params(&m), before);
+    });
+}
 
-    #[test]
-    fn training_loss_decreases_over_steps(seed in 0u64..200) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut m = mlp(&[4, 12, 3], &mut rng).unwrap();
-        let x = Tensor::rand_uniform(&[12, 4], -1.0, 1.0, &mut rng);
+#[test]
+fn training_loss_decreases_over_steps() {
+    check("training_loss_decreases_over_steps", CASES, |rng| {
+        let mut m = mlp(&[4, 12, 3], rng).unwrap();
+        let x = Tensor::rand_uniform(&[12, 4], -1.0, 1.0, rng);
         let labels: Vec<usize> = (0..12).map(|i| i % 3).collect();
         let mut opt = Sgd::new(0.3);
         let mut first = None;
@@ -100,11 +108,13 @@ proptest! {
             let (l, g) = softmax_cross_entropy(&y, &labels).unwrap();
             m.backward(&g).unwrap();
             opt.step(&mut m).unwrap();
-            if first.is_none() { first = Some(l); }
+            if first.is_none() {
+                first = Some(l);
+            }
             last = l;
         }
-        prop_assert!(last < first.unwrap(), "loss {} -> {}", first.unwrap(), last);
-    }
+        assert!(last < first.unwrap(), "loss {} -> {}", first.unwrap(), last);
+    });
 }
 
 #[test]

@@ -354,9 +354,14 @@ mod tests {
         pool.give_f32(b);
     }
 
+    // The balance is one counter per pool, so an equality on it only holds
+    // where nothing else touches the pool: these two use a private one (the
+    // other tests in this binary share `global()` on other threads). The
+    // `PoolBuf` RAII / unwind balance, tied to `global()` by `Drop`, is
+    // checked in its own process by `tests/pool.rs`.
     #[test]
     fn outstanding_tracks_balance() {
-        let pool = global();
+        let pool = new_pool();
         let before = pool.outstanding();
         let a = pool.take_f32(8);
         let b = pool.take_usize(4);
@@ -387,29 +392,8 @@ mod tests {
     }
 
     #[test]
-    fn poolbuf_returns_on_drop_and_under_unwind() {
-        let pool = global();
-        let before = pool.outstanding();
-        {
-            let mut guard = checkout(32);
-            guard.fill(3.0);
-        }
-        assert_eq!(pool.outstanding(), before);
-        let result = std::panic::catch_unwind(|| {
-            let _guard = checkout(32);
-            panic!("injected");
-        });
-        assert!(result.is_err());
-        assert_eq!(pool.outstanding(), before, "unwind must return the buffer");
-        // The pool must still hand out clean buffers afterwards.
-        let clean = pool.take_f32(32);
-        assert!(clean.iter().all(|&v| v == 0.0));
-        pool.give_f32(clean);
-    }
-
-    #[test]
     fn oversized_returns_are_dropped_not_hoarded() {
-        let pool = global();
+        let pool = new_pool();
         // Fill a class beyond its cap; the pool must not grow unboundedly
         // (we can only observe that gives still balance and takes work).
         let before = pool.outstanding();

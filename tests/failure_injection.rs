@@ -91,8 +91,12 @@ fn minimal_participation_fraction_works() {
 
 #[test]
 fn huge_learning_rate_diverges_cleanly() {
-    // lr far above stability: the runtime must report divergence (or a
-    // non-finite loss) instead of panicking or looping forever.
+    // lr far above stability: the runtime must report divergence instead of
+    // panicking or looping forever. Which error depends on who sees the
+    // overflow first (DESIGN.md §9, "only veto one"): unarmed, the server
+    // finds non-finite parameters and returns `Diverged`; armed, the
+    // finite-kernel guard vetoes the matmul that manufactured the first
+    // infinity inside client training, which surfaces as `ClientFailed`.
     use fedsu_repro::fl::{ClientConfig, Experiment, ExperimentConfig};
     use fedsu_repro::netsim::ClusterConfig;
     use fedsu_repro::strategies::FedAvg;
@@ -134,7 +138,12 @@ fn huge_learning_rate_diverges_cleanly() {
         kernel_threads: 0,
     };
     let mut e = Experiment::new(config, factory, Arc::new(train), Arc::new(test), Box::new(FedAvg::new())).unwrap();
-    assert!(matches!(e.run(None), Err(FlError::Diverged { .. })));
+    let err = e.run(None).unwrap_err();
+    if fedsu_repro::tensor::invariant::enabled() {
+        assert!(matches!(err, FlError::ClientFailed { .. }), "armed: {err}");
+    } else {
+        assert!(matches!(err, FlError::Diverged { .. }), "unarmed: {err}");
+    }
 }
 
 #[test]

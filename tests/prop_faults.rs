@@ -1,4 +1,4 @@
-//! Property-based tests of the fault-tolerant round loop: for random fault
+//! Property tests of the fault-tolerant round loop: for random fault
 //! plans the experiment must complete, keep the global model finite, keep
 //! simulated time strictly monotone, and stay fully deterministic.
 
@@ -6,12 +6,13 @@
 // (mirrors allow-unwrap-in-tests in clippy.toml for non-#[test] helpers).
 #![allow(clippy::unwrap_used)]
 
+use fedsu_cases::{check, Rng, StdRng};
 use fedsu_repro::fl::DefenseConfig;
 use fedsu_repro::netsim::FaultConfig;
 use fedsu_repro::scenario::{ModelKind, Scenario, StrategyKind};
-use proptest::prelude::*;
 
 const ROUNDS: usize = 6;
+const CASES: u64 = 6;
 
 fn run_faulty(faults: FaultConfig) -> (fedsu_repro::fl::ExperimentResult, bool) {
     let mut saw_nonfinite = false;
@@ -33,43 +34,33 @@ fn run_faulty(faults: FaultConfig) -> (fedsu_repro::fl::ExperimentResult, bool) 
     (result, saw_nonfinite)
 }
 
-fn fault_config_strategy() -> impl Strategy<Value = FaultConfig> {
-    (
-        0.0f64..0.35,
-        0.0f64..0.3,
-        0.0f64..0.1,
-        0.0f64..0.3,
-        0.0f64..0.1,
-        0u64..1000,
-    )
-        .prop_map(|(dropout, loss, corrupt, slowdown, crash, seed)| FaultConfig {
-            dropout_prob: dropout,
-            upload_loss_prob: loss,
-            corrupt_prob: corrupt,
-            slowdown_prob: slowdown,
-            crash_prob: crash,
-            seed,
-            ..FaultConfig::default()
-        })
+fn arb_fault_config(rng: &mut StdRng) -> FaultConfig {
+    FaultConfig {
+        dropout_prob: rng.gen_range(0.0f64..0.35),
+        upload_loss_prob: rng.gen_range(0.0f64..0.3),
+        corrupt_prob: rng.gen_range(0.0f64..0.1),
+        slowdown_prob: rng.gen_range(0.0f64..0.3),
+        crash_prob: rng.gen_range(0.0f64..0.1),
+        seed: rng.gen_range(0u64..1000),
+        ..FaultConfig::default()
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    #[test]
-    fn random_fault_plans_never_break_the_run(faults in fault_config_strategy()) {
-        let (result, saw_nonfinite) = run_faulty(faults);
+#[test]
+fn random_fault_plans_never_break_the_run() {
+    check("random_fault_plans_never_break_the_run", CASES, |rng| {
+        let (result, saw_nonfinite) = run_faulty(arb_fault_config(rng));
 
         // The run completes every round and the global model stays finite.
-        prop_assert_eq!(result.rounds.len(), ROUNDS);
-        prop_assert!(!saw_nonfinite, "global model went non-finite mid-run");
-        prop_assert!(result.rounds.iter().all(|r| r.train_loss.is_finite()));
+        assert_eq!(result.rounds.len(), ROUNDS);
+        assert!(!saw_nonfinite, "global model went non-finite mid-run");
+        assert!(result.rounds.iter().all(|r| r.train_loss.is_finite()));
 
         // Simulated time is strictly monotone: every round costs time, even
         // barren ones (they are charged the lost-round penalty).
         let mut prev = 0.0;
         for r in &result.rounds {
-            prop_assert!(
+            assert!(
                 r.sim_time_secs > prev,
                 "sim time not strictly monotone at round {}: {} <= {}",
                 r.round,
@@ -78,12 +69,15 @@ proptest! {
             );
             prev = r.sim_time_secs;
         }
-    }
+    });
+}
 
-    #[test]
-    fn same_fault_plan_is_deterministic(faults in fault_config_strategy()) {
+#[test]
+fn same_fault_plan_is_deterministic() {
+    check("same_fault_plan_is_deterministic", CASES, |rng| {
+        let faults = arb_fault_config(rng);
         let (a, _) = run_faulty(faults);
         let (b, _) = run_faulty(faults);
-        prop_assert_eq!(a.rounds, b.rounds);
-    }
+        assert_eq!(a.rounds, b.rounds);
+    });
 }
