@@ -4,7 +4,7 @@
 //! decisions must be made independently per parameter.
 
 use fedsu_bench::{summary_line, Scale, Workload};
-use fedsu_core::FedSuCoarse;
+use fedsu_core::{FedSu, FedSuConfig};
 use fedsu_repro::scenario::ModelKind;
 
 fn main() {
@@ -13,7 +13,9 @@ fn main() {
 
     let workload = Workload::for_model(ModelKind::Cnn, scale);
     for chunk in [1usize, 16, 256, 4096] {
-        let strategy = FedSuCoarse::new(chunk, 0.1, 10.0);
+        // The quick-profile operating point (`StrategyKind::FedSuCalibrated`).
+        let config = FedSuConfig { t_r: 0.1, t_s: 10.0, ..FedSuConfig::default() };
+        let strategy = FedSu::chunked(config, chunk);
         let mut experiment = workload.scenario().build_with(Box::new(strategy)).expect("build");
         let result = experiment.run(None).expect("run");
         println!("  chunk={chunk:<5} {}", summary_line(&result));

@@ -45,6 +45,22 @@ impl EmaPair {
         }
     }
 
+    /// Eq. 2's decision value given the magnitude of the update the second
+    /// differences ride on: 0 when their EMA magnitude is negligible
+    /// relative to it (below `1e-3·|update|`), the raw [`ratio`] otherwise.
+    /// The trajectory is then linear to within numerical noise — float
+    /// rounding on an exactly-linear trajectory would otherwise produce an
+    /// arbitrary ratio.
+    ///
+    /// [`ratio`]: EmaPair::ratio
+    pub fn guarded_ratio(&self, update: f32) -> f64 {
+        if self.magnitude <= 1e-3 * update.abs() {
+            0.0
+        } else {
+            self.ratio()
+        }
+    }
+
     /// Resets both EMAs to zero (used when a parameter re-enters regular
     /// updating and its history is stale).
     pub fn reset(&mut self) {
@@ -104,17 +120,17 @@ impl OscillationDiagnostic {
         match self.observations {
             0 => self.prev_value.copy_from_slice(params),
             1 => {
-                for j in 0..params.len() {
-                    self.prev_update[j] = params[j] - self.prev_value[j];
+                for ((u, &p), &v) in self.prev_update.iter_mut().zip(params).zip(&self.prev_value) {
+                    *u = p - v;
                 }
                 self.prev_value.copy_from_slice(params);
             }
             _ => {
-                for j in 0..params.len() {
-                    let g = params[j] - self.prev_value[j];
-                    let g2 = g - self.prev_update[j];
-                    self.ema[j].observe(g2, self.theta);
-                    self.prev_update[j] = g;
+                let state = self.ema.iter_mut().zip(&mut self.prev_update);
+                for ((&p, &v), (ema, u)) in params.iter().zip(&self.prev_value).zip(state) {
+                    let g = p - v;
+                    ema.observe(g - *u, self.theta);
+                    *u = g;
                 }
                 self.prev_value.copy_from_slice(params);
             }
@@ -122,22 +138,14 @@ impl OscillationDiagnostic {
         self.observations += 1;
     }
 
-    /// Current oscillation ratio of scalar `j`.
-    ///
-    /// When the second-difference magnitude is negligible *relative to the
-    /// gradient itself* (below `1e-3·|g|`), the trajectory is linear to
-    /// within numerical noise and the ratio is 0 — otherwise float rounding
-    /// on an exactly-linear trajectory would produce an arbitrary ratio.
+    /// Current oscillation ratio of scalar `j`, guarded against the last
+    /// update's magnitude ([`EmaPair::guarded_ratio`]).
     ///
     /// # Panics
     ///
     /// Panics if `j` is out of range.
     pub fn ratio(&self, j: usize) -> f64 {
-        if self.ema[j].magnitude <= 1e-3 * self.prev_update[j].abs() {
-            0.0
-        } else {
-            self.ema[j].ratio()
-        }
+        self.ema[j].guarded_ratio(self.prev_update[j])
     }
 
     /// All ratios (allocates), with the same relative-magnitude guard as

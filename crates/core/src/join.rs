@@ -87,7 +87,7 @@ impl JoinState {
                 byte = 0;
             }
         }
-        if n % 8 != 0 {
+        if !n.is_multiple_of(8) {
             buf.push(byte);
         }
         for j in 0..n {

@@ -29,7 +29,11 @@
 //! The ablation variants of Sec. VI-D are configuration points of the same
 //! manager: [`FedSu::variant_v1`] (linearity diagnosis, fixed speculation
 //! period, no error feedback) and [`FedSu::variant_v2`] (random speculation
-//! entry, no diagnosis, no feedback).
+//! entry, no diagnosis, no feedback). So is decision granularity
+//! ([`FedSu::chunked`]): Sec. III-A argues that the decisions must be made
+//! independently for each parameter, and the same state machine deciding
+//! once per block of scalars is how the `ablation_granularity` bench
+//! measures that argument.
 //!
 //! ```
 //! use fedsu_core::{FedSu, FedSuConfig};
@@ -48,13 +52,11 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod coarse;
 pub mod diagnosis;
 pub mod join;
 pub mod manager;
 
 pub use analysis::{theorem1_bound, ConvergenceBound, ProblemConstants};
-pub use coarse::FedSuCoarse;
 pub use diagnosis::{EmaPair, OscillationDiagnostic};
 pub use join::JoinState;
 pub use manager::{FedSu, FedSuConfig, MaskEvent, MaskEventKind, RoundStats};

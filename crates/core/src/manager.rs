@@ -7,6 +7,7 @@ use crate::join::JoinState;
 use fedsu_fl::{AggregateOutcome, SyncStrategy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// FedSU hyper-parameters (Sec. VI-A defaults).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,7 +96,9 @@ pub struct MaskEvent {
 }
 
 /// Per-round aggregate statistics of the manager (instrumentation for the
-/// microscopic figures and for monitoring deployments).
+/// microscopic figures and for monitoring deployments). `checks`, `enters`
+/// and `exits` count decisions: one per chunk, which is one per parameter
+/// unless the manager was built with [`FedSu::chunked`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundStats {
     /// Round index.
@@ -104,9 +107,9 @@ pub struct RoundStats {
     pub predictable: usize,
     /// Error checks performed (scalar aggregations paid).
     pub checks: usize,
-    /// Parameters that entered speculation this round.
+    /// Decisions to enter speculation this round.
     pub enters: usize,
-    /// Parameters demoted to regular updating this round.
+    /// Demotions to regular updating this round.
     pub exits: usize,
 }
 
@@ -120,23 +123,34 @@ pub struct FedSu {
     entry: EntryPolicy,
     exit: ExitPolicy,
     variant_name: &'static str,
+    // Scalars per decision: chunk `c` is scalars `c * chunk ..` (the last
+    // chunk may be short). 1 is the paper's per-parameter granularity.
+    chunk: usize,
 
-    // Replicated (identical-across-clients) per-scalar state.
+    // Replicated (identical-across-clients) per-scalar state. Every scalar
+    // of a chunk carries the same mask bit.
     predictable: Vec<bool>,
     slope: Vec<f32>,
+    prev_update: Vec<f32>,
+    // Replicated per-chunk decision state.
     no_check_len: Vec<u16>,
     no_check_remaining: Vec<u16>,
-    prev_update: Vec<f32>,
     ema: Vec<EmaPair>,
     obs: Vec<u16>,
+    // Scalars outside speculation and chunks whose check falls in the next
+    // round, kept current by `promote` / `demote` / `set_remaining` so that
+    // no round has to scan the mask for them.
+    unmasked: usize,
+    checks_due: usize,
 
-    // Genuinely per-client state: accumulated local prediction errors.
+    // Genuinely per-client state: accumulated local prediction errors, per
+    // scalar.
     errors: Vec<Vec<f32>>,
     // Activity mask of the previous aggregation, to detect rejoining
     // clients whose error accumulators must be re-synchronized.
     prev_active: Vec<bool>,
 
-    // Statistics.
+    // Statistics (`predictable_rounds` is per chunk).
     predictable_rounds: Vec<u64>,
     rounds_seen: usize,
     rng: StdRng,
@@ -148,30 +162,39 @@ pub struct FedSu {
     history: Vec<RoundStats>,
 }
 
-/// Re-synchronizes per-client state for clients that were absent at the
-/// previous aggregation and are active again now (Sec. V's rejoin path):
-/// a rejoiner downloads fresh replicated state, so its stale local error
-/// accumulator must not poison the feedback signal `S`. `errors` is one
-/// accumulator per client; shared with `FedSuCoarse`.
-pub(crate) fn resync_rejoiners(errors: &mut [Vec<f32>], prev_active: &mut Vec<bool>, active: &[bool]) {
-    if prev_active.len() != active.len() {
-        prev_active.clear();
-        prev_active.resize(active.len(), false);
-    }
-    // `prev_active` was just resized to `active.len()`, so the zip walks
-    // all clients.
-    for ((errs, &act), &prev) in errors.iter_mut().zip(active).zip(prev_active.iter()) {
-        if act && !prev {
-            errs.fill(0.0);
-        }
-    }
-    prev_active.copy_from_slice(active);
-}
-
 impl FedSu {
-    /// Standard FedSU: oscillation-ratio diagnosis + error feedback.
+    /// Standard FedSU: oscillation-ratio diagnosis + error feedback, one
+    /// decision per parameter.
     pub fn new(config: FedSuConfig) -> Self {
-        Self::build(config, EntryPolicy::Oscillation, ExitPolicy::ErrorFeedback, "fedsu")
+        Self::chunked(config, 1)
+    }
+
+    /// Standard FedSU deciding once per `chunk` consecutive scalars instead
+    /// of once per parameter (the granularity ablation of Sec. III-A's
+    /// argument). Values, slopes and local errors stay per scalar; a chunk
+    /// enters on Eq. 2 over its mean second difference and is checked on
+    /// Eq. 3 over its mean accumulated error and mean `|slope|`, so a check
+    /// still costs one scalar of communication.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk == 0`.
+    pub fn chunked(config: FedSuConfig, chunk: usize) -> Self {
+        let name = if chunk > 1 { "fedsu-coarse" } else { "fedsu" };
+        Self::build(config, EntryPolicy::Oscillation, ExitPolicy::ErrorFeedback, name).with_chunk(chunk)
+    }
+
+    /// Sets the decision granularity of a manager that has not run a round
+    /// yet (see [`FedSu::chunked`]; this form also reaches v1/v2).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk == 0` or a round has already run.
+    pub fn with_chunk(mut self, chunk: usize) -> Self {
+        assert!(chunk > 0, "chunk size must be positive");
+        assert!(self.predictable.is_empty(), "granularity is fixed before the first round");
+        self.chunk = chunk;
+        self
     }
 
     /// Ablation variant v1 (Sec. VI-D): linearity diagnosis but a *fixed*
@@ -203,13 +226,16 @@ impl FedSu {
             entry,
             exit,
             variant_name: name,
+            chunk: 1,
             predictable: Vec::new(),
             slope: Vec::new(),
+            prev_update: Vec::new(),
             no_check_len: Vec::new(),
             no_check_remaining: Vec::new(),
-            prev_update: Vec::new(),
             ema: Vec::new(),
             obs: Vec::new(),
+            unmasked: 0,
+            checks_due: 0,
             errors: Vec::new(),
             prev_active: Vec::new(),
             predictable_rounds: Vec::new(),
@@ -244,12 +270,12 @@ impl FedSu {
         &self.history
     }
 
-    /// Total speculation entries across all scalars and rounds.
+    /// Total decisions to enter speculation across all rounds.
     pub fn total_enters(&self) -> u64 {
         self.total_enters
     }
 
-    /// Total speculation exits across all scalars and rounds.
+    /// Total demotions to regular updating across all rounds.
     pub fn total_exits(&self) -> u64 {
         self.total_exits
     }
@@ -269,15 +295,15 @@ impl FedSu {
         }
     }
 
-    /// Empirical per-round, per-scalar speculation-entry probability: total
-    /// entries over (scalars × rounds). Parameterizes the random-entry
+    /// Empirical per-round, per-decision speculation-entry probability:
+    /// total entries over (chunks × rounds). Parameterizes the random-entry
     /// ablation variant v2, as the paper measured it.
     ///
     /// With zero scalars or before the first observed round the denominator
     /// is zero and the bare division would yield NaN; this returns the
     /// documented sentinel `0.0` — never NaN — instead.
     pub fn empirical_entry_probability(&self) -> f64 {
-        let denom = (self.predictable.len() * self.rounds_seen) as f64;
+        let denom = (self.ema.len() * self.rounds_seen) as f64;
         if denom == 0.0 {
             0.0
         } else {
@@ -285,17 +311,17 @@ impl FedSu {
         }
     }
 
-    /// The current predictability mask.
+    /// The current predictability mask, one entry per scalar.
     pub fn predictable_mask(&self) -> &[bool] {
         &self.predictable
     }
 
     /// Number of currently-speculative scalars.
     pub fn predictable_count(&self) -> usize {
-        self.predictable.iter().filter(|&&p| p).count()
+        self.predictable.len() - self.unmasked
     }
 
-    /// Current oscillation ratio of scalar `j`.
+    /// Current oscillation ratio of scalar `j` (of its chunk).
     ///
     /// With an empty observation window (before any update has been
     /// absorbed) the EMA magnitudes are both zero and the raw ratio would be
@@ -314,34 +340,53 @@ impl FedSu {
     /// Non-panicking [`Self::oscillation_ratio`]: `None` when `j` is out of
     /// range, otherwise the same documented-sentinel semantics.
     pub fn try_oscillation_ratio(&self, j: usize) -> Option<f64> {
-        self.ema.get(j).map(EmaPair::ratio)
+        let ema = self.ema.get(j / self.chunk).filter(|_| j < self.predictable.len());
+        ema.map(EmaPair::ratio)
     }
 
     /// Bytes of FedSU state resident on *one* client: the predictability
     /// mask and no-checking bookkeeping, the EMA pair, the profiled slope,
     /// and the local error accumulator (Table II's memory inflation).
     pub fn per_client_state_bytes(&self) -> usize {
-        let n = self.predictable.len();
-        n * (1 // predictable mask bit (stored as byte)
+        let per_scalar = 1 // predictable mask bit (stored as byte)
             + std::mem::size_of::<f32>() // slope
-            + 2 * std::mem::size_of::<u16>() // no-check bookkeeping
             + std::mem::size_of::<f32>() // prev update
+            + std::mem::size_of::<f32>(); // local error accumulator
+        let per_chunk = 2 * std::mem::size_of::<u16>() // no-check bookkeeping
             + 2 * std::mem::size_of::<f32>() // EMA pair
-            + std::mem::size_of::<u16>() // observation counter
-            + std::mem::size_of::<f32>()) // local error accumulator
+            + std::mem::size_of::<u16>(); // observation counter
+        self.predictable.len() * per_scalar + self.ema.len() * per_chunk
+    }
+
+    /// Chunk `c`'s value at every scalar of the chunk.
+    fn per_scalar<T: Copy>(&self, per_chunk: &[T]) -> Vec<T> {
+        let n = self.predictable.len();
+        let mut out = Vec::with_capacity(n);
+        for &v in per_chunk {
+            out.resize(out.len().saturating_add(self.chunk).min(n), v);
+        }
+        out
+    }
+
+    /// The inverse of [`Self::per_scalar`]: each chunk's value, read at the
+    /// chunk's first scalar.
+    fn per_chunk<T: Copy>(&self, per_scalar: &[T]) -> Vec<T> {
+        per_scalar.iter().step_by(self.chunk).copied().collect()
     }
 
     /// Exports the replicated state a joining client must download
-    /// (Sec. V's dynamicity protocol).
+    /// (Sec. V's dynamicity protocol). The image is per scalar at every
+    /// granularity — a chunk's decision state is repeated for each of its
+    /// scalars — so the wire format has one shape.
     pub fn export_join_state(&self) -> JoinState {
         JoinState {
             predictable: self.predictable.clone(),
             slope: self.slope.clone(),
-            no_check_len: self.no_check_len.clone(),
-            no_check_remaining: self.no_check_remaining.clone(),
+            no_check_len: self.per_scalar(&self.no_check_len),
+            no_check_remaining: self.per_scalar(&self.no_check_remaining),
             prev_update: self.prev_update.clone(),
-            ema: self.ema.clone(),
-            obs: self.obs.clone(),
+            ema: self.per_scalar(&self.ema),
+            obs: self.per_scalar(&self.obs),
             rounds_seen: self.rounds_seen as u64,
         }
     }
@@ -359,15 +404,16 @@ impl FedSu {
         }
         self.predictable = state.predictable.clone();
         self.slope = state.slope.clone();
-        self.no_check_len = state.no_check_len.clone();
-        self.no_check_remaining = state.no_check_remaining.clone();
         self.prev_update = state.prev_update.clone();
-        self.ema = state.ema.clone();
-        self.obs = state.obs.clone();
+        self.no_check_len = self.per_chunk(&state.no_check_len);
+        self.no_check_remaining = self.per_chunk(&state.no_check_remaining);
+        self.ema = self.per_chunk(&state.ema);
+        self.obs = self.per_chunk(&state.obs);
         self.rounds_seen = state.rounds_seen as usize;
-        let n = self.predictable.len();
-        if self.predictable_rounds.len() != n {
-            self.predictable_rounds = vec![0; n];
+        self.unmasked = self.predictable.iter().filter(|&&p| !p).count();
+        self.checks_due = self.no_check_remaining.iter().filter(|&&r| r == 1).count();
+        if self.predictable_rounds.len() != self.ema.len() {
+            self.predictable_rounds = vec![0; self.ema.len()];
         }
     }
 
@@ -375,22 +421,25 @@ impl FedSu {
         if self.predictable.len() != n_params {
             // Resize in place: steady rounds with a stable model never
             // reallocate, and a size change reuses existing capacity.
+            let n_chunks = n_params.div_ceil(self.chunk);
             self.predictable.clear();
             self.predictable.resize(n_params, false);
             self.slope.clear();
             self.slope.resize(n_params, 0.0);
-            self.no_check_len.clear();
-            self.no_check_len.resize(n_params, 0);
-            self.no_check_remaining.clear();
-            self.no_check_remaining.resize(n_params, 0);
             self.prev_update.clear();
             self.prev_update.resize(n_params, 0.0);
+            self.no_check_len.clear();
+            self.no_check_len.resize(n_chunks, 0);
+            self.no_check_remaining.clear();
+            self.no_check_remaining.resize(n_chunks, 0);
             self.ema.clear();
-            self.ema.resize_with(n_params, EmaPair::default);
+            self.ema.resize_with(n_chunks, EmaPair::default);
             self.obs.clear();
-            self.obs.resize(n_params, 0);
+            self.obs.resize(n_chunks, 0);
             self.predictable_rounds.clear();
-            self.predictable_rounds.resize(n_params, 0);
+            self.predictable_rounds.resize(n_chunks, 0);
+            self.unmasked = n_params;
+            self.checks_due = 0;
         }
         if self.errors.len() != n_clients || self.errors.first().is_some_and(|e| e.len() != n_params) {
             self.errors.resize_with(n_clients, Vec::new);
@@ -403,71 +452,108 @@ impl FedSu {
         }
     }
 
-    fn promote(&mut self, j: usize, slope: f32, round: usize) {
-        self.total_enters += 1;
-        // Every caller passes `j < n` (the aggregate loop index) and all the
-        // per-scalar arrays are length `n`, so these lookups cannot miss;
-        // `get_mut` keeps the round loop free of panic branches.
-        if let Some(p) = self.predictable.get_mut(j) {
-            *p = true;
+    /// Re-synchronizes per-client state for clients that were absent at the
+    /// previous aggregation and are active again now (Sec. V's rejoin path):
+    /// a rejoiner downloads fresh replicated state, so its stale local error
+    /// accumulator must not poison the feedback signal `S`.
+    fn reset_rejoiners(&mut self, active: &[bool]) {
+        if self.prev_active.len() != active.len() {
+            self.prev_active.clear();
+            self.prev_active.resize(active.len(), false);
         }
-        if let Some(s) = self.slope.get_mut(j) {
-            *s = slope;
+        // `prev_active` was just resized to `active.len()`, so the zip walks
+        // all clients.
+        for ((errs, &act), &prev) in self.errors.iter_mut().zip(active).zip(&self.prev_active) {
+            if act && !prev {
+                errs.fill(0.0);
+            }
+        }
+        self.prev_active.copy_from_slice(active);
+    }
+
+    /// The one writer of `no_check_remaining`: keeps `checks_due` (chunks
+    /// with exactly one round left) in step.
+    #[inline]
+    fn set_remaining(&mut self, c: usize, remaining: u16) {
+        // Every caller passes `c < n_chunks` (the aggregate loop index), so
+        // the lookup cannot miss.
+        if let Some(slot) = self.no_check_remaining.get_mut(c) {
+            self.checks_due = self.checks_due + usize::from(remaining == 1) - usize::from(*slot == 1);
+            *slot = remaining;
+        }
+    }
+
+    /// Moves chunk `c` (scalars `range`) into speculation, each scalar on
+    /// its last observed update.
+    fn promote(&mut self, c: usize, range: Range<usize>, round: usize) {
+        self.total_enters += 1;
+        self.unmasked -= range.len();
+        // Every caller passes the aggregate loop's `c` and its `range`,
+        // which lie inside the per-chunk and per-scalar arrays, so these
+        // lookups cannot miss; `get_mut` keeps the round loop free of panic
+        // branches.
+        if let Some(p) = self.predictable.get_mut(range.clone()) {
+            p.fill(true);
+        }
+        if let (Some(s), Some(u)) = (self.slope.get_mut(range.clone()), self.prev_update.get(range.clone())) {
+            s.copy_from_slice(u);
         }
         let period = match self.exit {
             ExitPolicy::ErrorFeedback => self.config.initial_no_check,
             ExitPolicy::FixedPeriod(p) => p.max(1),
         };
-        if let Some(l) = self.no_check_len.get_mut(j) {
+        if let Some(l) = self.no_check_len.get_mut(c) {
             *l = period;
         }
-        if let Some(r) = self.no_check_remaining.get_mut(j) {
-            *r = period;
-        }
+        self.set_remaining(c, period);
         for e in &mut self.errors {
-            if let Some(v) = e.get_mut(j) {
-                *v = 0.0;
+            if let Some(v) = e.get_mut(range.clone()) {
+                v.fill(0.0);
             }
         }
-        if self.tracked.contains(&j) {
-            self.events.push(MaskEvent { round, param: j, kind: MaskEventKind::Enter { slope } });
-        }
+        let slopes = &self.slope;
+        self.events.extend(self.tracked.iter().filter(|j| range.contains(j)).filter_map(|&j| {
+            let kind = MaskEventKind::Enter { slope: *slopes.get(j)? };
+            Some(MaskEvent { round, param: j, kind })
+        }));
     }
 
-    fn demote(&mut self, j: usize, feedback: Option<f64>, round: usize) {
+    /// Returns chunk `c` (scalars `range`) to regular updating with a clean
+    /// diagnosis history.
+    fn demote(&mut self, c: usize, range: Range<usize>, feedback: Option<f64>, round: usize) {
         self.total_exits += 1;
-        // Same bounds argument as `promote`: `j` is an aggregate-loop index
-        // into length-`n` arrays, so none of these lookups can miss.
-        if let Some(p) = self.predictable.get_mut(j) {
-            *p = false;
+        self.unmasked += range.len();
+        // Same bounds argument as `promote`.
+        if let Some(p) = self.predictable.get_mut(range.clone()) {
+            p.fill(false);
         }
-        if let Some(l) = self.no_check_len.get_mut(j) {
+        if let Some(l) = self.no_check_len.get_mut(c) {
             *l = 0;
         }
-        if let Some(r) = self.no_check_remaining.get_mut(j) {
-            *r = 0;
-        }
-        if let Some(o) = self.obs.get_mut(j) {
+        self.set_remaining(c, 0);
+        if let Some(o) = self.obs.get_mut(c) {
             *o = 0;
         }
-        if let Some(e) = self.ema.get_mut(j) {
+        if let Some(e) = self.ema.get_mut(c) {
             e.reset();
         }
         for e in &mut self.errors {
-            if let Some(v) = e.get_mut(j) {
-                *v = 0.0;
+            if let Some(v) = e.get_mut(range.clone()) {
+                v.fill(0.0);
             }
         }
-        if self.tracked.contains(&j) {
-            self.events.push(MaskEvent { round, param: j, kind: MaskEventKind::Exit { feedback } });
-        }
+        let kind = MaskEventKind::Exit { feedback };
+        let exited = self.tracked.iter().filter(|j| range.contains(j));
+        self.events.extend(exited.map(|&j| MaskEvent { round, param: j, kind }));
     }
 
     /// Verifies the mask/no-check-period coupling after a round (armed by
-    /// `FEDSU_CHECK_INVARIANTS=1`): a speculative scalar always has a live
-    /// no-checking period `1 ≤ remaining ≤ len`, and a regular scalar has
-    /// none at all. [`promote`]/[`demote`]/period-extension are the only
-    /// writers, so any divergence means the state machine itself broke.
+    /// `FEDSU_CHECK_INVARIANTS=1`): the scalars of a chunk share one mask
+    /// bit, a speculative chunk always has a live no-checking period
+    /// `1 ≤ remaining ≤ len`, a regular chunk has none at all, and the two
+    /// running counts equal what a scan finds. [`promote`]/[`demote`]/
+    /// period-extension are the only writers, so any divergence means the
+    /// state machine itself broke.
     ///
     /// [`promote`]: FedSu::promote
     /// [`demote`]: FedSu::demote
@@ -475,31 +561,46 @@ impl FedSu {
         if !fedsu_tensor::invariant::enabled() {
             return;
         }
-        // The three per-scalar arrays share length `n`, so the zip covers
-        // every scalar.
-        for (j, ((&p, &len), &remaining)) in self
+        // The per-chunk arrays share length `n_chunks` and `chunks` yields
+        // that many mask slices, so the zip covers every chunk.
+        for (c, ((mask, &len), &remaining)) in self
             .predictable
-            .iter()
+            .chunks(self.chunk)
             .zip(&self.no_check_len)
             .zip(&self.no_check_remaining)
             .enumerate()
         {
+            let p = mask.first().is_some_and(|&p| p);
+            assert!(
+                mask.iter().all(|&m| m == p),
+                "invariant violation [fedsu-mask]: round {round}, chunk {c}: \
+                 scalars of one chunk disagree on the mask bit"
+            );
             if p {
                 assert!(
                     (1..=len).contains(&remaining),
-                    "invariant violation [fedsu-mask]: round {round}, scalar {j}: \
+                    "invariant violation [fedsu-mask]: round {round}, chunk {c}: \
                      predictable but no-check period is remaining={remaining} of \
                      len={len} (expected 1 <= remaining <= len)"
                 );
             } else {
                 assert!(
                     len == 0 && remaining == 0,
-                    "invariant violation [fedsu-mask]: round {round}, scalar {j}: \
-                     regular-updating scalar carries a no-check period \
+                    "invariant violation [fedsu-mask]: round {round}, chunk {c}: \
+                     regular-updating chunk carries a no-check period \
                      (len={len}, remaining={remaining})"
                 );
             }
         }
+        let unmasked = self.predictable.iter().filter(|&&p| !p).count();
+        let checks_due = self.no_check_remaining.iter().filter(|&&r| r == 1).count();
+        assert!(
+            (self.unmasked, self.checks_due) == (unmasked, checks_due),
+            "invariant violation [fedsu-mask]: round {round}: running counts \
+             (unmasked={}, checks_due={}) differ from the mask's ({unmasked}, {checks_due})",
+            self.unmasked,
+            self.checks_due
+        );
     }
 }
 
@@ -522,17 +623,13 @@ impl SyncStrategy for FedSu {
         out: &mut Vec<u64>,
     ) {
         self.ensure_capacity(global.len(), locals.len());
-        let unpredictable = self.predictable.iter().filter(|&&p| !p).count() as u64;
-        let check_due = if matches!(self.exit, ExitPolicy::ErrorFeedback) {
-            self.predictable
-                .iter()
-                .zip(&self.no_check_remaining)
-                .filter(|&(&p, &r)| p && r == 1)
-                .count() as u64
-        } else {
-            0
+        // Every unmasked scalar, plus one aggregated error value per chunk
+        // whose no-checking period ends this round.
+        let check_due = match self.exit {
+            ExitPolicy::ErrorFeedback => self.checks_due,
+            ExitPolicy::FixedPeriod(_) => 0,
         };
-        self.last_upload_scalars = unpredictable + check_due;
+        self.last_upload_scalars = (self.unmasked + check_due) as u64;
         out.clear();
         out.resize(locals.len(), self.last_upload_scalars);
     }
@@ -546,7 +643,7 @@ impl SyncStrategy for FedSu {
         global: &mut [f32],
     ) -> AggregateOutcome {
         self.ensure_capacity(global.len(), locals.len());
-        resync_rejoiners(&mut self.errors, &mut self.prev_active, active);
+        self.reset_rejoiners(active);
         let n = global.len();
         if selected.is_empty() {
             // Nothing usable arrived (every upload dropped, lost, or
@@ -565,91 +662,107 @@ impl SyncStrategy for FedSu {
         }
         let inv = 1.0 / selected.len().max(1) as f32;
         let accumulate_errors = matches!(self.exit, ExitPolicy::ErrorFeedback);
+        let FedSuConfig { t_r, t_s, theta, max_no_check, warmup_updates, correct_on_exit, .. } = self.config;
         let mut synced = 0usize;
         let mut checked = 0usize;
         let enters_before = self.total_enters;
         let exits_before = self.total_exits;
 
-        for j in 0..n {
-            if self.predictable[j] {
+        // Per scalar the work is O(clients); per chunk it is O(1) except at
+        // a due check, so the loop costs the same at every chunk size.
+        let chunk = self.chunk;
+        let mut start = 0usize;
+        for c in 0..self.ema.len() {
+            let range = start..start.saturating_add(chunk).min(n);
+            start = range.end;
+            let len = range.len() as f32;
+            if self.predictable[range.start] {
                 // Speculative update: masked replacement with the predicted
-                // value; no synchronization for this scalar.
-                self.predictable_rounds[j] += 1;
-                let predicted = global[j] + self.slope[j];
-                if accumulate_errors {
-                    for (i, &act) in active.iter().enumerate() {
-                        if act {
-                            self.errors[i][j] += locals[i][j] - predicted;
+                // value; no synchronization for these scalars.
+                self.predictable_rounds[c] += 1;
+                for j in range.clone() {
+                    let predicted = global[j] + self.slope[j];
+                    if accumulate_errors {
+                        for ((errs, local), &act) in self.errors.iter_mut().zip(locals).zip(active) {
+                            if act {
+                                errs[j] += local[j] - predicted;
+                            }
                         }
                     }
+                    global[j] = predicted;
                 }
-                global[j] = predicted;
 
-                self.no_check_remaining[j] = self.no_check_remaining[j].saturating_sub(1);
-                if self.no_check_remaining[j] == 0 {
+                let remaining = self.no_check_remaining[c].saturating_sub(1);
+                self.set_remaining(c, remaining);
+                if remaining == 0 {
                     match self.exit {
                         ExitPolicy::ErrorFeedback => {
-                            // The no-checking period expired: aggregate the
-                            // accumulated errors (this costs one scalar of
-                            // communication) and evaluate Eq. 3.
+                            // The no-checking period expired: every selected
+                            // client reports its accumulated error averaged
+                            // over the chunk (one scalar of communication),
+                            // and Eq. 3 is evaluated on their mean.
                             checked += 1;
-                            let e_mean: f32 =
-                                selected.iter().map(|&c| self.errors[c][j]).sum::<f32>() * inv;
-                            let s = f64::from(e_mean.abs())
-                                / f64::from(self.slope[j].abs().max(f32::EPSILON));
-                            if s < self.config.t_s {
+                            let e_mean: f32 = selected
+                                .iter()
+                                .map(|&k| self.errors[k][range.clone()].iter().sum::<f32>() / len)
+                                .sum::<f32>()
+                                * inv;
+                            let slope_mean =
+                                self.slope[range.clone()].iter().map(|s| s.abs()).sum::<f32>() / len;
+                            let s = f64::from(e_mean.abs()) / f64::from(slope_mean.max(f32::EPSILON));
+                            if s < t_s {
                                 // Linearity persists: extend by one round.
-                                self.no_check_len[j] =
-                                    self.no_check_len[j].saturating_add(1).min(self.config.max_no_check);
-                                self.no_check_remaining[j] = self.no_check_len[j];
+                                let period = self.no_check_len[c].saturating_add(1).min(max_no_check);
+                                self.no_check_len[c] = period;
+                                self.set_remaining(c, period);
                             } else {
-                                if self.config.correct_on_exit {
-                                    global[j] += e_mean;
+                                if correct_on_exit {
+                                    global[range.clone()].iter_mut().for_each(|g| *g += e_mean);
                                 }
-                                self.demote(j, Some(s), round);
+                                self.demote(c, range, Some(s), round);
                             }
                         }
                         ExitPolicy::FixedPeriod(_) => {
-                            self.demote(j, None, round);
+                            self.demote(c, range, None, round);
                         }
                     }
                 }
             } else {
                 // Regular synchronization: average the selected clients.
-                synced += 1;
-                let old = global[j];
-                let mut avg = 0.0f32;
-                for &c in selected {
-                    avg += locals[c][j];
+                synced += range.len();
+                let (mut g2_sum, mut update_sum) = (0.0f32, 0.0f32);
+                for j in range.clone() {
+                    let old = global[j];
+                    let mut avg = 0.0f32;
+                    for &k in selected {
+                        avg += locals[k][j];
+                    }
+                    avg *= inv;
+                    global[j] = avg;
+                    let g = avg - old;
+                    g2_sum += g - self.prev_update[j];
+                    update_sum += g.abs();
+                    self.prev_update[j] = g;
                 }
-                avg *= inv;
-                global[j] = avg;
-                let g = avg - old;
 
-                if self.obs[j] == 0 {
-                    // (Re)seed the first-order difference.
-                    self.prev_update[j] = g;
-                    self.obs[j] = 1;
+                let obs = &mut self.obs[c];
+                if *obs == 0 {
+                    // The first-order differences were (re)seeded above.
+                    *obs = 1;
                 } else {
-                    let g2 = g - self.prev_update[j];
-                    self.ema[j].observe(g2, self.config.theta);
-                    self.prev_update[j] = g;
-                    self.obs[j] = self.obs[j].saturating_add(1);
-
-                    if self.obs[j] >= self.config.warmup_updates {
+                    *obs = obs.saturating_add(1);
+                    let warm = *obs >= warmup_updates;
+                    let ema = &mut self.ema[c];
+                    ema.observe(g2_sum / len, theta);
+                    if warm {
                         let enter = match self.entry {
-                            EntryPolicy::Oscillation => {
-                                // Second differences negligible relative to
-                                // the gradient are numerical noise on a
-                                // linear trajectory (cf. diagnosis::ratio).
-                                let negligible =
-                                    self.ema[j].magnitude <= 1e-3 * self.prev_update[j].abs();
-                                negligible || self.ema[j].ratio() < self.config.t_r
-                            }
+                            // Eq. 2 on the chunk means, second differences
+                            // judged against the update they ride on.
+                            EntryPolicy::Oscillation => ema.guarded_ratio(update_sum / len) < t_r,
                             EntryPolicy::Random { probability } => self.rng.gen_bool(probability),
                         };
                         if enter {
-                            self.promote(j, g, round);
+                            self.promote(c, range, round);
                         }
                     }
                 }
@@ -691,12 +804,9 @@ impl SyncStrategy for FedSu {
         if self.rounds_seen == 0 {
             return None;
         }
-        Some(
-            self.predictable_rounds
-                .iter()
-                .map(|&p| p as f64 / self.rounds_seen as f64)
-                .collect(),
-        )
+        let per_chunk: Vec<f64> =
+            self.predictable_rounds.iter().map(|&p| p as f64 / self.rounds_seen as f64).collect();
+        Some(self.per_scalar(&per_chunk))
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -711,7 +821,7 @@ mod tests {
     /// Drives one synthetic round: every client reports `global + update_i`.
     fn drive_round(
         fedsu: &mut FedSu,
-        global: &mut Vec<f32>,
+        global: &mut [f32],
         per_client_updates: &[Vec<f32>],
         round: usize,
     ) -> AggregateOutcome {
@@ -1099,6 +1209,156 @@ mod tests {
         assert_eq!(out.total_scalars, 2);
         assert_eq!(f.history().len(), 1);
         assert_eq!(f.history()[0].checks, 0);
+    }
+
+    // Decision granularity (Sec. III-A): the same manager deciding once
+    // per chunk.
+
+    fn coarse(chunk: usize) -> FedSu {
+        FedSu::chunked(FedSuConfig { t_r: 0.1, t_s: 10.0, ..FedSuConfig::default() }, chunk)
+    }
+
+    fn drive(coarse: &mut FedSu, global: &mut [f32], updates: &[f32], round: usize) -> AggregateOutcome {
+        let locals = vec![global.iter().zip(updates).map(|(g, u)| g + u).collect::<Vec<f32>>()];
+        coarse.prepare_uploads(round, &locals, global);
+        coarse.aggregate(round, &locals, &[0], &[true], global)
+    }
+
+    #[test]
+    fn chunk_one_behaves_like_per_scalar_fedsu() {
+        let mut f = coarse(1);
+        let mut global = vec![0.0f32; 2];
+        for round in 0..8 {
+            drive(&mut f, &mut global, &[-0.01, -0.02], round);
+        }
+        assert_eq!(f.predictable.len(), 2);
+        assert!(f.predictable.iter().all(|&p| p), "both linear scalars speculate");
+        assert_eq!(f.name(), "fedsu");
+        assert_eq!(coarse(2).name(), "fedsu-coarse");
+    }
+
+    #[test]
+    fn coarse_chunk_corrupts_mixed_content() {
+        // One linear scalar and one strongly alternating scalar share a
+        // chunk. The chunk-mean diagnosis sees the alternation average out,
+        // admits the pair, and then freezes a *wrong* slope onto the
+        // alternating scalar — whose trajectory drifts away from the truth.
+        // Per-scalar granularity (chunk = 1) never speculates that scalar.
+        // This is exactly Sec. III-A's argument for fine-grained decisions:
+        // coarseness costs accuracy, not just opportunity.
+        let horizon = 30;
+        let mut fine = coarse(1);
+        let mut coarse = coarse(2);
+        let mut gf = vec![0.0f32; 2];
+        let mut gc = vec![0.0f32; 2];
+        for round in 0..horizon {
+            let flip = if round % 2 == 0 { 0.05 } else { -0.05 };
+            drive(&mut fine, &mut gf, &[-0.01, flip], round);
+            drive(&mut coarse, &mut gc, &[-0.01, flip], round);
+        }
+        // Ground truth for the alternating scalar stays within one step of 0.
+        assert!(gf[1].abs() <= 0.0501, "fine tracks the alternation: {}", gf[1]);
+        assert!(
+            gc[1].abs() > gf[1].abs() + 0.05,
+            "coarse speculation must have corrupted the alternating scalar: {} vs {}",
+            gc[1],
+            gf[1]
+        );
+    }
+
+    #[test]
+    fn uniform_linear_chunks_speculate_and_track() {
+        let mut f = coarse(4);
+        let mut global = vec![0.0f32; 8];
+        let updates = vec![-0.01f32; 8];
+        for round in 0..20 {
+            drive(&mut f, &mut global, &updates, round);
+        }
+        assert!(f.predictable.iter().all(|&p| p));
+        for (j, v) in global.iter().enumerate() {
+            assert!((v - (-0.01 * 20.0)).abs() < 1e-4, "scalar {j} drifted: {v}");
+        }
+        let skips = f.skip_fractions().unwrap();
+        assert_eq!(skips.len(), 8);
+        assert!(skips[0] > 0.3);
+    }
+
+    #[test]
+    fn ragged_final_chunk_is_handled() {
+        let mut f = coarse(3);
+        let mut global = vec![0.0f32; 7]; // chunks of 3, 3, 1
+        let updates = vec![-0.01f32; 7];
+        for round in 0..10 {
+            let out = drive(&mut f, &mut global, &updates, round);
+            assert_eq!(out.total_scalars, 7);
+        }
+        assert_eq!(f.ema.len(), 3);
+    }
+
+    #[test]
+    fn empty_selection_holds_values_and_state() {
+        let mut f = coarse(2);
+        let mut global = vec![1.0f32, 2.0, 3.0];
+        let locals = vec![vec![9.0f32; 3]];
+        let out = f.aggregate(0, &locals, &[], &[false], &mut global);
+        assert_eq!(global, [1.0, 2.0, 3.0]);
+        assert_eq!((out.broadcast_scalars, out.synced_scalars, out.total_scalars), (0, 0, 3));
+        assert_eq!(f.rounds_seen, 1, "the round still counts");
+        assert!(f.obs.iter().all(|&o| o == 0), "no diagnosis ran");
+    }
+
+    #[test]
+    fn rejoiner_starts_from_a_clean_error_accumulator() {
+        // Two clients on one linear chunk; every local lands exactly on the
+        // speculated value, so a round adds (almost) nothing to an accumulator.
+        fn step(f: &mut FedSu, global: &mut [f32], selected: &[usize], active: &[bool]) {
+            let locals = vec![global.iter().map(|g| g - 0.01).collect::<Vec<f32>>(); 2];
+            f.aggregate(0, &locals, selected, active, global);
+        }
+        let mut f = coarse(2);
+        let mut global = vec![0.0f32; 2];
+        for _ in 0..8 {
+            step(&mut f, &mut global, &[0, 1], &[true, true]);
+        }
+        assert!(f.predictable[0], "the linear chunk must speculate");
+        f.errors[1][0] = 0.5; // what client 1 had accumulated when it left
+        f.no_check_len[0] = 8; // keep the check out of the way
+        f.set_remaining(0, 8);
+        step(&mut f, &mut global, &[0], &[true, false]);
+        assert_eq!(f.errors[1][0], 0.5, "an absent client's accumulator is left alone");
+        step(&mut f, &mut global, &[0, 1], &[true, true]);
+        assert!(f.errors[1][0].abs() < 1e-6, "stale error survived the rejoin: {}", f.errors[1][0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk size must be positive")]
+    fn zero_chunk_panics() {
+        coarse(0);
+    }
+
+    #[test]
+    fn demoted_chunk_carries_no_period_at_any_granularity() {
+        // Promote on a clean line, then break it: whatever the chunk size,
+        // the demotion must leave neither a period length nor a countdown
+        // behind (the chunk-granular twin used to keep its `no_check_len`).
+        for chunk in [1, 2, 3, 8] {
+            let mut f = FedSu::chunked(quick_config(), chunk);
+            let mut global = vec![0.0f32; 5];
+            let mut round = 0;
+            while f.predictable_count() < 5 {
+                drive_round(&mut f, &mut global, &[vec![-0.01; 5]], round);
+                round += 1;
+                assert!(round < 10, "chunk {chunk}: should promote within warmup");
+            }
+            while f.predictable_count() > 0 {
+                drive_round(&mut f, &mut global, &[vec![0.05; 5]], round);
+                round += 1;
+                assert!(round < 30, "chunk {chunk}: the broken line must be caught");
+            }
+            assert!(f.no_check_len.iter().all(|&l| l == 0), "chunk {chunk}: {:?}", f.no_check_len);
+            assert!(f.no_check_remaining.iter().all(|&r| r == 0), "chunk {chunk}");
+            assert_eq!((f.unmasked, f.checks_due), (5, 0), "chunk {chunk}");
+        }
     }
 
     #[test]

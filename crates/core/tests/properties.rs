@@ -1,10 +1,9 @@
-//! Property tests of the oscillation-ratio diagnosis (Eq. 2) and of the two
-//! differential checks the crate gets for free: the standalone diagnostic
-//! against the manager's embedded copy, and `FedSuCoarse` at chunk size 1
-//! against per-scalar `FedSu`.
+//! Property tests of the oscillation-ratio diagnosis (Eq. 2), and the
+//! standalone diagnostic against the manager's embedded copy (the manager
+//! against an independent reference is `oracle.rs`).
 
-use fedsu_cases::{check, ends_then_draw, vec_of, Rng, StdRng};
-use fedsu_core::{EmaPair, FedSu, FedSuCoarse, FedSuConfig, OscillationDiagnostic};
+use fedsu_cases::{check, ends_then_draw, vec_of, Rng};
+use fedsu_core::{EmaPair, FedSu, FedSuConfig, OscillationDiagnostic};
 use fedsu_fl::SyncStrategy;
 
 const CASES: u64 = 64;
@@ -154,67 +153,5 @@ fn manager_and_standalone_diagnostic_agree_on_eq2() {
             }
         }
         assert!(curved, "the trajectory never produced a non-zero ratio");
-    });
-}
-
-/// Who is present this round (clients leave and rejoin; at least one stays)
-/// and which of those the server waits for (rotating; one round in eight
-/// nothing usable arrives).
-fn participation(rng: &mut StdRng, round: usize, active: &mut [bool]) -> Vec<usize> {
-    for a in active.iter_mut() {
-        if rng.gen_bool(0.15) {
-            *a = !*a;
-        }
-    }
-    if !active.contains(&true) {
-        active[round % active.len()] = true;
-    }
-    if round % 8 == 7 {
-        return Vec::new();
-    }
-    let present: Vec<usize> = (0..active.len()).filter(|&i| active[i]).collect();
-    let skip = present[round % present.len()];
-    present.iter().copied().filter(|&i| present.len() == 1 || i != skip).collect()
-}
-
-/// `coarse.rs` says "with chunk size 1 it degenerates to per-scalar FedSU";
-/// this is that sentence as a differential test (ROADMAP 1c), over seeded
-/// slopes, noise, rotating `selected ⊂ active` and join/leave patterns.
-#[test]
-fn coarse_chunk_one_is_per_scalar_fedsu() {
-    check("coarse_chunk_one_is_per_scalar_fedsu", CASES, |rng| {
-        let n = rng.gen_range(1usize..=24);
-        let slopes = vec_of(rng, n..=n, |r| r.gen_range(-0.05f32..0.05));
-        // Every third scalar is genuinely noisy; the rest are linear up to
-        // float noise, which only the negligible clause admits.
-        let noise = |j: usize| if j % 3 == 0 { 0.02f32 } else { 1e-6 };
-        let mut active = vec![true; rng.gen_range(1usize..=4)];
-        let mut fine = FedSu::new(FedSuConfig { t_r: 0.1, t_s: 10.0, ..FedSuConfig::default() });
-        let mut coarse = FedSuCoarse::new(1, 0.1, 10.0);
-        let mut global = vec![0.0f32; n];
-        let mut coarse_global = global.clone();
-        for round in 0..40 {
-            let selected = participation(rng, round, &mut active);
-            let locals: Vec<Vec<f32>> = active
-                .iter()
-                .map(|_| {
-                    (0..n)
-                        .map(|j| global[j] + slopes[j] + noise(j) * rng.gen_range(-1.0f32..1.0))
-                        .collect()
-                })
-                .collect();
-            assert_eq!(
-                fine.prepare_uploads(round, &locals, &global),
-                coarse.prepare_uploads(round, &locals, &coarse_global),
-                "round {round}: upload volumes"
-            );
-            let out = fine.aggregate(round, &locals, &selected, &active, &mut global);
-            let coarse_out =
-                coarse.aggregate(round, &locals, &selected, &active, &mut coarse_global);
-            assert_eq!(out, coarse_out, "round {round}");
-            assert_eq!(fine.predictable_mask(), coarse.predictable_mask(), "round {round}: masks");
-            let bits = |g: &[f32]| g.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-            assert_eq!(bits(&global), bits(&coarse_global), "round {round}: globals");
-        }
     });
 }

@@ -488,8 +488,8 @@ mod tests {
             ..FaultConfig::default()
         });
         let factors: Vec<f64> = (0..200).map(|r| p.slowdown(r % 4, r)).collect();
-        assert!(factors.iter().any(|&f| f == 3.0));
-        assert!(factors.iter().any(|&f| f == 1.0));
+        assert!(factors.contains(&3.0));
+        assert!(factors.contains(&1.0));
         assert!(factors.iter().all(|&f| f == 1.0 || f == 3.0));
     }
 
@@ -604,8 +604,8 @@ mod tests {
             ..FaultConfig::default()
         });
         let delays: Vec<usize> = (0..200).map(|s| p.wire_delay(&frame(0, 0, s, 0))).collect();
-        assert!(delays.iter().any(|&d| d == 3));
-        assert!(delays.iter().any(|&d| d == 0));
+        assert!(delays.contains(&3));
+        assert!(delays.contains(&0));
         assert!(delays.iter().all(|&d| d == 0 || d == 3));
         // Depth 0 clamps to 1 when a delay fires.
         let p = plan(FaultConfig {

@@ -17,11 +17,14 @@
 //!   clients have returned.
 //!
 //! ```
-//! use fedsu_netsim::{Cluster, ClusterConfig, RoundTimer};
+//! use fedsu_netsim::{Cluster, ClusterConfig, FaultPenalties, RoundTimer};
 //!
 //! let cluster = Cluster::build(&ClusterConfig::paper_like(8), 42);
 //! let timer = RoundTimer::new(&cluster, 0.7);
-//! let outcome = timer.round(&vec![1.0; 8], &vec![1_000_000; 8], &vec![1_000_000; 8]);
+//! // Round 0, everyone present, nothing slowed down or retried.
+//! let unfaulted = FaultPenalties { time_factor: &[1.0; 8], extra_secs: &[0.0; 8] };
+//! let outcome =
+//!     timer.round_faulty(0, &[1.0; 8], &[1_000_000; 8], &[1_000_000; 8], &[true; 8], unfaulted);
 //! assert_eq!(outcome.selected.len(), 6); // round(70% of 8)
 //! assert!(outcome.duration_secs > 0.0);
 //! ```

@@ -54,74 +54,18 @@ impl RoundTimer {
             .clamp(1, self.cluster.n_clients())
     }
 
-    /// Computes one round's timing.
+    /// Computes one round's timing at the given round index (which selects
+    /// the cluster's bandwidth-trace sample).
     ///
     /// `compute_secs[i]` is client `i`'s nominal local-training time this
     /// round (before the heterogeneity factor), and `upload_bytes` /
-    /// `download_bytes` its communication volumes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices don't cover every client.
-    pub fn round(
-        &self,
-        compute_secs: &[f64],
-        upload_bytes: &[u64],
-        download_bytes: &[u64],
-    ) -> RoundOutcomeTiming {
-        let active = vec![true; self.cluster.n_clients()];
-        self.round_with_active(compute_secs, upload_bytes, download_bytes, &active)
-    }
-
-    /// Like [`RoundTimer::round`], but only clients flagged in `active`
-    /// participate; the earliest fraction is taken of the *active* set
-    /// (participant dynamicity — clients that left are never selected).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices don't cover every client or no client is active.
-    pub fn round_with_active(
-        &self,
-        compute_secs: &[f64],
-        upload_bytes: &[u64],
-        download_bytes: &[u64],
-        active: &[bool],
-    ) -> RoundOutcomeTiming {
-        self.round_at(0, compute_secs, upload_bytes, download_bytes, active)
-    }
-
-    /// Like [`RoundTimer::round_with_active`], applying the cluster's
-    /// bandwidth trace at the given round index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices don't cover every client or no client is active.
-    pub fn round_at(
-        &self,
-        round: usize,
-        compute_secs: &[f64],
-        upload_bytes: &[u64],
-        download_bytes: &[u64],
-        active: &[bool],
-    ) -> RoundOutcomeTiming {
-        let n = self.cluster.n_clients();
-        let (ones, zeros) = (vec![1.0; n], vec![0.0; n]);
-        self.round_faulty(
-            round,
-            compute_secs,
-            upload_bytes,
-            download_bytes,
-            active,
-            FaultPenalties { time_factor: &ones, extra_secs: &zeros },
-        )
-    }
-
-    /// Like [`RoundTimer::round_at`], with per-client [`FaultPenalties`]
-    /// applied to each finish time.
-    ///
-    /// With all factors `1.0` and all extras `0.0` this is bit-for-bit
-    /// identical to [`RoundTimer::round_at`] (`x * 1.0 + 0.0 == x` exactly
-    /// for the non-negative finish times produced here).
+    /// `download_bytes` its communication volumes. Only clients flagged in
+    /// `active` participate; the earliest fraction is taken of the *active*
+    /// set (participant dynamicity — clients that left are never selected).
+    /// Each finish time is then scaled and shifted by the client's
+    /// [`FaultPenalties`]; factors of `1.0` and extras of `0.0` leave it
+    /// bit-for-bit unchanged (`x * 1.0 + 0.0 == x` exactly for the
+    /// non-negative finish times produced here).
     ///
     /// # Panics
     ///
@@ -191,12 +135,25 @@ mod tests {
         Cluster::build(&cfg, 0)
     }
 
+    /// A round at index 0 with no fault penalties.
+    pub(super) fn clean_round(
+        t: &RoundTimer,
+        compute_secs: &[f64],
+        upload_bytes: &[u64],
+        download_bytes: &[u64],
+        active: &[bool],
+    ) -> RoundOutcomeTiming {
+        let n = active.len();
+        let penalties = FaultPenalties { time_factor: &vec![1.0; n], extra_secs: &vec![0.0; n] };
+        t.round_faulty(0, compute_secs, upload_bytes, download_bytes, active, penalties)
+    }
+
     #[test]
     fn selects_fraction_of_clients() {
         let c = homogeneous(10);
         let t = RoundTimer::new(&c, 0.7);
         assert_eq!(t.selected_count(), 7);
-        let o = t.round(&vec![1.0; 10], &vec![0; 10], &vec![0; 10]);
+        let o = clean_round(&t, &[1.0; 10], &[0; 10], &[0; 10], &[true; 10]);
         assert_eq!(o.selected.len(), 7);
     }
 
@@ -205,7 +162,7 @@ mod tests {
         let c = homogeneous(4);
         let t = RoundTimer::new(&c, 0.5);
         // Finish times 1, 2, 3, 4 via compute.
-        let o = t.round(&[1.0, 2.0, 3.0, 4.0], &[0; 4], &[0; 4]);
+        let o = clean_round(&t, &[1.0, 2.0, 3.0, 4.0], &[0; 4], &[0; 4], &[true; 4]);
         assert_eq!(o.selected, vec![0, 1]);
         assert!((o.duration_secs - 2.0).abs() < 1e-9);
     }
@@ -215,7 +172,7 @@ mod tests {
         let c = homogeneous(2);
         let t = RoundTimer::new(&c, 1.0);
         // 8 Mbps = 1 MB/s: 1 MB up adds 1 s.
-        let with = t.round(&[1.0, 1.0], &[1_000_000, 0], &[0, 0]);
+        let with = clean_round(&t, &[1.0, 1.0], &[1_000_000, 0], &[0, 0], &[true; 2]);
         assert!((with.finish_secs[0] - 2.0).abs() < 1e-6);
         assert!((with.finish_secs[1] - 1.0).abs() < 1e-6);
     }
@@ -228,7 +185,7 @@ mod tests {
         cfg.client_link = Link { bandwidth_mbps: 8.0, latency_ms: 500.0 };
         let c = Cluster::build(&cfg, 0);
         let t = RoundTimer::new(&c, 1.0);
-        let o = t.round(&[1.0], &[0], &[0]);
+        let o = clean_round(&t, &[1.0], &[0], &[0], &[true]);
         assert!((o.finish_secs[0] - 1.0).abs() < 1e-9);
     }
 
@@ -236,7 +193,7 @@ mod tests {
     fn slow_clients_are_excluded() {
         let c = homogeneous(3);
         let t = RoundTimer::new(&c, 0.67);
-        let o = t.round(&[1.0, 100.0, 2.0], &[0; 3], &[0; 3]);
+        let o = clean_round(&t, &[1.0, 100.0, 2.0], &[0; 3], &[0; 3], &[true; 3]);
         assert_eq!(o.selected, vec![0, 2]);
         assert!((o.duration_secs - 2.0).abs() < 1e-9);
     }
@@ -245,7 +202,7 @@ mod tests {
     fn full_participation_waits_for_stragglers() {
         let c = homogeneous(3);
         let t = RoundTimer::new(&c, 1.0);
-        let o = t.round(&[1.0, 100.0, 2.0], &[0; 3], &[0; 3]);
+        let o = clean_round(&t, &[1.0, 100.0, 2.0], &[0; 3], &[0; 3], &[true; 3]);
         assert_eq!(o.selected.len(), 3);
         assert!((o.duration_secs - 100.0).abs() < 1e-9);
     }
@@ -266,6 +223,7 @@ mod tests {
 
 #[cfg(test)]
 mod active_tests {
+    use super::tests::clean_round;
     use super::*;
     use crate::{ClusterConfig, Link};
 
@@ -280,7 +238,7 @@ mod active_tests {
     fn inactive_clients_are_never_selected() {
         let c = homogeneous(4);
         let t = RoundTimer::new(&c, 1.0);
-        let o = t.round_with_active(&[1.0; 4], &[0; 4], &[0; 4], &[true, false, true, false]);
+        let o = clean_round(&t, &[1.0; 4], &[0; 4], &[0; 4], &[true, false, true, false]);
         assert_eq!(o.selected, vec![0, 2]);
         assert!(o.finish_secs[1].is_infinite());
     }
@@ -294,7 +252,7 @@ mod active_tests {
             *a = false;
         }
         // 4 active, 50% -> 2 selected.
-        let o = t.round_with_active(&[1.0; 10], &[0; 10], &[0; 10], &active);
+        let o = clean_round(&t, &[1.0; 10], &[0; 10], &[0; 10], &active);
         assert_eq!(o.selected.len(), 2);
     }
 
@@ -303,7 +261,7 @@ mod active_tests {
     fn all_inactive_panics() {
         let c = homogeneous(2);
         let t = RoundTimer::new(&c, 1.0);
-        t.round_with_active(&[1.0; 2], &[0; 2], &[0; 2], &[false, false]);
+        clean_round(&t, &[1.0; 2], &[0; 2], &[0; 2], &[false, false]);
     }
 }
 
@@ -319,6 +277,9 @@ mod faulty_tests {
         Cluster::build(&cfg, 0)
     }
 
+    /// Unit penalties cost nothing, bit for bit: every active finish time is
+    /// the penalty-free `download + compute·speed + upload` at that round's
+    /// trace sample (what the former `round_at` entry point computed).
     #[test]
     fn unit_penalties_match_round_at_exactly() {
         let c = Cluster::build(&ClusterConfig::paper_like(6), 7);
@@ -328,7 +289,6 @@ mod faulty_tests {
         let down = [7_000u64; 6];
         let active = [true, true, false, true, true, true];
         for round in [0usize, 3, 17] {
-            let legacy = t.round_at(round, &compute, &up, &down, &active);
             let faulty = t.round_faulty(
                 round,
                 &compute,
@@ -337,7 +297,12 @@ mod faulty_tests {
                 &active,
                 FaultPenalties { time_factor: &[1.0; 6], extra_secs: &[0.0; 6] },
             );
-            assert_eq!(legacy, faulty);
+            for i in (0..6).filter(|&i| active[i]) {
+                let link = c.client_link_at(i, round);
+                let transfer = |bytes: u64| if bytes == 0 { 0.0 } else { link.transfer_secs(bytes) };
+                let clean = transfer(down[i]) + compute[i] * c.speed_factor(i) + transfer(up[i]);
+                assert_eq!(faulty.finish_secs[i].to_bits(), clean.to_bits(), "round {round} client {i}");
+            }
         }
     }
 

@@ -1,9 +1,16 @@
 //! Property tests for the network/time emulator.
 
 use fedsu_cases::{check, ends_then_draw, Rng};
-use fedsu_netsim::{Cluster, ClusterConfig, Link, RoundTimer};
+use fedsu_netsim::{Cluster, ClusterConfig, FaultPenalties, Link, RoundOutcomeTiming, RoundTimer};
 
 const CASES: u64 = 48;
+
+/// Round 0 with every client present and no fault penalties.
+fn clean_round(timer: &RoundTimer, compute: &[f64], up: &[u64], down: &[u64]) -> RoundOutcomeTiming {
+    let n = compute.len();
+    let penalties = FaultPenalties { time_factor: &vec![1.0; n], extra_secs: &vec![0.0; n] };
+    timer.round_faulty(0, compute, up, down, &vec![true; n], penalties)
+}
 
 #[test]
 fn transfer_time_is_monotone_in_bytes() {
@@ -30,7 +37,7 @@ fn round_duration_covers_selected_and_only_selected() {
             let timer = RoundTimer::new(&cluster, frac);
             let compute: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64) * 0.3).collect();
             let bytes = vec![100_000u64; n];
-            let outcome = timer.round(&compute, &bytes, &bytes);
+            let outcome = clean_round(&timer, &compute, &bytes, &bytes);
 
             // Selected count within [1, n] and matches the configured fraction.
             let k = outcome.selected.len();
@@ -59,8 +66,8 @@ fn more_bytes_never_shorten_the_round() {
         let cluster = Cluster::build(&cfg, seed);
         let timer = RoundTimer::new(&cluster, 0.7);
         let compute = vec![2.0; n];
-        let small = timer.round(&compute, &vec![1_000; n], &vec![1_000; n]);
-        let large = timer.round(&compute, &vec![10_000_000; n], &vec![10_000_000; n]);
+        let small = clean_round(&timer, &compute, &vec![1_000; n], &vec![1_000; n]);
+        let large = clean_round(&timer, &compute, &vec![10_000_000; n], &vec![10_000_000; n]);
         assert!(large.duration_secs >= small.duration_secs);
     });
 }

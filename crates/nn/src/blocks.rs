@@ -438,7 +438,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut dl = DenseLayer::new(2, 2, 1, &mut rng).unwrap();
         let x = Tensor::rand_uniform(&[1, 2, 3, 3], -1.0, 1.0, &mut rng);
-        let out_len = 1 * 4 * 3 * 3;
+        let out_len = 4 * 3 * 3;
         let wts: Vec<f32> = (0..out_len).map(|i| ((i as f32) * 0.17).sin()).collect();
 
         let y = dl.forward(&x, true).unwrap();

@@ -44,7 +44,7 @@ impl GroupNorm {
     /// Returns [`NnError::BadConfig`] when `groups` does not divide
     /// `channels` or either is zero.
     pub fn new(channels: usize, groups: usize) -> Result<Self> {
-        if channels == 0 || groups == 0 || channels % groups != 0 {
+        if channels == 0 || groups == 0 || !channels.is_multiple_of(groups) {
             return Err(NnError::BadConfig(format!(
                 "groupnorm needs groups | channels, got {groups} groups for {channels} channels"
             )));

@@ -31,9 +31,9 @@ pub enum ModelPreset {
 }
 
 fn groups_for(channels: usize) -> usize {
-    if channels % 4 == 0 {
+    if channels.is_multiple_of(4) {
         4
-    } else if channels % 2 == 0 {
+    } else if channels.is_multiple_of(2) {
         2
     } else {
         1

@@ -239,8 +239,9 @@ impl Layer for GlobalAvgPool {
         let inv = 1.0 / plane as f32;
         let mut out = pool::pooled_zeros(&[n, c]);
         let od = out.data_mut();
-        for img in 0..n * c {
-            od[img] = input.data()[img * plane..(img + 1) * plane].iter().sum::<f32>() * inv;
+        // `od` holds exactly the `n * c` plane means.
+        for (img, o) in od.iter_mut().enumerate() {
+            *o = input.data()[img * plane..(img + 1) * plane].iter().sum::<f32>() * inv;
         }
         if train {
             self.cached_shape = Some(cache_shape(input.shape()));

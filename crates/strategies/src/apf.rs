@@ -192,7 +192,7 @@ impl SyncStrategy for Apf {
 mod tests {
     use super::*;
 
-    fn run_round(apf: &mut Apf, locals: &[Vec<f32>], global: &mut Vec<f32>, round: usize) -> AggregateOutcome {
+    fn run_round(apf: &mut Apf, locals: &[Vec<f32>], global: &mut [f32], round: usize) -> AggregateOutcome {
         let sel: Vec<usize> = (0..locals.len()).collect();
         apf.prepare_uploads(round, locals, global);
         let active = vec![true; locals.len()];

@@ -168,7 +168,7 @@ impl SyncStrategy for TopK {
 mod tests {
     use super::*;
 
-    fn run_round(topk: &mut TopK, locals: &[Vec<f32>], global: &mut Vec<f32>, round: usize) -> AggregateOutcome {
+    fn run_round(topk: &mut TopK, locals: &[Vec<f32>], global: &mut [f32], round: usize) -> AggregateOutcome {
         let sel: Vec<usize> = (0..locals.len()).collect();
         let active = vec![true; locals.len()];
         topk.prepare_uploads(round, locals, global);
@@ -207,7 +207,7 @@ mod tests {
     fn upload_volume_counts_index_value_pairs() {
         let mut t = TopK::new(TopKConfig { fraction: 0.5 });
         let locals = vec![vec![0.0; 10]];
-        let up = t.prepare_uploads(0, &locals, &vec![0.0; 10]);
+        let up = t.prepare_uploads(0, &locals, &[0.0; 10]);
         assert_eq!(up, vec![10]); // k=5, 2 scalar-equivalents each
     }
 

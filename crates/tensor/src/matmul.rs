@@ -117,16 +117,12 @@ fn chunk_nn(a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], k: usize,
             for (a2, c2) in (&mut a_pairs).zip(&mut c_pairs) {
                 let (a_row0, a_row1) = a2.split_at(k);
                 let (c_row0, c_row1) = c2.split_at_mut(n);
-                simd::nn_tile_cols2_with(
-                    level,
+                let c_cols = (
                     c_row0.get_mut(jb..je).unwrap_or_default(),
                     c_row1.get_mut(jb..je).unwrap_or_default(),
-                    a_row0.get(pb..pe).unwrap_or(&[]),
-                    a_row1.get(pb..pe).unwrap_or(&[]),
-                    b_tile,
-                    n,
-                    jb,
                 );
+                let a_tiles = (a_row0.get(pb..pe).unwrap_or(&[]), a_row1.get(pb..pe).unwrap_or(&[]));
+                simd::nn_tile_cols2_with(level, c_cols, a_tiles, b_tile, n, jb);
             }
             let a_last = a_pairs.remainder().chunks_exact(k);
             let c_last = c_pairs.into_remainder().chunks_exact_mut(n);
@@ -174,27 +170,34 @@ fn chunk_tb(a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], k: usize,
     }
 }
 
-fn run_chunk(kind: Kind, a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], m: usize, k: usize, n: usize) {
+/// The problem size every chunk of one product shares: `A` is `m × k` (or
+/// `k × m` stored, for `Aᵀ·B`), the output is `m × n`.
+#[derive(Clone, Copy)]
+struct Dims {
+    m: usize,
+    k: usize,
+    n: usize,
+}
+
+fn run_chunk(kind: Kind, a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], dims: Dims) {
+    let Dims { m, k, n } = dims;
     match kind {
         Kind::Nn => chunk_nn(a, b, rows, out, k, n),
-        Kind::TransposeA => {
-            let _ = k;
-            chunk_ta(a, b, rows, out, m, n);
-        }
+        Kind::TransposeA => chunk_ta(a, b, rows, out, m, n),
         Kind::TransposeB => chunk_tb(a, b, rows, out, k, n),
     }
 }
 
 /// Runs the blocked kernel over output rows `rows`, tiling them in [`MC`]
 /// blocks; `out` holds exactly those rows (`rows.len() × n`), pre-zeroed.
-fn run_range(kind: Kind, a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], m: usize, k: usize, n: usize) {
+fn run_range(kind: Kind, a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], dims: Dims) {
     if out.is_empty() {
         return;
     }
-    for (ci, sub) in out.chunks_mut(MC * n).enumerate() {
+    for (ci, sub) in out.chunks_mut(MC * dims.n).enumerate() {
         let start = rows.start + ci * MC;
         let end = rows.end.min(start + MC);
-        run_chunk(kind, a, b, start..end, sub, m, k, n);
+        run_chunk(kind, a, b, start..end, sub, dims);
     }
 }
 
@@ -203,9 +206,10 @@ fn run_range(kind: Kind, a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f3
 /// configured thread count allows it. `out` must be `m × n`, pre-zeroed.
 fn run_rows(kind: Kind, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     let threads = par::kernel_threads();
+    let dims = Dims { m, k, n };
     let macs = m.saturating_mul(k).saturating_mul(n);
     if threads <= 1 || macs < PAR_MIN_MACS || m < 2 || n == 0 {
-        run_range(kind, a, b, 0..m, out, m, k, n);
+        run_range(kind, a, b, 0..m, out, dims);
         return;
     }
     // 'static jobs for the persistent pool: snapshot the operands once and
@@ -229,7 +233,7 @@ fn run_rows(kind: Kind, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
         // never touch the pool, so kernels cannot contend on a shard.
         let mut chunk = pool::take_f32_buf(rows.len() * n);
         let job: par::ChunkJob = Box::new(move || {
-            run_range(kind, &a, &b, rows, &mut chunk, m, k, n);
+            run_range(kind, &a, &b, rows, &mut chunk, dims);
             (idx, chunk)
         });
         jobs.push(job);
@@ -247,7 +251,7 @@ fn run_rows(kind: Kind, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
             // The chunk's worker died mid-job (its pooled buffer died with
             // it): recompute inline so a degraded pool can never change
             // results or hang the caller.
-            None => run_range(kind, a, b, start..end, out_chunk, m, k, n),
+            None => run_range(kind, a, b, start..end, out_chunk, dims),
         }
     }
 }

@@ -114,7 +114,7 @@ pub fn kernel_threads_setting() -> usize {
 /// size.
 pub fn kernel_threads() -> usize {
     match setting() {
-        0 => hardware_threads().min(MAX_WORKERS).max(1),
+        0 => hardware_threads().clamp(1, MAX_WORKERS),
         n => n,
     }
 }
@@ -149,7 +149,7 @@ fn worker_loop(idx: usize, shared: &Arc<JobQueue>) {
 
 /// One-time pool construction (runs on first parallel dispatch).
 fn new_worker_pool() -> Pool {
-    let target = hardware_threads().min(MAX_WORKERS).max(1);
+    let target = hardware_threads().clamp(1, MAX_WORKERS);
     let shared = Arc::new(JobQueue {
         queue: Mutex::new(VecDeque::new()),
         ready: Condvar::new(),

@@ -331,9 +331,7 @@ mod tests {
     fn checkout_is_zero_filled_even_after_dirty_return() {
         let pool = global();
         let mut buf = pool.take_f32(16);
-        for v in &mut buf {
-            *v = 7.25;
-        }
+        buf.fill(7.25);
         pool.give_f32(buf);
         // Same thread, same shard, same class: we get the dirty buffer
         // back, and it must come back zeroed.

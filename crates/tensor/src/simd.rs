@@ -307,7 +307,8 @@ mod scalar {
     /// are independent, so ordering between them is immaterial; vector
     /// levels keep both rows' accumulators live so each `B` load feeds two
     /// rows.
-    pub(super) fn nn_tile_cols2(c0_cols: &mut [f32], c1_cols: &mut [f32], a0_tile: &[f32], a1_tile: &[f32], b_tile: &[f32], n: usize, col0: usize) {
+    pub(super) fn nn_tile_cols2(c_cols: (&mut [f32], &mut [f32]), a_tiles: (&[f32], &[f32]), b_tile: &[f32], n: usize, col0: usize) {
+        let ((c0_cols, c1_cols), (a0_tile, a1_tile)) = (c_cols, a_tiles);
         nn_tile_tail(c0_cols, a0_tile, b_tile, n, col0);
         nn_tile_tail(c1_cols, a1_tile, b_tile, n, col0);
     }
@@ -751,7 +752,8 @@ mod x86 {
     /// still receives its `+= a·b` updates in ascending-`p` order; the column
     /// remainder of each row finishes through the single-row kernel.
     #[inline(always)]
-    pub(super) unsafe fn nn_tile_cols2<V: Lanes>(c0_cols: &mut [f32], c1_cols: &mut [f32], a0_tile: &[f32], a1_tile: &[f32], b_tile: &[f32], n: usize, col0: usize) {
+    pub(super) unsafe fn nn_tile_cols2<V: Lanes>(c_cols: (&mut [f32], &mut [f32]), a_tiles: (&[f32], &[f32]), b_tile: &[f32], n: usize, col0: usize) {
+        let ((c0_cols, c1_cols), (a0_tile, a1_tile)) = (c_cols, a_tiles);
         let mut col = col0;
         let mut blocks0 = c0_cols.chunks_exact_mut(4 * V::N);
         let mut blocks1 = c1_cols.chunks_exact_mut(4 * V::N);
@@ -931,11 +933,11 @@ kernels! {
     nn_tile_cols: nn_tile_cols_with(c_cols: &mut [f32], a_tile: &[f32], b_tile: &[f32], n: usize, col0: usize);
 
     /// Two-row variant of [`nn_tile_cols_with`]: the same strip of two output
-    /// rows, sharing each `B` load across both rows' accumulators at the
+    /// rows (`c_cols` and `a_tiles` are the row pair), sharing each `B` load across both rows' accumulators at the
     /// vector levels. Callers must pair rows the same way at every thread
     /// count (the matmul driver pairs within `MC`-aligned blocks) so each
     /// element always runs through the same compiled kernel instance.
-    nn_tile_cols2: nn_tile_cols2_with(c0_cols: &mut [f32], c1_cols: &mut [f32], a0_tile: &[f32], a1_tile: &[f32], b_tile: &[f32], n: usize, col0: usize);
+    nn_tile_cols2: nn_tile_cols2_with(c_cols: (&mut [f32], &mut [f32]), a_tiles: (&[f32], &[f32]), b_tile: &[f32], n: usize, col0: usize);
 
     /// One output row of the `C = A·Bᵀ` kernel: `c_row[j] = dot(a_row,
     /// b[j·k..][..k])`, each dot one sequential ascending-`p` chain. Requires
@@ -1187,7 +1189,7 @@ mod tests {
             for level in levels() {
                 let mut got0 = filled(width, 87);
                 let mut got1 = filled(width, 91);
-                nn_tile_cols2_with(level, &mut got0, &mut got1, &a0, &a1, &b_tile, n, col0);
+                nn_tile_cols2_with(level, (&mut got0, &mut got1), (&a0, &a1), &b_tile, n, col0);
                 let what = format!("nn_tile_cols2 {level:?} n={n} col0={col0} w={width}");
                 // Values, signed zeros, and infinities must agree exactly;
                 // double-NaN payloads may differ between the paired and

@@ -317,7 +317,7 @@ fn conv_lowering_bit_identical_across_simd_levels_and_thread_counts() {
     ];
     let prior = simd_level();
     for dims in geometries {
-        let image = filled(dims.in_channels * dims.in_h * dims.in_w, 0xC0FF_EE, true);
+        let image = filled(dims.in_channels * dims.in_h * dims.in_w, 0x00C0_FFEE, true);
         let cols = filled(dims.col_rows() * dims.col_cols(), 0xFEED, true);
 
         // Ground truth: scalar level, serial.

@@ -375,7 +375,7 @@ mod tests {
         };
         let run = || {
             let (server, mut clients) = LocalBus::star(1);
-            let chaos = Chaos::client(clients.remove(0), plan(config.clone()), 0);
+            let chaos = Chaos::client(clients.remove(0), plan(config), 0);
             for seq in 0..64 {
                 chaos.send_bytes_to(0, frame(seq)).unwrap();
             }
@@ -485,7 +485,7 @@ mod tests {
         // direction not keyed, both links would drop the same ones.
         let config = FaultConfig { wire_drop_prob: 0.5, seed: 5, ..FaultConfig::default() };
         let (server, mut clients) = LocalBus::star(3);
-        let up = Chaos::client(clients.remove(2), plan(config.clone()), 2);
+        let up = Chaos::client(clients.remove(2), plan(config), 2);
         let down = Chaos::server(server, plan(config));
         fn dropped<L: Link>(chaos: &Chaos<L>, peer: usize) -> Vec<bool> {
             (0..64)

@@ -970,10 +970,10 @@ mod tests {
         // (facade, raw far end and the facade's index on it, client field
         // the facade stamps, index it reports the far end as, whether a
         // frame for slot `peer_count()` is delivered)
-        let cases: [(Facade, Box<dyn Link>, usize, u32, usize, bool); 2] = [
+        let cases = [
             (
                 Facade::Client(ClientSession::new(clients_a.remove(2), 2, quick)),
-                Box::new(server_a),
+                Box::new(server_a) as Box<dyn Link>,
                 2,
                 2,
                 0,

@@ -54,30 +54,26 @@ struct RunOutcome {
 /// comparable across plans.
 fn run_sessioned_fedavg(faults: &FaultConfig) -> RunOutcome {
     let (server, clients) = LocalBus::star(CLIENTS);
-    let chaos_server = Chaos::server(server, FaultPlan::new(faults.clone()));
+    let chaos_server = Chaos::server(server, FaultPlan::new(*faults));
     let mut srv = ServerSession::new(chaos_server, session_cfg());
 
     let handles: Vec<_> = clients
         .into_iter()
         .map(|endpoint| {
             let id = endpoint.id();
-            let chaos = Chaos::client(endpoint, FaultPlan::new(faults.clone()), id);
+            let chaos = Chaos::client(endpoint, FaultPlan::new(*faults), id);
             std::thread::spawn(move || {
                 let mut session = ClientSession::new(chaos, id as u32, session_cfg());
                 for round in 0..ROUNDS {
                     session.begin_epoch(round as u32);
-                    let trained = loop {
-                        match session.recv_reliable(T).unwrap() {
-                            Message::Model { round: r, values } if r as usize == round => {
-                                break values
-                                    .values
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(j, v)| v + local_update(round, id, j))
-                                    .collect::<Vec<f32>>();
-                            }
-                            other => panic!("client {id} round {round}: unexpected {other:?}"),
-                        }
+                    let trained = match session.recv_reliable(T).unwrap() {
+                        Message::Model { round: r, values } if r as usize == round => values
+                            .values
+                            .iter()
+                            .enumerate()
+                            .map(|(j, v)| v + local_update(round, id, j))
+                            .collect::<Vec<f32>>(),
+                        other => panic!("client {id} round {round}: unexpected {other:?}"),
                     };
                     session
                         .send_reliable(&Message::Update {

@@ -122,7 +122,7 @@ fn is_capacity_ctor(toks: &[Token], i: usize) -> bool {
 }
 
 /// `.to_vec(` / `.collect(` at token `i` (the dot).
-fn copying_method_at<'a>(toks: &'a [Token], i: usize) -> Option<&'a str> {
+fn copying_method_at(toks: &[Token], i: usize) -> Option<&str> {
     if !toks[i].is_punct(".") {
         return None;
     }

@@ -457,8 +457,7 @@ fn skip_angles(tokens: &[Token], pos: &mut usize, end: usize) {
 /// group), appending leaf bindings. `prefix` holds the segments so far.
 fn parse_use_tree(file: &mut ParsedFile, pos: &mut usize, end: usize, prefix: &mut Vec<String>) {
     let depth_at_entry = prefix.len();
-    loop {
-        let Some(t) = file.tokens.get(*pos) else { break };
+    while let Some(t) = file.tokens.get(*pos) {
         if t.is_punct(";") || t.is_punct(",") || t.is_punct("}") {
             // A path ending without `as`/group binds its last segment.
             if prefix.len() > depth_at_entry || (depth_at_entry == 0 && !prefix.is_empty()) {

@@ -76,7 +76,7 @@ fn bench_check_command(raw_args: &[String]) -> ExitCode {
                 None => return usage_error("--baseline requires a file argument"),
             },
             "--tolerance" => match it.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(pct)) if pct >= 0.0 && pct < 100.0 => tolerance = pct / 100.0,
+                Some(Ok(pct)) if (0.0..100.0).contains(&pct) => tolerance = pct / 100.0,
                 _ => return usage_error("--tolerance requires a percentage in [0, 100)"),
             },
             "--fix" => fix = true,

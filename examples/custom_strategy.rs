@@ -31,7 +31,7 @@ impl SyncStrategy for LazySync {
         global: &[f32],
         out: &mut Vec<u64>,
     ) {
-        let due = (0..global.len()).filter(|j| (round + j) % self.period == 0).count() as u64;
+        let due = (0..global.len()).filter(|j| (round + j).is_multiple_of(self.period)).count() as u64;
         out.clear();
         out.resize(locals.len(), due);
     }
@@ -48,7 +48,7 @@ impl SyncStrategy for LazySync {
         average_into(locals, selected, &mut averaged);
         let mut synced = 0;
         for (j, g) in global.iter_mut().enumerate() {
-            if (round + j) % self.period == 0 {
+            if (round + j).is_multiple_of(self.period) {
                 *g = averaged[j];
                 synced += 1;
             }

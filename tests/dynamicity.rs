@@ -6,9 +6,13 @@
 #![allow(clippy::unwrap_used)]
 
 use fedsu_repro::core::{FedSu, FedSuConfig, JoinState};
-use fedsu_repro::fl::experiment::AvailabilityFn;
-use fedsu_repro::fl::SyncStrategy;
+use fedsu_repro::data::SyntheticConfig;
+use fedsu_repro::fl::experiment::{AvailabilityFn, ModelFactory};
+use fedsu_repro::fl::{AggregateOutcome, Experiment, ExperimentConfig, SyncStrategy};
+use fedsu_repro::nn::Sequential;
 use fedsu_repro::scenario::{ModelKind, Scenario, StrategyKind};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 fn scenario() -> Scenario {
@@ -100,4 +104,59 @@ fn join_state_size_is_proportional_to_model() {
     let bytes = f.join_state().unwrap();
     // 16-byte header + 13 mask bytes + 100 * 22 payload bytes.
     assert_eq!(bytes.len(), 16 + 13 + 100 * 22);
+}
+
+/// A `FedSu` whose join state the runtime cannot see.
+struct WithoutJoinState(FedSu);
+
+impl SyncStrategy for WithoutJoinState {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn prepare_uploads_into(&mut self, round: usize, locals: &[Vec<f32>], global: &[f32], out: &mut Vec<u64>) {
+        self.0.prepare_uploads_into(round, locals, global, out);
+    }
+    fn aggregate(
+        &mut self,
+        round: usize,
+        locals: &[Vec<f32>],
+        selected: &[usize],
+        active: &[bool],
+        global: &mut [f32],
+    ) -> AggregateOutcome {
+        self.0.aggregate(round, locals, selected, active, global)
+    }
+    fn state_bytes(&self) -> usize {
+        self.0.state_bytes()
+    }
+}
+
+#[test]
+fn a_joiner_under_chunked_fedsu_pays_for_the_manager_state() {
+    // Client 3 joins at round 2. Under chunk-granular FedSU that round must
+    // carry the encoded join state on top of what the same run costs when
+    // the runtime is told there is none, and no other round may differ.
+    let run = |strategy: Box<dyn SyncStrategy>| {
+        let mut rng = StdRng::seed_from_u64(5);
+        let (train, test) =
+            SyntheticConfig::new(3, 1, 4, 4).samples_per_class(30).noise_std(0.4).build_split(10, &mut rng);
+        let factory: ModelFactory = Arc::new(|seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut m = Sequential::new("probe");
+            m.push(fedsu_repro::nn::flatten::Flatten::new());
+            m.push_boxed(Box::new(fedsu_repro::nn::models::mlp(&[16, 12, 3], &mut rng)?));
+            Ok(m)
+        });
+        let mut cfg = ExperimentConfig::quick(4, 5, "probe");
+        cfg.availability = Some(Arc::new(|client, round| client != 3 || round >= 2));
+        let mut e = Experiment::new(cfg, factory, Arc::new(train), Arc::new(test), strategy).unwrap();
+        (e.run(None).unwrap(), e.param_count())
+    };
+    let chunked = || FedSu::chunked(FedSuConfig::default(), 16);
+    let (charged, n) = run(Box::new(chunked()));
+    let (plain, _) = run(Box::new(WithoutJoinState(chunked())));
+    let extra: Vec<u64> = charged.rounds.iter().zip(&plain.rounds).map(|(c, p)| c.bytes - p.bytes).collect();
+    // 16-byte header + bit-packed mask + 22 bytes per scalar.
+    let image = (16 + n.div_ceil(8) + 22 * n) as u64;
+    assert_eq!(extra, vec![0, 0, image, 0, 0]);
 }

@@ -15,10 +15,9 @@ fn drive(
     n: usize,
     clients: usize,
     rounds: usize,
-    cfg: FedSuConfig,
+    mut f: FedSu,
     update_of: impl Fn(usize, usize, usize) -> f32, // (round, client, param) -> local update
 ) -> (FedSu, Vec<f32>) {
-    let mut f = FedSu::new(cfg);
     let mut global = vec![0.0f32; n];
     let selected: Vec<usize> = (0..clients).collect();
     let active = vec![true; clients];
@@ -39,7 +38,7 @@ const CASES: u64 = 32;
 
 fn global_stays_finite(seed: u64, n: usize, clients: usize) {
     let cfg = FedSuConfig { t_r: 0.3, t_s: 5.0, ..FedSuConfig::default() };
-    let (f, global) = drive(n, clients, 30, cfg, |r, c, j| {
+    let (f, global) = drive(n, clients, 30, FedSu::new(cfg), |r, c, j| {
         // Pseudo-random but deterministic updates.
         let x = (seed as f32 + r as f32 * 1.3 + c as f32 * 0.7 + j as f32 * 2.1).sin();
         x * 0.05
@@ -133,15 +132,24 @@ fn join_state_roundtrips_after_random_history() {
     check("join_state_roundtrips_after_random_history", CASES, |rng| {
         let seed = rng.gen_range(0u64..500);
         for n in ends_then_draw(rng, 1..12) {
+            // One decision per scalar, per pair, and per model-and-a-bit.
+            let chunk = [1, 2, n + 1][rng.gen_range(0usize..3)];
             let cfg = FedSuConfig { t_r: 0.25, ..FedSuConfig::default() };
-            let (f, _) = drive(n, 2, 20, cfg, |r, c, j| {
+            let (mut f, global) = drive(n, 2, 20, FedSu::chunked(cfg, chunk), |r, c, j| {
                 ((seed + r as u64 * 31 + c as u64 * 17 + j as u64 * 7) % 100) as f32 / 1000.0 - 0.05
             });
-            if let Some(bytes) = f.join_state() {
-                let state = JoinState::from_bytes(&bytes).unwrap();
-                assert_eq!(state.len(), n);
-                assert_eq!(state.to_bytes(), bytes);
-            }
+            let bytes = f.join_state().expect("a round has run");
+            let state = JoinState::from_bytes(&bytes).unwrap();
+            assert_eq!(state.len(), n);
+            assert_eq!(state.to_bytes(), bytes);
+            // A fresh manager of the same granularity that applies the image
+            // decides as the donor does.
+            let mut joiner = FedSu::chunked(cfg, chunk);
+            joiner.apply_join_state(&state);
+            assert_eq!(joiner.predictable_mask(), f.predictable_mask());
+            assert_eq!(joiner.join_state(), Some(bytes));
+            let locals = vec![global.clone(); 2];
+            assert_eq!(joiner.prepare_uploads(20, &locals, &global), f.prepare_uploads(20, &locals, &global));
         }
     });
 }
@@ -151,7 +159,7 @@ fn enters_and_exits_balance_with_mask() {
     check("enters_and_exits_balance_with_mask", CASES, |rng| {
         let seed = rng.gen_range(0u64..500);
         let cfg = FedSuConfig { t_r: 0.3, t_s: 2.0, ..FedSuConfig::default() };
-        let (f, _) = drive(4, 2, 40, cfg, |r, _c, j| {
+        let (f, _) = drive(4, 2, 40, FedSu::new(cfg), |r, _c, j| {
             // Mix of linear phases and regime switches.
             if (r / 10 + j) % 2 == 0 {
                 -0.02
@@ -167,7 +175,7 @@ fn enters_and_exits_balance_with_mask() {
 #[test]
 fn oscillation_ratio_reported_in_unit_interval() {
     let cfg = FedSuConfig { t_r: 0.3, ..FedSuConfig::default() };
-    let (f, _) = drive(5, 2, 30, cfg, |r, c, j| ((r * 7 + c * 3 + j) % 11) as f32 * 0.01 - 0.05);
+    let (f, _) = drive(5, 2, 30, FedSu::new(cfg), |r, c, j| ((r * 7 + c * 3 + j) % 11) as f32 * 0.01 - 0.05);
     for j in 0..5 {
         let r = f.oscillation_ratio(j);
         assert!((0.0..=1.0).contains(&r), "ratio {r}");
