@@ -57,8 +57,6 @@ pub struct RunArgs {
     pub fault_corrupt: f64,
     /// Seed for the deterministic fault plan (independent of `seed`).
     pub fault_seed: u64,
-    /// Kernel-level thread budget for tensor matmuls (`0` = auto-detect).
-    pub kernel_threads: usize,
     /// Optional CSV output path for per-round records.
     pub csv: Option<String>,
 }
@@ -75,7 +73,6 @@ impl Default for RunArgs {
             fault_dropout: 0.0,
             fault_corrupt: 0.0,
             fault_seed: 0xFA17,
-            kernel_threads: 0,
             csv: None,
         }
     }
@@ -173,11 +170,6 @@ fn run_args(flags: &BTreeMap<String, String>) -> Result<RunArgs, ParseError> {
             "fault-seed" => {
                 args.fault_seed =
                     value.parse().map_err(|_| ParseError(format!("bad --fault-seed `{value}`")))?
-            }
-            "kernel-threads" => {
-                args.kernel_threads = value
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad --kernel-threads `{value}`")))?
             }
             "csv" => args.csv = Some(value.clone()),
             "param" | "values" => {} // handled by sweep
@@ -313,21 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_threads_flag_parses() {
-        let cmd = parse(s(&["run", "--kernel-threads", "4"])).unwrap();
-        match cmd {
-            Command::Run(a) => assert_eq!(a.kernel_threads, 4),
-            other => panic!("{other:?}"),
-        }
-        // Default is auto-detect.
-        assert_eq!(RunArgs::default().kernel_threads, 0);
-        assert!(parse(s(&["run", "--kernel-threads", "lots"]))
-            .unwrap_err()
-            .0
-            .contains("kernel-threads"));
-    }
-
-    #[test]
     fn errors_are_friendly() {
         assert!(parse(s(&["frobnicate"])).unwrap_err().0.contains("unknown command"));
         assert!(parse(s(&["run", "--model", "vgg"])).unwrap_err().0.contains("unknown model"));
@@ -337,5 +314,7 @@ mod tests {
         assert!(parse(s(&["run", "--bogus", "1"])).unwrap_err().0.contains("unknown flag"));
         // No carrier sends frames under `fedsu run`, so it takes no wire-fault knobs.
         assert!(parse(s(&["run", "--wire-drop", "0.2"])).unwrap_err().0.contains("unknown flag"));
+        // The kernel-thread count belongs to the tensor layer: FEDSU_KERNEL_THREADS sets it.
+        assert!(parse(s(&["run", "--kernel-threads", "4"])).unwrap_err().0.contains("unknown flag"));
     }
 }

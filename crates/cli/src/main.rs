@@ -21,7 +21,7 @@ fedsu — communication-efficient federated learning with speculative updating
 
 USAGE:
   fedsu run     [--model M] [--strategy S] [--clients N] [--rounds R]
-                [--alpha A] [--seed K] [--csv PATH] [--kernel-threads N]
+                [--alpha A] [--seed K] [--csv PATH]
                 [--fault-dropout P] [--fault-corrupt P] [--fault-seed K]
   fedsu compare [--model M] [--clients N] [--rounds R] [--alpha A] [--seed K]
   fedsu sweep   --param t_r|t_s --values a,b,c [--model M] [--rounds R] ...
@@ -36,12 +36,12 @@ FAULTS:     --fault-dropout/--fault-corrupt inject per-round client dropout
             auto-enables the server-side defenses (retry, quarantine,
             rollback). --fault-seed picks the deterministic fault plan.
 
-THREADS:    --kernel-threads N caps the tensor-kernel thread pool (0 = auto,
-            the default; 1 = serial). A pure performance knob: parallel
-            kernels are bit-identical to serial ones, and the round loop
-            forces kernels serial while clients train on separate threads so
-            the two layers never oversubscribe. The FEDSU_KERNEL_THREADS
-            environment variable provides the same control.
+THREADS:    the FEDSU_KERNEL_THREADS environment variable caps the
+            tensor-kernel thread pool (0 = auto, the default; 1 = serial). A
+            pure performance knob: parallel kernels are bit-identical to
+            serial ones, and the round loop forces kernels serial while
+            clients train on separate threads so the two layers never
+            oversubscribe.
 ";
 
 fn scenario_of(a: &RunArgs) -> Scenario {
@@ -49,8 +49,7 @@ fn scenario_of(a: &RunArgs) -> Scenario {
         .clients(a.clients)
         .rounds(a.rounds)
         .alpha(a.alpha)
-        .seed(a.seed)
-        .kernel_threads(a.kernel_threads);
+        .seed(a.seed);
     let faults = FaultConfig {
         dropout_prob: a.fault_dropout,
         corrupt_prob: a.fault_corrupt,

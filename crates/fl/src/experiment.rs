@@ -2,8 +2,12 @@
 //! synchronization → aggregation → evaluation, with emulated timing,
 //! optional fault injection, and server-side fault tolerance.
 
+// The round is a sequence of named phases; CI's `-D warnings` keeps any one
+// function here from growing back into the loop.
+#![warn(clippy::too_many_lines)]
+
 use crate::client::{Client, ClientConfig};
-use crate::message::{bytes_with_retries, scalars_to_bytes};
+use crate::message::{bytes_with_retries, retransmitted_bytes, scalars_to_bytes};
 use crate::record::{ExperimentResult, RoundRecord};
 use crate::server::Server;
 use crate::strategy::{AggregateOutcome, SyncStrategy};
@@ -78,7 +82,9 @@ impl DefenseConfig {
     }
 }
 
-/// Full configuration of one emulated FL experiment.
+/// Full configuration of one emulated FL experiment. The kernel-thread count
+/// is not part of it: that is process-wide and belongs to `fedsu-tensor`
+/// (`FEDSU_KERNEL_THREADS`, `fedsu_tensor::set_kernel_threads`).
 #[derive(Clone)]
 pub struct ExperimentConfig {
     /// Cluster shape and link speeds.
@@ -107,13 +113,6 @@ pub struct ExperimentConfig {
     pub faults: FaultPlan,
     /// Server-side fault-tolerance configuration (default: disabled).
     pub defense: DefenseConfig,
-    /// Kernel-level thread budget for tensor matmuls (`0` = auto-detect).
-    /// Installed once at the start of [`Experiment::run`]; when the round
-    /// loop is already training clients on separate threads it temporarily
-    /// forces kernels serial so the two layers never oversubscribe. Parallel
-    /// kernels are bit-identical to serial ones, so this never changes
-    /// results.
-    pub kernel_threads: usize,
 }
 
 impl std::fmt::Debug for ExperimentConfig {
@@ -131,7 +130,6 @@ impl std::fmt::Debug for ExperimentConfig {
             .field("availability", &self.availability.is_some())
             .field("faults", &self.faults)
             .field("defense", &self.defense)
-            .field("kernel_threads", &self.kernel_threads)
             .finish()
     }
 }
@@ -160,23 +158,109 @@ impl ExperimentConfig {
             availability: None,
             faults: FaultPlan::none(),
             defense: DefenseConfig::default(),
-            kernel_threads: 0,
         }
     }
 }
 
-/// Reusable per-round buffers for [`Experiment::run`]: every vector is
-/// cleared and refilled in place each round, so the steady-state loop
-/// performs no per-round allocations for its bookkeeping. The refilled
-/// values are identical to what fresh allocations would hold, which keeps
-/// zero-fault records bit-for-bit reproducible.
+/// What became of one client in one round. The phase that takes a client
+/// out of the round writes its fate where it makes that decision;
+/// [`Tally::of`] counts the fates once, and that one tally feeds both the
+/// `RoundRecord` and the armed wire-conservation check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    /// The participation rule kept the client away; counted nowhere.
+    Absent,
+    /// Inside a crash down-window.
+    Crashed,
+    /// Local training failed or panicked (absorbed only with defenses on).
+    FailedTraining,
+    /// Trained, then dropped out before uploading.
+    DroppedOut,
+    /// Every transmission attempt of the upload was lost.
+    UploadLost,
+    /// Delivered and among the earliest K, but after the round deadline.
+    Late,
+    /// Delivered and rejected by validation. `late`: it had also missed the
+    /// deadline and is counted under both, as the records always have.
+    Quarantined { late: bool },
+    /// Still in the round: every present client starts here, and one that
+    /// ends here sent a valid upload the round did not wait for.
+    Unselected,
+    /// Aggregated into the new global.
+    Aggregated,
+}
+
+/// One round's fates, counted once.
+#[derive(Debug, Default)]
+struct Tally {
+    dropped: usize,
+    quarantined: usize,
+    /// Payload bytes of the uploads that reached the server, by what it did
+    /// with them, and the bytes burnt on lost attempts: the four terms
+    /// `upload_wire` (every upload byte put on the wire) decomposes into.
+    aggregated_bytes: u64,
+    quarantined_bytes: u64,
+    unused_bytes: u64,
+    retransmitted_bytes: u64,
+    upload_wire: u64,
+}
+
+impl Tally {
+    fn of(fates: &[Fate], upload_bytes: &[u64], tx_attempts: &[u32]) -> Tally {
+        let mut t = Tally::default();
+        for ((&fate, &bytes), &attempts) in fates.iter().zip(upload_bytes).zip(tx_attempts) {
+            // Each arm counts the client and says where its payload went;
+            // a client that delivered nothing has no payload to account for.
+            let payload = match fate {
+                Fate::Absent => continue,
+                Fate::Crashed | Fate::FailedTraining | Fate::DroppedOut | Fate::UploadLost => {
+                    t.dropped += 1;
+                    continue;
+                }
+                Fate::Late => {
+                    t.dropped += 1;
+                    &mut t.unused_bytes
+                }
+                Fate::Quarantined { late } => {
+                    t.dropped += usize::from(late);
+                    t.quarantined += 1;
+                    &mut t.quarantined_bytes
+                }
+                Fate::Unselected => &mut t.unused_bytes,
+                Fate::Aggregated => &mut t.aggregated_bytes,
+            };
+            // Lost attempts burn wire bytes: a payload delivered on attempt
+            // `a` cost `a` sends.
+            *payload = payload.saturating_add(bytes);
+            t.upload_wire = t.upload_wire.saturating_add(bytes_with_retries(bytes, attempts));
+            t.retransmitted_bytes =
+                t.retransmitted_bytes.saturating_add(retransmitted_bytes(bytes, attempts));
+        }
+        t
+    }
+}
+
+/// Everything the phases of [`Experiment::run`] hand to each other. The
+/// per-client vectors are cleared and refilled in place each round, so the
+/// steady-state loop allocates nothing for its bookkeeping; the refilled
+/// values are what fresh allocations would hold, which keeps zero-fault
+/// records bit-for-bit reproducible.
 #[derive(Default)]
 struct RoundScratch {
-    avail: Vec<bool>,
-    active: Vec<bool>,
+    // Carried from one round to the next.
     was_active: Vec<bool>,
+    sim_time: f64,
+    /// What every present client downloads at the start of the next round.
+    prev_broadcast_scalars: usize,
+    /// The last finite global, kept only when rollback is on.
+    checkpoint: Option<Vec<f32>>,
+    barren_streak: usize,
+    // One entry per client, refilled every round.
+    active: Vec<bool>,
+    fate: Vec<Fate>,
     download_bytes: Vec<u64>,
     train_results: Vec<Result<f32>>,
+    /// `returned[i]`: client `i` delivered an upload this round.
     returned: Vec<bool>,
     train_losses: Vec<f32>,
     tx_attempts: Vec<u32>,
@@ -188,10 +272,28 @@ struct RoundScratch {
     valid: Vec<bool>,
     update_norm: Vec<f32>,
     finite_norms: Vec<f32>,
+    /// The selection handed to the strategy: earliest K, on time, valid.
     survivors: Vec<usize>,
-    agg_active: Vec<bool>,
-    global_snapshot: Vec<f32>,
-    upload_scalars: Vec<u64>,
+    // This round's results, read by `close_round`.
+    duration: f64,
+    rollbacks: usize,
+}
+
+impl RoundScratch {
+    /// Sizes the filtered members once so nothing in the loop grows past
+    /// capacity, and takes the rollback checkpoint when that defense is on.
+    fn new(n: usize, global: &[f32], defense: DefenseConfig) -> Self {
+        let mut scratch = RoundScratch {
+            // Round-0 download: every client pulls the full initial model.
+            prev_broadcast_scalars: global.len(),
+            checkpoint: (defense.enabled && defense.rollback).then(|| global.to_vec()),
+            ..RoundScratch::default()
+        };
+        scratch.was_active.resize(n, false);
+        scratch.survivors.reserve(n);
+        scratch.finite_norms.reserve(n);
+        scratch
+    }
 }
 
 /// An assembled experiment, ready to run.
@@ -273,7 +375,8 @@ impl Experiment {
         self.strategy.as_ref()
     }
 
-    /// Runs all configured rounds.
+    /// Runs all configured rounds: one call per phase, in the paper's order
+    /// (Sec. V / Algorithm 1), every round leaving through `close_round`.
     ///
     /// With fault tolerance disabled (the default), this is the legacy
     /// clean-path loop: it returns [`FlError::Diverged`] when parameters
@@ -284,6 +387,10 @@ impl Experiment {
     /// backoff charged to sim-time, and a poisoned aggregation rolls back to
     /// the last good checkpoint.
     ///
+    /// The kernel thread count is whatever `FEDSU_KERNEL_THREADS` or the
+    /// caller's `fedsu_tensor::set_kernel_threads` says; `run` installs
+    /// nothing of its own.
+    ///
     /// # Errors
     ///
     /// Returns [`FlError::Diverged`] when parameters become non-finite (and
@@ -291,33 +398,10 @@ impl Experiment {
     /// many consecutive rounds produce no usable update, or any underlying
     /// training error.
     pub fn run(&mut self, mut hook: Option<RoundHook<'_>>) -> Result<ExperimentResult> {
-        // Install the kernel thread budget before any training work; `0`
-        // resolves to auto-detect. Safe at any value: parallel kernels are
-        // bit-identical to serial ones.
-        fedsu_tensor::set_kernel_threads(self.config.kernel_threads);
-        let n = self.clients.len();
-        let total = self.param_count();
-        let faults = self.config.faults;
-        let defense = self.config.defense;
         let mut records = Vec::with_capacity(self.config.rounds);
-        let mut sim_time = 0.0f64;
-        // Round-0 download: every client pulls the full initial model.
-        let mut prev_broadcast_scalars = total;
-        let mut checkpoint: Option<Vec<f32>> = None;
-        if defense.enabled && defense.rollback {
-            let mut cp: Vec<f32> = Vec::with_capacity(total);
-            cp.extend_from_slice(self.server.global());
-            checkpoint = Some(cp);
-        }
-        let mut barren_streak = 0usize;
-        // All per-round bookkeeping lives in one scratch block, refilled in
-        // place every round. The reservations below pre-size the variable-
-        // length members once so nothing in the loop grows past capacity.
-        let mut scratch = RoundScratch::default();
-        scratch.was_active.resize(n, false);
-        scratch.global_snapshot.resize(total, 0.0);
-        scratch.survivors.reserve(n);
-        scratch.finite_norms.reserve(n);
+        let mut scratch =
+            RoundScratch::new(self.clients.len(), self.server.global(), self.config.defense);
+        let s = &mut scratch;
         // Per-round allocation attribution (FEDSU_ALLOC_STATS): re-base the
         // process counters so each round's delta lands in the alloc_stats
         // round log. Reporting only — never touches records or sim-time.
@@ -327,413 +411,20 @@ impl Experiment {
         }
 
         for round in 0..self.config.rounds {
-            scratch.avail.clear();
-            scratch.avail.resize(n, true);
-            if let Some(f) = self.config.availability.as_ref() {
-                for (i, a) in scratch.avail.iter_mut().enumerate() {
-                    *a = f(i, round);
-                }
+            self.participation(round, s);
+            self.train_clients(round, s)?;
+            if self.deliver_uploads(round, s)? {
+                self.collect_locals(round, s);
+                self.plan_uploads(round, s)?;
+                self.time_and_select(round, s);
+                self.validate_uploads(s);
             }
-            // Crashed clients are unavailable until their down-window ends;
-            // on rejoin they pay the dynamicity catch-up download below.
-            scratch.active.clear();
-            scratch.active.resize(n, false);
-            for (i, (act, &a)) in
-                scratch.active.iter_mut().zip(&scratch.avail).enumerate()
-            {
-                *act = a && !faults.crashed(i, round);
-            }
-            let mut dropped = scratch
-                .avail
-                .iter()
-                .zip(&scratch.active)
-                .filter(|&(&a, &act)| a && !act)
-                .count();
-            let mut quarantined = 0usize;
-            let mut rollbacks = 0usize;
-
-            // Joining clients additionally download the strategy's replicated
-            // state (the paper's dynamicity protocol, Sec. V). Serialising it
-            // is the strategy's most expensive call, so ask only in a round
-            // that has a joiner.
-            let any_joiner = round > 0
-                && scratch.active.iter().zip(&scratch.was_active).any(|(&act, &was)| act && !was);
-            let join_state_bytes = if any_joiner {
-                self.strategy.join_state().map_or(0, |s| {
-                    u64::try_from(s.len())
-                        .expect("join-state size fits in u64 on supported targets")
-                })
-            } else {
-                0
-            };
-            scratch.download_bytes.clear();
-            scratch.download_bytes.resize(n, 0);
-            for ((db, &is_active), &was) in scratch
-                .download_bytes
-                .iter_mut()
-                .zip(&scratch.active)
-                .zip(&scratch.was_active)
-            {
-                if is_active {
-                    *db = scalars_to_bytes(prev_broadcast_scalars);
-                    if !was && round > 0 {
-                        *db = scalars_to_bytes(total)
-                            .checked_add(join_state_bytes)
-                            .expect("rejoin payload fits in u64: model bytes plus a small join state");
-                    }
-                }
-            }
-
-            // 1+2. Pull current global and train locally, in parallel, with
-            // per-client panic capture.
-            scratch.global_snapshot.copy_from_slice(self.server.global());
-            train_all(
-                &mut self.clients,
-                &scratch.active,
-                &scratch.global_snapshot,
-                round,
-                &mut scratch.train_results,
-            );
-
-            // `returned[i]`: client i delivered an upload this round.
-            scratch.returned.clear();
-            scratch.returned.extend_from_slice(&scratch.active);
-            scratch.train_losses.clear();
-            scratch.train_losses.resize(n, 0.0);
-            for ((res, loss_slot), ret) in scratch
-                .train_results
-                .iter_mut()
-                .zip(scratch.train_losses.iter_mut())
-                .zip(scratch.returned.iter_mut())
-            {
-                match std::mem::replace(res, Ok(0.0)) {
-                    Ok(loss) => *loss_slot = loss,
-                    Err(FlError::ClientFailed { .. }) if defense.enabled => {
-                        *ret = false;
-                        dropped += 1;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-
-            // Mid-round dropouts and lossy uploads.
-            let retries = if defense.enabled { defense.max_retries } else { 0 };
-            scratch.tx_attempts.clear();
-            scratch.tx_attempts.resize(n, 1);
-            for (i, (ret, att)) in scratch
-                .returned
-                .iter_mut()
-                .zip(scratch.tx_attempts.iter_mut())
-                .enumerate()
-            {
-                if !*ret {
-                    continue;
-                }
-                if faults.dropout(i, round) {
-                    *ret = false;
-                    dropped += 1;
-                    continue;
-                }
-                match faults.upload_attempts(i, round, retries) {
-                    Some(attempts) => *att = attempts,
-                    None => {
-                        *ret = false;
-                        dropped += 1;
-                    }
-                }
-            }
-
-            if !scratch.returned.iter().any(|&r| r) {
-                // Nobody delivered an upload this round.
-                if !defense.enabled {
-                    return Err(FlError::new_bad_config(format_args!(
-                        "no active clients in round {round}"
-                    )));
-                }
-                barren_streak += 1;
-                if barren_streak > defense.max_barren_rounds {
-                    return Err(FlError::QuarantineExhausted { round });
-                }
-                sim_time += defense.lost_round_penalty_secs;
-                let (accuracy, test_loss) =
-                    if round % self.config.eval_every == 0 || round + 1 == self.config.rounds {
-                        let (a, l) = self.server.evaluate()?;
-                        (Some(a), Some(l))
-                    } else {
-                        (None, None)
-                    };
-                let n_active = scratch.active.iter().filter(|&&a| a).count();
-                let train_loss = if n_active == 0 {
-                    0.0
-                } else {
-                    scratch.train_losses.iter().sum::<f32>() / n_active as f32
-                };
-                let record = RoundRecord {
-                    round,
-                    duration_secs: defense.lost_round_penalty_secs,
-                    sim_time_secs: sim_time,
-                    accuracy,
-                    test_loss,
-                    train_loss,
-                    sparsification_ratio: 1.0,
-                    bytes: scratch.download_bytes.iter().sum(),
-                    participants: 0,
-                    dropped,
-                    quarantined: 0,
-                    retransmitted_bytes: 0,
-                    rollbacks: 0,
-                };
-                if let Some(h) = hook.as_mut() {
-                    h(&record, self.server.global());
-                }
-                records.push(record);
-                std::mem::swap(&mut scratch.was_active, &mut scratch.active);
-                continue;
-            }
-
-            // 3. Collect local parameters (clients whose upload never arrives
-            // contribute the unchanged global; they are never aggregated).
-            // Corruption hits the payload after training, on the wire.
-            scratch.locals.resize_with(n, Vec::new);
-            for (i, (slot, c)) in
-                scratch.locals.iter_mut().zip(&self.clients).enumerate()
-            {
-                if scratch.returned[i] {
-                    c.local_params_into(slot);
-                    if faults.corrupts(i, round) {
-                        faults.corrupt_upload(i, round, slot);
-                    }
-                } else {
-                    slot.clear();
-                    slot.extend_from_slice(&scratch.global_snapshot);
-                }
-            }
-
-            // 4. Strategy phase A: upload volumes, staged into the
-            // round-scratch buffer (no per-round allocation).
-            self.strategy.prepare_uploads_into(
-                round,
-                &scratch.locals,
-                &scratch.global_snapshot,
-                &mut scratch.upload_scalars,
-            );
-            if scratch.upload_scalars.len() != n {
-                return Err(FlError::new_strategy_contract(format_args!(
-                    "prepare_uploads_into staged {} entries for {} clients",
-                    scratch.upload_scalars.len(),
-                    n
-                )));
-            }
-            scratch.upload_bytes.clear();
-            scratch.upload_bytes.resize(n, 0);
-            for (b, &s) in scratch.upload_bytes.iter_mut().zip(&scratch.upload_scalars) {
-                *b = s * crate::BYTES_PER_SCALAR;
-            }
-
-            // 5. Emulated timing + earliest-K selection, with slowdown
-            // multipliers and retry backoff charged to each client's clock.
-            scratch.compute.clear();
-            scratch.compute.resize(n, 0.0);
-            scratch.time_factor.clear();
-            scratch.time_factor.resize(n, 1.0);
-            scratch.extra_secs.clear();
-            scratch.extra_secs.resize(n, 0.0);
-            for (i, ((comp, tf), extra)) in scratch
-                .compute
-                .iter_mut()
-                .zip(scratch.time_factor.iter_mut())
-                .zip(scratch.extra_secs.iter_mut())
-                .enumerate()
-            {
-                if scratch.returned[i] {
-                    *comp = self.config.compute_secs;
-                    *tf = faults.slowdown(i, round);
-                }
-                *extra = defense.retry_backoff_secs * f64::from(scratch.tx_attempts[i] - 1);
-            }
-            let timing = self.timer.round_faulty(
-                round,
-                &scratch.compute,
-                &scratch.upload_bytes,
-                &scratch.download_bytes,
-                &scratch.returned,
-                FaultPenalties {
-                    time_factor: &scratch.time_factor,
-                    extra_secs: &scratch.extra_secs,
-                },
-            );
-
-            let mut selected = timing.selected.clone();
-            let mut duration = timing.duration_secs;
-            if defense.enabled {
-                if let Some(deadline) = defense.round_deadline_secs {
-                    let before = selected.len();
-                    selected.retain(|&i| timing.finish_secs[i] <= deadline);
-                    dropped += before - selected.len();
-                    duration = duration.min(deadline);
-                }
-            }
-
-            // Server-side validation: quarantine non-finite and norm-outlier
-            // uploads before they can reach aggregation (or a stateful
-            // strategy's per-client accumulators).
-            if defense.enabled {
-                quarantined += validate_uploads_into(
-                    &scratch.locals,
-                    &scratch.global_snapshot,
-                    &scratch.returned,
-                    defense.outlier_norm_factor,
-                    &mut scratch.valid,
-                    &mut scratch.update_norm,
-                    &mut scratch.finite_norms,
-                );
-            } else {
-                scratch.valid.clear();
-                scratch.valid.extend_from_slice(&scratch.returned);
-            }
-            scratch.survivors.clear();
-            scratch
-                .survivors
-                .extend(selected.iter().copied().filter(|&i| scratch.valid[i]));
-            scratch.agg_active.clear();
-            scratch.agg_active.resize(n, false);
-            for (i, agg) in scratch.agg_active.iter_mut().enumerate() {
-                *agg = scratch.returned[i] && scratch.valid[i];
-            }
-
-            // 6. Strategy phase B: aggregate the surviving set into the new
-            // global (or hold the global on a barren round).
-            let mut outcome;
-            if scratch.survivors.is_empty() {
-                barren_streak += 1;
-                if barren_streak > defense.max_barren_rounds {
-                    return Err(FlError::QuarantineExhausted { round });
-                }
-                outcome = AggregateOutcome {
-                    broadcast_scalars: prev_broadcast_scalars,
-                    synced_scalars: 0,
-                    total_scalars: total,
-                };
-            } else {
-                barren_streak = 0;
-                outcome = self.strategy.aggregate(
-                    round,
-                    &scratch.locals,
-                    &scratch.survivors,
-                    &scratch.agg_active,
-                    self.server.global_mut(),
-                );
-                if self.server.global().iter().any(|v| !v.is_finite()) {
-                    match checkpoint.as_ref() {
-                        Some(cp) => {
-                            self.server.global_mut().copy_from_slice(cp);
-                            rollbacks += 1;
-                            // Every client must re-download the restored
-                            // global in full next round.
-                            outcome.broadcast_scalars = total;
-                        }
-                        None => return Err(FlError::Diverged { round }),
-                    }
-                } else if let Some(cp) = checkpoint.as_mut() {
-                    cp.copy_from_slice(self.server.global());
-                }
-            }
-            prev_broadcast_scalars = outcome.broadcast_scalars;
-
-            // 7. Accounting and evaluation. Lost transmission attempts burn
-            // wire bytes: a payload delivered on attempt `a` cost `a` sends.
-            sim_time += duration;
-            let upload_wire: u64 = (0..n)
-                .filter(|&i| scratch.returned[i])
-                .map(|i| bytes_with_retries(scratch.upload_bytes[i], scratch.tx_attempts[i]))
-                .sum();
-            let retransmitted_bytes: u64 = scratch
-                .returned
-                .iter()
-                .zip(&scratch.upload_bytes)
-                .zip(&scratch.tx_attempts)
-                .filter(|((&r, _), _)| r)
-                .map(|((_, &b), &a)| crate::message::retransmitted_bytes(b, a))
-                .sum();
-            let bytes: u64 = upload_wire
-                .checked_add(scratch.download_bytes.iter().sum::<u64>())
-                .expect("round wire total fits in u64: both directions are bounded by model size");
-
-            // Runtime invariant guards (armed by FEDSU_CHECK_INVARIANTS=1):
-            // the emulated clock only moves forward, and every uploaded wire
-            // byte is accounted for exactly once — aggregated, quarantined,
-            // late (missed the round deadline), or burnt on retransmission.
-            if fedsu_tensor::invariant::enabled() {
-                assert!(
-                    duration.is_finite() && duration >= 0.0,
-                    "invariant violation [sim-time]: round {round} duration \
-                     {duration} is negative or non-finite"
-                );
-                assert!(
-                    sim_time.is_finite(),
-                    "invariant violation [sim-time]: cumulative sim time became \
-                     non-finite at round {round}"
-                );
-                let aggregated_bytes: u64 =
-                    scratch.survivors.iter().map(|&i| scratch.upload_bytes[i]).sum();
-                let quarantined_bytes: u64 = (0..n)
-                    .filter(|&i| scratch.returned[i] && !scratch.valid[i])
-                    .map(|i| scratch.upload_bytes[i])
-                    .sum();
-                let late_bytes: u64 = (0..n)
-                    .filter(|&i| {
-                        scratch.returned[i]
-                            && scratch.valid[i]
-                            && !scratch.survivors.contains(&i)
-                    })
-                    .map(|i| scratch.upload_bytes[i])
-                    .sum();
-                let decomposed_bytes = aggregated_bytes
-                    .checked_add(quarantined_bytes)
-                    .and_then(|b| b.checked_add(late_bytes))
-                    .and_then(|b| b.checked_add(retransmitted_bytes))
-                    .expect("wire decomposition fits in u64: every term is bounded by upload wire");
-                assert_eq!(
-                    upload_wire, decomposed_bytes,
-                    "invariant violation [wire-conservation]: round {round} upload \
-                     wire bytes do not decompose into aggregated + quarantined + \
-                     late + retransmitted"
-                );
-            }
-
-            let (accuracy, test_loss) = if round % self.config.eval_every == 0 || round + 1 == self.config.rounds {
-                let (a, l) = self.server.evaluate()?;
-                (Some(a), Some(l))
-            } else {
-                (None, None)
-            };
-            let n_active = scratch.active.iter().filter(|&&a| a).count();
-            let train_loss = if n_active == 0 {
-                0.0
-            } else {
-                scratch.train_losses.iter().sum::<f32>() / n_active as f32
-            };
-
-            let record = RoundRecord {
-                round,
-                duration_secs: duration,
-                sim_time_secs: sim_time,
-                accuracy,
-                test_loss,
-                train_loss,
-                sparsification_ratio: 1.0 - outcome.synced_scalars as f64 / outcome.total_scalars.max(1) as f64,
-                bytes,
-                participants: scratch.survivors.len(),
-                dropped,
-                quarantined,
-                retransmitted_bytes,
-                rollbacks,
-            };
+            let outcome = self.aggregate_survivors(round, s)?;
+            let record = self.close_round(round, s, outcome)?;
             if let Some(h) = hook.as_mut() {
                 h(&record, self.server.global());
             }
             records.push(record);
-            std::mem::swap(&mut scratch.was_active, &mut scratch.active);
             if alloc_trace {
                 fedsu_tensor::alloc_stats::mark_round(round);
             }
@@ -751,9 +442,309 @@ impl Experiment {
             strategy: self.strategy.name().to_string(),
             model: self.config.model_name.clone(),
             rounds: records,
-            param_count: total,
+            param_count: self.param_count(),
         })
     }
+
+    /// Phase 1 — participation: who is present (availability rule, crash
+    /// down-windows) and what each present client downloads. A joiner pays
+    /// the full model plus the strategy's replicated state (the paper's
+    /// dynamicity protocol, Sec. V); serialising it is the strategy's most
+    /// expensive call, so it is asked for only in a round with a joiner.
+    fn participation(&self, round: usize, s: &mut RoundScratch) {
+        let faults = self.config.faults;
+        s.fate.clear();
+        s.fate.extend((0..self.clients.len()).map(|i| {
+            if !self.config.availability.as_ref().is_none_or(|f| f(i, round)) {
+                Fate::Absent
+            } else if faults.crashed(i, round) {
+                // Away until the down-window ends; on rejoin the client
+                // pays the catch-up download below.
+                Fate::Crashed
+            } else {
+                Fate::Unselected
+            }
+        }));
+        s.active.clear();
+        s.active.extend(s.fate.iter().map(|&fate| fate == Fate::Unselected));
+
+        let joins = |act: bool, was: bool| round > 0 && act && !was;
+        let any_joiner = s.active.iter().zip(&s.was_active).any(|(&act, &was)| joins(act, was));
+        let join_state = if any_joiner { self.strategy.join_state() } else { None };
+        let join_state_bytes = join_state.map_or(0, |state| {
+            u64::try_from(state.len()).expect("join-state size fits in u64 on supported targets")
+        });
+        let steady = scalars_to_bytes(s.prev_broadcast_scalars);
+        let catch_up = scalars_to_bytes(self.param_count())
+            .checked_add(join_state_bytes)
+            .expect("rejoin payload fits in u64: model bytes plus a small join state");
+        s.download_bytes.clear();
+        s.download_bytes.extend(s.active.iter().zip(&s.was_active).map(|(&act, &was)| {
+            if joins(act, was) { catch_up } else if act { steady } else { 0 }
+        }));
+    }
+
+    /// Phase 2 — train: every present client pulls the current global and
+    /// trains locally, in parallel, with per-client panic capture. A failed
+    /// client is absorbed with defenses on and aborts the run with them off.
+    fn train_clients(&mut self, round: usize, s: &mut RoundScratch) -> Result<()> {
+        train_all(&mut self.clients, &s.active, self.server.global(), round, &mut s.train_results);
+        s.train_losses.clear();
+        s.train_losses.resize(self.clients.len(), 0.0);
+        for ((res, loss), fate) in s.train_results.iter_mut().zip(&mut s.train_losses).zip(&mut s.fate) {
+            match std::mem::replace(res, Ok(0.0)) {
+                Ok(l) => *loss = l,
+                Err(FlError::ClientFailed { .. }) if self.config.defense.enabled => {
+                    *fate = Fate::FailedTraining;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Phase 3 — deliver: mid-round dropouts and lossy uploads (retried up
+    /// to `max_retries` times with defenses on, never with them off).
+    /// Returns whether anybody delivered an upload. If nobody did there is
+    /// nothing to collect, plan, time or validate: the round lasts the
+    /// lost-round penalty and goes on to `aggregate_survivors` with an empty
+    /// selection and nothing uploaded (with defenses off it is a config
+    /// error instead).
+    fn deliver_uploads(&self, round: usize, s: &mut RoundScratch) -> Result<bool> {
+        let (faults, defense) = (self.config.faults, self.config.defense);
+        let retries = if defense.enabled { defense.max_retries } else { 0 };
+        s.tx_attempts.clear();
+        s.tx_attempts.resize(self.clients.len(), 1);
+        for (i, (fate, att)) in s.fate.iter_mut().zip(&mut s.tx_attempts).enumerate() {
+            if *fate != Fate::Unselected {
+                continue;
+            }
+            if faults.dropout(i, round) {
+                *fate = Fate::DroppedOut;
+            } else if let Some(attempts) = faults.upload_attempts(i, round, retries) {
+                *att = attempts;
+            } else {
+                *fate = Fate::UploadLost;
+            }
+        }
+        s.returned.clear();
+        s.returned.extend(s.fate.iter().map(|&fate| fate == Fate::Unselected));
+        let delivered = s.returned.contains(&true);
+        if !delivered {
+            if !defense.enabled {
+                return Err(FlError::new_bad_config(format_args!("no active clients in round {round}")));
+            }
+            s.upload_bytes.clear();
+            s.upload_bytes.resize(self.clients.len(), 0);
+            s.survivors.clear();
+            s.duration = defense.lost_round_penalty_secs;
+        }
+        Ok(delivered)
+    }
+
+    /// Phase 4 — collect: the local parameters of every client that
+    /// delivered; corruption hits the payload after training, on the wire.
+    /// A client whose upload never arrived contributes the unchanged global
+    /// and is never aggregated.
+    fn collect_locals(&self, round: usize, s: &mut RoundScratch) {
+        let faults = self.config.faults;
+        s.locals.resize_with(self.clients.len(), Vec::new);
+        for (i, ((slot, client), &ret)) in s.locals.iter_mut().zip(&self.clients).zip(&s.returned).enumerate() {
+            if ret {
+                client.local_params_into(slot);
+                if faults.corrupts(i, round) {
+                    faults.corrupt_upload(i, round, slot);
+                }
+            } else {
+                slot.clear();
+                slot.extend_from_slice(self.server.global());
+            }
+        }
+    }
+
+    /// Phase 5 — plan uploads (strategy phase A): what each client puts on
+    /// the wire, staged into the round-scratch buffer.
+    fn plan_uploads(&mut self, round: usize, s: &mut RoundScratch) -> Result<()> {
+        let global = self.server.global();
+        self.strategy.prepare_uploads_into(round, &s.locals, global, &mut s.upload_bytes);
+        if s.upload_bytes.len() != self.clients.len() {
+            return Err(FlError::new_strategy_contract(format_args!(
+                "prepare_uploads_into staged {} entries for {} clients",
+                s.upload_bytes.len(),
+                self.clients.len()
+            )));
+        }
+        // The strategy answers in scalars; the wire is charged in bytes.
+        for b in &mut s.upload_bytes {
+            *b *= crate::BYTES_PER_SCALAR;
+        }
+        Ok(())
+    }
+
+    /// Phase 6 — time and select: emulated finish times with slowdown
+    /// multipliers and retry backoff charged to each client's clock, the
+    /// earliest-K selection, and the round deadline (a defense): a selected
+    /// client that finishes after it is dropped and the round ends there.
+    fn time_and_select(&self, round: usize, s: &mut RoundScratch) {
+        let (faults, defense) = (self.config.faults, self.config.defense);
+        let compute_secs = self.config.compute_secs;
+        s.compute.clear();
+        s.compute.extend(s.returned.iter().map(|&ret| if ret { compute_secs } else { 0.0 }));
+        s.time_factor.clear();
+        let slowdown = |(i, &ret): (usize, &bool)| if ret { faults.slowdown(i, round) } else { 1.0 };
+        s.time_factor.extend(s.returned.iter().enumerate().map(slowdown));
+        let backoff = defense.retry_backoff_secs;
+        s.extra_secs.clear();
+        s.extra_secs.extend(s.tx_attempts.iter().map(|&attempts| backoff * f64::from(attempts - 1)));
+        let timing = self.timer.round_faulty(
+            round,
+            &s.compute,
+            &s.upload_bytes,
+            &s.download_bytes,
+            &s.returned,
+            FaultPenalties { time_factor: &s.time_factor, extra_secs: &s.extra_secs },
+        );
+
+        let deadline = if defense.enabled { defense.round_deadline_secs } else { None };
+        let on_time = |i: &usize| deadline.is_none_or(|d| timing.finish_secs[*i] <= d);
+        s.survivors.clear();
+        s.survivors.extend(timing.selected.iter().copied().filter(on_time));
+        for &i in timing.selected.iter().filter(|&i| !on_time(i)) {
+            s.fate[i] = Fate::Late;
+        }
+        s.duration = deadline.map_or(timing.duration_secs, |d| timing.duration_secs.min(d));
+    }
+
+    /// Phase 7 — validate (a defense): quarantine non-finite and
+    /// norm-outlier uploads before they can reach aggregation or a stateful
+    /// strategy's per-client accumulators; `valid` is who the strategy is
+    /// told took part.
+    fn validate_uploads(&self, s: &mut RoundScratch) {
+        let defense = self.config.defense;
+        if defense.enabled {
+            let (global, factor) = (self.server.global(), defense.outlier_norm_factor);
+            let RoundScratch { locals, returned, valid, update_norm, finite_norms, .. } = s;
+            validate_uploads_into(locals, global, returned, factor, valid, update_norm, finite_norms);
+        } else {
+            s.valid.clear();
+            s.valid.extend_from_slice(&s.returned);
+        }
+        for ((&ret, &ok), fate) in s.returned.iter().zip(&s.valid).zip(&mut s.fate) {
+            if ret && !ok {
+                *fate = Fate::Quarantined { late: *fate == Fate::Late };
+            }
+        }
+        s.survivors.retain(|&i| s.valid[i]);
+    }
+
+    /// Phase 8 — aggregate (strategy phase B): the surviving set becomes
+    /// the new global. An empty set makes the round barren — the global and
+    /// the broadcast volume are held, the strategy is not called, and too
+    /// many in a row end the run. A non-finite result is rolled back to the
+    /// last finite global when that defense is on, and ends the run if not.
+    fn aggregate_survivors(&mut self, round: usize, s: &mut RoundScratch) -> Result<AggregateOutcome> {
+        let total = self.param_count();
+        s.rollbacks = 0;
+        if s.survivors.is_empty() {
+            s.barren_streak += 1;
+            if s.barren_streak > self.config.defense.max_barren_rounds {
+                return Err(FlError::QuarantineExhausted { round });
+            }
+            let broadcast_scalars = s.prev_broadcast_scalars;
+            return Ok(AggregateOutcome { broadcast_scalars, synced_scalars: 0, total_scalars: total });
+        }
+        s.barren_streak = 0;
+        let global = self.server.global_mut();
+        let mut outcome = self.strategy.aggregate(round, &s.locals, &s.survivors, &s.valid, global);
+        for &i in &s.survivors {
+            s.fate[i] = Fate::Aggregated;
+        }
+        if self.server.global().iter().any(|v| !v.is_finite()) {
+            match s.checkpoint.as_ref() {
+                Some(cp) => {
+                    self.server.global_mut().copy_from_slice(cp);
+                    s.rollbacks = 1;
+                    // Every client must re-download the restored global in
+                    // full next round.
+                    outcome.broadcast_scalars = total;
+                }
+                None => return Err(FlError::Diverged { round }),
+            }
+        } else if let Some(cp) = s.checkpoint.as_mut() {
+            cp.copy_from_slice(self.server.global());
+        }
+        s.prev_broadcast_scalars = outcome.broadcast_scalars;
+        Ok(outcome)
+    }
+
+    /// Phase 9 — close, the round's one exit: the fates are tallied, the
+    /// clock advances, the armed invariants run, the global is evaluated on
+    /// schedule and the record is written.
+    fn close_round(
+        &mut self,
+        round: usize,
+        s: &mut RoundScratch,
+        outcome: AggregateOutcome,
+    ) -> Result<RoundRecord> {
+        let tally = Tally::of(&s.fate, &s.upload_bytes, &s.tx_attempts);
+        s.sim_time += s.duration;
+        let downloads: u64 = s.download_bytes.iter().sum();
+        let bytes = (tally.upload_wire.checked_add(downloads))
+            .expect("round wire total fits in u64: both directions are bounded by model size");
+        if fedsu_tensor::invariant::enabled() {
+            check_round_invariants(round, s, &tally);
+        }
+
+        let (accuracy, test_loss) =
+            if round.is_multiple_of(self.config.eval_every) || round + 1 == self.config.rounds {
+                let (a, l) = self.server.evaluate()?;
+                (Some(a), Some(l))
+            } else {
+                (None, None)
+            };
+        let n_active = s.active.iter().filter(|&&a| a).count();
+        let train_loss =
+            if n_active == 0 { 0.0 } else { s.train_losses.iter().sum::<f32>() / n_active as f32 };
+        std::mem::swap(&mut s.was_active, &mut s.active);
+        Ok(RoundRecord {
+            round,
+            duration_secs: s.duration,
+            sim_time_secs: s.sim_time,
+            accuracy,
+            test_loss,
+            train_loss,
+            sparsification_ratio: 1.0 - outcome.synced_scalars as f64 / outcome.total_scalars.max(1) as f64,
+            bytes,
+            participants: s.survivors.len(),
+            dropped: tally.dropped,
+            quarantined: tally.quarantined,
+            retransmitted_bytes: tally.retransmitted_bytes,
+            rollbacks: s.rollbacks,
+        })
+    }
+}
+
+/// Runtime invariant guards (armed by `FEDSU_CHECK_INVARIANTS=1`): the
+/// emulated clock only moves forward, and every uploaded wire byte is
+/// accounted for exactly once — aggregated, quarantined, unused (late, or
+/// not among the earliest K), or burnt on retransmission.
+fn check_round_invariants(round: usize, s: &RoundScratch, tally: &Tally) {
+    let duration = s.duration;
+    assert!(
+        duration.is_finite() && duration >= 0.0,
+        "invariant violation [sim-time]: round {round} duration {duration} is negative or non-finite"
+    );
+    assert!(
+        s.sim_time.is_finite(),
+        "invariant violation [sim-time]: cumulative sim time became non-finite at round {round}"
+    );
+    let accounted =
+        [tally.aggregated_bytes, tally.quarantined_bytes, tally.unused_bytes, tally.retransmitted_bytes];
+    assert!(
+        tally.upload_wire == accounted.iter().sum::<u64>(),
+        "invariant violation [wire-conservation]: round {round} upload wire bytes do not decompose \
+         into aggregated + quarantined + late + retransmitted: {tally:?}"
+    );
 }
 
 /// Rejects non-finite and norm-outlier uploads among the `returned` set.
@@ -761,9 +752,9 @@ impl Experiment {
 /// An upload is quarantined when it contains a non-finite scalar, or when
 /// its L2 update norm (`‖local − global‖`) exceeds `outlier_norm_factor`
 /// times the lower median of the round's finite update norms. Fills `valid`
-/// with the per-client validity mask (reusing the caller's buffers, so the
-/// round loop performs no allocation here) and returns the number of
-/// quarantined uploads.
+/// with the per-client validity mask: an upload that was returned and is not
+/// valid is quarantined. Reuses the caller's buffers, so the round loop
+/// performs no allocation here.
 fn validate_uploads_into(
     locals: &[Vec<f32>],
     global: &[f32],
@@ -772,7 +763,7 @@ fn validate_uploads_into(
     valid: &mut Vec<bool>,
     update_norm: &mut Vec<f32>,
     finite_norms: &mut Vec<f32>,
-) -> usize {
+) {
     let n = locals.len();
     valid.clear();
     valid.extend_from_slice(returned);
@@ -822,7 +813,6 @@ fn validate_uploads_into(
             }
         }
     }
-    returned.iter().zip(valid.iter()).filter(|&(&r, &v)| r && !v).count()
 }
 
 /// Pulls the global into one client and trains it for one round, converting
@@ -870,7 +860,7 @@ fn train_all(
     let chunk = clients.len().div_ceil(threads);
     // Client-level parallelism owns the cores for this round: force tensor
     // kernels serial while the scope is live so the two layers compose
-    // without oversubscription, then restore the configured policy. Kernel
+    // without oversubscription, then restore the caller's policy. Kernel
     // outputs are bit-identical at every thread count, so this only affects
     // scheduling, never results.
     let saved_kernel_threads = fedsu_tensor::kernel_threads_setting();
@@ -1305,18 +1295,17 @@ mod tests {
             vec![0.1, 0.2, 0.1, 0.0],
         ];
         let (mut valid, mut norms, mut finite) = (Vec::new(), Vec::new(), Vec::new());
+        let quarantined = |returned: &[bool], valid: &[bool]| {
+            returned.iter().zip(valid).filter(|&(&r, &v)| r && !v).count()
+        };
         let returned = [true, true, true, true];
-        let quarantined = validate_uploads_into(
-            &locals, &global, &returned, 8.0, &mut valid, &mut norms, &mut finite,
-        );
+        validate_uploads_into(&locals, &global, &returned, 8.0, &mut valid, &mut norms, &mut finite);
         assert_eq!(valid, vec![true, false, false, true]);
-        assert_eq!(quarantined, 2);
+        assert_eq!(quarantined(&returned, &valid), 2);
         // Clients that never returned are not counted as quarantined.
         let returned = [true, false, false, true];
-        let quarantined = validate_uploads_into(
-            &locals, &global, &returned, 8.0, &mut valid, &mut norms, &mut finite,
-        );
+        validate_uploads_into(&locals, &global, &returned, 8.0, &mut valid, &mut norms, &mut finite);
         assert_eq!(valid, vec![true, false, false, true]);
-        assert_eq!(quarantined, 0);
+        assert_eq!(quarantined(&returned, &valid), 0);
     }
 }

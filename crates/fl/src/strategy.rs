@@ -65,7 +65,10 @@ pub trait SyncStrategy: Send {
     /// `active[i]` says whether client `i` participated this round at all
     /// (participant dynamicity); `selected ⊆ active`. Strategies with
     /// per-client state (e.g. FedSU's local error accumulators) must only
-    /// touch state of active clients.
+    /// touch state of active clients. An empty `selected` means nothing
+    /// usable arrived: hold `global` and every piece of state, and report
+    /// nothing synced and nothing to broadcast — the same as not being
+    /// called, which is what the runtime does with such a round.
     fn aggregate(
         &mut self,
         round: usize,

@@ -127,7 +127,12 @@ impl SyncStrategy for Apf {
     ) -> AggregateOutcome {
         self.ensure_capacity(global.len());
         let n = global.len();
-        let inv = 1.0 / selected.len().max(1) as f32;
+        if selected.is_empty() {
+            // Nothing usable arrived: hold the global, the EMAs and the
+            // freeze counters (an average over nobody is not an update).
+            return AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0, total_scalars: n };
+        }
+        let inv = 1.0 / selected.len() as f32;
         let theta = self.config.ema_decay;
         let mut synced = 0usize;
 

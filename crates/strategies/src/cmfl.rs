@@ -3,6 +3,7 @@
 //! fraction of the update's element-wise signs agree with the previous
 //! round's *global* update.
 
+use fedsu_fl::strategy::average_into;
 use fedsu_fl::{AggregateOutcome, SyncStrategy};
 
 /// CMFL hyper-parameters.
@@ -112,6 +113,11 @@ impl SyncStrategy for Cmfl {
         _active: &[bool],
         global: &mut [f32],
     ) -> AggregateOutcome {
+        let n = global.len();
+        if selected.is_empty() {
+            // Nothing usable arrived: hold the global and the reference update.
+            return AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0, total_scalars: n };
+        }
         let mut old_global = std::mem::take(&mut self.old_scratch);
         old_global.clear();
         old_global.extend_from_slice(global);
@@ -124,15 +130,7 @@ impl SyncStrategy for Cmfl {
                 .filter(|&c| self.transmits.get(c).copied().unwrap_or(true)),
         );
         if !transmitting.is_empty() {
-            let inv = 1.0 / transmitting.len() as f32;
-            for g in global.iter_mut() {
-                *g = 0.0;
-            }
-            for &c in &transmitting {
-                for (g, &v) in global.iter_mut().zip(&locals[c]) {
-                    *g += v * inv;
-                }
-            }
+            average_into(locals, &transmitting, global);
         }
         let mut prev = self.prev_global_update.take().unwrap_or_default();
         prev.clear();
@@ -141,17 +139,13 @@ impl SyncStrategy for Cmfl {
 
         // Sparsification accounting: the fraction of selected clients that
         // skipped transmission scales the effective synchronized volume.
-        let frac = if selected.is_empty() {
-            0.0
-        } else {
-            transmitting.len() as f64 / selected.len() as f64
-        };
+        let frac = transmitting.len() as f64 / selected.len() as f64;
         self.old_scratch = old_global;
         self.transmitting_scratch = transmitting;
         AggregateOutcome {
-            broadcast_scalars: global.len(),
-            synced_scalars: (global.len() as f64 * frac).round() as usize,
-            total_scalars: global.len(),
+            broadcast_scalars: n,
+            synced_scalars: (n as f64 * frac).round() as usize,
+            total_scalars: n,
         }
     }
 

@@ -38,12 +38,13 @@ impl SyncStrategy for FedAvg {
         _active: &[bool],
         global: &mut [f32],
     ) -> AggregateOutcome {
-        average_into(locals, selected, global);
-        AggregateOutcome {
-            broadcast_scalars: global.len(),
-            synced_scalars: global.len(),
-            total_scalars: global.len(),
+        let n = global.len();
+        if selected.is_empty() {
+            // Nothing usable arrived: hold the global.
+            return AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0, total_scalars: n };
         }
+        average_into(locals, selected, global);
+        AggregateOutcome { broadcast_scalars: n, synced_scalars: n, total_scalars: n }
     }
 }
 

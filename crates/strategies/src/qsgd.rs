@@ -185,7 +185,12 @@ impl SyncStrategy for Qsgd {
         _active: &[bool],
         global: &mut [f32],
     ) -> AggregateOutcome {
-        let inv = 1.0 / selected.len().max(1) as f32;
+        if selected.is_empty() {
+            // Nothing usable arrived: hold the global; no update is quantized.
+            let n = global.len();
+            return AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0, total_scalars: n };
+        }
+        let inv = 1.0 / selected.len() as f32;
         let mut mean_q = std::mem::take(&mut self.mean_scratch);
         mean_q.clear();
         mean_q.resize(global.len(), 0.0);

@@ -110,8 +110,12 @@ impl SyncStrategy for TopK {
     ) -> AggregateOutcome {
         self.ensure_capacity(locals.len(), global.len());
         let n = global.len();
+        if selected.is_empty() {
+            // Nothing usable arrived: hold the global and every residual.
+            return AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0, total_scalars: n };
+        }
         let k = self.k_of(n);
-        let inv = 1.0 / selected.len().max(1) as f32;
+        let inv = 1.0 / selected.len() as f32;
 
         let level = simd::simd_level();
         let mut mean_sparse = std::mem::take(&mut self.mean_scratch);

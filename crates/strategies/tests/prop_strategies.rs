@@ -2,7 +2,8 @@
 //! contract under arbitrary dynamics.
 
 use fedsu_cases::{check, ends_then_draw, Rng};
-use fedsu_fl::SyncStrategy;
+use fedsu_core::{FedSu, FedSuConfig};
+use fedsu_fl::{AggregateOutcome, SyncStrategy};
 use fedsu_strategies::{
     Apf, ApfConfig, Cmfl, CmflConfig, FedAvg, Qsgd, QsgdConfig, TopK, TopKConfig,
 };
@@ -113,6 +114,62 @@ fn unanimous_shift_is_applied_by_all() {
             // significantly in the right direction.
             let mean: f32 = global.iter().sum::<f32>() / n as f32;
             assert!(mean > shift, "{} only moved to {mean} (shift {shift})", strategy.name());
+        }
+    });
+}
+
+/// `aggregate` with nobody selected holds the global and every piece of
+/// strategy state: it is the same as not being asked to aggregate at all,
+/// which is what the runtime does with a barren round.
+#[test]
+fn empty_selection_holds_the_global_and_all_state() {
+    let all = || {
+        let mut all = strategies();
+        // A short warm-up, so that masks exist by the time the empty round comes.
+        all.push(Box::new(FedSu::new(FedSuConfig { warmup_updates: 2, t_r: 0.5, ..FedSuConfig::default() })));
+        all
+    };
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    check("empty_selection_holds_the_global_and_all_state", CASES, |rng| {
+        let seed = rng.gen_range(0u64..500);
+        let (n, clients, warmup) =
+            (rng.gen_range(1usize..12), rng.gen_range(1usize..6), rng.gen_range(0usize..7));
+        // Some clients are present in the empty round; none is selected.
+        let present: Vec<bool> = (0..clients).map(|_| rng.gen_range(0u8..3) > 0).collect();
+        let locals_at = |round: usize, global: &[f32]| -> Vec<Vec<f32>> {
+            (0..clients)
+                .map(|c| (0..n).map(|j| global[j] + update(seed, round, c, j)).collect())
+                .collect()
+        };
+        let everyone: Vec<usize> = (0..clients).collect();
+        for (mut seen, mut twin) in all().into_iter().zip(all()) {
+            let name = seen.name().to_string();
+            let (mut global, mut twin_global) = (vec![0.0f32; n], vec![0.0f32; n]);
+            for round in 0..warmup {
+                let locals = locals_at(round, &global);
+                for (s, g) in [(&mut seen, &mut global), (&mut twin, &mut twin_global)] {
+                    s.prepare_uploads(round, &locals, g);
+                    s.aggregate(round, &locals, &everyone, &vec![true; clients], g);
+                }
+            }
+            assert_eq!(bits(&global), bits(&twin_global), "{name}: twins diverged in warm-up");
+
+            // Both plan the round; only `seen` is asked to aggregate it.
+            let locals = locals_at(warmup, &global);
+            seen.prepare_uploads(warmup, &locals, &global);
+            twin.prepare_uploads(warmup, &locals, &twin_global);
+            let out = seen.aggregate(warmup, &locals, &[], &present, &mut global);
+            assert_eq!(bits(&global), bits(&twin_global), "{name}: an empty selection moved the global");
+            let held = AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0, total_scalars: n };
+            assert_eq!(out, held, "{name}");
+
+            let locals = locals_at(warmup + 1, &global);
+            let outcomes = [(&mut seen, &mut global), (&mut twin, &mut twin_global)].map(|(s, g)| {
+                let uploads = s.prepare_uploads(warmup + 1, &locals, g);
+                (uploads, s.aggregate(warmup + 1, &locals, &everyone, &vec![true; clients], g))
+            });
+            assert_eq!(outcomes[0], outcomes[1], "{name}: the empty round left a trace in the state");
+            assert_eq!(bits(&global), bits(&twin_global), "{name}: the empty round left a trace");
         }
     });
 }

@@ -7,21 +7,16 @@ fn library_code() -> u32 {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
-
     #[test]
-    fn wall_clock_in_tests_is_fine() {
-        let t0 = std::time::Instant::now();
-        let mut m: HashMap<u32, u32> = HashMap::new();
-        m.insert(1, 2);
+    fn bare_accounting_arithmetic_in_tests_is_fine() {
         let total_bytes = 4u64;
         let doubled = total_bytes + total_bytes;
-        assert!(doubled == 8 && t0.elapsed().as_nanos() < u128::MAX);
-        m.get(&1).unwrap();
+        let narrow_bytes = doubled as u32;
+        assert!(doubled == 8 && narrow_bytes == 8);
     }
 }
 
 #[cfg(any(test, feature = "bench-helpers"))]
-fn helper_with_clock() -> std::time::SystemTime {
-    std::time::SystemTime::now()
+fn helper_with_bare_arithmetic(upload_bytes: u64, retries: u64) -> u64 {
+    upload_bytes * retries
 }

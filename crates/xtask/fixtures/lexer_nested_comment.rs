@@ -2,11 +2,11 @@
 //! diagnostics. Not compiled — consumed by `crates/xtask/tests/fixtures.rs`.
 
 /* outer comment
-   /* nested: use std::collections::HashMap;
-      let t0 = std::time::Instant::now();
+   /* nested: let wire_bytes = (scalars * 4) as u32;
+      total_bytes += wire_bytes;
    */
    still inside the OUTER comment after the nested close:
-   x.unwrap(); total_bytes + extra_bytes; SystemTime::now()
+   total_bytes + extra_bytes; upload_bytes * retries
 */
 fn clean() -> u32 {
     41

@@ -2,13 +2,13 @@
 //! diagnostics. Not compiled — consumed by `crates/xtask/tests/fixtures.rs`.
 
 fn describe() -> &'static str {
-    r#"use std::collections::HashMap; let t = Instant::now(); x.unwrap()"#
+    r#"let wire_bytes = (scalars * 4) as u32; total_bytes += wire_bytes;"#
 }
 
 fn describe_hashes() -> &'static str {
     // Raw string with extra hashes, containing a quote-hash sequence that a
     // naive scanner would treat as the terminator.
-    r##"HashSet "# still inside " SystemTime"##
+    r##"upload_bytes * 2 "# still inside " sim_time_ms + 1"##
 }
 
 fn byte_raw() -> &'static [u8] {

@@ -1,9 +1,9 @@
-//! Fixture: a renamed import is still the same hazardous type. Seeds two
-//! `hash-collections` findings: the `use … as` line and the aliased usage.
+//! Fixture: a renamed import is still the same type. Linted as the
+//! round-loop root file, the constructor call through the alias on line 9
+//! is a `hot-alloc` finding that names the original type; the mention of
+//! the alias in the signature is not a call and stays silent.
 //! Not compiled — consumed by `crates/xtask/tests/fixtures.rs`.
 
-use std::collections::HashMap as Map;
+use std::collections::VecDeque as Queue;
 
-fn select_clients(weights: &Map<usize, f32>) -> usize {
-    weights.len()
-}
+pub fn run(backlog: &mut Queue<u32>) { *backlog = Queue::new(); }

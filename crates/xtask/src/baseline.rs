@@ -288,7 +288,7 @@ mod tests {
     #[test]
     fn render_then_parse_round_trips() {
         let diags = vec![
-            diag("no-unwrap", "crates/fl/src/a.rs", 3, "x.unwrap(); // \"quoted\" \\ slash"),
+            diag("panic-path", "crates/fl/src/a.rs", 3, "x.unwrap(); // \"quoted\" \\ slash"),
             diag("panic-path", "crates/core/src/b.rs", 9, "let v = tbl[i];"),
         ];
         let text = render(&diags);
@@ -303,12 +303,12 @@ mod tests {
     #[test]
     fn render_is_deterministic_and_sorted() {
         let a = vec![
-            diag("no-unwrap", "b.rs", 2, "s2"),
-            diag("no-unwrap", "a.rs", 7, "s1"),
+            diag("panic-path", "b.rs", 2, "s2"),
+            diag("panic-path", "a.rs", 7, "s1"),
         ];
         let b = vec![
-            diag("no-unwrap", "a.rs", 7, "s1"),
-            diag("no-unwrap", "b.rs", 2, "s2"),
+            diag("panic-path", "a.rs", 7, "s1"),
+            diag("panic-path", "b.rs", 2, "s2"),
         ];
         assert_eq!(render(&a), render(&b));
         let text = render(&a);
@@ -318,15 +318,15 @@ mod tests {
     #[test]
     fn apply_classifies_new_baselined_stale() {
         let entries = parse(&render(&[
-            diag("no-unwrap", "a.rs", 1, "old finding"),
-            diag("no-unwrap", "gone.rs", 5, "fixed finding"),
-            diag("no-unwrap", "unscanned.rs", 2, "other target"),
+            diag("panic-path", "a.rs", 1, "old finding"),
+            diag("panic-path", "gone.rs", 5, "fixed finding"),
+            diag("panic-path", "unscanned.rs", 2, "other target"),
         ]))
         .expect("baseline parses");
         let scanned: BTreeSet<String> = ["a.rs".to_string(), "gone.rs".to_string()].into();
         let diags = vec![
-            diag("no-unwrap", "a.rs", 1, "old finding"),
-            diag("no-unwrap", "a.rs", 9, "brand new"),
+            diag("panic-path", "a.rs", 1, "old finding"),
+            diag("panic-path", "a.rs", 9, "brand new"),
         ];
         let (new, baselined, stale) = apply(diags, &entries, &scanned);
         assert_eq!(new.len(), 1, "unbaselined finding is new");
@@ -339,9 +339,9 @@ mod tests {
     #[test]
     fn line_shift_invalidates_entry() {
         let entries =
-            parse(&render(&[diag("no-unwrap", "a.rs", 4, "x.unwrap();")])).expect("parses");
+            parse(&render(&[diag("panic-path", "a.rs", 4, "x.unwrap();")])).expect("parses");
         let scanned: BTreeSet<String> = ["a.rs".to_string()].into();
-        let diags = vec![diag("no-unwrap", "a.rs", 5, "x.unwrap();")];
+        let diags = vec![diag("panic-path", "a.rs", 5, "x.unwrap();")];
         let (new, baselined, stale) = apply(diags, &entries, &scanned);
         assert_eq!(new.len(), 1, "moved finding counts as new");
         assert!(baselined.is_empty());

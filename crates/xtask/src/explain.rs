@@ -11,34 +11,12 @@ use crate::rules::RULE_IDS;
 /// Full explanation for one rule id, or `None` for an unknown id.
 pub fn explain(rule: &str) -> Option<String> {
     let (rationale, example) = match rule {
-        "hash-collections" => (
-            "HashMap/HashSet iterate in an order randomized per process. Any \
-             aggregation, client selection, or serialization driven by that order \
-             silently differs between runs, which breaks the bit-for-bit \
-             reproducibility the paper's evaluation rests on. Use BTreeMap/BTreeSet \
-             or dense integer-id indexing.",
-            "use std::collections::HashMap;   // flagged, even through `use … as` aliases",
-        ),
-        "wall-clock" => (
-            "The emulator owns its own clock (`sim_time_secs`). Reading the host \
-             clock (Instant::now, SystemTime) in a sim path couples results to \
-             machine speed and scheduler jitter; every duration must derive from \
-             the deterministic sim clock.",
-            "let t0 = std::time::Instant::now();   // flagged in library code",
-        ),
         "truncating-cast" => (
             "`as <int>` silently truncates and wraps. On byte/time-accounting \
              statements (identifiers mentioning bytes, secs, latency, …) a unit \
              bug becomes a wrong paper figure instead of a loud error. Use \
              `u64::from`/`try_from` or widen the accumulator.",
             "let total_bytes = (scalars * 4) as u32;   // flagged",
-        ),
-        "no-unwrap" => (
-            "A panic inside the emulation aborts a whole multi-hour sweep. \
-             Fallible paths must return Result; the remaining panics must carry \
-             an `.expect(\"…\")` message of at least 10 chars documenting the \
-             invariant that makes failure impossible.",
-            "let x = v.pop().unwrap();   // flagged; .expect(\"ring is never empty\") passes",
         ),
         "panic-path" => (
             "Functions transitively reachable (name-based call graph) from the \
@@ -54,14 +32,6 @@ pub fn explain(rule: &str) -> Option<String> {
              *_ms, sim_time*) can wrap silently in release builds; use \
              checked_add/checked_mul or saturating_* so overflow is loud.",
             "total_bytes += chunk_len;   // flagged; checked_add(...).expect(\"…\") passes",
-        ),
-        "float-determinism" => (
-            "Float addition is not associative: summing the same values in a \
-             different order changes the bit pattern. Accumulating f32/f64 over \
-             a map/set iteration (values()/keys()) or par_iter in the numeric \
-             crates breaks run-to-run reproducibility; collect into a Vec sorted \
-             by a stable key first.",
-            "weights.values().sum::<f64>()   // flagged in crates/{tensor,nn,strategies}",
         ),
         "lock-order" => (
             "Deadlock and poison hazards found by the guard-liveness dataflow \

@@ -8,8 +8,7 @@
 //! rule downstream works on tokens and is immune to formatting.
 //!
 //! Comments (including doc comments) and whitespace produce no tokens;
-//! string-literal tokens keep their full source text so rules can still
-//! measure message lengths (e.g. the `no-unwrap` documented-`expect` check).
+//! string-literal tokens keep their full source text.
 
 /// Classification of one lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,27 +56,6 @@ impl Token {
     /// `true` for punctuation with exactly this text.
     pub fn is_punct(&self, s: &str) -> bool {
         self.kind == TokenKind::Punct && self.text == s
-    }
-
-    /// The contents of a string literal (quotes, prefixes, and raw-string
-    /// hashes stripped); `None` for non-string tokens.
-    pub fn str_content(&self) -> Option<&str> {
-        match self.kind {
-            TokenKind::Str => {
-                let t = self.text.strip_prefix('b').unwrap_or(&self.text);
-                t.strip_prefix('"').and_then(|t| t.strip_suffix('"'))
-            }
-            TokenKind::RawStr => {
-                let t = self.text.strip_prefix('b').unwrap_or(&self.text);
-                let t = t.strip_prefix('r')?;
-                let hashes = t.chars().take_while(|&c| c == '#').count();
-                let t = &t[hashes..];
-                let t = t.strip_prefix('"')?;
-                let t = t.strip_suffix(&"#".repeat(hashes))?;
-                t.strip_suffix('"')
-            }
-            _ => None,
-        }
     }
 }
 
@@ -460,7 +438,7 @@ mod tests {
     fn raw_strings_with_hashes() {
         let toks = lex(r####"let s = r##"quote "# inside"##;"####);
         let raw = toks.iter().find(|t| t.kind == TokenKind::RawStr).expect("raw string token");
-        assert_eq!(raw.str_content(), Some(r##"quote "# inside"##));
+        assert_eq!(raw.text, r####"r##"quote "# inside"##"####);
     }
 
     #[test]
@@ -501,9 +479,8 @@ mod tests {
     fn string_contents_preserved_for_measurement() {
         let toks = lex(".expect(\"short\")");
         let s = toks.iter().find(|t| t.kind == TokenKind::Str).expect("string token");
-        assert_eq!(s.str_content(), Some("short"));
-        let toks = lex("b\"bytes\"");
-        assert_eq!(toks[0].str_content(), Some("bytes"));
+        assert_eq!(s.text, "\"short\"");
+        assert_eq!(lex("b\"bytes\"")[0].text, "b\"bytes\"");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Per-file symbol table: `use`-alias resolution and coarse local type hints.
 //!
-//! The rules must see through renaming imports (`use std::collections::HashMap
-//! as Map` is still a hash map) and need a rough idea of a local's type (a
+//! The rules must see through renaming imports (`use std::collections::VecDeque
+//! as Queue` is still a heap buffer) and need a rough idea of a local's type (a
 //! `sim_time` that is `f64` is accumulated with float arithmetic on purpose;
 //! a `total_bytes: u64` is not). Neither requires real type inference: alias
 //! tails and `let`-binding annotations cover the patterns the workspace uses.
@@ -15,11 +15,6 @@ use std::collections::BTreeMap;
 pub enum TypeHint {
     /// `f32`/`f64` (directly, or via an obvious float initializer).
     Float,
-    /// An *ordered* map/set (`BTreeMap` etc.): iteration order is stable but
-    /// key-dependent, which is still a float-accumulation ordering hazard.
-    MapLike,
-    /// A hash-based map/set whose iteration order differs per process.
-    UnorderedMap,
     /// A `Mutex`/`RwLock`: `.lock()`/`.read()`/`.write()` on it produces a
     /// guard the lock-order rule must track.
     Lock,
@@ -44,14 +39,6 @@ pub struct SymbolTable {
     hints: BTreeMap<String, TypeHint>,
 }
 
-/// Type names that are map-like for determinism purposes. Hash-based ones
-/// additionally have *unordered* iteration (see [`UNORDERED_TYPES`]).
-const MAP_TYPES: [&str; 6] =
-    ["HashMap", "HashSet", "BTreeMap", "BTreeSet", "IndexMap", "IndexSet"];
-
-/// Map types whose iteration order is randomized per process.
-const UNORDERED_TYPES: [&str; 2] = ["HashMap", "HashSet"];
-
 /// Lock types whose acquisition methods return scope-bound guards.
 const LOCK_TYPES: [&str; 2] = ["Mutex", "RwLock"];
 
@@ -63,10 +50,6 @@ pub(crate) const BUFFER_TYPES: [&str; 5] = ["Vec", "VecDeque", "String", "Box", 
 fn classify_type_name(name: &str) -> TypeHint {
     if name == "f32" || name == "f64" {
         TypeHint::Float
-    } else if UNORDERED_TYPES.contains(&name) {
-        TypeHint::UnorderedMap
-    } else if MAP_TYPES.contains(&name) {
-        TypeHint::MapLike
     } else if LOCK_TYPES.contains(&name) {
         TypeHint::Lock
     } else if BUFFER_TYPES.contains(&name) {
@@ -92,7 +75,7 @@ impl SymbolTable {
     }
 
     /// Resolves a name through at most one alias hop to the original type
-    /// name it imports (`Map` → `HashMap`); unknown names map to themselves.
+    /// name it imports (`Queue` → `VecDeque`); unknown names map to themselves.
     pub fn canonical<'a>(&'a self, name: &'a str) -> &'a str {
         self.aliases.get(name).map_or(name, String::as_str)
     }
@@ -175,7 +158,7 @@ impl SymbolTable {
 
 /// Classifies an initializer expression starting at token `at`: a float
 /// literal (or one wrapped in a unary minus/paren) hints Float; calling
-/// `Map::new`/`Mutex::new`-style constructors hints the corresponding hazard
+/// `Vec::new`/`Mutex::new`-style constructors hints the corresponding hazard
 /// class.
 fn hint_from_init(toks: &[crate::lexer::Token], mut at: usize, table: &SymbolTable) -> TypeHint {
     while at < toks.len() && (toks[at].is_punct("-") || toks[at].is_punct("(")) {
@@ -212,17 +195,10 @@ mod tests {
 
     #[test]
     fn alias_resolves_to_original_tail() {
-        let t = table("use std::collections::HashMap as Map;\nfn f() { let m: Map<u32, u32> = Map::new(); }");
-        assert_eq!(t.canonical("Map"), "HashMap");
+        let t = table("use std::collections::VecDeque as Queue;\nfn f() { let q: Queue<u32> = Queue::new(); }");
+        assert_eq!(t.canonical("Queue"), "VecDeque");
         assert_eq!(t.canonical("Vec"), "Vec");
-        assert_eq!(t.hint("m"), Some(TypeHint::UnorderedMap));
-    }
-
-    #[test]
-    fn btree_is_ordered_hash_is_not() {
-        let t = table("fn f(a: BTreeMap<u32, f32>, b: HashSet<u32>) {}");
-        assert_eq!(t.hint("a"), Some(TypeHint::MapLike));
-        assert_eq!(t.hint("b"), Some(TypeHint::UnorderedMap));
+        assert_eq!(t.hint("q"), Some(TypeHint::Buffer));
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! reproducibility or safety hazards with `file:line` positions.
 //!
 //! All rules skip test code (`#[cfg(test)]` items, `#[test]` functions)
-//! because the hazards they guard against — nondeterministic iteration
-//! order, wall-clock reads, silently-truncating or wrapping arithmetic, and
-//! panicking accessors — only threaten the *emulation and its results*, not
-//! assertions inside tests.
+//! because the hazards they guard against — silently-truncating or wrapping
+//! arithmetic, panics and allocations on the round loop, lock and channel
+//! misuse — only threaten the *emulation and its results*, not assertions
+//! inside tests. (Hash collections, wall-clock reads and `unwrap` are
+//! clippy's: `clippy.toml` and `[workspace.lints]`.)
 //!
-//! Rules operate on tokens, never on raw text: a `HashMap` inside a string
+//! Rules operate on tokens, never on raw text: a `Vec` inside a string
 //! literal or comment does not exist at this layer, and `use … as` aliases
 //! are resolved through the per-file [`crate::resolve::SymbolTable`].
 
@@ -52,14 +53,10 @@ impl Diagnostic {
 }
 
 /// Stable identifiers of every rule, in reporting order.
-pub const RULE_IDS: [&str; 12] = [
-    "hash-collections",
-    "wall-clock",
+pub const RULE_IDS: [&str; 8] = [
     "truncating-cast",
-    "no-unwrap",
     "panic-path",
     "unchecked-arith",
-    "float-determinism",
     "lock-order",
     "channel-discipline",
     "hot-alloc",
@@ -82,86 +79,15 @@ pub fn check_all(
     flow: &WorkspaceFlow,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    out.extend(check_hash_collections(path, src));
-    out.extend(check_wall_clock(path, src));
     out.extend(check_truncating_cast(path, src));
-    out.extend(check_no_unwrap(path, src));
     out.extend(check_panic_path(path, src, graph));
     out.extend(check_unchecked_arith(path, src));
-    out.extend(check_float_determinism(path, src));
     out.extend(check_lock_order(path, src, graph, flow));
     out.extend(check_channel_discipline(path, src, graph, flow));
     out.extend(crate::allocflow::check_hot_alloc(path, src, graph));
     out.extend(crate::allocflow::check_loop_realloc(path, src));
     out.extend(crate::allocflow::check_redundant_clone(path, src));
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-    out
-}
-
-/// Rule `hash-collections`: `HashMap`/`HashSet` (under any `use … as` alias)
-/// in library code. Their iteration order is randomized per process, so any
-/// aggregation, selection, or serialization driven by it silently breaks
-/// run-to-run reproducibility. Use `BTreeMap`/`BTreeSet`, or dense-id
-/// indexing.
-fn check_hash_collections(path: &str, src: &PreparedSource) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let mut fired_lines = BTreeSet::new();
-    for (i, t) in src.file.tokens.iter().enumerate() {
-        if src.tok_in_test(i) || t.kind != TokenKind::Ident {
-            continue;
-        }
-        let canon = src.symbols.canonical(&t.text);
-        if (canon == "HashMap" || canon == "HashSet") && fired_lines.insert(t.line) {
-            let via = if t.text == canon {
-                String::new()
-            } else {
-                format!(" (via alias `{}`)", t.text)
-            };
-            out.push(Diagnostic::at(
-                src,
-                path,
-                t.line,
-                "hash-collections",
-                format!(
-                    "{canon}{via} has nondeterministic iteration order; use \
-                     BTreeMap/BTreeSet or dense-id indexing so emulation results \
-                     stay reproducible"
-                ),
-            ));
-        }
-    }
-    out
-}
-
-/// Rule `wall-clock`: `Instant::now`/`SystemTime` (under any alias) in
-/// library code. The emulator owns its own clock (`sim_time_secs`); reading
-/// the host clock in a sim path couples results to machine speed and
-/// scheduling.
-fn check_wall_clock(path: &str, src: &PreparedSource) -> Vec<Diagnostic> {
-    let toks = &src.file.tokens;
-    let mut out = Vec::new();
-    let mut fired_lines = BTreeSet::new();
-    for (i, t) in toks.iter().enumerate() {
-        if src.tok_in_test(i) || t.kind != TokenKind::Ident {
-            continue;
-        }
-        let canon = src.symbols.canonical(&t.text);
-        let hit = canon == "SystemTime"
-            || (canon == "Instant"
-                && toks.get(i + 1).is_some_and(|n| n.is_punct("::"))
-                && toks.get(i + 2).is_some_and(|n| n.is_ident("now")));
-        if hit && fired_lines.insert(t.line) {
-            out.push(Diagnostic::at(
-                src,
-                path,
-                t.line,
-                "wall-clock",
-                "wall-clock read in emulation code; sim paths must derive every \
-                 duration from the deterministic sim clock"
-                    .to_string(),
-            ));
-        }
-    }
     out
 }
 
@@ -234,60 +160,6 @@ fn check_truncating_cast(path: &str, src: &PreparedSource) -> Vec<Diagnostic> {
                 target.text
             ),
         ));
-    }
-    out
-}
-
-/// Minimum `.expect("...")` message length that counts as documented.
-const MIN_EXPECT_MESSAGE: usize = 10;
-
-/// Rule `no-unwrap`: `.unwrap()` (always) and `.expect()` with an empty or
-/// trivially short literal message in library code. Panics inside the
-/// emulation abort whole multi-hour sweeps; fallible paths must return
-/// `Result`, and the remaining panics must document the invariant that makes
-/// them unreachable.
-fn check_no_unwrap(path: &str, src: &PreparedSource) -> Vec<Diagnostic> {
-    let toks = &src.file.tokens;
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if src.tok_in_test(i) || !toks[i].is_punct(".") {
-            continue;
-        }
-        let Some(name) = toks.get(i + 1) else { continue };
-        if !toks.get(i + 2).is_some_and(|t| t.is_punct("(")) {
-            continue;
-        }
-        if name.is_ident("unwrap") && toks.get(i + 3).is_some_and(|t| t.is_punct(")")) {
-            out.push(Diagnostic::at(
-                src,
-                path,
-                name.line,
-                "no-unwrap",
-                "`.unwrap()` in library code; return a Result or use `.expect(...)` \
-                 with a message documenting why failure is impossible"
-                    .to_string(),
-            ));
-        } else if name.is_ident("expect") {
-            // Only literal messages are measurable; dynamic messages
-            // (format!, variables) count as documented.
-            let Some(arg) = toks.get(i + 3) else { continue };
-            if matches!(arg.kind, TokenKind::Str | TokenKind::RawStr)
-                && arg
-                    .str_content()
-                    .is_some_and(|msg| msg.chars().count() < MIN_EXPECT_MESSAGE)
-            {
-                out.push(Diagnostic::at(
-                    src,
-                    path,
-                    name.line,
-                    "no-unwrap",
-                    format!(
-                        "`.expect()` message shorter than {MIN_EXPECT_MESSAGE} chars does \
-                         not document the invariant; explain why failure is impossible"
-                    ),
-                ));
-            }
-        }
     }
     out
 }
@@ -526,77 +398,6 @@ fn check_unchecked_arith(path: &str, src: &PreparedSource) -> Vec<Diagnostic> {
                      `checked_add`/`checked_mul` (with an invariant-documenting \
                      expect) or `saturating_*` so wire-byte totals stay exact",
                     hits[0]
-                ),
-            ));
-        }
-    }
-    out
-}
-
-/// Crate path prefixes where float accumulation order matters for the paper's
-/// numeric claims.
-const FLOAT_DET_SCOPE: [&str; 3] = ["crates/tensor/", "crates/nn/", "crates/strategies/"];
-
-/// Iterator sources whose order is nondeterministic (or at least
-/// insertion-order-dependent) when the underlying collection is a map/set.
-const UNORDERED_SOURCES: [&str; 5] = ["values", "keys", "into_values", "into_keys", "par_iter"];
-
-/// Rule `float-determinism`: `f32`/`f64` accumulation (`.sum::<fN>()`,
-/// `.product::<fN>()`, float-seeded `.fold(…)`) over an iterator whose order
-/// is not deterministic — map/set `values()`/`keys()` chains or `par_iter`.
-/// Float addition is not associative; summing in a nondeterministic order
-/// changes the aggregate bit pattern between runs, which breaks the
-/// bit-for-bit reproducibility the evaluation claims rest on. Scoped to
-/// `tensor`, `nn`, and `strategies`, the crates that feed model numerics.
-fn check_float_determinism(path: &str, src: &PreparedSource) -> Vec<Diagnostic> {
-    if !FLOAT_DET_SCOPE.iter().any(|p| path.starts_with(p)) {
-        return Vec::new();
-    }
-    let toks = &src.file.tokens;
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if src.tok_in_test(i) || !toks[i].is_punct(".") {
-            continue;
-        }
-        let Some(name) = toks.get(i + 1) else { continue };
-        let is_float_agg = if name.is_ident("sum") || name.is_ident("product") {
-            // Require a float turbofish: `.sum::<f64>()`.
-            toks.get(i + 2).is_some_and(|t| t.is_punct("::"))
-                && toks.get(i + 3).is_some_and(|t| t.is_punct("<"))
-                && toks.get(i + 4).is_some_and(|t| t.is_ident("f32") || t.is_ident("f64"))
-        } else if name.is_ident("fold") {
-            // `.fold(0.0, …)` — float seed (optionally negated).
-            toks.get(i + 2).is_some_and(|t| t.is_punct("("))
-                && (toks.get(i + 3).is_some_and(|t| t.kind == TokenKind::Float)
-                    || (toks.get(i + 3).is_some_and(|t| t.is_punct("-"))
-                        && toks.get(i + 4).is_some_and(|t| t.kind == TokenKind::Float)))
-        } else {
-            false
-        };
-        if !is_float_agg {
-            continue;
-        }
-        let (s, _) = statement_span(toks, i);
-        let chain = left_chain_idents(toks, i, s.saturating_sub(1));
-        let unordered = chain.iter().any(|n| UNORDERED_SOURCES.contains(&n.as_str()))
-            || chain.iter().any(|n| {
-                matches!(
-                    src.symbols.hint(n),
-                    Some(TypeHint::MapLike | TypeHint::UnorderedMap)
-                )
-            });
-        if unordered {
-            out.push(Diagnostic::at(
-                src,
-                path,
-                name.line,
-                "float-determinism",
-                format!(
-                    "float `.{}` over an iteration whose order is nondeterministic; \
-                     collect into a Vec sorted by a stable key (or iterate a \
-                     BTreeMap) before accumulating so results stay bit-for-bit \
-                     reproducible",
-                    name.text
                 ),
             ));
         }
@@ -857,47 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn hashmap_fires_outside_tests_only() {
-        let src = "use std::collections::HashMap;\n#[cfg(test)]\nmod t { use std::collections::HashSet; }\n";
-        let d = run("hash-collections", src);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].line, 1);
-    }
-
-    #[test]
-    fn hashmap_in_string_or_comment_is_ignored() {
-        let src = "// a HashMap here\nfn f() { let s = \"HashMap\"; let r = r#\"HashSet too\"#; }\n";
-        assert!(run("hash-collections", src).is_empty());
-    }
-
-    #[test]
-    fn hashmap_alias_is_still_caught() {
-        let src = "use std::collections::HashMap as Map;\nfn f() { let m: Map<u32, u32> = Map::new(); }\n";
-        let d = run("hash-collections", src);
-        assert_eq!(d.len(), 2, "the use line and the usage line: {d:?}");
-        assert_eq!(d[0].line, 1);
-        assert_eq!(d[1].line, 2);
-        assert!(d[1].message.contains("via alias `Map`"));
-    }
-
-    #[test]
-    fn wall_clock_fires_on_instant_and_system_time() {
-        let src = "fn f() { let t0 = std::time::Instant::now(); }\nfn g(st: SystemTime) {}\n";
-        assert_eq!(run("wall-clock", src).len(), 2);
-    }
-
-    #[test]
-    fn instant_without_now_is_quiet_but_alias_read_fires() {
-        // A bare `Instant` type mention is not a clock read…
-        assert!(run("wall-clock", "fn f(t: Instant) {}").is_empty());
-        // …but `Clock::now()` through an alias is.
-        let src = "use std::time::Instant as Clock;\nfn f() { let t = Clock::now(); }\n";
-        let d = run("wall-clock", src);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].line, 2);
-    }
-
-    #[test]
     fn truncating_cast_needs_accounting_context() {
         // Cast without byte/time identifiers: not flagged.
         assert!(run("truncating-cast", "fn f() { let k = (x * y) as usize; }").is_empty());
@@ -918,31 +678,6 @@ mod tests {
         let d = run("truncating-cast", src);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].line, 4, "diagnostic points at the cast line");
-    }
-
-    #[test]
-    fn unwrap_flagged_expect_documented_passes() {
-        assert_eq!(run("no-unwrap", "fn f() { let x = v.pop().unwrap(); }").len(), 1);
-        assert!(run(
-            "no-unwrap",
-            "fn f() { let x = v.pop().expect(\"ring buffer is never empty\"); }"
-        )
-        .is_empty());
-        assert_eq!(run("no-unwrap", "fn f() { let x = v.pop().expect(\"x\"); }").len(), 1);
-        // Dynamic messages count as documented.
-        assert!(run("no-unwrap", "fn f() { let x = v.pop().expect(&msg); }").is_empty());
-    }
-
-    #[test]
-    fn unwrap_in_cfg_test_module_is_fine() {
-        let src = "#[cfg(test)]\nmod tests {\n  fn t() { v.pop().unwrap(); }\n}\n";
-        assert!(run("no-unwrap", src).is_empty());
-    }
-
-    #[test]
-    fn unwrap_mentioned_in_comment_or_string_is_fine() {
-        let src = "fn f() { // please don't .unwrap() here\n  let s = \"x.unwrap()\"; }\n";
-        assert!(run("no-unwrap", src).is_empty());
     }
 
     #[test]
@@ -991,39 +726,6 @@ mod tests {
             .is_empty());
         assert!(run("unchecked-arith", "fn f(latency_ms: f64) { let x = latency_ms + 0.5; }")
             .is_empty());
-    }
-
-    #[test]
-    fn float_determinism_scoped_and_chain_sensitive() {
-        let hot = "fn f(m: &BTreeMap<u32, f64>) -> f64 { weights.values().sum::<f64>() }\n";
-        // Out of scope: silent even with the hazardous chain.
-        assert!(run_at("float-determinism", "crates/fl/src/x.rs", hot).is_empty());
-        // In scope with values(): fires. (BTreeMap values are ordered, but
-        // order-by-key is still data-dependent for floats; the rule is
-        // deliberately conservative about values() chains.)
-        let d = run_at("float-determinism", "crates/nn/src/layer.rs", hot);
-        assert_eq!(d.len(), 1);
-        // Slice iteration is ordered: silent.
-        let vec_src = "fn f(w: &[f64]) -> f64 { w.iter().sum::<f64>() }\n";
-        assert!(run_at("float-determinism", "crates/nn/src/layer.rs", vec_src).is_empty());
-    }
-
-    #[test]
-    fn float_determinism_fold_with_float_seed() {
-        let src = "fn f() -> f64 { scores.values().fold(0.0, |a, b| a + b) }\n";
-        let d = run_at("float-determinism", "crates/strategies/src/x.rs", src);
-        assert_eq!(d.len(), 1);
-        // Integer fold is not a float hazard.
-        let int_src = "fn f() -> u64 { scores.values().fold(0, |a, b| a + b) }\n";
-        assert!(run_at("float-determinism", "crates/strategies/src/x.rs", int_src).is_empty());
-    }
-
-    #[test]
-    fn float_determinism_sees_hash_hinted_chains() {
-        // HashMap now hints UnorderedMap, not MapLike — the rule must still
-        // fire on `.iter().map(…).sum::<f64>()`-style chains over it.
-        let src = "fn f(m: HashMap<u32, f64>) -> f64 { m.values().sum::<f64>() }\n";
-        assert_eq!(run_at("float-determinism", "crates/nn/src/x.rs", src).len(), 1);
     }
 
     #[test]

@@ -13,15 +13,9 @@ use crate::LintReport;
 /// One-line description per rule id, for `tool.driver.rules`.
 fn rule_summary(id: &str) -> &'static str {
     match id {
-        "hash-collections" => {
-            "HashMap/HashSet iteration order is nondeterministic; use BTree collections"
-        }
-        "wall-clock" => "wall-clock read in emulation code; use the deterministic sim clock",
         "truncating-cast" => "`as <int>` on byte/time accounting silently truncates",
-        "no-unwrap" => "unwrap or undocumented expect in library code",
         "panic-path" => "possible panic on a path reachable from the experiment round loop",
         "unchecked-arith" => "bare +/* on wire-byte or sim-time accounting values can wrap",
-        "float-determinism" => "float accumulation over nondeterministic iteration order",
         "lock-order" => {
             "lock guard held across a channel op, pool dispatch, or catch_unwind; or cyclic lock order"
         }
@@ -162,7 +156,7 @@ mod tests {
     #[test]
     fn sarif_is_structurally_valid_json_with_escapes() {
         let r = report(
-            vec![diag("no-unwrap", "crates/fl/src/a.rs", 3, "x.expect(\"why \\\" here\");")],
+            vec![diag("panic-path", "crates/fl/src/a.rs", 3, "x.expect(\"why \\\" here\");")],
             vec![
                 diag("panic-path", "crates/core/src/b.rs", 7, "let v = t[i];"),
                 diag("hot-alloc", "crates/fl/src/experiment.rs", 4, "vec![0.0; n]"),
@@ -171,7 +165,7 @@ mod tests {
         let s = render(&r);
         assert_valid_json(&s);
         assert!(s.contains("\"version\":\"2.1.0\""));
-        assert!(s.contains("\"ruleId\":\"no-unwrap\""));
+        assert!(s.contains("\"ruleId\":\"panic-path\""));
         assert!(s.contains("\"startLine\":3"));
         assert!(s.contains("\"ruleId\":\"hot-alloc\""));
         assert_eq!(

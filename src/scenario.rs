@@ -200,7 +200,9 @@ impl StrategyKind {
     }
 }
 
-/// Builder for a paper-shaped experiment.
+/// Builder for a paper-shaped experiment. Results never depend on the
+/// kernel-thread count, which is why it is not a setting here: set
+/// `FEDSU_KERNEL_THREADS` or call `fedsu_tensor::set_kernel_threads`.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     model: ModelKind,
@@ -218,7 +220,6 @@ pub struct Scenario {
     schedule: fedsu_fl::LrSchedule,
     faults: FaultConfig,
     defense: Option<DefenseConfig>,
-    kernel_threads: usize,
 }
 
 impl Scenario {
@@ -240,7 +241,6 @@ impl Scenario {
             schedule: fedsu_fl::LrSchedule::Constant,
             faults: FaultConfig::default(),
             defense: None,
-            kernel_threads: 0,
         }
     }
 
@@ -325,14 +325,6 @@ impl Scenario {
         self
     }
 
-    /// Sets the kernel-level thread budget for tensor matmuls (`0` = auto).
-    /// A pure performance knob: parallel kernels are bit-identical to the
-    /// serial ones, so results never depend on this value.
-    pub fn kernel_threads(mut self, n: usize) -> Self {
-        self.kernel_threads = n;
-        self
-    }
-
     /// The model kind.
     pub fn model(&self) -> ModelKind {
         self.model
@@ -374,7 +366,6 @@ impl Scenario {
                     DefenseConfig::on()
                 }
             }),
-            kernel_threads: self.kernel_threads,
         }
     }
 

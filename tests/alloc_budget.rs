@@ -19,8 +19,10 @@
 // (mirrors allow-unwrap-in-tests in clippy.toml for non-#[test] helpers).
 #![allow(clippy::unwrap_used)]
 
+use fedsu_repro::fl::DefenseConfig;
 use fedsu_repro::scenario::{ModelKind, Scenario, StrategyKind};
 use fedsu_repro::tensor::alloc_stats;
+use std::sync::Arc;
 
 const ROUNDS: usize = 6;
 
@@ -49,6 +51,9 @@ fn steady_rounds_stay_within_the_checked_in_budget() {
     let result = e.run(None).unwrap();
     alloc_stats::set_enabled(false);
 
+    // `run` installs no thread policy of its own, and the guard around its
+    // training threads hands back the caller's: the pin above held.
+    assert_eq!(fedsu_repro::tensor::kernel_threads_setting(), 1, "run must leave the pin alone");
     assert_eq!(result.rounds.len(), ROUNDS, "sweep must complete every round");
     let rounds = alloc_stats::rounds();
     assert_eq!(rounds.len(), ROUNDS, "round log must cover every round: {rounds:?}");
@@ -93,4 +98,27 @@ fn steady_rounds_stay_within_the_checked_in_budget() {
         last.allocs <= first.allocs.saturating_mul(2),
         "per-round allocation count is trending upward: {first:?} -> {last:?}"
     );
+
+    round_nobody_attends_is_marked();
+}
+
+/// A round that availability empties leaves through the same exit as every
+/// other round, so the round log has an entry for it too. Runs from the one
+/// test above: the log is process-global.
+fn round_nobody_attends_is_marked() {
+    alloc_stats::set_enabled(true);
+    let result = Scenario::new(ModelKind::Mlp)
+        .clients(4)
+        .rounds(ROUNDS)
+        .samples_per_class(16)
+        .seed(7)
+        .defense(DefenseConfig::on())
+        .build_with_availability(StrategyKind::FedSuCalibrated, Some(Arc::new(|_, round| round != 2)))
+        .unwrap()
+        .run(None)
+        .unwrap();
+    alloc_stats::set_enabled(false);
+    assert_eq!(result.rounds[2].participants, 0, "round 2 must be the empty one");
+    let marked: Vec<usize> = alloc_stats::rounds().iter().map(|r| r.round).collect();
+    assert_eq!(marked, (0..ROUNDS).collect::<Vec<_>>(), "every round is marked, the empty one too");
 }

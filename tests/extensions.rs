@@ -105,7 +105,6 @@ fn bandwidth_jitter_changes_timing_but_not_learning() {
             availability: None,
             faults: fedsu_repro::netsim::FaultPlan::none(),
             defense: fedsu_repro::fl::DefenseConfig::default(),
-            kernel_threads: 0,
         };
         Experiment::new(
             config,
@@ -167,7 +166,6 @@ fn gradient_clipping_keeps_aggressive_lr_stable() {
         availability: None,
         faults: fedsu_repro::netsim::FaultPlan::none(),
         defense: fedsu_repro::fl::DefenseConfig::default(),
-        kernel_threads: 0,
     };
     // Without clipping this lr diverges (checked in failure_injection.rs
     // with an even larger lr); with tight clipping it must stay finite.

@@ -135,7 +135,6 @@ fn huge_learning_rate_diverges_cleanly() {
         availability: None,
         faults: fedsu_repro::netsim::FaultPlan::none(),
         defense: fedsu_repro::fl::DefenseConfig::default(),
-        kernel_threads: 0,
     };
     let mut e = Experiment::new(config, factory, Arc::new(train), Arc::new(test), Box::new(FedAvg::new())).unwrap();
     let err = e.run(None).unwrap_err();
