@@ -5,6 +5,7 @@
 use crate::diagnosis::EmaPair;
 use crate::join::JoinState;
 use fedsu_fl::{AggregateOutcome, SyncStrategy};
+use fedsu_tensor::simd::{self, LANE_OFF, LANE_ON};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -127,9 +128,10 @@ pub struct FedSu {
     // chunk may be short). 1 is the paper's per-parameter granularity.
     chunk: usize,
 
-    // Replicated (identical-across-clients) per-scalar state. Every scalar
-    // of a chunk carries the same mask bit.
-    predictable: Vec<bool>,
+    // Replicated (identical-across-clients) per-scalar state. The mask is
+    // a row of lane words (`LANE_ON` = speculative) so the row kernels can
+    // load it; every scalar of a chunk carries the same lane.
+    mask: Vec<f32>,
     slope: Vec<f32>,
     prev_update: Vec<f32>,
     // Replicated per-chunk decision state.
@@ -137,15 +139,17 @@ pub struct FedSu {
     no_check_remaining: Vec<u16>,
     ema: Vec<EmaPair>,
     obs: Vec<u16>,
-    // Scalars outside speculation and chunks whose check falls in the next
-    // round, kept current by `promote` / `demote` / `set_remaining` so that
-    // no round has to scan the mask for them.
+    // Scalars outside speculation (kept current by `promote` / `demote`)
+    // and chunks whose check falls in the next round (recounted at the end
+    // of `aggregate`), so that `prepare_uploads_into` scans nothing.
     unmasked: usize,
     checks_due: usize,
 
     // Genuinely per-client state: accumulated local prediction errors, per
-    // scalar.
+    // scalar; `+0.0` wherever the mask is off.
     errors: Vec<Vec<f32>>,
+    // Scratch row of `aggregate`: the selected clients' sum, per scalar.
+    sum: Vec<f32>,
     // Activity mask of the previous aggregation, to detect rejoining
     // clients whose error accumulators must be re-synchronized.
     prev_active: Vec<bool>,
@@ -192,7 +196,7 @@ impl FedSu {
     /// Panics if `chunk == 0` or a round has already run.
     pub fn with_chunk(mut self, chunk: usize) -> Self {
         assert!(chunk > 0, "chunk size must be positive");
-        assert!(self.predictable.is_empty(), "granularity is fixed before the first round");
+        assert!(self.mask.is_empty(), "granularity is fixed before the first round");
         self.chunk = chunk;
         self
     }
@@ -227,7 +231,7 @@ impl FedSu {
             exit,
             variant_name: name,
             chunk: 1,
-            predictable: Vec::new(),
+            mask: Vec::new(),
             slope: Vec::new(),
             prev_update: Vec::new(),
             no_check_len: Vec::new(),
@@ -237,6 +241,7 @@ impl FedSu {
             unmasked: 0,
             checks_due: 0,
             errors: Vec::new(),
+            sum: Vec::new(),
             prev_active: Vec::new(),
             predictable_rounds: Vec::new(),
             rounds_seen: 0,
@@ -311,14 +316,16 @@ impl FedSu {
         }
     }
 
-    /// The current predictability mask, one entry per scalar.
-    pub fn predictable_mask(&self) -> &[bool] {
-        &self.predictable
+    /// The current predictability mask, one entry per scalar: the `bool`
+    /// view of the lane row, built on demand (each chunk's lane spread over
+    /// its scalars, through the one allocation site the join image uses).
+    pub fn predictable_mask(&self) -> Vec<bool> {
+        self.per_scalar(self.mask.iter().step_by(self.chunk).map(|&lane| is_on(lane)))
     }
 
     /// Number of currently-speculative scalars.
     pub fn predictable_count(&self) -> usize {
-        self.predictable.len() - self.unmasked
+        self.mask.len() - self.unmasked
     }
 
     /// Current oscillation ratio of scalar `j` (of its chunk).
@@ -340,29 +347,32 @@ impl FedSu {
     /// Non-panicking [`Self::oscillation_ratio`]: `None` when `j` is out of
     /// range, otherwise the same documented-sentinel semantics.
     pub fn try_oscillation_ratio(&self, j: usize) -> Option<f64> {
-        let ema = self.ema.get(j / self.chunk).filter(|_| j < self.predictable.len());
+        let ema = self.ema.get(j / self.chunk).filter(|_| j < self.mask.len());
         ema.map(EmaPair::ratio)
     }
 
     /// Bytes of FedSU state resident on *one* client: the predictability
     /// mask and no-checking bookkeeping, the EMA pair, the profiled slope,
-    /// and the local error accumulator (Table II's memory inflation).
+    /// and the local error accumulator (Table II's memory inflation). This
+    /// is the *modelled* client footprint — the paper's one mask bit counted
+    /// as a byte — not this emulation's resident memory, whose mask is a
+    /// lane word per scalar.
     pub fn per_client_state_bytes(&self) -> usize {
-        let per_scalar = 1 // predictable mask bit (stored as byte)
+        let per_scalar = 1 // predictable mask bit (counted as a byte)
             + std::mem::size_of::<f32>() // slope
             + std::mem::size_of::<f32>() // prev update
             + std::mem::size_of::<f32>(); // local error accumulator
         let per_chunk = 2 * std::mem::size_of::<u16>() // no-check bookkeeping
             + 2 * std::mem::size_of::<f32>() // EMA pair
             + std::mem::size_of::<u16>(); // observation counter
-        self.predictable.len() * per_scalar + self.ema.len() * per_chunk
+        self.mask.len() * per_scalar + self.ema.len() * per_chunk
     }
 
     /// Chunk `c`'s value at every scalar of the chunk.
-    fn per_scalar<T: Copy>(&self, per_chunk: &[T]) -> Vec<T> {
-        let n = self.predictable.len();
+    fn per_scalar<T: Copy>(&self, per_chunk: impl IntoIterator<Item = T>) -> Vec<T> {
+        let n = self.mask.len();
         let mut out = Vec::with_capacity(n);
-        for &v in per_chunk {
+        for v in per_chunk {
             out.resize(out.len().saturating_add(self.chunk).min(n), v);
         }
         out
@@ -380,13 +390,13 @@ impl FedSu {
     /// scalars — so the wire format has one shape.
     pub fn export_join_state(&self) -> JoinState {
         JoinState {
-            predictable: self.predictable.clone(),
+            predictable: self.predictable_mask(),
             slope: self.slope.clone(),
-            no_check_len: self.per_scalar(&self.no_check_len),
-            no_check_remaining: self.per_scalar(&self.no_check_remaining),
+            no_check_len: self.per_scalar(self.no_check_len.iter().copied()),
+            no_check_remaining: self.per_scalar(self.no_check_remaining.iter().copied()),
             prev_update: self.prev_update.clone(),
-            ema: self.per_scalar(&self.ema),
-            obs: self.per_scalar(&self.obs),
+            ema: self.per_scalar(self.ema.iter().copied()),
+            obs: self.per_scalar(self.obs.iter().copied()),
             rounds_seen: self.rounds_seen as u64,
         }
     }
@@ -399,10 +409,10 @@ impl FedSu {
     /// Panics if the snapshot's size disagrees with the manager's (a model
     /// mismatch).
     pub fn apply_join_state(&mut self, state: &JoinState) {
-        if !self.predictable.is_empty() {
-            assert_eq!(state.predictable.len(), self.predictable.len(), "join state size mismatch");
+        if !self.mask.is_empty() {
+            assert_eq!(state.predictable.len(), self.mask.len(), "join state size mismatch");
         }
-        self.predictable = state.predictable.clone();
+        self.mask = state.predictable.iter().map(|&p| if p { LANE_ON } else { LANE_OFF }).collect();
         self.slope = state.slope.clone();
         self.prev_update = state.prev_update.clone();
         self.no_check_len = self.per_chunk(&state.no_check_len);
@@ -410,20 +420,23 @@ impl FedSu {
         self.ema = self.per_chunk(&state.ema);
         self.obs = self.per_chunk(&state.obs);
         self.rounds_seen = state.rounds_seen as usize;
-        self.unmasked = self.predictable.iter().filter(|&&p| !p).count();
-        self.checks_due = self.no_check_remaining.iter().filter(|&&r| r == 1).count();
+        self.unmasked = state.predictable.iter().filter(|&&p| !p).count();
+        self.checks_due = self.count_due();
         if self.predictable_rounds.len() != self.ema.len() {
             self.predictable_rounds = vec![0; self.ema.len()];
         }
     }
 
     fn ensure_capacity(&mut self, n_params: usize, n_clients: usize) {
-        if self.predictable.len() != n_params {
+        // Scratch, fully rewritten before every use: sized on its own so a
+        // manager seeded by `apply_join_state` has one too.
+        self.sum.resize(n_params, 0.0);
+        if self.mask.len() != n_params {
             // Resize in place: steady rounds with a stable model never
             // reallocate, and a size change reuses existing capacity.
             let n_chunks = n_params.div_ceil(self.chunk);
-            self.predictable.clear();
-            self.predictable.resize(n_params, false);
+            self.mask.clear();
+            self.mask.resize(n_params, LANE_OFF);
             self.slope.clear();
             self.slope.resize(n_params, 0.0);
             self.prev_update.clear();
@@ -471,16 +484,9 @@ impl FedSu {
         self.prev_active.copy_from_slice(active);
     }
 
-    /// The one writer of `no_check_remaining`: keeps `checks_due` (chunks
-    /// with exactly one round left) in step.
-    #[inline]
-    fn set_remaining(&mut self, c: usize, remaining: u16) {
-        // Every caller passes `c < n_chunks` (the aggregate loop index), so
-        // the lookup cannot miss.
-        if let Some(slot) = self.no_check_remaining.get_mut(c) {
-            self.checks_due = self.checks_due + usize::from(remaining == 1) - usize::from(*slot == 1);
-            *slot = remaining;
-        }
+    /// Chunks whose check falls in the next round.
+    fn count_due(&self) -> usize {
+        self.no_check_remaining.iter().filter(|&&r| r == 1).count()
     }
 
     /// Moves chunk `c` (scalars `range`) into speculation, each scalar on
@@ -492,8 +498,8 @@ impl FedSu {
         // which lie inside the per-chunk and per-scalar arrays, so these
         // lookups cannot miss; `get_mut` keeps the round loop free of panic
         // branches.
-        if let Some(p) = self.predictable.get_mut(range.clone()) {
-            p.fill(true);
+        if let Some(m) = self.mask.get_mut(range.clone()) {
+            m.fill(LANE_ON);
         }
         if let (Some(s), Some(u)) = (self.slope.get_mut(range.clone()), self.prev_update.get(range.clone())) {
             s.copy_from_slice(u);
@@ -502,10 +508,9 @@ impl FedSu {
             ExitPolicy::ErrorFeedback => self.config.initial_no_check,
             ExitPolicy::FixedPeriod(p) => p.max(1),
         };
-        if let Some(l) = self.no_check_len.get_mut(c) {
-            *l = period;
+        if let (Some(l), Some(r)) = (self.no_check_len.get_mut(c), self.no_check_remaining.get_mut(c)) {
+            (*l, *r) = (period, period);
         }
-        self.set_remaining(c, period);
         for e in &mut self.errors {
             if let Some(v) = e.get_mut(range.clone()) {
                 v.fill(0.0);
@@ -524,13 +529,12 @@ impl FedSu {
         self.total_exits += 1;
         self.unmasked += range.len();
         // Same bounds argument as `promote`.
-        if let Some(p) = self.predictable.get_mut(range.clone()) {
-            p.fill(false);
+        if let Some(m) = self.mask.get_mut(range.clone()) {
+            m.fill(LANE_OFF);
         }
-        if let Some(l) = self.no_check_len.get_mut(c) {
-            *l = 0;
+        if let (Some(l), Some(r)) = (self.no_check_len.get_mut(c), self.no_check_remaining.get_mut(c)) {
+            (*l, *r) = (0, 0);
         }
-        self.set_remaining(c, 0);
         if let Some(o) = self.obs.get_mut(c) {
             *o = 0;
         }
@@ -547,36 +551,42 @@ impl FedSu {
         self.events.extend(exited.map(|&j| MaskEvent { round, param: j, kind }));
     }
 
-    /// Verifies the mask/no-check-period coupling after a round (armed by
-    /// `FEDSU_CHECK_INVARIANTS=1`): the scalars of a chunk share one mask
-    /// bit, a speculative chunk always has a live no-checking period
-    /// `1 ≤ remaining ≤ len`, a regular chunk has none at all, and the two
-    /// running counts equal what a scan finds. [`promote`]/[`demote`]/
-    /// period-extension are the only writers, so any divergence means the
-    /// state machine itself broke.
+    /// Verifies the mask bookkeeping after a round (armed by
+    /// `FEDSU_CHECK_INVARIANTS=1`): every lane of the mask row is all-zero
+    /// or all-one and the scalars of a chunk share one, a speculative chunk
+    /// always has a live no-checking period `1 ≤ remaining ≤ len`, a regular
+    /// chunk has none at all, the running `unmasked` count equals what a
+    /// scan finds, and every client's error accumulator is `+0.0` off the
+    /// mask (what lets the error pass add `+0.0` there and change nothing).
+    /// [`promote`]/[`demote`]/period-extension are the only writers, so any
+    /// divergence means the state machine itself broke.
     ///
     /// [`promote`]: FedSu::promote
     /// [`demote`]: FedSu::demote
     fn check_mask_invariants(&self, round: usize) {
-        if !fedsu_tensor::invariant::enabled() {
-            return;
+        if fedsu_tensor::invariant::enabled() {
+            self.assert_mask_invariants(round);
         }
+    }
+
+    fn assert_mask_invariants(&self, round: usize) {
         // The per-chunk arrays share length `n_chunks` and `chunks` yields
         // that many mask slices, so the zip covers every chunk.
-        for (c, ((mask, &len), &remaining)) in self
-            .predictable
-            .chunks(self.chunk)
-            .zip(&self.no_check_len)
-            .zip(&self.no_check_remaining)
-            .enumerate()
+        for (c, ((mask, &len), &remaining)) in
+            self.mask.chunks(self.chunk).zip(&self.no_check_len).zip(&self.no_check_remaining).enumerate()
         {
-            let p = mask.first().is_some_and(|&p| p);
+            let lane = mask.first().map_or(0, |m| m.to_bits());
             assert!(
-                mask.iter().all(|&m| m == p),
+                lane == LANE_OFF.to_bits() || lane == LANE_ON.to_bits(),
+                "invariant violation [fedsu-mask]: round {round}, chunk {c}: \
+                 mask lane {lane:#010x} is neither all-zero nor all-one"
+            );
+            assert!(
+                mask.iter().all(|m| m.to_bits() == lane),
                 "invariant violation [fedsu-mask]: round {round}, chunk {c}: \
                  scalars of one chunk disagree on the mask bit"
             );
-            if p {
+            if lane != 0 {
                 assert!(
                     (1..=len).contains(&remaining),
                     "invariant violation [fedsu-mask]: round {round}, chunk {c}: \
@@ -592,16 +602,26 @@ impl FedSu {
                 );
             }
         }
-        let unmasked = self.predictable.iter().filter(|&&p| !p).count();
-        let checks_due = self.no_check_remaining.iter().filter(|&&r| r == 1).count();
+        let unmasked = self.mask.iter().filter(|&&lane| !is_on(lane)).count();
         assert!(
-            (self.unmasked, self.checks_due) == (unmasked, checks_due),
-            "invariant violation [fedsu-mask]: round {round}: running counts \
-             (unmasked={}, checks_due={}) differ from the mask's ({unmasked}, {checks_due})",
-            self.unmasked,
-            self.checks_due
+            self.unmasked == unmasked,
+            "invariant violation [fedsu-mask]: round {round}: running count \
+             unmasked={} differs from the mask's {unmasked}",
+            self.unmasked
         );
+        for (i, errs) in self.errors.iter().enumerate() {
+            assert!(
+                errs.iter().zip(&self.mask).all(|(e, &lane)| is_on(lane) || e.to_bits() == 0),
+                "invariant violation [fedsu-mask]: round {round}: client {i}'s \
+                 error accumulator is not +0.0 off the mask"
+            );
+        }
     }
+}
+
+/// Whether a lane word of the mask row is set.
+fn is_on(lane: f32) -> bool {
+    lane.to_bits() != 0
 }
 
 impl Default for FedSu {
@@ -642,9 +662,14 @@ impl SyncStrategy for FedSu {
         active: &[bool],
         global: &mut [f32],
     ) -> AggregateOutcome {
-        self.ensure_capacity(global.len(), locals.len());
-        self.reset_rejoiners(active);
         let n = global.len();
+        // The row kernels run over the common prefix of their operands: a
+        // missing or short row has to fail here, not under-sum silently.
+        let of_active = locals.iter().zip(active).filter(|(_, &act)| act).map(|(local, _)| Some(local));
+        let mut read = selected.iter().map(|&k| locals.get(k)).chain(of_active);
+        assert!(read.all(|local| local.is_some_and(|l| l.len() == n)), "local/global length mismatch");
+        self.ensure_capacity(n, locals.len());
+        self.reset_rejoiners(active);
         if selected.is_empty() {
             // Nothing usable arrived (every upload dropped, lost, or
             // quarantined): hold all values and all mask/feedback state.
@@ -668,106 +693,124 @@ impl SyncStrategy for FedSu {
         let enters_before = self.total_enters;
         let exits_before = self.total_exits;
 
-        // Per scalar the work is O(clients); per chunk it is O(1) except at
-        // a due check, so the loop costs the same at every chunk size.
+        // Everything that costs O(clients) per scalar runs as a pass over
+        // whole contiguous rows; the sweep after them is O(1) per scalar
+        // except at a due check.
+        let level = simd::simd_level();
+        if self.unmasked > 0 {
+            // Sum pass: the selected rows in `selected` order onto `+0.0`;
+            // the sweep scales by `inv` (FedSU's chain is `(Σ local)·inv`).
+            self.sum.fill(0.0);
+            for local in selected.iter().filter_map(|&k| locals.get(k)) {
+                simd::add_assign_with(level, &mut self.sum, local);
+            }
+        }
+        if self.unmasked < n {
+            // Speculative pass: masked replacement with the predicted value,
+            // in place; no synchronization for these scalars.
+            simd::add_assign_masked_with(level, global, &self.slope, &self.mask);
+            if accumulate_errors {
+                // Error pass: on the mask `global` now holds the prediction
+                // every active client measures its own result against.
+                for ((errs, local), &act) in self.errors.iter_mut().zip(locals).zip(active) {
+                    if act {
+                        simd::add_diff_masked_with(level, errs, local, global, &self.mask);
+                    }
+                }
+            }
+        }
+        // Countdown: a chunk with rounds left is speculative and spends one.
+        for (remaining, rounds) in self.no_check_remaining.iter_mut().zip(&mut self.predictable_rounds) {
+            *rounds += u64::from(*remaining > 0);
+            *remaining = remaining.saturating_sub(1);
+        }
+
+        // Sweep, in ascending chunk order: v2's coin flips and the recorded
+        // mask events depend on it.
         let chunk = self.chunk;
         let mut start = 0usize;
         for c in 0..self.ema.len() {
             let range = start..start.saturating_add(chunk).min(n);
             start = range.end;
             let len = range.len() as f32;
-            if self.predictable[range.start] {
-                // Speculative update: masked replacement with the predicted
-                // value; no synchronization for these scalars.
-                self.predictable_rounds[c] += 1;
-                for j in range.clone() {
-                    let predicted = global[j] + self.slope[j];
-                    if accumulate_errors {
-                        for ((errs, local), &act) in self.errors.iter_mut().zip(locals).zip(active) {
-                            if act {
-                                errs[j] += local[j] - predicted;
+            if self.mask.get(range.start).is_some_and(|&lane| is_on(lane)) {
+                if self.no_check_remaining.get(c) != Some(&0) {
+                    continue;
+                }
+                match self.exit {
+                    ExitPolicy::ErrorFeedback => {
+                        // The no-checking period expired: every selected
+                        // client reports its accumulated error averaged
+                        // over the chunk (one scalar of communication),
+                        // and Eq. 3 is evaluated on their mean.
+                        checked += 1;
+                        let e_mean: f32 = selected
+                            .iter()
+                            .filter_map(|&k| self.errors.get(k)?.get(range.clone()))
+                            .map(|errs| errs.iter().sum::<f32>() / len)
+                            .sum::<f32>()
+                            * inv;
+                        let slopes = self.slope.get(range.clone()).unwrap_or(&[]);
+                        let slope_mean = slopes.iter().map(|s| s.abs()).sum::<f32>() / len;
+                        let s = f64::from(e_mean.abs()) / f64::from(slope_mean.max(f32::EPSILON));
+                        if s < t_s {
+                            // Linearity persists: extend by one round.
+                            if let (Some(period), Some(remaining)) =
+                                (self.no_check_len.get_mut(c), self.no_check_remaining.get_mut(c))
+                            {
+                                *period = period.saturating_add(1).min(max_no_check);
+                                *remaining = *period;
                             }
+                        } else {
+                            if let Some(values) = global.get_mut(range.clone()).filter(|_| correct_on_exit) {
+                                values.iter_mut().for_each(|g| *g += e_mean);
+                            }
+                            self.demote(c, range, Some(s), round);
                         }
                     }
-                    global[j] = predicted;
-                }
-
-                let remaining = self.no_check_remaining[c].saturating_sub(1);
-                self.set_remaining(c, remaining);
-                if remaining == 0 {
-                    match self.exit {
-                        ExitPolicy::ErrorFeedback => {
-                            // The no-checking period expired: every selected
-                            // client reports its accumulated error averaged
-                            // over the chunk (one scalar of communication),
-                            // and Eq. 3 is evaluated on their mean.
-                            checked += 1;
-                            let e_mean: f32 = selected
-                                .iter()
-                                .map(|&k| self.errors[k][range.clone()].iter().sum::<f32>() / len)
-                                .sum::<f32>()
-                                * inv;
-                            let slope_mean =
-                                self.slope[range.clone()].iter().map(|s| s.abs()).sum::<f32>() / len;
-                            let s = f64::from(e_mean.abs()) / f64::from(slope_mean.max(f32::EPSILON));
-                            if s < t_s {
-                                // Linearity persists: extend by one round.
-                                let period = self.no_check_len[c].saturating_add(1).min(max_no_check);
-                                self.no_check_len[c] = period;
-                                self.set_remaining(c, period);
-                            } else {
-                                if correct_on_exit {
-                                    global[range.clone()].iter_mut().for_each(|g| *g += e_mean);
-                                }
-                                self.demote(c, range, Some(s), round);
-                            }
-                        }
-                        ExitPolicy::FixedPeriod(_) => {
-                            self.demote(c, range, None, round);
-                        }
+                    ExitPolicy::FixedPeriod(_) => {
+                        self.demote(c, range, None, round);
                     }
                 }
             } else {
-                // Regular synchronization: average the selected clients.
+                // Regular synchronization: the selected clients' average.
                 synced += range.len();
                 let (mut g2_sum, mut update_sum) = (0.0f32, 0.0f32);
-                for j in range.clone() {
-                    let old = global[j];
-                    let mut avg = 0.0f32;
-                    for &k in selected {
-                        avg += locals[k][j];
+                let rows =
+                    (global.get_mut(range.clone()), self.sum.get(range.clone()), self.prev_update.get_mut(range.clone()));
+                if let (Some(values), Some(sums), Some(prev_updates)) = rows {
+                    for ((value, &sum), prev) in values.iter_mut().zip(sums).zip(prev_updates) {
+                        let avg = sum * inv;
+                        let g = avg - *value;
+                        *value = avg;
+                        g2_sum += g - *prev;
+                        update_sum += g.abs();
+                        *prev = g;
                     }
-                    avg *= inv;
-                    global[j] = avg;
-                    let g = avg - old;
-                    g2_sum += g - self.prev_update[j];
-                    update_sum += g.abs();
-                    self.prev_update[j] = g;
                 }
 
-                let obs = &mut self.obs[c];
+                let (Some(obs), Some(ema)) = (self.obs.get_mut(c), self.ema.get_mut(c)) else { continue };
                 if *obs == 0 {
                     // The first-order differences were (re)seeded above.
                     *obs = 1;
-                } else {
-                    *obs = obs.saturating_add(1);
-                    let warm = *obs >= warmup_updates;
-                    let ema = &mut self.ema[c];
-                    ema.observe(g2_sum / len, theta);
-                    if warm {
-                        let enter = match self.entry {
-                            // Eq. 2 on the chunk means, second differences
-                            // judged against the update they ride on.
-                            EntryPolicy::Oscillation => ema.guarded_ratio(update_sum / len) < t_r,
-                            EntryPolicy::Random { probability } => self.rng.gen_bool(probability),
-                        };
-                        if enter {
-                            self.promote(c, range, round);
-                        }
+                    continue;
+                }
+                *obs = obs.saturating_add(1);
+                ema.observe(g2_sum / len, theta);
+                if *obs >= warmup_updates {
+                    let enter = match self.entry {
+                        // Eq. 2 on the chunk means, second differences
+                        // judged against the update they ride on.
+                        EntryPolicy::Oscillation => ema.guarded_ratio(update_sum / len) < t_r,
+                        EntryPolicy::Random { probability } => self.rng.gen_bool(probability),
+                    };
+                    if enter {
+                        self.promote(c, range, round);
                     }
                 }
             }
         }
+        self.checks_due = self.count_due();
         self.rounds_seen += 1;
         self.history.push(RoundStats {
             round,
@@ -793,7 +836,7 @@ impl SyncStrategy for FedSu {
     }
 
     fn join_state(&self) -> Option<Vec<u8>> {
-        if self.predictable.is_empty() {
+        if self.mask.is_empty() {
             None
         } else {
             Some(self.export_join_state().to_bytes())
@@ -804,9 +847,7 @@ impl SyncStrategy for FedSu {
         if self.rounds_seen == 0 {
             return None;
         }
-        let per_chunk: Vec<f64> =
-            self.predictable_rounds.iter().map(|&p| p as f64 / self.rounds_seen as f64).collect();
-        Some(self.per_scalar(&per_chunk))
+        Some(self.per_scalar(self.predictable_rounds.iter().map(|&p| p as f64 / self.rounds_seen as f64)))
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -1231,8 +1272,7 @@ mod tests {
         for round in 0..8 {
             drive(&mut f, &mut global, &[-0.01, -0.02], round);
         }
-        assert_eq!(f.predictable.len(), 2);
-        assert!(f.predictable.iter().all(|&p| p), "both linear scalars speculate");
+        assert_eq!(f.predictable_mask(), [true, true], "both linear scalars speculate");
         assert_eq!(f.name(), "fedsu");
         assert_eq!(coarse(2).name(), "fedsu-coarse");
     }
@@ -1274,7 +1314,7 @@ mod tests {
         for round in 0..20 {
             drive(&mut f, &mut global, &updates, round);
         }
-        assert!(f.predictable.iter().all(|&p| p));
+        assert_eq!(f.predictable_count(), 8);
         for (j, v) in global.iter().enumerate() {
             assert!((v - (-0.01 * 20.0)).abs() < 1e-4, "scalar {j} drifted: {v}");
         }
@@ -1320,14 +1360,53 @@ mod tests {
         for _ in 0..8 {
             step(&mut f, &mut global, &[0, 1], &[true, true]);
         }
-        assert!(f.predictable[0], "the linear chunk must speculate");
+        assert!(f.predictable_mask()[0], "the linear chunk must speculate");
         f.errors[1][0] = 0.5; // what client 1 had accumulated when it left
-        f.no_check_len[0] = 8; // keep the check out of the way
-        f.set_remaining(0, 8);
+        (f.no_check_len[0], f.no_check_remaining[0]) = (8, 8); // keep the check out of the way
         step(&mut f, &mut global, &[0], &[true, false]);
         assert_eq!(f.errors[1][0], 0.5, "an absent client's accumulator is left alone");
         step(&mut f, &mut global, &[0, 1], &[true, true]);
         assert!(f.errors[1][0].abs() < 1e-6, "stale error survived the rejoin: {}", f.errors[1][0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "local/global length mismatch")]
+    fn short_local_panics_instead_of_under_summing() {
+        let mut f = coarse(1);
+        let mut global = vec![0.0f32; 3];
+        // Client 1 is not selected, but it is active: the error pass reads it.
+        let locals = vec![vec![0.1f32; 3], vec![0.1f32; 2]];
+        f.aggregate(0, &locals, &[0], &[true, true], &mut global);
+    }
+
+    /// One linear scalar and one of alternating curvature, driven until the
+    /// first is speculative and the second is not.
+    fn half_masked() -> FedSu {
+        let mut f = FedSu::new(quick_config());
+        let mut global = vec![0.0f32; 2];
+        for round in 0..8 {
+            let w = if round % 2 == 0 { 0.03 } else { -0.01 };
+            drive_round(&mut f, &mut global, &[vec![-0.01, w]], round);
+        }
+        assert_eq!(f.predictable_mask(), [true, false]);
+        f.assert_mask_invariants(8);
+        f
+    }
+
+    #[test]
+    #[should_panic(expected = "[fedsu-mask]: round 8: client 0's error accumulator is not +0.0 off the mask")]
+    fn nonzero_error_off_the_mask_trips_the_guard() {
+        let mut f = half_masked();
+        f.errors[0][1] = -0.0;
+        f.assert_mask_invariants(8);
+    }
+
+    #[test]
+    #[should_panic(expected = "[fedsu-mask]: round 8, chunk 0: mask lane 0x3f800000 is neither all-zero nor all-one")]
+    fn partial_mask_lane_trips_the_guard() {
+        let mut f = half_masked();
+        f.mask[0] = 1.0;
+        f.assert_mask_invariants(8);
     }
 
     #[test]

@@ -490,3 +490,50 @@ fn fixed_period_variant_matches_the_oracle() {
 fn random_entry_variant_matches_the_oracle() {
     oracle_property("random_entry_variant_matches_the_oracle", Mode::V2 { probability: 0.3, period: 2 });
 }
+
+/// The sign-of-zero paths of the row-wise passes, scripted: scalar 0 is a
+/// clean line that enters speculation and stays; scalar 1 starts at `-0.0`,
+/// is pushed out of speculation whenever it gets in, and between two stays
+/// sits unmasked at `-0.0` beside a masked neighbour. Its profiled slope —
+/// and one round later its value — then carries the sign the speculative
+/// pass left on the unmasked `-0.0`, and the first sync carries the sign of
+/// a sum of `-0.0`s.
+#[test]
+fn signed_zeros_travel_like_the_oracle() {
+    // Halves to `-0.0` (ties to even): with a `+0.0` beside it the mean of
+    // two clients is `-0.0`, which no sum started at `+0.0` reaches otherwise.
+    let tiny = -f32::from_bits(1);
+    let cfg = FedSuConfig { t_r: 0.1, warmup_updates: 3, ..FedSuConfig::default() };
+    let mut manager = FedSu::new(cfg);
+    let mut global = vec![0.0f32, -0.0];
+    let mut oracle = Oracle::new(Rules { cfg, mode: Mode::Standard, chunk: 1 }, &global, 2);
+    let (selected, active) = ([0, 1], [true, true]);
+    let (mut exits, mut held_beside_a_masked_neighbour) = (0, 0);
+    for round in 0..32 {
+        let mask = manager.predictable_mask();
+        let masked = |j: usize| mask.get(j).copied().unwrap_or(false);
+        if masked(0) && !masked(1) && global[1].to_bits() == (-0.0f32).to_bits() {
+            held_beside_a_masked_neighbour += 1;
+        }
+        let zeros = match (masked(1), exits) {
+            (true, _) => [1.0, 1.0], // far off the prediction: the due check throws it out
+            (false, 0) => [-0.0, -0.0],
+            (false, _) => [tiny, 0.0],
+        };
+        let locals: Vec<Vec<f32>> = zeros.iter().map(|&z| vec![global[0] - 0.01, z]).collect();
+
+        let volumes = manager.prepare_uploads(round, &locals, &global);
+        let expected: Vec<Option<u64>> = volumes.iter().map(|&v| Some(v)).collect();
+        assert_eq!(oracle.upload_volumes(&locals, &active), expected, "round {round}: upload volumes");
+        let out = manager.aggregate(round, &locals, &selected, &active, &mut global);
+        let (oracle_out, oracle_stats) = oracle.round(round, &locals, &selected, &active);
+        assert_eq!(out, oracle_out, "round {round}");
+        assert_eq!(manager.history().last(), Some(&oracle_stats), "round {round}");
+        let replica = oracle.agreed(round, &active);
+        assert_eq!(manager.predictable_mask(), replica.mask, "round {round}: masks");
+        assert_eq!(bits(&global), bits(&replica.model), "round {round}: globals");
+        exits += oracle_stats.exits;
+    }
+    assert!(exits >= 2, "scalar 1 must re-enter on the slope profiled at -0.0 and leave again: {exits}");
+    assert!(held_beside_a_masked_neighbour >= 2, "no round held an unmasked -0.0 through the speculative pass");
+}

@@ -9,6 +9,7 @@
 //! zigzagging around a converged value.
 
 use fedsu_fl::{AggregateOutcome, SyncStrategy};
+use fedsu_tensor::simd;
 
 /// APF hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,6 +56,8 @@ pub struct Apf {
     rounds_seen: usize,
     /// Phase-A cache: unfrozen scalar count this round.
     unfrozen_count: usize,
+    /// Scratch row of `aggregate`: the selected clients' mean, per scalar.
+    mean: Vec<f32>,
 }
 
 impl Apf {
@@ -69,10 +72,12 @@ impl Apf {
             frozen_rounds: Vec::new(),
             rounds_seen: 0,
             unfrozen_count: 0,
+            mean: Vec::new(),
         }
     }
 
     fn ensure_capacity(&mut self, n: usize) {
+        self.mean.resize(n, 0.0);
         if self.ema_update.len() != n {
             self.ema_update.clear();
             self.ema_update.resize(n, 0.0);
@@ -136,7 +141,17 @@ impl SyncStrategy for Apf {
         let theta = self.config.ema_decay;
         let mut synced = 0usize;
 
-        for j in 0..n {
+        // The mean of every scalar, one contiguous row per selected client
+        // (`Σ(local·inv)` in `selected` order, separate mul and add); frozen
+        // scalars simply do not read theirs.
+        let level = simd::simd_level();
+        self.mean.fill(0.0);
+        for &c in selected {
+            let local: &[f32] = locals.get(c).map_or(&[], Vec::as_slice);
+            assert_eq!(local.len(), n, "local/global length mismatch");
+            simd::axpy_with(level, &mut self.mean, inv, local);
+        }
+        for (j, &avg) in self.mean.iter().enumerate() {
             if self.freeze_remaining[j] > 0 {
                 // Frozen: hold the global value; local drift is discarded.
                 self.freeze_remaining[j] -= 1;
@@ -145,10 +160,6 @@ impl SyncStrategy for Apf {
             }
             synced += 1;
             let old = global[j];
-            let mut avg = 0.0f32;
-            for &c in selected {
-                avg += locals[c][j] * inv;
-            }
             global[j] = avg;
             let u = avg - old;
             self.ema_update[j] = theta * self.ema_update[j] + (1.0 - theta) * u;

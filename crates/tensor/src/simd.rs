@@ -202,6 +202,13 @@ pub fn set_simd_level(level: SimdLevel) {
     OVERRIDE.store(level.min(hardware_simd_level()).index(), Ordering::SeqCst);
 }
 
+/// A cleared lane of a mask row: no bit set (`+0.0`).
+pub const LANE_OFF: f32 = 0.0;
+/// A set lane of a mask row: every bit set. As a float this is a NaN, so
+/// compare lanes with `to_bits`; the masked kernels only ever `and` /
+/// `select` with it.
+pub const LANE_ON: f32 = f32::from_bits(u32::MAX);
+
 // ---------------------------------------------------------------------------
 // Scalar ground truth
 // ---------------------------------------------------------------------------
@@ -256,6 +263,28 @@ mod scalar {
     pub(super) fn add_diff(r: &mut [f32], l: &[f32], g: &[f32]) {
         for ((r, &l), &g) in r.iter_mut().zip(l.iter()).zip(g.iter()) {
             *r += l - g;
+        }
+    }
+
+    /// `y[i] = m[i] ? y[i] + x[i] : y[i]`, `m[i]` a lane word
+    /// ([`LANE_OFF`](super::LANE_OFF) / [`LANE_ON`](super::LANE_ON)): the
+    /// sum is taken everywhere and bits are selected, so an unselected `y`
+    /// keeps its exact bits (`-0.0` included, which `y + (x & m)` would
+    /// turn into `+0.0`).
+    #[inline(never)]
+    pub(super) fn add_assign_masked(y: &mut [f32], x: &[f32], m: &[f32]) {
+        for ((y, &x), &m) in y.iter_mut().zip(x.iter()).zip(m.iter()) {
+            let m = m.to_bits();
+            *y = f32::from_bits((m & (*y + x).to_bits()) | (!m & y.to_bits()));
+        }
+    }
+
+    /// `r[i] += (l[i] - g[i]) & m[i]`, `m[i]` a lane word: an unselected
+    /// `r` receives `+0.0` whatever `l` and `g` hold (inf and NaN included).
+    #[inline(never)]
+    pub(super) fn add_diff_masked(r: &mut [f32], l: &[f32], g: &[f32], m: &[f32]) {
+        for (((r, &l), &g), &m) in r.iter_mut().zip(l.iter()).zip(g.iter()).zip(m.iter()) {
+            *r += f32::from_bits((l - g).to_bits() & m.to_bits());
         }
     }
 
@@ -634,6 +663,33 @@ mod x86 {
         scalar::add_diff(rc.into_remainder(), lc.remainder(), gc.remainder());
     }
 
+    /// Masked add: `select(m, y + x, y)` per lane, the scalar loop's bit
+    /// select.
+    #[inline(always)]
+    pub(super) unsafe fn add_assign_masked<V: Lanes>(y: &mut [f32], x: &[f32], m: &[f32]) {
+        let mut yc = y.chunks_exact_mut(V::N);
+        let mut xc = x.chunks_exact(V::N);
+        let mut mc = m.chunks_exact(V::N);
+        for ((ys, xs), ms) in (&mut yc).zip(&mut xc).zip(&mut mc) {
+            let yv = V::load(ys);
+            V::select(V::load(ms), yv.fadd(V::load(xs)), yv).store(ys);
+        }
+        scalar::add_assign_masked(yc.into_remainder(), xc.remainder(), mc.remainder());
+    }
+
+    /// Masked difference accumulation: lanewise `add(r, and(sub(l, g), m))`.
+    #[inline(always)]
+    pub(super) unsafe fn add_diff_masked<V: Lanes>(r: &mut [f32], l: &[f32], g: &[f32], m: &[f32]) {
+        let mut rc = r.chunks_exact_mut(V::N);
+        let mut lc = l.chunks_exact(V::N);
+        let mut gc = g.chunks_exact(V::N);
+        let mut mc = m.chunks_exact(V::N);
+        for (((rs, ls), gs), ms) in (&mut rc).zip(&mut lc).zip(&mut gc).zip(&mut mc) {
+            V::load(rs).fadd(V::load(ls).fsub(V::load(gs)).and(V::load(ms))).store(rs);
+        }
+        scalar::add_diff_masked(rc.into_remainder(), lc.remainder(), gc.remainder(), mc.remainder());
+    }
+
     /// `out[i] = |x[i]|` by clearing the sign bit — exactly what the scalar
     /// `f32::abs` does, so NaN payloads are preserved.
     #[inline(always)]
@@ -908,6 +964,17 @@ kernels! {
     /// accumulation: evaluated as `r + (l - g)` at every level).
     add_diff: add_diff_with(r: &mut [f32], l: &[f32], g: &[f32]);
 
+    /// `y[i] = m[i] ? y[i] + x[i] : y[i]` over the common prefix, `m` a row
+    /// of lane words ([`LANE_OFF`] / [`LANE_ON`]). Bits are selected, not
+    /// added: an unselected `y[i]` is untouched, `-0.0` included (FedSU's
+    /// speculative step over the predictability mask).
+    add_assign_masked: add_assign_masked_with(y: &mut [f32], x: &[f32], m: &[f32]);
+
+    /// `r[i] += (l[i] - g[i]) & m[i]` over the common prefix, `m` a row of
+    /// lane words: an unselected `r[i]` receives `+0.0` even where `l` or `g`
+    /// is infinite or NaN (FedSU's per-client error accumulation).
+    add_diff_masked: add_diff_masked_with(r: &mut [f32], l: &[f32], g: &[f32], m: &[f32]);
+
     /// `out[i] = |x[i]|` over the common prefix: clears the sign bit,
     /// preserving NaN payloads, exactly like `f32::abs`.
     abs_into: abs_into_with(out: &mut [f32], x: &[f32]);
@@ -1062,6 +1129,53 @@ mod tests {
                 let mut got = filled(len, 17);
                 add_diff_with(level, &mut got, &x, &g);
                 assert_bits_eq(&got, &want_diff, &format!("add_diff {level:?} len {len}"));
+            }
+        }
+    }
+
+    #[test]
+    fn masked_kernels_bit_identical_across_levels() {
+        for &len in &LENS {
+            let x = filled(len, 11);
+            let g = filled(len, 13);
+            // Every fifth lane off, so both arms meet every special in `filled`.
+            let m: Vec<f32> = (0..len).map(|i| if i % 5 == 0 { LANE_OFF } else { LANE_ON }).collect();
+            let mut want_add = filled(len, 17);
+            let mut want_diff = filled(len, 17);
+            scalar::add_assign_masked(&mut want_add, &x, &m);
+            scalar::add_diff_masked(&mut want_diff, &x, &g, &m);
+            for level in levels() {
+                let mut got = filled(len, 17);
+                add_assign_masked_with(level, &mut got, &x, &m);
+                assert_bits_eq(&got, &want_add, &format!("add_assign_masked {level:?} len {len}"));
+                let mut got = filled(len, 17);
+                add_diff_masked_with(level, &mut got, &x, &g, &m);
+                assert_bits_eq(&got, &want_diff, &format!("add_diff_masked {level:?} len {len}"));
+            }
+        }
+    }
+
+    #[test]
+    fn masked_kernels_leave_unselected_lanes_alone() {
+        // Ten lanes, odd ones selected: both arms in the vector body of
+        // either width and in the remainder.
+        let m: Vec<f32> = (0..10).map(|i| if i % 2 == 1 { LANE_ON } else { LANE_OFF }).collect();
+        let l: Vec<f32> = (0..10).map(|i| if i % 4 < 2 { f32::INFINITY } else { f32::NAN }).collect();
+        let g = [f32::INFINITY; 10];
+        for level in levels() {
+            // `-0.0 + 0.0` is `+0.0`: a lane that was added to shows it.
+            let mut y = [-0.0f32; 10];
+            add_assign_masked_with(level, &mut y, &[0.0; 10], &m);
+            let mut r = [0.0f32; 10];
+            add_diff_masked_with(level, &mut r, &l, &g, &m);
+            for i in 0..10 {
+                if i % 2 == 1 {
+                    assert_eq!(y[i].to_bits(), 0, "{level:?}: selected lane {i} is summed");
+                    assert!(r[i].is_nan(), "{level:?}: selected lane {i} takes inf - inf / NaN - inf");
+                } else {
+                    assert_eq!(y[i].to_bits(), (-0.0f32).to_bits(), "{level:?}: unselected -0.0 at lane {i} held");
+                    assert_eq!(r[i].to_bits(), 0, "{level:?}: unselected lane {i} stays +0.0");
+                }
             }
         }
     }

@@ -362,6 +362,17 @@ fn elementwise_lanes_bit_identical_across_simd_levels() {
         let mut want_sgd = y0.clone();
         let mut want_grad = x.clone();
         simd::sgd_step_with(SimdLevel::Scalar, &mut want_sgd, &mut want_grad, 0.1, 0.01);
+        // FedSU's two masked rows: every third lane off, so unselected lanes
+        // meet the planted specials too.
+        let mask: Vec<f32> = (0..len).map(|i| if i % 3 == 0 { simd::LANE_OFF } else { simd::LANE_ON }).collect();
+        let mut want_masked = y0.clone();
+        simd::add_assign_masked_with(SimdLevel::Scalar, &mut want_masked, &x, &mask);
+        let mut want_diff = vec![0.0f32; len];
+        simd::add_diff_masked_with(SimdLevel::Scalar, &mut want_diff, &x, &y0, &mask);
+        for i in (0..len).step_by(3) {
+            assert_eq!(want_masked[i].to_bits(), y0[i].to_bits(), "unselected lane {i} of {len} held, -0.0 included");
+            assert_eq!(want_diff[i].to_bits(), 0, "unselected lane {i} of {len} stays +0.0 past inf and NaN");
+        }
 
         for level in supported_levels() {
             let mut got = y0.clone();
@@ -375,6 +386,12 @@ fn elementwise_lanes_bit_identical_across_simd_levels() {
             simd::sgd_step_with(level, &mut got, &mut grad, 0.1, 0.01);
             assert_bits_eq(&got, &want_sgd, &format!("sgd_step len={len} {level:?}"));
             assert_bits_eq(&grad, &want_grad, &format!("sgd_step grad len={len} {level:?}"));
+            let mut got = y0.clone();
+            simd::add_assign_masked_with(level, &mut got, &x, &mask);
+            assert_bits_eq(&got, &want_masked, &format!("add_assign_masked len={len} {level:?}"));
+            let mut got = vec![0.0f32; len];
+            simd::add_diff_masked_with(level, &mut got, &x, &y0, &mask);
+            assert_bits_eq(&got, &want_diff, &format!("add_diff_masked len={len} {level:?}"));
         }
     }
 }
