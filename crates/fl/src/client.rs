@@ -127,7 +127,9 @@ impl Client {
             if !loss.is_finite() {
                 return Err(FlError::Diverged { round });
             }
-            self.model.backward(&grad)?;
+            // No one reads the gradient of the batch itself: the first
+            // layer accumulates its parameter gradients and stops there.
+            self.model.backward_params(&grad)?;
             if let Some(max_norm) = self.config.clip_norm {
                 clip_gradients(&mut self.model, max_norm);
             }

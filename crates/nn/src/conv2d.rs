@@ -96,6 +96,65 @@ impl Conv2d {
     pub fn out_channels(&self) -> usize {
         self.out_channels
     }
+
+    /// The backward pass: accumulates `dW` and `db`, and returns the input
+    /// gradient only when `input_grad` is set — without it the per-sample
+    /// `Wᵀ·dY` product and `col2im` scatter are skipped.
+    fn backward_impl(&mut self, grad_output: &Tensor, input_grad: bool) -> Result<Option<Tensor>> {
+        let input = self
+            .cached_input
+            .take()
+            .ok_or_else(|| NnError::new_missing_forward(self.name()))?;
+        let (batch, dims) = self.dims_for(&input)?;
+        let (out_h, out_w) = (dims.out_h(), dims.out_w());
+        let plane = out_h * out_w;
+        let expected = [batch, self.out_channels, out_h, out_w];
+        if grad_output.shape() != expected {
+            pool::recycle(input);
+            return Err(NnError::new_bad_input(
+                self.name(),
+                format_args!("grad {expected:?}"),
+                grad_output.shape(),
+            ));
+        }
+        let fan_in = self.in_channels * self.kernel * self.kernel;
+        let sample_in = self.in_channels * dims.in_h * dims.in_w;
+        let out_sample = self.out_channels * plane;
+        let mut grad_in_t = input_grad.then(|| pool::pooled_zeros(input.shape()));
+        self.dw.resize(self.out_channels * fan_in, 0.0);
+        if input_grad {
+            self.dcols.resize(fan_in * plane, 0.0);
+        }
+
+        for n in 0..batch {
+            let img = input.data().get(n * sample_in..(n + 1) * sample_in).unwrap_or(&[]);
+            im2col_into(img, &dims, &mut self.cols)?;
+            let dy = grad_output.data().get(n * out_sample..(n + 1) * out_sample).unwrap_or(&[]);
+            // dW += dY · colsᵀ
+            matmul_transpose_b_into(dy, &self.cols, &mut self.dw, self.out_channels, plane, fan_in)?;
+            for (g, d) in self.weight.grad.data_mut().iter_mut().zip(&self.dw) {
+                *g += d;
+            }
+            // db += row-sums of dY
+            for (bg, dy_row) in self.bias.grad.data_mut().iter_mut().zip(dy.chunks_exact(plane)) {
+                *bg += dy_row.iter().sum::<f32>();
+            }
+            let Some(grad_in) = grad_in_t.as_mut() else { continue };
+            // dcols = Wᵀ · dY, then scatter back to image space.
+            matmul_transpose_a_into(
+                self.weight.value.data(),
+                dy,
+                &mut self.dcols,
+                self.out_channels,
+                fan_in,
+                plane,
+            )?;
+            let dst = grad_in.data_mut().get_mut(n * sample_in..(n + 1) * sample_in).unwrap_or_default();
+            col2im_into(&self.dcols, dst, &dims)?;
+        }
+        pool::recycle(input);
+        Ok(grad_in_t)
+    }
 }
 
 impl Layer for Conv2d {
@@ -134,57 +193,12 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .take()
-            .ok_or_else(|| NnError::new_missing_forward(self.name()))?;
-        let (batch, dims) = self.dims_for(&input)?;
-        let (out_h, out_w) = (dims.out_h(), dims.out_w());
-        let plane = out_h * out_w;
-        let expected = [batch, self.out_channels, out_h, out_w];
-        if grad_output.shape() != expected {
-            pool::recycle(input);
-            return Err(NnError::new_bad_input(
-                self.name(),
-                format_args!("grad {expected:?}"),
-                grad_output.shape(),
-            ));
-        }
-        let fan_in = self.in_channels * self.kernel * self.kernel;
-        let sample_in = self.in_channels * dims.in_h * dims.in_w;
-        let out_sample = self.out_channels * plane;
-        let mut grad_in_t = pool::pooled_zeros(input.shape());
-        let grad_in = grad_in_t.data_mut();
-        self.dw.resize(self.out_channels * fan_in, 0.0);
-        self.dcols.resize(fan_in * plane, 0.0);
+        // `Some` whenever the input gradient is asked for.
+        Ok(self.backward_impl(grad_output, true)?.unwrap_or_default())
+    }
 
-        for n in 0..batch {
-            let img = input.data().get(n * sample_in..(n + 1) * sample_in).unwrap_or(&[]);
-            im2col_into(img, &dims, &mut self.cols)?;
-            let dy = grad_output.data().get(n * out_sample..(n + 1) * out_sample).unwrap_or(&[]);
-            // dW += dY · colsᵀ
-            matmul_transpose_b_into(dy, &self.cols, &mut self.dw, self.out_channels, plane, fan_in)?;
-            for (g, d) in self.weight.grad.data_mut().iter_mut().zip(&self.dw) {
-                *g += d;
-            }
-            // db += row-sums of dY
-            for (bg, dy_row) in self.bias.grad.data_mut().iter_mut().zip(dy.chunks_exact(plane)) {
-                *bg += dy_row.iter().sum::<f32>();
-            }
-            // dcols = Wᵀ · dY, then scatter back to image space.
-            matmul_transpose_a_into(
-                self.weight.value.data(),
-                dy,
-                &mut self.dcols,
-                self.out_channels,
-                fan_in,
-                plane,
-            )?;
-            let dst = grad_in.get_mut(n * sample_in..(n + 1) * sample_in).unwrap_or_default();
-            col2im_into(&self.dcols, dst, &dims)?;
-        }
-        pool::recycle(input);
-        Ok(grad_in_t)
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backward_impl(grad_output, false).map(drop)
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -49,6 +49,36 @@ impl Dense {
     pub fn out_features(&self) -> usize {
         self.out_features
     }
+
+    /// The backward pass: accumulates `dW` and `db`, and returns the input
+    /// gradient `dY · W` only when `input_grad` is set.
+    fn backward_impl(&mut self, grad_output: &Tensor, input_grad: bool) -> Result<Option<Tensor>> {
+        let input = self
+            .cached_input
+            .take()
+            .ok_or_else(|| NnError::new_missing_forward(self.name()))?;
+        if !matches!(grad_output.shape(), &[_, f] if f == self.out_features) {
+            return Err(NnError::new_bad_input(
+                self.name(),
+                format_args!("grad [batch, {}]", self.out_features),
+                grad_output.shape(),
+            ));
+        }
+        // dW = dYᵀ · X  -> [out, in]
+        let dw = matmul_transpose_a(grad_output, &input)?;
+        pool::recycle(input);
+        self.weight.grad.add_assign(&dw)?;
+        pool::recycle(dw);
+        // db = column-sum of dY
+        let bg = self.bias.grad.data_mut();
+        for grow in grad_output.data().chunks_exact(self.out_features) {
+            for (b, g) in bg.iter_mut().zip(grow) {
+                *b += g;
+            }
+        }
+        // dX = dY · W -> [batch, in]
+        Ok(if input_grad { Some(matmul(grad_output, &self.weight.value)?) } else { None })
+    }
 }
 
 impl Layer for Dense {
@@ -80,31 +110,12 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .take()
-            .ok_or_else(|| NnError::new_missing_forward(self.name()))?;
-        if !matches!(grad_output.shape(), &[_, f] if f == self.out_features) {
-            return Err(NnError::new_bad_input(
-                self.name(),
-                format_args!("grad [batch, {}]", self.out_features),
-                grad_output.shape(),
-            ));
-        }
-        // dW = dYᵀ · X  -> [out, in]
-        let dw = matmul_transpose_a(grad_output, &input)?;
-        pool::recycle(input);
-        self.weight.grad.add_assign(&dw)?;
-        pool::recycle(dw);
-        // db = column-sum of dY
-        let bg = self.bias.grad.data_mut();
-        for grow in grad_output.data().chunks_exact(self.out_features) {
-            for (b, g) in bg.iter_mut().zip(grow) {
-                *b += g;
-            }
-        }
-        // dX = dY · W -> [batch, in]
-        Ok(matmul(grad_output, &self.weight.value)?)
+        // `Some` whenever the input gradient is asked for.
+        Ok(self.backward_impl(grad_output, true)?.unwrap_or_default())
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backward_impl(grad_output, false).map(drop)
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -1,7 +1,7 @@
 //! The [`Layer`] trait and the [`Param`] container.
 
 use crate::Result;
-use fedsu_tensor::Tensor;
+use fedsu_tensor::{pool, Tensor};
 
 /// A trainable parameter: its value and the gradient accumulated by the most
 /// recent backward pass(es).
@@ -39,8 +39,9 @@ impl Param {
 /// A neural-network layer with explicit forward and backward passes.
 ///
 /// Layers cache activations during [`forward`](Layer::forward) and consume
-/// them in [`backward`](Layer::backward); the caller must therefore pair each
-/// backward with a preceding forward on the same instance.
+/// them in [`backward`](Layer::backward) or
+/// [`backward_params`](Layer::backward_params); the caller must therefore
+/// pair each of those with a preceding forward on the same instance.
 ///
 /// Parameters are visited in a deterministic order (declaration order,
 /// depth-first for containers), which [`crate::flat`] relies on to give every
@@ -70,6 +71,24 @@ pub trait Layer: Send {
     /// `forward`, and shape errors when `grad_output` does not match the
     /// cached activation.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
+
+    /// Accumulates the same parameter gradients as [`Layer::backward`],
+    /// bit for bit, without returning the gradient with respect to the
+    /// input. A model's first layer runs this (see [`crate::Sequential`]):
+    /// nothing reads the gradient of the training batch.
+    ///
+    /// The default runs `backward` and hands the input gradient back to the
+    /// buffer pool. `Conv2d` and `Dense` override it and never compute that
+    /// gradient (`Conv2d` skips its `Wᵀ·dY` product and `col2im` per sample,
+    /// `Dense` its `dY·W`).
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`Layer::backward`].
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        pool::recycle(self.backward(grad_output)?);
+        Ok(())
+    }
 
     /// Visits every trainable parameter, depth-first, in declaration order.
     ///

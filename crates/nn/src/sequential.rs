@@ -98,18 +98,28 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let mut layers = self.layers.iter_mut().rev();
-        let Some(first) = layers.next() else {
-            let mut out = pool::pooled_like(grad_output);
-            out.data_mut().copy_from_slice(grad_output.data());
-            return Ok(out);
-        };
-        let mut g = first.backward(grad_output)?;
-        for layer in layers {
-            let next = layer.backward(&g)?;
-            pool::recycle(std::mem::replace(&mut g, next));
+        match backward_through(&mut self.layers, grad_output)? {
+            Some(g) => Ok(g),
+            None => {
+                let mut out = pool::pooled_like(grad_output);
+                out.data_mut().copy_from_slice(grad_output.data());
+                Ok(out)
+            }
         }
-        Ok(g)
+    }
+
+    /// Every layer runs `backward` except the first, which runs
+    /// `backward_params`: the model's input gradient is never computed.
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
+        let g = backward_through(rest, grad_output)?;
+        first.backward_params(g.as_ref().unwrap_or(grad_output))?;
+        if let Some(g) = g {
+            pool::recycle(g);
+        }
+        Ok(())
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -123,6 +133,22 @@ impl Layer for Sequential {
             layer.visit_params(f);
         }
     }
+}
+
+/// Runs `backward` through `layers`, last to first, handing each
+/// intermediate gradient back to the pool once the next layer has consumed
+/// it. `None` when there are no layers.
+fn backward_through(layers: &mut [Box<dyn Layer>], grad_output: &Tensor) -> Result<Option<Tensor>> {
+    let mut layers = layers.iter_mut().rev();
+    let Some(last) = layers.next() else {
+        return Ok(None);
+    };
+    let mut g = last.backward(grad_output)?;
+    for layer in layers {
+        let next = layer.backward(&g)?;
+        pool::recycle(std::mem::replace(&mut g, next));
+    }
+    Ok(Some(g))
 }
 
 #[cfg(test)]

@@ -13,7 +13,10 @@
 //! persistent worker pool in [`crate::par`] when the matrix is large enough
 //! to pay for it. Inside each row block the inner loops run on the
 //! runtime-selected SIMD lanes from [`crate::simd`], vectorizing across
-//! output columns only.
+//! output columns only. `A·B` and `Aᵀ·B` are one register-blocked ikj
+//! kernel: it broadcasts every `A` scalar, so it reads row `i` of `Aᵀ` down
+//! column `i` of the stored `A` (stride `m`) at no cost and with no
+//! transposed copy; `A·Bᵀ` runs dot-product rows.
 //!
 //! ## Determinism contract
 //!
@@ -27,6 +30,7 @@
 //! taken: a zero operand still multiplies, so NaN/inf propagate per
 //! IEEE 754 and the `FEDSU_CHECK_INVARIANTS` guards can observe them.
 
+use crate::simd::TileLayout;
 use crate::{par, pool, simd, Result, Tensor, TensorError};
 use std::ops::Range;
 use std::sync::Arc;
@@ -86,8 +90,10 @@ fn check_len(buf: &[f32], rows: usize, cols: usize) -> Result<()> {
     Ok(())
 }
 
-/// ikj micro-kernel for `C = A·B` over output rows `rows`: `out` holds
-/// exactly those rows (`rows.len() × n`), pre-zeroed by the caller.
+/// ikj micro-kernel for `C = A·B` (`A` stored `[m, k]`: `layout` is
+/// `{ row: k, step: 1 }`) or `C = Aᵀ·B` (`A` stored `[k, m]`: `{ row: 1,
+/// step: m }`) over output rows `rows`: `out` holds exactly those rows
+/// (`rows.len() × n`), pre-zeroed by the caller.
 ///
 /// Inside each `k`-tile the columns are additionally walked in [`NC`]-wide
 /// strips, innermost over the block's rows, so one narrow window of the `B`
@@ -96,65 +102,29 @@ fn check_len(buf: &[f32], rows: usize, cols: usize) -> Result<()> {
 /// row. Strip order is a pure loop interchange over independent output
 /// elements: each `c[i][j]` still receives its `+= a·b` updates in ascending
 /// `p` order, so bit-identity with the reference is unaffected.
-fn chunk_nn(a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], k: usize, n: usize) {
+fn chunk_ikj(a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], layout: TileLayout, k: usize, n: usize) {
     if k == 0 || n == 0 || rows.is_empty() {
         return;
     }
     let level = simd::simd_level();
-    let a_rows = a.get(rows.start * k..rows.end * k).unwrap_or(&[]);
     for pb in (0..k).step_by(KC) {
         let pe = (pb + KC).min(k);
         let b_tile = b.get(pb * n..pe * n).unwrap_or(&[]);
+        // The block's first row's tile starts here; the strip kernel finds
+        // the others `layout.row` apart. It pairs rows from the block's
+        // first one; blocks are always MC-aligned (serial tiling and
+        // parallel dispatch both cut at MC, which is even), so an element's
+        // paired-vs-single assignment never depends on the thread count.
+        let a_block = a.get(rows.start * layout.row + pb * layout.step..).unwrap_or(&[]);
         for jb in (0..n).step_by(NC) {
-            let je = (jb + NC).min(n);
-            // Rows go through the strip two at a time so each B load feeds
-            // two rows' accumulators. Pairing starts at the block's first
-            // row; blocks are always MC-aligned (serial tiling and parallel
-            // dispatch both cut at MC, which is even), so an element's
-            // paired-vs-single assignment never depends on the thread count.
-            let mut a_pairs = a_rows.chunks_exact(2 * k);
-            let mut c_pairs = out.chunks_exact_mut(2 * n);
-            for (a2, c2) in (&mut a_pairs).zip(&mut c_pairs) {
-                let (a_row0, a_row1) = a2.split_at(k);
-                let (c_row0, c_row1) = c2.split_at_mut(n);
-                let c_cols = (
-                    c_row0.get_mut(jb..je).unwrap_or_default(),
-                    c_row1.get_mut(jb..je).unwrap_or_default(),
-                );
-                let a_tiles = (a_row0.get(pb..pe).unwrap_or(&[]), a_row1.get(pb..pe).unwrap_or(&[]));
-                simd::nn_tile_cols2_with(level, c_cols, a_tiles, b_tile, n, jb);
-            }
-            let a_last = a_pairs.remainder().chunks_exact(k);
-            let c_last = c_pairs.into_remainder().chunks_exact_mut(n);
-            for (a_row, c_row) in a_last.zip(c_last) {
-                let a_tile = a_row.get(pb..pe).unwrap_or(&[]);
-                let c_cols = c_row.get_mut(jb..je).unwrap_or_default();
-                simd::nn_tile_cols_with(level, c_cols, a_tile, b_tile, n, jb);
-            }
-        }
-    }
-}
-
-/// pij micro-kernel for `C = Aᵀ·B` over output rows `rows` (columns of the
-/// stored `A: [k, m]`); `out` holds exactly those rows, pre-zeroed. The row
-/// block is the cache tile: it stays resident while `A` and `B` stream
-/// through once in ascending `p` order.
-fn chunk_ta(a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], m: usize, n: usize) {
-    if m == 0 || n == 0 || rows.is_empty() {
-        return;
-    }
-    let level = simd::simd_level();
-    for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
-        let a_seg = a_row.get(rows.clone()).unwrap_or(&[]);
-        for (&av, c_row) in a_seg.iter().zip(out.chunks_exact_mut(n)) {
-            simd::axpy_with(level, c_row, av, b_row);
+            simd::nn_strip_with(level, out, a_block, layout, b_tile, n, jb..(jb + NC).min(n));
         }
     }
 }
 
 /// Dot-product micro-kernel for `C = A·Bᵀ` over output rows `rows`; each
 /// element is one sequential dot in ascending `p` order. The row block keeps
-/// a small set of `A` rows hot while `B` streams through once per row.
+/// a small set of `A` rows hot while `B` streams through once per four rows.
 fn chunk_tb(a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], k: usize, n: usize) {
     if n == 0 || rows.is_empty() {
         return;
@@ -165,7 +135,17 @@ fn chunk_tb(a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], k: usize,
     }
     let level = simd::simd_level();
     let a_rows = a.get(rows.start * k..rows.end * k).unwrap_or(&[]);
-    for (a_row, c_row) in a_rows.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+    // Four rows share each transposed window of B. Grouping starts at the
+    // block's first row and blocks are MC-aligned (MC is a multiple of
+    // four), so which kernel instance an element runs through never depends
+    // on the thread count.
+    let mut a_quads = a_rows.chunks_exact(4 * k);
+    let mut c_quads = out.chunks_exact_mut(4 * n);
+    for (a4, c4) in (&mut a_quads).zip(&mut c_quads) {
+        simd::tb_row4_with(level, c4, a4, b, k);
+    }
+    let c_last = c_quads.into_remainder().chunks_exact_mut(n);
+    for (a_row, c_row) in a_quads.remainder().chunks_exact(k).zip(c_last) {
         simd::tb_row_with(level, c_row, a_row, b, k);
     }
 }
@@ -182,8 +162,8 @@ struct Dims {
 fn run_chunk(kind: Kind, a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], dims: Dims) {
     let Dims { m, k, n } = dims;
     match kind {
-        Kind::Nn => chunk_nn(a, b, rows, out, k, n),
-        Kind::TransposeA => chunk_ta(a, b, rows, out, m, n),
+        Kind::Nn => chunk_ikj(a, b, rows, out, TileLayout { row: k, step: 1 }, k, n),
+        Kind::TransposeA => chunk_ikj(a, b, rows, out, TileLayout { row: 1, step: m }, k, n),
         Kind::TransposeB => chunk_tb(a, b, rows, out, k, n),
     }
 }
@@ -218,9 +198,10 @@ fn run_rows(kind: Kind, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
     let a_shared: Arc<[f32]> = Arc::from(a);
     let b_shared: Arc<[f32]> = Arc::from(b);
     // Chunks are MC-aligned so every dispatch (and the serial path) tiles
-    // the output rows identically: the ikj kernel pairs rows within each MC
-    // block, and alignment keeps that pairing — hence the compiled kernel
-    // instance each element runs through — independent of the thread count.
+    // the output rows identically: the ikj kernel (`A·B` and `Aᵀ·B`) pairs
+    // rows within each MC block, and alignment keeps that pairing — hence
+    // the compiled kernel instance each element runs through — independent
+    // of the thread count.
     let rows_per = MC * m.div_ceil(MC * threads);
     let chunk_count = m.div_ceil(rows_per);
     let mut jobs: Vec<par::ChunkJob> = Vec::with_capacity(chunk_count);

@@ -209,6 +209,27 @@ pub const LANE_OFF: f32 = 0.0;
 /// `select` with it.
 pub const LANE_ON: f32 = f32::from_bits(u32::MAX);
 
+/// Where an ikj strip ([`nn_strip_with`]) finds its rows' `k`-tiles of the
+/// left operand: row `r`'s scalar `p` is `a[r·row + p·step]`. `A·B` reads
+/// stretches of the rows of `A` (`row: k, step: 1`); `Aᵀ·B` reads stretches
+/// of the columns of the stored `[k, m]` operand (`row: 1, step: m`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileLayout {
+    /// Distance between the first scalars of consecutive rows' tiles.
+    pub row: usize,
+    /// Distance between consecutive scalars of one row's tile.
+    pub step: usize,
+}
+
+impl TileLayout {
+    /// Row `r`'s tile of `len > 0` scalars, as the stored slice from its
+    /// first scalar to its last.
+    fn tile(self, a: &[f32], r: usize, len: usize) -> &[f32] {
+        let start = r * self.row;
+        a.get(start..=start + (len - 1) * self.step).unwrap_or(&[])
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Scalar ground truth
 // ---------------------------------------------------------------------------
@@ -322,33 +343,42 @@ mod scalar {
         }
     }
 
-    /// One column strip of one output row of the ikj `C = A·B` kernel over
-    /// one `k`-tile: `c_cols[j] += a_tile[p] * b_tile[p·n + col0 + j]` for
-    /// ascending `p`. `col0` is the strip's first column, so the caller can
-    /// keep a narrow window of `B` cache-resident across many output rows.
-    pub(super) fn nn_tile_cols(c_cols: &mut [f32], a_tile: &[f32], b_tile: &[f32], n: usize, col0: usize) {
-        nn_tile_tail(c_cols, a_tile, b_tile, n, col0);
+    /// One column strip `cols` of a block of output rows of the ikj kernel
+    /// over one `k`-tile: for every row `r` of `c_rows` (rows of `n`) and `j`
+    /// in `cols`, `c[r][j] += a[r·row + p·step] * b_tile[p·n + j]` for
+    /// ascending `p` (`b_tile` is the tile's rows of `B`). The ground truth
+    /// runs the rows one after the other through [`nn_tile_tail`] — the rows
+    /// are independent, so their order is immaterial; the vector levels
+    /// take them in pairs so each `B` load feeds two rows.
+    pub(super) fn nn_strip(c_rows: &mut [f32], a: &[f32], layout: super::TileLayout, b_tile: &[f32], n: usize, cols: std::ops::Range<usize>) {
+        let len = b_tile.len().checked_div(n).unwrap_or(0);
+        if len == 0 {
+            return;
+        }
+        for (r, c_row) in c_rows.chunks_exact_mut(n).enumerate() {
+            let c_cols = c_row.get_mut(cols.clone()).unwrap_or_default();
+            nn_tile_tail(c_cols, layout.tile(a, r, len), layout.step, b_tile, n, cols.start);
+        }
     }
 
-    /// Two-row variant of [`nn_tile_cols`]: the same column strip of two
-    /// output rows over one `k`-tile. The scalar ground truth simply runs
-    /// the rows back-to-back through the shared single-row loop — the rows
-    /// are independent, so ordering between them is immaterial; vector
-    /// levels keep both rows' accumulators live so each `B` load feeds two
-    /// rows.
-    pub(super) fn nn_tile_cols2(c_cols: (&mut [f32], &mut [f32]), a_tiles: (&[f32], &[f32]), b_tile: &[f32], n: usize, col0: usize) {
-        let ((c0_cols, c1_cols), (a0_tile, a1_tile)) = (c_cols, a_tiles);
-        nn_tile_tail(c0_cols, a0_tile, b_tile, n, col0);
-        nn_tile_tail(c1_cols, a1_tile, b_tile, n, col0);
-    }
-
-    /// The trailing columns of [`nn_tile_cols`] starting at `col`:
-    /// `c_tail[j] += a_tile[p] * b_tile[p·n + col + j]` for ascending `p`.
-    /// The full-row kernel delegates here with `col = 0` so the whole-row
-    /// and vector-remainder paths share one compiled accumulation loop.
+    /// One output row's columns from `col` on of the ikj kernel over one
+    /// `k`-tile: `c_tail[j] += a_tile[p·a_step] * b_tile[p·n + col + j]` for
+    /// ascending `p`. The scalar level runs whole strips through it and the
+    /// vector levels their remainder columns, so both share one compiled
+    /// accumulation loop per step kind.
     #[inline(never)]
-    pub(super) fn nn_tile_tail(c_tail: &mut [f32], a_tile: &[f32], b_tile: &[f32], n: usize, col: usize) {
-        for (&av, b_row) in a_tile.iter().zip(b_tile.chunks_exact(n)) {
+    pub(super) fn nn_tile_tail(c_tail: &mut [f32], a_tile: &[f32], a_step: usize, b_tile: &[f32], n: usize, col: usize) {
+        if a_step == 1 {
+            nn_tile_tail_at(c_tail, a_tile, 1, b_tile, n, col);
+        } else {
+            nn_tile_tail_at(c_tail, a_tile, a_step, b_tile, n, col);
+        }
+    }
+
+    #[inline(always)]
+    fn nn_tile_tail_at(c_tail: &mut [f32], a_tile: &[f32], a_step: usize, b_tile: &[f32], n: usize, col: usize) {
+        for (p, b_row) in b_tile.chunks_exact(n).enumerate() {
+            let Some(&av) = a_tile.get(p * a_step) else { break };
             let bt = b_row.get(col..).unwrap_or(&[]);
             for (c, &bv) in c_tail.iter_mut().zip(bt.iter()) {
                 *c += av * bv;
@@ -369,6 +399,19 @@ mod scalar {
             *c = acc;
         }
     }
+
+    /// Four output rows of the `C = A·Bᵀ` kernel (`c_rows` and `a_rows` hold
+    /// four rows each): [`tb_row`] per row. The vector levels transpose each
+    /// window of `B` once for all four. Requires `k > 0`.
+    pub(super) fn tb_row4(c_rows: &mut [f32], a_rows: &[f32], b: &[f32], k: usize) {
+        let n = c_rows.len() / 4;
+        if n == 0 {
+            return;
+        }
+        for (c_row, a_row) in c_rows.chunks_exact_mut(n).zip(a_rows.chunks_exact(k)) {
+            tb_row(c_row, a_row, b, k);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -387,6 +430,7 @@ mod scalar {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::scalar;
+    use std::ops::Range;
     use std::arch::x86_64::{
         __m128, __m256, _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_cmp_ps,
         _mm256_loadu_ps, _mm256_mul_ps, _mm256_or_ps, _mm256_permute2f128_ps, _mm256_set1_ps,
@@ -769,11 +813,12 @@ mod x86 {
     /// accumulator for the whole tile. Loading the accumulators from the
     /// output strip and storing them back at tile boundaries resumes the
     /// exact scalar chain. `col` is the block's first column within the
-    /// `n`-wide rows of `b_tile`.
+    /// `n`-wide rows of `b_tile`; `A` is read `a_step` apart.
     #[inline(always)]
-    unsafe fn row_block<V: Lanes, const W: usize>(cs: &mut [f32], a_tile: &[f32], b_tile: &[f32], n: usize, col: usize) {
+    unsafe fn row_block<V: Lanes, const W: usize>(cs: &mut [f32], a_tile: &[f32], a_step: usize, b_tile: &[f32], n: usize, col: usize) {
         let mut acc = load_block::<V, W>(cs);
-        for (&av, b_row) in a_tile.iter().zip(b_tile.chunks_exact(n)) {
+        for (p, b_row) in b_tile.chunks_exact(n).enumerate() {
+            let Some(&av) = a_tile.get(p * a_step) else { break };
             let Some(bs) = b_row.get(col..col + W * V::N) else { continue };
             let avv = V::splat(av);
             for (acc, b) in acc.iter_mut().zip(bs.chunks_exact(V::N)) {
@@ -783,32 +828,70 @@ mod x86 {
         store_block(acc, cs);
     }
 
-    /// ikj strip kernel: `4·N`-column register blocks, then single-register
+    /// ikj strip kernel over a block of rows: pairs of rows through
+    /// [`nn_tile_cols2`] from the block's first row, an odd last row through
+    /// [`nn_tile_cols`]. Every `A` scalar is a broadcast, so reading a tile
+    /// `step` apart costs what reading it along a row does; a unit step gets
+    /// its own instance with the step folded to a constant (and so does a
+    /// one-scalar tile, which has no step to speak of: a batch-1 `Aᵀ·B`).
+    #[inline(always)]
+    pub(super) unsafe fn nn_strip<V: Lanes>(c_rows: &mut [f32], a: &[f32], layout: super::TileLayout, b_tile: &[f32], n: usize, cols: Range<usize>) {
+        if layout.step == 1 || b_tile.len() == n {
+            nn_strip_at::<V>(c_rows, a, super::TileLayout { step: 1, ..layout }, b_tile, n, cols);
+        } else {
+            nn_strip_at::<V>(c_rows, a, layout, b_tile, n, cols);
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn nn_strip_at<V: Lanes>(c_rows: &mut [f32], a: &[f32], layout: super::TileLayout, b_tile: &[f32], n: usize, cols: Range<usize>) {
+        let len = b_tile.len().checked_div(n).unwrap_or(0);
+        if len == 0 {
+            return;
+        }
+        let rows = c_rows.len() / n;
+        let mut pairs = c_rows.chunks_exact_mut(2 * n);
+        for (r, c2) in (&mut pairs).enumerate() {
+            let (c0, c1) = c2.split_at_mut(n);
+            let (Some(c0), Some(c1)) = (c0.get_mut(cols.clone()), c1.get_mut(cols.clone())) else { continue };
+            let a_tiles = (layout.tile(a, 2 * r, len), layout.tile(a, 2 * r + 1, len));
+            nn_tile_cols2::<V>((c0, c1), a_tiles, layout.step, b_tile, n, cols.start);
+        }
+        if let Some(c_last) = pairs.into_remainder().get_mut(cols.clone()) {
+            nn_tile_cols::<V>(c_last, layout.tile(a, rows - 1, len), layout.step, b_tile, n, cols.start);
+        }
+    }
+
+    /// One row's strip: `4·N`-column register blocks, then single-register
     /// blocks, then the scalar tail.
     #[inline(always)]
-    pub(super) unsafe fn nn_tile_cols<V: Lanes>(c_cols: &mut [f32], a_tile: &[f32], b_tile: &[f32], n: usize, col0: usize) {
+    unsafe fn nn_tile_cols<V: Lanes>(c_cols: &mut [f32], a_tile: &[f32], a_step: usize, b_tile: &[f32], n: usize, col0: usize) {
         let mut col = col0;
         let mut blocks = c_cols.chunks_exact_mut(4 * V::N);
         for cs in &mut blocks {
-            row_block::<V, 4>(cs, a_tile, b_tile, n, col);
+            row_block::<V, 4>(cs, a_tile, a_step, b_tile, n, col);
             col += 4 * V::N;
         }
         let mut tail = blocks.into_remainder().chunks_exact_mut(V::N);
         for cs in &mut tail {
-            row_block::<V, 1>(cs, a_tile, b_tile, n, col);
+            row_block::<V, 1>(cs, a_tile, a_step, b_tile, n, col);
             col += V::N;
         }
-        scalar::nn_tile_tail(tail.into_remainder(), a_tile, b_tile, n, col);
+        // Most strips are whole registers: skip walking the tile for nothing.
+        let c_tail = tail.into_remainder();
+        if !c_tail.is_empty() {
+            scalar::nn_tile_tail(c_tail, a_tile, a_step, b_tile, n, col);
+        }
     }
 
-    /// Two-row ikj strip kernel: `4·N`-column register blocks with both rows'
+    /// Two rows' strip: `4·N`-column register blocks with both rows'
     /// accumulators live (8 registers), so each `B` load feeds two rows'
     /// multiply-adds — the register-blocking step that makes the kernel
     /// load-port- rather than bandwidth-bound on wide outputs. Each element
     /// still receives its `+= a·b` updates in ascending-`p` order; the column
     /// remainder of each row finishes through the single-row kernel.
     #[inline(always)]
-    pub(super) unsafe fn nn_tile_cols2<V: Lanes>(c_cols: (&mut [f32], &mut [f32]), a_tiles: (&[f32], &[f32]), b_tile: &[f32], n: usize, col0: usize) {
+    unsafe fn nn_tile_cols2<V: Lanes>(c_cols: (&mut [f32], &mut [f32]), a_tiles: (&[f32], &[f32]), a_step: usize, b_tile: &[f32], n: usize, col0: usize) {
         let ((c0_cols, c1_cols), (a0_tile, a1_tile)) = (c_cols, a_tiles);
         let mut col = col0;
         let mut blocks0 = c0_cols.chunks_exact_mut(4 * V::N);
@@ -816,7 +899,8 @@ mod x86 {
         for (cs0, cs1) in (&mut blocks0).zip(&mut blocks1) {
             let mut acc0 = load_block::<V, 4>(cs0);
             let mut acc1 = load_block::<V, 4>(cs1);
-            for ((&av0, &av1), b_row) in a0_tile.iter().zip(a1_tile.iter()).zip(b_tile.chunks_exact(n)) {
+            for (p, b_row) in b_tile.chunks_exact(n).enumerate() {
+                let (Some(&av0), Some(&av1)) = (a0_tile.get(p * a_step), a1_tile.get(p * a_step)) else { break };
                 let Some(bs) = b_row.get(col..col + 4 * V::N) else { continue };
                 let (av0v, av1v) = (V::splat(av0), V::splat(av1));
                 for ((acc0, acc1), b) in acc0.iter_mut().zip(acc1.iter_mut()).zip(bs.chunks_exact(V::N)) {
@@ -829,8 +913,8 @@ mod x86 {
             store_block(acc1, cs1);
             col += 4 * V::N;
         }
-        nn_tile_cols::<V>(blocks0.into_remainder(), a0_tile, b_tile, n, col);
-        nn_tile_cols::<V>(blocks1.into_remainder(), a1_tile, b_tile, n, col);
+        nn_tile_cols::<V>(blocks0.into_remainder(), a0_tile, a_step, b_tile, n, col);
+        nn_tile_cols::<V>(blocks1.into_remainder(), a1_tile, a_step, b_tile, n, col);
     }
 
     /// `A·Bᵀ` row kernel: `N` output columns at a time. `N`-lane windows of
@@ -879,6 +963,73 @@ mod x86 {
             acc.store(cs);
         }
         scalar::tb_row(c_blocks.into_remainder(), a_row, b_groups.remainder(), k);
+    }
+
+    /// Four rows of [`tb_row`] at once: each transposed window of `B` feeds
+    /// all four rows' accumulators, so the transposes cost a quarter per
+    /// output; every output keeps `tb_row`'s chain. `c_rows` and `a_rows`
+    /// hold four rows each.
+    #[inline(always)]
+    pub(super) unsafe fn tb_row4<V: Lanes>(c_rows: &mut [f32], a_rows: &[f32], b: &[f32], k: usize) {
+        let n = c_rows.len() / 4;
+        if n == 0 {
+            return;
+        }
+        let mut c_split = c_rows.chunks_exact_mut(n);
+        let mut c: [&mut [f32]; 4] = std::array::from_fn(|_| c_split.next().unwrap_or_default());
+        let mut a_split = a_rows.chunks_exact(k);
+        let a: [&[f32]; 4] = std::array::from_fn(|_| a_split.next().unwrap_or_default());
+        let mut b_groups = b.chunks_exact(V::N * k);
+        let mut col0 = 0usize;
+        for group in &mut b_groups {
+            let mut rows: [&[f32]; MAX_N] = [&[]; MAX_N];
+            for (r, row) in rows.iter_mut().zip(group.chunks_exact(k)) {
+                *r = row;
+            }
+            let mut acc = [V::zero(); 4];
+            let mut p = 0usize;
+            while p + V::N <= k {
+                let mut cols = [V::zero(); MAX_N];
+                for (col, row) in cols.iter_mut().zip(rows.iter().take(V::N)) {
+                    if let Some(win) = row.get(p..p + V::N) {
+                        *col = V::load(win);
+                    }
+                }
+                // After the transpose, cols[t] lane j = element p+t of row j:
+                // ascending p, one mul+add per step, per lane.
+                let cols = V::transpose(cols);
+                for (acc, a_row) in acc.iter_mut().zip(a) {
+                    let Some(a_win) = a_row.get(p..p + V::N) else { continue };
+                    for (&av, &col) in a_win.iter().zip(&cols) {
+                        *acc = acc.fadd(V::splat(av).fmul(col));
+                    }
+                }
+                p += V::N;
+            }
+            // The `k mod N` tail: element p of each row of B, one per lane.
+            for p in p..k {
+                let mut col = [0.0f32; MAX_N];
+                for (lane, row) in col.iter_mut().zip(rows) {
+                    *lane = row.get(p).copied().unwrap_or(0.0);
+                }
+                let col = V::load(col.split_at(V::N).0);
+                for (acc, a_row) in acc.iter_mut().zip(a) {
+                    let Some(&av) = a_row.get(p) else { continue };
+                    *acc = acc.fadd(V::splat(av).fmul(col));
+                }
+            }
+            // The single overwrite of these outputs (`*c = acc`), matching
+            // the scalar kernel.
+            for (c_row, acc) in c.iter_mut().zip(acc) {
+                if let Some(cs) = c_row.get_mut(col0..col0 + V::N) {
+                    acc.store(cs);
+                }
+            }
+            col0 += V::N;
+        }
+        for (c_row, a_row) in c.iter_mut().zip(a) {
+            scalar::tb_row(c_row.get_mut(col0..).unwrap_or_default(), a_row, b_groups.remainder(), k);
+        }
     }
 }
 
@@ -991,25 +1142,32 @@ kernels! {
     /// x -= lr·eff; g = 0`, in exactly that scalar evaluation order.
     sgd_step: sgd_step_with, sgd_step(x: &mut [f32], g: &mut [f32], lr: f32, wd: f32);
 
-    /// One column strip of one output row of the ikj `C = A·B` kernel over
-    /// one `k`-tile: `c_cols[j] += a_tile[p] * b_tile[p·n + col0 + j]` for
-    /// ascending `p` (`b_tile` is `len(a_tile)` rows of `n`; `col0` is the
-    /// strip's first column). Strip-wise calls let the caller keep a narrow
-    /// `B` window cache-resident across many output rows without changing
-    /// any element's accumulation order.
-    nn_tile_cols: nn_tile_cols_with(c_cols: &mut [f32], a_tile: &[f32], b_tile: &[f32], n: usize, col0: usize);
-
-    /// Two-row variant of [`nn_tile_cols_with`]: the same strip of two output
-    /// rows (`c_cols` and `a_tiles` are the row pair), sharing each `B` load across both rows' accumulators at the
-    /// vector levels. Callers must pair rows the same way at every thread
-    /// count (the matmul driver pairs within `MC`-aligned blocks) so each
-    /// element always runs through the same compiled kernel instance.
-    nn_tile_cols2: nn_tile_cols2_with(c_cols: (&mut [f32], &mut [f32]), a_tiles: (&[f32], &[f32]), b_tile: &[f32], n: usize, col0: usize);
+    /// One column strip `cols` of a block of output rows of the ikj kernel
+    /// (`A·B` and `Aᵀ·B`) over one `k`-tile: for every row `r` of `c_rows`
+    /// (rows of `n`) and `j` in `cols`, `c[r][j] += a[r·row + p·step] *
+    /// b_tile[p·n + j]` for ascending `p` (`layout` is `row`/`step`;
+    /// `b_tile` is the tile's rows of `B`). Strip-wise calls let the caller
+    /// keep a narrow `B` window cache-resident across the whole block
+    /// without changing any element's accumulation order. Rows are paired
+    /// from the block's first row, so callers must start blocks at the same
+    /// rows at every thread count (the matmul driver cuts them `MC`-aligned)
+    /// for each element to run through the same compiled kernel instance.
+    nn_strip: nn_strip_with(c_rows: &mut [f32], a: &[f32], layout: TileLayout, b_tile: &[f32], n: usize, cols: std::ops::Range<usize>);
 
     /// One output row of the `C = A·Bᵀ` kernel: `c_row[j] = dot(a_row,
     /// b[j·k..][..k])`, each dot one sequential ascending-`p` chain. Requires
     /// `k > 0` (the caller short-circuits empty dots).
     tb_row: tb_row_with(c_row: &mut [f32], a_row: &[f32], b: &[f32], k: usize);
+
+    /// Four output rows of the `C = A·Bᵀ` kernel at once (`c_rows` and
+    /// `a_rows` hold four rows each): every output is the same dot chain as
+    /// [`tb_row_with`]'s, and each transposed window of `B` feeds all four
+    /// rows. Callers must group rows the same way at every thread count
+    /// (the matmul driver groups within `MC`-aligned blocks). Its own table
+    /// row rather than one block kernel over both: inlined next to a
+    /// four-row loop, `tb_row` ran 30–38 % slower on batch-1 products.
+    /// Requires `k > 0`.
+    tb_row4: tb_row4_with(c_rows: &mut [f32], a_rows: &[f32], b: &[f32], k: usize);
 }
 
 #[cfg(test)]
@@ -1261,10 +1419,12 @@ mod tests {
     #[test]
     fn nn_tile_cols_bit_identical_across_levels_and_strip_widths() {
         for &(rows, n) in &[(1usize, 1usize), (3, 7), (4, 8), (5, 33), (7, 40), (2, 100), (6, 129)] {
+            // One output row over a tile of `rows` scalars.
+            let layout = TileLayout { row: rows, step: 1 };
             let a_tile = filled(rows, 53);
             let b_tile = filled(rows * n, 59);
             let mut want = filled(n, 61);
-            scalar::nn_tile_cols(&mut want, &a_tile, &b_tile, n, 0);
+            scalar::nn_strip(&mut want, &a_tile, layout, &b_tile, n, 0..n);
             for level in levels() {
                 // Whole row as one strip (strict: the exact production call
                 // shape), then split into strips of every width. Strip
@@ -1275,10 +1435,10 @@ mod tests {
                 // must still agree exactly.
                 for strip in [n, 1, 8, 13, 32] {
                     let mut got = filled(n, 61);
-                    for (chunk, jb) in got.chunks_mut(strip).zip((0..n).step_by(strip)) {
-                        nn_tile_cols_with(level, chunk, &a_tile, &b_tile, n, jb);
+                    for jb in (0..n).step_by(strip) {
+                        nn_strip_with(level, &mut got, &a_tile, layout, &b_tile, n, jb..(jb + strip).min(n));
                     }
-                    let what = format!("nn_tile_cols {level:?} {rows}x{n} strip {strip}");
+                    let what = format!("nn_strip {level:?} {rows}x{n} strip {strip}");
                     if strip == n {
                         assert_bits_eq(&got, &want, &what);
                     } else {
@@ -1292,24 +1452,48 @@ mod tests {
     #[test]
     fn nn_tile_cols2_matches_two_single_rows() {
         for &(n, col0, width) in &[(1usize, 0usize, 1usize), (8, 0, 8), (40, 0, 40), (40, 8, 24), (129, 96, 33), (100, 64, 36)] {
-            let rows = 5;
-            let a0 = filled(rows, 73);
-            let a1 = filled(rows, 79);
-            let b_tile = filled(rows * n, 83);
-            let mut want0 = filled(width, 87);
-            let mut want1 = filled(width, 91);
-            scalar::nn_tile_cols(&mut want0, &a0, &b_tile, n, col0);
-            scalar::nn_tile_cols(&mut want1, &a1, &b_tile, n, col0);
+            // A block of two output rows, each over a tile of five scalars.
+            let layout = TileLayout { row: 5, step: 1 };
+            let a = filled(2 * 5, 73);
+            let b_tile = filled(5 * n, 83);
+            let cols = col0..col0 + width;
+            let mut want = filled(2 * n, 87);
+            scalar::nn_strip(&mut want, &a, layout, &b_tile, n, cols.clone());
             for level in levels() {
-                let mut got0 = filled(width, 87);
-                let mut got1 = filled(width, 91);
-                nn_tile_cols2_with(level, (&mut got0, &mut got1), (&a0, &a1), &b_tile, n, col0);
-                let what = format!("nn_tile_cols2 {level:?} n={n} col0={col0} w={width}");
+                let mut got = filled(2 * n, 87);
+                nn_strip_with(level, &mut got, &a, layout, &b_tile, n, cols.clone());
                 // Values, signed zeros, and infinities must agree exactly;
-                // double-NaN payloads may differ between the paired and
-                // single-row kernel instances (module-doc carve-out).
-                assert_bits_eq_mod_nan(&got0, &want0, &format!("{what} row0"));
-                assert_bits_eq_mod_nan(&got1, &want1, &format!("{what} row1"));
+                // double-NaN payloads may differ between the paired vector
+                // kernel and the scalar rows (module-doc carve-out).
+                assert_bits_eq_mod_nan(&got, &want, &format!("nn_strip pair {level:?} n={n} cols {cols:?}"));
+            }
+        }
+    }
+
+    /// `Aᵀ·B` reads each row's tile down a column of the stored operand,
+    /// `step` apart with other columns' values (here NaN) in between: the
+    /// same block, stored either way, must give the same outputs — a pair
+    /// and an odd last row, at every level.
+    #[test]
+    fn nn_strip_reads_a_strided_tile_like_a_contiguous_one() {
+        for &(rows, len, n, step) in &[(1usize, 5usize, 9usize, 4usize), (2, 5, 33, 2), (3, 6, 40, 3), (3, 7, 129, 150)] {
+            let by_rows = filled(rows * len, 97);
+            // The transpose of `by_rows` inside a [len, step] matrix.
+            let mut by_columns = vec![f32::NAN; len * step];
+            for (r, row) in by_rows.chunks_exact(len).enumerate() {
+                for (p, &x) in row.iter().enumerate() {
+                    by_columns[p * step + r] = x;
+                }
+            }
+            let b_tile = filled(len * n, 103);
+            for level in levels() {
+                let mut want = filled(rows * n, 107);
+                let mut got = want.clone();
+                nn_strip_with(level, &mut want, &by_rows, TileLayout { row: len, step: 1 }, &b_tile, n, 0..n);
+                nn_strip_with(level, &mut got, &by_columns, TileLayout { row: 1, step }, &b_tile, n, 0..n);
+                // The unit step runs its own compiled instance: modulo NaN
+                // payload, like any two instances.
+                assert_bits_eq_mod_nan(&got, &want, &format!("nn_strip {level:?} {rows}x{len}x{n} step {step}"));
             }
         }
     }
@@ -1325,6 +1509,24 @@ mod tests {
                 let mut got = vec![0.0f32; cols];
                 tb_row_with(level, &mut got, &a_row, &b, k);
                 assert_bits_eq(&got, &want, &format!("tb_row {level:?} {cols}x{k}"));
+            }
+        }
+    }
+
+    #[test]
+    fn tb_row4_matches_four_single_rows() {
+        for &(cols, k) in &[(1usize, 1usize), (3, 5), (8, 8), (9, 16), (16, 33), (5, 100), (17, 7)] {
+            let a_rows = filled(4 * k, 131);
+            let b = filled(cols * k, 137);
+            let mut want = vec![0.0f32; 4 * cols];
+            for (c_row, a_row) in want.chunks_exact_mut(cols).zip(a_rows.chunks_exact(k)) {
+                scalar::tb_row(c_row, a_row, &b, k);
+            }
+            for level in levels() {
+                let mut got = vec![0.0f32; 4 * cols];
+                tb_row4_with(level, &mut got, &a_rows, &b, k);
+                // Another compiled instance than `tb_row`'s: modulo NaN payload.
+                assert_bits_eq_mod_nan(&got, &want, &format!("tb_row4 {level:?} {cols}x{k}"));
             }
         }
     }

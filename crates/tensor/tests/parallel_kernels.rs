@@ -47,10 +47,16 @@ fn gate() -> std::sync::MutexGuard<'static, ()> {
 /// (m, k, n) shapes: degenerate, small, awkward odd sizes, sizes big enough
 /// to trigger parallel dispatch (m·k·n above the internal threshold), and the
 /// paper CNN's training shapes in every orientation `BENCHMARK.json` meters
-/// (`tensor.matmul{,_ta,_tb}_gflops.*`), whose widths hit every split of the
-/// vector kernels at both lane widths: 784 = 24·32 + 2·8, 196 = 6·32 + 4,
-/// 588 = 18·32 + 8 + 4, 150 = 4·32 + 2·8 + 6.
-const SHAPES: [(usize, usize, usize); 18] = [
+/// (`tensor.matmul{,_ta,_tb}_gflops.*`) plus conv1's backward pair
+/// (`(6, 784, 25)` is its `A·Bᵀ` with n = 25, `(25, 6, 784)` its `Aᵀ·B`),
+/// whose widths hit every split of the vector kernels at both lane widths:
+/// 784 = 24·32 + 2·8, 196 = 6·32 + 4, 588 = 18·32 + 8 + 4,
+/// 150 = 4·32 + 2·8 + 6, 25 = 3·8 + 1. Odd m leaves the paired-row `A·B` /
+/// `Aᵀ·B` kernel a single last row, and m mod 4 ≠ 0 the four-row `A·Bᵀ`
+/// kernel single rows; `(7, 3, 33)` does both with k < 4·N, and
+/// `(150, 12, 196)` leaves the four-row kernel two single rows in the last
+/// of three `MC` blocks — at every thread count.
+const SHAPES: [(usize, usize, usize); 21] = [
     (0, 3, 2),
     (3, 0, 2),
     (3, 4, 0),
@@ -69,6 +75,9 @@ const SHAPES: [(usize, usize, usize); 18] = [
     (12, 196, 150),
     (16, 588, 64),
     (1, 128, 64),
+    (6, 784, 25),
+    (25, 6, 784),
+    (7, 3, 33),
 ];
 
 struct XorShift(u64);

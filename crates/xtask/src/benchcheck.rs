@@ -10,10 +10,11 @@
 //! reference kernel is untouched by optimization work, so the ratio isolates
 //! "how much faster than naive is this configuration on this machine" — a
 //! quantity that transfers between the laptop that produced the baseline and
-//! the CI runner that checks it. Sizes present in only one file are skipped
-//! (a quick-scale baseline deliberately includes the smoke sizes so a
-//! smoke-scale CI run still has points to compare), but sharing **no** size
-//! is an error.
+//! the CI runner that checks it. A block is keyed by its kernel (`nn`, `ta`,
+//! `tb`; a block without one is `nn`) and its `(m, k, n)`. Blocks present in
+//! only one file are skipped (a quick-scale baseline deliberately includes
+//! the smoke sizes so a smoke-scale CI run still has points to compare), but
+//! sharing **no** block is an error.
 //!
 //! Like the lint ratchet, the gate only tightens: a run that fails here
 //! either gets fixed or the baseline is consciously regenerated with
@@ -245,6 +246,8 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 /// per row label (`serial_reference` excluded — it is the denominator).
 #[derive(Debug, PartialEq)]
 pub struct SizeRatios {
+    /// Which matmul the block times (`nn`, `ta` or `tb`).
+    pub kernel: String,
     /// `(m, k, n)` of the block.
     pub dims: (u64, u64, u64),
     /// Row label → (`gflops(label) / gflops(serial_reference)` from the same
@@ -290,6 +293,7 @@ pub fn distill(doc: &Json) -> Result<BenchReport, String> {
                 .ok_or_else(|| format!("size block missing `{key}`"))
         };
         let dims = (dim("m")?, dim("k")?, dim("n")?);
+        let kernel = block.get("kernel").and_then(Json::as_str).unwrap_or("nn").to_string();
         let rows = block.get("rows").and_then(Json::as_arr).ok_or("size block missing `rows`")?;
         let mut gflops = BTreeMap::new();
         for row in rows {
@@ -312,7 +316,7 @@ pub fn distill(doc: &Json) -> Result<BenchReport, String> {
             .filter(|(label, _)| label != "serial_reference")
             .map(|(label, (g, simd))| (label, (g / serial, simd)))
             .collect();
-        sizes.push(SizeRatios { dims, ratios });
+        sizes.push(SizeRatios { kernel, dims, ratios });
     }
     Ok(BenchReport { all_bit_identical, simd_level, sizes })
 }
@@ -352,7 +356,11 @@ pub fn check(
     let mut compared = 0usize;
     let mut skipped_simd_mismatch = 0usize;
     for cur_size in &current.sizes {
-        let Some(base_size) = baseline.sizes.iter().find(|s| s.dims == cur_size.dims) else {
+        let Some(base_size) = baseline
+            .sizes
+            .iter()
+            .find(|s| s.kernel == cur_size.kernel && s.dims == cur_size.dims)
+        else {
             continue;
         };
         for (label, (cur_ratio, cur_simd)) in &cur_size.ratios {
@@ -367,16 +375,16 @@ pub fn check(
             compared += 1;
             let floor = base_ratio * (1.0 - tolerance);
             let ok = cur_ratio >= floor;
-            let (m, k, n) = cur_size.dims;
+            let (kernel, (m, k, n)) = (&cur_size.kernel, cur_size.dims);
             let _ = writeln!(
                 report,
-                "  {m}x{k}x{n} {label:<18} ratio {cur_ratio:>6.3} vs baseline {base_ratio:>6.3} \
+                "  {kernel} {m}x{k}x{n} {label:<18} ratio {cur_ratio:>6.3} vs baseline {base_ratio:>6.3} \
                  (floor {floor:>6.3}) {}",
                 if ok { "ok" } else { "REGRESSED" }
             );
             if !ok {
                 regressions.push(format!(
-                    "{m}x{k}x{n} {label}: normalized ratio {cur_ratio:.3} fell below \
+                    "{kernel} {m}x{k}x{n} {label}: normalized ratio {cur_ratio:.3} fell below \
                      {floor:.3} (baseline {base_ratio:.3}, tolerance {:.0}%)",
                     tolerance * 100.0
                 ));
@@ -489,5 +497,24 @@ mod tests {
         let other = mini_doc(10.0, 12.0, 25.0).replace("\"m\":32,\"k\":32,\"n\":32", "\"m\":64,\"k\":64,\"n\":64");
         let cur = distill(&parse_json(&other).expect("p")).expect("d");
         assert!(check(&base, &cur, DEFAULT_TOLERANCE).is_err());
+    }
+
+    #[test]
+    fn blocks_compare_only_within_their_kernel() {
+        // A block without a `kernel` key is `nn`, so old baselines still gate.
+        let base = distill(&parse_json(&mini_doc(10.0, 12.0, 25.0)).expect("p")).expect("d");
+        assert_eq!(base.sizes[0].kernel, "nn");
+        let ta = |simd: f64| {
+            mini_doc(10.0, 12.0, simd).replace("{\"m\":32", "{\"kernel\":\"ta\",\"m\":32")
+        };
+        // An `Aᵀ·B` block at the same dims, however slow, is not an `A·B` one.
+        let cur = distill(&parse_json(&ta(1.0)).expect("p")).expect("d");
+        assert_eq!(cur.sizes[0].kernel, "ta");
+        assert!(check(&base, &cur, DEFAULT_TOLERANCE).is_err(), "no comparable pair");
+        // Against its own kind it gates like any other block.
+        let base = distill(&parse_json(&ta(25.0)).expect("p")).expect("d");
+        let out = check(&base, &cur, DEFAULT_TOLERANCE).expect("check");
+        assert_eq!(out.regressions.len(), 1);
+        assert!(out.regressions[0].starts_with("ta 32x32x32 simd_serial"), "{}", out.regressions[0]);
     }
 }
