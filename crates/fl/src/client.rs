@@ -49,6 +49,7 @@ fn clip_gradients(model: &mut fedsu_nn::Sequential, max_norm: f32) {
     model.visit_params(&mut |p| {
         sq += p.grad.data().iter().map(|g| f64::from(*g) * f64::from(*g)).sum::<f64>();
     });
+    #[allow(clippy::cast_possible_truncation, reason = "an f64 sum of squares, used in f32")]
     let norm = sq.sqrt() as f32;
     if norm > max_norm && norm > 0.0 {
         let scale = max_norm / norm;
@@ -136,7 +137,9 @@ impl Client {
             self.optimizer.step(&mut self.model)?;
             total_loss += f64::from(loss);
         }
-        Ok((total_loss / self.config.local_iters as f64) as f32)
+        #[allow(clippy::cast_possible_truncation, reason = "an f64 mean, reported in f32")]
+        let mean = (total_loss / self.config.local_iters as f64) as f32;
+        Ok(mean)
     }
 
     /// Flattened local parameters (the "push" payload before sparsification).

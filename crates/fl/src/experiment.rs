@@ -431,8 +431,8 @@ impl Experiment {
         }
 
         if alloc_trace {
-            // Stderr report consumed by CI as the alloc-stats artifact; the
-            // deltas themselves stay readable via `alloc_stats::rounds()`.
+            // Stderr report for a reader; the deltas themselves stay
+            // readable via `alloc_stats::rounds()`.
             for r in fedsu_tensor::alloc_stats::rounds() {
                 eprintln!("ALLOC_STATS round={} allocs={} bytes={}", r.round, r.allocs, r.bytes);
             }
@@ -790,7 +790,9 @@ fn validate_uploads_into(
             sq += d * d;
         }
         if finite {
-            *norm = sq.sqrt() as f32;
+            #[allow(clippy::cast_possible_truncation, reason = "an f64 norm, compared in f32")]
+            let rounded = sq.sqrt() as f32;
+            *norm = rounded;
             finite_norms.push(*norm);
         } else {
             *v = false;

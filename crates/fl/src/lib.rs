@@ -19,6 +19,10 @@
 //! physically distributed — which is what the paper measures.
 
 #![warn(missing_docs)]
+// Wire bytes and emulated time must never wrap or truncate silently: an
+// integer narrowing goes through `try_from`, a float rounding carries an
+// `allow` that says why it is meant.
+#![deny(clippy::cast_possible_truncation)]
 
 pub mod client;
 /// Error types.

@@ -34,7 +34,7 @@ impl LrSchedule {
             LrSchedule::InvSqrt => base / ((round + 1) as f32).sqrt(),
             LrSchedule::Step { every, gamma } => {
                 assert!(every > 0, "step schedule needs a positive period");
-                base * gamma.powi((round / every) as i32)
+                base * gamma.powi(i32::try_from(round / every).unwrap_or(i32::MAX))
             }
         }
     }

@@ -75,7 +75,9 @@ impl Server {
             loss_weighted += f64::from(loss) * w;
             start = end;
         }
-        Ok(((correct_weighted / n as f64) as f32, (loss_weighted / n as f64) as f32))
+        #[allow(clippy::cast_possible_truncation, reason = "f64 weighted means, reported in f32")]
+        let means = ((correct_weighted / n as f64) as f32, (loss_weighted / n as f64) as f32);
+        Ok(means)
     }
 }
 

@@ -107,14 +107,17 @@ pub trait SyncStrategy: Send {
 }
 
 /// Averages the selected clients' values for every scalar into `global`
-/// (plain FedAvg aggregation — shared by several strategies).
+/// (plain FedAvg aggregation — shared by several strategies). An empty
+/// `selected` holds `global`, as the [`SyncStrategy::aggregate`] contract
+/// says.
 ///
 /// # Panics
 ///
-/// Panics if `selected` is empty or any local vector length differs from
-/// `global`.
+/// Panics if any selected local vector's length differs from `global`.
 pub fn average_into(locals: &[Vec<f32>], selected: &[usize], global: &mut [f32]) {
-    assert!(!selected.is_empty(), "cannot aggregate zero clients");
+    if selected.is_empty() {
+        return;
+    }
     let inv = 1.0 / selected.len() as f32;
     for g in global.iter_mut() {
         *g = 0.0;
@@ -141,10 +144,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "zero clients")]
-    fn empty_selection_panics() {
-        let mut g = vec![0.0];
-        average_into(&[vec![1.0]], &[], &mut g);
+    fn empty_selection_holds_the_global() {
+        let before = [1.5f32, -0.0, f32::MIN_POSITIVE];
+        let mut g = before.to_vec();
+        average_into(&[vec![9.0, 9.0, 9.0]], &[], &mut g);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&g), bits(&before));
     }
 
     #[test]

@@ -227,7 +227,7 @@ impl FaultPlan {
             h = mix(h ^ client as u64);
             h = mix(h ^ round as u64);
             h = mix(h ^ m as u64);
-            let idx = (h % n as u64) as usize;
+            let idx = usize::try_from(h % n as u64).unwrap_or(usize::MAX);
             if let Some(v) = values.get_mut(idx) {
                 if m % 2 == 0 {
                     *v = f32::NAN;
@@ -359,7 +359,7 @@ impl FaultPlan {
             h = mix(h ^ frame.seq);
             h = mix(h ^ frame.attempt);
             h = mix(h ^ m as u64);
-            let idx = (h % n as u64) as usize;
+            let idx = usize::try_from(h % n as u64).unwrap_or(usize::MAX);
             let bit = ((h >> 17) % 8) as u8;
             if let Some(b) = bytes.get_mut(idx) {
                 *b ^= 1 << bit;

@@ -33,6 +33,13 @@ pub struct RoundTimer {
     select_fraction: f64,
 }
 
+/// The earliest-K count for `n` candidates: `n × fraction`, rounded, at
+/// least one and at most `n`.
+#[allow(clippy::cast_possible_truncation, reason = "rounds a fraction of a client count")]
+fn select_k(n: usize, fraction: f64) -> usize {
+    ((n as f64 * fraction).round() as usize).clamp(1, n)
+}
+
 impl RoundTimer {
     /// Creates a timer selecting the earliest `select_fraction` of clients
     /// each round.
@@ -50,8 +57,7 @@ impl RoundTimer {
 
     /// Number of clients aggregated per round.
     pub fn selected_count(&self) -> usize {
-        ((self.cluster.n_clients() as f64 * self.select_fraction).round() as usize)
-            .clamp(1, self.cluster.n_clients())
+        select_k(self.cluster.n_clients(), self.select_fraction)
     }
 
     /// Computes one round's timing at the given round index (which selects
@@ -109,7 +115,7 @@ impl RoundTimer {
 
         let n_active = active.iter().filter(|&&a| a).count();
         assert!(n_active > 0, "at least one client must be active");
-        let k = ((n_active as f64 * self.select_fraction).round() as usize).clamp(1, n_active);
+        let k = select_k(n_active, self.select_fraction);
         let mut order: Vec<usize> =
             active.iter().enumerate().filter_map(|(i, &a)| a.then_some(i)).collect();
         // Inactive clients never enter `order`, so every lookup below is in

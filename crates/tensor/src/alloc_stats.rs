@@ -1,15 +1,16 @@
 //! Opt-in allocation accounting for the steady-state round loop.
 //!
-//! ROADMAP item 4 wants the round loop allocation-free; the `fedsu-xtask`
-//! `hot-alloc` lint maps the allocations statically, and this module is the
-//! runtime cross-check that the static map corresponds to real allocator
-//! traffic. It has two independent switches:
+//! What a round allocates is measured here, not guessed from source: the
+//! root crate's `tests/alloc_budget.rs` pins the exact per-round counts.
+//! There are two independent switches:
 //!
 //! * the **`alloc-stats` cargo feature** compiles in a counting
 //!   [`#[global_allocator]`](std::alloc::GlobalAlloc) that forwards to
 //!   [`System`](std::alloc::System) and bumps two relaxed atomics per
-//!   allocation. Off by default; without it every counter stays at zero and
-//!   [`counting_compiled`] reports `false` so tests can skip themselves.
+//!   allocation. Off by default, so release binaries keep the plain system
+//!   allocator; the root crate's dev-dependency turns it on for every test
+//!   target, and roundbench's manifest turns it on too. Without it every
+//!   counter stays at zero and [`counting_compiled`] reports `false`.
 //! * the **`FEDSU_ALLOC_STATS` environment variable** (or [`set_enabled`])
 //!   arms per-round *reporting*: the `fedsu-fl` experiment loop marks a round
 //!   boundary after each `RoundRecord` and the deltas land in a process-global

@@ -1,8 +1,8 @@
 //! Size-classed, sharded buffer pool backing the steady round loop.
 //!
 //! The FedSU round loop used to re-allocate its tensors, masks, and
-//! staging buffers every round (see the `hot-alloc` entries of
-//! `crates/xtask/lint-baseline.toml`).
+//! staging buffers every round; `tests/alloc_budget.rs` now pins what a
+//! steady round allocates, exactly.
 //! This module is the fix: a process-wide [`BufferPool`] of reusable
 //! `f32`/`usize` buffers, organised as power-of-two size classes
 //! inside independently locked shards. Hot paths check a buffer out,

@@ -327,7 +327,7 @@ mod tests {
                 std::thread::spawn(move || {
                     c.send(&Message::Update {
                         round: 0,
-                        client: c.id() as u32,
+                        client: u32::try_from(c.id()).unwrap(),
                         values: SparseValues::dense(vec![c.id() as f32]),
                     })
                     .unwrap();

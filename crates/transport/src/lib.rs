@@ -39,6 +39,10 @@
 //! ```
 
 #![warn(missing_docs)]
+// Wire bytes and emulated time must never wrap or truncate silently: an
+// integer narrowing goes through `try_from`, a float rounding carries an
+// `allow` that says why it is meant.
+#![deny(clippy::cast_possible_truncation)]
 
 mod bus;
 mod chaos;

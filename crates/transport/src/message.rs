@@ -27,6 +27,13 @@ pub struct SparseValues {
     pub values: Vec<f32>,
 }
 
+/// Writes a `u32` length or count prefix, the write side of `take_len`. A
+/// length past `u32::MAX` saturates instead of wrapping, so the frame fails
+/// to decode rather than decoding wrong.
+fn put_len(buf: &mut Vec<u8>, len: usize) {
+    buf.extend_from_slice(&u32::try_from(len).unwrap_or(u32::MAX).to_le_bytes());
+}
+
 impl SparseValues {
     /// Values for every scalar (a dense update).
     pub fn dense(values: Vec<f32>) -> Self {
@@ -58,13 +65,13 @@ impl SparseValues {
             None => buf.push(0),
             Some(idx) => {
                 buf.push(1);
-                buf.extend_from_slice(&(idx.len() as u32).to_le_bytes());
+                put_len(buf, idx.len());
                 for &i in idx {
                     buf.extend_from_slice(&i.to_le_bytes());
                 }
             }
         }
-        buf.extend_from_slice(&(self.values.len() as u32).to_le_bytes());
+        put_len(buf, self.values.len());
         for &v in &self.values {
             buf.extend_from_slice(&v.to_le_bytes());
         }
@@ -147,11 +154,11 @@ impl QuantizedValues {
     fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&self.levels.to_le_bytes());
         buf.extend_from_slice(&self.chunk_len.to_le_bytes());
-        buf.extend_from_slice(&(self.scales.len() as u32).to_le_bytes());
+        put_len(buf, self.scales.len());
         for &s in &self.scales {
             buf.extend_from_slice(&s.to_le_bytes());
         }
-        buf.extend_from_slice(&(self.codes.len() as u32).to_le_bytes());
+        put_len(buf, self.codes.len());
         buf.extend_from_slice(&self.codes);
     }
 
@@ -287,7 +294,7 @@ impl Message {
                 values.encode_into(buf);
             }
             Message::JoinState { payload } => {
-                buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                put_len(buf, payload.len());
                 buf.extend_from_slice(payload);
             }
             Message::Shutdown => {}

@@ -353,18 +353,20 @@ mod tests {
         let old = parse(&render(&[
             diag("panic-path", "a.rs", 1, "t[i]"),
             diag("panic-path", "a.rs", 2, "t[j]"),
-            diag("hot-alloc", "a.rs", 3, "vec![0; n]"),
+            diag("unchecked-arith", "a.rs", 3, "n_bytes += k;"),
         ]))
         .expect("parses");
         // Shrink: one panic-path site fixed, nothing grew.
-        let shrunk =
-            [diag("panic-path", "a.rs", 1, "t[i]"), diag("hot-alloc", "a.rs", 3, "vec![0; n]")];
+        let shrunk = [
+            diag("panic-path", "a.rs", 1, "t[i]"),
+            diag("unchecked-arith", "a.rs", 3, "n_bytes += k;"),
+        ];
         assert!(grown_rules(&old, &shrunk).is_empty());
         // Swap within a rule: sites moved or were traded, counts equal.
         let swapped = [
             diag("panic-path", "b.rs", 9, "u[k]"),
             diag("panic-path", "a.rs", 5, "t[i]"),
-            diag("hot-alloc", "c.rs", 1, "x.to_vec()"),
+            diag("unchecked-arith", "c.rs", 1, "m_bytes += k;"),
         ];
         assert!(grown_rules(&old, &swapped).is_empty());
         // Grow: a third panic-path site, and a rule that had no entries. A

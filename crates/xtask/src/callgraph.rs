@@ -34,33 +34,12 @@ const DISPATCH_TARGETS: [(&str, &str); 1] = [("run_chunks", "tensor/src/par.rs")
 
 /// Reachability result: for each file (by workspace-relative path), which
 /// function indices (into `ParsedFile::fns`) are on a hot path / worker
-/// path / steady-state path, plus the names of functions that can reach
-/// pool dispatch.
+/// path, plus the names of functions that can reach pool dispatch.
 #[derive(Debug, Default)]
 pub struct CallGraph {
     hot: BTreeMap<String, BTreeSet<usize>>,
     workers: BTreeMap<String, BTreeSet<usize>>,
-    steady: BTreeMap<String, BTreeSet<usize>>,
     dispatch_names: BTreeSet<String>,
-}
-
-/// `true` when a function name marks a one-time construction/setup path the
-/// steady-state closure must not descend into: the allocation-flow rules
-/// audit the per-round loop, and allocations behind `new`/`default`/
-/// `from_*`/`with_*`/`build*`/`init*`/`setup*`/`load_*` run once per
-/// experiment, not once per round. Name-based like the rest of the graph —
-/// a hot helper hiding behind a setup-ish name is a documented imprecision.
-pub(crate) fn is_setup_name(name: &str) -> bool {
-    name == "new"
-        || name == "default"
-        || name == "build"
-        || name.starts_with("from_")
-        || name.starts_with("with_")
-        || name.starts_with("build_")
-        || name.starts_with("init")
-        || name.starts_with("setup")
-        || name.starts_with("load_")
-        || name.starts_with("new_")
 }
 
 impl CallGraph {
@@ -91,12 +70,8 @@ impl CallGraph {
             }
         }
 
-        let hot = forward_closure(files, &edges, &ROOTS, None);
-        let workers = forward_closure(files, &edges, &WORKER_ROOTS, None);
-        // The steady-state closure walks the same roots but refuses to enter
-        // setup-named callees, so one-time construction paths stay out of
-        // the allocation audit.
-        let steady = forward_closure(files, &edges, &ROOTS, Some(&is_setup_name));
+        let hot = forward_closure(files, &edges, &ROOTS);
+        let workers = forward_closure(files, &edges, &WORKER_ROOTS);
 
         // Reverse reachability: which functions can reach a dispatch target?
         let mut reverse: BTreeMap<(usize, usize), Vec<(usize, usize)>> = BTreeMap::new();
@@ -131,7 +106,7 @@ impl CallGraph {
             .map(|&(fi, ni)| files[fi].1.fns[ni].name.clone())
             .collect();
 
-        CallGraph { hot, workers, steady, dispatch_names }
+        CallGraph { hot, workers, dispatch_names }
     }
 
     /// `true` when function `fn_idx` of file `rel` is on a hot path.
@@ -143,14 +118,6 @@ impl CallGraph {
     /// thread.
     pub fn is_worker(&self, rel: &str, fn_idx: usize) -> bool {
         self.workers.get(rel).is_some_and(|s| s.contains(&fn_idx))
-    }
-
-    /// `true` when function `fn_idx` of file `rel` is on a *steady-state*
-    /// hot path: reachable from the round-loop roots without passing through
-    /// a setup-named callee. The allocation-flow rules audit exactly this
-    /// set — construction-time allocations are one-time and exempt.
-    pub fn is_steady_hot(&self, rel: &str, fn_idx: usize) -> bool {
-        self.steady.get(rel).is_some_and(|s| s.contains(&fn_idx))
     }
 
     /// `true` when a call to `name` may transitively enter the worker-pool
@@ -167,14 +134,11 @@ impl CallGraph {
 }
 
 /// BFS over `edges` from every non-test function matching a `(name, path
-/// suffix)` root, grouped by file path. When `skip` is given, targets whose
-/// function name it matches are neither marked nor descended into (the
-/// steady-state closure's setup-path exclusion); roots are always kept.
+/// suffix)` root, grouped by file path.
 fn forward_closure(
     files: &[(String, &ParsedFile)],
     edges: &BTreeMap<(usize, usize), Vec<(usize, usize)>>,
     roots: &[(&str, &str)],
-    skip: Option<&dyn Fn(&str) -> bool>,
 ) -> BTreeMap<String, BTreeSet<usize>> {
     let mut queue: Vec<(usize, usize)> = Vec::new();
     let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
@@ -190,14 +154,6 @@ fn forward_closure(
     while let Some(node) = queue.pop() {
         if let Some(targets) = edges.get(&node) {
             for &t in targets {
-                if skip.is_some_and(|f| {
-                    files
-                        .get(t.0)
-                        .and_then(|(_, pf)| pf.fns.get(t.1))
-                        .is_some_and(|callee| f(&callee.name))
-                }) {
-                    continue;
-                }
                 if seen.insert(t) {
                     queue.push(t);
                 }
@@ -322,22 +278,6 @@ mod tests {
         assert!(g.reaches_dispatch("run_chunks"), "the target itself");
         assert!(g.reaches_dispatch("matmul_par"), "direct caller");
         assert!(!g.reaches_dispatch("serial"));
-    }
-
-    #[test]
-    fn steady_closure_excludes_setup_callees() {
-        let (parsed, g) = graph(&[(
-            "crates/fl/src/experiment.rs",
-            "pub fn run() { step(); build_model(); }\nfn step() { helper(); }\nfn helper() {}\nfn build_model() { deep() }\nfn deep() {}",
-        )]);
-        let rel = &parsed[0].0;
-        assert!(g.is_steady_hot(rel, 0), "root stays steady");
-        assert!(g.is_steady_hot(rel, 1));
-        assert!(g.is_steady_hot(rel, 2), "plain helpers stay steady");
-        assert!(!g.is_steady_hot(rel, 3), "setup-named callee is excluded");
-        assert!(!g.is_steady_hot(rel, 4), "nothing behind a setup callee is steady");
-        assert!(g.is_hot(rel, 3), "the plain hot closure still covers it");
-        assert!(g.is_hot(rel, 4));
     }
 
     #[test]

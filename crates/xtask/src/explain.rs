@@ -11,13 +11,6 @@ use crate::rules::RULE_IDS;
 /// Full explanation for one rule id, or `None` for an unknown id.
 pub fn explain(rule: &str) -> Option<String> {
     let (rationale, example) = match rule {
-        "truncating-cast" => (
-            "`as <int>` silently truncates and wraps. On byte/time-accounting \
-             statements (identifiers mentioning bytes, secs, latency, …) a unit \
-             bug becomes a wrong paper figure instead of a loud error. Use \
-             `u64::from`/`try_from` or widen the accumulator.",
-            "let total_bytes = (scalars * 4) as u32;   // flagged",
-        ),
         "panic-path" => (
             "Functions transitively reachable (name-based call graph) from the \
              experiment round loop or the reliable-session entry points must not \
@@ -56,36 +49,6 @@ pub fn explain(rule: &str) -> Option<String> {
              an unbounded loop/while with no drain on the same path (no recv, no \
              call to a receiving function) grows the queue without bound.",
             "loop { tx.send(job); }   // flagged: unbounded send loop with no drain",
-        ),
-        "hot-alloc" => (
-            "Allocation expressions (Vec::new, vec![…], with_capacity, \
-             .to_vec()/.collect(), format!, Box::new, .clone() of a buffer) in \
-             functions steady-state reachable from the round-loop roots. The \
-             call-graph closure refuses to descend into setup-named callees \
-             (new/from_*/build_*/…) so one-time construction is out of scope; \
-             what remains runs every round, where per-round allocator traffic \
-             is the communication-efficiency tax the paper's timing model \
-             ignores. Hoist the buffer out of the loop or reuse a scratch \
-             allocation (the *_into APIs exist for this).",
-            "let snap = self.server.global().to_vec();   // flagged inside run()",
-        ),
-        "loop-realloc" => (
-            "push/extend (and insert on a Vec) inside a loop on a collection \
-             with no visible capacity reservation earlier in the function. \
-             Every growth past capacity reallocates and copies the whole \
-             backing buffer — O(n) work and allocator churn the loop body never \
-             mentions. Reserve with with_capacity/reserve (or a sized \
-             vec![elem; n]) before the loop.",
-            "for c in clients { out.push(c.delta()); }   // flagged without a reserve",
-        ),
-        "redundant-clone" => (
-            ".clone()/.to_vec() of a local binding that is never read again in \
-             the function: the copy exists only to satisfy the borrow checker \
-             and the original could have been moved. The liveness scan is \
-             token-level (a binding reused only across loop iterations is \
-             exempt); field projections are never flagged because the owner \
-             may still need the rest of the struct.",
-            "consume(name.clone());   // flagged when `name` is dead afterwards",
         ),
         _ => return None,
     };

@@ -1,7 +1,7 @@
 //! Per-file symbol table: `use`-alias resolution and coarse local type hints.
 //!
-//! The rules must see through renaming imports (`use std::collections::VecDeque
-//! as Queue` is still a heap buffer) and need a rough idea of a local's type (a
+//! The rules must see through renaming imports (`use std::sync::RwLock as
+//! Shared` is still a lock) and need a rough idea of a local's type (a
 //! `sim_time` that is `f64` is accumulated with float arithmetic on purpose;
 //! a `total_bytes: u64` is not). Neither requires real type inference: alias
 //! tails and `let`-binding annotations cover the patterns the workspace uses.
@@ -18,10 +18,6 @@ pub enum TypeHint {
     /// A `Mutex`/`RwLock`: `.lock()`/`.read()`/`.write()` on it produces a
     /// guard the lock-order rule must track.
     Lock,
-    /// A growable heap buffer (`Vec`/`VecDeque`/`String`/`Box`/`Tensor`):
-    /// cloning or growing one on a hot path is what the allocation-flow
-    /// rules audit.
-    Buffer,
     /// Anything else (including unknown).
     Other,
 }
@@ -42,18 +38,12 @@ pub struct SymbolTable {
 /// Lock types whose acquisition methods return scope-bound guards.
 const LOCK_TYPES: [&str; 2] = ["Mutex", "RwLock"];
 
-/// Heap-buffer types for the allocation-flow rules. `Tensor` is the
-/// workspace's owned f32 array — cloning one is a full-model copy.
-pub(crate) const BUFFER_TYPES: [&str; 5] = ["Vec", "VecDeque", "String", "Box", "Tensor"];
-
 /// Classifies a resolved (post-alias) type name.
 fn classify_type_name(name: &str) -> TypeHint {
     if name == "f32" || name == "f64" {
         TypeHint::Float
     } else if LOCK_TYPES.contains(&name) {
         TypeHint::Lock
-    } else if BUFFER_TYPES.contains(&name) {
-        TypeHint::Buffer
     } else {
         TypeHint::Other
     }
@@ -75,8 +65,8 @@ impl SymbolTable {
     }
 
     /// Resolves a name through at most one alias hop to the original type
-    /// name it imports (`Queue` → `VecDeque`); unknown names map to themselves.
-    pub fn canonical<'a>(&'a self, name: &'a str) -> &'a str {
+    /// name it imports (`Shared` → `RwLock`); unknown names map to themselves.
+    fn canonical<'a>(&'a self, name: &'a str) -> &'a str {
         self.aliases.get(name).map_or(name, String::as_str)
     }
 
@@ -157,9 +147,8 @@ impl SymbolTable {
 }
 
 /// Classifies an initializer expression starting at token `at`: a float
-/// literal (or one wrapped in a unary minus/paren) hints Float; calling
-/// `Vec::new`/`Mutex::new`-style constructors hints the corresponding hazard
-/// class.
+/// literal (or one wrapped in a unary minus/paren) hints Float; calling a
+/// `Mutex::new`-style constructor hints Lock.
 fn hint_from_init(toks: &[crate::lexer::Token], mut at: usize, table: &SymbolTable) -> TypeHint {
     while at < toks.len() && (toks[at].is_punct("-") || toks[at].is_punct("(")) {
         at += 1;
@@ -167,10 +156,6 @@ fn hint_from_init(toks: &[crate::lexer::Token], mut at: usize, table: &SymbolTab
     let Some(t) = toks.get(at) else { return TypeHint::Other };
     match t.kind {
         TokenKind::Float => TypeHint::Float,
-        // `vec![…]` constructs a heap buffer regardless of element type.
-        TokenKind::Ident if t.is_ident("vec") && toks.get(at + 1).is_some_and(|n| n.is_punct("!")) => {
-            TypeHint::Buffer
-        }
         TokenKind::Ident => {
             let name = table.canonical(&t.text);
             let ctor = toks.get(at + 1).is_some_and(|n| n.is_punct("::"));
@@ -195,10 +180,13 @@ mod tests {
 
     #[test]
     fn alias_resolves_to_original_tail() {
-        let t = table("use std::collections::VecDeque as Queue;\nfn f() { let q: Queue<u32> = Queue::new(); }");
-        assert_eq!(t.canonical("Queue"), "VecDeque");
+        let t = table(
+            "use std::sync::RwLock as Shared;\nfn f() { let a: Shared<u32> = x; let b = Shared::new(0); }",
+        );
+        assert_eq!(t.canonical("Shared"), "RwLock");
         assert_eq!(t.canonical("Vec"), "Vec");
-        assert_eq!(t.hint("q"), Some(TypeHint::Buffer));
+        assert_eq!(t.hint("a"), Some(TypeHint::Lock));
+        assert_eq!(t.hint("b"), Some(TypeHint::Lock));
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //! reproducibility or safety hazards with `file:line` positions.
 //!
 //! All rules skip test code (`#[cfg(test)]` items, `#[test]` functions)
-//! because the hazards they guard against — silently-truncating or wrapping
-//! arithmetic, panics and allocations on the round loop, lock and channel
-//! misuse — only threaten the *emulation and its results*, not assertions
-//! inside tests. (Hash collections, wall-clock reads and `unwrap` are
-//! clippy's: `clippy.toml` and `[workspace.lints]`.)
+//! because the hazards they guard against — wrapping arithmetic, panics on
+//! the round loop, lock and channel misuse — only threaten the *emulation
+//! and its results*, not assertions inside tests. (Hash collections,
+//! wall-clock reads, `unwrap` and truncating casts are clippy's:
+//! `clippy.toml`, `[workspace.lints]` and the crate-level
+//! `cast_possible_truncation` denials; allocations are measured by
+//! `tests/alloc_budget.rs`.)
 //!
-//! Rules operate on tokens, never on raw text: a `Vec` inside a string
+//! Rules operate on tokens, never on raw text: a `lock()` inside a string
 //! literal or comment does not exist at this layer, and `use … as` aliases
 //! are resolved through the per-file [`crate::resolve::SymbolTable`].
 
@@ -53,20 +55,8 @@ impl Diagnostic {
 }
 
 /// Stable identifiers of every rule, in reporting order.
-pub const RULE_IDS: [&str; 8] = [
-    "truncating-cast",
-    "panic-path",
-    "unchecked-arith",
-    "lock-order",
-    "channel-discipline",
-    "hot-alloc",
-    "loop-realloc",
-    "redundant-clone",
-];
-
-/// The allocation-flow rule families (see [`crate::allocflow`]): examples
-/// are exempt from them, a demo's allocations are not round-loop traffic.
-pub const ALLOC_RULES: [&str; 3] = ["hot-alloc", "loop-realloc", "redundant-clone"];
+pub const RULE_IDS: [&str; 4] =
+    ["panic-path", "unchecked-arith", "lock-order", "channel-discipline"];
 
 /// Runs every rule over one prepared source file. `graph` supplies hot-path
 /// and worker reachability; `flow` supplies the cross-file lock-acquisition
@@ -79,25 +69,13 @@ pub fn check_all(
     flow: &WorkspaceFlow,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    out.extend(check_truncating_cast(path, src));
     out.extend(check_panic_path(path, src, graph));
     out.extend(check_unchecked_arith(path, src));
     out.extend(check_lock_order(path, src, graph, flow));
     out.extend(check_channel_discipline(path, src, graph, flow));
-    out.extend(crate::allocflow::check_hot_alloc(path, src, graph));
-    out.extend(crate::allocflow::check_loop_realloc(path, src));
-    out.extend(crate::allocflow::check_redundant_clone(path, src));
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
 }
-
-/// Identifier fragments that mark a statement as byte/time-accounting code.
-const ACCOUNTING_MARKERS: [&str; 8] =
-    ["byte", "secs", "duration", "latency", "millis", "deadline", "elapsed", "bandwidth"];
-
-/// Integer cast targets that can truncate.
-const INT_TARGETS: [&str; 10] =
-    ["u8", "u16", "u32", "u64", "usize", "i8", "i16", "i32", "i64", "isize"];
 
 /// Token range of the statement containing token `i`: bounded by the nearest
 /// `;`/`{`/`}` on each side (exclusive). Coarse, but statements in this
@@ -112,56 +90,6 @@ pub(crate) fn statement_span(toks: &[Token], i: usize) -> (usize, usize) {
         e += 1;
     }
     (s, e)
-}
-
-/// `true` when any identifier in `[s, e]` contains an accounting marker.
-fn span_has_marker(toks: &[Token], s: usize, e: usize) -> bool {
-    toks[s..=e].iter().any(|t| {
-        t.kind == TokenKind::Ident && {
-            let lower = t.text.to_lowercase();
-            ACCOUNTING_MARKERS.iter().any(|m| lower.contains(m))
-        }
-    })
-}
-
-/// Rule `truncating-cast`: `as <integer>` casts inside byte/time-accounting
-/// statements. `as` silently truncates and wraps; traffic totals and
-/// emulated clocks must use `u64::from`/`try_from` (or widen the
-/// accumulator) so a unit bug becomes a loud error instead of a wrong paper
-/// figure. Statement-scoped, so multi-line accounting expressions are seen.
-fn check_truncating_cast(path: &str, src: &PreparedSource) -> Vec<Diagnostic> {
-    let toks = &src.file.tokens;
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if src.tok_in_test(i) || !toks[i].is_ident("as") {
-            continue;
-        }
-        let Some(target) = toks.get(i + 1) else { continue };
-        if target.kind != TokenKind::Ident || !INT_TARGETS.contains(&target.text.as_str()) {
-            continue;
-        }
-        // Casting a bare literal (e.g. `0 as u64`) can't truncate anything
-        // that matters; skip it.
-        if i > 0 && matches!(toks[i - 1].kind, TokenKind::Int | TokenKind::Float) {
-            continue;
-        }
-        let (s, e) = statement_span(toks, i);
-        if !span_has_marker(toks, s, e) {
-            continue;
-        }
-        out.push(Diagnostic::at(
-            src,
-            path,
-            toks[i].line,
-            "truncating-cast",
-            format!(
-                "`as {}` on a byte/time-accounting statement silently truncates; \
-                 use `u64::from`/`try_from` or widen the accumulator",
-                target.text
-            ),
-        ));
-    }
-    out
 }
 
 /// Rule `panic-path`: `panic!`/`unreachable!`, slice/array indexing, and
@@ -655,29 +583,6 @@ mod tests {
 
     fn run(rule: &str, src: &str) -> Vec<Diagnostic> {
         run_at(rule, "test.rs", src)
-    }
-
-    #[test]
-    fn truncating_cast_needs_accounting_context() {
-        // Cast without byte/time identifiers: not flagged.
-        assert!(run("truncating-cast", "fn f() { let k = (x * y) as usize; }").is_empty());
-        // Same cast feeding byte accounting: flagged.
-        let d = run("truncating-cast", "fn f() { let total_bytes = (x * y) as u64; }");
-        assert_eq!(d.len(), 1);
-        // Float targets never truncate to integers.
-        assert!(run("truncating-cast", "fn f() { let secs = total as f64 / rate; }").is_empty());
-        // Literal casts are inert.
-        assert!(run("truncating-cast", "fn f() { let zero_bytes = 0 as u64; }").is_empty());
-    }
-
-    #[test]
-    fn truncating_cast_sees_multiline_statements() {
-        // The marker is on a different line than the cast — the old
-        // line-regex scanner missed exactly this.
-        let src = "fn f() {\n    let wire_total_bytes =\n        (scalars * 4)\n        as u32;\n}\n";
-        let d = run("truncating-cast", src);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].line, 4, "diagnostic points at the cast line");
     }
 
     #[test]

@@ -13,7 +13,6 @@ use crate::LintReport;
 /// One-line description per rule id, for `tool.driver.rules`.
 fn rule_summary(id: &str) -> &'static str {
     match id {
-        "truncating-cast" => "`as <int>` on byte/time accounting silently truncates",
         "panic-path" => "possible panic on a path reachable from the experiment round loop",
         "unchecked-arith" => "bare +/* on wire-byte or sim-time accounting values can wrap",
         "lock-order" => {
@@ -22,11 +21,6 @@ fn rule_summary(id: &str) -> &'static str {
         "channel-discipline" => {
             "blocking recv on a pool-worker path, send after close, or unbounded send loop"
         }
-        "hot-alloc" => {
-            "allocation expression on a steady-state path reachable from the round loop"
-        }
-        "loop-realloc" => "collection grows inside a loop with no capacity reservation",
-        "redundant-clone" => "clone/to_vec of a binding that is never read again",
         _ => "fedsu-xtask lint rule",
     }
 }
@@ -159,7 +153,7 @@ mod tests {
             vec![diag("panic-path", "crates/fl/src/a.rs", 3, "x.expect(\"why \\\" here\");")],
             vec![
                 diag("panic-path", "crates/core/src/b.rs", 7, "let v = t[i];"),
-                diag("hot-alloc", "crates/fl/src/experiment.rs", 4, "vec![0.0; n]"),
+                diag("lock-order", "crates/tensor/src/par.rs", 4, "tx.send(job)"),
             ],
         );
         let s = render(&r);
@@ -167,7 +161,7 @@ mod tests {
         assert!(s.contains("\"version\":\"2.1.0\""));
         assert!(s.contains("\"ruleId\":\"panic-path\""));
         assert!(s.contains("\"startLine\":3"));
-        assert!(s.contains("\"ruleId\":\"hot-alloc\""));
+        assert!(s.contains("\"ruleId\":\"lock-order\""));
         assert_eq!(
             s.matches("\"kind\":\"external\"").count(),
             2,

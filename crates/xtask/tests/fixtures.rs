@@ -20,9 +20,9 @@ fn fixture_text(name: &str) -> String {
 }
 
 /// Lints a fixture under an arbitrary workspace-relative path — the
-/// `panic-path`, `hot-alloc` and `channel-discipline` rules key off the path
-/// (hot-path and worker roots), so their fixtures are linted as if they
-/// lived at the path whose policy they exercise.
+/// `panic-path`, `lock-order` and `channel-discipline` rules key off the path
+/// (hot-path, dispatch and worker roots), so their fixtures are linted as if
+/// they lived at the path whose policy they exercise.
 fn lint_fixture_as(name: &str, rel: &str) -> Vec<Diagnostic> {
     lint_source(rel, SourceKind::Library, &fixture_text(name))
 }
@@ -31,25 +31,6 @@ fn lint_fixture_as(name: &str, rel: &str) -> Vec<Diagnostic> {
 /// files; their location under `fixtures/` is irrelevant to most rules).
 fn lint_fixture(name: &str) -> Vec<Diagnostic> {
     lint_fixture_as(name, &format!("crates/xtask/fixtures/{name}"))
-}
-
-/// Asserts the fixture yields exactly one diagnostic, of the expected rule.
-fn assert_fires_once(name: &str, rule: &str) -> Diagnostic {
-    let diags = lint_fixture(name);
-    assert_eq!(
-        diags.len(),
-        1,
-        "{name}: expected exactly one finding, got {:?}",
-        diags.iter().map(|d| (d.rule, d.line)).collect::<Vec<_>>()
-    );
-    assert_eq!(diags[0].rule, rule, "{name}: wrong rule: {:?}", diags[0]);
-    diags[0].clone()
-}
-
-#[test]
-fn truncating_cast_fires_exactly_once() {
-    let d = assert_fires_once("truncating_cast.rs", "truncating-cast");
-    assert!(d.snippet.contains("as u32"), "should point at the cast: {d:?}");
 }
 
 #[test]
@@ -78,15 +59,15 @@ fn cfg_test_spans_are_exempt_in_library_files() {
 
 #[test]
 fn use_alias_is_resolved_to_the_hazardous_type() {
-    // Linted as the round-loop root file so `run` is steady-hot.
-    let diags = lint_fixture_as("use_alias.rs", "crates/fl/src/experiment.rs");
-    let got: Vec<(&str, usize)> = diags.iter().map(|d| (d.rule, d.line)).collect();
-    assert_eq!(got, vec![("hot-alloc", 9)], "only the constructor call may fire: {diags:?}");
+    // Linted as the pool file so `run_chunks` is the dispatch entry.
+    let diags = lint_fixture_as("use_alias.rs", "crates/tensor/src/par.rs");
+    assert_eq!(sorted_findings(&diags), vec![("lock-order", 14)], "{diags:?}");
     assert!(
-        diags[0].message.contains("`VecDeque::new`"),
-        "the finding should name the type behind the alias: {:?}",
+        diags[0].message.contains("guard `guard` of lock `table`"),
+        "the write guard exists only through the alias: {:?}",
         diags[0]
     );
+    assert!(lint_fixture("use_alias.rs").is_empty(), "no dispatch entry, no finding");
 }
 
 #[test]
@@ -237,66 +218,6 @@ fn channel_discipline_is_silent_on_disciplined_shapes() {
     // within discipline.
     let diags = lint_fixture_as("channel_negative.rs", "crates/tensor/src/par.rs");
     assert!(diags.is_empty(), "no disciplined shape may fire: {diags:?}");
-}
-
-#[test]
-fn hot_alloc_fires_on_the_steady_path_and_skips_setup() {
-    // Linted as the real hot-path root file so `run` seeds the steady
-    // closure.
-    let diags = lint_fixture_as("hot_alloc.rs", "crates/fl/src/experiment.rs");
-    assert_eq!(
-        sorted_findings(&diags),
-        vec![("hot-alloc", 10), ("hot-alloc", 18)],
-        "the `vec!` in `run` and the `.collect()` one hop below it; the \
-         setup-named `build_model` and the cold `debug_dump` stay silent: {diags:?}"
-    );
-    assert!(
-        diags[0].message.contains("runs every round"),
-        "the finding should explain the steady-state hazard: {:?}",
-        diags[0]
-    );
-    assert!(
-        diags[1].message.contains("step"),
-        "the transitive finding should name the hot callee: {:?}",
-        diags[1]
-    );
-}
-
-#[test]
-fn hot_alloc_is_silent_without_a_round_loop_root() {
-    // Same text under a non-root path: no roots, no steady-hot functions.
-    let diags = lint_fixture("hot_alloc.rs");
-    assert!(diags.is_empty(), "no root in scope means no hot-alloc findings: {diags:?}");
-}
-
-#[test]
-fn loop_realloc_fires_only_on_unreserved_growth() {
-    let diags = lint_fixture("loop_realloc.rs");
-    assert_eq!(
-        sorted_findings(&diags),
-        vec![("loop-realloc", 10), ("loop-realloc", 18)],
-        "only the unreserved `push` and `extend` may fire; the reserved, \
-         sized-vec, and BTreeMap shapes are all within discipline: {diags:?}"
-    );
-    assert!(
-        diags.iter().all(|d| d.message.contains("capacity reservation")),
-        "both findings should point at the missing reservation: {diags:?}"
-    );
-}
-
-#[test]
-fn redundant_clone_fires_only_on_dead_sources() {
-    let diags = lint_fixture("redundant_clone.rs");
-    assert_eq!(
-        sorted_findings(&diags),
-        vec![("redundant-clone", 9), ("redundant-clone", 14)],
-        "only the dead `payload` clone and dead `history.to_vec()` may \
-         fire; the loop-carried and still-read bindings stay silent: {diags:?}"
-    );
-    assert!(
-        diags.iter().all(|d| d.message.contains("never read again")),
-        "both findings should explain the dead source: {diags:?}"
-    );
 }
 
 #[test]

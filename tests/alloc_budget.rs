@@ -1,124 +1,262 @@
-//! Counting-allocator cross-validation of the allocation-flow lint rules.
+//! Exact allocation pins for the round loop and the reliable transport.
 //!
-//! The static rules (`hot-alloc` and friends, ratcheted in
-//! `crates/xtask/lint-baseline.toml`) say *where* the round loop allocates;
-//! the two ceilings below say *how much* it is allowed to.
-//! This test runs a small sweep with the counting `#[global_allocator]`
-//! armed (`--features alloc-stats`) and asserts that every steady round —
-//! all rounds after the first, which still pays one-time warm-up costs —
-//! stays within the ceilings. A hot-path copy regression (say,
-//! reintroducing the per-round global `.to_vec()` or the per-retransmission
-//! frame re-encode) blows the allocs ceiling long before it shows up in a
-//! wall-clock benchmark.
+//! Every test target runs on `fedsu-tensor`'s counting global allocator (the
+//! root crate's dev-dependency turns on its `alloc-stats` feature), and the
+//! experiment loop marks a round boundary after each record. With one
+//! client, `train_all` spawns no thread and the kernels are pinned serial,
+//! so every steady round (rounds 1.., round 0 pays one-time warm-up) makes
+//! the same allocations on every run, at every `FEDSU_SIMD` level, armed or
+//! not. [`PINS`] holds those counts for every strategy on the MLP and the
+//! tiny CNN, plus one faulty run: a reintroduced per-round `.to_vec()` of the
+//! global, or a `Vec` built inside one strategy's `aggregate`, moves a
+//! count by one and fails here.
 //!
-//! Without the `alloc-stats` feature the allocator is the plain `System`
-//! and the counters never move; the test then only checks the plumbing
-//! (round log covers every round) and skips the ceiling assertions.
+//! Bounds cover what cannot be pinned exactly, because threads run beside
+//! the count: a four-client run (training threads) stays under ceilings
+//! about 1.25× its measured traffic without trending upward, and the wire
+//! FedAvg leg allocates at most a little over its measured count per
+//! data frame, and per retransmission — a sender that re-encodes its
+//! envelope on every attempt fails the second bound.
 
 // Tests and benches may unwrap: a panic here IS the failure report
 // (mirrors allow-unwrap-in-tests in clippy.toml for non-#[test] helpers).
 #![allow(clippy::unwrap_used)]
 
-use fedsu_repro::fl::DefenseConfig;
+mod wire_fedavg;
+
+use fedsu_repro::fl::{DefenseConfig, Experiment, ExperimentResult};
+use fedsu_repro::netsim::FaultConfig;
+use fedsu_repro::nn::models::ModelPreset;
 use fedsu_repro::scenario::{ModelKind, Scenario, StrategyKind};
-use fedsu_repro::tensor::alloc_stats;
+use fedsu_repro::tensor::alloc_stats::{self, RoundAlloc};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
-const ROUNDS: usize = 6;
+const ROUNDS: usize = 8;
 
-/// Per-round ceilings for a steady round (which measures ~370 allocations
-/// and ~80 KiB in this sweep): tight enough that a reintroduced per-round
-/// model copy trips this test, loose enough to absorb eval-round jitter.
-/// Lower them by hand as the hot path sheds copies.
-const MAX_ROUND_ALLOCS: u64 = 2000;
-const MAX_ROUND_BYTES: u64 = 524288;
+/// Every strategy the scenario builder knows.
+const STRATEGIES: [StrategyKind; 11] = [
+    StrategyKind::FedAvg,
+    StrategyKind::Cmfl,
+    StrategyKind::Apf,
+    StrategyKind::ApfCalibrated,
+    StrategyKind::Qsgd,
+    StrategyKind::TopK,
+    StrategyKind::FedSu,
+    StrategyKind::FedSuCalibrated,
+    StrategyKind::FedSuWith { t_r: 0.05, t_s: 5.0 },
+    StrategyKind::FedSuV1 { period: 3 },
+    StrategyKind::FedSuV2 { probability: 0.5, period: 3 },
+];
 
-/// One test, not several: the alloc-stats switch and the process counters
-/// are global, so phases must run in a fixed order, and kernel threads are
-/// pinned to one so worker-pool bookkeeping never bleeds into round deltas.
+/// Allocations of rounds 1..ROUNDS, one row per run. A deliberate change
+/// re-pins them: the failing assertion prints the whole table.
+const PINS: &[(&str, [u64; ROUNDS - 1])] = &[
+    ("mlp/FedAvg", [88, 88, 88, 88, 88, 88, 88]),
+    ("mlp/Cmfl", [89, 89, 88, 88, 88, 88, 88]),
+    ("mlp/Apf", [88, 88, 88, 88, 88, 88, 88]),
+    ("mlp/ApfCalibrated", [88, 88, 88, 88, 88, 88, 88]),
+    ("mlp/Qsgd", [89, 88, 88, 88, 88, 88, 88]),
+    ("mlp/TopK", [89, 88, 88, 88, 88, 88, 88]),
+    ("mlp/FedSu", [88, 88, 88, 89, 88, 88, 88]),
+    ("mlp/FedSuCalibrated", [88, 88, 88, 89, 88, 88, 88]),
+    ("mlp/FedSuWith { t_r: 0.05, t_s: 5.0 }", [88, 88, 88, 89, 88, 88, 88]),
+    ("mlp/FedSuV1 { period: 3 }", [88, 88, 88, 89, 88, 88, 88]),
+    ("mlp/FedSuV2 { probability: 0.5, period: 3 }", [88, 88, 88, 89, 88, 88, 88]),
+    ("cnn-tiny/FedAvg", [78, 78, 78, 78, 78, 78, 78]),
+    ("cnn-tiny/Cmfl", [79, 79, 78, 78, 78, 78, 78]),
+    ("cnn-tiny/Apf", [78, 78, 78, 78, 78, 78, 78]),
+    ("cnn-tiny/ApfCalibrated", [78, 78, 78, 78, 78, 78, 78]),
+    ("cnn-tiny/Qsgd", [79, 78, 78, 78, 78, 78, 78]),
+    ("cnn-tiny/TopK", [80, 79, 79, 79, 79, 79, 79]),
+    ("cnn-tiny/FedSu", [78, 78, 78, 79, 78, 78, 78]),
+    ("cnn-tiny/FedSuCalibrated", [78, 78, 78, 79, 78, 78, 78]),
+    ("cnn-tiny/FedSuWith { t_r: 0.05, t_s: 5.0 }", [78, 78, 78, 79, 78, 78, 78]),
+    ("cnn-tiny/FedSuV1 { period: 3 }", [78, 78, 78, 79, 78, 78, 78]),
+    ("cnn-tiny/FedSuV2 { probability: 0.5, period: 3 }", [78, 78, 78, 79, 78, 78, 78]),
+    ("mlp/FedSuCalibrated/faulty", [88, 85, 88, 88, 88, 85, 89]),
+];
+
+/// The one-client scenario of a pinned row.
+fn single_client(model: &str) -> Scenario {
+    let base = |kind| Scenario::new(kind).clients(1).rounds(ROUNDS).samples_per_class(16).seed(7);
+    match model {
+        "mlp" => base(ModelKind::Mlp),
+        _ => base(ModelKind::Cnn).preset(ModelPreset::Tiny).batch_size(4).local_iters(2),
+    }
+}
+
+/// A plan whose fates differ round to round: a dropout, a quarantined
+/// corrupt upload, retried lost uploads (a non-zero plan turns the server
+/// defenses on).
+fn faulty() -> FaultConfig {
+    FaultConfig {
+        dropout_prob: 0.2,
+        slowdown_prob: 0.3,
+        slowdown_factor: 2.0,
+        corrupt_prob: 0.2,
+        upload_loss_prob: 0.3,
+        seed: 0xFA17,
+        ..FaultConfig::default()
+    }
+}
+
+/// Runs `experiment` with round marking armed: its records, and the
+/// allocations charged to each round.
+fn round_log(mut experiment: Experiment) -> (ExperimentResult, Vec<RoundAlloc>) {
+    alloc_stats::set_enabled(true);
+    let result = experiment.run(None).unwrap();
+    alloc_stats::set_enabled(false);
+    let log = alloc_stats::rounds();
+    let marked: Vec<usize> = log.iter().map(|r| r.round).collect();
+    assert_eq!(marked, (0..result.rounds.len()).collect::<Vec<_>>(), "every round is marked once");
+    (result, log)
+}
+
+/// Allocations of rounds 1.. of one run.
+fn steady_allocs(scenario: &Scenario, strategy: StrategyKind) -> Vec<u64> {
+    let (_, log) = round_log(scenario.build(strategy).unwrap());
+    log[1..].iter().map(|r| r.allocs).collect()
+}
+
+/// [`steady_allocs`], measured again while it misses `pin`, keeping each
+/// round's minimum. Another thread can only add to a count — the test
+/// harness does its own bookkeeping just after it starts this test, which
+/// on a loaded host can land inside a measured round — while a defect in
+/// the round loop repeats on every run and still fails.
+fn pinned_row(scenario: &Scenario, strategy: StrategyKind, pin: Option<&[u64]>) -> Vec<u64> {
+    let mut allocs = steady_allocs(scenario, strategy);
+    for _ in 0..2 {
+        if pin == Some(allocs.as_slice()) {
+            break;
+        }
+        for (kept, again) in allocs.iter_mut().zip(steady_allocs(scenario, strategy)) {
+            *kept = (*kept).min(again);
+        }
+    }
+    allocs
+}
+
+/// `rows` as the Rust literal [`PINS`] is written in.
+fn render(rows: &[(String, Vec<u64>)]) -> String {
+    let mut out = String::new();
+    for (name, allocs) in rows {
+        writeln!(out, "    ({name:?}, {allocs:?}),").unwrap();
+    }
+    out
+}
+
+/// One test, not several: the counters and the round log are process-wide,
+/// so the cases run in a fixed order with nothing beside them.
 #[test]
 fn steady_rounds_stay_within_the_checked_in_budget() {
     fedsu_repro::tensor::set_kernel_threads(1);
-    alloc_stats::set_enabled(true);
 
-    let mut e = Scenario::new(ModelKind::Mlp)
-        .clients(4)
-        .rounds(ROUNDS)
-        .samples_per_class(16)
-        .seed(7)
-        .build(StrategyKind::FedSuCalibrated)
-        .unwrap();
-    let result = e.run(None).unwrap();
-    alloc_stats::set_enabled(false);
+    let mut rows: Vec<(String, Scenario, StrategyKind)> = Vec::new();
+    for model in ["mlp", "cnn-tiny"] {
+        for strategy in STRATEGIES {
+            rows.push((format!("{model}/{strategy:?}"), single_client(model), strategy));
+        }
+    }
+    let faulty_run = single_client("mlp").faults(faulty());
+    rows.push(("mlp/FedSuCalibrated/faulty".to_string(), faulty_run, StrategyKind::FedSuCalibrated));
+    let recorded: Vec<(String, Vec<u64>)> = rows
+        .into_iter()
+        .enumerate()
+        .map(|(i, (name, scenario, strategy))| {
+            let pin = PINS.get(i).map(|(_, allocs)| allocs.as_slice());
+            (name, pinned_row(&scenario, strategy, pin))
+        })
+        .collect();
+    let pinned: Vec<(String, Vec<u64>)> =
+        PINS.iter().map(|(name, allocs)| (name.to_string(), allocs.to_vec())).collect();
+    assert!(
+        recorded == pinned,
+        "steady-round allocations moved; the new table:\n{}",
+        render(&recorded)
+    );
 
+    four_clients_stay_under_their_ceilings();
+    a_round_nobody_attends_is_marked();
+    the_wire_allocates_what_it_measures();
+}
+
+/// Per-round ceilings for the four-client run, about 1.25× its measured
+/// steady rounds (320–357 allocations, 74–82 KB on a 2-thread host).
+const MAX_ROUND_ALLOCS: u64 = 450;
+const MAX_ROUND_BYTES: u64 = 104_000;
+
+/// With four clients `train_all` runs training threads, so the counts carry
+/// the spawns and are bounded rather than pinned.
+fn four_clients_stay_under_their_ceilings() {
+    let scenario = Scenario::new(ModelKind::Mlp).clients(4).rounds(6).samples_per_class(16).seed(7);
+    let (_, log) = round_log(scenario.build(StrategyKind::FedSuCalibrated).unwrap());
     // `run` installs no thread policy of its own, and the guard around its
     // training threads hands back the caller's: the pin above held.
     assert_eq!(fedsu_repro::tensor::kernel_threads_setting(), 1, "run must leave the pin alone");
-    assert_eq!(result.rounds.len(), ROUNDS, "sweep must complete every round");
-    let rounds = alloc_stats::rounds();
-    assert_eq!(rounds.len(), ROUNDS, "round log must cover every round: {rounds:?}");
-    for (i, r) in rounds.iter().enumerate() {
-        assert_eq!(r.round, i, "round log must be in round order");
-    }
-
-    if !alloc_stats::counting_compiled() {
-        // Plain System allocator: the deltas are all zero by construction;
-        // the ceilings are meaningless without the counting feature.
-        assert!(rounds.iter().all(|r| r.allocs == 0 && r.bytes == 0));
-        eprintln!("alloc_budget: skipping ceiling assertions (alloc-stats feature off)");
-        return;
-    }
-
-    // Round 0 pays one-time warm-up (lazy buffers reaching their final
-    // capacity, checkpoint init); every later round is steady state and
-    // must fit the budget.
-    for r in rounds.iter().skip(1) {
+    for r in &log[1..] {
         assert!(
-            r.allocs <= MAX_ROUND_ALLOCS,
-            "round {} made {} allocations, the ceiling is {MAX_ROUND_ALLOCS}; a hot-path \
-             copy crept back in",
+            r.allocs <= MAX_ROUND_ALLOCS && r.bytes <= MAX_ROUND_BYTES,
+            "round {}: {} allocations / {} bytes, the ceilings are {MAX_ROUND_ALLOCS} / \
+             {MAX_ROUND_BYTES}; a hot-path copy crept back in",
             r.round,
-            r.allocs
-        );
-        assert!(
-            r.bytes <= MAX_ROUND_BYTES,
-            "round {} requested {} bytes, the ceiling is {MAX_ROUND_BYTES}",
-            r.round,
+            r.allocs,
             r.bytes
         );
     }
-
-    // The scratch-buffer reuse in the round loop means steady-state traffic
-    // must not trend upward: the last steady round may not allocate more
-    // than double the first steady round (generous — catches only genuine
-    // per-round leaks, not jitter from eval rounds).
-    let first = &rounds[1];
-    let last = &rounds[ROUNDS - 1];
-    assert!(
-        last.allocs <= first.allocs.saturating_mul(2),
-        "per-round allocation count is trending upward: {first:?} -> {last:?}"
-    );
-
-    round_nobody_attends_is_marked();
+    // Scratch reuse means steady traffic does not trend upward.
+    let (first, last) = (&log[1], &log[log.len() - 1]);
+    assert!(last.allocs <= first.allocs, "allocations trend upward: {first:?} -> {last:?}");
 }
 
 /// A round that availability empties leaves through the same exit as every
-/// other round, so the round log has an entry for it too. Runs from the one
-/// test above: the log is process-global.
-fn round_nobody_attends_is_marked() {
-    alloc_stats::set_enabled(true);
-    let result = Scenario::new(ModelKind::Mlp)
+/// other round, so the round log has an entry for it too.
+fn a_round_nobody_attends_is_marked() {
+    let experiment = Scenario::new(ModelKind::Mlp)
         .clients(4)
-        .rounds(ROUNDS)
+        .rounds(6)
         .samples_per_class(16)
         .seed(7)
         .defense(DefenseConfig::on())
         .build_with_availability(StrategyKind::FedSuCalibrated, Some(Arc::new(|_, round| round != 2)))
-        .unwrap()
-        .run(None)
         .unwrap();
-    alloc_stats::set_enabled(false);
+    let (result, _) = round_log(experiment);
     assert_eq!(result.rounds[2].participants, 0, "round 2 must be the empty one");
-    let marked: Vec<usize> = alloc_stats::rounds().iter().map(|r| r.round).collect();
-    assert_eq!(marked, (0..ROUNDS).collect::<Vec<_>>(), "every round is marked, the empty one too");
+}
+
+/// A clean run of the wire FedAvg leg of `wire_parity.rs` measures 275
+/// allocations over 24 data frames (11.5 a frame, thread and channel setup
+/// included); one more allocation per frame, such as a copy of each encoded
+/// message, is 12.5.
+const MAX_CLEAN_ALLOCS_PER_FRAME: f64 = 12.0;
+
+/// What a retransmission may add: the lossy run measures 3.06 (376 − 275
+/// over 33 retransmits), a sender that re-encodes its envelope on every
+/// attempt 4.06.
+const MAX_ALLOCS_PER_RETRANSMIT: f64 = 3.5;
+
+fn the_wire_allocates_what_it_measures() {
+    let run = |faults: &FaultConfig| {
+        let before = alloc_stats::snapshot();
+        let run = wire_fedavg::wire_leg(faults);
+        let allocs = alloc_stats::snapshot().since(&before).allocs;
+        (allocs, run.server_rel.merged(&run.clients_rel))
+    };
+    let (clean, clean_rel) = run(&FaultConfig::default());
+    let per_frame = clean as f64 / clean_rel.data_frames_sent as f64;
+    assert!(
+        per_frame <= MAX_CLEAN_ALLOCS_PER_FRAME,
+        "{per_frame:.2} allocations per data frame ({clean} over {} frames), the bound is \
+         {MAX_CLEAN_ALLOCS_PER_FRAME}",
+        clean_rel.data_frames_sent
+    );
+    let (lossy, lossy_rel) = run(&wire_fedavg::lossy_faults());
+    let retransmits = lossy_rel.retransmits;
+    assert!(retransmits > 0, "the lossy plan must force retransmissions");
+    let per_retransmit = lossy.saturating_sub(clean) as f64 / retransmits as f64;
+    assert!(
+        per_retransmit <= MAX_ALLOCS_PER_RETRANSMIT,
+        "{per_retransmit:.2} allocations per retransmit ({clean} clean, {lossy} lossy, \
+         {retransmits} retransmits), the bound is {MAX_ALLOCS_PER_RETRANSMIT}"
+    );
 }
