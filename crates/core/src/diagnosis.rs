@@ -139,25 +139,24 @@ impl OscillationDiagnostic {
     }
 
     /// Current oscillation ratio of scalar `j`, guarded against the last
-    /// update's magnitude ([`EmaPair::guarded_ratio`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    pub fn ratio(&self, j: usize) -> f64 {
-        self.ema[j].guarded_ratio(self.prev_update[j])
+    /// update's magnitude ([`EmaPair::guarded_ratio`]); `None` when `j` is
+    /// out of range.
+    pub fn ratio(&self, j: usize) -> Option<f64> {
+        let ema = self.ema.get(j)?;
+        self.prev_update.get(j).map(|&u| ema.guarded_ratio(u))
     }
 
     /// All ratios (allocates), with the same relative-magnitude guard as
     /// [`ratio`](OscillationDiagnostic::ratio).
     pub fn ratios(&self) -> Vec<f64> {
-        (0..self.ema.len()).map(|j| self.ratio(j)).collect()
+        self.ema.iter().zip(&self.prev_update).map(|(ema, &u)| ema.guarded_ratio(u)).collect()
     }
 
     /// Whether scalar `j` currently diagnoses as linear under threshold
-    /// `t_r`, requiring at least 3 observations.
+    /// `t_r`, requiring at least 3 observations (never for an out-of-range
+    /// `j`).
     pub fn is_linear(&self, j: usize, t_r: f64) -> bool {
-        self.observations >= 3 && self.ratio(j) < t_r
+        self.observations >= 3 && self.ratio(j).is_some_and(|r| r < t_r)
     }
 }
 
@@ -202,8 +201,8 @@ mod tests {
 
         let d = OscillationDiagnostic::new(3, 0.9);
         for j in 0..3 {
-            assert_eq!(d.ratio(j), 0.0, "scalar {j}");
-            assert!(!d.ratio(j).is_nan(), "scalar {j}");
+            assert_eq!(d.ratio(j).unwrap(), 0.0, "scalar {j}");
+            assert!(!d.ratio(j).unwrap().is_nan(), "scalar {j}");
         }
         assert!(d.ratios().iter().all(|r| r.is_finite()));
         assert!(!d.is_linear(0, 0.5), "needs >= 3 observations");
@@ -234,7 +233,7 @@ mod tests {
         for k in 0..20 {
             d.observe_params(&[0.5 - 0.01 * k as f32]);
         }
-        assert!(d.is_linear(0, 0.01), "ratio {}", d.ratio(0));
+        assert!(d.is_linear(0, 0.01), "ratio {}", d.ratio(0).unwrap());
     }
 
     #[test]
@@ -245,7 +244,7 @@ mod tests {
             let k = k as f32;
             d.observe_params(&[k * k * 1e-3]);
         }
-        assert!(d.ratio(0) > 0.9, "ratio {}", d.ratio(0));
+        assert!(d.ratio(0).unwrap() > 0.9, "ratio {}", d.ratio(0).unwrap());
         assert!(!d.is_linear(0, 0.01));
     }
 
@@ -261,7 +260,8 @@ mod tests {
             let kf = k as f32;
             quad.observe_params(&[kf * kf * 5e-4 + noise(k)]);
         }
-        assert!(lin.ratio(0) < quad.ratio(0), "lin {} quad {}", lin.ratio(0), quad.ratio(0));
+        let (lin, quad) = (lin.ratio(0).unwrap(), quad.ratio(0).unwrap());
+        assert!(lin < quad, "lin {lin} quad {quad}");
     }
 
     #[test]
@@ -282,8 +282,8 @@ mod tests {
             let kf = k as f32;
             d.observe_params(&[-0.01 * kf, kf * kf * 1e-3]);
         }
-        assert!(d.ratio(0) < 0.01);
-        assert!(d.ratio(1) > 0.9);
+        assert!(d.ratio(0).unwrap() < 0.01);
+        assert!(d.ratio(1).unwrap() > 0.9);
         let rs = d.ratios();
         assert_eq!(rs.len(), 2);
     }

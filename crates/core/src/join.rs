@@ -90,16 +90,16 @@ impl JoinState {
         if !n.is_multiple_of(8) {
             buf.push(byte);
         }
-        for j in 0..n {
-            buf.extend_from_slice(&self.slope[j].to_le_bytes());
-            buf.extend_from_slice(&self.prev_update[j].to_le_bytes());
-            buf.extend_from_slice(&self.ema[j].signed.to_le_bytes());
-            buf.extend_from_slice(&self.ema[j].magnitude.to_le_bytes());
+        for ((slope, prev_update), ema) in self.slope.iter().zip(&self.prev_update).zip(&self.ema) {
+            for v in [slope, prev_update, &ema.signed, &ema.magnitude] {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
         }
-        for j in 0..n {
-            buf.extend_from_slice(&self.no_check_len[j].to_le_bytes());
-            buf.extend_from_slice(&self.no_check_remaining[j].to_le_bytes());
-            buf.extend_from_slice(&self.obs[j].to_le_bytes());
+        let counters = self.no_check_len.iter().zip(&self.no_check_remaining).zip(&self.obs);
+        for ((len, remaining), obs) in counters {
+            for v in [len, remaining, obs] {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
         }
         buf
     }

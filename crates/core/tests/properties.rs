@@ -62,7 +62,7 @@ fn affine_trajectory_diagnoses_linear(slope: f32, intercept: f32, horizon: usize
     for k in 0..horizon {
         d.observe_params(&[intercept + slope * k as f32]);
     }
-    assert!(d.is_linear(0, 0.01), "ratio {}", d.ratio(0));
+    assert!(d.is_linear(0, 0.01), "ratio {:?}", d.ratio(0));
 }
 
 #[test]
@@ -96,7 +96,7 @@ fn diagnosis_is_per_scalar_independent() {
             solo.observe_params(&[lin]);
             pair.observe_params(&[lin, curved]);
         }
-        assert!((solo.ratio(0) - pair.ratio(0)).abs() < 1e-9);
+        assert!((solo.ratio(0).unwrap() - pair.ratio(0).unwrap()).abs() < 1e-9);
     });
 }
 
@@ -143,7 +143,7 @@ fn manager_and_standalone_diagnostic_agree_on_eq2() {
                 "round {round}: a scalar entered speculation"
             );
             for j in 0..n {
-                let (m, d) = (manager.oscillation_ratio(j), diagnostic.ratio(j));
+                let (m, d) = (manager.oscillation_ratio(j).unwrap(), diagnostic.ratio(j).unwrap());
                 assert_eq!(
                     m.to_bits(),
                     d.to_bits(),

@@ -1,6 +1,6 @@
 //! In-memory labelled dataset.
 
-use fedsu_tensor::Tensor;
+use fedsu_tensor::{Tensor, TensorError};
 
 /// A labelled dataset held fully in memory.
 ///
@@ -59,34 +59,32 @@ impl InMemoryDataset {
         &self.labels
     }
 
-    /// Feature slice and label of sample `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= len()`.
-    pub fn sample(&self, idx: usize) -> (&[f32], usize) {
-        let start = idx * self.sample_len;
-        (&self.features[start..start + self.sample_len], self.labels[idx])
+    /// Feature slice and label of sample `idx`, or `None` if
+    /// `idx >= len()`.
+    pub fn sample(&self, idx: usize) -> Option<(&[f32], usize)> {
+        let label = *self.labels.get(idx)?;
+        let features = self.features.get(idx * self.sample_len..(idx + 1) * self.sample_len)?;
+        Some((features, label))
     }
 
     /// Assembles a batch tensor `[indices.len(), ...sample_shape]` and the
     /// corresponding labels.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any index is out of range.
-    pub fn batch(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
+    /// Returns [`TensorError::IndexOutOfBounds`] for an index `>= len()`.
+    pub fn batch(&self, indices: &[usize]) -> Result<(Tensor, Vec<usize>), TensorError> {
         let mut data = Vec::with_capacity(indices.len() * self.sample_len);
         let mut labels = Vec::with_capacity(indices.len());
         for &i in indices {
-            let (f, l) = self.sample(i);
+            let out_of_range = TensorError::IndexOutOfBounds { index: i, len: self.len() };
+            let (f, l) = self.sample(i).ok_or(out_of_range)?;
             data.extend_from_slice(f);
             labels.push(l);
         }
         let mut shape = vec![indices.len()];
         shape.extend_from_slice(&self.sample_shape);
-        let t = Tensor::from_vec(data, &shape).expect("batch shape consistent by construction");
-        (t, labels)
+        Ok((Tensor::from_vec(data, &shape)?, labels))
     }
 }
 
@@ -104,7 +102,7 @@ mod tests {
         let d = tiny();
         assert_eq!(d.len(), 3);
         assert_eq!(d.classes(), 2);
-        let (f, l) = d.sample(1);
+        let (f, l) = d.sample(1).unwrap();
         assert_eq!(f, &[2.0, 3.0]);
         assert_eq!(l, 1);
     }
@@ -112,7 +110,7 @@ mod tests {
     #[test]
     fn batch_assembles_in_index_order() {
         let d = tiny();
-        let (t, labels) = d.batch(&[2, 0]);
+        let (t, labels) = d.batch(&[2, 0]).unwrap();
         assert_eq!(t.shape(), &[2, 2]);
         assert_eq!(t.data(), &[4.0, 5.0, 0.0, 1.0]);
         assert_eq!(labels, vec![0, 0]);
@@ -133,7 +131,7 @@ mod tests {
     #[test]
     fn empty_batch_is_valid() {
         let d = tiny();
-        let (t, labels) = d.batch(&[]);
+        let (t, labels) = d.batch(&[]).unwrap();
         assert_eq!(t.shape(), &[0, 2]);
         assert!(labels.is_empty());
     }

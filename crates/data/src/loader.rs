@@ -57,10 +57,12 @@ impl Batcher {
             self.pos = 0;
         }
         let end = (self.pos + batch_size).min(self.indices.len());
-        let batch_indices = &self.indices[self.pos..end];
-        let batch = self.dataset.batch(batch_indices);
+        let batch = self.dataset.batch(self.indices.get(self.pos..end).unwrap_or_default());
         self.pos = end;
-        batch
+        // `new` checked every index, so the dataset accepts them all; were
+        // it not to, the empty batch fails the model's forward pass with a
+        // typed error instead of aborting the round.
+        batch.unwrap_or_else(|_| (Tensor::zeros(&[0]), Vec::new()))
     }
 }
 

@@ -79,9 +79,12 @@ pub fn dirichlet_partition<R: Rng + ?Sized>(
 /// samples of `class` held by `client`. Useful for inspecting skew.
 pub fn label_distribution(labels: &[usize], parts: &[Vec<usize>], classes: usize) -> Vec<Vec<usize>> {
     let mut hist = vec![vec![0usize; classes]; parts.len()];
-    for (c, part) in parts.iter().enumerate() {
-        for &i in part {
-            hist[c][labels[i]] += 1;
+    for (row, part) in hist.iter_mut().zip(parts) {
+        // An out-of-range index or label counts nowhere.
+        for &l in part.iter().filter_map(|&i| labels.get(i)) {
+            if let Some(slot) = row.get_mut(l) {
+                *slot += 1;
+            }
         }
     }
     hist

@@ -125,13 +125,13 @@ impl SyntheticConfig {
         let n = self.classes * per_class;
         let mut features = Vec::with_capacity(n * sample_len);
         let mut labels = Vec::with_capacity(n);
-        for class in 0..self.classes {
-            let p = &prototypes[2 * class * sample_len..(2 * class + 1) * sample_len];
-            let q = &prototypes[(2 * class + 1) * sample_len..(2 * class + 2) * sample_len];
+        // Class `c` mixes prototypes `2c` and `2c + 1`.
+        for (class, pair) in prototypes.chunks_exact(2 * sample_len).enumerate() {
+            let (p, q) = pair.split_at(sample_len);
             for _ in 0..per_class {
                 let t: f32 = rng.gen_range(0.0..1.0);
-                for i in 0..sample_len {
-                    let v = t * p[i] + (1.0 - t) * q[i] + gaussian(rng) * self.noise_std;
+                for (&pi, &qi) in p.iter().zip(q) {
+                    let v = t * pi + (1.0 - t) * qi + gaussian(rng) * self.noise_std;
                     features.push(v);
                 }
                 labels.push(class);
@@ -179,7 +179,7 @@ mod tests {
     fn deterministic_given_seed() {
         let a = SyntheticConfig::cifar_like().samples_per_class(3).build(&mut StdRng::seed_from_u64(9));
         let b = SyntheticConfig::cifar_like().samples_per_class(3).build(&mut StdRng::seed_from_u64(9));
-        assert_eq!(a.sample(0).0, b.sample(0).0);
+        assert_eq!(a.sample(0).unwrap().0, b.sample(0).unwrap().0);
     }
 
     #[test]
@@ -199,9 +199,9 @@ mod tests {
         let mut an = 0;
         for i in 0..10 {
             for j in 10..20 {
-                within += cos(d.sample(i).0, d.sample(j).0);
+                within += cos(d.sample(i).unwrap().0, d.sample(j).unwrap().0);
                 wn += 1;
-                across += cos(d.sample(i).0, d.sample(30 + j).0).abs();
+                across += cos(d.sample(i).unwrap().0, d.sample(30 + j).unwrap().0).abs();
                 an += 1;
             }
         }
@@ -219,8 +219,8 @@ mod tests {
             .noise_std(2.0)
             .build(&mut StdRng::seed_from_u64(3));
         let spread = |d: &InMemoryDataset| {
-            let (a, _) = d.sample(0);
-            let (b, _) = d.sample(1);
+            let (a, _) = d.sample(0).unwrap();
+            let (b, _) = d.sample(1).unwrap();
             a.iter().zip(b).map(|(x, y)| (x - y).powi(2)).sum::<f32>()
         };
         assert!(spread(&noisy) > spread(&clean));
@@ -249,8 +249,8 @@ mod split_tests {
         let mut same = 0.0f32;
         let mut other = 0.0f32;
         for i in 0..10 {
-            same += cos(train.sample(i).0, test.sample(i).0);
-            other += cos(train.sample(i).0, fresh.sample(i).0).abs();
+            same += cos(train.sample(i).unwrap().0, test.sample(i).unwrap().0);
+            other += cos(train.sample(i).unwrap().0, fresh.sample(i).unwrap().0).abs();
         }
         assert!(same > other, "split must share the task: {same} vs {other}");
     }

@@ -48,7 +48,7 @@ fn synthetic_dataset_shape_invariants() {
         assert_eq!(d.len(), classes * n);
         assert_eq!(d.sample_shape(), &[c, h, w]);
         for i in 0..d.len() {
-            let (f, l) = d.sample(i);
+            let (f, l) = d.sample(i).unwrap();
             assert_eq!(f.len(), c * h * w);
             assert!(l < classes);
             assert!(f.iter().all(|v| v.is_finite()));

@@ -350,6 +350,17 @@ impl Experiment {
                 config.alpha
             )));
         }
+        // Every client trains on at least one sample, and every evaluation
+        // averages over at least one.
+        if train_data.len() < n {
+            return Err(FlError::BadConfig(format!(
+                "{n} clients need at least {n} training samples, got {}",
+                train_data.len()
+            )));
+        }
+        if test_data.is_empty() {
+            return Err(FlError::BadConfig("the test set is empty".to_string()));
+        }
         let mut part_rng = StdRng::seed_from_u64(config.seed ^ 0x9e3779b97f4a7c15);
         let parts = dirichlet_partition(train_data.labels(), n, config.alpha, &mut part_rng);
 
@@ -471,13 +482,10 @@ impl Experiment {
         let joins = |act: bool, was: bool| round > 0 && act && !was;
         let any_joiner = s.active.iter().zip(&s.was_active).any(|(&act, &was)| joins(act, was));
         let join_state = if any_joiner { self.strategy.join_state() } else { None };
-        let join_state_bytes = join_state.map_or(0, |state| {
-            u64::try_from(state.len()).expect("join-state size fits in u64 on supported targets")
-        });
+        let join_state_bytes =
+            join_state.map_or(0, |state| u64::try_from(state.len()).unwrap_or(u64::MAX));
         let steady = scalars_to_bytes(s.prev_broadcast_scalars);
-        let catch_up = scalars_to_bytes(self.param_count())
-            .checked_add(join_state_bytes)
-            .expect("rejoin payload fits in u64: model bytes plus a small join state");
+        let catch_up = scalars_to_bytes(self.param_count()).saturating_add(join_state_bytes);
         s.download_bytes.clear();
         s.download_bytes.extend(s.active.iter().zip(&s.was_active).map(|(&act, &was)| {
             if joins(act, was) { catch_up } else if act { steady } else { 0 }
@@ -606,11 +614,14 @@ impl Experiment {
         );
 
         let deadline = if defense.enabled { defense.round_deadline_secs } else { None };
-        let on_time = |i: &usize| deadline.is_none_or(|d| timing.finish_secs[*i] <= d);
+        let finish = |i: &usize| timing.finish_secs.get(*i).copied();
+        let on_time = |i: &usize| deadline.is_none_or(|d| finish(i).is_some_and(|t| t <= d));
         s.survivors.clear();
         s.survivors.extend(timing.selected.iter().copied().filter(on_time));
         for &i in timing.selected.iter().filter(|&i| !on_time(i)) {
-            s.fate[i] = Fate::Late;
+            if let Some(fate) = s.fate.get_mut(i) {
+                *fate = Fate::Late;
+            }
         }
         s.duration = deadline.map_or(timing.duration_secs, |d| timing.duration_secs.min(d));
     }
@@ -634,7 +645,7 @@ impl Experiment {
                 *fate = Fate::Quarantined { late: *fate == Fate::Late };
             }
         }
-        s.survivors.retain(|&i| s.valid[i]);
+        s.survivors.retain(|&i| s.valid.get(i) == Some(&true));
     }
 
     /// Phase 8 — aggregate (strategy phase B): the surviving set becomes
@@ -657,7 +668,9 @@ impl Experiment {
         let global = self.server.global_mut();
         let mut outcome = self.strategy.aggregate(round, &s.locals, &s.survivors, &s.valid, global);
         for &i in &s.survivors {
-            s.fate[i] = Fate::Aggregated;
+            if let Some(fate) = s.fate.get_mut(i) {
+                *fate = Fate::Aggregated;
+            }
         }
         if self.server.global().iter().any(|v| !v.is_finite()) {
             match s.checkpoint.as_ref() {
@@ -689,8 +702,7 @@ impl Experiment {
         let tally = Tally::of(&s.fate, &s.upload_bytes, &s.tx_attempts);
         s.sim_time += s.duration;
         let downloads: u64 = s.download_bytes.iter().sum();
-        let bytes = (tally.upload_wire.checked_add(downloads))
-            .expect("round wire total fits in u64: both directions are bounded by model size");
+        let bytes = tally.upload_wire.saturating_add(downloads);
         if fedsu_tensor::invariant::enabled() {
             check_round_invariants(round, s, &tally);
         }
@@ -899,11 +911,9 @@ fn train_all(
     fedsu_tensor::set_kernel_threads(saved_kernel_threads);
 
     for ci in dead_chunks {
-        let base = ci * chunk;
-        for id in base..(base + chunk).min(active.len()) {
-            if active[id] {
-                out[id] = Err(FlError::ClientFailed { id });
-            }
+        let slots = active.iter().zip(out.iter_mut()).enumerate().skip(ci * chunk).take(chunk);
+        for (id, (_, slot)) in slots.filter(|(_, (&act, _))| act) {
+            *slot = Err(FlError::ClientFailed { id });
         }
     }
 }
@@ -981,6 +991,17 @@ mod tests {
         }
     }
 
+    /// A flatten-then-MLP model over `dims` (4×4 single-channel input).
+    fn probe_factory(dims: &'static [usize]) -> ModelFactory {
+        Arc::new(move |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut m = Sequential::new("probe");
+            m.push(fedsu_nn::flatten::Flatten::new());
+            m.push_boxed(Box::new(fedsu_nn::models::mlp(dims, &mut rng)?));
+            Ok(m)
+        })
+    }
+
     fn quick_experiment_with(
         n_clients: usize,
         rounds: usize,
@@ -999,13 +1020,7 @@ mod tests {
         let (train, test) =
             SyntheticConfig::new(3, 1, 4, 4).samples_per_class(30).noise_std(0.4).build_split(10, &mut rng);
         let (train, test) = (Arc::new(train), Arc::new(test));
-        let factory: ModelFactory = Arc::new(|seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut m = Sequential::new("probe");
-            m.push(fedsu_nn::flatten::Flatten::new());
-            m.push_boxed(Box::new(fedsu_nn::models::mlp(&[16, 12, 3], &mut rng)?));
-            Ok(m)
-        });
+        let factory = probe_factory(&[16, 12, 3]);
         let mut cfg = ExperimentConfig::quick(n_clients, rounds, "probe");
         cfg.client = ClientConfig {
             batch_size: 8,
@@ -1079,13 +1094,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let (train, test) = SyntheticConfig::new(2, 1, 4, 4).samples_per_class(30).build_split(10, &mut rng);
         let (train, test) = (Arc::new(train), Arc::new(test));
-        let factory: ModelFactory = Arc::new(|seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut m = Sequential::new("probe");
-            m.push(fedsu_nn::flatten::Flatten::new());
-            m.push_boxed(Box::new(fedsu_nn::models::mlp(&[16, 2], &mut rng)?));
-            Ok(m)
-        });
+        let factory = probe_factory(&[16, 2]);
         let mut cfg = ExperimentConfig::quick(4, 3, "probe");
         cfg.select_fraction = 1.0;
         // Client 3 joins only from round 1 onward.
@@ -1125,13 +1134,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let train = Arc::new(SyntheticConfig::new(2, 1, 4, 4).samples_per_class(5).build(&mut rng));
         let test = Arc::clone(&train);
-        let factory: ModelFactory = Arc::new(|seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut m = Sequential::new("probe");
-            m.push(fedsu_nn::flatten::Flatten::new());
-            m.push_boxed(Box::new(fedsu_nn::models::mlp(&[16, 2], &mut rng)?));
-            Ok(m)
-        });
+        let factory = probe_factory(&[16, 2]);
         let cfg = ExperimentConfig::quick(2, 0, "probe");
         assert!(Experiment::new(cfg, factory, train, test, Box::new(TestAvg)).is_err());
     }
@@ -1140,13 +1143,7 @@ mod tests {
     fn bad_fraction_and_alpha_are_rejected() {
         let mut rng = StdRng::seed_from_u64(5);
         let train = Arc::new(SyntheticConfig::new(2, 1, 4, 4).samples_per_class(5).build(&mut rng));
-        let factory: ModelFactory = Arc::new(|seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut m = Sequential::new("probe");
-            m.push(fedsu_nn::flatten::Flatten::new());
-            m.push_boxed(Box::new(fedsu_nn::models::mlp(&[16, 2], &mut rng)?));
-            Ok(m)
-        });
+        let factory = probe_factory(&[16, 2]);
         for (fraction, alpha) in [(0.0, 1.0), (1.5, 1.0), (f64::NAN, 1.0), (0.7, 0.0), (0.7, -1.0)] {
             let mut cfg = ExperimentConfig::quick(2, 2, "probe");
             cfg.select_fraction = fraction;
@@ -1164,6 +1161,31 @@ mod tests {
                 "fraction {fraction} alpha {alpha}: {err:?}"
             );
         }
+    }
+
+    /// `Experiment::new`'s error for a two-class probe task over `train`
+    /// and `test`, with `n_clients` clients.
+    fn new_error(n_clients: usize, train: InMemoryDataset, test: InMemoryDataset) -> FlError {
+        let cfg = ExperimentConfig::quick(n_clients, 2, "probe");
+        let (train, test) = (Arc::new(train), Arc::new(test));
+        Experiment::new(cfg, probe_factory(&[16, 2]), train, test, Box::new(TestAvg)).unwrap_err()
+    }
+
+    #[test]
+    fn fewer_training_samples_than_clients_is_a_bad_config() {
+        let train = InMemoryDataset::new(vec![0.5; 3 * 16], vec![0, 1, 0], &[1, 4, 4], 2);
+        let test = train.clone();
+        let err = new_error(8, train, test);
+        assert!(matches!(err, FlError::BadConfig(_)), "{err:?}");
+    }
+
+    #[test]
+    fn empty_test_set_is_a_bad_config() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let train = SyntheticConfig::new(2, 1, 4, 4).samples_per_class(5).build(&mut rng);
+        let empty = InMemoryDataset::new(Vec::new(), Vec::new(), &[1, 4, 4], 2);
+        let err = new_error(2, train, empty);
+        assert!(matches!(err, FlError::BadConfig(_)), "{err:?}");
     }
 
     #[test]

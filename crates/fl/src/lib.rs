@@ -23,6 +23,9 @@
 // integer narrowing goes through `try_from`, a float rounding carries an
 // `allow` that says why it is meant.
 #![deny(clippy::cast_possible_truncation)]
+// No panic paths in library code: an index, `expect`, `panic!` or
+// `unreachable!` fails `cargo clippy` (test code is exempt, see clippy.toml).
+#![deny(clippy::indexing_slicing, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 pub mod client;
 /// Error types.

@@ -10,17 +10,14 @@ pub const BYTES_PER_SCALAR: u64 = 4;
 
 /// Converts a scalar count to wire bytes.
 pub fn scalars_to_bytes(scalars: usize) -> u64 {
-    u64::try_from(scalars).expect("scalar count fits in u64 on all supported targets")
-        * BYTES_PER_SCALAR
+    u64::try_from(scalars).unwrap_or(u64::MAX).saturating_mul(BYTES_PER_SCALAR)
 }
 
 /// Wire bytes actually spent uploading `bytes` when the transfer succeeded
 /// on the `attempts`-th try (every lost attempt retransmits the payload).
 /// `attempts == 1` is the fault-free case and costs exactly `bytes`.
 pub fn bytes_with_retries(bytes: u64, attempts: u32) -> u64 {
-    bytes
-        .checked_mul(u64::from(attempts.max(1)))
-        .expect("retry-inflated wire bytes fit in u64: attempts is a small bounded count")
+    bytes.saturating_mul(u64::from(attempts.max(1)))
 }
 
 /// The retransmission *overhead* of a transfer that succeeded on the

@@ -4,7 +4,7 @@ use crate::Result;
 use fedsu_data::InMemoryDataset;
 use fedsu_nn::flat::{flatten_params, load_params, param_count};
 use fedsu_nn::loss::{accuracy, softmax_cross_entropy};
-use fedsu_nn::{Layer, Sequential};
+use fedsu_nn::{Layer, NnError, Sequential};
 use fedsu_tensor::pool;
 use std::sync::Arc;
 
@@ -64,7 +64,7 @@ impl Server {
         while start < n {
             let end = (start + self.eval_batch).min(n);
             let idx: Vec<usize> = (start..end).collect();
-            let (x, labels) = self.test_set.batch(&idx);
+            let (x, labels) = self.test_set.batch(&idx).map_err(NnError::from)?;
             let logits = self.eval_model.forward(&x, false)?;
             let acc = accuracy(&logits, &labels)?;
             let (loss, grad) = softmax_cross_entropy(&logits, &labels)?;

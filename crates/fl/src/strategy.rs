@@ -113,7 +113,8 @@ pub trait SyncStrategy: Send {
 ///
 /// # Panics
 ///
-/// Panics if any selected local vector's length differs from `global`.
+/// Panics if any selected local vector is missing or its length differs
+/// from `global`.
 pub fn average_into(locals: &[Vec<f32>], selected: &[usize], global: &mut [f32]) {
     if selected.is_empty() {
         return;
@@ -123,7 +124,7 @@ pub fn average_into(locals: &[Vec<f32>], selected: &[usize], global: &mut [f32])
         *g = 0.0;
     }
     for &c in selected {
-        let local = &locals[c];
+        let local: &[f32] = locals.get(c).map_or(&[], Vec::as_slice);
         assert_eq!(local.len(), global.len(), "local/global length mismatch");
         for (g, &v) in global.iter_mut().zip(local) {
             *g += v * inv;

@@ -41,8 +41,8 @@ impl Cdf {
     pub fn quantile(&self, p: f64) -> f64 {
         assert!(!self.sorted.is_empty(), "quantile of empty cdf");
         assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
-        let idx = ((p * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
-        self.sorted[idx - 1]
+        let rank = ((p * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
+        self.sorted.get(rank - 1).copied().unwrap_or(f64::NAN)
     }
 
     /// `n` evenly-spaced `(value, cumulative_fraction)` points for printing

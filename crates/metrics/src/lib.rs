@@ -12,6 +12,9 @@
 //! * [`Table`] — fixed-width text tables for the bench harness output.
 
 #![warn(missing_docs)]
+// No panic paths in library code: an index, `expect`, `panic!` or
+// `unreachable!` fails `cargo clippy` (test code is exempt, see clippy.toml).
+#![deny(clippy::indexing_slicing, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 mod cdf;
 mod linreg;

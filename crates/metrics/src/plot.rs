@@ -71,7 +71,10 @@ impl AsciiPlot {
                 }
                 let cx = ((x - x_min) / (x_max - x_min) * (self.width - 1) as f64).round() as usize;
                 let cy = ((y - y_min) / (y_max - y_min) * (self.height - 1) as f64).round() as usize;
-                grid[self.height - 1 - cy][cx] = *marker;
+                // Row 0 is the top of the plot.
+                if let Some(cell) = grid.iter_mut().rev().nth(cy).and_then(|row| row.get_mut(cx)) {
+                    *cell = *marker;
+                }
             }
         }
 
@@ -108,7 +111,7 @@ pub fn sparkline(values: &[f64]) -> String {
                 return ' ';
             }
             let idx = (((v - min) / span) * 7.0).round() as usize;
-            BLOCKS[idx.min(7)]
+            BLOCKS.get(idx).copied().unwrap_or('█')
         })
         .collect()
 }

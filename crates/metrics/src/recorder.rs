@@ -28,8 +28,9 @@ impl TrajectoryRecorder {
     ///
     /// Panics if any tracked index is out of range.
     pub fn observe(&mut self, params: &[f32]) {
-        for (k, &idx) in self.indices.iter().enumerate() {
-            self.trajectories[k].push(params[idx]);
+        assert!(self.indices.iter().all(|&idx| idx < params.len()), "tracked index out of range");
+        for (trajectory, &idx) in self.trajectories.iter_mut().zip(&self.indices) {
+            trajectory.extend(params.get(idx));
         }
     }
 
@@ -38,13 +39,10 @@ impl TrajectoryRecorder {
         self.trajectories.first().map_or(0, Vec::len)
     }
 
-    /// The trajectory of the `k`-th tracked parameter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
+    /// The trajectory of the `k`-th tracked parameter (empty if `k` is out
+    /// of range).
     pub fn trajectory(&self, k: usize) -> &[f32] {
-        &self.trajectories[k]
+        self.trajectories.get(k).map_or(&[], Vec::as_slice)
     }
 }
 

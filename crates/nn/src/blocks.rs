@@ -13,34 +13,54 @@ use rand::Rng;
 
 /// Concatenates two `NCHW` tensors along the channel axis.
 fn concat_channels(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (n, ca, h, w) = (a.shape()[0], a.shape()[1], a.shape()[2], a.shape()[3]);
-    let cb = b.shape()[1];
-    debug_assert_eq!(&[n, h, w], &[b.shape()[0], b.shape()[2], b.shape()[3]]);
+    let (n, ca, cb, h, w) = match (a.shape(), b.shape()) {
+        (&[n, ca, h, w], &[nb, cb, hb, wb])
+            if [nb, hb, wb] == [n, h, w] && ca > 0 && cb > 0 && h > 0 && w > 0 =>
+        {
+            (n, ca, cb, h, w)
+        }
+        _ => {
+            return Err(NnError::new_bad_input(
+                "concat_channels",
+                format_args!("[batch, c, h, w] matching {:?} but for c", a.shape()),
+                b.shape(),
+            ))
+        }
+    };
     let plane = h * w;
     let mut out = pool::pooled_zeros(&[n, ca + cb, h, w]);
-    let od = out.data_mut();
-    for s in 0..n {
-        let dst = &mut od[s * (ca + cb) * plane..];
-        dst[..ca * plane].copy_from_slice(&a.data()[s * ca * plane..(s + 1) * ca * plane]);
-        dst[ca * plane..(ca + cb) * plane]
-            .copy_from_slice(&b.data()[s * cb * plane..(s + 1) * cb * plane]);
+    let parts = a.data().chunks_exact(ca * plane).zip(b.data().chunks_exact(cb * plane));
+    for (dst, (sa, sb)) in out.data_mut().chunks_exact_mut((ca + cb) * plane).zip(parts) {
+        let (da, db) = dst.split_at_mut(ca * plane);
+        da.copy_from_slice(sa);
+        db.copy_from_slice(sb);
     }
     Ok(out)
 }
 
-/// Splits a channel-concatenated gradient back into its two parts.
+/// Splits a channel-concatenated gradient back into its first `ca`
+/// channels and the rest.
 fn split_channels(g: &Tensor, ca: usize) -> Result<(Tensor, Tensor)> {
-    let (n, c, h, w) = (g.shape()[0], g.shape()[1], g.shape()[2], g.shape()[3]);
+    let (n, c, h, w) = match *g.shape() {
+        [n, c, h, w] if 0 < ca && ca < c && h > 0 && w > 0 => (n, c, h, w),
+        _ => {
+            return Err(NnError::new_bad_input(
+                "split_channels",
+                format_args!("[batch, c > {ca}, h, w]"),
+                g.shape(),
+            ))
+        }
+    };
     let cb = c - ca;
     let plane = h * w;
     let mut ga = pool::pooled_zeros(&[n, ca, h, w]);
     let mut gb = pool::pooled_zeros(&[n, cb, h, w]);
-    let gad = ga.data_mut();
-    let gbd = gb.data_mut();
-    for s in 0..n {
-        let src = &g.data()[s * c * plane..];
-        gad[s * ca * plane..(s + 1) * ca * plane].copy_from_slice(&src[..ca * plane]);
-        gbd[s * cb * plane..(s + 1) * cb * plane].copy_from_slice(&src[ca * plane..c * plane]);
+    let parts = ga.data_mut().chunks_exact_mut(ca * plane);
+    let parts = parts.zip(gb.data_mut().chunks_exact_mut(cb * plane));
+    for (src, (da, db)) in g.data().chunks_exact(c * plane).zip(parts) {
+        let (sa, sb) = src.split_at(ca * plane);
+        da.copy_from_slice(sa);
+        db.copy_from_slice(sb);
     }
     Ok((ga, gb))
 }

@@ -47,11 +47,13 @@ pub fn load_params(model: &mut dyn Layer, flat: &[f32]) -> Result<()> {
             expected
         )));
     }
-    let mut offset = 0usize;
+    let mut rest = flat;
     model.visit_params_mut(&mut |p| {
-        let n = p.len();
-        p.value.data_mut().copy_from_slice(&flat[offset..offset + n]);
-        offset += n;
+        // The counts match, so every parameter finds its values.
+        if let Some((values, tail)) = rest.split_at_checked(p.len()) {
+            p.value.data_mut().copy_from_slice(values);
+            rest = tail;
+        }
     });
     Ok(())
 }

@@ -23,15 +23,16 @@ impl Layer for Flatten {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        if input.rank() < 2 {
-            return Err(NnError::new_bad_input(
-                self.name(),
-                format_args!("rank >= 2"),
-                input.shape(),
-            ));
-        }
-        let batch = input.shape()[0];
-        let rest: usize = input.shape()[1..].iter().product();
+        let (batch, rest) = match *input.shape() {
+            [batch, ref rest @ ..] if !rest.is_empty() => (batch, rest.iter().product::<usize>()),
+            _ => {
+                return Err(NnError::new_bad_input(
+                    self.name(),
+                    format_args!("rank >= 2"),
+                    input.shape(),
+                ))
+            }
+        };
         if train {
             let mut cached = pool::take_usize_buf(input.rank());
             cached.copy_from_slice(input.shape());

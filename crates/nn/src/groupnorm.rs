@@ -13,6 +13,7 @@ const EPS: f32 = 1e-5;
 
 struct Cache {
     input: Tensor,
+    plane: usize,      // h * w of `input`
     mean: Vec<f32>,    // per (sample, group)
     inv_std: Vec<f32>, // per (sample, group)
 }
@@ -65,47 +66,48 @@ impl Layer for GroupNorm {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        if input.rank() != 4 || input.shape()[1] != self.channels {
-            return Err(NnError::new_bad_input(
-                self.name(),
-                format_args!("[batch, {}, h, w]", self.channels),
-                input.shape(),
-            ));
-        }
-        let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-        let cpg = c / self.groups; // channels per group
-        let group_size = cpg * h * w;
-        let plane = h * w;
+        let plane = match *input.shape() {
+            [_, c, h, w] if c == self.channels && h > 0 && w > 0 => h * w,
+            _ => {
+                return Err(NnError::new_bad_input(
+                    self.name(),
+                    format_args!("[batch, {}, h, w]", self.channels),
+                    input.shape(),
+                ))
+            }
+        };
+        let n = input.len() / (self.channels * plane);
+        let cpg = self.channels / self.groups; // channels per group
+        let group_size = cpg * plane;
         let data = input.data();
         let mut out_t = pool::pooled_zeros(input.shape());
-        let out = out_t.data_mut();
         let mut means = pool::take_f32_buf(n * self.groups);
         let mut inv_stds = pool::take_f32_buf(n * self.groups);
 
-        for s in 0..n {
-            for g in 0..self.groups {
-                let start = s * c * plane + g * cpg * plane;
-                let slice = &data[start..start + group_size];
-                let mean = slice.iter().sum::<f32>() / group_size as f32;
-                let var = slice.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / group_size as f32;
-                let inv_std = 1.0 / (var + EPS).sqrt();
-                means[s * self.groups + g] = mean;
-                inv_stds[s * self.groups + g] = inv_std;
-                for ci in 0..cpg {
-                    let ch = g * cpg + ci;
-                    let gam = self.gamma.value.data()[ch];
-                    let bet = self.beta.value.data()[ch];
-                    let off = start + ci * plane;
-                    for i in 0..plane {
-                        out[off + i] = (data[off + i] - mean) * inv_std * gam + bet;
-                    }
+        // Groups are contiguous and run (sample, group) in the order the
+        // statistics are stored; the affine parameters repeat per sample.
+        let gammas = self.gamma.value.data().chunks_exact(cpg);
+        let affine = gammas.zip(self.beta.value.data().chunks_exact(cpg)).cycle();
+        let stats = means.iter_mut().zip(inv_stds.iter_mut());
+        let outs = out_t.data_mut().chunks_exact_mut(group_size);
+        let groups = data.chunks_exact(group_size).zip(outs).zip(stats);
+        for (((xs, os), (mean_slot, inv_std_slot)), (gams, bets)) in groups.zip(affine) {
+            let mean = xs.iter().sum::<f32>() / group_size as f32;
+            let var = xs.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / group_size as f32;
+            let inv_std = 1.0 / (var + EPS).sqrt();
+            *mean_slot = mean;
+            *inv_std_slot = inv_std;
+            let channels = xs.chunks_exact(plane).zip(os.chunks_exact_mut(plane));
+            for ((xc, oc), (&gam, &bet)) in channels.zip(gams.iter().zip(bets)) {
+                for (o, &x) in oc.iter_mut().zip(xc) {
+                    *o = (x - mean) * inv_std * gam + bet;
                 }
             }
         }
         if train {
             let mut cached = pool::pooled_like(input);
             cached.data_mut().copy_from_slice(data);
-            self.cache = Some(Cache { input: cached, mean: means, inv_std: inv_stds });
+            self.cache = Some(Cache { input: cached, plane, mean: means, inv_std: inv_stds });
         } else {
             pool::give_f32_buf(means);
             pool::give_f32_buf(inv_stds);
@@ -125,66 +127,69 @@ impl Layer for GroupNorm {
                 format_args!("grad {:?}", input.shape()),
                 grad_output.shape(),
             );
-            let Cache { input, mean, inv_std } = cache;
+            let Cache { input, mean, inv_std, .. } = cache;
             pool::recycle(input);
             pool::give_f32_buf(mean);
             pool::give_f32_buf(inv_std);
             return Err(err);
         }
-        let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-        let cpg = c / self.groups;
-        let plane = h * w;
-        let group_size = (cpg * plane) as f32;
-        let xd = input.data();
-        let gd = grad_output.data();
+        let plane = cache.plane;
+        let cpg = self.channels / self.groups;
+        let group_len = cpg * plane;
+        let group_size = group_len as f32;
         let mut grad_in_t = pool::pooled_zeros(input.shape());
-        let grad_in = grad_in_t.data_mut();
 
-        for s in 0..n {
-            for g in 0..self.groups {
-                let mean = cache.mean[s * self.groups + g];
-                let inv_std = cache.inv_std[s * self.groups + g];
-                let start = s * c * plane + g * cpg * plane;
-
+        let gammas = self.gamma.value.data();
+        let (dgammas, dbetas) = (self.gamma.grad.data_mut(), self.beta.grad.data_mut());
+        let stats = cache.mean.chunks_exact(self.groups);
+        let stats = stats.zip(cache.inv_std.chunks_exact(self.groups));
+        let sample_len = self.channels * plane;
+        let samples = input.data().chunks_exact(sample_len);
+        let samples = samples.zip(grad_output.data().chunks_exact(sample_len));
+        let samples = samples.zip(grad_in_t.data_mut().chunks_exact_mut(sample_len));
+        for (((xs, gs), dxs), (means, inv_stds)) in samples.zip(stats) {
+            let params = gammas.chunks_exact(cpg).zip(dgammas.chunks_exact_mut(cpg));
+            let params = params.zip(dbetas.chunks_exact_mut(cpg));
+            let groups = xs.chunks_exact(group_len).zip(gs.chunks_exact(group_len));
+            let groups = groups.zip(dxs.chunks_exact_mut(group_len));
+            let groups = groups.zip(means.iter().zip(inv_stds));
+            for ((((xg, gg), dxg), (&mean, &inv_std)), ((gams, dgams), dbets)) in groups.zip(params)
+            {
                 // First pass: accumulate the two group-level sums of the
                 // standard normalization backward formula, plus per-channel
                 // gamma/beta gradients.
                 let mut sum_dxhat = 0.0f32;
                 let mut sum_dxhat_xhat = 0.0f32;
-                for ci in 0..cpg {
-                    let ch = g * cpg + ci;
-                    let gam = self.gamma.value.data()[ch];
-                    let off = start + ci * plane;
+                let channels = xg.chunks_exact(plane).zip(gg.chunks_exact(plane));
+                let channel_params = gams.iter().zip(dgams).zip(dbets);
+                for ((xc, gc), ((&gam, dgam), dbet)) in channels.zip(channel_params) {
                     let mut dgamma = 0.0f32;
                     let mut dbeta = 0.0f32;
-                    for i in 0..plane {
-                        let xhat = (xd[off + i] - mean) * inv_std;
-                        let dy = gd[off + i];
+                    for (&x, &dy) in xc.iter().zip(gc) {
+                        let xhat = (x - mean) * inv_std;
                         dgamma += dy * xhat;
                         dbeta += dy;
                         let dxhat = dy * gam;
                         sum_dxhat += dxhat;
                         sum_dxhat_xhat += dxhat * xhat;
                     }
-                    self.gamma.grad.data_mut()[ch] += dgamma;
-                    self.beta.grad.data_mut()[ch] += dbeta;
+                    *dgam += dgamma;
+                    *dbet += dbeta;
                 }
 
                 // Second pass: dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat*xhat))
-                for ci in 0..cpg {
-                    let ch = g * cpg + ci;
-                    let gam = self.gamma.value.data()[ch];
-                    let off = start + ci * plane;
-                    for i in 0..plane {
-                        let xhat = (xd[off + i] - mean) * inv_std;
-                        let dxhat = gd[off + i] * gam;
-                        grad_in[off + i] =
-                            inv_std * (dxhat - sum_dxhat / group_size - xhat * sum_dxhat_xhat / group_size);
+                let channels = xg.chunks_exact(plane).zip(gg.chunks_exact(plane));
+                for (((xc, gc), dxc), &gam) in channels.zip(dxg.chunks_exact_mut(plane)).zip(gams) {
+                    for ((dx, &x), &dy) in dxc.iter_mut().zip(xc).zip(gc) {
+                        let xhat = (x - mean) * inv_std;
+                        let dxhat = dy * gam;
+                        *dx = inv_std
+                            * (dxhat - sum_dxhat / group_size - xhat * sum_dxhat_xhat / group_size);
                     }
                 }
             }
         }
-        let Cache { input, mean, inv_std } = cache;
+        let Cache { input, mean, inv_std, .. } = cache;
         pool::recycle(input);
         pool::give_f32_buf(mean);
         pool::give_f32_buf(inv_std);

@@ -16,34 +16,35 @@ use fedsu_tensor::{pool, Tensor};
 /// Returns [`NnError::BadInput`] when shapes disagree and
 /// [`NnError::BadLabel`] when a label is out of range.
 pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> Result<(f32, Tensor)> {
-    if logits.rank() != 2 || logits.shape()[0] != labels.len() {
-        return Err(NnError::new_bad_input(
-            "softmax_cross_entropy",
-            format_args!("[{}, classes] logits", labels.len()),
-            logits.shape(),
-        ));
-    }
-    let (batch, classes) = (logits.shape()[0], logits.shape()[1]);
+    let (batch, classes) = match *logits.shape() {
+        [batch, classes] if batch == labels.len() && classes > 0 => (batch, classes),
+        _ => {
+            return Err(NnError::new_bad_input(
+                "softmax_cross_entropy",
+                format_args!("[{}, classes > 0] logits", labels.len()),
+                logits.shape(),
+            ))
+        }
+    };
     let mut grad = pool::pooled_zeros(&[batch, classes]);
     let mut loss = 0.0f64;
     let inv_batch = 1.0 / batch as f32;
 
-    for (n, &label) in labels.iter().enumerate() {
-        if label >= classes {
+    let rows = logits.data().chunks_exact(classes).zip(grad.data_mut().chunks_exact_mut(classes));
+    for ((row, g), &label) in rows.zip(labels) {
+        let Some(&target) = row.get(label) else {
             return Err(NnError::BadLabel { label, classes });
-        }
-        let row = &logits.data()[n * classes..(n + 1) * classes];
+        };
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let mut denom = 0.0f32;
         for &v in row {
             denom += (v - max).exp();
         }
         let log_denom = denom.ln();
-        loss += f64::from(log_denom - (row[label] - max));
-        let g = &mut grad.data_mut()[n * classes..(n + 1) * classes];
-        for (k, &v) in row.iter().enumerate() {
+        loss += f64::from(log_denom - (target - max));
+        for (k, (gk, &v)) in g.iter_mut().zip(row).enumerate() {
             let p = (v - max).exp() / denom;
-            g[k] = (p - if k == label { 1.0 } else { 0.0 }) * inv_batch;
+            *gk = (p - if k == label { 1.0 } else { 0.0 }) * inv_batch;
         }
     }
     Ok(((loss / batch as f64) as f32, grad))
@@ -55,27 +56,29 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> Result<(f32, 
 ///
 /// Returns [`NnError::BadInput`] when shapes disagree.
 pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32> {
-    if logits.rank() != 2 || logits.shape()[0] != labels.len() {
-        return Err(NnError::new_bad_input(
-            "accuracy",
-            format_args!("[{}, classes] logits", labels.len()),
-            logits.shape(),
-        ));
-    }
-    if labels.is_empty() {
+    let classes = match *logits.shape() {
+        [batch, classes] if batch == labels.len() => classes,
+        _ => {
+            return Err(NnError::new_bad_input(
+                "accuracy",
+                format_args!("[{}, classes] logits", labels.len()),
+                logits.shape(),
+            ))
+        }
+    };
+    if labels.is_empty() || classes == 0 {
         return Ok(0.0);
     }
-    let classes = logits.shape()[1];
     let mut correct = 0usize;
-    for (n, &label) in labels.iter().enumerate() {
-        let row = &logits.data()[n * classes..(n + 1) * classes];
-        let mut best = 0usize;
+    for (row, &label) in logits.data().chunks_exact(classes).zip(labels) {
+        // The first maximum wins; a NaN is never greater.
+        let mut best = (0usize, row.first().copied().unwrap_or_default());
         for (k, &v) in row.iter().enumerate() {
-            if v > row[best] {
-                best = k;
+            if v > best.1 {
+                best = (k, v);
             }
         }
-        if best == label {
+        if best.0 == label {
             correct += 1;
         }
     }

@@ -51,8 +51,8 @@ pub fn mlp<R: Rng + ?Sized>(dims: &[usize], rng: &mut R) -> Result<Sequential> {
         return Err(NnError::BadConfig("mlp needs at least input and output dims".to_string()));
     }
     let mut net = Sequential::with_capacity("mlp", 2 * dims.len());
-    for i in 0..dims.len() - 1 {
-        net.push(Dense::new(dims[i], dims[i + 1], rng)?);
+    for (i, (&from, &to)) in dims.iter().zip(dims.iter().skip(1)).enumerate() {
+        net.push(Dense::new(from, to, rng)?);
         if i + 2 < dims.len() {
             net.push(Relu::new());
         }

@@ -4,16 +4,27 @@ use crate::layer::Layer;
 use crate::{NnError, Result};
 use fedsu_tensor::{pool, Tensor};
 
-fn check_nchw(input: &Tensor, layer: &str) -> Result<(usize, usize, usize, usize)> {
-    if input.rank() != 4 {
+/// The `[n, c, h, w]` dims of a pooling input with a non-empty plane.
+fn nchw(input: &Tensor, layer: &str) -> Result<[usize; 4]> {
+    match *input.shape() {
+        [n, c, h, w] if h > 0 && w > 0 => Ok([n, c, h, w]),
+        _ => Err(NnError::new_bad_input(layer, format_args!("[batch, c, h, w]"), input.shape())),
+    }
+}
+
+/// The `[n, c, h, w]` dims of a `k`-window pooling input: a non-empty
+/// plane whose sides `k` divides.
+fn windowed_nchw(input: &Tensor, k: usize, layer: &str) -> Result<[usize; 4]> {
+    let dims = nchw(input, layer)?;
+    let [_, _, h, w] = dims;
+    if h % k != 0 || w % k != 0 {
         return Err(NnError::new_bad_input(
             layer,
-            format_args!("[batch, c, h, w]"),
+            format_args!("spatial dims divisible by {k}"),
             input.shape(),
         ));
     }
-    let s = input.shape();
-    Ok((s[0], s[1], s[2], s[3]))
+    Ok(dims)
 }
 
 /// Checks out a pool-backed copy of `shape` so steady rounds reuse the
@@ -51,37 +62,32 @@ impl Layer for MaxPool2d {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        let (n, c, h, w) = check_nchw(input, self.name())?;
-        if h % self.k != 0 || w % self.k != 0 {
-            return Err(NnError::new_bad_input(
-                self.name(),
-                format_args!("spatial dims divisible by {}", self.k),
-                input.shape(),
-            ));
-        }
-        let (oh, ow) = (h / self.k, w / self.k);
+        let k = self.k;
+        let [n, c, h, w] = windowed_nchw(input, k, self.name())?;
+        let (oh, ow) = (h / k, w / k);
         let mut out = pool::pooled_zeros(&[n, c, oh, ow]);
         let mut arg = pool::take_usize_buf(n * c * oh * ow);
-        let data = input.data();
-        let od = out.data_mut();
-        for img in 0..n * c {
-            let base = img * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
+        // Each window is scanned row by row, left to right, so a tie keeps
+        // the first maximum in that order.
+        let planes = input.data().chunks_exact(h * w);
+        let outs = out.data_mut().chunks_exact_mut(oh * ow).zip(arg.chunks_exact_mut(oh * ow));
+        for (img, (plane, (oplane, aplane))) in planes.zip(outs).enumerate() {
+            let obands = oplane.chunks_exact_mut(ow).zip(aplane.chunks_exact_mut(ow));
+            for (oy, (band, (orow, arow))) in plane.chunks_exact(k * w).zip(obands).enumerate() {
+                let band_start = (img * h + oy * k) * w;
+                for (ox, (o, a)) in orow.iter_mut().zip(arow.iter_mut()).enumerate() {
                     let mut best = f32::NEG_INFINITY;
                     let mut best_idx = 0usize;
-                    for dy in 0..self.k {
-                        for dx in 0..self.k {
-                            let idx = base + (oy * self.k + dy) * w + ox * self.k + dx;
-                            if data[idx] > best {
-                                best = data[idx];
-                                best_idx = idx;
+                    for (dy, row) in band.chunks_exact(w).enumerate() {
+                        for (x, &v) in row.iter().enumerate().skip(ox * k).take(k) {
+                            if v > best {
+                                best = v;
+                                best_idx = band_start + dy * w + x;
                             }
                         }
                     }
-                    let o = img * oh * ow + oy * ow + ox;
-                    od[o] = best;
-                    arg[o] = best_idx;
+                    *o = best;
+                    *a = best_idx;
                 }
             }
         }
@@ -110,8 +116,11 @@ impl Layer for MaxPool2d {
         }
         let mut grad_in = pool::pooled_zeros(&in_shape);
         let gd = grad_in.data_mut();
+        // Every index was taken from a window of the `in_shape` input.
         for (g, &idx) in grad_output.data().iter().zip(&arg) {
-            gd[idx] += g;
+            if let Some(slot) = gd.get_mut(idx) {
+                *slot += g;
+            }
         }
         pool::give_usize_buf(arg);
         pool::give_usize_buf(in_shape);
@@ -144,30 +153,23 @@ impl Layer for AvgPool2d {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        let (n, c, h, w) = check_nchw(input, self.name())?;
-        if h % self.k != 0 || w % self.k != 0 {
-            return Err(NnError::new_bad_input(
-                self.name(),
-                format_args!("spatial dims divisible by {}", self.k),
-                input.shape(),
-            ));
-        }
-        let (oh, ow) = (h / self.k, w / self.k);
-        let inv = 1.0 / (self.k * self.k) as f32;
+        let k = self.k;
+        let [n, c, h, w] = windowed_nchw(input, k, self.name())?;
+        let (oh, ow) = (h / k, w / k);
+        let inv = 1.0 / (k * k) as f32;
         let mut out = pool::pooled_zeros(&[n, c, oh, ow]);
-        let data = input.data();
-        let od = out.data_mut();
-        for img in 0..n * c {
-            let base = img * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
+        // Each window sums row by row, left to right, from `+0.0`.
+        let planes = input.data().chunks_exact(h * w);
+        for (plane, oplane) in planes.zip(out.data_mut().chunks_exact_mut(oh * ow)) {
+            for (band, orow) in plane.chunks_exact(k * w).zip(oplane.chunks_exact_mut(ow)) {
+                for (ox, o) in orow.iter_mut().enumerate() {
                     let mut acc = 0.0f32;
-                    for dy in 0..self.k {
-                        for dx in 0..self.k {
-                            acc += data[base + (oy * self.k + dy) * w + ox * self.k + dx];
+                    for row in band.chunks_exact(w) {
+                        for &v in row.iter().skip(ox * k).take(k) {
+                            acc += v;
                         }
                     }
-                    od[img * oh * ow + oy * ow + ox] = acc * inv;
+                    *o = acc * inv;
                 }
             }
         }
@@ -182,29 +184,31 @@ impl Layer for AvgPool2d {
             .cached_shape
             .take()
             .ok_or_else(|| NnError::new_missing_forward(self.name()))?;
-        let (h, w) = (in_shape[2], in_shape[3]);
-        let (oh, ow) = (h / self.k, w / self.k);
-        let inv = 1.0 / (self.k * self.k) as f32;
+        let k = self.k;
+        let [n, c, h, w] = *in_shape.as_slice() else {
+            pool::give_usize_buf(in_shape);
+            return Err(NnError::new_missing_forward(self.name()));
+        };
+        let (oh, ow) = (h / k, w / k);
+        let inv = 1.0 / (k * k) as f32;
         let gd = grad_output.data();
-        let images = in_shape[0] * in_shape[1];
-        if gd.len() != images * oh * ow {
+        if gd.len() != n * c * oh * ow {
             pool::give_usize_buf(in_shape);
             return Err(NnError::new_bad_input(
                 self.name(),
-                format_args!("grad with {} elements", images * oh * ow),
+                format_args!("grad with {} elements", n * c * oh * ow),
                 grad_output.shape(),
             ));
         }
         let mut grad_in = pool::pooled_zeros(&in_shape);
-        let gi = grad_in.data_mut();
-        for img in 0..images {
-            let base = img * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = gd[img * oh * ow + oy * ow + ox] * inv;
-                    for dy in 0..self.k {
-                        for dx in 0..self.k {
-                            gi[base + (oy * self.k + dy) * w + ox * self.k + dx] += g;
+        let gplanes = grad_in.data_mut().chunks_exact_mut(h * w);
+        for (gplane, dplane) in gplanes.zip(gd.chunks_exact(oh * ow)) {
+            for (band, drow) in gplane.chunks_exact_mut(k * w).zip(dplane.chunks_exact(ow)) {
+                for row in band.chunks_exact_mut(w) {
+                    for (window, &g) in row.chunks_exact_mut(k).zip(drow) {
+                        let g = g * inv;
+                        for v in window {
+                            *v += g;
                         }
                     }
                 }
@@ -234,14 +238,13 @@ impl Layer for GlobalAvgPool {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        let (n, c, h, w) = check_nchw(input, self.name())?;
+        let [n, c, h, w] = nchw(input, self.name())?;
         let plane = h * w;
         let inv = 1.0 / plane as f32;
         let mut out = pool::pooled_zeros(&[n, c]);
-        let od = out.data_mut();
-        // `od` holds exactly the `n * c` plane means.
-        for (img, o) in od.iter_mut().enumerate() {
-            *o = input.data()[img * plane..(img + 1) * plane].iter().sum::<f32>() * inv;
+        // `out` holds exactly the `n * c` plane means.
+        for (o, p) in out.data_mut().iter_mut().zip(input.data().chunks_exact(plane)) {
+            *o = p.iter().sum::<f32>() * inv;
         }
         if train {
             self.cached_shape = Some(cache_shape(input.shape()));
@@ -254,24 +257,23 @@ impl Layer for GlobalAvgPool {
             .cached_shape
             .take()
             .ok_or_else(|| NnError::new_missing_forward(self.name()))?;
-        let plane = in_shape[2] * in_shape[3];
+        let [n, c, h, w] = *in_shape.as_slice() else {
+            pool::give_usize_buf(in_shape);
+            return Err(NnError::new_missing_forward(self.name()));
+        };
+        let plane = h * w;
         let inv = 1.0 / plane as f32;
-        let images = in_shape[0] * in_shape[1];
-        if grad_output.len() != images {
+        if grad_output.len() != n * c {
             pool::give_usize_buf(in_shape);
             return Err(NnError::new_bad_input(
                 self.name(),
-                format_args!("grad with {images} elements"),
+                format_args!("grad with {} elements", n * c),
                 grad_output.shape(),
             ));
         }
         let mut grad_in = pool::pooled_zeros(&in_shape);
-        let gi = grad_in.data_mut();
-        for img in 0..images {
-            let g = grad_output.data()[img] * inv;
-            for v in &mut gi[img * plane..(img + 1) * plane] {
-                *v = g;
-            }
+        for (p, &g) in grad_in.data_mut().chunks_exact_mut(plane).zip(grad_output.data()) {
+            p.fill(g * inv);
         }
         pool::give_usize_buf(in_shape);
         Ok(grad_in)

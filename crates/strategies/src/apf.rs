@@ -151,34 +151,39 @@ impl SyncStrategy for Apf {
             assert_eq!(local.len(), n, "local/global length mismatch");
             simd::axpy_with(level, &mut self.mean, inv, local);
         }
-        for (j, &avg) in self.mean.iter().enumerate() {
-            if self.freeze_remaining[j] > 0 {
+        let config = self.config;
+        let warm = self.rounds_seen >= config.warmup_rounds;
+        let emas = self.ema_update.iter_mut().zip(self.ema_abs_update.iter_mut());
+        let freeze = self.freeze_remaining.iter_mut().zip(self.freeze_period.iter_mut());
+        let state = emas.zip(freeze).zip(self.frozen_rounds.iter_mut());
+        for ((&avg, g), (((ema, ema_abs), (remaining, period)), frozen)) in
+            self.mean.iter().zip(global.iter_mut()).zip(state)
+        {
+            if *remaining > 0 {
                 // Frozen: hold the global value; local drift is discarded.
-                self.freeze_remaining[j] -= 1;
-                self.frozen_rounds[j] += 1;
+                *remaining -= 1;
+                *frozen += 1;
                 continue;
             }
             synced += 1;
-            let old = global[j];
-            global[j] = avg;
-            let u = avg - old;
-            self.ema_update[j] = theta * self.ema_update[j] + (1.0 - theta) * u;
-            self.ema_abs_update[j] = theta * self.ema_abs_update[j] + (1.0 - theta) * u.abs();
+            let u = avg - *g;
+            *g = avg;
+            *ema = theta * *ema + (1.0 - theta) * u;
+            *ema_abs = theta * *ema_abs + (1.0 - theta) * u.abs();
 
-            if self.rounds_seen >= self.config.warmup_rounds {
-                let perturbation = if self.ema_abs_update[j] > f32::EPSILON {
-                    f64::from(self.ema_update[j].abs()) / f64::from(self.ema_abs_update[j])
+            if warm {
+                let perturbation = if *ema_abs > f32::EPSILON {
+                    f64::from(ema.abs()) / f64::from(*ema_abs)
                 } else {
                     0.0
                 };
-                if perturbation < self.config.stability_threshold {
+                if perturbation < config.stability_threshold {
                     // Stable: freeze for an additively-grown period.
-                    self.freeze_period[j] =
-                        (self.freeze_period[j] + self.config.period_step).min(self.config.max_period);
-                    self.freeze_remaining[j] = self.freeze_period[j];
+                    *period = (*period + config.period_step).min(config.max_period);
+                    *remaining = *period;
                 } else {
                     // Unstable: reset the additive-increase state.
-                    self.freeze_period[j] = 0;
+                    *period = 0;
                 }
             }
         }

@@ -20,6 +20,9 @@
 //! [`fedsu_fl::Experiment`] interchangeably with FedSU itself.
 
 #![warn(missing_docs)]
+// No panic paths in library code: an index, `expect`, `panic!` or
+// `unreachable!` fails `cargo clippy` (test code is exempt, see clippy.toml).
+#![deny(clippy::indexing_slicing, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 mod apf;
 mod cmfl;

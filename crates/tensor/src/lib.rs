@@ -23,6 +23,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// No panic paths in library code: an index, `expect`, `panic!` or
+// `unreachable!` fails `cargo clippy` (test code is exempt, see clippy.toml).
+#![deny(clippy::indexing_slicing, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 pub mod alloc_stats;
 mod conv;

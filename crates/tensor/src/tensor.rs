@@ -273,22 +273,6 @@ impl Tensor {
         }
     }
 
-    /// Index of the maximum element (first on ties).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is empty.
-    pub fn argmax(&self) -> usize {
-        assert!(!self.data.is_empty(), "argmax of empty tensor");
-        let mut best = 0;
-        for (i, &v) in self.data.iter().enumerate() {
-            if v > self.data[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
     /// Whether any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|v| !v.is_finite())
@@ -301,14 +285,11 @@ impl Tensor {
     /// Returns [`TensorError::RankMismatch`] for non-rank-2 tensors and
     /// [`TensorError::IndexOutOfBounds`] when the row is out of range.
     pub fn row(&self, i: usize) -> Result<&[f32]> {
-        if self.shape.len() != 2 {
+        let [rows, cols] = *self.shape else {
             return Err(TensorError::RankMismatch { expected: 2, actual: self.shape.len(), op: "row" });
-        }
-        let (rows, cols) = (self.shape[0], self.shape[1]);
-        if i >= rows {
-            return Err(TensorError::IndexOutOfBounds { index: i, len: rows });
-        }
-        Ok(&self.data[i * cols..(i + 1) * cols])
+        };
+        let row = if i < rows { self.data.get(i * cols..(i + 1) * cols) } else { None };
+        row.ok_or(TensorError::IndexOutOfBounds { index: i, len: rows })
     }
 }
 
@@ -401,13 +382,6 @@ mod tests {
         let a = Tensor::from_vec(vec![1.0, -2.0, 3.0], &[3]).unwrap();
         assert_eq!(a.sum(), 2.0);
         assert!((a.mean() - 2.0 / 3.0).abs() < 1e-6);
-        assert_eq!(a.argmax(), 2);
-    }
-
-    #[test]
-    fn argmax_takes_first_on_ties() {
-        let a = Tensor::from_vec(vec![5.0, 5.0, 1.0], &[3]).unwrap();
-        assert_eq!(a.argmax(), 0);
     }
 
     #[test]
@@ -466,29 +440,6 @@ mod tests {
 }
 
 impl Tensor {
-    /// Transpose of a rank-2 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-rank-2 tensors.
-    pub fn transpose(&self) -> Result<Tensor> {
-        if self.shape.len() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.shape.len(),
-                op: "transpose",
-            });
-        }
-        let (rows, cols) = (self.shape[0], self.shape[1]);
-        let mut out = vec![0.0f32; self.data.len()];
-        for r in 0..rows {
-            for c in 0..cols {
-                out[c * rows + r] = self.data[r * cols + c];
-            }
-        }
-        Ok(Tensor { data: out, shape: vec![cols, rows] })
-    }
-
     /// Clamps every element into `[lo, hi]`.
     ///
     /// # Panics
@@ -518,21 +469,6 @@ impl Tensor {
 #[cfg(test)]
 mod extra_op_tests {
     use super::*;
-
-    #[test]
-    fn transpose_known_values() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        let t = a.transpose().unwrap();
-        assert_eq!(t.shape(), &[3, 2]);
-        assert_eq!(t.data(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
-        // Double transpose is the identity.
-        assert_eq!(t.transpose().unwrap(), a);
-    }
-
-    #[test]
-    fn transpose_requires_rank2() {
-        assert!(Tensor::zeros(&[4]).transpose().is_err());
-    }
 
     #[test]
     fn clamp_bounds_values() {

@@ -16,7 +16,7 @@
 //! the smoke sizes so a smoke-scale CI run still has points to compare), but
 //! sharing **no** block is an error.
 //!
-//! Like the lint ratchet, the gate only tightens: a run that fails here
+//! The gate only tightens: a run that fails here
 //! either gets fixed or the baseline is consciously regenerated with
 //! `--fix` and the diff reviewed.
 //!

@@ -1,26 +1,15 @@
 //! Name-based call-graph approximation over parsed files.
 //!
-//! The panic-path rule needs "is this function transitively reachable from
-//! the experiment round loop" — without type resolution, the useful (and
-//! sound-for-linting) over-approximation is by name: a call to `foo` may
-//! reach *every* function named `foo` in the workspace. That errs toward
-//! flagging too much, which is the right direction for a panic audit; false
-//! positives land in the baseline, never silently pass.
+//! The concurrency rules need "can this function run on a pool worker" and
+//! "can a call to this name reach pool dispatch" — without type resolution,
+//! the useful (and sound-for-linting) over-approximation is by name: a call
+//! to `foo` may reach *every* function named `foo` in the workspace. That
+//! errs toward flagging too much, which is the right direction for a
+//! deadlock audit.
 
 use crate::ast::ParsedFile;
 use crate::lexer::TokenKind;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Hot-path roots: function name + required path suffix of its file.
-const ROOTS: [(&str, &str); 5] = [
-    ("run", "fl/src/experiment.rs"),
-    ("aggregate", "core/src/manager.rs"),
-    ("prepare_uploads_into", "core/src/manager.rs"),
-    // The reliable session protocol: everything a blocked send/recv can
-    // reach (framing, chaos decorators, the bus) is panic-audited too.
-    ("send_reliable", "transport/src/session.rs"),
-    ("recv_reliable", "transport/src/session.rs"),
-];
 
 /// Pool-worker bodies: code reachable from these runs on a worker thread,
 /// where a blocking channel receive can wedge the whole pool
@@ -33,11 +22,10 @@ const WORKER_ROOTS: [(&str, &str); 1] = [("worker_loop", "tensor/src/par.rs")];
 const DISPATCH_TARGETS: [(&str, &str); 1] = [("run_chunks", "tensor/src/par.rs")];
 
 /// Reachability result: for each file (by workspace-relative path), which
-/// function indices (into `ParsedFile::fns`) are on a hot path / worker
-/// path, plus the names of functions that can reach pool dispatch.
+/// function indices (into `ParsedFile::fns`) are on a worker path, plus the
+/// names of functions that can reach pool dispatch.
 #[derive(Debug, Default)]
 pub struct CallGraph {
-    hot: BTreeMap<String, BTreeSet<usize>>,
     workers: BTreeMap<String, BTreeSet<usize>>,
     dispatch_names: BTreeSet<String>,
 }
@@ -70,7 +58,6 @@ impl CallGraph {
             }
         }
 
-        let hot = forward_closure(files, &edges, &ROOTS);
         let workers = forward_closure(files, &edges, &WORKER_ROOTS);
 
         // Reverse reachability: which functions can reach a dispatch target?
@@ -106,12 +93,7 @@ impl CallGraph {
             .map(|&(fi, ni)| files[fi].1.fns[ni].name.clone())
             .collect();
 
-        CallGraph { hot, workers, dispatch_names }
-    }
-
-    /// `true` when function `fn_idx` of file `rel` is on a hot path.
-    pub fn is_hot(&self, rel: &str, fn_idx: usize) -> bool {
-        self.hot.get(rel).is_some_and(|s| s.contains(&fn_idx))
+        CallGraph { workers, dispatch_names }
     }
 
     /// `true` when function `fn_idx` of file `rel` can run on a pool-worker
@@ -124,12 +106,6 @@ impl CallGraph {
     /// dispatch path (`run_chunks`).
     pub fn reaches_dispatch(&self, name: &str) -> bool {
         self.dispatch_names.contains(name)
-    }
-
-    /// `true` when any hot function exists at all (lets single-file lint
-    /// runs skip the rule when no root is in scope).
-    pub fn has_roots(&self) -> bool {
-        !self.hot.is_empty()
     }
 }
 
@@ -214,43 +190,44 @@ mod tests {
     }
 
     #[test]
-    fn transitive_reachability_from_run() {
+    fn transitive_reachability_from_worker_loop() {
         let (parsed, g) = graph(&[(
-            "crates/fl/src/experiment.rs",
-            "pub fn run() { step(); }\nfn step() { inner_helper(); }\nfn inner_helper() {}\nfn unrelated() {}",
+            "crates/tensor/src/par.rs",
+            "fn worker_loop() { step(); }\nfn step() { inner_helper(); }\nfn inner_helper() {}\nfn unrelated() {}",
         )]);
         let rel = &parsed[0].0;
-        assert!(g.is_hot(rel, 0), "root itself is hot");
-        assert!(g.is_hot(rel, 1));
-        assert!(g.is_hot(rel, 2), "two hops from root");
-        assert!(!g.is_hot(rel, 3), "uncalled fn is cold");
+        assert!(g.is_worker(rel, 0), "root itself is a worker");
+        assert!(g.is_worker(rel, 1));
+        assert!(g.is_worker(rel, 2), "two hops from root");
+        assert!(!g.is_worker(rel, 3), "uncalled fn is not");
     }
 
     #[test]
     fn method_calls_cross_files() {
         let (_, g) = graph(&[
-            ("crates/core/src/manager.rs", "impl FedSu { pub fn aggregate(&self) { self.helper_m(); } }"),
+            ("crates/tensor/src/par.rs", "impl Pool { fn worker_loop(&self) { self.helper_m(); } }"),
             ("crates/core/src/other.rs", "impl Other { pub fn helper_m(&self) { deep(); } }\nfn deep() {}"),
         ]);
-        assert!(g.is_hot("crates/core/src/other.rs", 0), "same-named method reached");
-        assert!(g.is_hot("crates/core/src/other.rs", 1));
+        assert!(g.is_worker("crates/core/src/other.rs", 0), "same-named method reached");
+        assert!(g.is_worker("crates/core/src/other.rs", 1));
     }
 
     #[test]
     fn macros_are_not_calls() {
         let (_, g) = graph(&[(
-            "crates/fl/src/experiment.rs",
-            "pub fn run() { log!(target_fn()); helper!(); }\nfn helper() {}",
+            "crates/tensor/src/par.rs",
+            "fn worker_loop() { log!(target_fn()); helper!(); }\nfn helper() {}",
         )]);
         // `helper!()` is a macro, not a call to fn helper — but
         // `target_fn()` inside the macro args still counts (token-level).
-        assert!(!g.is_hot("crates/fl/src/experiment.rs", 1));
+        assert!(!g.is_worker("crates/tensor/src/par.rs", 1));
     }
 
     #[test]
     fn no_roots_in_scope() {
-        let (_, g) = graph(&[("crates/nn/src/lib.rs", "pub fn run() { helper(); }\nfn helper() {}")]);
-        assert!(!g.has_roots(), "`run` outside fl/src/experiment.rs is not a root");
+        let rel = "crates/nn/src/lib.rs";
+        let (_, g) = graph(&[(rel, "fn worker_loop() { helper(); }\nfn helper() {}")]);
+        assert!(!g.is_worker(rel, 0), "`worker_loop` outside tensor/src/par.rs is not a root");
     }
 
     #[test]
@@ -263,7 +240,6 @@ mod tests {
         assert!(g.is_worker(rel, 0));
         assert!(g.is_worker(rel, 1), "called from the worker body");
         assert!(!g.is_worker(rel, 2), "dispatch is not worker-side");
-        assert!(!g.is_hot(rel, 0), "worker roots are not hot-path roots");
     }
 
     #[test]
@@ -283,9 +259,9 @@ mod tests {
     #[test]
     fn test_fns_never_seed_reachability() {
         let (_, g) = graph(&[(
-            "crates/fl/src/experiment.rs",
-            "#[cfg(test)]\nmod t { pub fn run() { secret(); } }\nfn secret() {}",
+            "crates/tensor/src/par.rs",
+            "#[cfg(test)]\nmod t { pub fn worker_loop() { secret(); } }\nfn secret() {}",
         )]);
-        assert!(!g.has_roots());
+        assert!(!g.is_worker("crates/tensor/src/par.rs", 1));
     }
 }

@@ -3,8 +3,9 @@
 //!
 //! Everything here is token-level and deliberately approximate, in the same
 //! spirit as the rest of the analyzer: over-approximate toward *flagging*
-//! (false positives land in the ratchet baseline and get reviewed) and keep
-//! the machinery simple enough to audit by hand.
+//! (a false positive fails the lint, so the code is restructured until it
+//! reads as safe to the analyzer too) and keep the machinery simple enough
+//! to audit by hand.
 //!
 //! Two engines live here, consumed by the `lock-order` and
 //! `channel-discipline` rules in [`crate::rules`]:

@@ -3,28 +3,21 @@
 //! The text answers the three questions a developer hitting a finding
 //! actually has — *why is this a hazard in this workspace*, *what does a
 //! finding look like*, and *what are my options when the code is right
-//! anyway* (waiver policy: there is no waiver file — the finding is fixed
-//! or it is ratcheted in `lint-baseline.toml`).
+//! anyway* (waiver policy: there is neither a waiver file nor a baseline —
+//! the finding is fixed).
 
 use crate::rules::RULE_IDS;
 
 /// Full explanation for one rule id, or `None` for an unknown id.
 pub fn explain(rule: &str) -> Option<String> {
     let (rationale, example) = match rule {
-        "panic-path" => (
-            "Functions transitively reachable (name-based call graph) from the \
-             experiment round loop or the reliable-session entry points must not \
-             panic: explicit panic!/unreachable!, slice indexing, and .expect() \
-             all abort the sweep. Use get()/get_mut(), checked ops, or propagate \
-             FlError.",
-            "let w = weights[idx];   // flagged inside a hot-path function",
-        ),
         "unchecked-arith" => (
             "Wire-byte conservation and sim-time monotonicity are paper-level \
              invariants. Bare +/* on accounting identifiers (bytes, *_bytes, \
              *_ms, sim_time*) can wrap silently in release builds; use \
-             checked_add/checked_mul or saturating_* so overflow is loud.",
-            "total_bytes += chunk_len;   // flagged; checked_add(...).expect(\"…\") passes",
+             saturating_* (the armed wire-conservation invariant catches a \
+             saturated total) or checked_* with the error propagated.",
+            "total_bytes += chunk_len;   // flagged; total_bytes.saturating_add(chunk_len) passes",
         ),
         "lock-order" => (
             "Deadlock and poison hazards found by the guard-liveness dataflow \
@@ -54,13 +47,8 @@ pub fn explain(rule: &str) -> Option<String> {
     };
     Some(format!(
         "rule: {rule}\n\nwhy\n  {}\n\nexample\n  {}\n\nwaiver policy\n  \
-         There is no waiver file: restructure the code so the rule no longer \
-         fires, or record the finding in the ratchet and justify it in review. \
-         Pre-existing debt of every rule lives in crates/xtask/lint-baseline.toml; \
-         the lint fails on new findings and on stale entries, and `lint \
-         --fix-baseline` regenerates the file but refuses to write one in which \
-         any rule has more entries than before, so each count only moves down. \
-         A finding that has to stay is a hand-written, reviewed entry.\n",
+         There is no waiver file and no baseline: every finding fails the \
+         lint, so restructure the code until the rule no longer fires.\n",
         wrap(rationale, 74),
         example
     ))
@@ -101,7 +89,6 @@ mod tests {
             let text = explain(id).expect("registered rule must have explain text");
             assert!(text.contains("waiver policy"), "{id}: missing waiver section");
             assert!(text.contains("example"), "{id}: missing example section");
-            assert!(text.contains("lint-baseline.toml"), "{id}: must name the ratchet file");
         }
     }
 

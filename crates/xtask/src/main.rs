@@ -1,20 +1,13 @@
 //! CLI entry point:
-//! `cargo run -p fedsu-xtask -- lint [--baseline FILE] [--format text|sarif]
-//! [--fix-baseline] [--explain RULE] [PATH...]`.
+//! `cargo run -p fedsu-xtask -- lint [--format text|sarif] [--explain RULE]
+//! [PATH...]`.
 //!
-//! Exit codes: `0` clean (new findings absent, no stale baseline entries),
-//! `1` gate failure, `2` usage or I/O error.
-//! `--fix-baseline` rewrites `crates/xtask/lint-baseline.toml`
-//! deterministically and exits 0 — unless some rule would end up with more
-//! entries than the file it replaces, in which case it writes nothing and
-//! exits 1.
+//! Exit codes: `0` clean (no findings), `1` gate failure (any finding),
+//! `2` usage or I/O error.
 
-use fedsu_xtask::baseline::BASELINE_FILE;
 use fedsu_xtask::rules::{Diagnostic, RULE_IDS};
 use fedsu_xtask::workspace::{self, SourceFile};
-use fedsu_xtask::{
-    baseline, benchcheck, explain, lint_files, read_gate_file, sarif, LintReport,
-};
+use fedsu_xtask::{benchcheck, explain, lint_files, sarif};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -37,13 +30,11 @@ fn main() -> ExitCode {
 
 fn print_usage() {
     eprintln!(
-        "usage: cargo run -p fedsu-xtask -- lint [--baseline FILE] [--format text|sarif]\n\
-         \x20                                       [--fix-baseline] [--explain RULE] [PATH...]"
+        "usage: cargo run -p fedsu-xtask -- lint [--format text|sarif] [--explain RULE] [PATH...]"
     );
     eprintln!();
-    eprintln!("Lints workspace .rs sources for determinism/safety hazards.");
+    eprintln!("Lints workspace .rs sources for determinism/safety hazards; any finding fails.");
     eprintln!("With no PATH arguments, walks the whole workspace.");
-    eprintln!("Ratchet: {BASELINE_FILE} (regenerate with --fix-baseline; no rule may grow).");
     eprintln!("--format sarif emits SARIF 2.1.0 on stdout for CI annotation.");
     eprintln!("--explain RULE prints a rule's rationale, example, and waiver policy.");
     eprintln!();
@@ -186,9 +177,7 @@ fn usage_error(msg: &str) -> ExitCode {
 
 /// Parsed `lint` flags.
 struct LintArgs {
-    baseline_override: Option<PathBuf>,
     format: OutputFormat,
-    fix_baseline: bool,
     explain: Option<String>,
     paths: Vec<PathBuf>,
 }
@@ -200,27 +189,16 @@ enum OutputFormat {
 }
 
 fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
-    let mut out = LintArgs {
-        baseline_override: None,
-        format: OutputFormat::Text,
-        fix_baseline: false,
-        explain: None,
-        paths: Vec::new(),
-    };
+    let mut out = LintArgs { format: OutputFormat::Text, explain: None, paths: Vec::new() };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--baseline" => {
-                let p = it.next().ok_or("--baseline requires a file argument")?;
-                out.baseline_override = Some(PathBuf::from(p));
-            }
             "--format" => match it.next().map(String::as_str) {
                 Some("text") => out.format = OutputFormat::Text,
                 Some("sarif") => out.format = OutputFormat::Sarif,
                 Some(other) => return Err(format!("unknown format `{other}` (text|sarif)")),
                 None => return Err("--format requires text|sarif".to_string()),
             },
-            "--fix-baseline" => out.fix_baseline = true,
             "--explain" => {
                 let r = it.next().ok_or("--explain requires a rule name")?;
                 out.explain = Some(r.clone());
@@ -228,13 +206,6 @@ fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
             p => out.paths.push(PathBuf::from(p)),
         }
-    }
-    if out.fix_baseline && !out.paths.is_empty() {
-        return Err(
-            "--fix-baseline regenerates the whole-workspace ratchet file; \
-             explicit PATH arguments would silently drop entries"
-                .to_string(),
-        );
     }
     Ok(out)
 }
@@ -290,56 +261,22 @@ fn lint_command(raw_args: &[String]) -> ExitCode {
         }
     };
 
-    // The checked-in default may legitimately be absent (fresh checkout
-    // with no debt), but an explicitly named file must exist: a typo'd path
-    // would otherwise silently disable the whole ratchet.
-    if let Some(p) = &args.baseline_override {
-        if !p.is_file() {
-            eprintln!("error: --baseline {}: no such file", p.display());
-            return ExitCode::from(2);
-        }
-    }
-    let baseline_path =
-        args.baseline_override.clone().unwrap_or_else(|| root.join(BASELINE_FILE));
-
-    let baseline_text = match read_gate_file(&baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let report = match lint_files(&files, &baseline_text) {
+    let report = match lint_files(&files) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    if args.fix_baseline {
-        return fix_baseline(report, &baseline_text, &baseline_path);
-    }
 
     if args.format == OutputFormat::Sarif {
         println!("{}", sarif::render(&report));
     } else {
         report.violations.iter().for_each(print_violation);
-        for e in &report.stale_baseline {
-            println!(
-                "{}:{}: error[stale-baseline]: [[finding]] entry for rule `{}` matched \
-                 nothing — the finding moved or was fixed; rerun `lint --fix-baseline` \
-                 and commit the shrunken file",
-                e.path, e.line, e.rule
-            );
-        }
         println!(
-            "fedsu-xtask lint: {} file(s), {} new violation(s), {} baselined, \
-             {} stale baseline entr(ies)",
+            "fedsu-xtask lint: {} file(s), {} violation(s)",
             report.files_scanned,
-            report.violations.len(),
-            report.baselined.len(),
-            report.stale_baseline.len()
+            report.violations.len()
         );
     }
     if report.clean() {
@@ -352,52 +289,6 @@ fn lint_command(raw_args: &[String]) -> ExitCode {
 fn print_violation(d: &Diagnostic) {
     println!("{}:{}: error[{}]: {}", d.path, d.line, d.rule, d.message);
     println!("    | {}", d.snippet);
-}
-
-/// `lint --fix-baseline`: writes every finding of `report` (the lint of the
-/// whole workspace against the current baseline) to `baseline_path`,
-/// deterministically sorted, and exits 0 even though findings exist —
-/// recording them is the point. The one thing it refuses is growth: when any
-/// rule would have more entries than in `old_text` it prints the new sites,
-/// the rule and both counts, writes nothing and exits 1, so debt can be added
-/// only by a reviewed hand edit of the file.
-fn fix_baseline(report: LintReport, old_text: &str, baseline_path: &Path) -> ExitCode {
-    let old = match baseline::parse(old_text) {
-        Ok(entries) => entries,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut findings = report.baselined;
-    findings.extend(report.violations);
-    let grown = baseline::grown_rules(&old, &findings);
-    if !grown.is_empty() {
-        // An entry whose line merely shifted is a violation too; a site is new
-        // when the old file has no entry with its rule, path and text.
-        let known = |d: &Diagnostic| {
-            old.iter().any(|e| e.rule == d.rule && e.path == d.path && e.snippet == d.snippet)
-        };
-        for (rule, was, now) in &grown {
-            findings.iter().filter(|d| d.rule == *rule && !known(d)).for_each(print_violation);
-            eprintln!(
-                "error: refusing --fix-baseline: rule `{rule}` would grow {was} → {now} \
-                 entries; fix the new site(s), or hand-write justified [[finding]] entries"
-            );
-        }
-        return ExitCode::FAILURE;
-    }
-    let text = baseline::render(&findings);
-    if let Err(e) = std::fs::write(baseline_path, &text) {
-        eprintln!("error: {}: cannot write baseline: {e}", baseline_path.display());
-        return ExitCode::from(2);
-    }
-    println!(
-        "fedsu-xtask lint: baseline regenerated with {} finding(s) at {}",
-        findings.len(),
-        baseline_path.display()
-    );
-    ExitCode::SUCCESS
 }
 
 /// Resolves explicitly-passed paths (files or directories) into lintable
@@ -446,8 +337,6 @@ fn to_source(root: &Path, abs: &Path) -> SourceFile {
         .join("/");
     let kind = if rel.split('/').any(|seg| seg == "tests" || seg == "benches") {
         workspace::SourceKind::TestOrBench
-    } else if rel.split('/').any(|seg| seg == "examples") {
-        workspace::SourceKind::Example
     } else {
         workspace::SourceKind::Library
     };

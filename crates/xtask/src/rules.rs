@@ -2,13 +2,13 @@
 //! reproducibility or safety hazards with `file:line` positions.
 //!
 //! All rules skip test code (`#[cfg(test)]` items, `#[test]` functions)
-//! because the hazards they guard against — wrapping arithmetic, panics on
-//! the round loop, lock and channel misuse — only threaten the *emulation
-//! and its results*, not assertions inside tests. (Hash collections,
-//! wall-clock reads, `unwrap` and truncating casts are clippy's:
-//! `clippy.toml`, `[workspace.lints]` and the crate-level
-//! `cast_possible_truncation` denials; allocations are measured by
-//! `tests/alloc_budget.rs`.)
+//! because the hazards they guard against — wrapping arithmetic, lock and
+//! channel misuse — only threaten the *emulation and its results*, not
+//! assertions inside tests. (Hash collections, wall-clock reads, `unwrap`,
+//! panics and truncating casts are clippy's: `clippy.toml`,
+//! `[workspace.lints]` and the crate-level `indexing_slicing` /
+//! `expect_used` / `panic` / `unreachable` and `cast_possible_truncation`
+//! denials; allocations are measured by `tests/alloc_budget.rs`.)
 //!
 //! Rules operate on tokens, never on raw text: a `lock()` inside a string
 //! literal or comment does not exist at this layer, and `use … as` aliases
@@ -28,11 +28,11 @@ pub struct Diagnostic {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Stable rule identifier (used by the baseline).
+    /// Stable rule identifier.
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
-    /// The offending source line (trimmed), for baseline matching.
+    /// The offending source line (trimmed).
     pub snippet: String,
 }
 
@@ -55,11 +55,10 @@ impl Diagnostic {
 }
 
 /// Stable identifiers of every rule, in reporting order.
-pub const RULE_IDS: [&str; 4] =
-    ["panic-path", "unchecked-arith", "lock-order", "channel-discipline"];
+pub const RULE_IDS: [&str; 3] = ["unchecked-arith", "lock-order", "channel-discipline"];
 
-/// Runs every rule over one prepared source file. `graph` supplies hot-path
-/// and worker reachability; `flow` supplies the cross-file lock-acquisition
+/// Runs every rule over one prepared source file. `graph` supplies worker
+/// and dispatch reachability; `flow` supplies the cross-file lock-acquisition
 /// graph and the drain function-name set (both built over all files in the
 /// run).
 pub fn check_all(
@@ -69,7 +68,6 @@ pub fn check_all(
     flow: &WorkspaceFlow,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    out.extend(check_panic_path(path, src, graph));
     out.extend(check_unchecked_arith(path, src));
     out.extend(check_lock_order(path, src, graph, flow));
     out.extend(check_channel_discipline(path, src, graph, flow));
@@ -90,67 +88,6 @@ pub(crate) fn statement_span(toks: &[Token], i: usize) -> (usize, usize) {
         e += 1;
     }
     (s, e)
-}
-
-/// Rule `panic-path`: `panic!`/`unreachable!`, slice/array indexing, and
-/// `.expect(…)` inside functions transitively reachable (by the name-based
-/// call-graph approximation) from `fl::experiment::run` or the
-/// `core::manager` hot loops. A panic on these paths aborts a whole
-/// multi-hour sweep; hot code must use `get()`/`get_mut()` or propagate
-/// `FlError`, and any remaining panic needs a baseline entry reviewed in PR.
-fn check_panic_path(path: &str, src: &PreparedSource, graph: &CallGraph) -> Vec<Diagnostic> {
-    let toks = &src.file.tokens;
-    let mut out = Vec::new();
-    let mut fired_lines = BTreeSet::new();
-    for (ni, f) in src.file.fns.iter().enumerate() {
-        if f.in_test || !graph.is_hot(path, ni) {
-            continue;
-        }
-        let Some((bs, be)) = f.body else { continue };
-        for i in bs..=be.min(toks.len().saturating_sub(1)) {
-            if src.tok_in_test(i) {
-                continue;
-            }
-            let t = &toks[i];
-            let what: Option<&str> = if t.kind == TokenKind::Ident
-                && matches!(t.text.as_str(), "panic" | "unreachable")
-                && toks.get(i + 1).is_some_and(|n| n.is_punct("!"))
-            {
-                Some("explicit panic")
-            } else if t.is_punct("[")
-                && i > bs
-                && (matches!(toks[i - 1].kind, TokenKind::Ident)
-                    || toks[i - 1].is_punct(")")
-                    || toks[i - 1].is_punct("]"))
-            {
-                Some("slice indexing")
-            } else if t.is_punct(".")
-                && toks.get(i + 1).is_some_and(|n| n.is_ident("expect"))
-                && toks.get(i + 2).is_some_and(|n| n.is_punct("("))
-            {
-                Some("`.expect()`")
-            } else {
-                None
-            };
-            if let Some(what) = what {
-                if fired_lines.insert(t.line) {
-                    out.push(Diagnostic::at(
-                        src,
-                        path,
-                        t.line,
-                        "panic-path",
-                        format!(
-                            "{what} in `{}`, which is reachable from the experiment \
-                             round loop; a panic here aborts the whole sweep — use \
-                             get()/checked ops or propagate the error",
-                            f.name
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    out
 }
 
 /// `true` when `name` matches the wire-byte / sim-time naming contract.
@@ -323,8 +260,8 @@ fn check_unchecked_arith(path: &str, src: &PreparedSource) -> Vec<Diagnostic> {
                 "unchecked-arith",
                 format!(
                     "bare `{op}` on accounting value `{}` can wrap silently; use \
-                     `checked_add`/`checked_mul` (with an invariant-documenting \
-                     expect) or `saturating_*` so wire-byte totals stay exact",
+                     `saturating_*` (the armed wire-conservation invariant catches \
+                     a saturated total) or `checked_*` with the error propagated",
                     hits[0]
                 ),
             ));
@@ -583,31 +520,6 @@ mod tests {
 
     fn run(rule: &str, src: &str) -> Vec<Diagnostic> {
         run_at(rule, "test.rs", src)
-    }
-
-    #[test]
-    fn panic_path_fires_only_in_hot_functions() {
-        let src = "pub fn run() { helper(); }\n\
-                   fn helper() { let x = table[idx]; panic!(\"boom\"); }\n\
-                   fn cold() { let y = table[idx]; }\n";
-        let d = run_at("panic-path", "crates/fl/src/experiment.rs", src);
-        assert_eq!(d.len(), 1, "indexing and panic on line 2 dedup to one: {d:?}");
-        assert_eq!(d[0].line, 2);
-        // Same file without a root in scope: silent.
-        assert!(run_at("panic-path", "crates/nn/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn panic_path_flags_expect_even_when_documented() {
-        let src = "pub fn run() { v.pop().expect(\"queue seeded with one entry per client\"); }\n";
-        let d = run_at("panic-path", "crates/fl/src/experiment.rs", src);
-        assert_eq!(d.len(), 1);
-    }
-
-    #[test]
-    fn panic_path_ignores_attrs_and_macro_brackets() {
-        let src = "pub fn run() {\n    #[allow(dead_code)]\n    let v = vec![1, 2];\n}\n";
-        assert!(run_at("panic-path", "crates/fl/src/experiment.rs", src).is_empty());
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! Hand-rolled JSON (the gate stays std-only); the shape follows the SARIF
 //! 2.1.0 schema closely enough for GitHub code-scanning ingestion and the CI
 //! artifact step: one `run` with `tool.driver.rules` describing every rule
-//! id, and one `result` per finding with a `physicalLocation`. Baselined
-//! findings are still emitted — with a `suppressions` entry of kind
-//! `external` — so the SARIF view shows the whole debt, not just the delta.
+//! id, and one `result` per finding with a `physicalLocation`.
 
 use crate::rules::{Diagnostic, RULE_IDS};
 use crate::LintReport;
@@ -13,7 +11,6 @@ use crate::LintReport;
 /// One-line description per rule id, for `tool.driver.rules`.
 fn rule_summary(id: &str) -> &'static str {
     match id {
-        "panic-path" => "possible panic on a path reachable from the experiment round loop",
         "unchecked-arith" => "bare +/* on wire-byte or sim-time accounting values can wrap",
         "lock-order" => {
             "lock guard held across a channel op, pool dispatch, or catch_unwind; or cyclic lock order"
@@ -42,33 +39,22 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Renders one SARIF `result` object; `baselined` findings carry an
-/// external suppression naming the ratchet file.
-fn result_json(d: &Diagnostic, baselined: bool) -> String {
-    let suppressions = if baselined {
-        format!(
-            ",\"suppressions\":[{{\"kind\":\"external\",\"justification\":\
-             \"baselined pre-existing finding ({})\"}}]",
-            crate::baseline::BASELINE_FILE
-        )
-    } else {
-        String::new()
-    };
+/// Renders one SARIF `result` object.
+fn result_json(d: &Diagnostic) -> String {
     format!(
         "{{\"ruleId\":\"{}\",\"level\":\"error\",\"message\":{{\"text\":\"{}\"}},\
          \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\",\
-         \"uriBaseId\":\"SRCROOT\"}},\"region\":{{\"startLine\":{},\"snippet\":{{\"text\":\"{}\"}}}}}}}}]{}}}",
+         \"uriBaseId\":\"SRCROOT\"}},\"region\":{{\"startLine\":{},\"snippet\":{{\"text\":\"{}\"}}}}}}}}]}}",
         json_escape(d.rule),
         json_escape(&d.message),
         json_escape(&d.path),
         d.line,
-        json_escape(&d.snippet),
-        suppressions
+        json_escape(&d.snippet)
     )
 }
 
-/// Renders a full SARIF 2.1.0 log for a lint report: unsuppressed violations
-/// as plain results, baselined findings as externally-suppressed results.
+/// Renders a full SARIF 2.1.0 log for a lint report, one result per
+/// finding.
 pub fn render(report: &LintReport) -> String {
     let rules: Vec<String> = RULE_IDS
         .iter()
@@ -81,9 +67,7 @@ pub fn render(report: &LintReport) -> String {
             )
         })
         .collect();
-    let mut results: Vec<String> =
-        report.violations.iter().map(|d| result_json(d, false)).collect();
-    results.extend(report.baselined.iter().map(|d| result_json(d, true)));
+    let results: Vec<String> = report.violations.iter().map(result_json).collect();
     format!(
         "{{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
          \"version\":\"2.1.0\",\"runs\":[{{\"tool\":{{\"driver\":{{\
@@ -112,8 +96,8 @@ mod tests {
         }
     }
 
-    fn report(violations: Vec<Diagnostic>, baselined: Vec<Diagnostic>) -> LintReport {
-        LintReport { violations, baselined, stale_baseline: Vec::new(), files_scanned: 1 }
+    fn report(violations: Vec<Diagnostic>) -> LintReport {
+        LintReport { violations, files_scanned: 1 }
     }
 
     /// Minimal structural JSON validator: balanced delimiters outside
@@ -149,34 +133,27 @@ mod tests {
 
     #[test]
     fn sarif_is_structurally_valid_json_with_escapes() {
-        let r = report(
-            vec![diag("panic-path", "crates/fl/src/a.rs", 3, "x.expect(\"why \\\" here\");")],
-            vec![
-                diag("panic-path", "crates/core/src/b.rs", 7, "let v = t[i];"),
-                diag("lock-order", "crates/tensor/src/par.rs", 4, "tx.send(job)"),
-            ],
-        );
+        let r = report(vec![
+            diag(
+                "unchecked-arith",
+                "crates/fl/src/a.rs",
+                3,
+                "log(\"why \\\" here\", total_bytes + b);",
+            ),
+            diag("lock-order", "crates/tensor/src/par.rs", 4, "tx.send(job)"),
+        ]);
         let s = render(&r);
         assert_valid_json(&s);
         assert!(s.contains("\"version\":\"2.1.0\""));
-        assert!(s.contains("\"ruleId\":\"panic-path\""));
+        assert!(s.contains("\"ruleId\":\"unchecked-arith\""));
         assert!(s.contains("\"startLine\":3"));
         assert!(s.contains("\"ruleId\":\"lock-order\""));
-        assert_eq!(
-            s.matches("\"kind\":\"external\"").count(),
-            2,
-            "every baselined finding, whatever its family, carries a suppression"
-        );
-        assert_eq!(
-            s.matches("lint-baseline.toml").count(),
-            2,
-            "each suppression names the one ratchet file"
-        );
+        assert!(!s.contains("suppressions"), "every finding is a failure, none is suppressed");
     }
 
     #[test]
     fn every_rule_id_is_described() {
-        let s = render(&report(Vec::new(), Vec::new()));
+        let s = render(&report(Vec::new()));
         for id in RULE_IDS {
             assert!(s.contains(&format!("\"id\":\"{id}\"")), "rule {id} missing from driver");
             assert_ne!(rule_summary(id), "fedsu-xtask lint rule", "rule {id} needs a summary");
@@ -186,7 +163,7 @@ mod tests {
 
     #[test]
     fn empty_report_has_empty_results_array() {
-        let s = render(&report(Vec::new(), Vec::new()));
+        let s = render(&report(Vec::new()));
         assert!(s.contains("\"results\":[]"));
     }
 }

@@ -1,16 +1,14 @@
 //! Workspace discovery: finds the workspace root and enumerates every `.rs`
-//! source the lint pass must cover, classifying each as library, example,
-//! test, or bench code so rules can scope themselves correctly.
+//! source the lint pass must cover, classifying each as library (examples
+//! included) or test/bench code so rules can scope themselves correctly.
 
 use std::path::{Path, PathBuf};
 
 /// What kind of compilation target a source file belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SourceKind {
-    /// `src/` of a crate — full rule set applies.
+    /// `src/` of a crate, or `examples/` — full rule set applies.
     Library,
-    /// `examples/` — exempt from the library-only rules (unwrap).
-    Example,
     /// `tests/` or `benches/` — exempt from the library-only rules.
     TestOrBench,
 }
@@ -104,7 +102,6 @@ fn classify(rel: &str) -> SourceKind {
     // Either `<dir>/...` at the root or `crates/<member>/<dir>/...`.
     let dir = if parts.first() == Some(&"crates") { parts.get(2) } else { parts.first() };
     match dir.copied() {
-        Some("examples") => SourceKind::Example,
         Some("tests") | Some("benches") => SourceKind::TestOrBench,
         _ => SourceKind::Library,
     }
@@ -118,7 +115,7 @@ mod tests {
     fn classify_distinguishes_targets() {
         assert_eq!(classify("src/lib.rs"), SourceKind::Library);
         assert_eq!(classify("crates/fl/src/experiment.rs"), SourceKind::Library);
-        assert_eq!(classify("examples/quickstart.rs"), SourceKind::Example);
+        assert_eq!(classify("examples/quickstart.rs"), SourceKind::Library);
         assert_eq!(classify("crates/nn/tests/conv_reference.rs"), SourceKind::TestOrBench);
         assert_eq!(classify("crates/bench/benches/tensor_ops.rs"), SourceKind::TestOrBench);
         assert_eq!(classify("tests/integration.rs"), SourceKind::TestOrBench);

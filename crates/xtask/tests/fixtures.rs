@@ -20,9 +20,9 @@ fn fixture_text(name: &str) -> String {
 }
 
 /// Lints a fixture under an arbitrary workspace-relative path — the
-/// `panic-path`, `lock-order` and `channel-discipline` rules key off the path
-/// (hot-path, dispatch and worker roots), so their fixtures are linted as if
-/// they lived at the path whose policy they exercise.
+/// `lock-order` and `channel-discipline` rules key off the path (dispatch
+/// and worker roots), so their fixtures are linted as if they lived at the
+/// path whose policy they exercise.
 fn lint_fixture_as(name: &str, rel: &str) -> Vec<Diagnostic> {
     lint_source(rel, SourceKind::Library, &fixture_text(name))
 }
@@ -68,30 +68,6 @@ fn use_alias_is_resolved_to_the_hazardous_type() {
         diags[0]
     );
     assert!(lint_fixture("use_alias.rs").is_empty(), "no dispatch entry, no finding");
-}
-
-#[test]
-fn panic_path_fires_only_on_functions_reachable_from_a_root() {
-    // Linted as the real hot-path root file so `run` seeds reachability.
-    let diags = lint_fixture_as("panic_path.rs", "crates/fl/src/experiment.rs");
-    let got: Vec<(&str, usize)> = diags.iter().map(|d| (d.rule, d.line)).collect();
-    assert_eq!(
-        got,
-        vec![("panic-path", 17)],
-        "only the indexing two hops below `run` may fire: {diags:?}"
-    );
-    assert!(
-        diags[0].message.contains("train_one"),
-        "the finding should name the hot function: {:?}",
-        diags[0]
-    );
-}
-
-#[test]
-fn panic_path_is_silent_when_no_root_is_in_the_linted_set() {
-    // Same text under a non-root path: no roots, so no hot functions.
-    let diags = lint_fixture("panic_path.rs");
-    assert!(diags.is_empty(), "no root in scope means no panic-path findings: {diags:?}");
 }
 
 #[test]
@@ -243,59 +219,16 @@ fn every_registered_rule_explains_itself() {
 }
 
 #[test]
-fn checked_in_baseline_parses_and_is_canonically_ordered() {
-    let dir = option_env!("CARGO_MANIFEST_DIR").unwrap_or("crates/xtask");
-    let path = PathBuf::from(dir).join("lint-baseline.toml");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{} must exist: {e}", path.display()));
-    let entries = fedsu_xtask::baseline::parse(&text).expect("checked-in baseline must parse");
-    assert!(!entries.is_empty(), "the ratchet starts from the seeded findings");
-    let mut sorted = entries.clone();
-    sorted.sort_by(|a, b| {
-        (&a.path, a.line, &a.rule, &a.snippet).cmp(&(&b.path, b.line, &b.rule, &b.snippet))
-    });
-    assert_eq!(entries, sorted, "regenerate with `cargo run -p fedsu-xtask -- lint --fix-baseline`");
-}
-
-#[test]
-fn fix_baseline_refuses_to_grow_a_rule() {
-    // A one-crate workspace whose `run` reaches the fixture's one indexing
-    // site, with that site baselined; then a second site is seeded.
-    let root = std::env::temp_dir().join(format!("fedsu-xtask-ratchet-{}", std::process::id()));
-    let src_dir = root.join("crates/fl/src");
-    std::fs::create_dir_all(&src_dir).unwrap();
-    std::fs::create_dir_all(root.join("crates/xtask")).unwrap();
-    std::fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
-    let rel = "crates/fl/src/experiment.rs";
-    let clean = fixture_text("panic_path.rs");
-    let baseline = fedsu_xtask::baseline::render(&lint_fixture_as("panic_path.rs", rel));
-    let baseline_path = root.join(fedsu_xtask::baseline::BASELINE_FILE);
-    std::fs::write(&baseline_path, &baseline).unwrap();
-    let fix_baseline = || {
-        std::process::Command::new(env!("CARGO_BIN_EXE_fedsu-xtask"))
-            .args(["lint", "--fix-baseline"])
-            .current_dir(&root)
+fn removed_ratchet_flags_are_unknown_arguments() {
+    // Every finding fails the lint: there is no baseline to point at or
+    // regenerate, so the old ratchet flags are usage errors.
+    for flag in ["--fix-baseline", "--baseline"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_fedsu-xtask"))
+            .args(["lint", flag])
             .output()
-            .unwrap()
-    };
-
-    std::fs::write(src_dir.join("experiment.rs"), &clean).unwrap();
-    let out = fix_baseline();
-    assert_eq!(out.status.code(), Some(0), "an unchanged tree regenerates: {out:?}");
-    assert_eq!(std::fs::read_to_string(&baseline_path).unwrap(), baseline, "byte-identical");
-
-    let seeded = clean.replace("    plan[0]\n", "    plan[0]\n        + plan[1]\n");
-    assert_ne!(seeded, clean, "the fixture still has the line the test seeds after");
-    std::fs::write(src_dir.join("experiment.rs"), seeded).unwrap();
-    let out = fix_baseline();
-    let said = format!(
-        "{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_eq!(out.status.code(), Some(1), "growth is a gate failure: {said}");
-    assert!(said.contains("rule `panic-path` would grow 1 → 2"), "names rule and counts: {said}");
-    assert!(said.contains(&format!("{rel}:18: error[panic-path]")), "names the new site: {said}");
-    assert_eq!(std::fs::read_to_string(&baseline_path).unwrap(), baseline, "file untouched");
-    std::fs::remove_dir_all(&root).unwrap();
+            .unwrap();
+        let said = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {said}");
+        assert!(said.contains(&format!("unknown flag `{flag}`")), "{flag}: {said}");
+    }
 }

@@ -11,7 +11,9 @@
 use fedsu_core::{FedSu, FedSuConfig};
 use fedsu_data::SyntheticConfig;
 use fedsu_fl::experiment::ModelFactory;
-use fedsu_fl::{ClientConfig, DefenseConfig, Experiment, ExperimentConfig, SyncStrategy};
+use fedsu_fl::{
+    scalars_to_bytes, ClientConfig, DefenseConfig, Experiment, ExperimentConfig, SyncStrategy,
+};
 use fedsu_netsim::{ClusterConfig, FaultConfig, FaultPlan};
 use fedsu_nn::models::{self, ModelPreset};
 use fedsu_nn::Sequential;
@@ -337,8 +339,7 @@ impl Scenario {
         let cluster = ClusterConfig::paper_like(self.n_clients);
         // Two-way full-model transfer time on the client link, from which
         // the compute constant is derived via the paper-calibrated ratio.
-        let full_bytes =
-            u64::try_from(param_count * 4).expect("model byte size fits in u64 on all targets");
+        let full_bytes = scalars_to_bytes(param_count);
         let comm = cluster.client_link.transfer_secs(full_bytes) * 2.0;
         ExperimentConfig {
             cluster,

@@ -28,7 +28,7 @@ fn oscillation_ratio_ranks_like_r_squared_on_constructed_series() {
         for v in &series {
             diag.observe_params(&[*v]);
         }
-        ratios.push(diag.ratio(0));
+        ratios.push(diag.ratio(0).unwrap());
         r2s.push(linear_fit(&series).unwrap().r_squared);
     }
     // Oscillation ratio increases with curvature. (R² is *not* monotone in

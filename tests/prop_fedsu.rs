@@ -177,7 +177,7 @@ fn oscillation_ratio_reported_in_unit_interval() {
     let cfg = FedSuConfig { t_r: 0.3, ..FedSuConfig::default() };
     let (f, _) = drive(5, 2, 30, FedSu::new(cfg), |r, c, j| ((r * 7 + c * 3 + j) % 11) as f32 * 0.01 - 0.05);
     for j in 0..5 {
-        let r = f.oscillation_ratio(j);
+        let r = f.oscillation_ratio(j).unwrap();
         assert!((0.0..=1.0).contains(&r), "ratio {r}");
     }
 }
