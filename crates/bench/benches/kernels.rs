@@ -338,7 +338,7 @@ fn main() {
         Scale::Quick => &[32, 64, 128, 256, 512],
         Scale::Full => &[32, 64, 128, 256, 512, 1024],
     };
-    let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let hw = fedsu_tensor::hardware_threads();
     let active = simd_level();
     eprintln!(
         "kernel bench: scale {scale:?}, sizes {sizes:?} + {} training shapes, {hw} hardware \

@@ -856,7 +856,7 @@ fn train_all(
     round: usize,
     out: &mut Vec<Result<f32>>,
 ) {
-    let threads = std::thread::available_parallelism().map_or(1, |p| p.get()).min(clients.len().max(1));
+    let threads = fedsu_tensor::hardware_threads().min(clients.len().max(1));
     out.clear();
     out.resize_with(clients.len(), || Ok(0.0f32));
 

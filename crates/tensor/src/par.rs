@@ -18,7 +18,8 @@
 //! [`set_kernel_threads`] installs the policy (`0` = auto, `1` = serial,
 //! `n` = split across up to `n` tasks). When nothing has been set
 //! explicitly, the `FEDSU_KERNEL_THREADS` environment variable is consulted
-//! once, on first use. The federated runtime composes this with its own
+//! once, on first use. Auto resolves to [`hardware_threads`], the core count
+//! read once per process. The federated runtime composes this with its own
 //! client-level parallelism: `fedsu-fl` forces the kernel setting to `1`
 //! while it is already training clients on separate threads, so the two
 //! layers never oversubscribe the machine.
@@ -73,8 +74,28 @@ struct Pool {
 
 static POOL: OnceLock<Pool> = OnceLock::new();
 
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
+
+/// The number of hardware threads this process may run on, read once per
+/// process on first use and cached from then on.
+///
+/// This is the one owner of the core count: the kernels' auto policy, the
+/// worker pool's size and `fedsu-fl`'s client fan-out all read it here.
+/// `std::thread::available_parallelism` is too costly to call per kernel:
+/// on Linux it re-reads the cgroup CPU quota and calls `sched_getaffinity`
+/// each time (4 heap allocations and tens of microseconds), more than a
+/// small matmul's arithmetic.
+///
+/// Because the value is read once, a process that narrows its CPU affinity
+/// must do so before its first tensor call; later affinity changes are not
+/// seen. Falls back to `1` when the count cannot be determined.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the one place the core count is read; every caller shares this cached value"
+)]
+pub fn hardware_threads() -> usize {
+    *HARDWARE_THREADS
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 /// Parses a `FEDSU_KERNEL_THREADS` value; anything unparsable means auto.
@@ -95,7 +116,8 @@ fn setting() -> usize {
 }
 
 /// Installs the kernel thread-count policy: `0` = auto (one task per
-/// hardware thread), `1` = serial, `n` = split across up to `n` tasks.
+/// hardware thread, as counted once by [`hardware_threads`]), `1` = serial,
+/// `n` = split across up to `n` tasks.
 ///
 /// Because parallel kernels are bit-identical to serial ones, changing this
 /// at any point is always safe — it affects speed only.
@@ -110,8 +132,8 @@ pub fn kernel_threads_setting() -> usize {
 }
 
 /// The effective number of kernel-level tasks a parallel dispatch will use.
-/// Resolves `0` (auto) to the hardware thread count, capped at the pool
-/// size.
+/// Resolves `0` (auto) to the cached [`hardware_threads`] count, capped at
+/// the pool size, so every policy costs one atomic load per call.
 pub fn kernel_threads() -> usize {
     match setting() {
         0 => hardware_threads().clamp(1, MAX_WORKERS),

@@ -7,9 +7,10 @@
 //! so every steady round (rounds 1.., round 0 pays one-time warm-up) makes
 //! the same allocations on every run, at every `FEDSU_SIMD` level, armed or
 //! not. [`PINS`] holds those counts for every strategy on the MLP and the
-//! tiny CNN, plus one faulty run: a reintroduced per-round `.to_vec()` of the
-//! global, or a `Vec` built inside one strategy's `aggregate`, moves a
-//! count by one and fails here.
+//! tiny CNN, plus one faulty run and one tiny-CNN run at the auto kernel
+//! policy: a reintroduced per-round `.to_vec()` of the global, a `Vec` built
+//! inside one strategy's `aggregate`, or a core-count lookup per kernel call
+//! moves a count and fails here.
 //!
 //! Bounds cover what cannot be pinned exactly, because threads run beside
 //! the count: a four-client run (training threads) stays under ceilings
@@ -52,29 +53,30 @@ const STRATEGIES: [StrategyKind; 11] = [
 /// Allocations of rounds 1..ROUNDS, one row per run. A deliberate change
 /// re-pins them: the failing assertion prints the whole table.
 const PINS: &[(&str, [u64; ROUNDS - 1])] = &[
-    ("mlp/FedAvg", [88, 88, 88, 88, 88, 88, 88]),
-    ("mlp/Cmfl", [89, 89, 88, 88, 88, 88, 88]),
-    ("mlp/Apf", [88, 88, 88, 88, 88, 88, 88]),
-    ("mlp/ApfCalibrated", [88, 88, 88, 88, 88, 88, 88]),
-    ("mlp/Qsgd", [89, 88, 88, 88, 88, 88, 88]),
-    ("mlp/TopK", [89, 88, 88, 88, 88, 88, 88]),
-    ("mlp/FedSu", [88, 88, 88, 89, 88, 88, 88]),
-    ("mlp/FedSuCalibrated", [88, 88, 88, 89, 88, 88, 88]),
-    ("mlp/FedSuWith { t_r: 0.05, t_s: 5.0 }", [88, 88, 88, 89, 88, 88, 88]),
-    ("mlp/FedSuV1 { period: 3 }", [88, 88, 88, 89, 88, 88, 88]),
-    ("mlp/FedSuV2 { probability: 0.5, period: 3 }", [88, 88, 88, 89, 88, 88, 88]),
-    ("cnn-tiny/FedAvg", [78, 78, 78, 78, 78, 78, 78]),
-    ("cnn-tiny/Cmfl", [79, 79, 78, 78, 78, 78, 78]),
-    ("cnn-tiny/Apf", [78, 78, 78, 78, 78, 78, 78]),
-    ("cnn-tiny/ApfCalibrated", [78, 78, 78, 78, 78, 78, 78]),
-    ("cnn-tiny/Qsgd", [79, 78, 78, 78, 78, 78, 78]),
-    ("cnn-tiny/TopK", [80, 79, 79, 79, 79, 79, 79]),
-    ("cnn-tiny/FedSu", [78, 78, 78, 79, 78, 78, 78]),
-    ("cnn-tiny/FedSuCalibrated", [78, 78, 78, 79, 78, 78, 78]),
-    ("cnn-tiny/FedSuWith { t_r: 0.05, t_s: 5.0 }", [78, 78, 78, 79, 78, 78, 78]),
-    ("cnn-tiny/FedSuV1 { period: 3 }", [78, 78, 78, 79, 78, 78, 78]),
-    ("cnn-tiny/FedSuV2 { probability: 0.5, period: 3 }", [78, 78, 78, 79, 78, 78, 78]),
-    ("mlp/FedSuCalibrated/faulty", [88, 85, 88, 88, 88, 85, 89]),
+    ("mlp/FedAvg", [84, 84, 84, 84, 84, 84, 84]),
+    ("mlp/Cmfl", [85, 85, 84, 84, 84, 84, 84]),
+    ("mlp/Apf", [84, 84, 84, 84, 84, 84, 84]),
+    ("mlp/ApfCalibrated", [84, 84, 84, 84, 84, 84, 84]),
+    ("mlp/Qsgd", [85, 84, 84, 84, 84, 84, 84]),
+    ("mlp/TopK", [85, 84, 84, 84, 84, 84, 84]),
+    ("mlp/FedSu", [84, 84, 84, 85, 84, 84, 84]),
+    ("mlp/FedSuCalibrated", [84, 84, 84, 85, 84, 84, 84]),
+    ("mlp/FedSuWith { t_r: 0.05, t_s: 5.0 }", [84, 84, 84, 85, 84, 84, 84]),
+    ("mlp/FedSuV1 { period: 3 }", [84, 84, 84, 85, 84, 84, 84]),
+    ("mlp/FedSuV2 { probability: 0.5, period: 3 }", [84, 84, 84, 85, 84, 84, 84]),
+    ("cnn-tiny/FedAvg", [74, 74, 74, 74, 74, 74, 74]),
+    ("cnn-tiny/Cmfl", [75, 75, 74, 74, 74, 74, 74]),
+    ("cnn-tiny/Apf", [74, 74, 74, 74, 74, 74, 74]),
+    ("cnn-tiny/ApfCalibrated", [74, 74, 74, 74, 74, 74, 74]),
+    ("cnn-tiny/Qsgd", [75, 74, 74, 74, 74, 74, 74]),
+    ("cnn-tiny/TopK", [76, 75, 75, 75, 75, 75, 75]),
+    ("cnn-tiny/FedSu", [74, 74, 74, 75, 74, 74, 74]),
+    ("cnn-tiny/FedSuCalibrated", [74, 74, 74, 75, 74, 74, 74]),
+    ("cnn-tiny/FedSuWith { t_r: 0.05, t_s: 5.0 }", [74, 74, 74, 75, 74, 74, 74]),
+    ("cnn-tiny/FedSuV1 { period: 3 }", [74, 74, 74, 75, 74, 74, 74]),
+    ("cnn-tiny/FedSuV2 { probability: 0.5, period: 3 }", [74, 74, 74, 75, 74, 74, 74]),
+    ("mlp/FedSuCalibrated/faulty", [84, 81, 84, 84, 84, 81, 85]),
+    ("cnn-tiny/FedAvg/auto", [74, 74, 74, 74, 74, 74, 74]),
 ];
 
 /// The one-client scenario of a pinned row.
@@ -150,24 +152,30 @@ fn render(rows: &[(String, Vec<u64>)]) -> String {
 /// so the cases run in a fixed order with nothing beside them.
 #[test]
 fn steady_rounds_stay_within_the_checked_in_budget() {
-    fedsu_repro::tensor::set_kernel_threads(1);
-
-    let mut rows: Vec<(String, Scenario, StrategyKind)> = Vec::new();
+    // Rows carry their kernel-thread policy: `1` (serial) for all but the
+    // last, which runs the tiny CNN at auto (`0`). No tiny-CNN product is
+    // large enough to go parallel, so auto runs serially on any host and
+    // must cost exactly what serial does: a per-call core-count lookup on
+    // the dispatch path shows up here on every product.
+    let mut rows: Vec<(String, Scenario, StrategyKind, usize)> = Vec::new();
     for model in ["mlp", "cnn-tiny"] {
         for strategy in STRATEGIES {
-            rows.push((format!("{model}/{strategy:?}"), single_client(model), strategy));
+            rows.push((format!("{model}/{strategy:?}"), single_client(model), strategy, 1));
         }
     }
     let faulty_run = single_client("mlp").faults(faulty());
-    rows.push(("mlp/FedSuCalibrated/faulty".to_string(), faulty_run, StrategyKind::FedSuCalibrated));
+    rows.push(("mlp/FedSuCalibrated/faulty".to_string(), faulty_run, StrategyKind::FedSuCalibrated, 1));
+    rows.push(("cnn-tiny/FedAvg/auto".to_string(), single_client("cnn-tiny"), StrategyKind::FedAvg, 0));
     let recorded: Vec<(String, Vec<u64>)> = rows
         .into_iter()
         .enumerate()
-        .map(|(i, (name, scenario, strategy))| {
+        .map(|(i, (name, scenario, strategy, kernel_threads))| {
+            fedsu_repro::tensor::set_kernel_threads(kernel_threads);
             let pin = PINS.get(i).map(|(_, allocs)| allocs.as_slice());
             (name, pinned_row(&scenario, strategy, pin))
         })
         .collect();
+    fedsu_repro::tensor::set_kernel_threads(1);
     let pinned: Vec<(String, Vec<u64>)> =
         PINS.iter().map(|(name, allocs)| (name.to_string(), allocs.to_vec())).collect();
     assert!(

@@ -48,12 +48,12 @@ fn armed_guards_reproduce_zero_fault_records_bit_for_bit() {
 }
 
 /// Records and wire volumes must not depend on how many threads the host
-/// lends the kernels: the same scenario at a kernel-thread count of 1 and of
-/// 4 yields equal `RoundRecord`s and a bit-equal final global model. (The
-/// count is process-wide and the other test's runs save and restore it
-/// around their training threads, so an older count can come back mid-run;
-/// equality has to hold at any setting, so that can weaken this check but
-/// never fail it.)
+/// lends the kernels: the same scenario at a kernel-thread count of 1, of 4
+/// and at the auto policy (0) yields equal `RoundRecord`s and a bit-equal
+/// final global model. (The count is process-wide and the other test's runs
+/// save and restore it around their training threads, so an older count can
+/// come back mid-run; equality has to hold at any setting, so that can weaken
+/// this check but never fail it.)
 #[test]
 fn kernel_thread_count_changes_neither_records_nor_the_final_model() {
     let run_at = |threads: usize| {
@@ -70,8 +70,10 @@ fn kernel_thread_count_changes_neither_records_nor_the_final_model() {
         (result, last_global)
     };
     let (serial, serial_model) = run_at(1);
-    let (parallel, parallel_model) = run_at(4);
-    assert_eq!(serial, parallel, "the kernel-thread count changed the records");
     assert!(!serial_model.is_empty(), "the hook saw the final global");
-    assert_eq!(serial_model, parallel_model, "the kernel-thread count changed the final model");
+    for threads in [4, 0] {
+        let (records, model) = run_at(threads);
+        assert_eq!(serial, records, "kernel threads {threads} changed the records");
+        assert_eq!(serial_model, model, "kernel threads {threads} changed the final model");
+    }
 }
