@@ -214,16 +214,16 @@ impl Tally {
             let payload = match fate {
                 Fate::Absent => continue,
                 Fate::Crashed | Fate::FailedTraining | Fate::DroppedOut | Fate::UploadLost => {
-                    t.dropped += 1;
+                    t.dropped = t.dropped.saturating_add(1);
                     continue;
                 }
                 Fate::Late => {
-                    t.dropped += 1;
+                    t.dropped = t.dropped.saturating_add(1);
                     &mut t.unused_bytes
                 }
                 Fate::Quarantined { late } => {
-                    t.dropped += usize::from(late);
-                    t.quarantined += 1;
+                    t.dropped = t.dropped.saturating_add(usize::from(late));
+                    t.quarantined = t.quarantined.saturating_add(1);
                     &mut t.quarantined_bytes
                 }
                 Fate::Unselected => &mut t.unused_bytes,
@@ -367,7 +367,8 @@ impl Experiment {
         let mut clients = Vec::with_capacity(n);
         for (i, part) in parts.into_iter().enumerate() {
             let model = factory(config.seed)?;
-            let batcher = Batcher::new(Arc::clone(&train_data), part, config.seed.wrapping_add(i as u64 + 1));
+            let seed = config.seed.wrapping_add(i as u64).wrapping_add(1);
+            let batcher = Batcher::new(Arc::clone(&train_data), part, seed);
             clients.push(Client::new(i, model, batcher, config.client));
         }
         let server = Server::new(factory(config.seed)?, test_data);
@@ -584,7 +585,7 @@ impl Experiment {
         }
         // The strategy answers in scalars; the wire is charged in bytes.
         for b in &mut s.upload_bytes {
-            *b *= crate::BYTES_PER_SCALAR;
+            *b = b.saturating_mul(crate::BYTES_PER_SCALAR);
         }
         Ok(())
     }
@@ -603,7 +604,8 @@ impl Experiment {
         s.time_factor.extend(s.returned.iter().enumerate().map(slowdown));
         let backoff = defense.retry_backoff_secs;
         s.extra_secs.clear();
-        s.extra_secs.extend(s.tx_attempts.iter().map(|&attempts| backoff * f64::from(attempts - 1)));
+        let retry_secs = |&attempts: &u32| backoff * f64::from(attempts.saturating_sub(1));
+        s.extra_secs.extend(s.tx_attempts.iter().map(retry_secs));
         let timing = self.timer.round_faulty(
             round,
             &s.compute,
@@ -657,7 +659,7 @@ impl Experiment {
         let total = self.param_count();
         s.rollbacks = 0;
         if s.survivors.is_empty() {
-            s.barren_streak += 1;
+            s.barren_streak = s.barren_streak.saturating_add(1);
             if s.barren_streak > self.config.defense.max_barren_rounds {
                 return Err(FlError::QuarantineExhausted { round });
             }
@@ -707,8 +709,9 @@ impl Experiment {
             check_round_invariants(round, s, &tally);
         }
 
+        let last_round = round.saturating_add(1) == self.config.rounds;
         let (accuracy, test_loss) =
-            if round.is_multiple_of(self.config.eval_every) || round + 1 == self.config.rounds {
+            if round.is_multiple_of(self.config.eval_every) || last_round {
                 let (a, l) = self.server.evaluate()?;
                 (Some(a), Some(l))
             } else {
@@ -817,7 +820,7 @@ fn validate_uploads_into(
         // norm anchors the threshold. The list is non-empty here, so the
         // fallback is unreachable and quarantines nothing.
         let median = finite_norms
-            .get((finite_norms.len() - 1) / 2)
+            .get(finite_norms.len().saturating_sub(1) / 2)
             .copied()
             .unwrap_or(f32::INFINITY)
             .max(1e-6);
@@ -884,13 +887,13 @@ fn train_all(
         for (ci, (chunk_clients, chunk_out)) in
             clients.chunks_mut(chunk).zip(out.chunks_mut(chunk)).enumerate()
         {
-            let base = ci * chunk;
+            let base = ci.saturating_mul(chunk);
             let active = &active;
             handles.push(s.spawn(move || {
                 for (off, (client, slot)) in
                     chunk_clients.iter_mut().zip(chunk_out.iter_mut()).enumerate()
                 {
-                    let id = base + off;
+                    let id = base.saturating_add(off);
                     if active.get(id).is_some_and(|&a| a) {
                         *slot = train_one(client, id, global, round);
                     }
@@ -911,7 +914,8 @@ fn train_all(
     fedsu_tensor::set_kernel_threads(saved_kernel_threads);
 
     for ci in dead_chunks {
-        let slots = active.iter().zip(out.iter_mut()).enumerate().skip(ci * chunk).take(chunk);
+        let first = ci.saturating_mul(chunk);
+        let slots = active.iter().zip(out.iter_mut()).enumerate().skip(first).take(chunk);
         for (id, (_, slot)) in slots.filter(|(_, (&act, _))| act) {
             *slot = Err(FlError::ClientFailed { id });
         }

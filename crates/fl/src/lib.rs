@@ -26,6 +26,9 @@
 // No panic paths in library code: an index, `expect`, `panic!` or
 // `unreachable!` fails `cargo clippy` (test code is exempt, see clippy.toml).
 #![deny(clippy::indexing_slicing, clippy::expect_used, clippy::panic, clippy::unreachable)]
+// Byte totals, counts and seeds never wrap silently: each integer op says
+// whether it wraps, saturates or is checked (unit tests are exempt).
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 
 pub mod client;
 /// Error types.

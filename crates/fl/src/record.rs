@@ -61,7 +61,7 @@ impl ExperimentResult {
         self.rounds
             .iter()
             .find(|r| r.accuracy.is_some_and(|a| a >= target))
-            .map(|r| r.round + 1)
+            .map(|r| r.round.saturating_add(1))
     }
 
     /// Mean emulated per-round duration.

@@ -31,10 +31,11 @@ impl LrSchedule {
     pub fn lr_at(&self, base: f32, round: usize) -> f32 {
         match *self {
             LrSchedule::Constant => base,
-            LrSchedule::InvSqrt => base / ((round + 1) as f32).sqrt(),
+            LrSchedule::InvSqrt => base / (round.saturating_add(1) as f32).sqrt(),
             LrSchedule::Step { every, gamma } => {
                 assert!(every > 0, "step schedule needs a positive period");
-                base * gamma.powi(i32::try_from(round / every).unwrap_or(i32::MAX))
+                let steps = round.checked_div(every).and_then(|q| i32::try_from(q).ok());
+                base * gamma.powi(steps.unwrap_or(i32::MAX))
             }
         }
     }

@@ -60,20 +60,17 @@ impl Server {
         let n = self.test_set.len();
         let mut correct_weighted = 0.0f64;
         let mut loss_weighted = 0.0f64;
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + self.eval_batch).min(n);
-            let idx: Vec<usize> = (start..end).collect();
+        for start in (0..n).step_by(self.eval_batch) {
+            let idx: Vec<usize> = (start..n).take(self.eval_batch).collect();
             let (x, labels) = self.test_set.batch(&idx).map_err(NnError::from)?;
             let logits = self.eval_model.forward(&x, false)?;
             let acc = accuracy(&logits, &labels)?;
             let (loss, grad) = softmax_cross_entropy(&logits, &labels)?;
             // Evaluation reads the loss only; its gradient came from the pool.
             pool::recycle(grad);
-            let w = (end - start) as f64;
+            let w = idx.len() as f64;
             correct_weighted += f64::from(acc) * w;
             loss_weighted += f64::from(loss) * w;
-            start = end;
         }
         #[allow(clippy::cast_possible_truncation, reason = "f64 weighted means, reported in f32")]
         let means = ((correct_weighted / n as f64) as f32, (loss_weighted / n as f64) as f32);

@@ -227,7 +227,10 @@ impl FaultPlan {
             h = mix(h ^ client as u64);
             h = mix(h ^ round as u64);
             h = mix(h ^ m as u64);
-            let idx = usize::try_from(h % n as u64).unwrap_or(usize::MAX);
+            let idx = h
+                .checked_rem(n as u64)
+                .and_then(|i| usize::try_from(i).ok())
+                .unwrap_or(usize::MAX);
             if let Some(v) = values.get_mut(idx) {
                 if m % 2 == 0 {
                     *v = f32::NAN;
@@ -263,7 +266,7 @@ impl FaultPlan {
             if self.unit(SALT_LOSS, client, round, u64::from(attempt))
                 >= self.config.upload_loss_prob
             {
-                return Some(attempt + 1);
+                return Some(attempt.saturating_add(1));
             }
         }
         None
@@ -285,7 +288,7 @@ impl FaultPlan {
             return false;
         }
         let window = self.config.crash_down_rounds.max(1);
-        (0..window).any(|back| round >= back && self.crash_event(client, round - back))
+        (0..window).any(|back| round.checked_sub(back).is_some_and(|r| self.crash_event(client, r)))
     }
 
     /// Whether this plan's wire-level knobs inject nothing (the chaos bus
@@ -359,7 +362,10 @@ impl FaultPlan {
             h = mix(h ^ frame.seq);
             h = mix(h ^ frame.attempt);
             h = mix(h ^ m as u64);
-            let idx = usize::try_from(h % n as u64).unwrap_or(usize::MAX);
+            let idx = h
+                .checked_rem(n as u64)
+                .and_then(|i| usize::try_from(i).ok())
+                .unwrap_or(usize::MAX);
             let bit = ((h >> 17) % 8) as u8;
             if let Some(b) = bytes.get_mut(idx) {
                 *b ^= 1 << bit;

@@ -124,7 +124,8 @@ impl RoundTimer {
         order.sort_by(|&a, &b| at(a).total_cmp(&at(b)));
         let mut selected: Vec<usize> = order.iter().copied().take(k).collect();
         selected.sort_unstable();
-        let duration = order.get(k - 1).copied().map_or(f64::INFINITY, at);
+        let slowest = k.checked_sub(1).and_then(|i| order.get(i)).copied();
+        let duration = slowest.map_or(f64::INFINITY, at);
         RoundOutcomeTiming { duration_secs: duration, selected, finish_secs: finish }
     }
 }

@@ -1,11 +1,11 @@
 //! Opt-in runtime invariant checks.
 //!
 //! The FedSU reproduction's claims rest on numeric soundness; this module is
-//! the runtime backstop behind the static gates (the `fedsu-xtask` lint pass
-//! and the workspace clippy table). Checks are off by default and cost one
-//! relaxed atomic load; setting `FEDSU_CHECK_INVARIANTS=1` (or calling
-//! [`set_enabled`]) turns every guard in the workspace into a hard panic
-//! with a diagnostic naming the violated invariant. CI runs the full test
+//! the runtime backstop behind the static gate (the workspace clippy table
+//! and each library crate's lint denials). Checks are off by default and
+//! cost one relaxed atomic load; setting `FEDSU_CHECK_INVARIANTS=1` (or
+//! calling [`set_enabled`]) turns every guard in the workspace into a hard
+//! panic with a diagnostic naming the violated invariant. CI runs the full test
 //! suite once in this mode.
 //!
 //! Downstream crates gate their own guards on [`enabled`] — sim-time

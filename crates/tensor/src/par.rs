@@ -242,6 +242,10 @@ pub(crate) fn run_chunks(jobs: Vec<ChunkJob>) -> Vec<Option<Vec<f32>>> {
     // Once the local sender is dropped, `recv` ends as soon as every job has
     // either reported or been dropped by a panicking worker — no hangs.
     drop(tx);
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the dispatcher is not a pool worker: it blocks until its own jobs report"
+    )]
     while let Ok((idx, chunk)) = rx.recv() {
         if let Some(slot) = slots.get_mut(idx) {
             *slot = Some(chunk);
@@ -253,6 +257,7 @@ pub(crate) fn run_chunks(jobs: Vec<ChunkJob>) -> Vec<Option<Vec<f32>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::TryLockError;
 
     #[test]
     fn env_resolution_rules() {
@@ -330,6 +335,37 @@ mod tests {
             assert_eq!(out.len(), MAX_WORKERS + 3);
             for (idx, slot) in out.into_iter().enumerate() {
                 assert_eq!(slot, Some(vec![(round * idx) as f32]), "round {round} chunk {idx}");
+            }
+        }
+    }
+
+    /// Whether the pool's queue lock can be taken within 1,000 tries. A
+    /// lock held by the calling thread never can; another worker's brief
+    /// pop or a dispatcher's push releases it within a few yields.
+    fn queue_lock_is_free() -> bool {
+        (0..1_000).any(|_| {
+            let free = !matches!(pool().shared.queue.try_lock(), Err(TryLockError::WouldBlock));
+            if !free {
+                std::thread::yield_now();
+            }
+            free
+        })
+    }
+
+    #[test]
+    fn jobs_run_with_the_queue_unlocked() {
+        // Lock order: a worker releases the queue lock before it runs a job,
+        // so a job (a kernel chunk that checks out pool buffers, say) never
+        // runs under it and other workers keep popping.
+        for round in 0..8usize {
+            let jobs: Vec<ChunkJob> = (0..MAX_WORKERS + 3)
+                .map(|idx| {
+                    let job: ChunkJob = Box::new(move || (idx, vec![f32::from(queue_lock_is_free())]));
+                    job
+                })
+                .collect();
+            for (idx, slot) in run_chunks(jobs).into_iter().enumerate() {
+                assert_eq!(slot, Some(vec![1.0]), "round {round} job {idx} ran under the queue lock");
             }
         }
     }

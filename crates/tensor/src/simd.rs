@@ -450,8 +450,7 @@ mod x86 {
     /// single instructions — in particular `fmul` and `fadd` stay separate
     /// (never an FMA) — so a body's written operand order *is* its IEEE
     /// operation sequence at every width. (The arithmetic carries LLVM's
-    /// `f` prefix because the xtask call graph resolves calls by name alone:
-    /// a kernel calling `.sub(…)` would put `Tensor::sub` on the hot path.)
+    /// `f` prefix, which keeps it apart from `Tensor::add`/`sub` by name.)
     ///
     /// # Safety
     ///

@@ -192,9 +192,9 @@ fn chaos_send(
             let release = state.tick.wrapping_add(u64::try_from(hold).unwrap_or(u64::MAX));
             let copies = if duplicate { 2 } else { 1 };
             state.pending.reserve(copies);
-            for i in 0..copies {
+            for left in (0..copies).rev() {
                 state.order = state.order.wrapping_add(1);
-                let payload = if i + 1 < copies { bytes.clone() } else { std::mem::take(&mut bytes) };
+                let payload = if left > 0 { bytes.clone() } else { std::mem::take(&mut bytes) };
                 state.pending.push(Pending { release, order: state.order, bytes: payload });
             }
         }
@@ -337,6 +337,8 @@ mod tests {
     use super::*;
     use crate::{LocalBus, Message};
     use fedsu_netsim::FaultConfig;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Weak};
 
     const T: Duration = Duration::from_millis(500);
 
@@ -538,5 +540,63 @@ mod tests {
             }
         }
         assert!(recovered, "some retransmission must survive where attempt 0 was dropped");
+    }
+
+    /// An inner link that, on every send, checks whether the decorating
+    /// [`Chaos`]'s state lock for that peer is held.
+    #[derive(Debug)]
+    struct LockProbe {
+        chaos: Weak<Chaos<LockProbe>>,
+        sends: AtomicUsize,
+        locked_sends: AtomicUsize,
+    }
+
+    impl Link for LockProbe {
+        fn send_bytes_to(&self, peer: usize, _bytes: Vec<u8>) -> Result<(), BusError> {
+            self.sends.fetch_add(1, Ordering::Relaxed);
+            let chaos = self.chaos.upgrade().ok_or(BusError::Disconnected)?;
+            if chaos.peers.get(peer).is_some_and(|p| p.0.try_lock().is_err()) {
+                self.locked_sends.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(())
+        }
+
+        fn recv_bytes(&self, _timeout: Duration) -> Result<Vec<u8>, BusError> {
+            Err(BusError::Timeout)
+        }
+
+        fn peer_count(&self) -> usize {
+            1
+        }
+    }
+
+    #[test]
+    fn inner_sends_happen_outside_the_state_lock() {
+        // Lock order: the decorator never calls into the wrapped link while
+        // holding a peer's state lock. An inner link that calls back into
+        // the decorator (stats, a nested send) would otherwise deadlock.
+        let config = FaultConfig {
+            wire_duplicate_prob: 0.3,
+            wire_reorder_prob: 0.3,
+            wire_delay_prob: 0.2,
+            wire_delay_depth: 3,
+            seed: 17,
+            ..FaultConfig::default()
+        };
+        let chaos = Arc::new_cyclic(|weak| {
+            let probe = LockProbe {
+                chaos: Weak::clone(weak),
+                sends: AtomicUsize::new(0),
+                locked_sends: AtomicUsize::new(0),
+            };
+            Chaos::client(probe, plan(config), 0)
+        });
+        for seq in 0..64 {
+            chaos.send_bytes_to(0, frame(seq)).unwrap();
+        }
+        chaos.flush().unwrap();
+        let probe = chaos.inner();
+        assert!(probe.sends.load(Ordering::Relaxed) > 0);
+        assert_eq!(probe.locked_sends.load(Ordering::Relaxed), 0, "inner send under the state lock");
     }
 }

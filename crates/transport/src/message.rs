@@ -175,7 +175,7 @@ impl QuantizedValues {
         if expected_chunks(codes.len(), chunk_len) != Some(scales.len()) {
             return Err(DecodeError::Inconsistent("scale count does not cover the codes"));
         }
-        if codes.iter().any(|&c| u32::from(c & 0x7f) > levels + 1) {
+        if codes.iter().any(|&c| u32::from(c & 0x7f) > levels.saturating_add(1)) {
             return Err(DecodeError::Inconsistent("code level exceeds declared levels"));
         }
         Ok(QuantizedValues { levels, chunk_len, scales, codes })

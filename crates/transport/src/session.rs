@@ -26,6 +26,7 @@
 use crate::bus::Link;
 use crate::cursor::{take, take_len, take_u16, take_u32, take_u8, Truncated};
 use crate::{BusError, Message};
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, VecDeque};
 use std::time::Duration;
 
@@ -172,7 +173,7 @@ impl Envelope {
     /// Serializes the envelope: header, payload, trailing FNV-1a checksum
     /// over everything before it.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(ENVELOPE_OVERHEAD + self.payload.len());
+        let mut out = Vec::with_capacity(ENVELOPE_OVERHEAD.saturating_add(self.payload.len()));
         out.extend_from_slice(&ENV_MAGIC.to_le_bytes());
         out.push(ENV_VERSION);
         out.push(self.kind_byte());
@@ -217,18 +218,14 @@ impl Envelope {
         let attempt = take_u16(&mut data)?;
         let payload_len = take_len(&mut data)?;
         // `data` now holds payload + 4-byte checksum; reject splices.
-        if data.len() < 4 {
-            return Err(EnvelopeError::Truncated);
-        }
-        if data.len() - 4 < payload_len {
-            return Err(EnvelopeError::Truncated);
-        }
-        if data.len() - 4 > payload_len {
-            return Err(EnvelopeError::TrailingBytes);
+        match data.len().checked_sub(4).map(|body| body.cmp(&payload_len)) {
+            None | Some(Ordering::Less) => return Err(EnvelopeError::Truncated),
+            Some(Ordering::Greater) => return Err(EnvelopeError::TrailingBytes),
+            Some(Ordering::Equal) => {}
         }
         let payload = take(&mut data, payload_len)?.to_vec();
         let carried = take_u32(&mut data)?;
-        let computed = fnv1a(bytes.get(..bytes.len() - 4).unwrap_or(&[]));
+        let computed = fnv1a(bytes.get(..bytes.len().saturating_sub(4)).unwrap_or(&[]));
         if carried != computed {
             return Err(EnvelopeError::BadChecksum { carried, computed });
         }
