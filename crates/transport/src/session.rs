@@ -126,24 +126,88 @@ fn fnv1a(bytes: &[u8]) -> u32 {
     h
 }
 
-/// Byte offset of the `attempt` field inside an encoded envelope: magic (2)
-/// + version (1) + kind (1) + client (4) + epoch (4) + seq (4).
-const ATTEMPT_OFFSET: usize = 2 + 1 + 1 + 4 + 4 + 4;
+impl FrameKind {
+    fn byte(self) -> u8 {
+        match self {
+            FrameKind::Data => KIND_DATA,
+            FrameKind::Ack => KIND_ACK,
+        }
+    }
+}
 
-/// Rewrites the `attempt` field of an encoded frame in place and refreshes
-/// the trailing FNV-1a checksum, yielding bytes identical to re-encoding
-/// the whole envelope with the new attempt. The retransmission loops cache
-/// one encoding per `(epoch, seq)` and re-stamp it per attempt instead of
-/// cloning the payload and re-serializing every time.
-fn restamp_attempt(frame: &mut [u8], attempt: u16) {
-    let Some(body_len) = frame.len().checked_sub(4) else { return };
-    if let Some(dst) = frame.get_mut(ATTEMPT_OFFSET..ATTEMPT_OFFSET + 2) {
-        dst.copy_from_slice(&attempt.to_le_bytes());
+/// One envelope seen in place: the header fields and the payload borrowed
+/// from wherever it lives. [`Frame::write`] is the one frame writer and
+/// [`Frame::parse`] the one frame parser; [`Envelope`] and the session
+/// engine both go through them.
+#[derive(Clone, Copy)]
+struct Frame<'a> {
+    kind: FrameKind,
+    client: u32,
+    epoch: u32,
+    seq: u32,
+    attempt: u16,
+    payload: &'a [u8],
+}
+
+impl<'a> Frame<'a> {
+    /// Serializes the frame into a fresh, exactly sized buffer: header,
+    /// payload, and one FNV-1a over everything before the checksum.
+    fn write(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(ENVELOPE_OVERHEAD.saturating_add(self.payload.len()));
+        out.extend_from_slice(&ENV_MAGIC.to_le_bytes());
+        out.push(ENV_VERSION);
+        out.push(self.kind.byte());
+        out.extend_from_slice(&self.client.to_le_bytes());
+        out.extend_from_slice(&self.epoch.to_le_bytes());
+        out.extend_from_slice(&self.seq.to_le_bytes());
+        out.extend_from_slice(&self.attempt.to_le_bytes());
+        let len = u32::try_from(self.payload.len()).unwrap_or(u32::MAX);
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(self.payload);
+        let sum = fnv1a(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
     }
-    let sum = frame.get(..body_len).map_or(0, fnv1a);
-    if let Some(tail) = frame.get_mut(body_len..) {
-        tail.copy_from_slice(&sum.to_le_bytes());
+
+    /// Parses and verifies `bytes` without copying: the payload stays
+    /// borrowed from the frame, and the checksum is computed once.
+    fn parse(bytes: &'a [u8]) -> Result<Self, EnvelopeError> {
+        let mut data = bytes;
+        let (kind, client, epoch, seq, attempt) = parse_header(&mut data)?;
+        let payload_len = take_len(&mut data)?;
+        // `data` now holds payload + 4-byte checksum; reject splices.
+        match data.len().checked_sub(4).map(|body| body.cmp(&payload_len)) {
+            None | Some(Ordering::Less) => return Err(EnvelopeError::Truncated),
+            Some(Ordering::Greater) => return Err(EnvelopeError::TrailingBytes),
+            Some(Ordering::Equal) => {}
+        }
+        let payload = take(&mut data, payload_len)?;
+        let carried = take_u32(&mut data)?;
+        let computed = fnv1a(bytes.get(..bytes.len().saturating_sub(4)).unwrap_or(&[]));
+        if carried != computed {
+            return Err(EnvelopeError::BadChecksum { carried, computed });
+        }
+        Ok(Frame { kind, client, epoch, seq, attempt, payload })
     }
+}
+
+/// Reads the fixed header `(kind, client, epoch, seq, attempt)` off the
+/// front of `data`, checking magic, version and kind.
+fn parse_header(data: &mut &[u8]) -> Result<(FrameKind, u32, u32, u32, u16), EnvelopeError> {
+    let magic = take_u16(data)?;
+    if magic != ENV_MAGIC {
+        return Err(EnvelopeError::BadMagic(magic));
+    }
+    let version = take_u8(data)?;
+    if version != ENV_VERSION {
+        return Err(EnvelopeError::BadVersion(version));
+    }
+    let kind = match take_u8(data)? {
+        KIND_DATA => FrameKind::Data,
+        KIND_ACK => FrameKind::Ack,
+        other => return Err(EnvelopeError::BadKind(other)),
+    };
+    Ok((kind, take_u32(data)?, take_u32(data)?, take_u32(data)?, take_u16(data)?))
 }
 
 impl Envelope {
@@ -163,30 +227,11 @@ impl Envelope {
         Envelope { kind: FrameKind::Ack, client, epoch, seq, attempt, payload: Vec::new() }
     }
 
-    fn kind_byte(&self) -> u8 {
-        match self.kind {
-            FrameKind::Data => KIND_DATA,
-            FrameKind::Ack => KIND_ACK,
-        }
-    }
-
     /// Serializes the envelope: header, payload, trailing FNV-1a checksum
     /// over everything before it.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(ENVELOPE_OVERHEAD.saturating_add(self.payload.len()));
-        out.extend_from_slice(&ENV_MAGIC.to_le_bytes());
-        out.push(ENV_VERSION);
-        out.push(self.kind_byte());
-        out.extend_from_slice(&self.client.to_le_bytes());
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.attempt.to_le_bytes());
-        let len = u32::try_from(self.payload.len()).unwrap_or(u32::MAX);
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        let sum = fnv1a(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+        let Envelope { kind, client, epoch, seq, attempt, ref payload } = *self;
+        Frame { kind, client, epoch, seq, attempt, payload }.write()
     }
 
     /// Parses an envelope produced by [`Envelope::encode`]. Never panics on
@@ -197,39 +242,8 @@ impl Envelope {
     /// Returns [`EnvelopeError`] on truncation, bad magic/version/kind, a
     /// checksum mismatch, or trailing bytes after the declared payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, EnvelopeError> {
-        let mut data = bytes;
-        let magic = take_u16(&mut data)?;
-        if magic != ENV_MAGIC {
-            return Err(EnvelopeError::BadMagic(magic));
-        }
-        let version = take_u8(&mut data)?;
-        if version != ENV_VERSION {
-            return Err(EnvelopeError::BadVersion(version));
-        }
-        let kind_byte = take_u8(&mut data)?;
-        let kind = match kind_byte {
-            KIND_DATA => FrameKind::Data,
-            KIND_ACK => FrameKind::Ack,
-            other => return Err(EnvelopeError::BadKind(other)),
-        };
-        let client = take_u32(&mut data)?;
-        let epoch = take_u32(&mut data)?;
-        let seq = take_u32(&mut data)?;
-        let attempt = take_u16(&mut data)?;
-        let payload_len = take_len(&mut data)?;
-        // `data` now holds payload + 4-byte checksum; reject splices.
-        match data.len().checked_sub(4).map(|body| body.cmp(&payload_len)) {
-            None | Some(Ordering::Less) => return Err(EnvelopeError::Truncated),
-            Some(Ordering::Greater) => return Err(EnvelopeError::TrailingBytes),
-            Some(Ordering::Equal) => {}
-        }
-        let payload = take(&mut data, payload_len)?.to_vec();
-        let carried = take_u32(&mut data)?;
-        let computed = fnv1a(bytes.get(..bytes.len().saturating_sub(4)).unwrap_or(&[]));
-        if carried != computed {
-            return Err(EnvelopeError::BadChecksum { carried, computed });
-        }
-        Ok(Envelope { kind, client, epoch, seq, attempt, payload })
+        let Frame { kind, client, epoch, seq, attempt, payload } = Frame::parse(bytes)?;
+        Ok(Envelope { kind, client, epoch, seq, attempt, payload: payload.to_vec() })
     }
 
     /// Parses just the fixed header `(kind, client, epoch, seq, attempt)`
@@ -238,23 +252,7 @@ impl Envelope {
     /// it is *about* to corrupt.
     pub fn peek_header(bytes: &[u8]) -> Option<(FrameKind, u32, u32, u32, u16)> {
         let mut data = bytes;
-        let magic = take_u16(&mut data).ok()?;
-        if magic != ENV_MAGIC {
-            return None;
-        }
-        if take_u8(&mut data).ok()? != ENV_VERSION {
-            return None;
-        }
-        let kind = match take_u8(&mut data).ok()? {
-            KIND_DATA => FrameKind::Data,
-            KIND_ACK => FrameKind::Ack,
-            _ => return None,
-        };
-        let client = take_u32(&mut data).ok()?;
-        let epoch = take_u32(&mut data).ok()?;
-        let seq = take_u32(&mut data).ok()?;
-        let attempt = take_u16(&mut data).ok()?;
-        Some((kind, client, epoch, seq, attempt))
+        parse_header(&mut data).ok()
     }
 }
 
@@ -432,6 +430,9 @@ struct Engine<L: Link> {
     epoch: u32,
     peers: Vec<PeerState>,
     inbox: VecDeque<(usize, Message)>,
+    /// The encoded [`Message`] of the send in flight, reused across sends:
+    /// a message is encoded once, however many peers and attempts it takes.
+    payload: Vec<u8>,
     config: SessionConfig,
     stats: ReliabilityStats,
 }
@@ -445,6 +446,7 @@ impl<L: Link> Engine<L> {
             epoch: 0,
             peers,
             inbox: VecDeque::new(),
+            payload: Vec::new(),
             config,
             stats: ReliabilityStats::default(),
         }
@@ -459,29 +461,52 @@ impl<L: Link> Engine<L> {
     }
 
     fn send_reliable(&mut self, peer: usize, msg: &Message) -> Result<(), SessionError> {
+        msg.encode_into(&mut self.payload);
+        self.send_encoded(peer)
+    }
+
+    fn broadcast_reliable(&mut self, msg: &Message) -> Result<(), SessionError> {
+        msg.encode_into(&mut self.payload);
+        (0..self.peers.len()).try_for_each(|peer| self.send_encoded(peer))
+    }
+
+    /// Reliably sends the message already encoded in `self.payload`. Each
+    /// attempt writes one frame around the borrowed payload and moves it
+    /// into the link: one checksum per attempt, no copy kept behind.
+    fn send_encoded(&mut self, peer: usize) -> Result<(), SessionError> {
+        // Taken out for the duration: the ack wait below needs `&mut self`.
+        let payload = std::mem::take(&mut self.payload);
+        let sent = self.send_payload(peer, &payload);
+        self.payload = payload;
+        sent
+    }
+
+    fn send_payload(&mut self, peer: usize, payload: &[u8]) -> Result<(), SessionError> {
         let client = self.client.unwrap_or(u32::try_from(peer).unwrap_or(u32::MAX));
-        let payload = msg.encode();
-        let payload_len = payload.len();
         let seq = {
             let slot = &mut self.peers.get_mut(peer).ok_or(BusError::Disconnected)?.next_seq;
             let seq = *slot;
             *slot = slot.wrapping_add(1);
             seq
         };
-        // Encode the envelope once for this (epoch, seq); each attempt only
-        // re-stamps the attempt field and checksum in the cached bytes.
-        let mut frame = Envelope::data(client, self.epoch, seq, 0, payload).encode();
         let mut attempt: u32 = 0;
         loop {
-            restamp_attempt(&mut frame, u16::try_from(attempt).unwrap_or(u16::MAX));
-            self.link.send_bytes_to(peer, frame.clone())?;
+            let frame = Frame {
+                kind: FrameKind::Data,
+                client,
+                epoch: self.epoch,
+                seq,
+                attempt: u16::try_from(attempt).unwrap_or(u16::MAX),
+                payload,
+            };
+            self.link.send_bytes_to(peer, frame.write())?;
             self.stats.data_frames_sent = self.stats.data_frames_sent.saturating_add(1);
             if attempt > 0 {
                 self.stats.retransmits = self.stats.retransmits.saturating_add(1);
                 self.stats.retransmitted_bytes = self
                     .stats
                     .retransmitted_bytes
-                    .saturating_add(u64::try_from(payload_len).unwrap_or(u64::MAX));
+                    .saturating_add(u64::try_from(payload.len()).unwrap_or(u64::MAX));
             }
             let wait = self.config.wait_for(attempt);
             loop {
@@ -521,20 +546,18 @@ impl<L: Link> Engine<L> {
 
     /// Reads and processes one frame. Returns `Ok(Some((peer, epoch,
     /// seq)))` when the frame was an ack, `Ok(None)` otherwise (data frames
-    /// are admitted into the inbox as a side effect).
+    /// are admitted into the inbox as a side effect). The frame is verified
+    /// in place and its message decoded straight from the borrowed payload.
     fn read_one(&mut self, timeout: Duration) -> Result<Option<(usize, u32, u32)>, SessionError> {
         let bytes = self.link.recv_bytes(timeout)?;
-        let env = match Envelope::decode(&bytes) {
-            Ok(env) => env,
-            Err(_) => {
-                self.stats.corrupt_frames_rejected =
-                    self.stats.corrupt_frames_rejected.saturating_add(1);
-                return Ok(None);
-            }
+        let Ok(frame) = Frame::parse(&bytes) else {
+            self.stats.corrupt_frames_rejected =
+                self.stats.corrupt_frames_rejected.saturating_add(1);
+            return Ok(None);
         };
         let peer = match self.client {
             Some(_) => 0,
-            None => usize::try_from(env.client).unwrap_or(usize::MAX),
+            None => usize::try_from(frame.client).unwrap_or(usize::MAX),
         };
         let Some(state) = self.peers.get_mut(peer) else {
             // A well-formed frame for a client slot we do not have is
@@ -543,25 +566,25 @@ impl<L: Link> Engine<L> {
                 self.stats.corrupt_frames_rejected.saturating_add(1);
             return Ok(None);
         };
-        match env.kind {
+        match frame.kind {
             FrameKind::Ack => {
                 self.stats.acks_received = self.stats.acks_received.saturating_add(1);
-                Ok(Some((peer, env.epoch, env.seq)))
+                Ok(Some((peer, frame.epoch, frame.seq)))
             }
             FrameKind::Data => {
-                match state.rx.admit(env.epoch, env.seq) {
+                match state.rx.admit(frame.epoch, frame.seq) {
                     Admit::Stale => {
                         self.stats.stale_epoch_rejected =
                             self.stats.stale_epoch_rejected.saturating_add(1);
-                        self.send_ack(peer, &env);
+                        self.send_ack(peer, &frame);
                     }
                     Admit::Dup => {
                         self.stats.dups_dropped = self.stats.dups_dropped.saturating_add(1);
-                        self.send_ack(peer, &env);
+                        self.send_ack(peer, &frame);
                     }
-                    Admit::Fresh => match Message::decode(&env.payload) {
+                    Admit::Fresh => match Message::decode(frame.payload) {
                         Ok(msg) => {
-                            self.send_ack(peer, &env);
+                            self.send_ack(peer, &frame);
                             self.stats.data_frames_delivered =
                                 self.stats.data_frames_delivered.saturating_add(1);
                             self.inbox.push_back((peer, msg));
@@ -570,7 +593,7 @@ impl<L: Link> Engine<L> {
                             // Checksummed frame with an undecodable payload:
                             // a sender-side framing bug. Un-admit so a good
                             // copy could still deliver, never ack garbage.
-                            state.rx.seen.remove(&(env.epoch, env.seq));
+                            state.rx.seen.remove(&(frame.epoch, frame.seq));
                             self.stats.corrupt_frames_rejected =
                                 self.stats.corrupt_frames_rejected.saturating_add(1);
                         }
@@ -582,11 +605,11 @@ impl<L: Link> Engine<L> {
     }
 
     /// Acknowledges `data` to the peer it came from.
-    fn send_ack(&mut self, peer: usize, data: &Envelope) {
+    fn send_ack(&mut self, peer: usize, data: &Frame<'_>) {
         // Ack loss is recovered by peer retransmission; a disconnect will
         // surface on the session's next send/recv.
-        let ack = Envelope::ack(data.client, data.epoch, data.seq, data.attempt);
-        if self.link.send_bytes_to(peer, ack.encode()).is_ok() {
+        let ack = Frame { kind: FrameKind::Ack, payload: &[], ..*data };
+        if self.link.send_bytes_to(peer, ack.write()).is_ok() {
             self.stats.acks_sent = self.stats.acks_sent.saturating_add(1);
         }
     }
@@ -700,7 +723,7 @@ impl<L: Link> ServerSession<L> {
     ///
     /// Returns the first per-client failure.
     pub fn broadcast_reliable(&mut self, msg: &Message) -> Result<(), SessionError> {
-        (0..self.0.peers.len()).try_for_each(|c| self.0.send_reliable(c, msg))
+        self.0.broadcast_reliable(msg)
     }
 
     /// Receives the next exactly-once `(client, message)` pair.
@@ -731,6 +754,20 @@ mod tests {
 
     const T: Duration = Duration::from_millis(500);
 
+    /// Byte offset of the `attempt` field inside an encoded envelope: magic
+    /// (2) + version (1) + kind (1) + client (4) + epoch (4) + seq (4).
+    const ATTEMPT_OFFSET: usize = 2 + 1 + 1 + 4 + 4 + 4;
+
+    /// Two attempts per send and nobody acks: every send gives up after
+    /// its retransmission.
+    fn unacked() -> SessionConfig {
+        SessionConfig {
+            max_retries: 1,
+            ack_timeout: Duration::from_millis(5),
+            backoff: Duration::from_millis(1),
+        }
+    }
+
     fn cfg() -> SessionConfig {
         SessionConfig {
             max_retries: 4,
@@ -755,24 +792,6 @@ mod tests {
                 (env.kind, env.client, env.epoch, env.seq, env.attempt)
             );
         }
-    }
-
-    #[test]
-    fn restamped_frame_is_bit_identical_to_a_fresh_encode() {
-        // The retransmission loops cache one encoding and re-stamp the
-        // attempt field; the wire bytes must be indistinguishable from
-        // encoding a fresh envelope at that attempt.
-        let payload = Message::Pull { client: 3 }.encode();
-        let mut frame = Envelope::data(3, 7, 11, 0, payload.clone()).encode();
-        for attempt in [0u16, 1, 2, 9, u16::MAX] {
-            restamp_attempt(&mut frame, attempt);
-            let fresh = Envelope::data(3, 7, 11, attempt, payload.clone()).encode();
-            assert_eq!(frame, fresh, "attempt {attempt}");
-            assert_eq!(Envelope::decode(&frame).unwrap().attempt, attempt);
-        }
-        // Degenerate inputs must not panic or write out of bounds.
-        restamp_attempt(&mut [], 1);
-        restamp_attempt(&mut [0u8; 3], 1);
     }
 
     #[test]
@@ -952,13 +971,87 @@ mod tests {
     }
 
     #[test]
+    fn undecodable_payload_is_rejected_unacked_and_unadmitted() {
+        let (server, mut clients) = LocalBus::star(1);
+        let mut srv = ServerSession::new(server, cfg());
+        let client = clients.remove(0);
+        // A sound envelope checksum around a payload that is not a Message.
+        let garbage = Envelope::data(0, 0, 0, 0, vec![0xAB; 9]).encode();
+        client.send_bytes_to(0, garbage).unwrap();
+        let short = Duration::from_millis(20);
+        assert_eq!(srv.recv_reliable(short), Err(SessionError::Bus(BusError::Timeout)));
+        assert_eq!(client.recv_bytes(short), Err(BusError::Timeout), "garbage is never acked");
+        assert_eq!(srv.stats().corrupt_frames_rejected, 1);
+        assert_eq!(srv.stats().data_frames_delivered, 0);
+        assert_eq!(srv.stats().acks_sent, 0);
+        // Un-admitted: a good frame with the same (epoch, seq) still
+        // delivers, exactly once, and is acked.
+        let good = Envelope::data(0, 0, 0, 1, Message::Pull { client: 0 }.encode()).encode();
+        client.send_bytes_to(0, good).unwrap();
+        assert_eq!(srv.recv_reliable(short), Ok((0, Message::Pull { client: 0 })));
+        assert_eq!(srv.recv_reliable(short), Err(SessionError::Bus(BusError::Timeout)));
+        assert_eq!(client.recv_bytes(short), Ok(Envelope::ack(0, 0, 0, 1).encode()));
+        assert_eq!(client.recv_bytes(short), Err(BusError::Timeout));
+        let stats = srv.stats();
+        assert_eq!(stats.corrupt_frames_rejected, 1);
+        assert_eq!(stats.data_frames_delivered, 1);
+        assert_eq!(stats.dups_dropped, 0);
+        assert_eq!(stats.acks_sent, 1);
+    }
+
+    #[test]
+    fn broadcast_puts_the_same_frames_on_the_wire_for_every_client() {
+        // Each client lets attempt 0 go unacked and acks attempt 1, so every
+        // client sees both attempts of one encoding, and the long backoff
+        // keeps the ack in time on a loaded host.
+        let config = SessionConfig { backoff: Duration::from_secs(2), ..unacked() };
+        let sends = [(5u32, 0u32), (5, 1), (6, 0)];
+        let model = Message::Model { round: 5, values: SparseValues::dense(vec![0.5, -1.0, 2.0]) };
+        let payload = model.encode();
+        let (server, clients) = LocalBus::star(3);
+        let mut srv = ServerSession::new(server, config);
+        let expected = payload.clone();
+        let far_end = std::thread::spawn(move || {
+            for (epoch, seq) in sends {
+                for (c, raw) in clients.iter().enumerate() {
+                    let stamp = u32::try_from(c).unwrap();
+                    for attempt in 0..2 {
+                        let want = Envelope::data(stamp, epoch, seq, attempt, expected.clone());
+                        assert_eq!(raw.recv_bytes(T), Ok(want.encode()), "client {c} {epoch}/{seq}");
+                    }
+                    // In client order: nobody else has been sent anything yet.
+                    for other in &clients {
+                        assert_eq!(other.recv_bytes(Duration::ZERO), Err(BusError::Timeout));
+                    }
+                    raw.send_bytes_to(0, Envelope::ack(stamp, epoch, seq, 1).encode()).unwrap();
+                }
+            }
+        });
+        for (epoch, seq) in sends {
+            if seq == 0 {
+                srv.begin_epoch(epoch);
+            }
+            srv.broadcast_reliable(&model).unwrap();
+        }
+        far_end.join().unwrap();
+        let stats = srv.stats();
+        assert_eq!((stats.data_frames_sent, stats.retransmits, stats.acks_received), (18, 9, 9));
+        assert_eq!(stats.retransmitted_bytes, 9 * payload.len() as u64);
+
+        // With nobody acking, the first client's failure ends the broadcast.
+        let (server, clients) = LocalBus::star(3);
+        let mut srv = ServerSession::new(server, unacked());
+        assert_eq!(
+            srv.broadcast_reliable(&model),
+            Err(SessionError::RetriesExhausted { client: 0, epoch: 0, seq: 0, attempts: 2 })
+        );
+        assert_eq!(clients[0].recv_bytes(T).map(|f| f.len()), Ok(ENVELOPE_OVERHEAD + payload.len()));
+        assert_eq!(clients[1].recv_bytes(Duration::ZERO), Err(BusError::Timeout));
+    }
+
+    #[test]
     fn both_facades_put_the_same_frames_on_the_wire() {
-        // No one acks, so every send makes exactly two attempts and gives up.
-        let quick = SessionConfig {
-            max_retries: 1,
-            ack_timeout: Duration::from_millis(5),
-            backoff: Duration::from_millis(1),
-        };
+        let quick = unacked();
         let short = Duration::from_millis(20);
         let pull = Message::Pull { client: 9 };
         let payload = pull.encode();
