@@ -5,7 +5,7 @@
 //! recording wall time and GFLOP/s for each configuration, so the repo has
 //! a perf trajectory across commits (`cargo run -p fedsu-xtask --
 //! bench-check` ratchets against the checked-in copy). The harness **fails
-//! (non-zero exit)** if any blocked/SIMD/parallel output diverges bit-wise
+//! (non-zero exit)** if any blocked/SIMD output diverges bit-wise
 //! from the serial reference — the determinism contract is enforced here as
 //! well as in the test suite, on bench-sized shapes. Bench inputs are
 //! finite (no NaNs), so exact bit equality holds across SIMD levels; the
@@ -18,8 +18,7 @@
 //! `FEDSU_SIMD`), timed round-robin on one thread with the operands at a
 //! fixed placement: the reference's median per-call wall time, and each
 //! other row's median per-round ratio to it (see [`time_round_robin`] and
-//! [`placed`]). Parallel dispatch is verified, not timed: on the 2-vCPU hosts
-//! this runs on, its rows measured the neighbours (ROADMAP item 6). Blocks:
+//! [`placed`]). Blocks:
 //!
 //! * **square `A·B`** (`"kernel":"nn"`), one per size; both transpose
 //!   kernels are verified at these sizes too;
@@ -35,13 +34,9 @@
 use fedsu_bench::Scale;
 use fedsu_tensor::{
     hardware_simd_level, matmul_into, matmul_transpose_a_into, matmul_transpose_b_into, reference,
-    set_kernel_threads, set_simd_level, simd_level, SimdLevel,
+    set_simd_level, simd_level, SimdLevel,
 };
 use std::time::Instant;
-
-/// Thread counts every kernel output is verified at, at both the scalar and
-/// the active SIMD level.
-const VERIFY_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Minimum measured wall time per configuration; repeat runs until reached.
 const MIN_MEASURE_SECS: f64 = 0.05;
@@ -91,7 +86,7 @@ impl Kernel {
         }
     }
 
-    /// The production kernel at the current SIMD level and thread count.
+    /// The production kernel at the current SIMD level.
     fn run(self, a: &[f32], b: &[f32], out: &mut [f32], (m, k, n): (usize, usize, usize)) {
         match self {
             Kernel::Nn => matmul_into(a, b, out, m, k, n),
@@ -186,19 +181,15 @@ struct Block {
 }
 
 /// Whether `kernel` reproduces `want` bit for bit at the scalar and the
-/// active level, at every [`VERIFY_THREADS`] count.
+/// active level.
 fn verify(kernel: Kernel, a: &[f32], b: &[f32], dims: (usize, usize, usize), want: &[f32], active: SimdLevel) -> bool {
     let mut out = vec![0.0f32; want.len()];
     let mut ok = true;
     for level in [SimdLevel::Scalar, active] {
         set_simd_level(level);
-        for &threads in &VERIFY_THREADS {
-            set_kernel_threads(threads);
-            kernel.run(a, b, &mut out, dims);
-            ok &= bits_equal(&out, want);
-        }
+        kernel.run(a, b, &mut out, dims);
+        ok &= bits_equal(&out, want);
     }
-    set_kernel_threads(0);
     set_simd_level(active);
     ok
 }
@@ -244,7 +235,6 @@ fn bench_block(kernel: Kernel, dims: (usize, usize, usize), active: SimdLevel) -
     // may itself run at Scalar (`FEDSU_SIMD=off`): it still exists so the
     // scalar-fallback CI run produces a comparable file.
     let mut want = Vec::new();
-    set_kernel_threads(1);
     let times = time_round_robin(&mut [
         &mut || want = kernel.reference(a, b, dims),
         &mut || {
@@ -395,7 +385,7 @@ fn main() {
         }
     }
     if !all_ok {
-        eprintln!("error: blocked/SIMD/parallel kernel output diverged bit-wise from reference");
+        eprintln!("error: blocked/SIMD kernel output diverged bit-wise from reference");
         std::process::exit(1);
     }
 }

@@ -314,7 +314,7 @@ mod tests {
         assert!(parse(s(&["run", "--bogus", "1"])).unwrap_err().0.contains("unknown flag"));
         // No carrier sends frames under `fedsu run`, so it takes no wire-fault knobs.
         assert!(parse(s(&["run", "--wire-drop", "0.2"])).unwrap_err().0.contains("unknown flag"));
-        // The kernel-thread count belongs to the tensor layer: FEDSU_KERNEL_THREADS sets it.
+        // Kernels are serial and the client fan-out follows the core count: no thread flag.
         assert!(parse(s(&["run", "--kernel-threads", "4"])).unwrap_err().0.contains("unknown flag"));
     }
 }

@@ -36,12 +36,9 @@ FAULTS:     --fault-dropout/--fault-corrupt inject per-round client dropout
             auto-enables the server-side defenses (retry, quarantine,
             rollback). --fault-seed picks the deterministic fault plan.
 
-THREADS:    the FEDSU_KERNEL_THREADS environment variable caps the
-            tensor-kernel thread pool (0 = auto, the default; 1 = serial). A
-            pure performance knob: parallel kernels are bit-identical to
-            serial ones, and the round loop forces kernels serial while
-            clients train on separate threads so the two layers never
-            oversubscribe.
+THREADS:    clients train concurrently, one thread per hardware thread, and
+            the tensor kernels run serially inside each; the thread count
+            never changes a result.
 ";
 
 fn scenario_of(a: &RunArgs) -> Scenario {

@@ -82,9 +82,7 @@ impl DefenseConfig {
     }
 }
 
-/// Full configuration of one emulated FL experiment. The kernel-thread count
-/// is not part of it: that is process-wide and belongs to `fedsu-tensor`
-/// (`FEDSU_KERNEL_THREADS`, `fedsu_tensor::set_kernel_threads`).
+/// Full configuration of one emulated FL experiment.
 #[derive(Clone)]
 pub struct ExperimentConfig {
     /// Cluster shape and link speeds.
@@ -399,9 +397,10 @@ impl Experiment {
     /// backoff charged to sim-time, and a poisoned aggregation rolls back to
     /// the last good checkpoint.
     ///
-    /// The kernel thread count is whatever `FEDSU_KERNEL_THREADS` or the
-    /// caller's `fedsu_tensor::set_kernel_threads` says; `run` installs
-    /// nothing of its own.
+    /// Clients train concurrently, one scoped thread per hardware thread
+    /// (`fedsu_tensor::hardware_threads`); kernels run serially on whichever
+    /// thread trains their client, so the fan-out width never changes a
+    /// result.
     ///
     /// # Errors
     ///
@@ -414,13 +413,6 @@ impl Experiment {
         let mut scratch =
             RoundScratch::new(self.clients.len(), self.server.global(), self.config.defense);
         let s = &mut scratch;
-        // Per-round allocation attribution (FEDSU_ALLOC_STATS): re-base the
-        // process counters so each round's delta lands in the alloc_stats
-        // round log. Reporting only — never touches records or sim-time.
-        let alloc_trace = fedsu_tensor::alloc_stats::enabled();
-        if alloc_trace {
-            fedsu_tensor::alloc_stats::begin_run(self.config.rounds);
-        }
 
         for round in 0..self.config.rounds {
             self.participation(round, s);
@@ -437,17 +429,6 @@ impl Experiment {
                 h(&record, self.server.global());
             }
             records.push(record);
-            if alloc_trace {
-                fedsu_tensor::alloc_stats::mark_round(round);
-            }
-        }
-
-        if alloc_trace {
-            // Stderr report for a reader; the deltas themselves stay
-            // readable via `alloc_stats::rounds()`.
-            for r in fedsu_tensor::alloc_stats::rounds() {
-                eprintln!("ALLOC_STATS round={} allocs={} bytes={}", r.round, r.allocs, r.bytes);
-            }
         }
 
         Ok(ExperimentResult {
@@ -497,7 +478,8 @@ impl Experiment {
     /// trains locally, in parallel, with per-client panic capture. A failed
     /// client is absorbed with defenses on and aborts the run with them off.
     fn train_clients(&mut self, round: usize, s: &mut RoundScratch) -> Result<()> {
-        train_all(&mut self.clients, &s.active, self.server.global(), round, &mut s.train_results);
+        let (global, threads) = (self.server.global(), fedsu_tensor::hardware_threads());
+        train_all(&mut self.clients, &s.active, global, round, threads, &mut s.train_results);
         s.train_losses.clear();
         s.train_losses.resize(self.clients.len(), 0.0);
         for ((res, loss), fate) in s.train_results.iter_mut().zip(&mut s.train_losses).zip(&mut s.fate) {
@@ -845,21 +827,23 @@ fn train_one(client: &mut Client, id: usize, global: &[f32], round: usize) -> Re
     }
 }
 
-/// Trains every active client for one round, spreading clients across
-/// available cores with scoped threads. Fills `out` — reusing its
-/// allocation — with one result per client: `Ok(mean training loss)` (0.0
-/// for inactive clients) or the client's individual failure — a panicking
-/// client never aborts the process. Each worker thread writes straight into
-/// its disjoint chunk of `out`, so the fan-out stages no per-thread result
-/// buffers.
+/// Trains every active client for one round, spreading clients across up to
+/// `threads` scoped threads: the process's one fork-join (kernels run
+/// serially on the thread that trains their client). Fills `out` — reusing
+/// its allocation — with one result per client: `Ok(mean training loss)`
+/// (0.0 for inactive clients) or the client's individual failure — a
+/// panicking client never aborts the process. Each thread writes straight
+/// into its disjoint chunk of `out`, so the fan-out stages no per-thread
+/// result buffers, and a client's result never depends on `threads`.
 fn train_all(
     clients: &mut [Client],
     active: &[bool],
     global: &[f32],
     round: usize,
+    threads: usize,
     out: &mut Vec<Result<f32>>,
 ) {
-    let threads = fedsu_tensor::hardware_threads().min(clients.len().max(1));
+    let threads = threads.min(clients.len().max(1));
     out.clear();
     out.resize_with(clients.len(), || Ok(0.0f32));
 
@@ -875,13 +859,6 @@ fn train_all(
     }
 
     let chunk = clients.len().div_ceil(threads);
-    // Client-level parallelism owns the cores for this round: force tensor
-    // kernels serial while the scope is live so the two layers compose
-    // without oversubscription, then restore the caller's policy. Kernel
-    // outputs are bit-identical at every thread count, so this only affects
-    // scheduling, never results.
-    let saved_kernel_threads = fedsu_tensor::kernel_threads_setting();
-    fedsu_tensor::set_kernel_threads(1);
     let dead_chunks = std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(threads);
         for (ci, (chunk_clients, chunk_out)) in
@@ -911,7 +888,6 @@ fn train_all(
         }
         dead_chunks
     });
-    fedsu_tensor::set_kernel_threads(saved_kernel_threads);
 
     for ci in dead_chunks {
         let first = ci.saturating_mul(chunk);
@@ -1199,6 +1175,39 @@ mod tests {
         let ra = a.run(None).unwrap();
         let rb = b.run(None).unwrap();
         assert_eq!(ra.rounds, rb.rounds);
+    }
+
+    #[test]
+    fn client_fan_out_width_changes_neither_losses_nor_locals() {
+        // Kernels run serially on whichever thread trains their client, so
+        // the fan-out width decides only which thread runs a client: four
+        // clients on one thread and on three (two chunks of two) must agree
+        // bit for bit, round after round.
+        let train_at = |threads: usize| {
+            let mut e = quick_experiment(4, 1);
+            let global = e.server.global().to_vec();
+            let mut out = Vec::new();
+            let mut losses = Vec::new();
+            for round in 0..3 {
+                train_all(&mut e.clients, &[true; 4], &global, round, threads, &mut out);
+                losses.extend(out.iter().map(|r| r.as_ref().unwrap().to_bits()));
+            }
+            let mut local = Vec::new();
+            let locals: Vec<Vec<u32>> = e
+                .clients
+                .iter()
+                .map(|c| {
+                    c.local_params_into(&mut local);
+                    local.iter().map(|v| v.to_bits()).collect()
+                })
+                .collect();
+            (losses, locals)
+        };
+        let (serial_losses, serial_locals) = train_at(1);
+        let (fanned_losses, fanned_locals) = train_at(3);
+        assert_eq!(serial_losses.len(), 12);
+        assert_eq!(serial_losses, fanned_losses, "the fan-out width changed a training loss");
+        assert_eq!(serial_locals, fanned_locals, "the fan-out width changed a client's parameters");
     }
 
     #[test]

@@ -46,9 +46,9 @@ pub use matmul::{
     matmul, matmul_into, matmul_transpose_a, matmul_transpose_a_into, matmul_transpose_b,
     matmul_transpose_b_into, reference,
 };
-pub use par::{hardware_threads, kernel_threads, kernel_threads_setting, set_kernel_threads};
+pub use par::{hardware_threads, kernel_threads};
 pub use simd::{hardware_simd_level, set_simd_level, simd_level, SimdLevel};
-pub use pool::{BufferPool, PoolBuf};
+pub use pool::BufferPool;
 pub use stats::{dot, l2_norm, max_abs};
 pub use tensor::Tensor;
 

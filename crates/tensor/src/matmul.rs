@@ -9,35 +9,29 @@
 //!
 //! All variants run cache-blocked micro-kernels over blocks of output rows
 //! ([`MC`] rows at a time, with the shared dimension additionally tiled by
-//! [`KC`] in the ikj kernel), and dispatch those row blocks across the
-//! persistent worker pool in [`crate::par`] when the matrix is large enough
-//! to pay for it. Inside each row block the inner loops run on the
-//! runtime-selected SIMD lanes from [`crate::simd`], vectorizing across
-//! output columns only. `A·B` and `Aᵀ·B` are one register-blocked ikj
-//! kernel: it broadcasts every `A` scalar, so it reads row `i` of `Aᵀ` down
-//! column `i` of the stored `A` (stride `m`) at no cost and with no
-//! transposed copy; `A·Bᵀ` runs dot-product rows.
+//! [`KC`] in the ikj kernel), serially on the calling thread. Inside each row
+//! block the inner loops run on the runtime-selected SIMD lanes from
+//! [`crate::simd`], vectorizing across output columns only. `A·B` and `Aᵀ·B`
+//! are one register-blocked ikj kernel: it broadcasts every `A` scalar, so it
+//! reads row `i` of `Aᵀ` down column `i` of the stored `A` (stride `m`) at no
+//! cost and with no transposed copy; `A·Bᵀ` runs dot-product rows.
 //!
 //! ## Determinism contract
 //!
 //! For every output element `(i, j)` the kernels perform exactly one
 //! `c += a·b` accumulation per index `p` of the shared dimension, in
-//! ascending `p` order, starting from `+0.0` — the same sequence as the
-//! naive serial kernels in [`reference`]. Row blocking, `k`-tiling and
-//! row-partitioned parallel dispatch all preserve that per-element order, so
-//! outputs are bit-identical to the reference at every thread count
-//! (including signed zeros and NaN payloads). No sparsity shortcuts are
-//! taken: a zero operand still multiplies, so NaN/inf propagate per
-//! IEEE 754 and the `FEDSU_CHECK_INVARIANTS` guards can observe them.
+//! ascending `p` order, starting from `+0.0` — the same sequence as the naive serial
+//! kernels in [`reference`]. Row blocking and `k`-tiling both preserve that
+//! per-element order, so outputs are bit-identical to the reference
+//! (including signed zeros; NaN payloads per DESIGN.md §10.1). No sparsity
+//! shortcuts are taken: a zero operand still multiplies, so NaN/inf propagate
+//! per IEEE 754 and the `FEDSU_CHECK_INVARIANTS` guards can observe them.
 
 use crate::simd::TileLayout;
-use crate::{par, pool, simd, Result, Tensor, TensorError};
+use crate::{pool, simd, Result, Tensor, TensorError};
 use std::ops::Range;
-use std::sync::Arc;
 
-/// Rows of output processed per cache block; also the sub-block size a
-/// parallel task iterates internally, so serial and parallel execution tile
-/// the output identically.
+/// Rows of output processed per cache block.
 const MC: usize = 64;
 
 /// Tile length along the shared `k` dimension in the ikj kernel: one tile of
@@ -48,12 +42,6 @@ const KC: usize = 256;
 /// `KC × NC` window of `B` (64 KiB at `f32`) across the whole row block, so
 /// wide outputs stop re-streaming the full `B` tile once per row.
 const NC: usize = 64;
-
-/// Minimum multiply-accumulate count before parallel dispatch pays for its
-/// input snapshots and scheduling; smaller problems run the serial blocked
-/// path. Calibrated so ~64³ matmuls (where dispatch overhead measurably
-/// loses) stay serial and ~96³ and up go parallel.
-const PAR_MIN_MACS: usize = (1 << 18) + 1;
 
 /// Which of the three kernels a dispatch runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +90,7 @@ fn check_len(buf: &[f32], rows: usize, cols: usize) -> Result<()> {
 /// row. Strip order is a pure loop interchange over independent output
 /// elements: each `c[i][j]` still receives its `+= a·b` updates in ascending
 /// `p` order, so bit-identity with the reference is unaffected.
-fn chunk_ikj(a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], layout: TileLayout, k: usize, n: usize) {
+fn block_ikj(a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], layout: TileLayout, k: usize, n: usize) {
     if k == 0 || n == 0 || rows.is_empty() {
         return;
     }
@@ -111,10 +99,8 @@ fn chunk_ikj(a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], layout: 
         let pe = (pb + KC).min(k);
         let b_tile = b.get(pb * n..pe * n).unwrap_or(&[]);
         // The block's first row's tile starts here; the strip kernel finds
-        // the others `layout.row` apart. It pairs rows from the block's
-        // first one; blocks are always MC-aligned (serial tiling and
-        // parallel dispatch both cut at MC, which is even), so an element's
-        // paired-vs-single assignment never depends on the thread count.
+        // the others `layout.row` apart and pairs rows from the block's
+        // first one (blocks are MC-aligned and MC is even).
         let a_block = a.get(rows.start * layout.row + pb * layout.step..).unwrap_or(&[]);
         for jb in (0..n).step_by(NC) {
             simd::nn_strip_with(level, out, a_block, layout, b_tile, n, jb..(jb + NC).min(n));
@@ -125,7 +111,7 @@ fn chunk_ikj(a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], layout: 
 /// Dot-product micro-kernel for `C = A·Bᵀ` over output rows `rows`; each
 /// element is one sequential dot in ascending `p` order. The row block keeps
 /// a small set of `A` rows hot while `B` streams through once per four rows.
-fn chunk_tb(a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], k: usize, n: usize) {
+fn block_tb(a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], k: usize, n: usize) {
     if n == 0 || rows.is_empty() {
         return;
     }
@@ -136,9 +122,7 @@ fn chunk_tb(a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], k: usize,
     let level = simd::simd_level();
     let a_rows = a.get(rows.start * k..rows.end * k).unwrap_or(&[]);
     // Four rows share each transposed window of B. Grouping starts at the
-    // block's first row and blocks are MC-aligned (MC is a multiple of
-    // four), so which kernel instance an element runs through never depends
-    // on the thread count.
+    // block's first row (blocks are MC-aligned and MC is a multiple of four).
     let mut a_quads = a_rows.chunks_exact(4 * k);
     let mut c_quads = out.chunks_exact_mut(4 * n);
     for (a4, c4) in (&mut a_quads).zip(&mut c_quads) {
@@ -150,89 +134,19 @@ fn chunk_tb(a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], k: usize,
     }
 }
 
-/// The problem size every chunk of one product shares: `A` is `m × k` (or
-/// `k × m` stored, for `Aᵀ·B`), the output is `m × n`.
-#[derive(Clone, Copy)]
-struct Dims {
-    m: usize,
-    k: usize,
-    n: usize,
-}
-
-fn run_chunk(kind: Kind, a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], dims: Dims) {
-    let Dims { m, k, n } = dims;
-    match kind {
-        Kind::Nn => chunk_ikj(a, b, rows, out, TileLayout { row: k, step: 1 }, k, n),
-        Kind::TransposeA => chunk_ikj(a, b, rows, out, TileLayout { row: 1, step: m }, k, n),
-        Kind::TransposeB => chunk_tb(a, b, rows, out, k, n),
-    }
-}
-
-/// Runs the blocked kernel over output rows `rows`, tiling them in [`MC`]
-/// blocks; `out` holds exactly those rows (`rows.len() × n`), pre-zeroed.
-fn run_range(kind: Kind, a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], dims: Dims) {
+/// Runs the blocked kernel over all `m` output rows, [`MC`] rows at a time;
+/// `out` is `m × n`, pre-zeroed.
+fn run_rows(kind: Kind, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     if out.is_empty() {
         return;
     }
-    for (ci, sub) in out.chunks_mut(MC * dims.n).enumerate() {
-        let start = rows.start + ci * MC;
-        let end = rows.end.min(start + MC);
-        run_chunk(kind, a, b, start..end, sub, dims);
-    }
-}
-
-/// Full-output driver: serial blocked execution, or row-partitioned
-/// dispatch on the persistent pool when the problem is large enough and the
-/// configured thread count allows it. `out` must be `m × n`, pre-zeroed.
-fn run_rows(kind: Kind, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let threads = par::kernel_threads();
-    let dims = Dims { m, k, n };
-    let macs = m.saturating_mul(k).saturating_mul(n);
-    if threads <= 1 || macs < PAR_MIN_MACS || m < 2 || n == 0 {
-        run_range(kind, a, b, 0..m, out, dims);
-        return;
-    }
-    // 'static jobs for the persistent pool: snapshot the operands once and
-    // share them across every chunk (an O(mk + kn) copy against O(mkn)
-    // compute; the threshold above keeps tiny problems off this path).
-    let a_shared: Arc<[f32]> = Arc::from(a);
-    let b_shared: Arc<[f32]> = Arc::from(b);
-    // Chunks are MC-aligned so every dispatch (and the serial path) tiles
-    // the output rows identically: the ikj kernel (`A·B` and `Aᵀ·B`) pairs
-    // rows within each MC block, and alignment keeps that pairing — hence
-    // the compiled kernel instance each element runs through — independent
-    // of the thread count.
-    let rows_per = MC * m.div_ceil(MC * threads);
-    let chunk_count = m.div_ceil(rows_per);
-    let mut jobs: Vec<par::ChunkJob> = Vec::with_capacity(chunk_count);
-    for idx in 0..chunk_count {
-        let rows = (idx * rows_per)..((idx + 1) * rows_per).min(m);
-        let a = Arc::clone(&a_shared);
-        let b = Arc::clone(&b_shared);
-        // Dispatcher-owned pooled chunk: checked out of this thread's
-        // shard here, filled on a worker, and returned below — workers
-        // never touch the pool, so kernels cannot contend on a shard.
-        let mut chunk = pool::take_f32_buf(rows.len() * n);
-        let job: par::ChunkJob = Box::new(move || {
-            run_range(kind, &a, &b, rows, &mut chunk, dims);
-            (idx, chunk)
-        });
-        jobs.push(job);
-    }
-    let results = par::run_chunks(jobs);
-    for (idx, slot) in results.into_iter().enumerate() {
-        let start = idx * rows_per;
-        let end = (start + rows_per).min(m);
-        let Some(out_chunk) = out.get_mut(start * n..end * n) else { continue };
-        match slot {
-            Some(chunk) => {
-                out_chunk.copy_from_slice(&chunk);
-                pool::give_f32_buf(chunk);
-            }
-            // The chunk's worker died mid-job (its pooled buffer died with
-            // it): recompute inline so a degraded pool can never change
-            // results or hang the caller.
-            None => run_range(kind, a, b, start..end, out_chunk, dims),
+    for (bi, block) in out.chunks_mut(MC * n).enumerate() {
+        let start = bi * MC;
+        let rows = start..m.min(start + MC);
+        match kind {
+            Kind::Nn => block_ikj(a, b, rows, block, TileLayout { row: k, step: 1 }, k, n),
+            Kind::TransposeA => block_ikj(a, b, rows, block, TileLayout { row: 1, step: m }, k, n),
+            Kind::TransposeB => block_tb(a, b, rows, block, k, n),
         }
     }
 }
@@ -244,8 +158,8 @@ fn run_into(kind: Kind, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
 }
 
 /// Computes `C = A · B` on raw row-major slices, `A: [m, k]`, `B: [k, n]`,
-/// overwriting `out: [m, n]`. Bit-identical to [`reference::matmul`] at
-/// every thread count.
+/// overwriting `out: [m, n]`. Bit-identical to [`reference::matmul`]
+/// modulo NaN payload.
 ///
 /// # Errors
 ///
@@ -261,7 +175,7 @@ pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n:
 
 /// Computes `C = Aᵀ · B` on raw row-major slices, `A: [k, m]`, `B: [k, n]`,
 /// overwriting `out: [m, n]`. Bit-identical to
-/// [`reference::matmul_transpose_a`] at every thread count.
+/// [`reference::matmul_transpose_a`] modulo NaN payload.
 ///
 /// # Errors
 ///
@@ -284,7 +198,7 @@ pub fn matmul_transpose_a_into(
 
 /// Computes `C = A · Bᵀ` on raw row-major slices, `A: [m, k]`, `B: [n, k]`,
 /// overwriting `out: [m, n]`. Bit-identical to
-/// [`reference::matmul_transpose_b`] at every thread count.
+/// [`reference::matmul_transpose_b`] modulo NaN payload.
 ///
 /// # Errors
 ///
@@ -355,7 +269,7 @@ pub fn matmul_transpose_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 }
 
 /// Naive single-threaded reference kernels: the semantic ground truth the
-/// blocked/parallel kernels must match bit-for-bit. Used by the
+/// blocked kernels must match bit-for-bit. Used by the
 /// bit-identity tests and the kernel benchmark harness; never by the
 /// runtime.
 ///

@@ -14,43 +14,30 @@
 //! * **Zero-on-checkout.** Every buffer handed out is zero-filled to the
 //!   requested length before the caller sees it, so a pooled buffer is
 //!   observationally identical to a fresh `vec![0.0; len]` and every
-//!   bit-for-bit determinism contract (kernel thread-count identity,
-//!   zero-fault `RoundRecord`s, wire parity) holds with the pool on.
-//! * **Per-worker ownership.** Kernel-pool workers pin themselves to a
-//!   dedicated shard via [`pin_shard`] (one shard per worker slot);
-//!   other threads are spread round-robin over a separate shard range.
-//!   Parallel kernels therefore never contend on a shard lock, and a
-//!   buffer recycled by a thread is the first one it gets back.
+//!   bit-for-bit determinism contract (zero-fault `RoundRecord`s, wire
+//!   parity) holds with the pool on.
+//! * **Per-thread shards.** Each thread takes a shard round-robin on its
+//!   first checkout and keeps it, so concurrently training clients rarely
+//!   share a shard lock, and a buffer recycled by a thread is the first
+//!   one it gets back.
 //! * **No poisoning.** Shard locks recover from poisoning with
-//!   [`std::sync::Mutex::into_inner`]-style recovery (a panicking job
-//!   can never wedge the pool), and the RAII [`PoolBuf`] guard returns
-//!   its buffer during unwinding, so `catch_unwind` boundaries leak
-//!   nothing.
+//!   [`std::sync::Mutex::into_inner`]-style recovery, so a client that
+//!   panics mid-round can never wedge the pool.
 //! * **Bounded retention.** Each size class keeps at most a handful of
 //!   free buffers per shard; surplus returns fall through to the
 //!   allocator, so the pool's high-water memory is bounded.
 //!
-//! Buffers that die inside a panicking closure (a plain `Vec` checked
-//! out with [`take_f32_buf`] and moved into a job) are simply freed by
-//! the normal `Vec` drop; the pool forgets them and the
-//! [`outstanding`] balance reflects that the checkout was never
-//! returned. Use [`checkout`]/[`PoolBuf`] where unwind-safety matters.
+//! A buffer that dies in a panic is simply freed by the normal `Vec`
+//! drop; the pool forgets it and the [`BufferPool::outstanding`] balance
+//! reflects that the checkout was never returned.
 
 use crate::tensor::{from_parts, Tensor};
 use std::cell::Cell;
-use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Shards reserved for kernel-pool workers (one per worker slot; keep in
-/// sync with the worker cap in `par.rs`).
-pub const WORKER_SHARDS: usize = 16;
-
-/// Extra shards shared round-robin by every non-worker thread.
-const EXTRA_SHARDS: usize = 8;
-
-/// Total shard count.
-const NUM_SHARDS: usize = WORKER_SHARDS + EXTRA_SHARDS;
+/// Shards, shared round-robin by every thread.
+const NUM_SHARDS: usize = 8;
 
 /// Power-of-two size classes per shard (class `c` holds buffers of
 /// capacity up to `2^c` elements); requests beyond the last class bypass
@@ -79,7 +66,7 @@ pub struct BufferPool {
 
 static POOL: OnceLock<BufferPool> = OnceLock::new();
 
-/// Round-robin cursor assigning non-worker threads to the extra shards.
+/// Round-robin cursor assigning threads to shards.
 static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
@@ -104,15 +91,7 @@ pub fn global() -> &'static BufferPool {
     POOL.get_or_init(new_pool)
 }
 
-/// Pins the calling thread to worker shard `idx` (modulo the worker
-/// range). Kernel-pool workers call this once at startup so each owns a
-/// private sub-pool and parallel kernels never contend on a shard lock.
-pub fn pin_shard(idx: usize) {
-    SHARD.with(|s| s.set(idx % WORKER_SHARDS));
-}
-
-/// The calling thread's shard, assigning a round-robin extra shard on
-/// first use for threads that never pinned.
+/// The calling thread's shard, assigned round-robin on first use.
 fn my_shard() -> usize {
     SHARD.with(|s| {
         let assigned = s.get();
@@ -120,7 +99,7 @@ fn my_shard() -> usize {
             return assigned;
         }
         let next = NEXT_SHARD.fetch_add(1, Ordering::Relaxed);
-        let idx = WORKER_SHARDS + next % EXTRA_SHARDS;
+        let idx = next % NUM_SHARDS;
         s.set(idx);
         idx
     })
@@ -226,42 +205,10 @@ impl BufferPool {
 
     /// Wrapping balance of checkouts minus returns across all buffer
     /// types. Balanced code leaves this unchanged; tests use it to prove
-    /// no checkout leaks across a `catch_unwind` boundary.
+    /// every checkout comes back.
     pub fn outstanding(&self) -> u64 {
         self.balance.load(Ordering::Relaxed)
     }
-}
-
-/// RAII guard over a pooled `f32` buffer: derefs to `[f32]` and returns
-/// the buffer to the pool on drop — including during unwinding, so a
-/// panicking job leaks nothing and poisons nothing.
-pub struct PoolBuf {
-    data: Vec<f32>,
-}
-
-impl Deref for PoolBuf {
-    type Target = [f32];
-    fn deref(&self) -> &[f32] {
-        &self.data
-    }
-}
-
-impl DerefMut for PoolBuf {
-    fn deref_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-}
-
-impl Drop for PoolBuf {
-    fn drop(&mut self) {
-        global().give_f32(std::mem::take(&mut self.data));
-    }
-}
-
-/// Checks out a zero-filled RAII buffer of `len` elements from the
-/// global pool.
-pub fn checkout(len: usize) -> PoolBuf {
-    PoolBuf { data: global().take_f32(len) }
 }
 
 /// Checks out a zero-filled `f32` buffer from the global pool.
@@ -355,8 +302,7 @@ mod tests {
     // The balance is one counter per pool, so an equality on it only holds
     // where nothing else touches the pool: these two use a private one (the
     // other tests in this binary share `global()` on other threads). The
-    // `PoolBuf` RAII / unwind balance, tied to `global()` by `Drop`, is
-    // checked in its own process by `tests/pool.rs`.
+    // `global()` balance is checked in its own process by `tests/pool.rs`.
     #[test]
     fn outstanding_tracks_balance() {
         let pool = new_pool();

@@ -8,8 +8,8 @@
 //!
 //! * `FEDSU_SIMD=off|scalar|sse2|avx2` — environment override, consulted on
 //!   first use and clamped to what the hardware actually supports.
-//! * [`set_simd_level`] — in-process override (also clamped), mirroring
-//!   [`crate::par::set_kernel_threads`] so tests can sweep every level.
+//! * [`set_simd_level`] — in-process override (also clamped), so tests can
+//!   sweep every level.
 //!
 //! ## Bit-identity contract (DESIGN.md §10.1)
 //!
@@ -28,11 +28,12 @@
 //! The resulting guarantee has three tiers (DESIGN.md §10.1 spells out the
 //! full contract):
 //!
-//! 1. **Strict, thread-count invariance.** At a fixed SIMD level, outputs
-//!    are bit-for-bit identical (NaN payloads included) at every kernel
-//!    thread count: threads partition output elements, never split an
-//!    element's chain, and partition boundaries are chosen so every element
-//!    runs through the same compiled kernel instance regardless of count.
+//! 1. **Strict per level, on any thread.** At a fixed SIMD level, outputs
+//!    are bit-for-bit identical (NaN payloads included) whichever thread
+//!    calls: a kernel call runs serially on its caller's thread and every
+//!    element goes through the same compiled kernel instance, so
+//!    `fedsu-fl`'s client fan-out width decides which thread trains a
+//!    client, never what it computes.
 //! 2. **Modulo NaN payload, across levels.** Between `scalar`/`sse2`/`avx2`
 //!    (and against the naive `reference::` loops) every finite value,
 //!    signed zero, and infinity is bit-identical; only the *payload* of a
@@ -48,7 +49,7 @@
 //!    (conv's col2im scatter): those use the NaN-*holding* add
 //!    (`if !y.is_nan() { y += x }`, vectorized as an unordered-compare
 //!    blend), which never performs a double-NaN add and is therefore exact
-//!    at every level and thread count.
+//!    at every level.
 //!
 //! The canonical scalar loops below are `#[inline(never)]` so each has one
 //! compiled instance: per level the payload choice is frozen, which is what
@@ -196,8 +197,8 @@ pub fn simd_level() -> SimdLevel {
 ///
 /// Levels agree bit-for-bit on all finite/±0/±inf outputs (and modulo
 /// NaN payload otherwise — see the module docs), so changing this at any
-/// point affects speed, not results. Tests use it to sweep the full
-/// SIMD × thread matrix in one process.
+/// point affects speed, not results. Tests use it to sweep every level in
+/// one process.
 pub fn set_simd_level(level: SimdLevel) {
     OVERRIDE.store(level.min(hardware_simd_level()).index(), Ordering::SeqCst);
 }
@@ -1148,9 +1149,8 @@ kernels! {
     /// `b_tile` is the tile's rows of `B`). Strip-wise calls let the caller
     /// keep a narrow `B` window cache-resident across the whole block
     /// without changing any element's accumulation order. Rows are paired
-    /// from the block's first row, so callers must start blocks at the same
-    /// rows at every thread count (the matmul driver cuts them `MC`-aligned)
-    /// for each element to run through the same compiled kernel instance.
+    /// from the block's first row (the matmul driver cuts blocks
+    /// `MC`-aligned).
     nn_strip: nn_strip_with(c_rows: &mut [f32], a: &[f32], layout: TileLayout, b_tile: &[f32], n: usize, cols: std::ops::Range<usize>);
 
     /// One output row of the `C = A·Bᵀ` kernel: `c_row[j] = dot(a_row,
@@ -1161,8 +1161,7 @@ kernels! {
     /// Four output rows of the `C = A·Bᵀ` kernel at once (`c_rows` and
     /// `a_rows` hold four rows each): every output is the same dot chain as
     /// [`tb_row_with`]'s, and each transposed window of `B` feeds all four
-    /// rows. Callers must group rows the same way at every thread count
-    /// (the matmul driver groups within `MC`-aligned blocks). Its own table
+    /// rows (the matmul driver groups within `MC`-aligned blocks). Its own table
     /// row rather than one block kernel over both: inlined next to a
     /// four-row loop, `tb_row` ran 30–38 % slower on batch-1 products.
     /// Requires `k > 0`.

@@ -1,25 +1,20 @@
-//! Bit-identity contract for the blocked/parallel matmul kernels.
+//! Bit-identity contract for the blocked matmul kernels.
 //!
 //! Every kernel in `fedsu_tensor` must produce bit-identical output to the
-//! naive serial reference at every thread-count setting — that is the
-//! determinism contract that makes `--kernel-threads` a pure performance
-//! knob. These tests sweep thread counts {1, 2, 4, 8} and shapes from
-//! degenerate (empty, 1×k, k×1) through sizes large enough to cross the
-//! parallel-dispatch threshold, with ±0.0, NaN, and ±inf planted in the
-//! operands.
+//! naive serial reference at every SIMD level. These tests sweep shapes
+//! from degenerate (empty, 1×k, k×1) through several `MC` row blocks, with
+//! ±0.0, NaN, and ±inf planted in the operands.
 //!
-//! The thread-count and SIMD-level settings are process-wide and the strict
-//! comparisons below are only meaningful while the level they pinned is
-//! still in force, so every test that sets either global holds [`gate`] for
-//! its whole body; `cargo test` may still run the binary's tests on
-//! parallel threads.
+//! The SIMD level is process-wide and the strict comparisons below are only
+//! meaningful while the level they pinned is still in force, so every test
+//! that sets it holds [`gate`] for its whole body; `cargo test` may still
+//! run the binary's tests on parallel threads.
 //!
 //! Two comparison strengths (DESIGN.md §10.1):
 //!
-//! * **strict** — kernel vs kernel across SIMD levels and thread counts:
-//!   every bit, including NaN payloads, must match, because every path
-//!   routes each element's accumulation chain through the same compiled
-//!   primitives.
+//! * **strict** — kernel vs kernel at one SIMD level: every bit, including
+//!   NaN payloads, must match, because every call routes each element's
+//!   accumulation chain through the same compiled primitives.
 //! * **modulo NaN payload** — kernel vs the independently-compiled naive
 //!   `reference` loops: when an add meets *two* NaN operands with distinct
 //!   payloads (a planted NaN and an `inf·0` indefinite, say), IEEE 754
@@ -29,23 +24,21 @@
 
 use fedsu_tensor::{
     col2im_into, hardware_simd_level, im2col_into, matmul, matmul_into, matmul_transpose_a_into,
-    matmul_transpose_b_into, reference, set_kernel_threads, set_simd_level, simd, simd_level,
-    ConvDims, SimdLevel, Tensor,
+    matmul_transpose_b_into, reference, set_simd_level, simd, simd_level, ConvDims, SimdLevel,
+    Tensor,
 };
 use std::sync::Mutex;
 
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Serializes the tests that set the global kernel-thread count or SIMD
-/// level (poison-tolerant: one failed test must not fail the rest).
+/// Serializes the tests that set the global SIMD level (poison-tolerant:
+/// one failed test must not fail the rest).
 static GATE: Mutex<()> = Mutex::new(());
 
 fn gate() -> std::sync::MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// (m, k, n) shapes: degenerate, small, awkward odd sizes, sizes big enough
-/// to trigger parallel dispatch (m·k·n above the internal threshold), and the
+/// (m, k, n) shapes: degenerate, small, awkward odd sizes, sizes spanning
+/// more than one `MC` row block, and the
 /// paper CNN's training shapes in every orientation `BENCHMARK.json` meters
 /// (`tensor.matmul{,_ta,_tb}_gflops.*`) plus conv1's backward pair
 /// (`(6, 784, 25)` is its `A·Bᵀ` with n = 25, `(25, 6, 784)` its `Aᵀ·B`),
@@ -55,7 +48,7 @@ fn gate() -> std::sync::MutexGuard<'static, ()> {
 /// `Aᵀ·B` kernel a single last row, and m mod 4 ≠ 0 the four-row `A·Bᵀ`
 /// kernel single rows; `(7, 3, 33)` does both with k < 4·N, and
 /// `(150, 12, 196)` leaves the four-row kernel two single rows in the last
-/// of three `MC` blocks — at every thread count.
+/// of three `MC` blocks.
 const SHAPES: [(usize, usize, usize); 21] = [
     (0, 3, 2),
     (3, 0, 2),
@@ -155,57 +148,45 @@ fn sweep(specials: bool) {
         let b_t = filled(n * k, 0x0F0F_F0F0 ^ (n as u64) << 32 | k as u64, specials);
         let want_tb = reference::matmul_transpose_b(&a, &b_t, m, k, n);
 
-        for &threads in &THREAD_COUNTS {
-            set_kernel_threads(threads);
-            let mut out = vec![f32::NAN; m * n]; // stale garbage must be overwritten
-            matmul_into(&a, &b, &mut out, m, k, n).expect("matmul_into");
-            assert_bits_eq_mod_nan(&out, &want_nn, &format!("matmul {m}x{k}x{n} t={threads}"));
+        let mut out = vec![f32::NAN; m * n]; // stale garbage must be overwritten
+        matmul_into(&a, &b, &mut out, m, k, n).expect("matmul_into");
+        assert_bits_eq_mod_nan(&out, &want_nn, &format!("matmul {m}x{k}x{n}"));
 
-            let mut out = vec![f32::NAN; m * n];
-            matmul_transpose_a_into(&a_t, &b, &mut out, k, m, n).expect("matmul_transpose_a_into");
-            assert_bits_eq_mod_nan(&out, &want_ta, &format!("matmul_ta {m}x{k}x{n} t={threads}"));
+        let mut out = vec![f32::NAN; m * n];
+        matmul_transpose_a_into(&a_t, &b, &mut out, k, m, n).expect("matmul_transpose_a_into");
+        assert_bits_eq_mod_nan(&out, &want_ta, &format!("matmul_ta {m}x{k}x{n}"));
 
-            let mut out = vec![f32::NAN; m * n];
-            matmul_transpose_b_into(&a, &b_t, &mut out, m, k, n).expect("matmul_transpose_b_into");
-            assert_bits_eq_mod_nan(&out, &want_tb, &format!("matmul_tb {m}x{k}x{n} t={threads}"));
-        }
+        let mut out = vec![f32::NAN; m * n];
+        matmul_transpose_b_into(&a, &b_t, &mut out, m, k, n).expect("matmul_transpose_b_into");
+        assert_bits_eq_mod_nan(&out, &want_tb, &format!("matmul_tb {m}x{k}x{n}"));
     }
-    set_kernel_threads(0);
 }
 
 #[test]
-fn kernels_bit_identical_to_reference_across_thread_counts() {
-    let _g = gate();
+fn kernels_bit_identical_to_reference() {
     sweep(false);
 }
 
 #[test]
 fn kernels_bit_identical_with_ieee_specials_planted() {
-    let _g = gate();
     sweep(true);
 }
 
 #[test]
-fn tensor_wrappers_match_reference_across_thread_counts() {
-    let _g = gate();
+fn tensor_wrappers_match_reference() {
     let (m, k, n) = (37, 23, 29);
     let a = Tensor::from_vec(filled(m * k, 7, true), &[m, k]).expect("a");
     let b = Tensor::from_vec(filled(k * n, 11, true), &[k, n]).expect("b");
     let want = reference::matmul(a.data(), b.data(), m, k, n);
-    for &threads in &THREAD_COUNTS {
-        set_kernel_threads(threads);
-        let c = matmul(&a, &b).expect("matmul");
-        assert_bits_eq_mod_nan(c.data(), &want, &format!("tensor matmul t={threads}"));
-    }
-    set_kernel_threads(0);
+    let c = matmul(&a, &b).expect("matmul");
+    assert_bits_eq_mod_nan(c.data(), &want, "tensor matmul");
 }
 
 #[test]
-fn nan_in_b_behind_zero_row_of_a_propagates_at_every_thread_count() {
-    let _g = gate();
+fn nan_in_b_behind_zero_row_of_a_propagates() {
     // Regression for the removed `av == 0.0` sparsity shortcut: a zero row in
-    // A must NOT mask a NaN in B (IEEE 754: 0.0 * NaN = NaN). Use a shape big
-    // enough that the parallel path is exercised at multi-thread settings.
+    // A must NOT mask a NaN in B (IEEE 754: 0.0 * NaN = NaN). The shape spans
+    // two `MC` row blocks.
     let (m, k, n) = (96, 64, 64);
     let mut a = filled(m * k, 42, false);
     for v in a.iter_mut().take(k) {
@@ -213,19 +194,11 @@ fn nan_in_b_behind_zero_row_of_a_propagates_at_every_thread_count() {
     }
     let mut b = filled(k * n, 43, false);
     b[0] = f32::NAN; // B[0,0]
-    for &threads in &THREAD_COUNTS {
-        set_kernel_threads(threads);
-        let mut out = vec![0.0f32; m * n];
-        matmul_into(&a, &b, &mut out, m, k, n).expect("matmul_into");
-        assert!(
-            out[0].is_nan(),
-            "t={threads}: zero row in A masked a NaN in B: got {}",
-            out[0]
-        );
-        // The rest of row 0 multiplies the zero row against finite columns.
-        assert!(out[1..n].iter().all(|v| *v == 0.0), "t={threads}: row 0 tail not zero");
-    }
-    set_kernel_threads(0);
+    let mut out = vec![0.0f32; m * n];
+    matmul_into(&a, &b, &mut out, m, k, n).expect("matmul_into");
+    assert!(out[0].is_nan(), "zero row in A masked a NaN in B: got {}", out[0]);
+    // The rest of row 0 multiplies the zero row against finite columns.
+    assert!(out[1..n].iter().all(|v| *v == 0.0), "row 0 tail not zero");
 }
 
 /// Every SIMD level the running hardware can execute, scalar first.
@@ -251,15 +224,15 @@ fn reference_sweep_holds_at_every_simd_level() {
     set_simd_level(prior);
 }
 
-/// The tentpole contract, strict form: at each SIMD level, every thread
-/// count is bit-for-bit identical — NaN payloads included — to that level's
-/// serial run, because threads partition output rows and never split an
-/// element's accumulation chain. Across levels the comparison is modulo NaN
-/// payload: a double-NaN add resolves to whichever operand's payload the
-/// level's compiled primitive propagates, which is deterministic per level
-/// but not portable between them (DESIGN.md §10.1).
+/// The contract, strict form: at each SIMD level, a repeated call is
+/// bit-for-bit identical — NaN payloads included — to that level's first
+/// run, because every element's chain runs through the same compiled
+/// instance. Across levels the comparison is modulo NaN payload: a
+/// double-NaN add resolves to whichever operand's payload the level's
+/// compiled primitive propagates, which is deterministic per level but not
+/// portable between them (DESIGN.md §10.1).
 #[test]
-fn kernels_bit_identical_across_simd_levels_and_thread_counts() {
+fn kernels_bit_identical_across_simd_levels() {
     let _g = gate();
     let prior = simd_level();
     for &(m, k, n) in &SHAPES {
@@ -268,9 +241,8 @@ fn kernels_bit_identical_across_simd_levels_and_thread_counts() {
         let a_t = filled(k * m, 0x1234_5678 ^ (m as u64) << 32 | k as u64, true);
         let b_t = filled(n * k, 0x0F0F_F0F0 ^ (n as u64) << 32 | k as u64, true);
 
-        // Cross-level baseline: scalar level, serial.
+        // Cross-level baseline: the scalar level.
         set_simd_level(SimdLevel::Scalar);
-        set_kernel_threads(1);
         let mut scalar_nn = vec![f32::NAN; m * n];
         matmul_into(&a, &b, &mut scalar_nn, m, k, n).expect("scalar matmul");
         let mut scalar_ta = vec![f32::NAN; m * n];
@@ -279,9 +251,8 @@ fn kernels_bit_identical_across_simd_levels_and_thread_counts() {
         matmul_transpose_b_into(&a, &b_t, &mut scalar_tb, m, k, n).expect("scalar tb");
 
         for level in supported_levels() {
-            // Per-level baseline: this level, serial.
+            // Per-level baseline: this level's first run.
             set_simd_level(level);
-            set_kernel_threads(1);
             let mut want_nn = vec![f32::NAN; m * n];
             matmul_into(&a, &b, &mut want_nn, m, k, n).expect("baseline matmul");
             let mut want_ta = vec![f32::NAN; m * n];
@@ -294,30 +265,26 @@ fn kernels_bit_identical_across_simd_levels_and_thread_counts() {
             assert_bits_eq_mod_nan(&want_ta, &scalar_ta, &format!("level ta {lvl}"));
             assert_bits_eq_mod_nan(&want_tb, &scalar_tb, &format!("level tb {lvl}"));
 
-            for &threads in &THREAD_COUNTS {
-                set_kernel_threads(threads);
-                let mut out = vec![f32::NAN; m * n];
-                matmul_into(&a, &b, &mut out, m, k, n).expect("matmul_into");
-                assert_bits_eq(&out, &want_nn, &format!("strict nn {lvl} t={threads}"));
+            let mut out = vec![f32::NAN; m * n];
+            matmul_into(&a, &b, &mut out, m, k, n).expect("matmul_into");
+            assert_bits_eq(&out, &want_nn, &format!("strict nn {lvl}"));
 
-                let mut out = vec![f32::NAN; m * n];
-                matmul_transpose_a_into(&a_t, &b, &mut out, k, m, n).expect("ta");
-                assert_bits_eq(&out, &want_ta, &format!("strict ta {lvl} t={threads}"));
+            let mut out = vec![f32::NAN; m * n];
+            matmul_transpose_a_into(&a_t, &b, &mut out, k, m, n).expect("ta");
+            assert_bits_eq(&out, &want_ta, &format!("strict ta {lvl}"));
 
-                let mut out = vec![f32::NAN; m * n];
-                matmul_transpose_b_into(&a, &b_t, &mut out, m, k, n).expect("tb");
-                assert_bits_eq(&out, &want_tb, &format!("strict tb {lvl} t={threads}"));
-            }
+            let mut out = vec![f32::NAN; m * n];
+            matmul_transpose_b_into(&a, &b_t, &mut out, m, k, n).expect("tb");
+            assert_bits_eq(&out, &want_tb, &format!("strict tb {lvl}"));
         }
     }
     set_simd_level(prior);
-    set_kernel_threads(0);
 }
 
-/// im2col / col2im at every SIMD level × thread count, odd geometries,
-/// specials planted — compared against a fixed scalar-at-Scalar-level run.
+/// im2col / col2im at every SIMD level, odd geometries, specials planted —
+/// compared against a fixed Scalar-level run.
 #[test]
-fn conv_lowering_bit_identical_across_simd_levels_and_thread_counts() {
+fn conv_lowering_bit_identical_across_simd_levels() {
     let _g = gate();
     let geometries = [
         ConvDims { in_channels: 2, in_h: 7, in_w: 9, kernel: 3, stride: 1, padding: 1 },
@@ -329,9 +296,8 @@ fn conv_lowering_bit_identical_across_simd_levels_and_thread_counts() {
         let image = filled(dims.in_channels * dims.in_h * dims.in_w, 0x00C0_FFEE, true);
         let cols = filled(dims.col_rows() * dims.col_cols(), 0xFEED, true);
 
-        // Ground truth: scalar level, serial.
+        // Ground truth: the scalar level.
         set_simd_level(SimdLevel::Scalar);
-        set_kernel_threads(1);
         let mut want_cols = Vec::new();
         im2col_into(&image, &dims, &mut want_cols).expect("reference im2col");
         let mut want_img = filled(image.len(), 0xBAD_5EED, true);
@@ -340,19 +306,15 @@ fn conv_lowering_bit_identical_across_simd_levels_and_thread_counts() {
 
         for level in supported_levels() {
             set_simd_level(level);
-            for &threads in &THREAD_COUNTS {
-                set_kernel_threads(threads);
-                let mut got = Vec::new();
-                im2col_into(&image, &dims, &mut got).expect("im2col");
-                assert_bits_eq(&got, &want_cols, &format!("im2col {dims:?} {level:?} t={threads}"));
-                let mut img = img_seed.clone();
-                col2im_into(&cols, &mut img, &dims).expect("col2im");
-                assert_bits_eq(&img, &want_img, &format!("col2im {dims:?} {level:?} t={threads}"));
-            }
+            let mut got = Vec::new();
+            im2col_into(&image, &dims, &mut got).expect("im2col");
+            assert_bits_eq(&got, &want_cols, &format!("im2col {dims:?} {level:?}"));
+            let mut img = img_seed.clone();
+            col2im_into(&cols, &mut img, &dims).expect("col2im");
+            assert_bits_eq(&img, &want_img, &format!("col2im {dims:?} {level:?}"));
         }
     }
     set_simd_level(prior);
-    set_kernel_threads(0);
 }
 
 /// Elementwise lanes (axpy, activations, SGD steps) at every level against
@@ -407,18 +369,13 @@ fn elementwise_lanes_bit_identical_across_simd_levels() {
 
 #[test]
 fn signed_zero_semantics_match_reference() {
-    let _g = gate();
     // (-0.0) * x accumulated from +0.0 keeps IEEE signed-zero behaviour
-    // identical between reference and blocked/parallel kernels.
+    // identical between reference and blocked kernels.
     let (m, k, n) = (4, 3, 4);
     let a = vec![-0.0f32; m * k];
     let b = filled(k * n, 99, false);
     let want = reference::matmul(&a, &b, m, k, n);
-    for &threads in &THREAD_COUNTS {
-        set_kernel_threads(threads);
-        let mut out = vec![f32::NAN; m * n];
-        matmul_into(&a, &b, &mut out, m, k, n).expect("matmul_into");
-        assert_bits_eq(&out, &want, &format!("signed zero t={threads}"));
-    }
-    set_kernel_threads(0);
+    let mut out = vec![f32::NAN; m * n];
+    matmul_into(&a, &b, &mut out, m, k, n).expect("matmul_into");
+    assert_bits_eq(&out, &want, "signed zero");
 }

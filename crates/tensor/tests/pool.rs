@@ -1,13 +1,11 @@
 //! Integration tests for the buffer pool: pooled scratch must be invisible
-//! in kernel results at every thread count, and checkout/return must stay
-//! balanced even when a pooled job panics mid-flight.
+//! in kernel results, and checkout/return must stay balanced.
 
-use fedsu_tensor::{matmul_into, pool, reference, set_kernel_threads};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use fedsu_tensor::{matmul_into, pool, reference};
 use std::sync::Mutex;
 
-/// Serializes the tests in this binary: they share the global kernel-thread
-/// setting and the global pool's balance counter.
+/// Serializes the tests in this binary: they share the global pool's
+/// balance counter.
 static GATE: Mutex<()> = Mutex::new(());
 
 fn gate() -> std::sync::MutexGuard<'static, ()> {
@@ -29,68 +27,44 @@ fn data(n: usize, mut seed: u64) -> Vec<f32> {
 }
 
 #[test]
-fn pooled_kernel_results_are_bit_identical_across_thread_counts() {
+fn pooled_kernel_results_are_bit_identical_to_fresh_ones() {
     let _g = gate();
     let (m, k, n) = (33, 47, 29);
     let a = data(m * k, 1);
     let b = data(k * n, 2);
     let expect = reference::matmul(&a, &b, m, k, n);
-    for threads in [1usize, 2, 4, 8] {
-        set_kernel_threads(threads);
-        let mut fresh = vec![0.0f32; m * n];
-        matmul_into(&a, &b, &mut fresh, m, k, n).unwrap();
-        // Two passes: the second one runs on a recycled buffer that held
-        // the first pass's results, proving zero-on-checkout works.
-        for pass in 0..2 {
-            let mut pooled = pool::checkout(m * n);
-            matmul_into(&a, &b, &mut pooled, m, k, n).unwrap();
-            for (i, (p, e)) in pooled.iter().zip(&expect).enumerate() {
-                assert_eq!(
-                    p.to_bits(),
-                    e.to_bits(),
-                    "pooled output diverged: threads {threads} pass {pass} elem {i}"
-                );
-            }
-        }
-        for (i, (f, e)) in fresh.iter().zip(&expect).enumerate() {
-            assert_eq!(f.to_bits(), e.to_bits(), "fresh output diverged: threads {threads} elem {i}");
-        }
+    let mut fresh = vec![0.0f32; m * n];
+    matmul_into(&a, &b, &mut fresh, m, k, n).unwrap();
+    for (i, (f, e)) in fresh.iter().zip(&expect).enumerate() {
+        assert_eq!(f.to_bits(), e.to_bits(), "fresh output diverged: elem {i}");
     }
-    set_kernel_threads(1);
+    // Two passes: the second one runs on a recycled buffer that held the
+    // first pass's results, proving zero-on-checkout works.
+    for pass in 0..2 {
+        let mut pooled = pool::take_f32_buf(m * n);
+        assert!(pooled.iter().all(|v| v.to_bits() == 0), "checkout must zero recycled storage");
+        matmul_into(&a, &b, &mut pooled, m, k, n).unwrap();
+        for (i, (p, e)) in pooled.iter().zip(&expect).enumerate() {
+            assert_eq!(p.to_bits(), e.to_bits(), "pooled output diverged: pass {pass} elem {i}");
+        }
+        pool::give_f32_buf(pooled);
+    }
 }
 
 #[test]
-fn checkouts_balance_even_when_a_pooled_job_panics() {
+fn takes_and_gives_balance() {
     let _g = gate();
     let before = pool::global().outstanding();
 
-    // Normal RAII path: the guard returns its buffer on scope exit.
-    {
-        let mut buf = pool::checkout(1024);
-        buf[0] = 1.0;
-    }
-    assert_eq!(pool::global().outstanding(), before, "RAII return must balance the checkout");
-
-    // Manual take/give pair.
     let raw = pool::take_f32_buf(256);
+    let dims = pool::take_usize_buf(4);
+    assert_eq!(pool::global().outstanding(), before.wrapping_add(2), "each take counts once");
     pool::give_f32_buf(raw);
-    assert_eq!(pool::global().outstanding(), before, "manual give must balance the take");
+    pool::give_usize_buf(dims);
+    assert_eq!(pool::global().outstanding(), before, "each give must balance its take");
 
-    // Panicking path: the guard unwinds, the buffer still comes home.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut buf = pool::checkout(512);
-        buf[1] = 2.0;
-        panic!("pooled job dies");
-    }));
-    assert!(result.is_err(), "the job must actually panic");
-    assert_eq!(
-        pool::global().outstanding(),
-        before,
-        "a panicking checkout must still return its buffer"
-    );
-
-    // The pool survives the unwind unpoisoned and still hands out zeroed
-    // buffers (the recycled one carried a stale 2.0 before zeroing).
-    let buf = pool::checkout(512);
-    assert!(buf.iter().all(|v| v.to_bits() == 0), "checkout must zero recycled storage");
+    // Tensors recycle both their buffers.
+    let t = pool::pooled_zeros(&[8, 8]);
+    pool::recycle(t);
+    assert_eq!(pool::global().outstanding(), before, "recycle must balance pooled_zeros");
 }

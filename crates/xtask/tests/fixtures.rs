@@ -1,7 +1,7 @@
 //! The checks that guard the accounting and concurrency hazards, run on the
 //! seeded fixtures in `crates/xtask/fixtures/` (each names its finding's
 //! line): clippy, with the workspace's `clippy.toml`, and rustc. Then the
-//! `try_lock` probe of the two lock-order tests, on the shapes it must see.
+//! `try_lock` probe of the lock-order test, on the shapes it must see.
 
 // Tests may unwrap: a panic here IS the failure report.
 #![allow(clippy::unwrap_used)]

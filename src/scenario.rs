@@ -203,8 +203,8 @@ impl StrategyKind {
 }
 
 /// Builder for a paper-shaped experiment. Results never depend on the
-/// kernel-thread count, which is why it is not a setting here: set
-/// `FEDSU_KERNEL_THREADS` or call `fedsu_tensor::set_kernel_threads`.
+/// thread count, which is why it is not a setting here: clients fan out
+/// across `fedsu_tensor::hardware_threads` and kernels run serially.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     model: ModelKind,

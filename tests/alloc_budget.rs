@@ -1,16 +1,15 @@
 //! Exact allocation pins for the round loop and the reliable transport.
 //!
 //! Every test target runs on `fedsu-tensor`'s counting global allocator (the
-//! root crate's dev-dependency turns on its `alloc-stats` feature), and the
-//! experiment loop marks a round boundary after each record. With one
-//! client, `train_all` spawns no thread and the kernels are pinned serial,
-//! so every steady round (rounds 1.., round 0 pays one-time warm-up) makes
-//! the same allocations on every run, at every `FEDSU_SIMD` level, armed or
-//! not. [`PINS`] holds those counts for every strategy on the MLP and the
-//! tiny CNN, plus one faulty run and one tiny-CNN run at the auto kernel
-//! policy: a reintroduced per-round `.to_vec()` of the global, a `Vec` built
-//! inside one strategy's `aggregate`, or a core-count lookup per kernel call
-//! moves a count and fails here.
+//! root crate's dev-dependency turns on its `alloc-stats` feature), and a
+//! round hook reads the counters after each record. With one client,
+//! `train_all` spawns no thread and the kernels are serial, so every steady
+//! round (rounds 1.., round 0 pays one-time warm-up) makes the same
+//! allocations on every run, at every `FEDSU_SIMD` level, armed or not.
+//! [`PINS`] holds those counts for every strategy on the MLP and the tiny
+//! CNN, plus one faulty run: a reintroduced per-round `.to_vec()` of the
+//! global, a `Vec` built inside one strategy's `aggregate`, or a core-count
+//! lookup per kernel call moves a count and fails here.
 //!
 //! Bounds cover what cannot be pinned exactly, because threads run beside
 //! the count: a four-client run (training threads) stays under ceilings
@@ -26,11 +25,11 @@
 
 mod wire_fedavg;
 
-use fedsu_repro::fl::{DefenseConfig, Experiment, ExperimentResult};
+use fedsu_repro::fl::{DefenseConfig, Experiment, ExperimentResult, RoundRecord};
 use fedsu_repro::netsim::FaultConfig;
 use fedsu_repro::nn::models::ModelPreset;
 use fedsu_repro::scenario::{ModelKind, Scenario, StrategyKind};
-use fedsu_repro::tensor::alloc_stats::{self, RoundAlloc};
+use fedsu_repro::tensor::alloc_stats::{self, AllocSnapshot};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -77,7 +76,6 @@ const PINS: &[(&str, [u64; ROUNDS - 1])] = &[
     ("cnn-tiny/FedSuV1 { period: 3 }", [74, 74, 74, 75, 74, 74, 74]),
     ("cnn-tiny/FedSuV2 { probability: 0.5, period: 3 }", [74, 74, 74, 75, 74, 74, 74]),
     ("mlp/FedSuCalibrated/faulty", [84, 81, 84, 84, 84, 81, 85]),
-    ("cnn-tiny/FedAvg/auto", [74, 74, 74, 74, 74, 74, 74]),
 ];
 
 /// The one-client scenario of a pinned row.
@@ -104,15 +102,18 @@ fn faulty() -> FaultConfig {
     }
 }
 
-/// Runs `experiment` with round marking armed: its records, and the
-/// allocations charged to each round.
-fn round_log(mut experiment: Experiment) -> (ExperimentResult, Vec<RoundAlloc>) {
-    alloc_stats::set_enabled(true);
-    let result = experiment.run(None).unwrap();
-    alloc_stats::set_enabled(false);
-    let log = alloc_stats::rounds();
-    let marked: Vec<usize> = log.iter().map(|r| r.round).collect();
-    assert_eq!(marked, (0..result.rounds.len()).collect::<Vec<_>>(), "every round is marked once");
+/// Runs `experiment` with a hook that reads the allocation counters after
+/// each round: its records, and the allocations charged to each round
+/// (round 0's from the start of `run`, which includes its setup).
+fn round_log(mut experiment: Experiment) -> (ExperimentResult, Vec<AllocSnapshot>) {
+    // Reserved up front (no run here is longer than `ROUNDS`), so the
+    // hook's pushes allocate nothing.
+    let mut marks = Vec::with_capacity(ROUNDS + 1);
+    marks.push(alloc_stats::snapshot());
+    let mut hook = |_: &RoundRecord, _: &[f32]| marks.push(alloc_stats::snapshot());
+    let result = experiment.run(Some(&mut hook)).unwrap();
+    assert_eq!(marks.len(), result.rounds.len() + 1, "the hook sees every round once");
+    let log = marks.windows(2).map(|w| w[1].since(&w[0])).collect();
     (result, log)
 }
 
@@ -153,30 +154,22 @@ fn render(rows: &[(String, Vec<u64>)]) -> String {
 /// so the cases run in a fixed order with nothing beside them.
 #[test]
 fn steady_rounds_stay_within_the_checked_in_budget() {
-    // Rows carry their kernel-thread policy: `1` (serial) for all but the
-    // last, which runs the tiny CNN at auto (`0`). No tiny-CNN product is
-    // large enough to go parallel, so auto runs serially on any host and
-    // must cost exactly what serial does: a per-call core-count lookup on
-    // the dispatch path shows up here on every product.
-    let mut rows: Vec<(String, Scenario, StrategyKind, usize)> = Vec::new();
+    let mut rows: Vec<(String, Scenario, StrategyKind)> = Vec::new();
     for model in ["mlp", "cnn-tiny"] {
         for strategy in STRATEGIES {
-            rows.push((format!("{model}/{strategy:?}"), single_client(model), strategy, 1));
+            rows.push((format!("{model}/{strategy:?}"), single_client(model), strategy));
         }
     }
     let faulty_run = single_client("mlp").faults(faulty());
-    rows.push(("mlp/FedSuCalibrated/faulty".to_string(), faulty_run, StrategyKind::FedSuCalibrated, 1));
-    rows.push(("cnn-tiny/FedAvg/auto".to_string(), single_client("cnn-tiny"), StrategyKind::FedAvg, 0));
+    rows.push(("mlp/FedSuCalibrated/faulty".to_string(), faulty_run, StrategyKind::FedSuCalibrated));
     let recorded: Vec<(String, Vec<u64>)> = rows
         .into_iter()
         .enumerate()
-        .map(|(i, (name, scenario, strategy, kernel_threads))| {
-            fedsu_repro::tensor::set_kernel_threads(kernel_threads);
+        .map(|(i, (name, scenario, strategy))| {
             let pin = PINS.get(i).map(|(_, allocs)| allocs.as_slice());
             (name, pinned_row(&scenario, strategy, pin))
         })
         .collect();
-    fedsu_repro::tensor::set_kernel_threads(1);
     let pinned: Vec<(String, Vec<u64>)> =
         PINS.iter().map(|(name, allocs)| (name.to_string(), allocs.to_vec())).collect();
     assert!(
@@ -200,15 +193,11 @@ const MAX_ROUND_BYTES: u64 = 104_000;
 fn four_clients_stay_under_their_ceilings() {
     let scenario = Scenario::new(ModelKind::Mlp).clients(4).rounds(6).samples_per_class(16).seed(7);
     let (_, log) = round_log(scenario.build(StrategyKind::FedSuCalibrated).unwrap());
-    // `run` installs no thread policy of its own, and the guard around its
-    // training threads hands back the caller's: the pin above held.
-    assert_eq!(fedsu_repro::tensor::kernel_threads_setting(), 1, "run must leave the pin alone");
-    for r in &log[1..] {
+    for (round, r) in log.iter().enumerate().skip(1) {
         assert!(
             r.allocs <= MAX_ROUND_ALLOCS && r.bytes <= MAX_ROUND_BYTES,
-            "round {}: {} allocations / {} bytes, the ceilings are {MAX_ROUND_ALLOCS} / \
+            "round {round}: {} allocations / {} bytes, the ceilings are {MAX_ROUND_ALLOCS} / \
              {MAX_ROUND_BYTES}; a hot-path copy crept back in",
-            r.round,
             r.allocs,
             r.bytes
         );
@@ -219,7 +208,7 @@ fn four_clients_stay_under_their_ceilings() {
 }
 
 /// A round that availability empties leaves through the same exit as every
-/// other round, so the round log has an entry for it too.
+/// other round, so the hook sees it too.
 fn a_round_nobody_attends_is_marked() {
     let experiment = Scenario::new(ModelKind::Mlp)
         .clients(4)
