@@ -1,11 +1,12 @@
 //! The FedSU manager: predictability mask, speculative updating and error
 //! feedback, implemented as a [`SyncStrategy`] (the Rust analogue of the
 //! paper's `FedSU_Manager` Python module, Algorithm 1).
+#![warn(clippy::too_many_lines)]
 
 use crate::diagnosis::EmaPair;
 use crate::join::JoinState;
 use fedsu_fl::{AggregateOutcome, SyncStrategy};
-use fedsu_tensor::simd::{self, LANE_OFF, LANE_ON};
+use fedsu_tensor::simd::{self, SweepRows, SweepRule, LANE_OFF, LANE_ON};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -134,28 +135,42 @@ pub struct FedSu {
     mask: Vec<f32>,
     slope: Vec<f32>,
     prev_update: Vec<f32>,
-    // Replicated per-chunk decision state.
+    // Replicated per-chunk decision state. All but `no_check_len`, which
+    // only the event scan touches, is a row of one lane per chunk that the
+    // sweep (`simd::sweep_chunks_with`) loads: the countdown and the
+    // observation count are integers in `0..=u16::MAX`, exact in `f32`, and
+    // the EMA pair (`EmaPair`) is two rows.
     no_check_len: Vec<u16>,
-    no_check_remaining: Vec<u16>,
-    ema: Vec<EmaPair>,
-    obs: Vec<u16>,
+    no_check_remaining: Vec<f32>,
+    obs: Vec<f32>,
+    ema_signed: Vec<f32>,
+    ema_magnitude: Vec<f32>,
     // Scalars outside speculation (kept current by `promote` / `demote`)
-    // and chunks whose check falls in the next round (recounted at the end
-    // of `aggregate`), so that `prepare_uploads_into` scans nothing.
+    // and chunks whose check falls in the next round (counted by the sweep
+    // and the event scan), so that `prepare_uploads_into` scans nothing.
     unmasked: usize,
     checks_due: usize,
 
     // Genuinely per-client state: accumulated local prediction errors, per
     // scalar; `+0.0` wherever the mask is off.
     errors: Vec<Vec<f32>>,
-    // Scratch row of `aggregate`: the selected clients' sum, per scalar.
+    // Scratch of `aggregate`, sized by `ensure_capacity`: the selected
+    // clients' sum, per scalar, until the sweep has read it, and then their
+    // check reports summed, per chunk; the chunks the sweep flagged, a bit
+    // per chunk: due checks and entry candidates.
     sum: Vec<f32>,
+    due_bits: Vec<u64>,
+    entry_bits: Vec<u64>,
     // Activity mask of the previous aggregation, to detect rejoining
     // clients whose error accumulators must be re-synchronized.
     prev_active: Vec<bool>,
 
-    // Statistics (`predictable_rounds` is per chunk).
-    predictable_rounds: Vec<u64>,
+    // Statistics. `predictable_rounds` is per chunk and settled at the
+    // transitions: a speculating chunk holds its closed total minus the
+    // tick it entered at (wrapping), so its live count is that plus `ticks`,
+    // the aggregations that ran the sweep. A chunk's total fits `u32`.
+    predictable_rounds: Vec<u32>,
+    ticks: u32,
     rounds_seen: usize,
     rng: StdRng,
     tracked: Vec<usize>,
@@ -236,14 +251,18 @@ impl FedSu {
             prev_update: Vec::new(),
             no_check_len: Vec::new(),
             no_check_remaining: Vec::new(),
-            ema: Vec::new(),
             obs: Vec::new(),
+            ema_signed: Vec::new(),
+            ema_magnitude: Vec::new(),
             unmasked: 0,
             checks_due: 0,
             errors: Vec::new(),
             sum: Vec::new(),
+            due_bits: Vec::new(),
+            entry_bits: Vec::new(),
             prev_active: Vec::new(),
             predictable_rounds: Vec::new(),
+            ticks: 0,
             rounds_seen: 0,
             rng,
             tracked: Vec::new(),
@@ -296,7 +315,24 @@ impl FedSu {
         if self.total_enters == 0 {
             0.0
         } else {
-            self.predictable_rounds.iter().sum::<u64>() as f64 / self.total_enters as f64
+            self.speculative_rounds().sum::<u64>() as f64 / self.total_enters as f64
+        }
+    }
+
+    /// Each chunk's speculative rounds so far, live periods included.
+    fn speculative_rounds(&self) -> impl Iterator<Item = u64> + '_ {
+        let live = self.mask.iter().step_by(self.chunk).map(|&lane| if is_on(lane) { self.ticks } else { 0 });
+        self.predictable_rounds.iter().zip(live).map(|(&closed, live)| u64::from(closed.wrapping_add(live)))
+    }
+
+    /// Closes every live speculative period at the current tick, or opens
+    /// one there for every speculating chunk (`open`): `apply_join_state`
+    /// closes the periods of the mask it replaces and opens those of the new
+    /// one.
+    fn settle_live_periods(&mut self, open: bool) {
+        let live = self.mask.iter().step_by(self.chunk).map(|&lane| is_on(lane));
+        for (rounds, _) in self.predictable_rounds.iter_mut().zip(live).filter(|&(_, on)| on) {
+            *rounds = if open { rounds.wrapping_sub(self.ticks) } else { rounds.wrapping_add(self.ticks) };
         }
     }
 
@@ -308,7 +344,7 @@ impl FedSu {
     /// is zero and the bare division would yield NaN; this returns the
     /// documented sentinel `0.0` — never NaN — instead.
     pub fn empirical_entry_probability(&self) -> f64 {
-        let denom = (self.ema.len() * self.rounds_seen) as f64;
+        let denom = (self.obs.len() * self.rounds_seen) as f64;
         if denom == 0.0 {
             0.0
         } else {
@@ -335,8 +371,12 @@ impl FedSu {
     /// 0/0; the estimator returns its documented sentinel `0.0` — never NaN
     /// (see `EmaPair::ratio`). `None` when `j` is out of range.
     pub fn oscillation_ratio(&self, j: usize) -> Option<f64> {
-        let ema = self.ema.get(j / self.chunk).filter(|_| j < self.mask.len());
-        ema.map(EmaPair::ratio)
+        self.ema(j / self.chunk).filter(|_| j < self.mask.len()).map(|ema| ema.ratio())
+    }
+
+    /// Chunk `c`'s EMA pair, read from its two rows.
+    fn ema(&self, c: usize) -> Option<EmaPair> {
+        Some(EmaPair { signed: *self.ema_signed.get(c)?, magnitude: *self.ema_magnitude.get(c)? })
     }
 
     /// Bytes of FedSU state resident on *one* client: the predictability
@@ -353,7 +393,7 @@ impl FedSu {
         let per_chunk = 2 * std::mem::size_of::<u16>() // no-check bookkeeping
             + 2 * std::mem::size_of::<f32>() // EMA pair
             + std::mem::size_of::<u16>(); // observation counter
-        self.mask.len() * per_scalar + self.ema.len() * per_chunk
+        self.mask.len() * per_scalar + self.obs.len() * per_chunk
     }
 
     /// Chunk `c`'s value at every scalar of the chunk.
@@ -377,14 +417,16 @@ impl FedSu {
     /// granularity — a chunk's decision state is repeated for each of its
     /// scalars — so the wire format has one shape.
     pub fn export_join_state(&self) -> JoinState {
+        let ema = self.ema_signed.iter().zip(&self.ema_magnitude);
         JoinState {
             predictable: self.predictable_mask(),
             slope: self.slope.clone(),
             no_check_len: self.per_scalar(self.no_check_len.iter().copied()),
-            no_check_remaining: self.per_scalar(self.no_check_remaining.iter().copied()),
+            // The counters are integers in `0..=u16::MAX` (see the fields).
+            no_check_remaining: self.per_scalar(self.no_check_remaining.iter().map(|&r| r as u16)),
             prev_update: self.prev_update.clone(),
-            ema: self.per_scalar(self.ema.iter().copied()),
-            obs: self.per_scalar(self.obs.iter().copied()),
+            ema: self.per_scalar(ema.map(|(&signed, &magnitude)| EmaPair { signed, magnitude })),
+            obs: self.per_scalar(self.obs.iter().map(|&o| o as u16)),
             rounds_seen: self.rounds_seen as u64,
         }
     }
@@ -400,18 +442,31 @@ impl FedSu {
         if !self.mask.is_empty() {
             assert_eq!(state.predictable.len(), self.mask.len(), "join state size mismatch");
         }
+        self.settle_live_periods(false);
         self.mask = state.predictable.iter().map(|&p| if p { LANE_ON } else { LANE_OFF }).collect();
         self.slope = state.slope.clone();
         self.prev_update = state.prev_update.clone();
         self.no_check_len = self.per_chunk(&state.no_check_len);
-        self.no_check_remaining = self.per_chunk(&state.no_check_remaining);
-        self.ema = self.per_chunk(&state.ema);
-        self.obs = self.per_chunk(&state.obs);
+        self.no_check_remaining = self.per_chunk(&state.no_check_remaining).into_iter().map(f32::from).collect();
+        self.obs = self.per_chunk(&state.obs).into_iter().map(f32::from).collect();
+        let ema = self.per_chunk(&state.ema);
+        self.ema_signed = ema.iter().map(|e| e.signed).collect();
+        self.ema_magnitude = ema.iter().map(|e| e.magnitude).collect();
         self.rounds_seen = state.rounds_seen as usize;
         self.unmasked = state.predictable.iter().filter(|&&p| !p).count();
         self.checks_due = self.count_due();
-        if self.predictable_rounds.len() != self.ema.len() {
-            self.predictable_rounds = vec![0; self.ema.len()];
+        if self.predictable_rounds.len() != self.obs.len() {
+            self.predictable_rounds = vec![0; self.obs.len()];
+        }
+        self.settle_live_periods(true);
+        // The error pass adds `+0.0` off the mask and `promote` leaves the
+        // rows alone, so a stale accumulator off the new mask is cleared here.
+        for errs in &mut self.errors {
+            for (e, &lane) in errs.iter_mut().zip(&self.mask) {
+                if !is_on(lane) {
+                    *e = 0.0;
+                }
+            }
         }
     }
 
@@ -419,10 +474,12 @@ impl FedSu {
         // Scratch, fully rewritten before every use: sized on its own so a
         // manager seeded by `apply_join_state` has one too.
         self.sum.resize(n_params, 0.0);
+        let n_chunks = n_params.div_ceil(self.chunk);
+        self.due_bits.resize(n_chunks.div_ceil(64), 0);
+        self.entry_bits.resize(n_chunks.div_ceil(64), 0);
         if self.mask.len() != n_params {
             // Resize in place: steady rounds with a stable model never
             // reallocate, and a size change reuses existing capacity.
-            let n_chunks = n_params.div_ceil(self.chunk);
             self.mask.clear();
             self.mask.resize(n_params, LANE_OFF);
             self.slope.clear();
@@ -432,11 +489,13 @@ impl FedSu {
             self.no_check_len.clear();
             self.no_check_len.resize(n_chunks, 0);
             self.no_check_remaining.clear();
-            self.no_check_remaining.resize(n_chunks, 0);
-            self.ema.clear();
-            self.ema.resize_with(n_chunks, EmaPair::default);
+            self.no_check_remaining.resize(n_chunks, 0.0);
             self.obs.clear();
-            self.obs.resize(n_chunks, 0);
+            self.obs.resize(n_chunks, 0.0);
+            self.ema_signed.clear();
+            self.ema_signed.resize(n_chunks, 0.0);
+            self.ema_magnitude.clear();
+            self.ema_magnitude.resize(n_chunks, 0.0);
             self.predictable_rounds.clear();
             self.predictable_rounds.resize(n_chunks, 0);
             self.unmasked = n_params;
@@ -474,7 +533,7 @@ impl FedSu {
 
     /// Chunks whose check falls in the next round.
     fn count_due(&self) -> usize {
-        self.no_check_remaining.iter().filter(|&&r| r == 1).count()
+        self.no_check_remaining.iter().filter(|&&r| r == 1.0).count()
     }
 
     /// Moves chunk `c` (scalars `range`) into speculation, each scalar on
@@ -497,13 +556,14 @@ impl FedSu {
             ExitPolicy::FixedPeriod(p) => p.max(1),
         };
         if let (Some(l), Some(r)) = (self.no_check_len.get_mut(c), self.no_check_remaining.get_mut(c)) {
-            (*l, *r) = (period, period);
+            (*l, *r) = (period, f32::from(period));
         }
-        for e in &mut self.errors {
-            if let Some(v) = e.get_mut(range.clone()) {
-                v.fill(0.0);
-            }
+        self.checks_due += usize::from(period == 1);
+        if let Some(rounds) = self.predictable_rounds.get_mut(c) {
+            *rounds = rounds.wrapping_sub(self.ticks);
         }
+        // The accumulators are already `+0.0` here: the chunk was off the
+        // mask, where the `[fedsu-mask]` invariant holds them there.
         let slopes = &self.slope;
         self.events.extend(self.tracked.iter().filter(|j| range.contains(j)).filter_map(|&j| {
             let kind = MaskEventKind::Enter { slope: *slopes.get(j)? };
@@ -521,13 +581,14 @@ impl FedSu {
             m.fill(LANE_OFF);
         }
         if let (Some(l), Some(r)) = (self.no_check_len.get_mut(c), self.no_check_remaining.get_mut(c)) {
-            (*l, *r) = (0, 0);
+            (*l, *r) = (0, 0.0);
         }
-        if let Some(o) = self.obs.get_mut(c) {
-            *o = 0;
+        let state = (self.obs.get_mut(c), self.ema_signed.get_mut(c), self.ema_magnitude.get_mut(c));
+        if let (Some(o), Some(s), Some(m)) = state {
+            (*o, *s, *m) = (0.0, 0.0, 0.0);
         }
-        if let Some(e) = self.ema.get_mut(c) {
-            e.reset();
+        if let Some(rounds) = self.predictable_rounds.get_mut(c) {
+            *rounds = rounds.wrapping_add(self.ticks);
         }
         for e in &mut self.errors {
             if let Some(v) = e.get_mut(range.clone()) {
@@ -576,14 +637,14 @@ impl FedSu {
             );
             if lane != 0 {
                 assert!(
-                    (1..=len).contains(&remaining),
+                    (1.0..=f32::from(len)).contains(&remaining),
                     "invariant violation [fedsu-mask]: round {round}, chunk {c}: \
                      predictable but no-check period is remaining={remaining} of \
                      len={len} (expected 1 <= remaining <= len)"
                 );
             } else {
                 assert!(
-                    len == 0 && remaining == 0,
+                    len == 0 && remaining.to_bits() == 0,
                     "invariant violation [fedsu-mask]: round {round}, chunk {c}: \
                      regular-updating chunk carries a no-check period \
                      (len={len}, remaining={remaining})"
@@ -597,6 +658,13 @@ impl FedSu {
              unmasked={} differs from the mask's {unmasked}",
             self.unmasked
         );
+        let due = self.count_due();
+        assert!(
+            self.checks_due == due,
+            "invariant violation [fedsu-mask]: round {round}: running count \
+             checks_due={} differs from the countdown's {due}",
+            self.checks_due
+        );
         for (i, errs) in self.errors.iter().enumerate() {
             assert!(
                 errs.iter().zip(&self.mask).all(|(e, &lane)| is_on(lane) || e.to_bits() == 0),
@@ -604,6 +672,189 @@ impl FedSu {
                  error accumulator is not +0.0 off the mask"
             );
         }
+    }
+}
+
+/// The sync step's passes, in the order `aggregate` runs them. Everything
+/// that costs O(clients) per scalar is a pass over whole contiguous rows,
+/// and so is the per-chunk state machine; only flagged chunks (entry
+/// candidates and due checks) are visited one by one.
+impl FedSu {
+    /// Sum pass: the selected rows in `selected` order onto `+0.0`; the sweep
+    /// scales by `inv` (FedSU's chain is `(Σ local)·inv`).
+    fn sum_pass(&mut self, locals: &[Vec<f32>], selected: &[usize]) {
+        if self.unmasked > 0 {
+            let level = simd::simd_level();
+            self.sum.fill(0.0);
+            for local in selected.iter().filter_map(|&k| locals.get(k)) {
+                simd::add_assign_with(level, &mut self.sum, local);
+            }
+        }
+    }
+
+    /// Regular synchronization off the mask (the selected clients' average)
+    /// and every chunk's countdown and diagnosis, in one pass over the rows.
+    fn sweep(&mut self, global: &mut [f32], inv: f32) {
+        let FedSuConfig { t_r, theta, warmup_updates, .. } = self.config;
+        let ratio_bound = match self.entry {
+            EntryPolicy::Oscillation => ratio_bound(t_r),
+            EntryPolicy::Random { .. } => f32::INFINITY,
+        };
+        let rule = SweepRule { chunk: self.chunk, inv, theta, warmup: f32::from(warmup_updates), ratio_bound };
+        let rows = SweepRows {
+            global,
+            prev_update: &mut self.prev_update,
+            sum: &self.sum,
+            remaining: &mut self.no_check_remaining,
+            observed: &mut self.obs,
+            signed: &mut self.ema_signed,
+            magnitude: &mut self.ema_magnitude,
+        };
+        self.due_bits.fill(0);
+        self.entry_bits.fill(0);
+        let flags = (&mut self.due_bits[..], &mut self.entry_bits[..]);
+        // The event scan adds the chunks its transitions leave one round from
+        // a check.
+        self.checks_due = simd::sweep_chunks_with(simd::simd_level(), rows, rule, flags);
+    }
+
+    /// Speculative pass: masked replacement with the predicted value, in
+    /// place; no synchronization for these scalars. Then the error pass: on
+    /// the mask `global` now holds the prediction every active client
+    /// measures its own result against. When a check is due, each selected
+    /// client's report (its accumulated error averaged over the chunk) is
+    /// summed into `sum`, which the sweep has done with, per chunk and in
+    /// `selected` order, in the same pass over its row (each mean and the
+    /// sum fold from `−0.0`, as `f32::sum` does). Neither pass reads or
+    /// writes what the sweep wrote: its scalars are off the mask.
+    fn predict_and_report(&mut self, locals: &[Vec<f32>], selected: &[usize], active: &[bool], global: &mut [f32]) {
+        if self.unmasked == global.len() {
+            return;
+        }
+        let level = simd::simd_level();
+        simd::add_assign_masked_with(level, global, &self.slope, &self.mask);
+        if !matches!(self.exit, ExitPolicy::ErrorFeedback) {
+            return;
+        }
+        let reporting = self.due_bits.iter().any(|&due| due != 0);
+        for (k, ((errs, local), &act)) in self.errors.iter_mut().zip(locals).zip(active).enumerate() {
+            if act && !(reporting && selected.contains(&k)) {
+                simd::add_diff_masked_with(level, errs, local, global, &self.mask);
+            }
+        }
+        if !reporting {
+            return;
+        }
+        self.sum.fill(-0.0);
+        for (i, &k) in selected.iter().enumerate() {
+            let (Some(errs), Some(local)) = (self.errors.get_mut(k), locals.get(k)) else { continue };
+            // A selected client accumulates once (it may be inactive, or
+            // listed twice) and reports each time it is listed.
+            let first = !selected.get(..i).unwrap_or_default().contains(&k);
+            if first && active.get(k) == Some(&true) {
+                simd::add_diff_masked_means_with(level, errs, local, global, &self.mask, &mut self.sum, self.chunk);
+            } else {
+                simd::add_chunk_means_with(level, &mut self.sum, errs, self.chunk);
+            }
+        }
+    }
+
+    /// The event scan: the flagged chunks in ascending order, which defines
+    /// v2's `gen_bool` stream and the order of the recorded mask events. A
+    /// transition touches only its own chunk's scalars and state, which the
+    /// passes have already made final, so the transitions may run after the
+    /// passes. Returns the checks made.
+    fn resolve_flagged(&mut self, round: usize, global: &mut [f32], inv: f32) -> usize {
+        let mut checked = 0;
+        for w in 0..self.due_bits.len() {
+            let (Some(&due), Some(&entry)) = (self.due_bits.get(w), self.entry_bits.get(w)) else { break };
+            let mut flagged = due | entry;
+            while flagged != 0 {
+                let bit = flagged.trailing_zeros();
+                flagged &= flagged - 1;
+                let c = w * 64 + bit as usize;
+                if due >> bit & 1 == 1 {
+                    checked += usize::from(self.resolve_due(c, round, global, inv));
+                } else {
+                    self.resolve_candidate(c, round);
+                }
+            }
+        }
+        checked
+    }
+
+    /// An entry candidate takes Eq. 2's exact test (or v2's coin) and may be
+    /// promoted.
+    fn resolve_candidate(&mut self, c: usize, round: usize) {
+        let range = chunk_range(c, self.chunk, self.mask.len());
+        let enter = match self.entry {
+            // Eq. 2 on the chunk means, second differences judged against
+            // the update they ride on (the sweep just made it `prev_update`;
+            // folded onto `+0.0` as it did).
+            EntryPolicy::Oscillation => {
+                let updates = self.prev_update.get(range.clone()).unwrap_or_default();
+                let update = updates.iter().fold(0.0, |acc: f32, g| acc + g.abs()) / range.len() as f32;
+                self.ema(c).is_some_and(|ema| ema.guarded_ratio(update) < self.config.t_r)
+            }
+            EntryPolicy::Random { probability } => self.rng.gen_bool(probability),
+        };
+        if enter {
+            self.promote(c, range, round);
+        }
+    }
+
+    /// A due chunk exits after its fixed period, or takes Eq. 3's check and
+    /// is extended or demoted. Returns whether a check was made.
+    fn resolve_due(&mut self, c: usize, round: usize, global: &mut [f32], inv: f32) -> bool {
+        let range = chunk_range(c, self.chunk, self.mask.len());
+        if matches!(self.exit, ExitPolicy::FixedPeriod(_)) {
+            self.demote(c, range, None, round);
+            return false;
+        }
+        // The no-checking period expired: every selected client reported its
+        // accumulated error averaged over the chunk (one scalar of
+        // communication); Eq. 3 runs on their mean.
+        let FedSuConfig { t_s, max_no_check, correct_on_exit, .. } = self.config;
+        let e_mean = self.sum.get(c).map_or(0.0, |&e| e * inv);
+        let slopes = self.slope.get(range.clone()).unwrap_or_default();
+        let slope_mean = slopes.iter().map(|s| s.abs()).sum::<f32>() / range.len() as f32;
+        let s = f64::from(e_mean.abs()) / f64::from(slope_mean.max(f32::EPSILON));
+        if s < t_s {
+            // Linearity persists: extend by one round.
+            if let (Some(period), Some(remaining)) = (self.no_check_len.get_mut(c), self.no_check_remaining.get_mut(c)) {
+                *period = period.saturating_add(1).min(max_no_check);
+                *remaining = f32::from(*period);
+                self.checks_due += usize::from(*period == 1);
+            }
+        } else {
+            if let Some(values) = global.get_mut(range.clone()).filter(|_| correct_on_exit) {
+                values.iter_mut().for_each(|g| *g += e_mean);
+            }
+            self.demote(c, range, Some(s), round);
+        }
+        true
+    }
+}
+
+/// Chunk `c`'s scalars in a model of `n`.
+fn chunk_range(c: usize, chunk: usize, n: usize) -> Range<usize> {
+    let start = c.saturating_mul(chunk).min(n);
+    start..start.saturating_add(chunk).min(n)
+}
+
+/// The sweep's entry pre-filter for Eq. 2: a chunk whose new EMA
+/// pair clears both magnitude guards and has `|signed| > magnitude·bound`
+/// is not flagged. The f64 test it stands in for is
+/// `min(|signed| / magnitude, 1) < t_r`, so the bound is `t_r` widened by
+/// 2⁻¹⁰, kept clear of `f32` underflow, and infinite when `t_r > 1` (every
+/// ratio passes). The `f32` product and the f64 quotient each round by far
+/// less than that margin, so no chunk the exact test admits is dropped; the
+/// exact test runs on every flagged chunk.
+fn ratio_bound(t_r: f64) -> f32 {
+    if t_r > 1.0 {
+        f32::INFINITY
+    } else {
+        ((t_r * (1.0 + 1.0 / 1024.0)) as f32).max(2f32.powi(-60))
     }
 }
 
@@ -674,131 +925,13 @@ impl SyncStrategy for FedSu {
             return AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0, total_scalars: n };
         }
         let inv = 1.0 / selected.len().max(1) as f32;
-        let accumulate_errors = matches!(self.exit, ExitPolicy::ErrorFeedback);
-        let FedSuConfig { t_r, t_s, theta, max_no_check, warmup_updates, correct_on_exit, .. } = self.config;
-        let mut synced = 0usize;
-        let mut checked = 0usize;
-        let enters_before = self.total_enters;
-        let exits_before = self.total_exits;
-
-        // Everything that costs O(clients) per scalar runs as a pass over
-        // whole contiguous rows; the sweep after them is O(1) per scalar
-        // except at a due check.
-        let level = simd::simd_level();
-        if self.unmasked > 0 {
-            // Sum pass: the selected rows in `selected` order onto `+0.0`;
-            // the sweep scales by `inv` (FedSU's chain is `(Σ local)·inv`).
-            self.sum.fill(0.0);
-            for local in selected.iter().filter_map(|&k| locals.get(k)) {
-                simd::add_assign_with(level, &mut self.sum, local);
-            }
-        }
-        if self.unmasked < n {
-            // Speculative pass: masked replacement with the predicted value,
-            // in place; no synchronization for these scalars.
-            simd::add_assign_masked_with(level, global, &self.slope, &self.mask);
-            if accumulate_errors {
-                // Error pass: on the mask `global` now holds the prediction
-                // every active client measures its own result against.
-                for ((errs, local), &act) in self.errors.iter_mut().zip(locals).zip(active) {
-                    if act {
-                        simd::add_diff_masked_with(level, errs, local, global, &self.mask);
-                    }
-                }
-            }
-        }
-        // Countdown: a chunk with rounds left is speculative and spends one.
-        for (remaining, rounds) in self.no_check_remaining.iter_mut().zip(&mut self.predictable_rounds) {
-            *rounds += u64::from(*remaining > 0);
-            *remaining = remaining.saturating_sub(1);
-        }
-
-        // Sweep, in ascending chunk order: v2's coin flips and the recorded
-        // mask events depend on it.
-        let chunk = self.chunk;
-        let mut start = 0usize;
-        for c in 0..self.ema.len() {
-            let range = start..start.saturating_add(chunk).min(n);
-            start = range.end;
-            let len = range.len() as f32;
-            if self.mask.get(range.start).is_some_and(|&lane| is_on(lane)) {
-                if self.no_check_remaining.get(c) != Some(&0) {
-                    continue;
-                }
-                match self.exit {
-                    ExitPolicy::ErrorFeedback => {
-                        // The no-checking period expired: every selected
-                        // client reports its accumulated error averaged
-                        // over the chunk (one scalar of communication),
-                        // and Eq. 3 is evaluated on their mean.
-                        checked += 1;
-                        let e_mean: f32 = selected
-                            .iter()
-                            .filter_map(|&k| self.errors.get(k)?.get(range.clone()))
-                            .map(|errs| errs.iter().sum::<f32>() / len)
-                            .sum::<f32>()
-                            * inv;
-                        let slopes = self.slope.get(range.clone()).unwrap_or(&[]);
-                        let slope_mean = slopes.iter().map(|s| s.abs()).sum::<f32>() / len;
-                        let s = f64::from(e_mean.abs()) / f64::from(slope_mean.max(f32::EPSILON));
-                        if s < t_s {
-                            // Linearity persists: extend by one round.
-                            if let (Some(period), Some(remaining)) =
-                                (self.no_check_len.get_mut(c), self.no_check_remaining.get_mut(c))
-                            {
-                                *period = period.saturating_add(1).min(max_no_check);
-                                *remaining = *period;
-                            }
-                        } else {
-                            if let Some(values) = global.get_mut(range.clone()).filter(|_| correct_on_exit) {
-                                values.iter_mut().for_each(|g| *g += e_mean);
-                            }
-                            self.demote(c, range, Some(s), round);
-                        }
-                    }
-                    ExitPolicy::FixedPeriod(_) => {
-                        self.demote(c, range, None, round);
-                    }
-                }
-            } else {
-                // Regular synchronization: the selected clients' average.
-                synced += range.len();
-                let (mut g2_sum, mut update_sum) = (0.0f32, 0.0f32);
-                let rows =
-                    (global.get_mut(range.clone()), self.sum.get(range.clone()), self.prev_update.get_mut(range.clone()));
-                if let (Some(values), Some(sums), Some(prev_updates)) = rows {
-                    for ((value, &sum), prev) in values.iter_mut().zip(sums).zip(prev_updates) {
-                        let avg = sum * inv;
-                        let g = avg - *value;
-                        *value = avg;
-                        g2_sum += g - *prev;
-                        update_sum += g.abs();
-                        *prev = g;
-                    }
-                }
-
-                let (Some(obs), Some(ema)) = (self.obs.get_mut(c), self.ema.get_mut(c)) else { continue };
-                if *obs == 0 {
-                    // The first-order differences were (re)seeded above.
-                    *obs = 1;
-                    continue;
-                }
-                *obs = obs.saturating_add(1);
-                ema.observe(g2_sum / len, theta);
-                if *obs >= warmup_updates {
-                    let enter = match self.entry {
-                        // Eq. 2 on the chunk means, second differences
-                        // judged against the update they ride on.
-                        EntryPolicy::Oscillation => ema.guarded_ratio(update_sum / len) < t_r,
-                        EntryPolicy::Random { probability } => self.rng.gen_bool(probability),
-                    };
-                    if enter {
-                        self.promote(c, range, round);
-                    }
-                }
-            }
-        }
-        self.checks_due = self.count_due();
+        let synced = self.unmasked;
+        let (enters_before, exits_before) = (self.total_enters, self.total_exits);
+        self.ticks = self.ticks.wrapping_add(1);
+        self.sum_pass(locals, selected);
+        self.sweep(global, inv);
+        self.predict_and_report(locals, selected, active, global);
+        let checked = self.resolve_flagged(round, global, inv);
         self.rounds_seen += 1;
         self.history.push(RoundStats {
             round,
@@ -833,7 +966,7 @@ impl SyncStrategy for FedSu {
         if self.rounds_seen == 0 {
             return None;
         }
-        Some(self.per_scalar(self.predictable_rounds.iter().map(|&p| p as f64 / self.rounds_seen as f64)))
+        Some(self.per_scalar(self.speculative_rounds().map(|p| p as f64 / self.rounds_seen as f64)))
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -1317,7 +1450,7 @@ mod tests {
             let out = drive(&mut f, &mut global, &updates, round);
             assert_eq!(out.total_scalars, 7);
         }
-        assert_eq!(f.ema.len(), 3);
+        assert_eq!(f.obs.len(), 3);
     }
 
     #[test]
@@ -1329,7 +1462,7 @@ mod tests {
         assert_eq!(global, [1.0, 2.0, 3.0]);
         assert_eq!((out.broadcast_scalars, out.synced_scalars, out.total_scalars), (0, 0, 3));
         assert_eq!(f.rounds_seen, 1, "the round still counts");
-        assert!(f.obs.iter().all(|&o| o == 0), "no diagnosis ran");
+        assert!(f.obs.iter().all(|&o| o == 0.0), "no diagnosis ran");
     }
 
     #[test]
@@ -1347,7 +1480,7 @@ mod tests {
         }
         assert!(f.predictable_mask()[0], "the linear chunk must speculate");
         f.errors[1][0] = 0.5; // what client 1 had accumulated when it left
-        (f.no_check_len[0], f.no_check_remaining[0]) = (8, 8); // keep the check out of the way
+        (f.no_check_len[0], f.no_check_remaining[0]) = (8, 8.0); // keep the check out of the way
         step(&mut f, &mut global, &[0], &[true, false]);
         assert_eq!(f.errors[1][0], 0.5, "an absent client's accumulator is left alone");
         step(&mut f, &mut global, &[0, 1], &[true, true]);
@@ -1376,6 +1509,21 @@ mod tests {
         assert_eq!(f.predictable_mask(), [true, false]);
         f.assert_mask_invariants(8);
         f
+    }
+
+    #[test]
+    fn applied_join_state_clears_accumulators_off_its_mask() {
+        // Scalar 0 speculates and client 0 holds an error there. A join image
+        // in which nothing speculates leaves that accumulator off the mask:
+        // `promote` does not clear it later, so applying the image must.
+        let mut f = half_masked();
+        f.errors[0][0] = 0.5;
+        let mut fresh = FedSu::new(quick_config());
+        drive_round(&mut fresh, &mut [0.0f32; 2], &[vec![0.1, 0.2]], 0);
+        f.apply_join_state(&fresh.export_join_state());
+        assert_eq!(f.predictable_mask(), [false, false]);
+        assert_eq!(f.errors[0][0].to_bits(), 0, "stale accumulator off the mask");
+        f.assert_mask_invariants(9);
     }
 
     #[test]
@@ -1420,9 +1568,87 @@ mod tests {
                 assert!(round < 30, "chunk {chunk}: the broken line must be caught");
             }
             assert!(f.no_check_len.iter().all(|&l| l == 0), "chunk {chunk}: {:?}", f.no_check_len);
-            assert!(f.no_check_remaining.iter().all(|&r| r == 0), "chunk {chunk}");
+            assert!(f.no_check_remaining.iter().all(|&r| r == 0.0), "chunk {chunk}");
             assert_eq!((f.unmasked, f.checks_due), (5, 0), "chunk {chunk}");
         }
+    }
+
+    /// Twelve tracked scalars in four groups of three, two clients. Groups
+    /// 1 and 3 break their line at round 4 and exit at the check of round
+    /// 5; back on a line from round 6, they re-enter at round 8, the round
+    /// in which groups 0 and 2, broken at round 6, exit. Round 8 therefore
+    /// interleaves exits and entries in index order.
+    fn interleaved_events(chunk: usize) -> Vec<MaskEvent> {
+        let mut f = FedSu::chunked(FedSuConfig { warmup_updates: 3, t_r: 0.1, t_s: 1.0, ..FedSuConfig::default() }, chunk);
+        f.track_params(&(0..12).collect::<Vec<_>>());
+        let mut global = vec![0.0f32; 12];
+        for round in 0..12 {
+            let update = |j: usize| {
+                let step = match (j / 3 % 2, round) {
+                    (1, 0..4) | (0, 0..6) => -0.01,
+                    (1, 4..6) => 0.04,
+                    (1, _) => -0.02,
+                    _ => 0.05,
+                };
+                step * (1.0 + j as f32 * 0.125)
+            };
+            let local = |share: f32| global.iter().enumerate().map(|(j, g)| g + update(j) * share).collect::<Vec<f32>>();
+            let locals = vec![local(1.0), local(0.5)];
+            f.prepare_uploads(round, &locals, &global);
+            f.aggregate(round, &locals, &[0, 1], &[true, true], &mut global);
+        }
+        f.events().to_vec()
+    }
+
+    #[test]
+    fn events_list_in_ascending_param_order_within_a_round() {
+        // Written out in full: the order, the kinds and the feedback values.
+        let enter = |round: usize, param: usize, slope: f32| MaskEvent { round, param, kind: MaskEventKind::Enter { slope } };
+        let exit =
+            |round: usize, param: usize, s: f64| MaskEvent { round, param, kind: MaskEventKind::Exit { feedback: Some(s) } };
+        let first_entries = [
+            -0.0074999994,
+            -0.008437499,
+            -0.009375,
+            -0.0103124995,
+            -0.011249999,
+            -0.0121875,
+            -0.013124999,
+            -0.014062498,
+            -0.014999999,
+            -0.0159375,
+            -0.016874999,
+            -0.017812502,
+        ];
+        let first: Vec<MaskEvent> = first_entries.iter().enumerate().map(|(j, &slope)| enter(2, j, slope)).collect();
+        let last = [enter(11, 0, 0.0375), enter(11, 1, 0.0421875), enter(11, 2, 0.046875)];
+        let last = last.into_iter().chain([enter(11, 6, 0.065625), enter(11, 7, 0.0703125), enter(11, 8, 0.075)]);
+        let want = |exits_5: [f64; 6], exits_8: [f64; 6]| -> Vec<MaskEvent> {
+            let at_5 = [3, 4, 5, 9, 10, 11].into_iter().zip(exits_5).map(|(j, s)| exit(5, j, s));
+            let at_8 = [
+                exit(8, 0, exits_8[0]),
+                exit(8, 1, exits_8[1]),
+                exit(8, 2, exits_8[2]),
+                enter(8, 3, -0.020625003),
+                enter(8, 4, -0.0225),
+                enter(8, 5, -0.024375),
+                exit(8, 6, exits_8[3]),
+                exit(8, 7, exits_8[4]),
+                exit(8, 8, exits_8[5]),
+                enter(8, 9, -0.031875),
+                enter(8, 10, -0.033749998),
+                enter(8, 11, -0.03562501),
+            ];
+            first.iter().copied().chain(at_5).chain(at_8).chain(last.clone()).collect()
+        };
+        let per_scalar = want(
+            [9.99999963875971, 10.000000331136958, 9.999999388670288, 10.0, 10.0, 10.000000418278171],
+            [18.00000024835271, 18.000003532127348, 17.999999602635718, 18.000002838316707, 18.000001589457447, 18.00000024835271],
+        );
+        assert_eq!(interleaved_events(1), per_scalar);
+        let (a, b) = (9.999998841020746, 9.999998896210325);
+        let (c, d) = (17.999999779242064, 18.000000397364335);
+        assert_eq!(interleaved_events(3), want([a, a, a, b, b, b], [c, c, c, d, d, d]));
     }
 
     #[test]

@@ -13,10 +13,14 @@ use rand::Rng;
 /// Weights are stored as a matrix `[out_channels, in_channels * k * k]` so
 /// the forward pass is one matmul against the im2col matrix per sample. The
 /// backward pass re-runs `im2col` on the cached input rather than caching the
-/// (much larger) column matrices, trading a little compute for memory — the
-/// same trade edge devices make. Column/gradient matrices live in scratch
-/// buffers owned by the layer, so steady-state forward/backward passes do no
-/// per-sample allocation.
+/// (much larger) column matrices. At these sizes that is faster as well as
+/// smaller: keeping each sample's columns from the forward instead was
+/// measured on roundbench's `train_cnn` (3 alternating 12 s pairs on a
+/// 2-vCPU host, results unchanged) at p50 11.64–12.08 ms against
+/// 10.95–11.30 ms, and `peak_rss_mb` 59.7 against 48.4 — the cached columns
+/// fall out of L2 before the backward reads them. Column/gradient matrices
+/// live in scratch buffers owned by the layer, so steady-state
+/// forward/backward passes do no per-sample allocation.
 #[derive(Debug)]
 pub struct Conv2d {
     weight: Param,

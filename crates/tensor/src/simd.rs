@@ -210,6 +210,10 @@ pub const LANE_OFF: f32 = 0.0;
 /// `select` with it.
 pub const LANE_ON: f32 = f32::from_bits(u32::MAX);
 
+/// Where [`sweep_chunks_with`] saturates a chunk's observation count: the
+/// width of the count in FedSU's join image.
+const OBSERVED_MAX: f32 = u16::MAX as f32;
+
 /// Where an ikj strip ([`nn_strip_with`]) finds its rows' `k`-tiles of the
 /// left operand: row `r`'s scalar `p` is `a[r·row + p·step]`. `A·B` reads
 /// stretches of the rows of `A` (`row: k, step: 1`); `Aᵀ·B` reads stretches
@@ -229,6 +233,47 @@ impl TileLayout {
         let start = r * self.row;
         a.get(start..=start + (len - 1) * self.step).unwrap_or(&[])
     }
+}
+
+/// The rows one [`sweep_chunks_with`] call reads and writes: FedSU's
+/// per-scalar values (`global` to `sum`, one lane per scalar) and its
+/// per-chunk decision state (`remaining` to `magnitude`, one lane per
+/// chunk). The counters hold small non-negative integers, exact in `f32`.
+#[derive(Debug)]
+pub struct SweepRows<'a> {
+    /// The global model; rewritten off the mask.
+    pub global: &'a mut [f32],
+    /// Each scalar's last regular update; rewritten off the mask.
+    pub prev_update: &'a mut [f32],
+    /// The selected clients' sum.
+    pub sum: &'a [f32],
+    /// Rounds left in each chunk's no-checking period; positive exactly
+    /// while the chunk speculates (is on the predictability mask).
+    pub remaining: &'a mut [f32],
+    /// Updates observed since the chunk last entered regular updating,
+    /// saturating at `u16::MAX`.
+    pub observed: &'a mut [f32],
+    /// EMA of the chunk's mean second difference.
+    pub signed: &'a mut [f32],
+    /// EMA of that difference's magnitude.
+    pub magnitude: &'a mut [f32],
+}
+
+/// The constants of one [`sweep_chunks_with`] call.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SweepRule {
+    /// Scalars per chunk; the last chunk may be short.
+    pub chunk: usize,
+    /// `1 / |selected|`: a regular scalar's new value is `sum·inv`.
+    pub inv: f32,
+    /// EMA decay `θ`.
+    pub theta: f32,
+    /// Observations a chunk needs before it may enter speculation.
+    pub warmup: f32,
+    /// Pre-filter of the entry test: a chunk whose new EMA pair clears both
+    /// magnitude guards and has `|signed| > magnitude·ratio_bound` is not
+    /// flagged. `+inf` flags every chunk past its warm-up.
+    pub ratio_bound: f32,
 }
 
 // ---------------------------------------------------------------------------
@@ -401,6 +446,77 @@ mod scalar {
         }
     }
 
+    /// `acc[c] += mean of run c of x`, each run `chunk` long (the last may
+    /// be short) and folded from `−0.0` in ascending order, as `f32::sum`
+    /// folds.
+    #[inline(never)]
+    pub(super) fn add_chunk_means(acc: &mut [f32], x: &[f32], chunk: usize) {
+        for (a, run) in acc.iter_mut().zip(x.chunks(chunk.max(1))) {
+            *a += run.iter().fold(-0.0, |sum, &x| sum + x) / run.len() as f32;
+        }
+    }
+
+    /// [`add_diff_masked`], then [`add_chunk_means`] of the updated `r`.
+    pub(super) fn add_diff_masked_means(r: &mut [f32], l: &[f32], g: &[f32], m: &[f32], acc: &mut [f32], chunk: usize) {
+        add_diff_masked(r, l, g, m);
+        add_chunk_means(acc, r, chunk);
+    }
+
+    /// FedSU's sweep (see [`sweep_chunks_with`](super::sweep_chunks_with)).
+    pub(super) fn sweep_chunks(rows: super::SweepRows<'_>, rule: super::SweepRule, flags: (&mut [u64], &mut [u64])) -> usize {
+        sweep_chunks_from(rows, rule, flags, 0)
+    }
+
+    /// The sweep over rows whose first chunk is chunk `first`: per chunk, its
+    /// scalars' regular update with their second differences and update
+    /// magnitudes folded onto `+0.0`, then its decision step, written as the
+    /// vector levels compute it lane by lane.
+    #[inline(never)]
+    pub(super) fn sweep_chunks_from(rows: super::SweepRows<'_>, rule: super::SweepRule, flags: (&mut [u64], &mut [u64]), first: usize) -> usize {
+        let super::SweepRows { global, prev_update, sum, remaining, observed, signed, magnitude } = rows;
+        let chunk = rule.chunk.max(1);
+        let scalars = global.chunks_mut(chunk).zip(prev_update.chunks_mut(chunk)).zip(sum.chunks(chunk));
+        let state = remaining.iter_mut().zip(observed.iter_mut()).zip(signed.iter_mut().zip(magnitude.iter_mut()));
+        let omt = 1.0 - rule.theta;
+        let (due_bits, entry_bits) = flags;
+        let mut next_due = 0;
+        for (c, (((vs, ps), ss), ((r, o), (s, m)))) in (first..).zip(scalars.zip(state)) {
+            let len = vs.len() as f32;
+            let on = *r > 0.0;
+            let (mut second, mut update) = (0.0f32, 0.0f32);
+            for ((v, p), &sum) in vs.iter_mut().zip(ps.iter_mut()).zip(ss) {
+                let avg = sum * rule.inv;
+                let g = avg - *v;
+                second += g - *p;
+                update += g.abs();
+                if !on {
+                    (*v, *p) = (avg, g);
+                }
+            }
+            *r -= if on { 1.0 } else { 0.0 };
+            let due = on && *r == 0.0;
+            next_due += usize::from(on && *r == 1.0);
+            let skip = on || *o == 0.0;
+            let bumped = *o + 1.0;
+            if !on {
+                *o = if bumped > super::OBSERVED_MAX { super::OBSERVED_MAX } else { bumped };
+            }
+            let x = second / len;
+            if !skip {
+                *s = rule.theta * *s + omt * x;
+                *m = rule.theta * *m + omt * x.abs();
+            }
+            let guard = 1e-3 * (update / len).abs();
+            let reject = *m > guard && *m > f32::EPSILON && s.abs() > *m * rule.ratio_bound;
+            let candidate = !(skip || rule.warmup > *o || reject);
+            if let (Some(d), Some(e)) = (due_bits.get_mut(c / 64), entry_bits.get_mut(c / 64)) {
+                *d |= u64::from(due) << (c % 64);
+                *e |= u64::from(candidate) << (c % 64);
+            }
+        }
+        next_due
+    }
+
     /// Four output rows of the `C = A·Bᵀ` kernel (`c_rows` and `a_rows` hold
     /// four rows each): [`tb_row`] per row. The vector levels transpose each
     /// window of `B` once for all four. Requires `k > 0`.
@@ -430,16 +546,16 @@ mod scalar {
 /// each kernel per level.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::scalar;
+    use super::{scalar, SweepRows, SweepRule, LANE_ON, OBSERVED_MAX};
     use std::ops::Range;
     use std::arch::x86_64::{
         __m128, __m256, _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_cmp_ps,
-        _mm256_loadu_ps, _mm256_mul_ps, _mm256_or_ps, _mm256_permute2f128_ps, _mm256_set1_ps,
-        _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm256_unpackhi_ps,
-        _mm256_unpacklo_ps, _mm_add_ps, _mm_and_ps, _mm_andnot_ps, _mm_cmpgt_ps, _mm_cmpunord_ps,
-        _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_mul_ps, _mm_or_ps, _mm_set1_ps,
-        _mm_setzero_ps, _mm_storeu_ps, _mm_sub_ps, _mm_unpackhi_ps, _mm_unpacklo_ps, _CMP_GT_OQ,
-        _CMP_UNORD_Q,
+        _mm256_loadu_ps, _mm256_movemask_ps, _mm256_mul_ps, _mm256_or_ps, _mm256_permute2f128_ps,
+        _mm256_set1_ps, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_sub_ps,
+        _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_add_ps, _mm_and_ps, _mm_andnot_ps,
+        _mm_cmpeq_ps, _mm_cmpgt_ps, _mm_cmpunord_ps, _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps,
+        _mm_movemask_ps, _mm_mul_ps, _mm_or_ps, _mm_set1_ps, _mm_setzero_ps, _mm_storeu_ps,
+        _mm_sub_ps, _mm_unpackhi_ps, _mm_unpacklo_ps, _CMP_EQ_OQ, _CMP_GT_OQ, _CMP_UNORD_Q,
     };
 
     /// The widest [`Lanes::N`]: sizes the stack arrays a generic body cannot
@@ -489,6 +605,14 @@ mod x86 {
         unsafe fn gt_zero(self) -> Self;
         /// `self.is_nan()` as a full-width lane mask.
         unsafe fn is_nan(self) -> Self;
+        /// `self > o` as a full-width lane mask (NaN compares false).
+        unsafe fn gt(self, o: Self) -> Self;
+        /// `self == o` as a full-width lane mask (NaN compares false, `-0.0`
+        /// equals `+0.0`).
+        unsafe fn eq(self, o: Self) -> Self;
+        /// The sign bit of every lane, lane `j` at bit `j`: the set lanes of a
+        /// lane mask.
+        unsafe fn movemask(self) -> u32;
         /// In-register transpose of the `N × N` block held in the first
         /// [`Self::N`] registers: lane `j` of output `t` is lane `t` of input
         /// `j`. Registers past `N` pass through.
@@ -555,6 +679,18 @@ mod x86 {
         #[inline(always)]
         unsafe fn is_nan(self) -> Self {
             _mm256_cmp_ps::<_CMP_UNORD_Q>(self, self)
+        }
+        #[inline(always)]
+        unsafe fn gt(self, o: Self) -> Self {
+            _mm256_cmp_ps::<_CMP_GT_OQ>(self, o)
+        }
+        #[inline(always)]
+        unsafe fn eq(self, o: Self) -> Self {
+            _mm256_cmp_ps::<_CMP_EQ_OQ>(self, o)
+        }
+        #[inline(always)]
+        unsafe fn movemask(self) -> u32 {
+            _mm256_movemask_ps(self) as u32
         }
         /// 8×8: unpack pairs, shuffle quads, then swap 128-bit halves.
         #[inline(always)]
@@ -641,6 +777,18 @@ mod x86 {
         #[inline(always)]
         unsafe fn is_nan(self) -> Self {
             _mm_cmpunord_ps(self, self)
+        }
+        #[inline(always)]
+        unsafe fn gt(self, o: Self) -> Self {
+            _mm_cmpgt_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn eq(self, o: Self) -> Self {
+            _mm_cmpeq_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn movemask(self) -> u32 {
+            _mm_movemask_ps(self) as u32
         }
         /// 4×4: unpack pairs, then move 64-bit halves.
         #[inline(always)]
@@ -787,6 +935,129 @@ mod x86 {
             V::zero().store(gs);
         }
         scalar::sgd_step(xc.into_remainder(), gc.into_remainder(), lr, wd);
+    }
+
+    /// Chunk means accumulated. At chunk 1 a run is one lane, whose mean is
+    /// the lane itself (`(−0.0 + x) / 1` is `x`, bit for bit), so this is
+    /// [`add_assign`]; a longer run is one chain across lanes, which the
+    /// scalar loop runs.
+    #[inline(always)]
+    pub(super) unsafe fn add_chunk_means<V: Lanes>(acc: &mut [f32], x: &[f32], chunk: usize) {
+        if chunk != 1 {
+            return scalar::add_chunk_means(acc, x, chunk);
+        }
+        add_assign::<V>(acc, x);
+    }
+
+    /// [`add_diff_masked`] and [`add_chunk_means`] in one pass over the rows
+    /// at chunk 1 (a lane's mean is the lane, as there); one after the other
+    /// at a longer chunk.
+    #[inline(always)]
+    pub(super) unsafe fn add_diff_masked_means<V: Lanes>(r: &mut [f32], l: &[f32], g: &[f32], m: &[f32], acc: &mut [f32], chunk: usize) {
+        if chunk != 1 {
+            add_diff_masked::<V>(r, l, g, m);
+            return scalar::add_chunk_means(acc, r, chunk);
+        }
+        let (mut rc, mut ac) = (r.chunks_exact_mut(V::N), acc.chunks_exact_mut(V::N));
+        let (mut lc, mut gc, mut mc) = (l.chunks_exact(V::N), g.chunks_exact(V::N), m.chunks_exact(V::N));
+        for ((rs, acs), ((ls, gs), ms)) in (&mut rc).zip(&mut ac).zip((&mut lc).zip(&mut gc).zip(&mut mc)) {
+            let rv = V::load(rs).fadd(V::load(ls).fsub(V::load(gs)).and(V::load(ms)));
+            rv.store(rs);
+            V::load(acs).fadd(rv).store(acs);
+        }
+        scalar::add_diff_masked_means(rc.into_remainder(), lc.remainder(), gc.remainder(), mc.remainder(), ac.into_remainder(), 1);
+    }
+
+    /// FedSU's sweep, `N` chunks a register at chunk 1: the scalar loop's
+    /// branches become lane masks, each chunk's fold is its one lane (the
+    /// division by a length of 1 is left out, exact on the quiet result of
+    /// an operation), and a register's flags are its masks' sign bits. A
+    /// longer chunk's fold is one chain across lanes, which the scalar loop
+    /// runs.
+    #[inline(always)]
+    pub(super) unsafe fn sweep_chunks<V: Lanes>(rows: SweepRows<'_>, rule: SweepRule, flags: (&mut [u64], &mut [u64])) -> usize {
+        if rule.chunk != 1 {
+            return scalar::sweep_chunks(rows, rule, flags);
+        }
+        let SweepRows { global, prev_update, sum, remaining, observed, signed, magnitude } = rows;
+        let (zero, one, all, max) = (V::zero(), V::splat(1.0), V::splat(LANE_ON), V::splat(OBSERVED_MAX));
+        let (inv, theta, omt) = (V::splat(rule.inv), V::splat(rule.theta), V::splat(1.0 - rule.theta));
+        let (warmup, bound, eps) = (V::splat(rule.warmup), V::splat(rule.ratio_bound), V::splat(f32::EPSILON));
+        let (guard, abs) = (V::splat(1e-3), V::splat(f32::from_bits(0x7fff_ffff)));
+        // Whole registers of every row in one counted loop, the rest lane by
+        // lane.
+        let lens = [global.len(), prev_update.len(), sum.len(), remaining.len(), observed.len(), signed.len(), magnitude.len()];
+        let whole = lens.into_iter().min().unwrap_or(0) / V::N * V::N;
+        let ((v_main, v_rest), (p_main, p_rest)) = (cut_mut(global, whole), cut_mut(prev_update, whole));
+        let ((r_main, r_rest), (o_main, o_rest)) = (cut_mut(remaining, whole), cut_mut(observed, whole));
+        let ((s_main, s_rest), (m_main, m_rest)) = (cut_mut(signed, whole), cut_mut(magnitude, whole));
+        let (sum_main, sum_rest) = sum.split_at(whole.min(sum.len()));
+        let values = v_main.chunks_exact_mut(V::N).zip(p_main.chunks_exact_mut(V::N)).zip(sum_main.chunks_exact(V::N));
+        let counters = r_main.chunks_exact_mut(V::N).zip(o_main.chunks_exact_mut(V::N));
+        let state = counters.zip(s_main.chunks_exact_mut(V::N).zip(m_main.chunks_exact_mut(V::N)));
+        let (due_bits, entry_bits) = flags;
+        let mut due_next = zero;
+        // `N` divides 64, so a register's lanes are bits of one word.
+        for (lane0, (((vs, ps), sums), ((rs, os), (ss, ms)))) in (0..).step_by(V::N).zip(values.zip(state)) {
+            let r = V::load(rs);
+            let on = r.gt(zero);
+            let (v, p) = (V::load(vs), V::load(ps));
+            let avg = V::load(sums).fmul(inv);
+            let g = avg.fsub(v);
+            // A chunk of one folds its lane onto `+0.0` (a `−0.0` becomes
+            // `+0.0`); `|g|` is never `−0.0`, so its fold is `|g|` itself.
+            let second = zero.fadd(g.fsub(p));
+            let update = g.and(abs);
+            V::select(on, v, avg).store(vs);
+            V::select(on, p, g).store(ps);
+            let r = r.fsub(on.and(one));
+            let due = on.and(r.eq(zero));
+            r.store(rs);
+            due_next = due_next.fadd(on.and(r.eq(one)).and(one));
+            let o = V::load(os);
+            let skip = on.or(o.eq(zero));
+            let bumped = o.fadd(one);
+            let o = V::select(on, o, V::select(bumped.gt(max), max, bumped));
+            o.store(os);
+            let (s, m) = (V::load(ss), V::load(ms));
+            let s = V::select(skip, s, theta.fmul(s).fadd(omt.fmul(second)));
+            let m = V::select(skip, m, theta.fmul(m).fadd(omt.fmul(second.and(abs))));
+            s.store(ss);
+            m.store(ms);
+            let reject = m.gt(guard.fmul(update)).and(m.gt(eps)).and(s.and(abs).gt(m.fmul(bound)));
+            let candidate = skip.or(warmup.gt(o)).or(reject).andnot(all);
+            if let (Some(d), Some(e)) = (due_bits.get_mut(lane0 / 64), entry_bits.get_mut(lane0 / 64)) {
+                *d |= u64::from(due.movemask()) << (lane0 % 64);
+                *e |= u64::from(candidate.movemask()) << (lane0 % 64);
+            }
+        }
+        let rest = SweepRows {
+            global: v_rest,
+            prev_update: p_rest,
+            sum: sum_rest,
+            remaining: r_rest,
+            observed: o_rest,
+            signed: s_rest,
+            magnitude: m_rest,
+        };
+        lane_sum::<V>(due_next) + scalar::sweep_chunks_from(rest, rule, (due_bits, entry_bits), whole)
+    }
+
+    /// `s` cut after its first `mid` lanes (all of it if shorter).
+    #[inline(always)]
+    fn cut_mut(s: &mut [f32], mid: usize) -> (&mut [f32], &mut [f32]) {
+        let mid = mid.min(s.len());
+        s.split_at_mut(mid)
+    }
+
+    /// The sum of a register's lanes, each a small non-negative integer.
+    #[inline(always)]
+    unsafe fn lane_sum<V: Lanes>(v: V) -> usize {
+        let mut lanes = [0.0f32; MAX_N];
+        if let Some(lanes) = lanes.get_mut(..V::N) {
+            v.store(lanes);
+        }
+        lanes.iter().map(|&x| x as usize).sum()
     }
 
     /// The `W` accumulators of one `W·N`-column register block, resumed from
@@ -1037,7 +1308,8 @@ mod x86 {
 // Dispatched entry points
 // ---------------------------------------------------------------------------
 
-/// The kernel table, one row per kernel: `name: name_with[, name](args);`.
+/// The kernel table, one row per kernel: `name: name_with[, name](args)
+/// [-> ret];`.
 ///
 /// `name` is the kernel — `scalar::name` and the generic `x86::name::<V>`.
 /// Every row gets the level-pinned dispatcher `name_with(level, args)` and,
@@ -1049,34 +1321,34 @@ mod x86 {
 /// arms exist on x86-64 only; everywhere else every level runs the scalar
 /// kernel.
 macro_rules! kernels {
-    ($($(#[$doc:meta])* $name:ident: $($entry:ident),+ ($($arg:ident: $ty:ty),*);)*) => {
-        $(kernels!(@row $(#[$doc])* $name: $($entry),+ ($($arg: $ty),*));)*
+    ($($(#[$doc:meta])* $name:ident: $($entry:ident),+ ($($arg:ident: $ty:ty),*) $(-> $ret:ty)?;)*) => {
+        $(kernels!(@row $(#[$doc])* $name: $($entry),+ ($($arg: $ty),*) [$($ret)?]);)*
     };
-    (@row $(#[$doc:meta])* $name:ident: $with:ident, $plain:ident ($($arg:ident: $ty:ty),*)) => {
+    (@row $(#[$doc:meta])* $name:ident: $with:ident, $plain:ident ($($arg:ident: $ty:ty),*) [$($ret:ty)?]) => {
         $(#[$doc])*
-        pub fn $plain($($arg: $ty),*) {
-            $with(simd_level(), $($arg),*);
+        pub fn $plain($($arg: $ty),*) $(-> $ret)? {
+            $with(simd_level(), $($arg),*)
         }
 
-        kernels!(@row $(#[$doc])* $name: $with ($($arg: $ty),*));
+        kernels!(@row $(#[$doc])* $name: $with ($($arg: $ty),*) [$($ret)?]);
     };
-    (@row $(#[$doc:meta])* $name:ident: $with:ident ($($arg:ident: $ty:ty),*)) => {
+    (@row $(#[$doc:meta])* $name:ident: $with:ident ($($arg:ident: $ty:ty),*) [$($ret:ty)?]) => {
         $(#[$doc])*
         ///
         /// Level-pinned form, so tight loops resolve the level once. `level`
         /// must not exceed [`hardware_simd_level`] (both [`simd_level`] and
         /// [`set_simd_level`] guarantee this).
-        pub fn $with(level: SimdLevel, $($arg: $ty),*) {
+        pub fn $with(level: SimdLevel, $($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
             #[target_feature(enable = "avx2")]
-            unsafe fn avx2($($arg: $ty),*) {
+            unsafe fn avx2($($arg: $ty),*) $(-> $ret)? {
                 // SAFETY: this fn enables AVX2, which includes the AVX that
                 // `Lanes for __m256` requires.
                 unsafe { x86::$name::<std::arch::x86_64::__m256>($($arg),*) }
             }
             #[cfg(target_arch = "x86_64")]
             #[target_feature(enable = "sse2")]
-            unsafe fn sse2($($arg: $ty),*) {
+            unsafe fn sse2($($arg: $ty),*) $(-> $ret)? {
                 // SAFETY: this fn enables the SSE2 that `Lanes for __m128`
                 // requires.
                 unsafe { x86::$name::<std::arch::x86_64::__m128>($($arg),*) }
@@ -1166,6 +1438,43 @@ kernels! {
     /// four-row loop, `tb_row` ran 30–38 % slower on batch-1 products.
     /// Requires `k > 0`.
     tb_row4: tb_row4_with(c_rows: &mut [f32], a_rows: &[f32], b: &[f32], k: usize);
+
+    /// `acc[c] += sum(run c of x) / len(run c)` over `x`'s runs of `chunk`
+    /// consecutive scalars (the last may be short), each sum one ascending
+    /// chain from `−0.0`, as `f32::sum` folds: the per-chunk mean FedSU's
+    /// checks are made of, accumulated onto a chunk row. At chunk 1 a mean is
+    /// its one lane (`(−0.0 + x) / 1` is `x`), and this is `acc[c] += x[c]`.
+    add_chunk_means: add_chunk_means_with(acc: &mut [f32], x: &[f32], chunk: usize);
+
+    /// [`add_diff_masked_with`] on `r`, then [`add_chunk_means_with`] of the
+    /// updated `r` onto `acc` — in one pass over the rows at chunk 1. FedSU's
+    /// error pass for a client whose report a due check needs.
+    add_diff_masked_means: add_diff_masked_means_with(r: &mut [f32], l: &[f32], g: &[f32], m: &[f32], acc: &mut [f32], chunk: usize);
+
+    /// FedSU's countdown-and-update pass over the rows of [`SweepRows`],
+    /// chunk by chunk (`rule.chunk` scalars each, the last chunk possibly
+    /// short; the chunk rows hold one lane per chunk):
+    ///
+    /// * every scalar computes `avg = sum·inv` and `g = avg − global`; in a
+    ///   regular chunk `global = avg` and `prev_update = g`, in a speculative
+    ///   one both keep their exact bits. The chunk folds `g − prev_update`
+    ///   (the old one) and `|g|` over its scalars onto `+0.0` and divides by
+    ///   its length: its mean second difference and mean update magnitude.
+    /// * **speculative** chunk (`remaining > 0`): the countdown spends one
+    ///   round; its check (or fixed-period exit) is due when it reaches 0.
+    /// * **regular** chunk: the observation count rises by one, saturating
+    ///   at `u16::MAX`; unless this is the chunk's first observation the EMA
+    ///   pair folds in the mean second difference (`⟨x⟩ ← θ·⟨x⟩ + (1−θ)·x`,
+    ///   as `EmaPair::observe` does); past its warm-up the chunk is an entry
+    ///   candidate unless `rule.ratio_bound` rejects it.
+    ///
+    /// Chunk `c` sets bit `c` (bit `c % 64` of word `c / 64`) of `flags.0`
+    /// when its check is due and of `flags.1` when it is an entry candidate;
+    /// other bits are left as they are, and each row needs a bit for every
+    /// chunk. Returns how many speculative chunks are left with exactly one
+    /// round (the checks due next round). Vectorized at chunk 1; a longer
+    /// chunk's folds are chains across lanes, and it runs the scalar loop.
+    sweep_chunks: sweep_chunks_with(rows: SweepRows<'_>, rule: SweepRule, flags: (&mut [u64], &mut [u64])) -> usize;
 }
 
 #[cfg(test)]
@@ -1525,6 +1834,178 @@ mod tests {
                 tb_row4_with(level, &mut got, &a_rows, &b, k);
                 // Another compiled instance than `tb_row`'s: modulo NaN payload.
                 assert_bits_eq_mod_nan(&got, &want, &format!("tb_row4 {level:?} {cols}x{k}"));
+            }
+        }
+    }
+
+    /// Every length up to two AVX2 registers and one lane: empty, all
+    /// remainder, whole registers and both.
+    const SHORT_LENS: std::ops::RangeInclusive<usize> = 0..=17;
+
+    /// A decision-state lane pattern: counters at 0, 1, a few, one below and
+    /// at saturation; EMA lanes with ±0, ±inf, NaN and a subnormal.
+    fn planted_counts(len: usize, values: &[f32]) -> Vec<f32> {
+        (0..len).map(|i| values[i % values.len()]).collect()
+    }
+
+    fn planted_ema(len: usize, seed: u32) -> Vec<f32> {
+        let specials = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, f32::from_bits(3), 1e-6];
+        let mut xs = filled(len, seed);
+        for (i, x) in xs.iter_mut().enumerate().filter(|(i, _)| i % 3 == 0) {
+            *x = specials[i / 3 % specials.len()];
+        }
+        xs
+    }
+
+    #[test]
+    fn chunk_means_bit_identical_across_levels() {
+        for len in SHORT_LENS.chain([33, 1000]) {
+            for chunk in [1, 3] {
+                let x = filled(len, 151);
+                let g = filled(len, 157);
+                let m: Vec<f32> = (0..len).map(|i| if i % 4 == 1 { LANE_OFF } else { LANE_ON }).collect();
+                let n_chunks = len.div_ceil(chunk);
+                let mut want_acc = filled(n_chunks, 163);
+                scalar::add_chunk_means(&mut want_acc, &x, chunk);
+                let (mut want_r, mut want_racc) = (filled(len, 167), filled(n_chunks, 173));
+                scalar::add_diff_masked(&mut want_r, &x, &g, &m);
+                scalar::add_chunk_means(&mut want_racc, &want_r, chunk);
+                for level in levels() {
+                    let tag = format!("{level:?} len {len} chunk {chunk}");
+                    let mut acc = filled(n_chunks, 163);
+                    add_chunk_means_with(level, &mut acc, &x, chunk);
+                    assert_bits_eq(&acc, &want_acc, &format!("add_chunk_means {tag}"));
+                    let (mut r, mut racc) = (filled(len, 167), filled(n_chunks, 173));
+                    add_diff_masked_means_with(level, &mut r, &x, &g, &m, &mut racc, chunk);
+                    assert_bits_eq(&r, &want_r, &format!("add_diff_masked_means r {tag}"));
+                    assert_bits_eq(&racc, &want_racc, &format!("add_diff_masked_means acc {tag}"));
+                }
+            }
+        }
+        // Each mean folds from `−0.0`, the identity: a `−0.0` stays `−0.0`,
+        // where a fold from `+0.0` would make it `+0.0`. A run of three
+        // divides its sum by three.
+        for level in levels() {
+            let mut acc = [-0.0f32; 9];
+            add_chunk_means_with(level, &mut acc, &[-0.0; 9], 1);
+            assert!(acc.iter().all(|a| a.to_bits() == (-0.0f32).to_bits()), "{level:?}: {acc:?}");
+            let mut acc = [1.0f32, 2.0];
+            add_chunk_means_with(level, &mut acc, &[1.0, 2.0, 6.0, 4.0], 3);
+            assert_eq!(acc, [1.0 + 3.0, 2.0 + 4.0], "{level:?}: ragged last run");
+        }
+    }
+
+    /// The rows of a sweep over `len` scalars in chunks of `chunk`.
+    fn sweep_rows(len: usize, chunk: usize) -> [Vec<f32>; 7] {
+        let n_chunks = len.div_ceil(chunk);
+        [
+            filled(len, 181),
+            planted_ema(len, 191),
+            filled(len, 193),
+            planted_counts(n_chunks, &[0.0, 1.0, 2.0, 0.0, 7.0, 0.0]),
+            planted_counts(n_chunks, &[0.0, 1.0, 3.0, 65534.0, 65535.0, 2.0, 5.0]),
+            planted_ema(n_chunks, 197),
+            planted_ema(n_chunks, 199).iter().map(|m| m.abs()).collect(),
+        ]
+    }
+
+    /// The flagged chunks, ascending, each with whether its check is due.
+    type Flagged = Vec<(usize, bool)>;
+
+    /// Runs `sweep` on `rows` with cleared flag words and reads the flags.
+    fn sweep_with(rows: &mut [Vec<f32>; 7], sweep: impl FnOnce(SweepRows<'_>, (&mut [u64], &mut [u64])) -> usize) -> (Flagged, usize) {
+        let [global, prev_update, sum, remaining, observed, signed, magnitude] = rows;
+        let words = remaining.len().div_ceil(64);
+        let (mut due, mut entry) = (vec![0u64; words], vec![0u64; words]);
+        let rows = SweepRows { global, prev_update, sum, remaining, observed, signed, magnitude };
+        let due_next = sweep(rows, (&mut due, &mut entry));
+        let bit = |words: &[u64], c: usize| words[c / 64] >> (c % 64) & 1 == 1;
+        let flagged = (0..words * 64).filter(|&c| bit(&due, c) || bit(&entry, c)).map(|c| (c, bit(&due, c))).collect();
+        (flagged, due_next)
+    }
+
+    fn sweep(level: SimdLevel, rows: &mut [Vec<f32>; 7], rule: SweepRule) -> (Flagged, usize) {
+        sweep_with(rows, |rows, flags| sweep_chunks_with(level, rows, rule, flags))
+    }
+
+    #[test]
+    fn sweep_chunks_bit_identical_across_levels() {
+        for len in SHORT_LENS.chain([33, 1000]) {
+            for chunk in [1, 3] {
+                for ratio_bound in [0.25, f32::INFINITY] {
+                    let rule = SweepRule { chunk, inv: 1.0 / 3.0, theta: 0.9, warmup: 3.0, ratio_bound };
+                    let mut want = sweep_rows(len, chunk);
+                    let (want_flagged, want_due) = sweep_with(&mut want, |rows, flags| scalar::sweep_chunks(rows, rule, flags));
+                    for level in levels() {
+                        let tag = format!("{level:?} len {len} chunk {chunk} bound {ratio_bound}");
+                        let mut got = sweep_rows(len, chunk);
+                        let (flagged, due) = sweep(level, &mut got, rule);
+                        for (row, (g, w)) in got.iter().zip(&want).enumerate() {
+                            assert_bits_eq(g, w, &format!("sweep_chunks row {row} {tag}"));
+                        }
+                        assert_eq!((flagged, due), (want_flagged.clone(), want_due), "{tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_chunks_fold_second_differences_onto_plus_zero() {
+        // `avg = −0.0·inv`, `g = avg − (+0.0) = −0.0`, `g − prev = −0.0`:
+        // folded onto `+0.0` the chunk's mean second difference is `+0.0`, so
+        // `0.5·(−0.0) + 0.5·(+0.0)` leaves the signed EMA at `+0.0` (a fold
+        // from `−0.0` would leave `−0.0`).
+        for level in levels() {
+            for len in [1, 9, 17] {
+                let mut rows = [vec![0.0; len], vec![0.0; len], vec![-0.0; len], vec![0.0; len], vec![5.0; len], vec![-0.0; len], vec![0.0; len]];
+                let rule = SweepRule { chunk: 1, inv: 1.0, theta: 0.5, warmup: 9.0, ratio_bound: f32::INFINITY };
+                sweep(level, &mut rows, rule);
+                assert!(rows[5].iter().all(|s| s.to_bits() == 0), "{level:?} len {len}: {:?}", rows[5]);
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_chunks_counts_down_saturates_and_flags() {
+        // Six chunks of one scalar, repeated past two AVX2 registers:
+        // 0 speculates with two rounds left, 1 with one (its check is due),
+        // 2 is regular and never observed, 3 is regular at saturation, 4
+        // reaches its warm-up (3) now, 5 is one observation short of it.
+        const REMAINING: [f32; 6] = [2.0, 1.0, 0.0, 0.0, 0.0, 0.0];
+        const OBSERVED: [f32; 6] = [9.0, 9.0, 0.0, 65535.0, 2.0, 1.0];
+        let len = 18;
+        let rule = SweepRule { chunk: 1, inv: 0.5, theta: 0.75, warmup: 3.0, ratio_bound: f32::INFINITY };
+        for level in levels() {
+            let mut rows = [
+                vec![-0.0; len],
+                vec![0.5; len],
+                vec![3.0; len],
+                planted_counts(len, &REMAINING),
+                planted_counts(len, &OBSERVED),
+                vec![0.25; len],
+                vec![0.5; len],
+            ];
+            let (flagged, due_next) = sweep(level, &mut rows, rule);
+            let want: Flagged = (0..3).flat_map(|r| [(6 * r + 1, true), (6 * r + 3, false), (6 * r + 4, false)]).collect();
+            assert_eq!(flagged, want, "{level:?}: the due check and both chunks past warm-up, ascending");
+            assert_eq!(due_next, 3, "{level:?}: one chunk a pattern has one round left");
+            let [global, prev_update, _, remaining, observed, signed, magnitude] = &rows;
+            for i in 0..len {
+                let (was_left, was_seen) = (REMAINING[i % 6], OBSERVED[i % 6]);
+                let on = was_left > 0.0;
+                // Off the mask `avg = 1.5` and `g = 1.5 − (−0.0)`: the second
+                // difference is `1.0`.
+                let (want_global, want_prev) = if on { (-0.0f32, 0.5) } else { (1.5, 1.5) };
+                assert_eq!(global[i].to_bits(), want_global.to_bits(), "{level:?} lane {i}");
+                assert_eq!(prev_update[i], want_prev, "{level:?} lane {i}");
+                assert_eq!(remaining[i], if on { was_left - 1.0 } else { 0.0 }, "{level:?} lane {i}");
+                let want_seen = if on { was_seen } else { (was_seen + 1.0).min(65535.0) };
+                assert_eq!(observed[i], want_seen, "{level:?} lane {i}");
+                // `⟨x⟩ ← 0.75·⟨x⟩ + 0.25·1.0`, except at a first observation.
+                let observes = !on && was_seen > 0.0;
+                let (want_s, want_m) = if observes { (0.4375, 0.625) } else { (0.25, 0.5) };
+                assert_eq!((signed[i], magnitude[i]), (want_s, want_m), "{level:?} lane {i}");
             }
         }
     }
