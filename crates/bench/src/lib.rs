@@ -17,7 +17,7 @@
 
 #![warn(missing_docs)]
 
-use fedsu_core::{FedSu, MaskEvent};
+use fedsu_core::FedSu;
 use fedsu_fl::{Experiment, ExperimentResult, FaultConfig};
 use fedsu_nn::models::ModelPreset;
 use fedsu_repro::scenario::{ModelKind, Scenario};
@@ -126,11 +126,6 @@ pub fn fedsu_of(experiment: &Experiment) -> Option<&FedSu> {
     experiment.strategy().as_any()?.downcast_ref::<FedSu>()
 }
 
-/// Mask-transition events of a finished FedSU experiment.
-pub fn fedsu_events(experiment: &Experiment) -> Vec<MaskEvent> {
-    fedsu_of(experiment).map(|f| f.events().to_vec()).unwrap_or_default()
-}
-
 /// Prints a time-to-accuracy series the way the paper's figures report it:
 /// one row per evaluation round with emulated time, accuracy and the
 /// sparsification ratio.
@@ -199,7 +194,6 @@ mod tests {
         let r = e.run(None).unwrap();
         assert_eq!(r.rounds.len(), w.rounds);
         assert!(fedsu_of(&e).is_some());
-        let _ = fedsu_events(&e);
         assert!(summary_line(&r).contains("fedsu"));
     }
 

@@ -3,7 +3,7 @@
 use crate::schedule::LrSchedule;
 use crate::{FlError, Result};
 use fedsu_data::Batcher;
-use fedsu_nn::flat::{flatten_params, load_params, param_count};
+use fedsu_nn::flat::{load_params, param_count};
 use fedsu_nn::loss::softmax_cross_entropy;
 use fedsu_nn::optim::Sgd;
 use fedsu_nn::{Layer, Sequential};
@@ -96,11 +96,6 @@ impl Client {
         self.param_count
     }
 
-    /// Number of local training samples.
-    pub fn num_samples(&self) -> usize {
-        self.batcher.len()
-    }
-
     /// Loads global parameters into the local model (the "pull" step).
     ///
     /// # Errors
@@ -142,14 +137,8 @@ impl Client {
         Ok(mean)
     }
 
-    /// Flattened local parameters (the "push" payload before sparsification).
-    pub fn local_params(&self) -> Vec<f32> {
-        flatten_params(&self.model)
-    }
-
-    /// Copies the flattened local parameters into `out`, reusing its
-    /// allocation — the steady-round upload-staging counterpart of
-    /// [`Client::local_params`].
+    /// Copies the flattened local parameters (the "push" payload before
+    /// sparsification) into `out`, reusing its allocation.
     pub fn local_params_into(&self, out: &mut Vec<f32>) {
         fedsu_nn::flat::flatten_params_into(&self.model, out);
     }
@@ -164,6 +153,7 @@ impl Client {
 mod tests {
     use super::*;
     use fedsu_data::{InMemoryDataset, SyntheticConfig};
+    use fedsu_nn::flat::flatten_params;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
@@ -200,17 +190,17 @@ mod tests {
         let n = c.param_count();
         let values: Vec<f32> = (0..n).map(|i| (i as f32 * 0.01).sin()).collect();
         c.pull(&values).unwrap();
-        assert_eq!(c.local_params(), values);
+        assert_eq!(flatten_params(&c.model), values);
         assert!(c.pull(&[0.0]).is_err());
     }
 
     #[test]
     fn train_round_changes_params_and_returns_finite_loss() {
         let mut c = toy_client(2);
-        let before = c.local_params();
+        let before = flatten_params(&c.model);
         let loss = c.train_round(0).unwrap();
         assert!(loss.is_finite() && loss > 0.0);
-        assert_ne!(before, c.local_params());
+        assert_ne!(before, flatten_params(&c.model));
     }
 
     #[test]
@@ -228,7 +218,7 @@ mod tests {
     fn ids_and_sizes_are_reported() {
         let c = toy_client(4);
         assert_eq!(c.id(), 7);
-        assert_eq!(c.num_samples(), 30);
+        assert_eq!(c.batcher.len(), 30);
         assert!(c.param_count() > 0);
     }
 }

@@ -12,8 +12,6 @@ pub struct ClusterConfig {
     pub n_clients: usize,
     /// Link between each client and the server.
     pub client_link: Link,
-    /// The server's own link (aggregation-side serialization).
-    pub server_link: Link,
     /// Sigma of the lognormal compute-speed factor across clients
     /// (0 = homogeneous devices).
     pub compute_sigma: f64,
@@ -24,13 +22,13 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// Mirrors the paper's testbed shape at a configurable client count:
-    /// FedScale-average client links, datacenter server, modest device
-    /// heterogeneity.
+    /// FedScale-average client links and modest device heterogeneity. Only
+    /// the client link is charged: the server's side of a transfer is not
+    /// modelled.
     pub fn paper_like(n_clients: usize) -> Self {
         ClusterConfig {
             n_clients,
             client_link: Link::fedscale_client(),
-            server_link: Link::datacenter_server(),
             compute_sigma: 0.25,
             bandwidth_trace: BandwidthTrace::Constant,
         }
@@ -89,11 +87,6 @@ impl Cluster {
         let mut link = self.config.client_link;
         link.bandwidth_mbps *= self.config.bandwidth_trace.factor(client, round);
         link
-    }
-
-    /// The server-side link.
-    pub fn server_link(&self) -> Link {
-        self.config.server_link
     }
 }
 

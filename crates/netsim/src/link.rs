@@ -16,11 +16,6 @@ impl Link {
         Link { bandwidth_mbps: 13.7, latency_ms: 50.0 }
     }
 
-    /// The paper's server link: 10 Gbps datacenter NIC.
-    pub fn datacenter_server() -> Self {
-        Link { bandwidth_mbps: 10_000.0, latency_ms: 1.0 }
-    }
-
     /// Seconds to transfer `bytes` over this link (latency + serialization).
     ///
     /// Zero bytes still pay the latency (a control message), except that a
@@ -51,11 +46,6 @@ mod tests {
     fn latency_applies_to_small_messages() {
         let l = Link { bandwidth_mbps: 1000.0, latency_ms: 100.0 };
         assert!(l.transfer_secs(0) >= 0.1);
-    }
-
-    #[test]
-    fn paper_links_are_asymmetric() {
-        assert!(Link::datacenter_server().transfer_secs(1_000_000) < Link::fedscale_client().transfer_secs(1_000_000));
     }
 
     #[test]

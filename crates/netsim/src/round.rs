@@ -55,11 +55,6 @@ impl RoundTimer {
         RoundTimer { cluster: cluster.clone(), select_fraction }
     }
 
-    /// Number of clients aggregated per round.
-    pub fn selected_count(&self) -> usize {
-        select_k(self.cluster.n_clients(), self.select_fraction)
-    }
-
     /// Computes one round's timing at the given round index (which selects
     /// the cluster's bandwidth-trace sample).
     ///
@@ -159,7 +154,6 @@ mod tests {
     fn selects_fraction_of_clients() {
         let c = homogeneous(10);
         let t = RoundTimer::new(&c, 0.7);
-        assert_eq!(t.selected_count(), 7);
         let o = clean_round(&t, &[1.0; 10], &[0; 10], &[0; 10], &[true; 10]);
         assert_eq!(o.selected.len(), 7);
     }
@@ -224,7 +218,8 @@ mod tests {
     fn at_least_one_client_selected() {
         let c = homogeneous(2);
         let t = RoundTimer::new(&c, 0.01);
-        assert_eq!(t.selected_count(), 1);
+        let o = clean_round(&t, &[1.0; 2], &[0; 2], &[0; 2], &[true; 2]);
+        assert_eq!(o.selected.len(), 1);
     }
 }
 

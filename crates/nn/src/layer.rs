@@ -29,11 +29,6 @@ impl Param {
     pub fn is_empty(&self) -> bool {
         self.value.is_empty()
     }
-
-    /// Zeroes the accumulated gradient.
-    pub fn zero_grad(&mut self) {
-        self.grad.fill(0.0);
-    }
 }
 
 /// A neural-network layer with explicit forward and backward passes.
@@ -132,14 +127,6 @@ mod tests {
         assert_eq!(p.grad.data(), &[0.0, 0.0, 0.0]);
         assert_eq!(p.len(), 3);
         assert!(!p.is_empty());
-    }
-
-    #[test]
-    fn zero_grad_resets() {
-        let mut p = Param::new(Tensor::ones(&[2]));
-        p.grad.data_mut()[0] = 5.0;
-        p.zero_grad();
-        assert_eq!(p.grad.data(), &[0.0, 0.0]);
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl Apf {
             self.frozen_rounds.resize(n, 0);
         }
     }
-
-    /// Number of currently frozen scalars.
-    pub fn frozen_count(&self) -> usize {
-        self.freeze_remaining.iter().filter(|&&r| r > 0).count()
-    }
 }
 
 impl Default for Apf {
@@ -220,6 +215,11 @@ mod tests {
         apf.aggregate(round, locals, &sel, &active, global)
     }
 
+    /// Number of currently frozen scalars.
+    fn frozen(apf: &Apf) -> usize {
+        apf.freeze_remaining.iter().filter(|&&r| r > 0).count()
+    }
+
     #[test]
     fn unfrozen_params_average_normally() {
         let mut apf = Apf::default();
@@ -247,7 +247,7 @@ mod tests {
             }
         }
         assert!(frozen_seen, "oscillating scalar should freeze");
-        assert!(apf.frozen_count() <= 1);
+        assert!(frozen(&apf) <= 1);
         // The steady scalar kept moving.
         assert!(global[1] > 20.0, "steady scalar froze wrongly: {}", global[1]);
     }
@@ -282,7 +282,7 @@ mod tests {
         // Round 0: zero update -> perturbation 0 -> freezes immediately.
         let locals = vec![vec![5.0]];
         run_round(&mut apf, &locals, &mut global, 0);
-        assert_eq!(apf.frozen_count(), 1);
+        assert_eq!(frozen(&apf), 1);
         // Round 1: client drifts wildly; frozen scalar must hold.
         let locals = vec![vec![100.0]];
         run_round(&mut apf, &locals, &mut global, 1);

@@ -117,11 +117,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Consumes the tensor, returning its data and shape buffers so both
     /// allocations can be recycled (see [`crate::pool::recycle`]).
     pub fn into_parts(self) -> (Vec<f32>, Vec<usize>) {
@@ -435,7 +430,7 @@ mod tests {
         assert_eq!(s, &[1.0, 2.0]);
         let c: Tensor = [1.0f32, 2.0, 3.0].into_iter().collect();
         assert_eq!(c.len(), 3);
-        assert_eq!(c.into_vec(), vec![1.0, 2.0, 3.0]);
+        assert_eq!(c.data(), &[1.0, 2.0, 3.0]);
     }
 }
 

@@ -34,8 +34,8 @@ use fedsu_netsim::{FaultPlan, WireFrame};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// Counters of what the chaos decorator did toward one peer
-/// ([`Chaos::stats_for`]) or all peers summed ([`Chaos::stats`]).
+/// Counters of what the chaos decorator did, kept per peer and read
+/// summed over all peers ([`Chaos::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosStats {
     /// Frames offered to the decorator.
@@ -266,11 +266,6 @@ impl<L: Link> Chaos<L> {
             .fold(ChaosStats::default(), |acc, s| acc.merged(&s.lock().stats))
     }
 
-    /// Decorator counters for the link toward one peer.
-    pub fn stats_for(&self, peer: usize) -> ChaosStats {
-        self.peers.get(peer).map(|s| s.lock().stats).unwrap_or_default()
-    }
-
     /// The wrapped link.
     pub fn inner(&self) -> &L {
         &self.inner
@@ -465,7 +460,7 @@ mod tests {
         assert!(total.drops > 0 && total.drops < 64, "p=0.5 must land strictly between");
         let mut per_client_drops = Vec::new();
         for c in 0..4 {
-            per_client_drops.push(chaos.stats_for(c).drops);
+            per_client_drops.push(chaos.peers[c].lock().stats.drops);
         }
         assert!(
             per_client_drops.iter().any(|&d| d != per_client_drops[0])
