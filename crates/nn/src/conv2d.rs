@@ -18,7 +18,9 @@ use rand::Rng;
 /// measured on roundbench's `train_cnn` (3 alternating 12 s pairs on a
 /// 2-vCPU host, results unchanged) at p50 11.64–12.08 ms against
 /// 10.95–11.30 ms, and `peak_rss_mb` 59.7 against 48.4 — the cached columns
-/// fall out of L2 before the backward reads them. Column/gradient matrices
+/// fall out of L2 before the backward reads them; that was measured before
+/// the one-span-per-tap lowering made `im2col` about three times cheaper,
+/// which only widens the margin. Column/gradient matrices
 /// live in scratch buffers owned by the layer, so steady-state
 /// forward/backward passes do no per-sample allocation.
 #[derive(Debug)]

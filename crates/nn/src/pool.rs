@@ -35,9 +35,31 @@ fn cache_shape(shape: &[usize]) -> Vec<usize> {
     cached
 }
 
+/// One step of a max-pool window scan: the `(value, flat index)` kept after
+/// `next`. The later value replaces the kept one only where it is greater,
+/// or a NaN after a number; a tie keeps the earlier, and so does a kept NaN.
+fn max_step(best: (f32, usize), next: (f32, usize)) -> (f32, usize) {
+    if best.0.is_nan() || next.0 <= best.0 {
+        best
+    } else {
+        next
+    }
+}
+
+/// [`max_step`] where neither value is NaN: one compare and a select.
+fn max_step_numbers(best: (f32, usize), next: (f32, usize)) -> (f32, usize) {
+    if next.0 > best.0 {
+        next
+    } else {
+        best
+    }
+}
+
 /// Non-overlapping max pooling with square window `k` and stride `k`.
 ///
-/// Input spatial dims must be divisible by `k`.
+/// Input spatial dims must be divisible by `k`. Each window's output is its
+/// first maximum in row-major order, or its first NaN; backward routes the
+/// window's gradient to that element.
 #[derive(Debug)]
 pub struct MaxPool2d {
     k: usize,
@@ -67,27 +89,37 @@ impl Layer for MaxPool2d {
         let (oh, ow) = (h / k, w / k);
         let mut out = pool::pooled_zeros(&[n, c, oh, ow]);
         let mut arg = pool::take_usize_buf(n * c * oh * ow);
-        // Each window is scanned row by row, left to right, so a tie keeps
-        // the first maximum in that order.
+        // Each window is scanned row by row, left to right, from its own
+        // first element: a tie keeps the first maximum in that order, and
+        // the first NaN wins (see `max_step`).
         let planes = input.data().chunks_exact(h * w);
         let outs = out.data_mut().chunks_exact_mut(oh * ow).zip(arg.chunks_exact_mut(oh * ow));
         for (img, (plane, (oplane, aplane))) in planes.zip(outs).enumerate() {
             let obands = oplane.chunks_exact_mut(ow).zip(aplane.chunks_exact_mut(ow));
             for (oy, (band, (orow, arow))) in plane.chunks_exact(k * w).zip(obands).enumerate() {
                 let band_start = (img * h + oy * k) * w;
-                for (ox, (o, a)) in orow.iter_mut().zip(arow.iter_mut()).enumerate() {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
-                    for (dy, row) in band.chunks_exact(w).enumerate() {
-                        for (x, &v) in row.iter().enumerate().skip(ox * k).take(k) {
-                            if v > best {
-                                best = v;
-                                best_idx = band_start + dy * w + x;
-                            }
-                        }
+                // A band without NaN (every band, in training that has not
+                // diverged) takes the one-compare step; it agrees with
+                // `max_step` wherever no NaN is seen.
+                let nan = band.iter().fold(false, |any, v| any | v.is_nan());
+                if let (2, false, Some((r0, r1))) = (k, nan, band.split_at_checked(w)) {
+                    // The paper CNN's window, straight-line.
+                    let cells = r0.chunks_exact(2).zip(r1.chunks_exact(2)).zip(orow.iter_mut().zip(arow.iter_mut()));
+                    for (ox, ((top, bottom), (o, a))) in cells.enumerate() {
+                        let (&[t0, t1], &[b0, b1]) = (top, bottom) else { continue };
+                        let i = band_start + 2 * ox;
+                        let best = max_step_numbers(max_step_numbers((t0, i), (t1, i + 1)), (b0, i + w));
+                        (*o, *a) = max_step_numbers(best, (b1, i + w + 1));
                     }
-                    *o = best;
-                    *a = best_idx;
+                    continue;
+                }
+                for (ox, (o, a)) in orow.iter_mut().zip(arow.iter_mut()).enumerate() {
+                    let mut window = band.chunks_exact(w).enumerate().flat_map(|(dy, row)| {
+                        let start = band_start + dy * w;
+                        (ox * k..(ox + 1) * k).zip(row.get(ox * k..).unwrap_or(&[])).map(move |(x, &v)| (v, start + x))
+                    });
+                    let Some(first) = window.next() else { continue };
+                    (*o, *a) = window.fold(first, max_step);
                 }
             }
         }
@@ -300,6 +332,54 @@ mod tests {
         p.forward(&x, true).unwrap();
         let dx = p.backward(&Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]).unwrap()).unwrap();
         assert_eq!(dx.data(), &[0.0, 0.0, 0.0, 5.0]);
+    }
+
+    /// A window with no number above `−inf` routes its gradient inside
+    /// itself, and a NaN anywhere in a window is its output.
+    #[test]
+    fn maxpool_all_nan_and_all_neg_inf_windows_route_inside_themselves() {
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        for k in [2usize, 3] {
+            // Four windows side by side: finite, all NaN, all −inf, and
+            // −inf with one NaN in its last row.
+            let w = 4 * k;
+            let mut x = vec![0.0f32; k * w];
+            for (i, v) in x.iter_mut().enumerate() {
+                let (row, window) = (i / w, i % w / k);
+                *v = match window {
+                    0 => i as f32,
+                    1 => nan,
+                    2 => ninf,
+                    _ if row == k - 1 && i % k == 1 => nan,
+                    _ => ninf,
+                };
+            }
+            let mut p = MaxPool2d::new(k);
+            let y = p.forward(&Tensor::from_vec(x, &[1, 1, k, w]).unwrap(), true).unwrap();
+            let y = y.data();
+            assert_eq!(y[0], ((k - 1) * w + k - 1) as f32, "k={k}");
+            assert!(y[1].is_nan() && y[3].is_nan(), "k={k}: {y:?}");
+            assert_eq!(y[2], ninf, "k={k}");
+            let dx = p.backward(&Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 1, 4]).unwrap()).unwrap();
+            let mut want = vec![0.0f32; k * w];
+            want[(k - 1) * w + k - 1] = 1.0;
+            want[k] = 2.0; // the all-NaN window's first element
+            want[2 * k] = 3.0; // the all-−inf window's first element
+            want[(k - 1) * w + 3 * k + 1] = 4.0; // the NaN
+            assert_eq!(dx.data(), want.as_slice(), "k={k}");
+
+            // Without a NaN in the band: a finite window and an all-−inf one.
+            let x: Vec<f32> = (0..k * 2 * k).map(|i| if i % (2 * k) < k { -(i as f32) } else { ninf }).collect();
+            let mut p = MaxPool2d::new(k);
+            let y = p.forward(&Tensor::from_vec(x, &[1, 1, k, 2 * k]).unwrap(), true).unwrap();
+            assert_eq!(y.data(), &[-0.0, ninf], "k={k}");
+            assert_eq!(y.data()[0].to_bits(), (-0.0f32).to_bits(), "k={k}: the window's first maximum");
+            let dx = p.backward(&Tensor::from_vec(vec![1.0, 2.0], &[1, 1, 1, 2]).unwrap()).unwrap();
+            let mut want = vec![0.0f32; k * 2 * k];
+            want[0] = 1.0;
+            want[k] = 2.0;
+            assert_eq!(dx.data(), want.as_slice(), "k={k}");
+        }
     }
 
     #[test]

@@ -9,8 +9,17 @@
 //! caller-provided buffers, so per-sample forward/backward loops can reuse
 //! one scratch allocation instead of allocating a fresh column matrix per
 //! call.
+//!
+//! A stride-1 "same" conv (`out_h == in_h`, `out_w == in_w`) moves each
+//! kernel tap as one span: its im2col row is the channel plane shifted by
+//! `(ky−p)·w + (kx−p)`, so the gather is one copy and the scatter one
+//! NaN-holding add per tap, with the wrapped edge columns fixed up (zeroed,
+//! or made `−0.0` before the add). Every other geometry moves one output
+//! row at a time. Both give every element the same value and every image
+//! element the same adds in the same order (DESIGN.md §10, §10.1).
 
 use crate::{simd, Result, Tensor, TensorError};
+use std::ops::Range;
 
 /// Geometry of a 2-D convolution, shared by forward and backward passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +66,13 @@ impl ConvDims {
         self.out_h() * self.out_w()
     }
 
+    /// Whether every tap row is one shifted span of its channel plane:
+    /// stride 1 with "same" output (`out_h == in_h`, `out_w == in_w`).
+    /// Valid geometry only.
+    fn is_same_stride1(&self) -> bool {
+        self.stride == 1 && self.out_h() == self.in_h && self.out_w() == self.in_w
+    }
+
     fn validate(&self) -> Result<()> {
         if self.kernel == 0 || self.stride == 0 {
             return Err(TensorError::InvalidArgument(
@@ -95,6 +111,111 @@ fn tap_col_range(dims: &ConvDims, kx: usize) -> (usize, usize) {
     let lo = if dims.padding > kx { (dims.padding - kx).div_ceil(dims.stride) } else { 0 };
     let hi = ((dims.in_w - 1 + dims.padding - kx) / dims.stride + 1).min(dims.out_w());
     (lo.min(hi), hi)
+}
+
+/// Where one tap `(ky, kx)` of a stride-1 "same" conv reads its plane.
+/// Output position `o = oy·w + ox` of the tap row reads plane element
+/// `o + lead − pad`, where `lead = ky·w + kx` and `pad = p·w + p`: the row
+/// is the plane shifted by `(ky−p)·w + (kx−p)`.
+#[derive(Debug)]
+struct TapSpan {
+    /// Output positions whose source row is inside the image:
+    /// `y0·w..y1·w`.
+    rows: Range<usize>,
+    /// The part of `rows` whose shifted source lies inside the plane.
+    span: Range<usize>,
+    /// `lead` and `pad` above; `span.start + lead ≥ pad`.
+    lead: usize,
+    pad: usize,
+    /// The output columns whose source column is outside the image: in the
+    /// rows of `rows` they read a neighbouring image row (they wrap). At
+    /// most `p` columns, on one side.
+    wrapped: Range<usize>,
+    w: usize,
+}
+
+impl TapSpan {
+    fn new(dims: &ConvDims, ky: usize, kx: usize) -> TapSpan {
+        let (h, w, p) = (dims.in_h, dims.in_w, dims.padding);
+        let y0 = p.saturating_sub(ky).min(h);
+        let y1 = (h + p).saturating_sub(ky).clamp(y0, h);
+        let (lead, pad) = (ky * w + kx, p * w + p);
+        let lo = (y0 * w).max(pad.saturating_sub(lead));
+        let hi = (y1 * w).min((h * w + pad).saturating_sub(lead)).max(lo);
+        // Columns `c0..c1` read inside the image; `kx < p` wraps on the
+        // left, `kx > p` on the right.
+        let c0 = p.saturating_sub(kx).min(w);
+        let c1 = (w + p).saturating_sub(kx).clamp(c0, w);
+        let wrapped = if c0 > 0 { 0..c0 } else { c1..w };
+        TapSpan { rows: y0 * w..y1 * w, span: lo..hi, lead, pad, wrapped, w }
+    }
+
+    /// The plane positions the output positions `o..o + len` read.
+    fn source(&self, o: usize, len: usize) -> Range<usize> {
+        let start = o + self.lead - self.pad;
+        start..start + len
+    }
+
+    /// Writes `value` at every wrapped position of `row` (a stretch of the
+    /// tap row that starts at output position `from`), one column at a time
+    /// down the rows: at most `p` strided stores per row.
+    fn fill_wrapped(&self, row: &mut [f32], from: usize, value: f32) {
+        let Some(step) = std::num::NonZeroUsize::new(self.w) else { return };
+        for c in self.wrapped.clone() {
+            // The first position of column `c` in `rows` at or after `from`.
+            let first = self.rows.start + c;
+            let first = first + from.saturating_sub(first).div_ceil(step.get()) * step.get();
+            let end = self.rows.end.min(from + row.len());
+            for pos in (first..end).step_by(step.get()) {
+                if let Some(x) = row.get_mut(pos - from) {
+                    *x = value;
+                }
+            }
+        }
+    }
+}
+
+/// Scratch length of one [`simd::scatter_add_with`] call of
+/// [`scatter_tap_span`]: a tap row longer than this is scattered in pieces
+/// (the CNN's planes, 784 and 196 long, take one).
+const SPAN_CHUNK: usize = 1024;
+
+/// [`gather_tap`] for a stride-1 "same" conv: one copy of the shifted
+/// plane, then `+0.0` over the wrapped edge columns and the out-of-image
+/// rows — every element of `out_row` is written, so the buffer needs no
+/// zero-fill first.
+fn gather_tap_span(chan: &[f32], out_row: &mut [f32], dims: &ConvDims, ky: usize, kx: usize) {
+    let tap = TapSpan::new(dims, ky, kx);
+    let span = tap.span.clone();
+    if let (Some(dst), Some(src)) = (out_row.get_mut(span.clone()), chan.get(tap.source(span.start, span.len()))) {
+        dst.copy_from_slice(src);
+    }
+    tap.fill_wrapped(out_row, 0, 0.0);
+    let (top, bottom) = out_row.split_at_mut(tap.rows.end.min(out_row.len()));
+    top.get_mut(..tap.rows.start).unwrap_or_default().fill(0.0);
+    bottom.fill(0.0);
+}
+
+/// [`scatter_tap`] for a stride-1 "same" conv: one NaN-holding
+/// [`simd::scatter_add_with`] of the tap row onto the shifted plane (per
+/// [`SPAN_CHUNK`] positions). The row goes through `buf`, a copy whose
+/// wrapped edge columns are `−0.0`: `x + (−0.0)` is `x` bit for bit for
+/// every non-NaN `x` (`+0.0` would turn `x = −0.0` into `+0.0`), and the
+/// scatter holds a NaN `x` unchanged, so the image elements those columns
+/// land on receive nothing, and every other one receives exactly the add
+/// of the per-row path.
+fn scatter_tap_span(chan: &mut [f32], in_row: &[f32], dims: &ConvDims, ky: usize, kx: usize, level: simd::SimdLevel, buf: &mut [f32; SPAN_CHUNK]) {
+    let tap = TapSpan::new(dims, ky, kx);
+    let span = tap.span.clone();
+    for start in span.clone().step_by(SPAN_CHUNK) {
+        let end = (start + SPAN_CHUNK).min(span.end);
+        let (Some(x), Some(src)) = (buf.get_mut(..end - start), in_row.get(start..end)) else { continue };
+        x.copy_from_slice(src);
+        tap.fill_wrapped(x, start, -0.0);
+        if let Some(y) = chan.get_mut(tap.source(start, end - start)) {
+            simd::scatter_add_with(level, y, x);
+        }
+    }
 }
 
 /// Copies one kernel tap `(ky, kx)` of `chan` into its im2col row:
@@ -144,10 +265,9 @@ fn gather_tap(chan: &[f32], out_row: &mut [f32], dims: &ConvDims, ky: usize, kx:
 /// add is required (not plain `+=`): one image element accumulates taps
 /// across several calls whose vector/remainder split shifts with `kx`, so
 /// only an operand-order-independent add keeps every SIMD level bit-exact.
-fn scatter_tap(chan: &mut [f32], in_row: &[f32], dims: &ConvDims, ky: usize, kx: usize) {
+fn scatter_tap(chan: &mut [f32], in_row: &[f32], dims: &ConvDims, ky: usize, kx: usize, level: simd::SimdLevel) {
     let out_w = dims.out_w();
     let (lo, hi) = tap_col_range(dims, kx);
-    let level = simd::simd_level();
     for (oy, irow_vals) in in_row.chunks_exact(out_w).enumerate() {
         let Some(iy) = (oy * dims.stride + ky).checked_sub(dims.padding) else {
             continue;
@@ -193,7 +313,12 @@ pub fn im2col_into(image: &[f32], dims: &ConvDims, out: &mut Vec<f32>) -> Result
     dims.check_image_len(image.len())?;
     let cols = dims.col_cols();
     let rows = dims.col_rows();
-    out.clear();
+    // The span path writes every element; the per-row path only the
+    // in-image ones, over a zero-filled buffer.
+    let span = dims.is_same_stride1();
+    if !span {
+        out.clear();
+    }
     out.resize(rows * cols, 0.0);
     let plane = dims.in_h * dims.in_w;
     if plane > 0 {
@@ -201,7 +326,10 @@ pub fn im2col_into(image: &[f32], dims: &ConvDims, out: &mut Vec<f32>) -> Result
         for chan in image.chunks_exact(plane) {
             for ky in 0..dims.kernel {
                 for kx in 0..dims.kernel {
-                    if let Some(out_row) = tap_rows.next() {
+                    let Some(out_row) = tap_rows.next() else { continue };
+                    if span {
+                        gather_tap_span(chan, out_row, dims, ky, kx);
+                    } else {
                         gather_tap(chan, out_row, dims, ky, kx);
                     }
                 }
@@ -249,12 +377,18 @@ pub fn col2im_into(cols: &[f32], image: &mut [f32], dims: &ConvDims) -> Result<(
 
     let plane = dims.in_h * dims.in_w;
     if plane > 0 && n_cols > 0 {
+        let span = dims.is_same_stride1();
+        let level = simd::simd_level();
+        let mut buf = [0.0f32; SPAN_CHUNK];
         let mut tap_rows = cols.chunks_exact(n_cols);
         for chan in image.chunks_exact_mut(plane) {
             for ky in 0..dims.kernel {
                 for kx in 0..dims.kernel {
-                    if let Some(in_row) = tap_rows.next() {
-                        scatter_tap(chan, in_row, dims, ky, kx);
+                    let Some(in_row) = tap_rows.next() else { continue };
+                    if span {
+                        scatter_tap_span(chan, in_row, dims, ky, kx, level, &mut buf);
+                    } else {
+                        scatter_tap(chan, in_row, dims, ky, kx, level);
                     }
                 }
             }
@@ -396,10 +530,9 @@ mod tests {
         out
     }
 
-    /// Brute-force col2im adjoint of [`im2col_ref`].
-    fn col2im_ref(cols: &[f32], d: &ConvDims) -> Vec<f32> {
+    /// Brute-force col2im adjoint of [`im2col_ref`], scattered onto `img`.
+    fn col2im_ref(cols: &[f32], d: &ConvDims, mut img: Vec<f32>) -> Vec<f32> {
         let (oh, ow) = (d.out_h(), d.out_w());
-        let mut img = vec![0.0f32; d.in_channels * d.in_h * d.in_w];
         let mut row = 0usize;
         for c in 0..d.in_channels {
             for ky in 0..d.kernel {
@@ -428,9 +561,12 @@ mod tests {
 
     #[test]
     fn tap_kernels_bit_identical_to_bruteforce_across_levels() {
-        // Geometry sweep covering stride-1 (vector path), strided fallback,
-        // padding larger than kernel offsets, and odd widths; inputs plant
-        // NaN/±inf/-0.0 so the copies/adds face the full IEEE surface.
+        // Geometry sweep covering the stride-1 "same" span path (the CNN's
+        // two convs, a plane narrower than the padding, odd widths), the
+        // per-row path (strided, and a stride-1 conv that shrinks), padding
+        // larger than kernel offsets; inputs plant NaN/±inf/-0.0, in the
+        // image col2im scatters onto too, so the copies/adds face the full
+        // IEEE surface.
         let geoms = [
             ConvDims { in_channels: 2, in_h: 5, in_w: 7, kernel: 3, stride: 1, padding: 1 },
             ConvDims { in_channels: 1, in_h: 9, in_w: 9, kernel: 3, stride: 2, padding: 1 },
@@ -438,6 +574,10 @@ mod tests {
             ConvDims { in_channels: 3, in_h: 6, in_w: 11, kernel: 5, stride: 1, padding: 2 },
             ConvDims { in_channels: 1, in_h: 3, in_w: 3, kernel: 3, stride: 3, padding: 2 },
             ConvDims { in_channels: 1, in_h: 1, in_w: 17, kernel: 1, stride: 1, padding: 0 },
+            ConvDims { in_channels: 1, in_h: 28, in_w: 28, kernel: 5, stride: 1, padding: 2 },
+            ConvDims { in_channels: 6, in_h: 14, in_w: 14, kernel: 5, stride: 1, padding: 2 },
+            ConvDims { in_channels: 2, in_h: 3, in_w: 2, kernel: 5, stride: 1, padding: 2 },
+            ConvDims { in_channels: 1, in_h: 6, in_w: 7, kernel: 3, stride: 1, padding: 0 },
         ];
         let specials = |i: usize, v: f32| match i % 19 {
             5 => f32::NAN,
@@ -455,7 +595,8 @@ mod tests {
             let cols: Vec<f32> = (0..d.col_rows() * d.col_cols())
                 .map(|i| specials(i, (i as f32 * 0.3).cos() * 10.0))
                 .collect();
-            let want_img = col2im_ref(&cols, d);
+            let seed: Vec<f32> = (0..img.len()).map(|i| specials(i + 7, (i as f32 * 0.9).sin())).collect();
+            let want_img = col2im_ref(&cols, d, seed.clone());
             use crate::SimdLevel;
             for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
                 if level > crate::hardware_simd_level() {
@@ -464,13 +605,20 @@ mod tests {
                 crate::set_simd_level(level);
                 let mut got_cols = Vec::new();
                 im2col_into(&img, d, &mut got_cols).unwrap();
-                let mut got_img = vec![0.0f32; img.len()];
+                let mut got_img = seed.clone();
                 col2im_into(&cols, &mut got_img, d).unwrap();
                 for (i, (a, b)) in got_cols.iter().zip(&want_cols).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "im2col {level:?} {d:?} idx {i}");
                 }
                 for (i, (a, b)) in got_img.iter().zip(&want_img).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "col2im {level:?} {d:?} idx {i}");
+                }
+                // −0.0 scattered onto −0.0 stays −0.0: a wrapped column that
+                // reached the image as `+0.0` would leave `+0.0` behind.
+                let mut got_zero = vec![-0.0f32; img.len()];
+                col2im_into(&vec![-0.0; cols.len()], &mut got_zero, d).unwrap();
+                for (i, a) in got_zero.iter().enumerate() {
+                    assert_eq!(a.to_bits(), (-0.0f32).to_bits(), "col2im of -0.0 {level:?} {d:?} idx {i}");
                 }
             }
         }

@@ -14,7 +14,15 @@
 //! [`crate::simd`], vectorizing across output columns only. `A·B` and `Aᵀ·B`
 //! are one register-blocked ikj kernel: it broadcasts every `A` scalar, so it
 //! reads row `i` of `Aᵀ` down column `i` of the stored `A` (stride `m`) at no
-//! cost and with no transposed copy; `A·Bᵀ` runs dot-product rows.
+//! cost and with no transposed copy; `A·Bᵀ` runs dot-product rows, four,
+//! then two, then one at a time.
+//!
+//! A row (or column strip) at least one register wide whose width the
+//! register does not divide ends with one more register block ending at
+//! its last column, overlapping the block before: `A·Bᵀ` overwrites the
+//! shared outputs with the same dot chains, and the accumulating ikj kernel
+//! stores only its tail lanes, writing the others back as it loaded them.
+//! Only rows narrower than a register run the scalar remainder loop.
 //!
 //! ## Determinism contract
 //!
@@ -111,6 +119,9 @@ fn block_ikj(a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], layout: 
 /// Dot-product micro-kernel for `C = A·Bᵀ` over output rows `rows`; each
 /// element is one sequential dot in ascending `p` order. The row block keeps
 /// a small set of `A` rows hot while `B` streams through once per four rows.
+/// A block of at least four rows whose count four does not divide ends with
+/// one more four-row call over its last four rows: the rows it shares with
+/// the call before are overwritten with the same chains, bit for bit.
 fn block_tb(a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], k: usize, n: usize) {
     if n == 0 || rows.is_empty() {
         return;
@@ -123,13 +134,18 @@ fn block_tb(a: &[f32], b: &[f32], rows: Range<usize>, out: &mut [f32], k: usize,
     let a_rows = a.get(rows.start * k..rows.end * k).unwrap_or(&[]);
     // Four rows share each transposed window of B. Grouping starts at the
     // block's first row (blocks are MC-aligned and MC is a multiple of four).
-    let mut a_quads = a_rows.chunks_exact(4 * k);
-    let mut c_quads = out.chunks_exact_mut(4 * n);
-    for (a4, c4) in (&mut a_quads).zip(&mut c_quads) {
+    for (a4, c4) in a_rows.chunks_exact(4 * k).zip(out.chunks_exact_mut(4 * n)) {
         simd::tb_row4_with(level, c4, a4, b, k);
     }
-    let c_last = c_quads.into_remainder().chunks_exact_mut(n);
-    for (a_row, c_row) in a_quads.remainder().chunks_exact(k).zip(c_last) {
+    // The block's last `m mod 4` rows: a pair, then an odd last row.
+    let whole = rows.len() / 4 * 4;
+    let (Some(a_rest), Some(c_rest)) = (a_rows.get(whole * k..), out.get_mut(whole * n..)) else { return };
+    let mut a_pair = a_rest.chunks_exact(2 * k);
+    let mut c_pair = c_rest.chunks_exact_mut(2 * n);
+    for (a2, c2) in (&mut a_pair).zip(&mut c_pair) {
+        simd::tb_row2_with(level, c2, a2, b, k);
+    }
+    if let (Some(a_row), Some(c_row)) = (a_pair.remainder().get(..k), c_pair.into_remainder().get_mut(..n)) {
         simd::tb_row_with(level, c_row, a_row, b, k);
     }
 }

@@ -74,7 +74,10 @@
 //!   that row's `match level`: `Avx2`/`Sse2` arms run only when
 //!   [`hardware_simd_level`] has observed the feature, and every override is
 //!   clamped to that detected capability.
-//! * Remainder lanes always fall back to plain safe scalar code.
+//! * Remainder lanes fall back to plain safe scalar code, except in the
+//!   matmul micro-kernels: there a row at least one register wide ends with
+//!   one more register block whose last lane is the row's last column
+//!   (DESIGN.md §10.1, "Tails"), and only narrower rows run the scalar loop.
 //!
 //! ## Adding a kernel
 //!
@@ -521,7 +524,16 @@ mod scalar {
     /// four rows each): [`tb_row`] per row. The vector levels transpose each
     /// window of `B` once for all four. Requires `k > 0`.
     pub(super) fn tb_row4(c_rows: &mut [f32], a_rows: &[f32], b: &[f32], k: usize) {
-        let n = c_rows.len() / 4;
+        tb_rows(c_rows, a_rows, b, k, 4);
+    }
+
+    /// [`tb_row4`] for two rows.
+    pub(super) fn tb_row2(c_rows: &mut [f32], a_rows: &[f32], b: &[f32], k: usize) {
+        tb_rows(c_rows, a_rows, b, k, 2);
+    }
+
+    fn tb_rows(c_rows: &mut [f32], a_rows: &[f32], b: &[f32], k: usize, rows: usize) {
+        let n = c_rows.len() / rows;
         if n == 0 {
             return;
         }
@@ -1087,7 +1099,14 @@ mod x86 {
     /// `n`-wide rows of `b_tile`; `A` is read `a_step` apart.
     #[inline(always)]
     unsafe fn row_block<V: Lanes, const W: usize>(cs: &mut [f32], a_tile: &[f32], a_step: usize, b_tile: &[f32], n: usize, col: usize) {
-        let mut acc = load_block::<V, W>(cs);
+        let acc = load_block::<V, W>(cs);
+        store_block(tile_chains(acc, a_tile, a_step, b_tile, n, col), cs);
+    }
+
+    /// The `k`-tile's `+= a·b` steps of a `W·N`-column register block,
+    /// resumed from `acc`, in ascending `p`.
+    #[inline(always)]
+    unsafe fn tile_chains<V: Lanes, const W: usize>(mut acc: [V; W], a_tile: &[f32], a_step: usize, b_tile: &[f32], n: usize, col: usize) -> [V; W] {
         for (p, b_row) in b_tile.chunks_exact(n).enumerate() {
             let Some(&av) = a_tile.get(p * a_step) else { break };
             let Some(bs) = b_row.get(col..col + W * V::N) else { continue };
@@ -1096,12 +1115,34 @@ mod x86 {
                 *acc = acc.fadd(avv.fmul(V::load(b)));
             }
         }
-        store_block(acc, cs);
+        acc
+    }
+
+    /// `TAIL_LANES[MAX_N - N + t..][..N]` sets the last `t` of `N` lanes.
+    const TAIL_LANES: [f32; 2 * MAX_N] = {
+        let (off, on) = (super::LANE_OFF, LANE_ON);
+        [off, off, off, off, off, off, off, off, on, on, on, on, on, on, on, on]
+    };
+
+    /// The vector tail of an ikj strip whose last `tail` columns (`0 < tail
+    /// < N`) end at the end of `cs`, the `N` columns from `col` on: one
+    /// register block runs the whole tile over all `N`, and the store
+    /// selects its chains for the last `tail` lanes only. The lanes before
+    /// them are stored back with the bits they were loaded with, so the
+    /// columns another block already finished (in this strip or the one
+    /// before it) keep exactly one chain.
+    #[inline(always)]
+    unsafe fn tail_block<V: Lanes>(cs: &mut [f32], tail: usize, a_tile: &[f32], a_step: usize, b_tile: &[f32], n: usize, col: usize) {
+        let Some(mask) = TAIL_LANES.get(MAX_N - V::N + tail..MAX_N + tail) else { return };
+        let [old] = load_block::<V, 1>(cs);
+        let [acc] = tile_chains([old], a_tile, a_step, b_tile, n, col);
+        V::select(V::load(mask), acc, old).store(cs);
     }
 
     /// ikj strip kernel over a block of rows: pairs of rows through
     /// [`nn_tile_cols2`] from the block's first row, an odd last row through
-    /// [`nn_tile_cols`]. Every `A` scalar is a broadcast, so reading a tile
+    /// [`nn_tile_cols`], then each row's columns after its last whole
+    /// register through [`tail_block`]. Every `A` scalar is a broadcast, so reading a tile
     /// `step` apart costs what reading it along a row does; a unit step gets
     /// its own instance with the step folded to a constant (and so does a
     /// one-scalar tile, which has no step to speak of: a batch-1 `Aᵀ·B`).
@@ -1117,7 +1158,7 @@ mod x86 {
     #[inline(always)]
     unsafe fn nn_strip_at<V: Lanes>(c_rows: &mut [f32], a: &[f32], layout: super::TileLayout, b_tile: &[f32], n: usize, cols: Range<usize>) {
         let len = b_tile.len().checked_div(n).unwrap_or(0);
-        if len == 0 {
+        if len == 0 || cols.end > n {
             return;
         }
         let rows = c_rows.len() / n;
@@ -1131,10 +1172,35 @@ mod x86 {
         if let Some(c_last) = pairs.into_remainder().get_mut(cols.clone()) {
             nn_tile_cols::<V>(c_last, layout.tile(a, rows - 1, len), layout.step, b_tile, n, cols.start);
         }
+        let tail = cols.len() % V::N;
+        if tail == 0 {
+            return;
+        }
+        // The strip's last `tail` columns, which the whole registers above
+        // left: one register block ending at the strip's end where the row
+        // has `N` columns up to there.
+        let whole = cols.end - tail;
+        let start = cols.end.checked_sub(V::N);
+        for (r, c_row) in c_rows.chunks_exact_mut(n).enumerate() {
+            let a_tile = layout.tile(a, r, len);
+            match start {
+                Some(start) => {
+                    if let Some(cs) = c_row.get_mut(start..cols.end) {
+                        tail_block::<V>(cs, tail, a_tile, layout.step, b_tile, n, start);
+                    }
+                }
+                None => {
+                    if let Some(c_tail) = c_row.get_mut(whole..cols.end) {
+                        scalar::nn_tile_tail(c_tail, a_tile, layout.step, b_tile, n, whole);
+                    }
+                }
+            }
+        }
     }
 
     /// One row's strip: `4·N`-column register blocks, then single-register
-    /// blocks, then the scalar tail.
+    /// blocks; the columns after the last whole register are left to the
+    /// caller.
     #[inline(always)]
     unsafe fn nn_tile_cols<V: Lanes>(c_cols: &mut [f32], a_tile: &[f32], a_step: usize, b_tile: &[f32], n: usize, col0: usize) {
         let mut col = col0;
@@ -1143,15 +1209,9 @@ mod x86 {
             row_block::<V, 4>(cs, a_tile, a_step, b_tile, n, col);
             col += 4 * V::N;
         }
-        let mut tail = blocks.into_remainder().chunks_exact_mut(V::N);
-        for cs in &mut tail {
+        for cs in blocks.into_remainder().chunks_exact_mut(V::N) {
             row_block::<V, 1>(cs, a_tile, a_step, b_tile, n, col);
             col += V::N;
-        }
-        // Most strips are whole registers: skip walking the tile for nothing.
-        let c_tail = tail.into_remainder();
-        if !c_tail.is_empty() {
-            scalar::nn_tile_tail(c_tail, a_tile, a_step, b_tile, n, col);
         }
     }
 
@@ -1159,8 +1219,8 @@ mod x86 {
     /// accumulators live (8 registers), so each `B` load feeds two rows'
     /// multiply-adds — the register-blocking step that makes the kernel
     /// load-port- rather than bandwidth-bound on wide outputs. Each element
-    /// still receives its `+= a·b` updates in ascending-`p` order; the column
-    /// remainder of each row finishes through the single-row kernel.
+    /// still receives its `+= a·b` updates in ascending-`p` order; the
+    /// columns after the last such block go through the single-row kernel.
     #[inline(always)]
     unsafe fn nn_tile_cols2<V: Lanes>(c_cols: (&mut [f32], &mut [f32]), a_tiles: (&[f32], &[f32]), a_step: usize, b_tile: &[f32], n: usize, col0: usize) {
         let ((c0_cols, c1_cols), (a0_tile, a1_tile)) = (c_cols, a_tiles);
@@ -1192,114 +1252,167 @@ mod x86 {
     /// the `N` rows of `B` are transposed in registers so that lane `j` of
     /// the accumulator carries output column `j`'s one sequential
     /// ascending-`p` dot chain (broadcast-multiply-add per `p`, no horizontal
-    /// reduction anywhere). Requires `k > 0`.
+    /// reduction anywhere). When `n mod N ≠ 0` and `n ≥ N`, the last block
+    /// takes the last `N` rows of `B` and ends at the row's end: the columns
+    /// it shares with the block before are overwritten with the same chains,
+    /// so they are recomputed bit for bit. Requires `k > 0`.
     #[inline(always)]
     pub(super) unsafe fn tb_row<V: Lanes>(c_row: &mut [f32], a_row: &[f32], b: &[f32], k: usize) {
+        let n = c_row.len();
         let mut c_blocks = c_row.chunks_exact_mut(V::N);
         let mut b_groups = b.chunks_exact(V::N * k);
-        'blocks: for (cs, group) in (&mut c_blocks).zip(&mut b_groups) {
-            let mut rows: [&[f32]; MAX_N] = [&[]; MAX_N];
-            let mut rest = group;
-            for r in rows.iter_mut().take(V::N) {
-                // Unreachable `else`: a group is exactly N rows of k.
-                let Some((row, tail)) = rest.split_at_checked(k) else { continue 'blocks };
-                (*r, rest) = (row, tail);
-            }
-            let mut acc = V::zero();
-            let mut p = 0usize;
-            let mut a_main = a_row.chunks_exact(V::N);
-            for a_win in &mut a_main {
-                let mut cols = [V::zero(); MAX_N];
-                for (col, row) in cols.iter_mut().zip(rows.iter().take(V::N)) {
-                    if let Some(win) = row.get(p..p + V::N) {
-                        *col = V::load(win);
-                    }
-                }
-                // After the transpose, cols[t] lane j = element p+t of row j:
-                // ascending p, one mul+add per step, per lane.
-                for (&av, col) in a_win.iter().zip(V::transpose(cols)) {
-                    acc = acc.fadd(V::splat(av).fmul(col));
-                }
-                p += V::N;
-            }
-            for (&av, p) in a_main.remainder().iter().zip(p..) {
-                let mut col = [0.0f32; MAX_N];
-                for (lane, row) in col.iter_mut().zip(rows) {
-                    *lane = row.get(p).copied().unwrap_or(0.0);
-                }
-                acc = acc.fadd(V::splat(av).fmul(V::load(col.split_at(V::N).0)));
-            }
-            // The single overwrite of these outputs (`*c = acc`), matching
-            // the scalar kernel.
-            acc.store(cs);
+        for (cs, group) in (&mut c_blocks).zip(&mut b_groups) {
+            tb_block::<V>(cs, a_row, group, k);
         }
-        scalar::tb_row(c_blocks.into_remainder(), a_row, b_groups.remainder(), k);
+        let tail = c_blocks.into_remainder();
+        if tail.is_empty() {
+            return;
+        }
+        match n.checked_sub(V::N) {
+            Some(last) => {
+                if let (Some(cs), Some(group)) = (c_row.get_mut(last..), b.get(last * k..n * k)) {
+                    tb_block::<V>(cs, a_row, group, k);
+                }
+            }
+            None => scalar::tb_row(tail, a_row, b, k),
+        }
+    }
+
+    /// The first columns of the `N`-column blocks covering `n ≥ N` columns:
+    /// every multiple of `N` below `n - N + 1`, then `n - N` if `N` does not
+    /// divide `n` — the last block ends at the row's end.
+    #[inline(always)]
+    fn block_starts<V: Lanes>(n: usize) -> impl Iterator<Item = usize> {
+        let whole = n / V::N * V::N;
+        (0..whole).step_by(V::N).chain((whole < n).then(|| n - V::N))
+    }
+
+    /// One [`tb_row`] block: `cs` is `N` outputs, `group` their `N` rows of
+    /// `B`.
+    #[inline(always)]
+    unsafe fn tb_block<V: Lanes>(cs: &mut [f32], a_row: &[f32], group: &[f32], k: usize) {
+        let mut rows: [&[f32]; MAX_N] = [&[]; MAX_N];
+        let mut rest = group;
+        for r in rows.iter_mut().take(V::N) {
+            // Unreachable `else`: a group is exactly N rows of k.
+            let Some((row, tail)) = rest.split_at_checked(k) else { return };
+            (*r, rest) = (row, tail);
+        }
+        let mut acc = V::zero();
+        let mut p = 0usize;
+        let mut a_main = a_row.chunks_exact(V::N);
+        for a_win in &mut a_main {
+            let mut cols = [V::zero(); MAX_N];
+            for (col, row) in cols.iter_mut().zip(rows.iter().take(V::N)) {
+                if let Some(win) = row.get(p..p + V::N) {
+                    *col = V::load(win);
+                }
+            }
+            // After the transpose, cols[t] lane j = element p+t of row j:
+            // ascending p, one mul+add per step, per lane.
+            for (&av, col) in a_win.iter().zip(V::transpose(cols)) {
+                acc = acc.fadd(V::splat(av).fmul(col));
+            }
+            p += V::N;
+        }
+        for (&av, p) in a_main.remainder().iter().zip(p..) {
+            let mut col = [0.0f32; MAX_N];
+            for (lane, row) in col.iter_mut().zip(rows) {
+                *lane = row.get(p).copied().unwrap_or(0.0);
+            }
+            acc = acc.fadd(V::splat(av).fmul(V::load(col.split_at(V::N).0)));
+        }
+        // The single overwrite of these outputs (`*c = acc`), matching
+        // the scalar kernel.
+        acc.store(cs);
     }
 
     /// Four rows of [`tb_row`] at once: each transposed window of `B` feeds
     /// all four rows' accumulators, so the transposes cost a quarter per
-    /// output; every output keeps `tb_row`'s chain. `c_rows` and `a_rows`
-    /// hold four rows each.
+    /// output; every output keeps `tb_row`'s chain, and the last block ends
+    /// at the rows' end as `tb_row`'s does. `c_rows` and `a_rows` hold four
+    /// rows each.
     #[inline(always)]
     pub(super) unsafe fn tb_row4<V: Lanes>(c_rows: &mut [f32], a_rows: &[f32], b: &[f32], k: usize) {
-        let n = c_rows.len() / 4;
+        tb_rows::<V, 4>(c_rows, a_rows, b, k);
+    }
+
+    /// [`tb_row4`] for two rows (`c_rows` and `a_rows` hold two rows each).
+    #[inline(always)]
+    pub(super) unsafe fn tb_row2<V: Lanes>(c_rows: &mut [f32], a_rows: &[f32], b: &[f32], k: usize) {
+        tb_rows::<V, 2>(c_rows, a_rows, b, k);
+    }
+
+    /// `R` rows of [`tb_row`] sharing each transposed window of `B`.
+    #[inline(always)]
+    unsafe fn tb_rows<V: Lanes, const R: usize>(c_rows: &mut [f32], a_rows: &[f32], b: &[f32], k: usize) {
+        let n = c_rows.len() / R;
         if n == 0 {
             return;
         }
         let mut c_split = c_rows.chunks_exact_mut(n);
-        let mut c: [&mut [f32]; 4] = std::array::from_fn(|_| c_split.next().unwrap_or_default());
+        let mut c: [&mut [f32]; R] = std::array::from_fn(|_| c_split.next().unwrap_or_default());
         let mut a_split = a_rows.chunks_exact(k);
-        let a: [&[f32]; 4] = std::array::from_fn(|_| a_split.next().unwrap_or_default());
-        let mut b_groups = b.chunks_exact(V::N * k);
-        let mut col0 = 0usize;
-        for group in &mut b_groups {
-            let mut rows: [&[f32]; MAX_N] = [&[]; MAX_N];
-            for (r, row) in rows.iter_mut().zip(group.chunks_exact(k)) {
-                *r = row;
+        let a: [&[f32]; R] = std::array::from_fn(|_| a_split.next().unwrap_or_default());
+        if n < V::N {
+            for (c_row, a_row) in c.iter_mut().zip(a) {
+                scalar::tb_row(c_row, a_row, b, k);
             }
-            let mut acc = [V::zero(); 4];
-            let mut p = 0usize;
-            while p + V::N <= k {
-                let mut cols = [V::zero(); MAX_N];
-                for (col, row) in cols.iter_mut().zip(rows.iter().take(V::N)) {
-                    if let Some(win) = row.get(p..p + V::N) {
-                        *col = V::load(win);
-                    }
-                }
-                // After the transpose, cols[t] lane j = element p+t of row j:
-                // ascending p, one mul+add per step, per lane.
-                let cols = V::transpose(cols);
-                for (acc, a_row) in acc.iter_mut().zip(a) {
-                    let Some(a_win) = a_row.get(p..p + V::N) else { continue };
-                    for (&av, &col) in a_win.iter().zip(&cols) {
-                        *acc = acc.fadd(V::splat(av).fmul(col));
-                    }
-                }
-                p += V::N;
+            return;
+        }
+        for col0 in block_starts::<V>(n) {
+            if let Some(group) = b.get(col0 * k..(col0 + V::N) * k) {
+                tb_block_rows::<V, R>(&mut c, a, group, col0, k);
             }
-            // The `k mod N` tail: element p of each row of B, one per lane.
-            for p in p..k {
-                let mut col = [0.0f32; MAX_N];
-                for (lane, row) in col.iter_mut().zip(rows) {
-                    *lane = row.get(p).copied().unwrap_or(0.0);
+        }
+    }
+
+    /// One [`tb_rows`] block: columns `col0..col0 + N` of the rows `c`,
+    /// `group` their `N` rows of `B`.
+    #[inline(always)]
+    unsafe fn tb_block_rows<V: Lanes, const R: usize>(c: &mut [&mut [f32]; R], a: [&[f32]; R], group: &[f32], col0: usize, k: usize) {
+        let mut rows: [&[f32]; MAX_N] = [&[]; MAX_N];
+        for (r, row) in rows.iter_mut().zip(group.chunks_exact(k)) {
+            *r = row;
+        }
+        let mut acc = [V::zero(); R];
+        let mut p = 0usize;
+        while p + V::N <= k {
+            let mut cols = [V::zero(); MAX_N];
+            for (col, row) in cols.iter_mut().zip(rows.iter().take(V::N)) {
+                if let Some(win) = row.get(p..p + V::N) {
+                    *col = V::load(win);
                 }
-                let col = V::load(col.split_at(V::N).0);
-                for (acc, a_row) in acc.iter_mut().zip(a) {
-                    let Some(&av) = a_row.get(p) else { continue };
+            }
+            // After the transpose, cols[t] lane j = element p+t of row j:
+            // ascending p, one mul+add per step, per lane.
+            let cols = V::transpose(cols);
+            for (acc, a_row) in acc.iter_mut().zip(a) {
+                let Some(a_win) = a_row.get(p..p + V::N) else { continue };
+                for (&av, &col) in a_win.iter().zip(&cols) {
                     *acc = acc.fadd(V::splat(av).fmul(col));
                 }
             }
-            // The single overwrite of these outputs (`*c = acc`), matching
-            // the scalar kernel.
-            for (c_row, acc) in c.iter_mut().zip(acc) {
-                if let Some(cs) = c_row.get_mut(col0..col0 + V::N) {
-                    acc.store(cs);
-                }
-            }
-            col0 += V::N;
+            p += V::N;
         }
-        for (c_row, a_row) in c.iter_mut().zip(a) {
-            scalar::tb_row(c_row.get_mut(col0..).unwrap_or_default(), a_row, b_groups.remainder(), k);
+        // The `k mod N` tail: element p of each row of B, one per lane.
+        for p in p..k {
+            let mut col = [0.0f32; MAX_N];
+            for (lane, row) in col.iter_mut().zip(rows) {
+                *lane = row.get(p).copied().unwrap_or(0.0);
+            }
+            let col = V::load(col.split_at(V::N).0);
+            for (acc, a_row) in acc.iter_mut().zip(a) {
+                let Some(&av) = a_row.get(p) else { continue };
+                *acc = acc.fadd(V::splat(av).fmul(col));
+            }
+        }
+        // The single overwrite of these outputs (`*c = acc`), matching
+        // the scalar kernel.
+        for (c_row, acc) in c.iter_mut().zip(acc) {
+            if let Some(cs) = c_row.get_mut(col0..col0 + V::N) {
+                acc.store(cs);
+            }
         }
     }
 }
@@ -1422,12 +1535,18 @@ kernels! {
     /// keep a narrow `B` window cache-resident across the whole block
     /// without changing any element's accumulation order. Rows are paired
     /// from the block's first row (the matmul driver cuts blocks
-    /// `MC`-aligned).
+    /// `MC`-aligned). A strip's last `width mod N` columns run as one
+    /// register block ending at `cols.end` (when `cols.end ≥ N`), which may
+    /// start before `cols.start`: its store selects the new chains for
+    /// those columns only and writes the lanes before them back with the
+    /// bits it loaded.
     nn_strip: nn_strip_with(c_rows: &mut [f32], a: &[f32], layout: TileLayout, b_tile: &[f32], n: usize, cols: std::ops::Range<usize>);
 
     /// One output row of the `C = A·Bᵀ` kernel: `c_row[j] = dot(a_row,
-    /// b[j·k..][..k])`, each dot one sequential ascending-`p` chain. Requires
-    /// `k > 0` (the caller short-circuits empty dots).
+    /// b[j·k..][..k])`, each dot one sequential ascending-`p` chain; a row at
+    /// least `N` wide ends with a block over its last `N` columns, whose
+    /// overlap with the block before is overwritten with the same chains.
+    /// Requires `k > 0` (the caller short-circuits empty dots).
     tb_row: tb_row_with(c_row: &mut [f32], a_row: &[f32], b: &[f32], k: usize);
 
     /// Four output rows of the `C = A·Bᵀ` kernel at once (`c_rows` and
@@ -1438,6 +1557,10 @@ kernels! {
     /// four-row loop, `tb_row` ran 30–38 % slower on batch-1 products.
     /// Requires `k > 0`.
     tb_row4: tb_row4_with(c_rows: &mut [f32], a_rows: &[f32], b: &[f32], k: usize);
+
+    /// [`tb_row4_with`] for two rows (`c_rows` and `a_rows` hold two rows
+    /// each): the pair a block's `m mod 4` rows start with.
+    tb_row2: tb_row2_with(c_rows: &mut [f32], a_rows: &[f32], b: &[f32], k: usize);
 
     /// `acc[c] += sum(run c of x) / len(run c)` over `x`'s runs of `chunk`
     /// consecutive scalars (the last may be short), each sum one ascending
@@ -1758,7 +1881,9 @@ mod tests {
 
     #[test]
     fn nn_tile_cols2_matches_two_single_rows() {
-        for &(n, col0, width) in &[(1usize, 0usize, 1usize), (8, 0, 8), (40, 0, 40), (40, 8, 24), (129, 96, 33), (100, 64, 36)] {
+        // (40, 32, 3): the tail block starts before the strip, in columns
+        // this call does not own; they must come back with the bits they had.
+        for &(n, col0, width) in &[(1usize, 0usize, 1usize), (8, 0, 8), (40, 0, 40), (40, 8, 24), (129, 96, 33), (100, 64, 36), (40, 32, 3)] {
             // A block of two output rows, each over a tile of five scalars.
             let layout = TileLayout { row: 5, step: 1 };
             let a = filled(2 * 5, 73);

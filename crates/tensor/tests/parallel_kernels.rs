@@ -46,10 +46,15 @@ fn gate() -> std::sync::MutexGuard<'static, ()> {
 /// 784 = 24·32 + 2·8, 196 = 6·32 + 4, 588 = 18·32 + 8 + 4,
 /// 150 = 4·32 + 2·8 + 6, 25 = 3·8 + 1. Odd m leaves the paired-row `A·B` /
 /// `Aᵀ·B` kernel a single last row, and m mod 4 ≠ 0 the four-row `A·Bᵀ`
-/// kernel single rows; `(7, 3, 33)` does both with k < 4·N, and
-/// `(150, 12, 196)` leaves the four-row kernel two single rows in the last
-/// of three `MC` blocks.
-const SHAPES: [(usize, usize, usize); 21] = [
+/// kernel its pair and single-row kernels; `(7, 3, 33)` does both with
+/// k < 4·N, and `(150, 12, 196)` leaves the four-row kernel a pair in the
+/// last of three `MC` blocks. Every residue `n mod 8` from 1 to 7 appears
+/// with `n > 8` (n = 33, 10, 19, 196, 13, 150, 23), so each kernel's last
+/// register block ends at the row's end, overlapping the one before it;
+/// `n = 68` (at AVX2) and `n = 67` (at both widths) end in an `NC = 64`
+/// strip narrower than a register, whose last block starts in the strip
+/// before, and `(2, 300, 11)` runs that block over two `KC` tiles.
+const SHAPES: [(usize, usize, usize); 27] = [
     (0, 3, 2),
     (3, 0, 2),
     (3, 4, 0),
@@ -71,6 +76,12 @@ const SHAPES: [(usize, usize, usize); 21] = [
     (6, 784, 25),
     (25, 6, 784),
     (7, 3, 33),
+    (5, 7, 10),
+    (9, 33, 19),
+    (6, 17, 23),
+    (11, 70, 68),
+    (3, 130, 67),
+    (2, 300, 11),
 ];
 
 struct XorShift(u64);
