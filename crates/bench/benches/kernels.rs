@@ -117,14 +117,6 @@ fn bits_equal(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-fn level_name(level: SimdLevel) -> &'static str {
-    match level {
-        SimdLevel::Scalar => "scalar",
-        SimdLevel::Sse2 => "sse2",
-        SimdLevel::Avx2 => "avx2",
-    }
-}
-
 /// Times `bodies` round-robin, one call of each in turn, for at least
 /// [`MIN_REPEATS`] rounds and [`MIN_MEASURE_SECS`] per body, after a fifth
 /// of that untimed (caches, page faults and the clock ramp-up of a
@@ -284,7 +276,7 @@ fn print_block(block: &Block) {
         println!(
             "  {:<18} simd={:<6} {:>11.3} us {:>8.2} GFLOP/s  bit-identical: {}",
             r.label,
-            level_name(r.simd),
+            r.simd.name(),
             r.wall_secs * 1e6,
             r.gflops,
             r.bit_identical
@@ -305,7 +297,7 @@ fn block_json(block: &Block) -> String {
                 "{{\"label\":\"{}\",\"threads\":1,\"simd\":\"{}\",\"wall_secs\":{:.9},\
                  \"gflops\":{:.4},\"bit_identical\":{}}}",
                 r.label,
-                level_name(r.simd),
+                r.simd.name(),
                 r.wall_secs,
                 r.gflops,
                 r.bit_identical
@@ -334,8 +326,8 @@ fn main() {
         "kernel bench: scale {scale:?}, sizes {sizes:?} + {} training shapes, {hw} hardware \
          threads, simd {} (hardware supports {})",
         TRAINING_SHAPES.len(),
-        level_name(active),
-        level_name(hardware_simd_level())
+        active.name(),
+        hardware_simd_level().name()
     );
 
     // The blocks every scale shares come first, in the same order, so a
@@ -360,7 +352,7 @@ fn main() {
     let json = format!(
         "{{\"bench\":\"kernels\",\"scale\":\"{scale:?}\",\"hardware_threads\":{hw},\
          \"simd_level\":\"{}\",\"all_bit_identical\":{all_ok},\"sizes\":[{}]}}\n",
-        level_name(active),
+        active.name(),
         block_json.join(",")
     );
     // Cargo runs bench binaries with the package dir (crates/bench) as CWD,

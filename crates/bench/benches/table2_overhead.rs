@@ -54,7 +54,7 @@ impl SyncFixture {
 
     /// One full sync step; advances the fixture like a real round would.
     fn step(&mut self, strategy: &mut dyn SyncStrategy) {
-        strategy.prepare_uploads(self.round, &self.locals, &self.global);
+        strategy.prepare_uploads_into(self.round, &self.locals, &self.global, &mut Vec::new());
         strategy.aggregate(self.round, &self.locals, &self.selected, &self.active, &mut self.global);
         self.round += 1;
         // Keep locals tracking the (moving) global so FedSU sees realistic

@@ -43,7 +43,8 @@
 //! // Drive it like the FL runtime would: two clients, a 3-scalar model.
 //! let locals = vec![vec![1.0, 2.0, 3.0], vec![1.2, 2.2, 3.2]];
 //! let mut global = vec![0.0, 0.0, 0.0];
-//! fedsu.prepare_uploads(0, &locals, &global);
+//! let mut uploads = Vec::new();
+//! fedsu.prepare_uploads_into(0, &locals, &global, &mut uploads);
 //! let out = fedsu.aggregate(0, &locals, &[0, 1], &[true, true], &mut global);
 //! assert_eq!(out.total_scalars, 3);
 //! assert_eq!(global, vec![1.1, 2.1, 3.1]); // plain averaging until linearity appears

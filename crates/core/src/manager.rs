@@ -991,7 +991,7 @@ mod tests {
             .collect();
         let selected: Vec<usize> = (0..locals.len()).collect();
         let active = vec![true; locals.len()];
-        fedsu.prepare_uploads(round, &locals, global);
+        fedsu.prepare_uploads_into(round, &locals, global, &mut Vec::new());
         fedsu.aggregate(round, &locals, &selected, &active, global)
     }
 
@@ -1172,7 +1172,8 @@ mod tests {
         assert!(f.predictable_mask()[0]);
         assert!(!f.predictable_mask()[1]);
         let locals = vec![global.clone()];
-        let up = f.prepare_uploads(99, &locals, &global);
+        let mut up = Vec::new();
+        f.prepare_uploads_into(99, &locals, &global, &mut up);
         // Scalar 1 always uploads; scalar 0 uploads only at check rounds.
         assert!(up[0] == 1 || up[0] == 2);
     }
@@ -1192,7 +1193,9 @@ mod tests {
         }
         // While speculative, uploads never include check scalars under v1.
         let locals = vec![global.clone()];
-        assert_eq!(f.prepare_uploads(round, &locals, &global), vec![0]);
+        let mut up = Vec::new();
+        f.prepare_uploads_into(round, &locals, &global, &mut up);
+        assert_eq!(up, vec![0]);
         // The parameter must exit exactly after `period` speculative rounds,
         // with no communication (fixed period, no feedback).
         for _ in 0..period {
@@ -1270,8 +1273,10 @@ mod tests {
         joiner.apply_join_state(&decoded);
         assert_eq!(joiner.predictable_mask(), f.predictable_mask());
         let locals = vec![global.clone()];
-        let up_orig = f.prepare_uploads(9, &locals, &global);
-        let up_join = joiner.prepare_uploads(9, &locals, &global);
+        let mut up_orig = Vec::new();
+        f.prepare_uploads_into(9, &locals, &global, &mut up_orig);
+        let mut up_join = Vec::new();
+        joiner.prepare_uploads_into(9, &locals, &global, &mut up_join);
         assert_eq!(up_orig, up_join);
     }
 
@@ -1306,13 +1311,13 @@ mod tests {
         // Promote with both clients active.
         for round in 0..6 {
             let locals = vec![vec![global[0] - 0.01], vec![global[0] - 0.01]];
-            f.prepare_uploads(round, &locals, &global);
+            f.prepare_uploads_into(round, &locals, &global, &mut Vec::new());
             f.aggregate(round, &locals, &[0, 1], &[true, true], &mut global);
         }
         assert!(f.predictable_mask()[0]);
         // Client 1 goes inactive; its stale local would poison the errors.
         let poisoned = vec![vec![global[0] - 0.01], vec![999.0]];
-        f.prepare_uploads(6, &poisoned, &global);
+        f.prepare_uploads_into(6, &poisoned, &global, &mut Vec::new());
         f.aggregate(6, &poisoned, &[0], &[true, false], &mut global);
         assert_eq!(f.errors[1][0], 0.0, "inactive client error must stay untouched");
     }
@@ -1324,7 +1329,7 @@ mod tests {
         let mut round = 0;
         while !f.predictable_mask().first().copied().unwrap_or(false) {
             let locals = vec![vec![global[0] - 0.01], vec![global[0] - 0.01]];
-            f.prepare_uploads(round, &locals, &global);
+            f.prepare_uploads_into(round, &locals, &global, &mut Vec::new());
             f.aggregate(round, &locals, &[0, 1], &[true, true], &mut global);
             round += 1;
             assert!(round < 10, "should promote within warmup");
@@ -1333,7 +1338,7 @@ mod tests {
         // prediction error.
         for _ in 0..2 {
             let locals = vec![vec![global[0] - 0.02], vec![global[0] - 0.02]];
-            f.prepare_uploads(round, &locals, &global);
+            f.prepare_uploads_into(round, &locals, &global, &mut Vec::new());
             f.aggregate(round, &locals, &[0, 1], &[true, true], &mut global);
             round += 1;
         }
@@ -1341,7 +1346,7 @@ mod tests {
         assert_ne!(f.errors[1][0], 0.0, "client 1 accumulated error before leaving");
         // Client 1 leaves for a round...
         let locals = vec![vec![global[0] - 0.02], vec![0.0]];
-        f.prepare_uploads(round, &locals, &global);
+        f.prepare_uploads_into(round, &locals, &global, &mut Vec::new());
         f.aggregate(round, &locals, &[0], &[true, false], &mut global);
         round += 1;
         // ...and rejoins reporting exactly the predicted value: its stale
@@ -1350,7 +1355,7 @@ mod tests {
         assert!(f.predictable_mask()[0]);
         let predicted = global[0] + f.slope[0];
         let locals = vec![vec![global[0] - 0.02], vec![predicted]];
-        f.prepare_uploads(round, &locals, &global);
+        f.prepare_uploads_into(round, &locals, &global, &mut Vec::new());
         f.aggregate(round, &locals, &[0], &[true, true], &mut global);
         assert_eq!(f.errors[1][0], 0.0, "rejoiner's stale error must be resynced");
     }
@@ -1360,7 +1365,7 @@ mod tests {
         let mut f = FedSu::new(quick_config());
         let mut global = vec![0.5f32, -0.25];
         let locals = vec![vec![9.0, 9.0]];
-        f.prepare_uploads(0, &locals, &global);
+        f.prepare_uploads_into(0, &locals, &global, &mut Vec::new());
         let out = f.aggregate(0, &locals, &[], &[false], &mut global);
         assert_eq!(global, vec![0.5, -0.25], "a barren round must hold all values");
         assert_eq!(out.synced_scalars, 0);
@@ -1379,7 +1384,7 @@ mod tests {
 
     fn drive(coarse: &mut FedSu, global: &mut [f32], updates: &[f32], round: usize) -> AggregateOutcome {
         let locals = vec![global.iter().zip(updates).map(|(g, u)| g + u).collect::<Vec<f32>>()];
-        coarse.prepare_uploads(round, &locals, global);
+        coarse.prepare_uploads_into(round, &locals, global, &mut Vec::new());
         coarse.aggregate(round, &locals, &[0], &[true], global)
     }
 
@@ -1594,7 +1599,7 @@ mod tests {
             };
             let local = |share: f32| global.iter().enumerate().map(|(j, g)| g + update(j) * share).collect::<Vec<f32>>();
             let locals = vec![local(1.0), local(0.5)];
-            f.prepare_uploads(round, &locals, &global);
+            f.prepare_uploads_into(round, &locals, &global, &mut Vec::new());
             f.aggregate(round, &locals, &[0, 1], &[true, true], &mut global);
         }
         f.events().to_vec()
@@ -1676,7 +1681,7 @@ mod history_tests {
         let mut global = vec![0.0f32; 2];
         for round in 0..10 {
             let locals = vec![vec![global[0] - 0.01, global[1] - 0.02]];
-            f.prepare_uploads(round, &locals, &global);
+            f.prepare_uploads_into(round, &locals, &global, &mut Vec::new());
             f.aggregate(round, &locals, &[0], &[true], &mut global);
         }
         let h = f.history();

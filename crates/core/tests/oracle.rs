@@ -435,7 +435,8 @@ fn manager_matches_oracle(rng: &mut StdRng, chunk_of: ChunkOf, mode: Mode, seen:
             .map(|_| (0..n).map(|j| global[j] + slopes[j] + noise(j) * rng.gen_range(-1.0f32..1.0)).collect())
             .collect();
 
-        let volumes = manager.prepare_uploads(round, &locals, &global);
+        let mut volumes = Vec::new();
+        manager.prepare_uploads_into(round, &locals, &global, &mut volumes);
         for (i, expected) in oracle.upload_volumes(&locals, &active).into_iter().enumerate() {
             if let Some(expected) = expected {
                 assert_eq!(volumes[i], expected, "round {round}: client {i}'s upload volume");
@@ -522,7 +523,8 @@ fn signed_zeros_travel_like_the_oracle() {
         };
         let locals: Vec<Vec<f32>> = zeros.iter().map(|&z| vec![global[0] - 0.01, z]).collect();
 
-        let volumes = manager.prepare_uploads(round, &locals, &global);
+        let mut volumes = Vec::new();
+        manager.prepare_uploads_into(round, &locals, &global, &mut volumes);
         let expected: Vec<Option<u64>> = volumes.iter().map(|&v| Some(v)).collect();
         assert_eq!(oracle.upload_volumes(&locals, &active), expected, "round {round}: upload volumes");
         let out = manager.aggregate(round, &locals, &selected, &active, &mut global);

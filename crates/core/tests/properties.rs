@@ -134,7 +134,7 @@ fn manager_and_standalone_diagnostic_agree_on_eq2() {
                 })
                 .collect();
             let locals = [local];
-            manager.prepare_uploads(round, &locals, &global);
+            manager.prepare_uploads_into(round, &locals, &global, &mut Vec::new());
             manager.aggregate(round, &locals, &[0], &[true], &mut global);
             diagnostic.observe_params(&global);
             assert_eq!(

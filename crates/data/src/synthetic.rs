@@ -19,7 +19,6 @@ pub struct SyntheticConfig {
     width: usize,
     samples_per_class: usize,
     noise_std: f32,
-    prototype_scale: f32,
 }
 
 impl SyntheticConfig {
@@ -32,7 +31,6 @@ impl SyntheticConfig {
             width,
             samples_per_class: 100,
             noise_std: 0.6,
-            prototype_scale: 1.0,
         }
     }
 
@@ -63,11 +61,6 @@ impl SyntheticConfig {
         self
     }
 
-    /// Sets the prototype magnitude (signal strength).
-    pub fn prototype_scale(mut self, scale: f32) -> Self {
-        self.prototype_scale = scale;
-        self
-    }
 
     /// Number of classes configured.
     pub fn classes(&self) -> usize {
@@ -111,7 +104,7 @@ impl SyntheticConfig {
         assert!(self.classes > 0 && self.channels > 0 && self.height > 0 && self.width > 0);
         let sample_len = self.channels * self.height * self.width;
         (0..2 * self.classes * sample_len)
-            .map(|_| gaussian(rng) * self.prototype_scale)
+            .map(|_| gaussian(rng))
             .collect()
     }
 

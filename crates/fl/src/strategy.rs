@@ -50,15 +50,6 @@ pub trait SyncStrategy: Send {
         out: &mut Vec<u64>,
     );
 
-    /// Allocating convenience wrapper around
-    /// [`prepare_uploads_into`](SyncStrategy::prepare_uploads_into), for
-    /// tests and one-shot callers that don't keep a scratch buffer.
-    fn prepare_uploads(&mut self, round: usize, locals: &[Vec<f32>], global: &[f32]) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.prepare_uploads_into(round, locals, global, &mut out);
-        out
-    }
-
     /// Phase B: aggregates the selected clients and writes the new global
     /// parameters into `global` (which every client replica then loads).
     ///

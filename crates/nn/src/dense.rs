@@ -40,16 +40,6 @@ impl Dense {
         })
     }
 
-    /// Input feature dimension.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature dimension.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
     /// The backward pass: accumulates `dW` and `db`, and returns the input
     /// gradient `dY · W` only when `input_grad` is set.
     fn backward_impl(&mut self, grad_output: &Tensor, input_grad: bool) -> Result<Option<Tensor>> {

@@ -210,7 +210,7 @@ mod tests {
 
     fn run_round(apf: &mut Apf, locals: &[Vec<f32>], global: &mut [f32], round: usize) -> AggregateOutcome {
         let sel: Vec<usize> = (0..locals.len()).collect();
-        apf.prepare_uploads(round, locals, global);
+        apf.prepare_uploads_into(round, locals, global, &mut Vec::new());
         let active = vec![true; locals.len()];
         apf.aggregate(round, locals, &sel, &active, global)
     }
@@ -295,7 +295,8 @@ mod tests {
         let mut global = vec![1.0, 2.0];
         let locals = vec![vec![1.0, 2.0]];
         run_round(&mut apf, &locals, &mut global, 0); // both freeze (zero updates)
-        let up = apf.prepare_uploads(1, &locals, &global);
+        let mut up = Vec::new();
+        apf.prepare_uploads_into(1, &locals, &global, &mut up);
         assert_eq!(up, vec![0]);
     }
 

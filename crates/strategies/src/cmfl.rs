@@ -162,7 +162,8 @@ mod tests {
     fn first_round_everyone_transmits() {
         let mut s = Cmfl::default();
         let locals = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        let up = s.prepare_uploads(0, &locals, &[0.0, 0.0]);
+        let mut up = Vec::new();
+        s.prepare_uploads_into(0, &locals, &[0.0, 0.0], &mut up);
         assert_eq!(up, vec![2, 2]);
     }
 
@@ -181,13 +182,14 @@ mod tests {
         // Seed the reference update: global moves by +1 on both coords.
         let locals0 = vec![vec![1.0, 1.0], vec![1.0, 1.0]];
         let mut global = vec![0.0, 0.0];
-        s.prepare_uploads(0, &locals0, &global);
+        s.prepare_uploads_into(0, &locals0, &global, &mut Vec::new());
         s.aggregate(0, &locals0, &[0, 1], &[true, true], &mut global);
         assert_eq!(global, vec![1.0, 1.0]);
 
         // Client 0 moves with the trend (+), client 1 against (-).
         let locals1 = vec![vec![2.0, 2.0], vec![0.0, 0.0]];
-        let up = s.prepare_uploads(1, &locals1, &global);
+        let mut up = Vec::new();
+        s.prepare_uploads_into(1, &locals1, &global, &mut up);
         assert_eq!(up[0], 2);
         assert_eq!(up[1], 0);
 
@@ -202,11 +204,11 @@ mod tests {
         let mut s = Cmfl::new(CmflConfig { relevance_threshold: 1.0 });
         let locals0 = vec![vec![1.0, 1.0]];
         let mut global = vec![0.0, 0.0];
-        s.prepare_uploads(0, &locals0, &global);
+        s.prepare_uploads_into(0, &locals0, &global, &mut Vec::new());
         s.aggregate(0, &locals0, &[0], &[true], &mut global);
         // Now move against the trend.
         let locals1 = vec![vec![0.0, 0.0]];
-        s.prepare_uploads(1, &locals1, &global);
+        s.prepare_uploads_into(1, &locals1, &global, &mut Vec::new());
         let out = s.aggregate(1, &locals1, &[0], &[true], &mut global);
         assert_eq!(global, vec![1.0, 1.0]);
         assert_eq!(out.synced_scalars, 0);
@@ -218,7 +220,7 @@ mod tests {
         assert_eq!(s.state_bytes(), 0);
         let locals = vec![vec![1.0; 8]];
         let mut g = vec![0.0; 8];
-        s.prepare_uploads(0, &locals, &g);
+        s.prepare_uploads_into(0, &locals, &g, &mut Vec::new());
         s.aggregate(0, &locals, &[0], &[true], &mut g);
         assert_eq!(s.state_bytes(), 32);
     }

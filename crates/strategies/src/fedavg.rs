@@ -56,7 +56,9 @@ mod tests {
     fn uploads_full_model() {
         let mut s = FedAvg::new();
         let locals = vec![vec![0.0; 5], vec![0.0; 5]];
-        assert_eq!(s.prepare_uploads(0, &locals, &[0.0; 5]), vec![5, 5]);
+        let mut up = Vec::new();
+        s.prepare_uploads_into(0, &locals, &[0.0; 5], &mut up);
+        assert_eq!(up, vec![5, 5]);
     }
 
     #[test]

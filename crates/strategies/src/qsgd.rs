@@ -42,7 +42,9 @@ pub struct Qsgd {
     bits_per_scalar: f64,
     /// Round scratch: one client's raw update (reused across rounds).
     update_scratch: Vec<f32>,
-    /// Round scratch: one client's quantized update (reused across rounds).
+    /// Round scratch: one client's wire codes (reused across rounds).
+    codes_scratch: Vec<u8>,
+    /// Round scratch: one client's dequantized update (reused across rounds).
     q_scratch: Vec<f32>,
     /// Round scratch: the averaged quantized update (reused across rounds).
     mean_scratch: Vec<f32>,
@@ -53,50 +55,34 @@ impl Qsgd {
     ///
     /// # Panics
     ///
-    /// Panics if `levels == 0`.
+    /// Panics if `levels == 0` or `levels > MAX_WIRE_LEVELS` (the codes
+    /// would not fit the wire format's 7 magnitude bits).
     pub fn new(config: QsgdConfig) -> Self {
         assert!(config.levels > 0, "need at least one level");
+        assert!(config.levels <= MAX_WIRE_LEVELS, "at most {MAX_WIRE_LEVELS} levels fit the wire codes");
         let bits = ((config.levels + 1) as f64).log2().ceil() + 1.0;
         Qsgd {
             config,
             rng: StdRng::seed_from_u64(config.seed),
             bits_per_scalar: bits,
             update_scratch: Vec::new(),
+            codes_scratch: Vec::new(),
             q_scratch: Vec::new(),
             mean_scratch: Vec::new(),
         }
     }
 
-    /// Quantizes one update vector (unbiased stochastic rounding) into
-    /// `out`, reusing its allocation.
-    fn quantize_into(&mut self, update: &[f32], out: &mut Vec<f32>) {
-        out.clear();
-        out.resize(update.len(), 0.0);
-        let norm = update.iter().map(|v| f64::from(*v) * f64::from(*v)).sum::<f64>().sqrt() as f32;
-        if norm <= f32::EPSILON {
-            return;
-        }
-        let s = self.config.levels as f32;
-        for (o, &v) in out.iter_mut().zip(update) {
-            let scaled = v.abs() / norm * s;
-            let floor = scaled.floor();
-            let level = if self.rng.gen::<f32>() < scaled - floor { floor + 1.0 } else { floor };
-            *o = norm * v.signum() * level / s;
-        }
-    }
-
-    /// Quantizes one update vector to wire codes: one byte per scalar
-    /// (bit 7 = sign, bits 0–6 = magnitude level) plus the returned scale
-    /// (the update's ℓ₂ norm; `0.0` for an all-zero update). Consumes the
-    /// same stochastic-rounding draws as [`quantize_into`] would, so with
-    /// equal RNG state, [`dequantize_codes_into`] reproduces its emulated
-    /// values bit-for-bit.
+    /// Quantizes one update vector (unbiased stochastic rounding) to wire
+    /// codes: one byte per scalar (bit 7 = sign, bits 0–6 = magnitude level)
+    /// plus the returned scale (the update's ℓ₂ norm; `0.0` for an all-zero
+    /// update). [`Qsgd::dequantize_codes_into`] turns them back into the
+    /// values [`SyncStrategy::aggregate`] averages.
     ///
     /// Returns `None` — without consuming any RNG draws — when the update is
-    /// not wire-packable: non-finite values, a non-finite norm, or more than
-    /// [`MAX_WIRE_LEVELS`] levels. Callers fall back to a dense frame.
+    /// not wire-packable: non-finite values or a non-finite norm. The wire
+    /// falls back to a dense frame; `aggregate` averages NaN.
     pub fn quantize_to_codes(&mut self, update: &[f32], codes: &mut Vec<u8>) -> Option<f32> {
-        if self.config.levels > MAX_WIRE_LEVELS || update.iter().any(|v| !v.is_finite()) {
+        if update.iter().any(|v| !v.is_finite()) {
             return None;
         }
         codes.clear();
@@ -122,10 +108,9 @@ impl Qsgd {
         Some(norm)
     }
 
-    /// Reconstructs dequantized values from wire codes, bit-for-bit equal to
-    /// the emulated [`quantize_into`] output for the same RNG draws: the
-    /// per-scalar expression is the identical `((scale · sign) · level) / s`
-    /// chain (`scale = 0` encodes the all-zero update).
+    /// Reconstructs the quantized values from wire codes: per scalar,
+    /// `((scale · sign) · level) / s` (`scale = 0` encodes the all-zero
+    /// update).
     pub fn dequantize_codes_into(levels: u32, scale: f32, codes: &[u8], out: &mut Vec<f32>) {
         let s = levels.max(1) as f32;
         out.clear();
@@ -137,17 +122,16 @@ impl Qsgd {
         }));
     }
 
-    /// Quantizes one update vector, allocating a fresh output.
-    #[cfg(test)]
-    fn quantize(&mut self, update: &[f32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.quantize_into(update, &mut out);
-        out
-    }
-
-    /// Wire bits per quantized scalar.
-    pub fn bits_per_scalar(&self) -> f64 {
-        self.bits_per_scalar
+    /// Quantizes one update and dequantizes its codes into `out`, the
+    /// values `aggregate` averages; a non-finite update comes out as NaN.
+    fn quantize_dequantize(&mut self, update: &[f32], codes: &mut Vec<u8>, out: &mut Vec<f32>) {
+        match self.quantize_to_codes(update, codes) {
+            Some(scale) => Self::dequantize_codes_into(self.config.levels, scale, codes, out),
+            None => {
+                out.clear();
+                out.resize(update.len(), f32::NAN);
+            }
+        }
     }
 }
 
@@ -196,6 +180,7 @@ impl SyncStrategy for Qsgd {
         mean_q.resize(global.len(), 0.0);
         let mut update = std::mem::take(&mut self.update_scratch);
         update.reserve(global.len());
+        let mut codes = std::mem::take(&mut self.codes_scratch);
         let mut q = std::mem::take(&mut self.q_scratch);
         let level = simd::simd_level();
         for &c in selected {
@@ -204,12 +189,13 @@ impl SyncStrategy for Qsgd {
                 continue;
             };
             update.extend(local.iter().zip(global.iter()).map(|(l, g)| l - g));
-            self.quantize_into(&update, &mut q);
+            self.quantize_dequantize(&update, &mut codes, &mut q);
             simd::axpy_with(level, &mut mean_q, inv, &q);
         }
         simd::add_assign_with(level, global, &mean_q);
         self.mean_scratch = mean_q;
         self.update_scratch = update;
+        self.codes_scratch = codes;
         self.q_scratch = q;
         let equivalent = (global.len() as f64 * self.bits_per_scalar / 32.0).ceil() as usize;
         AggregateOutcome {
@@ -228,6 +214,14 @@ impl SyncStrategy for Qsgd {
 mod tests {
     use super::*;
 
+    /// The values `aggregate` averages for one update: its wire codes,
+    /// dequantized.
+    fn quantize(q: &mut Qsgd, update: &[f32]) -> Vec<f32> {
+        let (mut codes, mut out) = (Vec::new(), Vec::new());
+        q.quantize_dequantize(update, &mut codes, &mut out);
+        out
+    }
+
     #[test]
     fn quantization_is_unbiased_in_expectation() {
         let mut q = Qsgd::new(QsgdConfig { levels: 4, seed: 1 });
@@ -235,7 +229,7 @@ mod tests {
         let trials = 4000;
         let mut mean = vec![0.0f64; update.len()];
         for _ in 0..trials {
-            let quantized = q.quantize(&update);
+            let quantized = quantize(&mut q, &update);
             for (m, v) in mean.iter_mut().zip(&quantized) {
                 *m += f64::from(*v) / trials as f64;
             }
@@ -248,7 +242,7 @@ mod tests {
     #[test]
     fn zero_update_quantizes_to_zero() {
         let mut q = Qsgd::default();
-        assert_eq!(q.quantize(&[0.0, 0.0]), vec![0.0, 0.0]);
+        assert_eq!(quantize(&mut q, &[0.0, 0.0]), vec![0.0, 0.0]);
     }
 
     #[test]
@@ -256,7 +250,7 @@ mod tests {
         let mut q = Qsgd::new(QsgdConfig { levels: 4, seed: 2 });
         let update = vec![0.5f32, -0.25, 0.1];
         let norm = update.iter().map(|v| v * v).sum::<f32>().sqrt();
-        for v in q.quantize(&update) {
+        for v in quantize(&mut q, &update) {
             let level = (v.abs() / norm * 4.0).round();
             assert!((v.abs() / norm * 4.0 - level).abs() < 1e-5, "off-grid value {v}");
         }
@@ -266,9 +260,10 @@ mod tests {
     fn upload_volume_reflects_bit_width() {
         // 15 levels -> 4 magnitude bits + 1 sign = 5 bits/scalar.
         let mut q = Qsgd::default();
-        assert_eq!(q.bits_per_scalar(), 5.0);
+        assert_eq!(q.bits_per_scalar, 5.0);
         let locals = vec![vec![0.0; 320]];
-        let up = q.prepare_uploads(0, &locals, &vec![0.0; 320]);
+        let mut up = Vec::new();
+        q.prepare_uploads_into(0, &locals, &[0.0; 320], &mut up);
         // 320 * 5 / 32 = 50 scalar-equivalents, + 1 for the norm.
         assert_eq!(up, vec![51]);
     }
@@ -301,21 +296,25 @@ mod tests {
     }
 
     #[test]
-    fn wire_codes_dequantize_bit_identically_to_emulated_values() {
-        // Same seed, same update: the emulated f32 path and the wire-code
-        // path must produce bit-identical scalars.
-        let cfg = QsgdConfig { levels: 15, seed: 77 };
-        let update: Vec<f32> =
-            (0..257).map(|i| ((i as f32 * 0.61).sin() - 0.5) * (i % 7) as f32).collect();
-        let emulated = Qsgd::new(cfg).quantize(&update);
-        let mut codes = Vec::new();
-        let scale = Qsgd::new(cfg).quantize_to_codes(&update, &mut codes).unwrap();
-        let mut wire = Vec::new();
-        Qsgd::dequantize_codes_into(cfg.levels, scale, &codes, &mut wire);
-        assert_eq!(emulated.len(), wire.len());
-        for (i, (a, b)) in emulated.iter().zip(&wire).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "idx {i}: {a} vs {b}");
+    #[should_panic(expected = "levels fit the wire codes")]
+    fn levels_past_the_wire_codes_panic() {
+        Qsgd::new(QsgdConfig { levels: MAX_WIRE_LEVELS + 1, seed: 0 });
+    }
+
+    #[test]
+    fn non_finite_update_leaves_a_non_finite_global() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut q = Qsgd::default();
+            let mut global = vec![0.0f32; 4];
+            let locals = vec![vec![0.5f32; 4], vec![1.0, bad, 1.0, 1.0]];
+            q.aggregate(0, &locals, &[0, 1], &[true, true], &mut global);
+            assert!(global.iter().all(|g| g.is_nan()), "{bad}: {global:?}");
         }
+        // A finite update whose norm overflows `f32` is not packable either.
+        let mut q = Qsgd::default();
+        let mut global = vec![0.0f32; 2];
+        q.aggregate(0, &[vec![f32::MAX, f32::MAX]], &[0], &[true], &mut global);
+        assert!(global.iter().all(|g| g.is_nan()), "{global:?}");
     }
 
     #[test]
@@ -336,12 +335,11 @@ mod tests {
         let mut codes = Vec::new();
         assert!(q.quantize_to_codes(&[1.0, f32::NAN], &mut codes).is_none());
         assert!(q.quantize_to_codes(&[f32::INFINITY], &mut codes).is_none());
-        let mut wide = Qsgd::new(QsgdConfig { levels: MAX_WIRE_LEVELS + 1, seed: 0 });
-        assert!(wide.quantize_to_codes(&[1.0, 2.0], &mut codes).is_none());
+        assert!(q.quantize_to_codes(&[f32::MAX, f32::MAX], &mut codes).is_none());
         // Refusal consumed no RNG draws: the next quantize matches a fresh
         // instance with the same seed.
-        let a = q.quantize(&[0.5, -0.5, 0.25]);
-        let b = Qsgd::default().quantize(&[0.5, -0.5, 0.25]);
+        let a = quantize(&mut q, &[0.5, -0.5, 0.25]);
+        let b = quantize(&mut Qsgd::default(), &[0.5, -0.5, 0.25]);
         assert_eq!(a, b);
     }
 }

@@ -175,7 +175,7 @@ mod tests {
     fn run_round(topk: &mut TopK, locals: &[Vec<f32>], global: &mut [f32], round: usize) -> AggregateOutcome {
         let sel: Vec<usize> = (0..locals.len()).collect();
         let active = vec![true; locals.len()];
-        topk.prepare_uploads(round, locals, global);
+        topk.prepare_uploads_into(round, locals, global, &mut Vec::new());
         topk.aggregate(round, locals, &sel, &active, global)
     }
 
@@ -211,7 +211,8 @@ mod tests {
     fn upload_volume_counts_index_value_pairs() {
         let mut t = TopK::new(TopKConfig { fraction: 0.5 });
         let locals = vec![vec![0.0; 10]];
-        let up = t.prepare_uploads(0, &locals, &[0.0; 10]);
+        let mut up = Vec::new();
+        t.prepare_uploads_into(0, &locals, &[0.0; 10], &mut up);
         assert_eq!(up, vec![10]); // k=5, 2 scalar-equivalents each
     }
 
@@ -230,7 +231,7 @@ mod tests {
         let mut t = TopK::new(TopKConfig { fraction: 1.0 });
         let mut global = vec![0.0f32];
         let locals = vec![vec![1.0], vec![5.0]];
-        t.prepare_uploads(0, &locals, &global);
+        t.prepare_uploads_into(0, &locals, &global, &mut Vec::new());
         // Only client 0 selected; client 1 is active and accumulates.
         t.aggregate(0, &locals, &[0], &[true, true], &mut global);
         assert_eq!(global, vec![1.0]);

@@ -39,7 +39,8 @@ fn contract_holds(seed: u64, n: usize, clients: usize, rounds: usize) {
             let locals: Vec<Vec<f32>> = (0..clients)
                 .map(|c| (0..n).map(|j| global[j] + update(seed, round, c, j)).collect())
                 .collect();
-            let ups = strategy.prepare_uploads(round, &locals, &global);
+            let mut ups = Vec::new();
+            strategy.prepare_uploads_into(round, &locals, &global, &mut ups);
             // One volume entry per client; never more than 2x the model
             // (index+value pairs are the worst case).
             assert_eq!(ups.len(), clients, "{}", strategy.name());
@@ -85,7 +86,7 @@ fn identical_locals_fixpoint() {
                 let global_init: Vec<f32> = (0..n).map(|j| update(seed, 0, 0, j)).collect();
                 let mut global = global_init.clone();
                 let locals = vec![global.clone(); 3];
-                strategy.prepare_uploads(0, &locals, &global);
+                strategy.prepare_uploads_into(0, &locals, &global, &mut Vec::new());
                 strategy.aggregate(0, &locals, &[0, 1, 2], &[true; 3], &mut global);
                 for (a, b) in global.iter().zip(&global_init) {
                     assert!((a - b).abs() < 1e-6, "{} moved a fixpoint", strategy.name());
@@ -107,7 +108,7 @@ fn unanimous_shift_is_applied_by_all() {
             for round in 0..6 {
                 let locals: Vec<Vec<f32>> =
                     (0..3).map(|_| global.iter().map(|g| g + shift).collect()).collect();
-                strategy.prepare_uploads(round, &locals, &global);
+                strategy.prepare_uploads_into(round, &locals, &global, &mut Vec::new());
                 strategy.aggregate(round, &locals, &[0, 1, 2], &[true; 3], &mut global);
             }
             // After several unanimous rounds, all strategies have moved
@@ -148,7 +149,7 @@ fn empty_selection_holds_the_global_and_all_state() {
             for round in 0..warmup {
                 let locals = locals_at(round, &global);
                 for (s, g) in [(&mut seen, &mut global), (&mut twin, &mut twin_global)] {
-                    s.prepare_uploads(round, &locals, g);
+                    s.prepare_uploads_into(round, &locals, g, &mut Vec::new());
                     s.aggregate(round, &locals, &everyone, &vec![true; clients], g);
                 }
             }
@@ -156,8 +157,8 @@ fn empty_selection_holds_the_global_and_all_state() {
 
             // Both plan the round; only `seen` is asked to aggregate it.
             let locals = locals_at(warmup, &global);
-            seen.prepare_uploads(warmup, &locals, &global);
-            twin.prepare_uploads(warmup, &locals, &twin_global);
+            seen.prepare_uploads_into(warmup, &locals, &global, &mut Vec::new());
+            twin.prepare_uploads_into(warmup, &locals, &twin_global, &mut Vec::new());
             let out = seen.aggregate(warmup, &locals, &[], &present, &mut global);
             assert_eq!(bits(&global), bits(&twin_global), "{name}: an empty selection moved the global");
             let held = AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0, total_scalars: n };
@@ -165,7 +166,8 @@ fn empty_selection_holds_the_global_and_all_state() {
 
             let locals = locals_at(warmup + 1, &global);
             let outcomes = [(&mut seen, &mut global), (&mut twin, &mut twin_global)].map(|(s, g)| {
-                let uploads = s.prepare_uploads(warmup + 1, &locals, g);
+                let mut uploads = Vec::new();
+                s.prepare_uploads_into(warmup + 1, &locals, g, &mut uploads);
                 (uploads, s.aggregate(warmup + 1, &locals, &everyone, &vec![true; clients], g))
             });
             assert_eq!(outcomes[0], outcomes[1], "{name}: the empty round left a trace in the state");

@@ -598,7 +598,7 @@ mod tests {
             let seed: Vec<f32> = (0..img.len()).map(|i| specials(i + 7, (i as f32 * 0.9).sin())).collect();
             let want_img = col2im_ref(&cols, d, seed.clone());
             use crate::SimdLevel;
-            for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
                 if level > crate::hardware_simd_level() {
                     continue;
                 }

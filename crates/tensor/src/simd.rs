@@ -1,13 +1,13 @@
 //! Runtime-dispatched SIMD inner loops for the hot kernels.
 //!
 //! This module is the single place in the workspace that touches
-//! `std::arch` intrinsics. It provides `f32x8`-style vector lanes (AVX2),
-//! `f32x4` lanes (SSE2), and a scalar fallback, selected **once per
-//! process** from the host CPU via `is_x86_feature_detected!` and
-//! overridable for testing:
+//! `std::arch` intrinsics. It provides `f32x8`-style vector lanes (AVX2)
+//! and a scalar fallback, selected **once per process** from the host CPU
+//! via `is_x86_feature_detected!` and overridable for testing:
 //!
-//! * `FEDSU_SIMD=off|scalar|sse2|avx2` — environment override, consulted on
-//!   first use and clamped to what the hardware actually supports.
+//! * `FEDSU_SIMD=off|scalar|avx2` — environment override, consulted on
+//!   first use and clamped to what the hardware actually supports; any
+//!   other value means auto.
 //! * [`set_simd_level`] — in-process override (also clamped), so tests can
 //!   sweep every level.
 //!
@@ -34,7 +34,7 @@
 //!    element goes through the same compiled kernel instance, so
 //!    `fedsu-fl`'s client fan-out width decides which thread trains a
 //!    client, never what it computes.
-//! 2. **Modulo NaN payload, across levels.** Between `scalar`/`sse2`/`avx2`
+//! 2. **Modulo NaN payload, across levels.** Between `scalar` and `avx2`
 //!    (and against the naive `reference::` loops) every finite value,
 //!    signed zero, and infinity is bit-identical; only the *payload* of a
 //!    NaN may differ, and only when an add sees **two** NaN operands
@@ -62,16 +62,16 @@
 //!
 //! * Each vector kernel is one generic body over the private `Lanes`
 //!   register trait. Raw-pointer loads and stores exist in exactly two
-//!   places, the `load`/`store` methods of `impl Lanes for __m256` and
-//!   `impl Lanes for __m128`, and each checks that its slice is exactly one
-//!   register long before touching it. Kernel bodies hand them subslices
+//!   places, the `load`/`store` methods of `impl Lanes for __m256`, and
+//!   each checks that its slice is exactly one register long before
+//!   touching it. Kernel bodies hand them subslices
 //!   carved by `chunks_exact`/`chunks_exact_mut`/`split_at`(`_mut`) or a
 //!   checked `get` (so the check folds away) and never index — there is no
 //!   pointer arithmetic anywhere.
 //! * What is left of `unsafe` is one precondition, "this instruction set is
-//!   present". The only `#[target_feature]` functions are the two one-call
-//!   wrappers the `kernels!` table emits per row, reachable only through
-//!   that row's `match level`: `Avx2`/`Sse2` arms run only when
+//!   present". The only `#[target_feature]` functions are the one-call
+//!   wrappers the `kernels!` table emits, one per row, reachable only
+//!   through that row's `match level`: the `Avx2` arm runs only when
 //!   [`hardware_simd_level`] has observed the feature, and every override is
 //!   clamped to that detected capability.
 //! * Remainder lanes fall back to plain safe scalar code, except in the
@@ -85,8 +85,8 @@
 //! 2. One `#[inline(always)] unsafe fn name<V: Lanes>` body in `mod x86`:
 //!    chunk by `V::N`, keep the scalar loop's operand order
 //!    (`acc.fadd(a.fmul(b))`, never fused), give the remainder to `scalar::name`.
-//! 3. One row in the `kernels!` table — it emits both levels' wrappers and
-//!    the `name_with` dispatcher — and a unit test against `scalar::name`.
+//! 3. One row in the `kernels!` table — it emits the AVX2 wrapper and the
+//!    `name_with` dispatcher — and a unit test against `scalar::name`.
 #![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -94,16 +94,16 @@ use std::sync::OnceLock;
 
 /// Vector width the dispatched kernels run at.
 ///
-/// Ordered by capability: `Scalar < Sse2 < Avx2`, so levels can be clamped
-/// with `min` against the detected hardware ceiling.
+/// Ordered by capability: `Scalar < Avx2`, so levels can be clamped with
+/// `min` against the detected hardware ceiling. The discriminant is the
+/// level's number in reports (`0` scalar, `2` AVX2); `1` was the retired
+/// 128-bit tier and stays unused so that the numbering does not move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// Plain scalar loops — the semantic ground truth.
-    Scalar,
-    /// 128-bit `f32x4` lanes (x86-64 baseline).
-    Sse2,
+    Scalar = 0,
     /// 256-bit `f32x8` lanes.
-    Avx2,
+    Avx2 = 2,
 }
 
 impl SimdLevel {
@@ -111,24 +111,19 @@ impl SimdLevel {
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
         }
     }
 
     fn index(self) -> usize {
-        match self {
-            SimdLevel::Scalar => 0,
-            SimdLevel::Sse2 => 1,
-            SimdLevel::Avx2 => 2,
-        }
+        self as usize
     }
 
     fn from_index(i: usize) -> SimdLevel {
-        match i {
-            2 => SimdLevel::Avx2,
-            1 => SimdLevel::Sse2,
-            _ => SimdLevel::Scalar,
+        if i == SimdLevel::Avx2.index() {
+            SimdLevel::Avx2
+        } else {
+            SimdLevel::Scalar
         }
     }
 }
@@ -147,9 +142,6 @@ fn detect_hardware() -> SimdLevel {
         if std::arch::is_x86_feature_detected!("avx2") {
             return SimdLevel::Avx2;
         }
-        if std::arch::is_x86_feature_detected!("sse2") {
-            return SimdLevel::Sse2;
-        }
     }
     SimdLevel::Scalar
 }
@@ -165,8 +157,6 @@ fn parse_env(value: Option<&str>) -> Option<SimdLevel> {
     let v = value?.trim();
     if v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("scalar") {
         Some(SimdLevel::Scalar)
-    } else if v.eq_ignore_ascii_case("sse2") {
-        Some(SimdLevel::Sse2)
     } else if v.eq_ignore_ascii_case("avx2") {
         Some(SimdLevel::Avx2)
     } else {
@@ -195,8 +185,8 @@ pub fn simd_level() -> SimdLevel {
 }
 
 /// Forces the dispatch level for this process, clamped to the detected
-/// hardware capability (requesting `Avx2` on an SSE2-only machine installs
-/// `Sse2`).
+/// hardware capability (requesting `Avx2` on a machine without AVX2
+/// installs `Scalar`).
 ///
 /// Levels agree bit-for-bit on all finite/±0/±inf outputs (and modulo
 /// NaN payload otherwise — see the module docs), so changing this at any
@@ -548,8 +538,7 @@ mod scalar {
 // ---------------------------------------------------------------------------
 
 /// The vector kernels, each written **once** over the `Lanes` register
-/// type; the `kernels!` table instantiates every body at `__m256` (AVX2) and
-/// `__m128` (SSE2).
+/// type; the `kernels!` table instantiates every body at `__m256` (AVX2).
 ///
 /// Every function is `unsafe` with the same contract: the caller must be
 /// running with the CPU feature of the lane type it names (see `Lanes`). All
@@ -561,13 +550,10 @@ mod x86 {
     use super::{scalar, SweepRows, SweepRule, LANE_ON, OBSERVED_MAX};
     use std::ops::Range;
     use std::arch::x86_64::{
-        __m128, __m256, _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_cmp_ps,
-        _mm256_loadu_ps, _mm256_movemask_ps, _mm256_mul_ps, _mm256_or_ps, _mm256_permute2f128_ps,
-        _mm256_set1_ps, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_sub_ps,
-        _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_add_ps, _mm_and_ps, _mm_andnot_ps,
-        _mm_cmpeq_ps, _mm_cmpgt_ps, _mm_cmpunord_ps, _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps,
-        _mm_movemask_ps, _mm_mul_ps, _mm_or_ps, _mm_set1_ps, _mm_setzero_ps, _mm_storeu_ps,
-        _mm_sub_ps, _mm_unpackhi_ps, _mm_unpacklo_ps, _CMP_EQ_OQ, _CMP_GT_OQ, _CMP_UNORD_Q,
+        __m256, _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_cmp_ps, _mm256_loadu_ps,
+        _mm256_movemask_ps, _mm256_mul_ps, _mm256_or_ps, _mm256_permute2f128_ps, _mm256_set1_ps,
+        _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm256_unpackhi_ps,
+        _mm256_unpacklo_ps, _CMP_EQ_OQ, _CMP_GT_OQ, _CMP_UNORD_Q,
     };
 
     /// The widest [`Lanes::N`]: sizes the stack arrays a generic body cannot
@@ -583,8 +569,8 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Every method requires the CPU feature of its impl (AVX for `__m256`,
-    /// SSE2 for `__m128`). The methods carry no `#[target_feature]`
+    /// Every method requires the CPU feature of its impl (AVX for
+    /// `__m256`). The methods carry no `#[target_feature]`
     /// themselves: they are `#[inline(always)]` into a kernel body, which is
     /// `#[inline(always)]` into the `kernels!` wrapper that enables the
     /// feature, after the dispatcher has checked the level against the
@@ -733,86 +719,6 @@ mod x86 {
                 _mm256_permute2f128_ps::<0x31>(u2, u6),
                 _mm256_permute2f128_ps::<0x31>(u3, u7),
             ]
-        }
-    }
-
-    impl Lanes for __m128 {
-        const N: usize = 4;
-        #[inline(always)]
-        unsafe fn load(s: &[f32]) -> Self {
-            assert_eq!(s.len(), Self::N);
-            // SAFETY: `s` is exactly the 4 lanes this unaligned load reads.
-            unsafe { _mm_loadu_ps(s.as_ptr()) }
-        }
-        #[inline(always)]
-        unsafe fn store(self, s: &mut [f32]) {
-            assert_eq!(s.len(), Self::N);
-            // SAFETY: `s` is exactly the 4 lanes this unaligned store writes.
-            unsafe { _mm_storeu_ps(s.as_mut_ptr(), self) }
-        }
-        #[inline(always)]
-        unsafe fn splat(a: f32) -> Self {
-            _mm_set1_ps(a)
-        }
-        #[inline(always)]
-        unsafe fn zero() -> Self {
-            _mm_setzero_ps()
-        }
-        #[inline(always)]
-        unsafe fn fadd(self, o: Self) -> Self {
-            _mm_add_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn fsub(self, o: Self) -> Self {
-            _mm_sub_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn fmul(self, o: Self) -> Self {
-            _mm_mul_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn and(self, o: Self) -> Self {
-            _mm_and_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn andnot(self, o: Self) -> Self {
-            _mm_andnot_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn or(self, o: Self) -> Self {
-            _mm_or_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn gt_zero(self) -> Self {
-            _mm_cmpgt_ps(self, _mm_setzero_ps())
-        }
-        #[inline(always)]
-        unsafe fn is_nan(self) -> Self {
-            _mm_cmpunord_ps(self, self)
-        }
-        #[inline(always)]
-        unsafe fn gt(self, o: Self) -> Self {
-            _mm_cmpgt_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn eq(self, o: Self) -> Self {
-            _mm_cmpeq_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn movemask(self) -> u32 {
-            _mm_movemask_ps(self) as u32
-        }
-        /// 4×4: unpack pairs, then move 64-bit halves.
-        #[inline(always)]
-        unsafe fn transpose([v0, v1, v2, v3, rest @ ..]: [Self; MAX_N]) -> [Self; MAX_N] {
-            let t0 = _mm_unpacklo_ps(v0, v1);
-            let t1 = _mm_unpacklo_ps(v2, v3);
-            let t2 = _mm_unpackhi_ps(v0, v1);
-            let t3 = _mm_unpackhi_ps(v2, v3);
-            let (c0, c1) = (_mm_movelh_ps(t0, t1), _mm_movehl_ps(t1, t0));
-            let (c2, c3) = (_mm_movelh_ps(t2, t3), _mm_movehl_ps(t3, t2));
-            let [r4, r5, r6, r7] = rest;
-            [c0, c1, c2, c3, r4, r5, r6, r7]
         }
     }
 
@@ -1426,12 +1332,12 @@ mod x86 {
 ///
 /// `name` is the kernel — `scalar::name` and the generic `x86::name::<V>`.
 /// Every row gets the level-pinned dispatcher `name_with(level, args)` and,
-/// inside it, the two `#[target_feature]` wrappers that instantiate the one
-/// body at each lane type; these wrappers are the only `#[target_feature]`
+/// inside it, the `#[target_feature]` wrapper that instantiates the one
+/// body at `__m256`; these wrappers are the only `#[target_feature]`
 /// functions in the workspace. A row that also lists the plain `name` gets
 /// the entry point that resolves [`simd_level`] once per call (only kernels
-/// with a caller outside a level-pinned loop list one). The `Sse2`/`Avx2`
-/// arms exist on x86-64 only; everywhere else every level runs the scalar
+/// with a caller outside a level-pinned loop list one). The `Avx2` arm
+/// exists on x86-64 only; everywhere else every level runs the scalar
 /// kernel.
 macro_rules! kernels {
     ($($(#[$doc:meta])* $name:ident: $($entry:ident),+ ($($arg:ident: $ty:ty),*) $(-> $ret:ty)?;)*) => {
@@ -1459,21 +1365,12 @@ macro_rules! kernels {
                 // `Lanes for __m256` requires.
                 unsafe { x86::$name::<std::arch::x86_64::__m256>($($arg),*) }
             }
-            #[cfg(target_arch = "x86_64")]
-            #[target_feature(enable = "sse2")]
-            unsafe fn sse2($($arg: $ty),*) $(-> $ret)? {
-                // SAFETY: this fn enables the SSE2 that `Lanes for __m128`
-                // requires.
-                unsafe { x86::$name::<std::arch::x86_64::__m128>($($arg),*) }
-            }
             match level {
-                // SAFETY (both arms): `level` never exceeds the detected
-                // hardware capability — the one precondition of this fn — so
-                // the feature the wrapper enables is present.
+                // SAFETY: `level` never exceeds the detected hardware
+                // capability — the one precondition of this fn — so the AVX2
+                // the wrapper enables is present.
                 #[cfg(target_arch = "x86_64")]
                 SimdLevel::Avx2 => unsafe { avx2($($arg),*) },
-                #[cfg(target_arch = "x86_64")]
-                SimdLevel::Sse2 => unsafe { sse2($($arg),*) },
                 _ => scalar::$name($($arg),*),
             }
         }
@@ -1647,7 +1544,7 @@ mod tests {
     }
 
     fn levels() -> Vec<SimdLevel> {
-        [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
+        [SimdLevel::Scalar, SimdLevel::Avx2]
             .into_iter()
             .filter(|&l| l <= hardware_simd_level())
             .collect()
@@ -1662,15 +1559,18 @@ mod tests {
         assert_eq!(parse_env(Some("garbage")), None);
         assert_eq!(parse_env(Some("off")), Some(SimdLevel::Scalar));
         assert_eq!(parse_env(Some("Scalar")), Some(SimdLevel::Scalar));
-        assert_eq!(parse_env(Some(" sse2 ")), Some(SimdLevel::Sse2));
+        assert_eq!(parse_env(Some(" avx2 ")), Some(SimdLevel::Avx2));
         assert_eq!(parse_env(Some("AVX2")), Some(SimdLevel::Avx2));
+        // The retired 128-bit tier's name selects auto, like any other.
+        assert_eq!(parse_env(Some("sse2")), None);
     }
 
     #[test]
     fn level_order_and_names() {
-        assert!(SimdLevel::Scalar < SimdLevel::Sse2);
-        assert!(SimdLevel::Sse2 < SimdLevel::Avx2);
-        for l in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
+        assert!(SimdLevel::Scalar < SimdLevel::Avx2);
+        // The report numbers (roundbench's `tensor.simd_level`).
+        assert_eq!((SimdLevel::Scalar as u8, SimdLevel::Avx2 as u8), (0, 2));
+        for l in [SimdLevel::Scalar, SimdLevel::Avx2] {
             assert_eq!(SimdLevel::from_index(l.index()), l);
             assert_eq!(parse_env(Some(l.name())), Some(l));
         }
@@ -1745,8 +1645,8 @@ mod tests {
 
     #[test]
     fn masked_kernels_leave_unselected_lanes_alone() {
-        // Ten lanes, odd ones selected: both arms in the vector body of
-        // either width and in the remainder.
+        // Ten lanes, odd ones selected: both arms in the vector body and
+        // in the remainder.
         let m: Vec<f32> = (0..10).map(|i| if i % 2 == 1 { LANE_ON } else { LANE_OFF }).collect();
         let l: Vec<f32> = (0..10).map(|i| if i % 4 < 2 { f32::INFINITY } else { f32::NAN }).collect();
         let g = [f32::INFINITY; 10];

@@ -123,18 +123,6 @@ impl Tensor {
         (self.data, self.shape)
     }
 
-    /// Returns the element at a flat (row-major) index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] when `index >= len`.
-    pub fn get(&self, index: usize) -> Result<f32> {
-        self.data
-            .get(index)
-            .copied()
-            .ok_or(TensorError::IndexOutOfBounds { index, len: self.data.len() })
-    }
-
     /// Reinterprets the tensor with a new shape of identical element count.
     ///
     /// # Errors
@@ -177,17 +165,6 @@ impl Tensor {
     pub fn sub(&self, other: &Tensor) -> Result<Tensor> {
         self.check_same_shape(other, "sub")?;
         let data = self.data.iter().zip(&other.data).map(|(a, b)| a - b).collect();
-        Ok(Tensor { data, shape: self.shape.clone() })
-    }
-
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn mul(&self, other: &Tensor) -> Result<Tensor> {
-        self.check_same_shape(other, "mul")?;
-        let data = self.data.iter().zip(&other.data).map(|(a, b)| a * b).collect();
         Ok(Tensor { data, shape: self.shape.clone() })
     }
 
@@ -257,15 +234,6 @@ impl Tensor {
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
-    }
-
-    /// Mean of all elements (0.0 for an empty tensor).
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
     }
 
     /// Whether any element is NaN or infinite.
@@ -344,7 +312,6 @@ mod tests {
         let b = Tensor::from_vec(vec![4.0, 5.0, 6.0], &[3]).unwrap();
         assert_eq!(a.add(&b).unwrap().data(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).unwrap().data(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.mul(&b).unwrap().data(), &[4.0, 10.0, 18.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0, 6.0]);
     }
 
@@ -376,14 +343,14 @@ mod tests {
     fn reductions() {
         let a = Tensor::from_vec(vec![1.0, -2.0, 3.0], &[3]).unwrap();
         assert_eq!(a.sum(), 2.0);
-        assert!((a.mean() - 2.0 / 3.0).abs() < 1e-6);
+        assert_eq!(Tensor::zeros(&[0]).sum(), 0.0);
     }
 
     #[test]
     fn randn_has_reasonable_moments() {
         let mut rng = StdRng::seed_from_u64(42);
         let t = Tensor::randn(&[10_000], 1.0, &mut rng);
-        let mean = t.mean();
+        let mean = t.sum() / t.len() as f32;
         let var = t.data().iter().map(|v| (v - mean).powi(2)).sum::<f32>() / t.len() as f32;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.1, "var {var}");

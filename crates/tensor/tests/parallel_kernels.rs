@@ -42,7 +42,7 @@ fn gate() -> std::sync::MutexGuard<'static, ()> {
 /// paper CNN's training shapes in every orientation `BENCHMARK.json` meters
 /// (`tensor.matmul{,_ta,_tb}_gflops.*`) plus conv1's backward pair
 /// (`(6, 784, 25)` is its `A·Bᵀ` with n = 25, `(25, 6, 784)` its `Aᵀ·B`),
-/// whose widths hit every split of the vector kernels at both lane widths:
+/// whose widths hit every split of the vector kernels at the AVX2 width:
 /// 784 = 24·32 + 2·8, 196 = 6·32 + 4, 588 = 18·32 + 8 + 4,
 /// 150 = 4·32 + 2·8 + 6, 25 = 3·8 + 1. Odd m leaves the paired-row `A·B` /
 /// `Aᵀ·B` kernel a single last row, and m mod 4 ≠ 0 the four-row `A·Bᵀ`
@@ -51,7 +51,7 @@ fn gate() -> std::sync::MutexGuard<'static, ()> {
 /// last of three `MC` blocks. Every residue `n mod 8` from 1 to 7 appears
 /// with `n > 8` (n = 33, 10, 19, 196, 13, 150, 23), so each kernel's last
 /// register block ends at the row's end, overlapping the one before it;
-/// `n = 68` (at AVX2) and `n = 67` (at both widths) end in an `NC = 64`
+/// `n = 68` and `n = 67` end in an `NC = 64`
 /// strip narrower than a register, whose last block starts in the strip
 /// before, and `(2, 300, 11)` runs that block over two `KC` tiles.
 const SHAPES: [(usize, usize, usize); 27] = [
@@ -215,7 +215,7 @@ fn nan_in_b_behind_zero_row_of_a_propagates() {
 /// Every SIMD level the running hardware can execute, scalar first.
 fn supported_levels() -> Vec<SimdLevel> {
     let hw = hardware_simd_level();
-    [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
+    [SimdLevel::Scalar, SimdLevel::Avx2]
         .into_iter()
         .filter(|&l| l <= hw)
         .collect()

@@ -1,8 +1,7 @@
 //! Channel-based endpoints connecting one server and N clients across
-//! threads, moving *encoded* message bytes (so byte counters measure the
-//! real wire volume).
+//! threads, moving opaque frames (so byte counters measure the real wire
+//! volume). A [`crate::Message`] travels only inside a session's envelope.
 
-use crate::{DecodeError, Message};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -55,8 +54,6 @@ pub enum BusError {
     Disconnected,
     /// No message arrived within the timeout.
     Timeout,
-    /// The received bytes did not decode.
-    Decode(DecodeError),
 }
 
 impl std::fmt::Display for BusError {
@@ -64,7 +61,6 @@ impl std::fmt::Display for BusError {
         match self {
             BusError::Disconnected => write!(f, "peer disconnected"),
             BusError::Timeout => write!(f, "receive timed out"),
-            BusError::Decode(e) => write!(f, "decode failed: {e}"),
         }
     }
 }
@@ -124,38 +120,6 @@ impl std::fmt::Debug for ServerEndpoint {
 }
 
 impl ServerEndpoint {
-    /// Sends a message to one client.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BusError::Disconnected`] if the client endpoint is gone.
-    pub fn send(&self, client: usize, msg: &Message) -> Result<(), BusError> {
-        self.send_bytes_to(client, msg.encode())
-    }
-
-    /// Broadcasts a message to every client.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first send failure.
-    pub fn broadcast(&self, msg: &Message) -> Result<(), BusError> {
-        for c in 0..self.to_clients.len() {
-            self.send(c, msg)?;
-        }
-        Ok(())
-    }
-
-    /// Receives the next client message (blocking with timeout).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BusError::Timeout`] / [`BusError::Disconnected`] /
-    /// [`BusError::Decode`] accordingly.
-    pub fn recv(&self, timeout: Duration) -> Result<Message, BusError> {
-        let bytes = self.recv_bytes(timeout)?;
-        Message::decode(&bytes).map_err(BusError::Decode)
-    }
-
     /// Traffic counters for this endpoint.
     pub fn stats(&self) -> TransportStats {
         *self.counter.lock()
@@ -199,26 +163,6 @@ impl ClientEndpoint {
     /// This endpoint's client id.
     pub fn id(&self) -> usize {
         self.id
-    }
-
-    /// Sends a message to the server.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BusError::Disconnected`] if the server endpoint is gone.
-    pub fn send(&self, msg: &Message) -> Result<(), BusError> {
-        self.send_bytes_to(0, msg.encode())
-    }
-
-    /// Receives the next server message (blocking with timeout).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BusError::Timeout`] / [`BusError::Disconnected`] /
-    /// [`BusError::Decode`] accordingly.
-    pub fn recv(&self, timeout: Duration) -> Result<Message, BusError> {
-        let bytes = self.recv_bytes(timeout)?;
-        Message::decode(&bytes).map_err(BusError::Decode)
     }
 
     /// Traffic counters for this endpoint.
@@ -279,43 +223,51 @@ impl LocalBus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SparseValues;
 
     const T: Duration = Duration::from_millis(500);
 
     #[test]
     fn client_to_server_roundtrip() {
         let (server, clients) = LocalBus::star(2);
-        clients[1].send(&Message::Pull { client: 1 }).unwrap();
-        let msg = server.recv(T).unwrap();
-        assert_eq!(msg, Message::Pull { client: 1 });
+        clients[1].send_bytes_to(0, vec![1, 2, 3]).unwrap();
+        assert_eq!(server.recv_bytes(T).unwrap(), vec![1, 2, 3]);
         assert_eq!(server.stats().messages_received, 1);
         assert_eq!(clients[1].stats().messages_sent, 1);
+        assert_eq!(server.stats().bytes_received, 3);
         assert_eq!(server.stats().bytes_received, clients[1].stats().bytes_sent);
     }
 
     #[test]
     fn broadcast_reaches_every_client() {
         let (server, clients) = LocalBus::star(3);
-        let model = Message::Model { round: 0, values: SparseValues::dense(vec![1.0, 2.0]) };
-        server.broadcast(&model).unwrap();
+        for peer in 0..server.peer_count() {
+            server.send_bytes_to(peer, vec![7; 5]).unwrap();
+        }
         for c in &clients {
-            assert_eq!(c.recv(T).unwrap(), model);
+            assert_eq!(c.recv_bytes(T).unwrap(), vec![7; 5]);
+            assert_eq!(c.stats().bytes_received, 5);
         }
         assert_eq!(server.stats().messages_sent, 3);
+        assert_eq!(server.stats().bytes_sent, 15);
+        // A peer index past the star is not a peer.
+        assert_eq!(server.send_bytes_to(3, vec![0]), Err(BusError::Disconnected));
+        assert_eq!(clients[0].send_bytes_to(1, vec![0]), Err(BusError::Disconnected));
     }
 
     #[test]
     fn timeout_when_no_message() {
-        let (server, _clients) = LocalBus::star(1);
-        assert_eq!(server.recv(Duration::from_millis(10)).unwrap_err(), BusError::Timeout);
+        let (server, clients) = LocalBus::star(1);
+        assert_eq!(server.recv_bytes(Duration::from_millis(10)).unwrap_err(), BusError::Timeout);
+        assert_eq!(clients[0].recv_bytes(Duration::from_millis(10)).unwrap_err(), BusError::Timeout);
+        assert_eq!(server.stats().messages_received, 0, "a timeout counts nothing");
     }
 
     #[test]
     fn disconnect_is_detected() {
         let (server, clients) = LocalBus::star(1);
         drop(server);
-        assert_eq!(clients[0].send(&Message::Shutdown).unwrap_err(), BusError::Disconnected);
+        assert_eq!(clients[0].send_bytes_to(0, vec![0]).unwrap_err(), BusError::Disconnected);
+        assert_eq!(clients[0].recv_bytes(T).unwrap_err(), BusError::Disconnected);
     }
 
     #[test]
@@ -325,25 +277,20 @@ mod tests {
             .drain(..)
             .map(|c| {
                 std::thread::spawn(move || {
-                    c.send(&Message::Update {
-                        round: 0,
-                        client: u32::try_from(c.id()).unwrap(),
-                        values: SparseValues::dense(vec![c.id() as f32]),
-                    })
-                    .unwrap();
-                    matches!(c.recv(T).unwrap(), Message::Shutdown)
+                    c.send_bytes_to(0, vec![u8::try_from(c.id()).unwrap()]).unwrap();
+                    c.recv_bytes(T).unwrap() == [0xFF]
                 })
             })
             .collect();
         let mut seen = Vec::new();
         for _ in 0..2 {
-            if let Message::Update { client, .. } = server.recv(T).unwrap() {
-                seen.push(client);
-            }
+            seen.extend(server.recv_bytes(T).unwrap());
         }
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1]);
-        server.broadcast(&Message::Shutdown).unwrap();
+        for peer in 0..2 {
+            server.send_bytes_to(peer, vec![0xFF]).unwrap();
+        }
         for h in handles {
             assert!(h.join().unwrap());
         }
@@ -352,8 +299,8 @@ mod tests {
     #[test]
     fn poisoned_stats_lock_still_yields_its_data() {
         let (server, clients) = LocalBus::star(1);
-        clients[0].send(&Message::Pull { client: 0 }).unwrap();
-        server.recv(T).unwrap();
+        clients[0].send_bytes_to(0, vec![0]).unwrap();
+        server.recv_bytes(T).unwrap();
         let counter = Arc::clone(&server.counter);
         let holder = std::thread::spawn(move || {
             let _guard = counter.stats.lock().unwrap();
@@ -362,8 +309,8 @@ mod tests {
         assert!(holder.join().is_err());
         assert!(server.counter.stats.is_poisoned());
         assert_eq!(server.stats().messages_received, 1);
-        clients[0].send(&Message::Pull { client: 0 }).unwrap();
-        server.recv(T).unwrap();
+        clients[0].send_bytes_to(0, vec![0]).unwrap();
+        server.recv_bytes(T).unwrap();
         assert_eq!(server.stats().messages_received, 2, "counting continues after the poisoning");
     }
 

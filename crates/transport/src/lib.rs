@@ -2,32 +2,32 @@
 //!
 //! The paper implements client↔server communication with RPyC (remote
 //! Python calls). This crate is the Rust stand-in: typed FL messages with a
-//! compact, versioned wire encoding, channel-based endpoints that actually
-//! move the encoded bytes between threads, and per-endpoint byte counters —
-//! so a "distributed" FedAvg over real threads can be checked bit-for-bit
-//! against the in-process emulation (see `tests/distributed_fedavg.rs`).
+//! compact, versioned wire encoding, carried by reliable sessions over
+//! channel-based endpoints that actually move the encoded bytes between
+//! threads and count them — so a FedAvg run over real threads can be checked
+//! bit-for-bit against the in-process emulation (see the workspace's
+//! `tests/wire_parity.rs`).
 //!
 //! The `fedsu-fl` runtime deliberately does *not* route its inner loop
 //! through this transport (the emulation counts bytes analytically, which
 //! is what the paper measures); the transport exists to demonstrate that
-//! the message protocol is complete and self-consistent — and, since the
-//! fault-tolerant session layer landed, that the protocol survives an
-//! actively hostile wire.
+//! the message protocol is complete and self-consistent — and that it
+//! survives an actively hostile wire.
 //!
 //! The crate is a small stack, each layer written once and addressed by
 //! peer index — in a star a client is a server with one peer (the server,
 //! at index 0):
 //!
 //! * [`LocalBus`] endpoints move opaque frames between threads and count
-//!   bytes ([`Link`] is the seam);
+//!   bytes ([`Link`] is the seam, and the only way bytes leave an endpoint);
 //! * [`Chaos`] optionally decorates a link with a seeded [`FaultPlan`]'s
 //!   wire faults — drop, corruption, duplication, reordering, delay —
 //!   every decision a pure hash of `(client, round epoch, seq, attempt)`,
 //!   shared with the emulator's fault model;
 //! * [`ClientSession`] / [`ServerSession`], two faces of one state
-//!   machine, restore exactly-once delivery on top with acks, bounded
-//!   deterministic retransmission, `(epoch, seq)` dedup, and stale-epoch
-//!   rejection, reporting [`ReliabilityStats`] whose `retransmitted_bytes`
+//!   machine and the only path a [`Message`] takes, restore exactly-once
+//!   delivery on top with acks, bounded deterministic retransmission,
+//!   `(epoch, seq)` dedup, and stale-epoch rejection, reporting [`ReliabilityStats`] whose `retransmitted_bytes`
 //!   matches the fl runtime's per-round accounting.
 //!
 //! ```

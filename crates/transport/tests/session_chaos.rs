@@ -36,7 +36,7 @@ fn session_cfg() -> SessionConfig {
     }
 }
 
-/// Deterministic fake "local training" (same rule as distributed_fedavg).
+/// Deterministic fake "local training" (same rule as `tests/wire_parity.rs`).
 fn local_update(round: usize, client: usize, j: usize) -> f32 {
     ((round * 31 + client * 7 + j) % 13) as f32 * 0.01 - 0.06
 }

@@ -260,7 +260,7 @@ pub struct SizeRatios {
 pub struct BenchReport {
     /// Whether every configuration matched the reference bit-for-bit.
     pub all_bit_identical: bool,
-    /// The SIMD level the run resolved (`scalar`/`sse2`/`avx2`).
+    /// The SIMD level the run resolved (`scalar`/`avx2`).
     pub simd_level: String,
     /// Per-size normalized ratios, in file order.
     pub sizes: Vec<SizeRatios>,

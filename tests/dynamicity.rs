@@ -77,7 +77,7 @@ fn join_state_transfers_the_replicated_manager_state() {
                     .collect()
             })
             .collect();
-        donor.prepare_uploads(round, &locals, &global);
+        donor.prepare_uploads_into(round, &locals, &global, &mut Vec::new());
         donor.aggregate(round, &locals, &[0, 1, 2], &[true; 3], &mut global);
     }
     let bytes = donor.join_state().expect("donor has state");
@@ -89,8 +89,10 @@ fn join_state_transfers_the_replicated_manager_state() {
 
     // Same future input -> same upload decision.
     let locals = vec![global.clone(); 3];
-    let d = donor.prepare_uploads(12, &locals, &global);
-    let j = joiner.prepare_uploads(12, &locals, &global);
+    let mut d = Vec::new();
+    donor.prepare_uploads_into(12, &locals, &global, &mut d);
+    let mut j = Vec::new();
+    joiner.prepare_uploads_into(12, &locals, &global, &mut j);
     assert_eq!(d, j);
 }
 
@@ -99,7 +101,7 @@ fn join_state_size_is_proportional_to_model() {
     let mut f = FedSu::new(FedSuConfig::default());
     let mut global = vec![0.0f32; 100];
     let locals = vec![global.clone(); 2];
-    f.prepare_uploads(0, &locals, &global);
+    f.prepare_uploads_into(0, &locals, &global, &mut Vec::new());
     f.aggregate(0, &locals, &[0, 1], &[true, true], &mut global);
     let bytes = f.join_state().unwrap();
     // 16-byte header + 13 mask bytes + 100 * 22 payload bytes.

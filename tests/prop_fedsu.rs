@@ -25,7 +25,7 @@ fn drive(
         let locals: Vec<Vec<f32>> = (0..clients)
             .map(|c| (0..n).map(|j| global[j] + update_of(round, c, j)).collect())
             .collect();
-        f.prepare_uploads(round, &locals, &global);
+        f.prepare_uploads_into(round, &locals, &global, &mut Vec::new());
         let out = f.aggregate(round, &locals, &selected, &active, &mut global);
         // Conservation: synced + skipped-but-unchecked scalars == total.
         assert!(out.synced_scalars <= out.total_scalars);
@@ -77,7 +77,8 @@ fn uploads_equal_unpredictable_plus_checks() {
                 let locals: Vec<Vec<f32>> = (0..2)
                     .map(|_| (0..n).map(|j| global[j] - slope * (1.0 + j as f32 * 0.1)).collect())
                     .collect();
-                let ups = f.prepare_uploads(round, &locals, &global);
+                let mut ups = Vec::new();
+                f.prepare_uploads_into(round, &locals, &global, &mut ups);
                 // Replicated state: all clients upload the same volume.
                 assert!(ups.windows(2).all(|w| w[0] == w[1]));
                 let unpredictable = f.predictable_mask().iter().filter(|&&p| !p).count() as u64;
@@ -108,7 +109,7 @@ fn speculative_value_follows_slope_exactly() {
         // Promote with a constant slope.
         while !f.predictable_mask().first().copied().unwrap_or(false) {
             let locals = vec![vec![global[0] + slope]];
-            f.prepare_uploads(round, &locals, &global);
+            f.prepare_uploads_into(round, &locals, &global, &mut Vec::new());
             f.aggregate(round, &locals, &[0], &[true], &mut global);
             round += 1;
             assert!(round < 12);
@@ -118,7 +119,7 @@ fn speculative_value_follows_slope_exactly() {
         for k in 0..8 {
             let before = global[0];
             let locals = vec![vec![before + slope * 3.0]]; // hostile local
-            f.prepare_uploads(round + k, &locals, &global);
+            f.prepare_uploads_into(round + k, &locals, &global, &mut Vec::new());
             f.aggregate(round + k, &locals, &[0], &[true], &mut global);
             if f.predictable_mask()[0] {
                 assert!((global[0] - (before + slope)).abs() < 1e-6);
@@ -149,7 +150,10 @@ fn join_state_roundtrips_after_random_history() {
             assert_eq!(joiner.predictable_mask(), f.predictable_mask());
             assert_eq!(joiner.join_state(), Some(bytes));
             let locals = vec![global.clone(); 2];
-            assert_eq!(joiner.prepare_uploads(20, &locals, &global), f.prepare_uploads(20, &locals, &global));
+            let (mut joined, mut donor) = (Vec::new(), Vec::new());
+            joiner.prepare_uploads_into(20, &locals, &global, &mut joined);
+            f.prepare_uploads_into(20, &locals, &global, &mut donor);
+            assert_eq!(joined, donor);
         }
     });
 }
