@@ -73,9 +73,11 @@ impl EmaPair {
 /// Feed it the global parameter vector once per synchronized round via
 /// [`observe_params`](OscillationDiagnostic::observe_params); it maintains
 /// the first/second-order differences internally and exposes each scalar's
-/// current ratio. This standalone form is used by the motivation figures
-/// (Fig. 1/2) and by offline analysis; the FedSU manager embeds the same
-/// arithmetic in its round loop.
+/// current ratio. The FedSU manager embeds the same arithmetic in its
+/// round loop; this standalone form is the reference the manager is checked
+/// against (`tests/properties.rs`,
+/// `manager_and_standalone_diagnostic_agree_on_eq2`), and
+/// `tests/linearity_validation.rs` drives it on synthetic series.
 #[derive(Debug, Clone)]
 pub struct OscillationDiagnostic {
     theta: f32,

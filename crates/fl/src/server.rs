@@ -5,7 +5,6 @@ use fedsu_data::InMemoryDataset;
 use fedsu_nn::flat::{flatten_params, load_params, param_count};
 use fedsu_nn::loss::{accuracy, softmax_cross_entropy};
 use fedsu_nn::{Layer, NnError, Sequential};
-use fedsu_tensor::pool;
 use std::sync::Arc;
 
 /// Holds the global model parameters and evaluates them on a held-out test
@@ -65,9 +64,7 @@ impl Server {
             let (x, labels) = self.test_set.batch(&idx).map_err(NnError::from)?;
             let logits = self.eval_model.forward(&x, false)?;
             let acc = accuracy(&logits, &labels)?;
-            let (loss, grad) = softmax_cross_entropy(&logits, &labels)?;
-            // Evaluation reads the loss only; its gradient came from the pool.
-            pool::recycle(grad);
+            let (loss, _) = softmax_cross_entropy(&logits, &labels)?;
             let w = idx.len() as f64;
             correct_weighted += f64::from(acc) * w;
             loss_weighted += f64::from(loss) * w;

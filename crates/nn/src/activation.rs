@@ -2,12 +2,12 @@
 
 use crate::layer::Layer;
 use crate::{NnError, Result};
-use fedsu_tensor::{pool, simd, Tensor};
+use fedsu_tensor::{simd, Tensor};
 
 /// Rectified linear unit: `y = max(x, 0)`, elementwise over any shape.
 ///
 /// Forward and backward run on the dispatched `fedsu_tensor::simd` lanes;
-/// the training-mode cache keeps the raw input (a pooled copy) instead of
+/// the training-mode cache keeps the raw input (a copy) instead of
 /// a boolean mask so the backward pass can ride the same compare+select
 /// kernel.
 #[derive(Debug, Default)]
@@ -28,12 +28,10 @@ impl Layer for Relu {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        let mut out = pool::pooled_like(input);
+        let mut out = Tensor::zeros(input.shape());
         simd::relu_fwd(input.data(), out.data_mut());
         if train {
-            let mut cache = pool::pooled_like(input);
-            cache.data_mut().copy_from_slice(input.data());
-            self.input = Some(cache);
+            self.input = Some(input.clone());
         }
         Ok(out)
     }
@@ -50,9 +48,8 @@ impl Layer for Relu {
                 grad_output.shape(),
             ));
         }
-        let mut out = pool::pooled_like(grad_output);
+        let mut out = Tensor::zeros(grad_output.shape());
         simd::relu_bwd(cached.data(), grad_output.data(), out.data_mut());
-        pool::recycle(cached);
         Ok(out)
     }
 }

@@ -8,7 +8,7 @@ use crate::groupnorm::GroupNorm;
 use crate::layer::{Layer, Param};
 use crate::pool::AvgPool2d;
 use crate::{NnError, Result};
-use fedsu_tensor::{pool, Tensor};
+use fedsu_tensor::Tensor;
 use rand::Rng;
 
 /// Concatenates two `NCHW` tensors along the channel axis.
@@ -28,7 +28,7 @@ fn concat_channels(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         }
     };
     let plane = h * w;
-    let mut out = pool::pooled_zeros(&[n, ca + cb, h, w]);
+    let mut out = Tensor::zeros(&[n, ca + cb, h, w]);
     let parts = a.data().chunks_exact(ca * plane).zip(b.data().chunks_exact(cb * plane));
     for (dst, (sa, sb)) in out.data_mut().chunks_exact_mut((ca + cb) * plane).zip(parts) {
         let (da, db) = dst.split_at_mut(ca * plane);
@@ -53,8 +53,8 @@ fn split_channels(g: &Tensor, ca: usize) -> Result<(Tensor, Tensor)> {
     };
     let cb = c - ca;
     let plane = h * w;
-    let mut ga = pool::pooled_zeros(&[n, ca, h, w]);
-    let mut gb = pool::pooled_zeros(&[n, cb, h, w]);
+    let mut ga = Tensor::zeros(&[n, ca, h, w]);
+    let mut gb = Tensor::zeros(&[n, cb, h, w]);
     let parts = ga.data_mut().chunks_exact_mut(ca * plane);
     let parts = parts.zip(gb.data_mut().chunks_exact_mut(cb * plane));
     for (src, (da, db)) in g.data().chunks_exact(c * plane).zip(parts) {
@@ -141,21 +141,10 @@ impl Layer for ResidualBlock {
         main = self.conv2.forward(&main, train)?;
         main = self.gn2.forward(&main, train)?;
         let skip = match &mut self.downsample {
-            Some((conv, gn)) => {
-                let s = conv.forward(input, train)?;
-                let normed = gn.forward(&s, train)?;
-                pool::recycle(s);
-                normed
-            }
-            None => {
-                let mut copy = pool::pooled_like(input);
-                copy.data_mut().copy_from_slice(input.data());
-                copy
-            }
+            Some((conv, gn)) => gn.forward(&conv.forward(input, train)?, train)?,
+            None => input.clone(),
         };
         let mut out = main.add(&skip)?;
-        pool::recycle(main);
-        pool::recycle(skip);
         if train {
             let mut mask = std::mem::take(&mut self.spare);
             mask.clear();
@@ -180,7 +169,7 @@ impl Layer for ResidualBlock {
                 grad_output.shape(),
             ));
         }
-        let mut g = pool::pooled_like(grad_output);
+        let mut g = Tensor::zeros(grad_output.shape());
         for ((o, &gv), &m) in g.data_mut().iter_mut().zip(grad_output.data()).zip(&mask) {
             *o = if m { gv } else { 0.0 };
         }
@@ -195,19 +184,10 @@ impl Layer for ResidualBlock {
 
         // Skip branch.
         let gx_skip = match &mut self.downsample {
-            Some((conv, gn)) => {
-                let gs = gn.backward(&g)?;
-                let gx = conv.backward(&gs)?;
-                pool::recycle(gs);
-                pool::recycle(g);
-                gx
-            }
+            Some((conv, gn)) => conv.backward(&gn.backward(&g)?)?,
             None => g,
         };
-        let gx = gx_main.add(&gx_skip)?;
-        pool::recycle(gx_main);
-        pool::recycle(gx_skip);
-        Ok(gx)
+        Ok(gx_main.add(&gx_skip)?)
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -279,16 +259,9 @@ impl Layer for DenseLayer {
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
         let (g_direct, g_new) = split_channels(grad_output, self.in_channels)?;
-        let mut g = self.conv.backward(&g_new)?;
-        pool::recycle(g_new);
-        let next = self.relu.backward(&g)?;
-        pool::recycle(std::mem::replace(&mut g, next));
-        let next = self.gn.backward(&g)?;
-        pool::recycle(std::mem::replace(&mut g, next));
-        let gx = g_direct.add(&g)?;
-        pool::recycle(g_direct);
-        pool::recycle(g);
-        Ok(gx)
+        let g = self.conv.backward(&g_new)?;
+        let g = self.gn.backward(&self.relu.backward(&g)?)?;
+        Ok(g_direct.add(&g)?)
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {

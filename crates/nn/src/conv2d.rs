@@ -4,7 +4,7 @@ use crate::layer::{Layer, Param};
 use crate::{NnError, Result};
 use fedsu_tensor::{
     col2im_into, im2col_into, kaiming_uniform, matmul_into, matmul_transpose_a_into,
-    matmul_transpose_b_into, pool, ConvDims, Tensor,
+    matmul_transpose_b_into, ConvDims, Tensor,
 };
 use rand::Rng;
 
@@ -116,7 +116,6 @@ impl Conv2d {
         let plane = out_h * out_w;
         let expected = [batch, self.out_channels, out_h, out_w];
         if grad_output.shape() != expected {
-            pool::recycle(input);
             return Err(NnError::new_bad_input(
                 self.name(),
                 format_args!("grad {expected:?}"),
@@ -126,7 +125,7 @@ impl Conv2d {
         let fan_in = self.in_channels * self.kernel * self.kernel;
         let sample_in = self.in_channels * dims.in_h * dims.in_w;
         let out_sample = self.out_channels * plane;
-        let mut grad_in_t = input_grad.then(|| pool::pooled_zeros(input.shape()));
+        let mut grad_in_t = input_grad.then(|| Tensor::zeros(input.shape()));
         self.dw.resize(self.out_channels * fan_in, 0.0);
         if input_grad {
             self.dcols.resize(fan_in * plane, 0.0);
@@ -158,7 +157,6 @@ impl Conv2d {
             let dst = grad_in.data_mut().get_mut(n * sample_in..(n + 1) * sample_in).unwrap_or_default();
             col2im_into(&self.dcols, dst, &dims)?;
         }
-        pool::recycle(input);
         Ok(grad_in_t)
     }
 }
@@ -175,7 +173,7 @@ impl Layer for Conv2d {
         let fan_in = self.in_channels * self.kernel * self.kernel;
         let sample_in = self.in_channels * dims.in_h * dims.in_w;
         let out_sample = self.out_channels * plane;
-        let mut out_t = pool::pooled_zeros(&[batch, self.out_channels, out_h, out_w]);
+        let mut out_t = Tensor::zeros(&[batch, self.out_channels, out_h, out_w]);
         let out = out_t.data_mut();
 
         for n in 0..batch {
@@ -191,9 +189,7 @@ impl Layer for Conv2d {
             }
         }
         if train {
-            let mut cached = pool::pooled_like(input);
-            cached.data_mut().copy_from_slice(input.data());
-            self.cached_input = Some(cached);
+            self.cached_input = Some(input.clone());
         }
         Ok(out_t)
     }

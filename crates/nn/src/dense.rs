@@ -2,7 +2,7 @@
 
 use crate::layer::{Layer, Param};
 use crate::{NnError, Result};
-use fedsu_tensor::{kaiming_uniform, matmul, matmul_transpose_a, matmul_transpose_b, pool, Tensor};
+use fedsu_tensor::{kaiming_uniform, matmul, matmul_transpose_a, matmul_transpose_b, Tensor};
 use rand::Rng;
 
 /// A fully-connected layer computing `y = x · Wᵀ + b`.
@@ -55,10 +55,7 @@ impl Dense {
             ));
         }
         // dW = dYᵀ · X  -> [out, in]
-        let dw = matmul_transpose_a(grad_output, &input)?;
-        pool::recycle(input);
-        self.weight.grad.add_assign(&dw)?;
-        pool::recycle(dw);
+        self.weight.grad.add_assign(&matmul_transpose_a(grad_output, &input)?)?;
         // db = column-sum of dY
         let bg = self.bias.grad.data_mut();
         for grow in grad_output.data().chunks_exact(self.out_features) {
@@ -92,9 +89,7 @@ impl Layer for Dense {
             }
         }
         if train {
-            let mut cache = pool::pooled_like(input);
-            cache.data_mut().copy_from_slice(input.data());
-            self.cached_input = Some(cache);
+            self.cached_input = Some(input.clone());
         }
         Ok(out)
     }

@@ -2,18 +2,21 @@
 
 use crate::layer::Layer;
 use crate::{NnError, Result};
-use fedsu_tensor::{pool, Tensor};
+use fedsu_tensor::Tensor;
 
 /// Flattens all non-batch dimensions.
 #[derive(Debug, Default)]
 pub struct Flatten {
-    cached_shape: Option<Vec<usize>>,
+    /// The input shape of the last training forward, reused across calls.
+    shape: Vec<usize>,
+    /// Whether `shape` belongs to a forward no backward has consumed yet.
+    cached: bool,
 }
 
 impl Flatten {
     /// Creates a flatten layer.
     pub fn new() -> Self {
-        Flatten { cached_shape: None }
+        Flatten::default()
     }
 }
 
@@ -34,21 +37,18 @@ impl Layer for Flatten {
             }
         };
         if train {
-            let mut cached = pool::take_usize_buf(input.rank());
-            cached.copy_from_slice(input.shape());
-            self.cached_shape = Some(cached);
+            self.shape.clear();
+            self.shape.extend_from_slice(input.shape());
+            self.cached = true;
         }
         Ok(input.reshape(&[batch, rest])?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let shape = self
-            .cached_shape
-            .take()
-            .ok_or_else(|| NnError::new_missing_forward(self.name()))?;
-        let out = grad_output.reshape(&shape)?;
-        pool::give_usize_buf(shape);
-        Ok(out)
+        if !std::mem::take(&mut self.cached) {
+            return Err(NnError::new_missing_forward(self.name()));
+        }
+        Ok(grad_output.reshape(&self.shape)?)
     }
 }
 

@@ -7,7 +7,7 @@
 
 use crate::layer::{Layer, Param};
 use crate::{NnError, Result};
-use fedsu_tensor::{pool, Tensor};
+use fedsu_tensor::Tensor;
 
 const EPS: f32 = 1e-5;
 
@@ -26,6 +26,8 @@ pub struct GroupNorm {
     channels: usize,
     groups: usize,
     cache: Option<Cache>,
+    /// Retired `(mean, inv_std)` allocations, reused by the next forward.
+    spare: [Vec<f32>; 2],
 }
 
 impl std::fmt::Debug for GroupNorm {
@@ -56,6 +58,7 @@ impl GroupNorm {
             channels,
             groups,
             cache: None,
+            spare: Default::default(),
         })
     }
 }
@@ -80,9 +83,12 @@ impl Layer for GroupNorm {
         let cpg = self.channels / self.groups; // channels per group
         let group_size = cpg * plane;
         let data = input.data();
-        let mut out_t = pool::pooled_zeros(input.shape());
-        let mut means = pool::take_f32_buf(n * self.groups);
-        let mut inv_stds = pool::take_f32_buf(n * self.groups);
+        let mut out_t = Tensor::zeros(input.shape());
+        let [mut means, mut inv_stds] = std::mem::take(&mut self.spare);
+        for stat in [&mut means, &mut inv_stds] {
+            stat.clear();
+            stat.resize(n * self.groups, 0.0);
+        }
 
         // Groups are contiguous and run (sample, group) in the order the
         // statistics are stored; the affine parameters repeat per sample.
@@ -105,12 +111,9 @@ impl Layer for GroupNorm {
             }
         }
         if train {
-            let mut cached = pool::pooled_like(input);
-            cached.data_mut().copy_from_slice(data);
-            self.cache = Some(Cache { input: cached, plane, mean: means, inv_std: inv_stds });
+            self.cache = Some(Cache { input: input.clone(), plane, mean: means, inv_std: inv_stds });
         } else {
-            pool::give_f32_buf(means);
-            pool::give_f32_buf(inv_stds);
+            self.spare = [means, inv_stds];
         }
         Ok(out_t)
     }
@@ -127,17 +130,14 @@ impl Layer for GroupNorm {
                 format_args!("grad {:?}", input.shape()),
                 grad_output.shape(),
             );
-            let Cache { input, mean, inv_std, .. } = cache;
-            pool::recycle(input);
-            pool::give_f32_buf(mean);
-            pool::give_f32_buf(inv_std);
+            self.spare = [cache.mean, cache.inv_std];
             return Err(err);
         }
         let plane = cache.plane;
         let cpg = self.channels / self.groups;
         let group_len = cpg * plane;
         let group_size = group_len as f32;
-        let mut grad_in_t = pool::pooled_zeros(input.shape());
+        let mut grad_in_t = Tensor::zeros(input.shape());
 
         let gammas = self.gamma.value.data();
         let (dgammas, dbetas) = (self.gamma.grad.data_mut(), self.beta.grad.data_mut());
@@ -189,10 +189,7 @@ impl Layer for GroupNorm {
                 }
             }
         }
-        let Cache { input, mean, inv_std, .. } = cache;
-        pool::recycle(input);
-        pool::give_f32_buf(mean);
-        pool::give_f32_buf(inv_std);
+        self.spare = [cache.mean, cache.inv_std];
         Ok(grad_in_t)
     }
 

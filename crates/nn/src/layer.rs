@@ -1,7 +1,7 @@
 //! The [`Layer`] trait and the [`Param`] container.
 
 use crate::Result;
-use fedsu_tensor::{pool, Tensor};
+use fedsu_tensor::Tensor;
 
 /// A trainable parameter: its value and the gradient accumulated by the most
 /// recent backward pass(es).
@@ -72,8 +72,7 @@ pub trait Layer: Send {
     /// input. A model's first layer runs this (see [`crate::Sequential`]):
     /// nothing reads the gradient of the training batch.
     ///
-    /// The default runs `backward` and hands the input gradient back to the
-    /// buffer pool. `Conv2d` and `Dense` override it and never compute that
+    /// The default runs `backward` and drops the input gradient. `Conv2d` and `Dense` override it and never compute that
     /// gradient (`Conv2d` skips its `Wᵀ·dY` product and `col2im` per sample,
     /// `Dense` its `dY·W`).
     ///
@@ -81,7 +80,7 @@ pub trait Layer: Send {
     ///
     /// Exactly those of [`Layer::backward`].
     fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
-        pool::recycle(self.backward(grad_output)?);
+        self.backward(grad_output)?;
         Ok(())
     }
 

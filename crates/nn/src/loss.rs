@@ -1,7 +1,7 @@
 //! Softmax cross-entropy loss and classification accuracy.
 
 use crate::{NnError, Result};
-use fedsu_tensor::{pool, Tensor};
+use fedsu_tensor::Tensor;
 
 /// Computes mean softmax cross-entropy over a batch and its gradient with
 /// respect to the logits.
@@ -26,7 +26,7 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> Result<(f32, 
             ))
         }
     };
-    let mut grad = pool::pooled_zeros(&[batch, classes]);
+    let mut grad = Tensor::zeros(&[batch, classes]);
     let mut loss = 0.0f64;
     let inv_batch = 1.0 / batch as f32;
 

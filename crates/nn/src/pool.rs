@@ -2,7 +2,7 @@
 
 use crate::layer::Layer;
 use crate::{NnError, Result};
-use fedsu_tensor::{pool, Tensor};
+use fedsu_tensor::Tensor;
 
 /// The `[n, c, h, w]` dims of a pooling input with a non-empty plane.
 fn nchw(input: &Tensor, layer: &str) -> Result<[usize; 4]> {
@@ -25,14 +25,6 @@ fn windowed_nchw(input: &Tensor, k: usize, layer: &str) -> Result<[usize; 4]> {
         ));
     }
     Ok(dims)
-}
-
-/// Checks out a pool-backed copy of `shape` so steady rounds reuse the
-/// same small vector instead of re-allocating it every forward pass.
-fn cache_shape(shape: &[usize]) -> Vec<usize> {
-    let mut cached = pool::take_usize_buf(shape.len());
-    cached.copy_from_slice(shape);
-    cached
 }
 
 /// One step of a max-pool window scan: the `(value, flat index)` kept after
@@ -63,7 +55,9 @@ fn max_step_numbers(best: (f32, usize), next: (f32, usize)) -> (f32, usize) {
 #[derive(Debug)]
 pub struct MaxPool2d {
     k: usize,
-    cached: Option<(Vec<usize>, Vec<usize>)>, // (input shape, argmax flat indices)
+    cached: Option<([usize; 4], Vec<usize>)>, // (input shape, argmax flat indices)
+    /// Retired argmax allocation, reused by the next forward pass.
+    spare: Vec<usize>,
 }
 
 impl MaxPool2d {
@@ -74,7 +68,7 @@ impl MaxPool2d {
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "pool window must be positive");
-        MaxPool2d { k, cached: None }
+        MaxPool2d { k, cached: None, spare: Vec::new() }
     }
 }
 
@@ -87,8 +81,10 @@ impl Layer for MaxPool2d {
         let k = self.k;
         let [n, c, h, w] = windowed_nchw(input, k, self.name())?;
         let (oh, ow) = (h / k, w / k);
-        let mut out = pool::pooled_zeros(&[n, c, oh, ow]);
-        let mut arg = pool::take_usize_buf(n * c * oh * ow);
+        let mut out = Tensor::zeros(&[n, c, oh, ow]);
+        let mut arg = std::mem::take(&mut self.spare);
+        arg.clear();
+        arg.resize(n * c * oh * ow, 0);
         // Each window is scanned row by row, left to right, from its own
         // first element: a tie keeps the first maximum in that order, and
         // the first NaN wins (see `max_step`).
@@ -124,9 +120,9 @@ impl Layer for MaxPool2d {
             }
         }
         if train {
-            self.cached = Some((cache_shape(input.shape()), arg));
+            self.cached = Some(([n, c, h, w], arg));
         } else {
-            pool::give_usize_buf(arg);
+            self.spare = arg;
         }
         Ok(out)
     }
@@ -138,15 +134,14 @@ impl Layer for MaxPool2d {
             .ok_or_else(|| NnError::new_missing_forward(self.name()))?;
         if grad_output.len() != arg.len() {
             let expected = arg.len();
-            pool::give_usize_buf(arg);
-            pool::give_usize_buf(in_shape);
+            self.spare = arg;
             return Err(NnError::new_bad_input(
                 self.name(),
                 format_args!("grad with {expected} elements"),
                 grad_output.shape(),
             ));
         }
-        let mut grad_in = pool::pooled_zeros(&in_shape);
+        let mut grad_in = Tensor::zeros(&in_shape);
         let gd = grad_in.data_mut();
         // Every index was taken from a window of the `in_shape` input.
         for (g, &idx) in grad_output.data().iter().zip(&arg) {
@@ -154,8 +149,7 @@ impl Layer for MaxPool2d {
                 *slot += g;
             }
         }
-        pool::give_usize_buf(arg);
-        pool::give_usize_buf(in_shape);
+        self.spare = arg;
         Ok(grad_in)
     }
 }
@@ -164,7 +158,7 @@ impl Layer for MaxPool2d {
 #[derive(Debug)]
 pub struct AvgPool2d {
     k: usize,
-    cached_shape: Option<Vec<usize>>,
+    cached_shape: Option<[usize; 4]>,
 }
 
 impl AvgPool2d {
@@ -189,7 +183,7 @@ impl Layer for AvgPool2d {
         let [n, c, h, w] = windowed_nchw(input, k, self.name())?;
         let (oh, ow) = (h / k, w / k);
         let inv = 1.0 / (k * k) as f32;
-        let mut out = pool::pooled_zeros(&[n, c, oh, ow]);
+        let mut out = Tensor::zeros(&[n, c, oh, ow]);
         // Each window sums row by row, left to right, from `+0.0`.
         let planes = input.data().chunks_exact(h * w);
         for (plane, oplane) in planes.zip(out.data_mut().chunks_exact_mut(oh * ow)) {
@@ -206,7 +200,7 @@ impl Layer for AvgPool2d {
             }
         }
         if train {
-            self.cached_shape = Some(cache_shape(input.shape()));
+            self.cached_shape = Some([n, c, h, w]);
         }
         Ok(out)
     }
@@ -217,22 +211,18 @@ impl Layer for AvgPool2d {
             .take()
             .ok_or_else(|| NnError::new_missing_forward(self.name()))?;
         let k = self.k;
-        let [n, c, h, w] = *in_shape.as_slice() else {
-            pool::give_usize_buf(in_shape);
-            return Err(NnError::new_missing_forward(self.name()));
-        };
+        let [n, c, h, w] = in_shape;
         let (oh, ow) = (h / k, w / k);
         let inv = 1.0 / (k * k) as f32;
         let gd = grad_output.data();
         if gd.len() != n * c * oh * ow {
-            pool::give_usize_buf(in_shape);
             return Err(NnError::new_bad_input(
                 self.name(),
                 format_args!("grad with {} elements", n * c * oh * ow),
                 grad_output.shape(),
             ));
         }
-        let mut grad_in = pool::pooled_zeros(&in_shape);
+        let mut grad_in = Tensor::zeros(&in_shape);
         let gplanes = grad_in.data_mut().chunks_exact_mut(h * w);
         for (gplane, dplane) in gplanes.zip(gd.chunks_exact(oh * ow)) {
             for (band, drow) in gplane.chunks_exact_mut(k * w).zip(dplane.chunks_exact(ow)) {
@@ -246,7 +236,6 @@ impl Layer for AvgPool2d {
                 }
             }
         }
-        pool::give_usize_buf(in_shape);
         Ok(grad_in)
     }
 }
@@ -254,7 +243,7 @@ impl Layer for AvgPool2d {
 /// Global average pooling: `[n, c, h, w] -> [n, c]`.
 #[derive(Debug, Default)]
 pub struct GlobalAvgPool {
-    cached_shape: Option<Vec<usize>>,
+    cached_shape: Option<[usize; 4]>,
 }
 
 impl GlobalAvgPool {
@@ -273,13 +262,13 @@ impl Layer for GlobalAvgPool {
         let [n, c, h, w] = nchw(input, self.name())?;
         let plane = h * w;
         let inv = 1.0 / plane as f32;
-        let mut out = pool::pooled_zeros(&[n, c]);
+        let mut out = Tensor::zeros(&[n, c]);
         // `out` holds exactly the `n * c` plane means.
         for (o, p) in out.data_mut().iter_mut().zip(input.data().chunks_exact(plane)) {
             *o = p.iter().sum::<f32>() * inv;
         }
         if train {
-            self.cached_shape = Some(cache_shape(input.shape()));
+            self.cached_shape = Some([n, c, h, w]);
         }
         Ok(out)
     }
@@ -289,25 +278,20 @@ impl Layer for GlobalAvgPool {
             .cached_shape
             .take()
             .ok_or_else(|| NnError::new_missing_forward(self.name()))?;
-        let [n, c, h, w] = *in_shape.as_slice() else {
-            pool::give_usize_buf(in_shape);
-            return Err(NnError::new_missing_forward(self.name()));
-        };
+        let [n, c, h, w] = in_shape;
         let plane = h * w;
         let inv = 1.0 / plane as f32;
         if grad_output.len() != n * c {
-            pool::give_usize_buf(in_shape);
             return Err(NnError::new_bad_input(
                 self.name(),
                 format_args!("grad with {} elements", n * c),
                 grad_output.shape(),
             ));
         }
-        let mut grad_in = pool::pooled_zeros(&in_shape);
+        let mut grad_in = Tensor::zeros(&in_shape);
         for (p, &g) in grad_in.data_mut().chunks_exact_mut(plane).zip(grad_output.data()) {
             p.fill(g * inv);
         }
-        pool::give_usize_buf(in_shape);
         Ok(grad_in)
     }
 }

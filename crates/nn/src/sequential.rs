@@ -2,7 +2,7 @@
 
 use crate::layer::{Layer, Param};
 use crate::Result;
-use fedsu_tensor::{pool, Tensor};
+use fedsu_tensor::Tensor;
 
 /// A container running child layers in order; the workhorse model type.
 ///
@@ -83,29 +83,17 @@ impl Layer for Sequential {
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
         let mut layers = self.layers.iter_mut();
         let Some(first) = layers.next() else {
-            let mut out = pool::pooled_like(input);
-            out.data_mut().copy_from_slice(input.data());
-            return Ok(out);
+            return Ok(input.clone());
         };
         let mut x = first.forward(input, train)?;
         for layer in layers {
-            let next = layer.forward(&x, train)?;
-            // The intermediate activation is dead once the next layer has
-            // consumed it; hand its storage back to the pool.
-            pool::recycle(std::mem::replace(&mut x, next));
+            x = layer.forward(&x, train)?;
         }
         Ok(x)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        match backward_through(&mut self.layers, grad_output)? {
-            Some(g) => Ok(g),
-            None => {
-                let mut out = pool::pooled_like(grad_output);
-                out.data_mut().copy_from_slice(grad_output.data());
-                Ok(out)
-            }
-        }
+        Ok(backward_through(&mut self.layers, grad_output)?.unwrap_or_else(|| grad_output.clone()))
     }
 
     /// Every layer runs `backward` except the first, which runs
@@ -115,11 +103,7 @@ impl Layer for Sequential {
             return Ok(());
         };
         let g = backward_through(rest, grad_output)?;
-        first.backward_params(g.as_ref().unwrap_or(grad_output))?;
-        if let Some(g) = g {
-            pool::recycle(g);
-        }
-        Ok(())
+        first.backward_params(g.as_ref().unwrap_or(grad_output))
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -135,9 +119,8 @@ impl Layer for Sequential {
     }
 }
 
-/// Runs `backward` through `layers`, last to first, handing each
-/// intermediate gradient back to the pool once the next layer has consumed
-/// it. `None` when there are no layers.
+/// Runs `backward` through `layers`, last to first. `None` when there are
+/// no layers.
 fn backward_through(layers: &mut [Box<dyn Layer>], grad_output: &Tensor) -> Result<Option<Tensor>> {
     let mut layers = layers.iter_mut().rev();
     let Some(last) = layers.next() else {
@@ -145,8 +128,7 @@ fn backward_through(layers: &mut [Box<dyn Layer>], grad_output: &Tensor) -> Resu
     };
     let mut g = last.backward(grad_output)?;
     for layer in layers {
-        let next = layer.backward(&g)?;
-        pool::recycle(std::mem::replace(&mut g, next));
+        g = layer.backward(&g)?;
     }
     Ok(Some(g))
 }

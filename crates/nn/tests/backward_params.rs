@@ -63,7 +63,7 @@ fn dense_and_conv2d_accumulate_the_gradients_backward_does() {
 }
 
 /// `GroupNorm` keeps the default method: `backward`, input gradient
-/// recycled.
+/// dropped.
 #[test]
 fn a_default_method_layer_accumulates_the_gradients_backward_does() {
     let x = Tensor::rand_uniform(&[2, 4, 3, 3], -1.0, 1.0, &mut rng(6));

@@ -1,9 +1,7 @@
-//! Weight initializers.
+//! Weight initialization.
 //!
-//! Both initializers return tensors whose entries are drawn uniformly from
-//! `[-bound, bound]` with the bound chosen per the standard schemes:
-//! Kaiming (He) for ReLU networks and Xavier (Glorot) for linear/softmax
-//! layers.
+//! The initializer returns tensors whose entries are drawn uniformly from
+//! `[-bound, bound]` with the Kaiming (He) bound for ReLU networks.
 
 use crate::Tensor;
 use rand::Rng;
@@ -22,22 +20,6 @@ pub fn kaiming_uniform<R: Rng + ?Sized>(shape: &[usize], fan_in: usize, rng: &mu
     Tensor::rand_uniform(shape, -bound, bound, rng)
 }
 
-/// Xavier-uniform initialization: `bound = sqrt(6 / (fan_in + fan_out))`.
-///
-/// # Panics
-///
-/// Panics if `fan_in + fan_out == 0`.
-pub fn xavier_uniform<R: Rng + ?Sized>(
-    shape: &[usize],
-    fan_in: usize,
-    fan_out: usize,
-    rng: &mut R,
-) -> Tensor {
-    assert!(fan_in + fan_out > 0, "fan_in + fan_out must be positive");
-    let bound = (6.0f32 / (fan_in + fan_out) as f32).sqrt();
-    Tensor::rand_uniform(shape, -bound, bound, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,14 +35,6 @@ mod tests {
         assert!(t.data().iter().all(|&v| v.abs() <= bound));
         // Sanity: values are not all tiny (spread over the range).
         assert!(t.data().iter().any(|&v| v.abs() > bound * 0.5));
-    }
-
-    #[test]
-    fn xavier_bound_respected() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let t = xavier_uniform(&[10, 20], 20, 10, &mut rng);
-        let bound = (6.0f32 / 30.0).sqrt();
-        assert!(t.data().iter().all(|&v| v.abs() <= bound));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! FedSU reproduction. It provides exactly what the neural-network substrate
 //! (`fedsu-nn`) needs: owned `f32` n-d arrays, elementwise arithmetic,
 //! reductions, 2-D matrix multiplication, im2col-based convolution helpers,
-//! and Kaiming/Xavier initializers.
+//! and a Kaiming initializer.
 //!
 //! The library favours explicitness over cleverness: every operation
 //! validates shapes and returns a [`TensorError`] on mismatch (or provides a
@@ -41,7 +41,7 @@ mod tensor;
 
 pub use conv::{col2im, col2im_into, im2col, im2col_into, ConvDims};
 pub use error::TensorError;
-pub use init::{kaiming_uniform, xavier_uniform};
+pub use init::kaiming_uniform;
 pub use matmul::{
     matmul, matmul_into, matmul_transpose_a, matmul_transpose_a_into, matmul_transpose_b,
     matmul_transpose_b_into, reference,

@@ -36,7 +36,7 @@
 //! per IEEE 754 and the `FEDSU_CHECK_INVARIANTS` guards can observe them.
 
 use crate::simd::TileLayout;
-use crate::{pool, simd, Result, Tensor, TensorError};
+use crate::{simd, Result, Tensor, TensorError};
 use std::ops::Range;
 
 /// Rows of output processed per cache block.
@@ -247,7 +247,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     if ka != kb {
         return Err(TensorError::new_shape_mismatch(a.shape(), b.shape(), "matmul"));
     }
-    let mut out = pool::pooled_zeros(&[m, n]);
+    let mut out = Tensor::zeros(&[m, n]);
     matmul_into(a.data(), b.data(), out.data_mut(), m, ka, n)?;
     Ok(out)
 }
@@ -263,7 +263,7 @@ pub fn matmul_transpose_a(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     if ka != kb {
         return Err(TensorError::new_shape_mismatch(a.shape(), b.shape(), "matmul_transpose_a"));
     }
-    let mut out = pool::pooled_zeros(&[m, n]);
+    let mut out = Tensor::zeros(&[m, n]);
     matmul_transpose_a_into(a.data(), b.data(), out.data_mut(), ka, m, n)?;
     Ok(out)
 }
@@ -279,7 +279,7 @@ pub fn matmul_transpose_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     if ka != kb {
         return Err(TensorError::new_shape_mismatch(a.shape(), b.shape(), "matmul_transpose_b"));
     }
-    let mut out = pool::pooled_zeros(&[m, n]);
+    let mut out = Tensor::zeros(&[m, n]);
     matmul_transpose_b_into(a.data(), b.data(), out.data_mut(), m, ka, n)?;
     Ok(out)
 }

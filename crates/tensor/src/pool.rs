@@ -1,66 +1,67 @@
-//! Size-classed, sharded buffer pool backing the steady round loop.
+//! Size-classed, sharded buffer pool: the allocator behind every
+//! [`Tensor`](crate::Tensor).
 //!
-//! The FedSU round loop used to re-allocate its tensors, masks, and
-//! staging buffers every round; `tests/alloc_budget.rs` now pins what a
-//! steady round allocates, exactly.
-//! This module is the fix: a process-wide [`BufferPool`] of reusable
-//! `f32`/`usize` buffers, organised as power-of-two size classes
-//! inside independently locked shards. Hot paths check a buffer out,
-//! use it, and return it; after warm-up the loop runs on recycled
-//! capacity instead of fresh allocations.
+//! Every `Tensor` constructor checks its data and shape buffers out of the
+//! process-wide [`BufferPool`], and dropping a tensor gives both back. So a
+//! steady round loop runs on the storage of the tensors the previous round
+//! dropped, with no call site managing buffers by hand;
+//! `tests/alloc_budget.rs` pins what a steady round still allocates,
+//! exactly.
 //!
 //! ## Invariants
 //!
-//! * **Zero-on-checkout.** Every buffer handed out is zero-filled to the
-//!   requested length before the caller sees it, so a pooled buffer is
-//!   observationally identical to a fresh `vec![0.0; len]` and every
-//!   bit-for-bit determinism contract (zero-fault `RoundRecord`s, wire
-//!   parity) holds with the pool on.
-//! * **Per-thread shards.** Each thread takes a shard round-robin on its
+//! * **Fully written on checkout.** A buffer is handed out empty, and every
+//!   constructor writes each of its elements (zeros, a fill value, a copy)
+//!   before the tensor exists, so a pooled tensor is observationally
+//!   identical to a fresh one and every bit-for-bit determinism contract
+//!   (zero-fault `RoundRecord`s, wire parity) holds with the pool on.
+//! * **Checkouts never grow.** Size class `c` holds buffers whose capacity
+//!   is at least `2^c`. A returned buffer joins the largest class its
+//!   capacity holds (a `Vec` adopted by [`crate::Tensor::from_vec`]
+//!   included); a checkout of `len` draws from the smallest class holding
+//!   `len`, and a miss allocates that class's full capacity.
+//! * **`outstanding()` counts live tensors.** Building a tensor, by any
+//!   constructor, counts one checkout and dropping it counts one return.
+//! * **Drop never panics.** Each thread takes a shard round-robin on its
 //!   first checkout and keeps it, so concurrently training clients rarely
-//!   share a shard lock, and a buffer recycled by a thread is the first
-//!   one it gets back.
-//! * **No poisoning.** Shard locks recover from poisoning with
-//!   [`std::sync::Mutex::into_inner`]-style recovery, so a client that
-//!   panics mid-round can never wedge the pool.
-//! * **Bounded retention.** Each size class keeps at most a handful of
-//!   free buffers per shard; surplus returns fall through to the
-//!   allocator, so the pool's high-water memory is bounded.
-//!
-//! A buffer that dies in a panic is simply freed by the normal `Vec`
-//! drop; the pool forgets it and the [`BufferPool::outstanding`] balance
-//! reflects that the checkout was never returned.
+//!   share a lock and a thread gets back what it returned; a tensor's
+//!   checkout and its return each take that lock once. A buffer
+//!   returned during thread teardown (the shard lookup is gone), one of
+//!   zero capacity, one past the last class, or one arriving at a full
+//!   class falls to the allocator. Shard locks recover from poisoning, so
+//!   a client that panics mid-round cannot wedge the pool.
+//! * **Bounded retention.** Each class keeps at most `PER_CLASS_CAP` (4) free
+//!   buffers per shard and element type.
 
-use crate::tensor::{from_parts, Tensor};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Shards, shared round-robin by every thread.
 const NUM_SHARDS: usize = 8;
 
-/// Power-of-two size classes per shard (class `c` holds buffers of
-/// capacity up to `2^c` elements); requests beyond the last class bypass
-/// the pool entirely.
+/// Power-of-two size classes per shard; requests beyond the last class
+/// bypass the pool entirely.
 const NUM_CLASSES: usize = 32;
 
 /// Free buffers retained per (shard, class, type); surplus returns are
 /// dropped so pool memory stays bounded.
 const PER_CLASS_CAP: usize = 4;
 
-/// Free lists for one shard. Buffers are binned by the size class of
-/// their *capacity*, so a recycled buffer can serve any request in its
-/// class (growing in place at most once, after which the capacity
-/// sticks).
+/// One element type's free lists: `lists[c]` holds buffers whose capacity
+/// is at least `2^c`.
+type FreeLists<T> = [Vec<Vec<T>>; NUM_CLASSES];
+
+/// Free lists for one shard.
 struct Shard {
-    f32s: [Vec<Vec<f32>>; NUM_CLASSES],
-    usizes: [Vec<Vec<usize>>; NUM_CLASSES],
+    f32s: FreeLists<f32>,
+    usizes: FreeLists<usize>,
 }
 
 /// The process-wide sharded buffer pool. Obtain it via [`global`].
 pub struct BufferPool {
     shards: Vec<Mutex<Shard>>,
-    /// Wrapping balance of checkouts minus returns (all element types).
+    /// Wrapping balance of tensors built minus tensors dropped.
     balance: AtomicU64,
 }
 
@@ -91,263 +92,195 @@ pub fn global() -> &'static BufferPool {
     POOL.get_or_init(new_pool)
 }
 
-/// The calling thread's shard, assigned round-robin on first use.
-fn my_shard() -> usize {
-    SHARD.with(|s| {
-        let assigned = s.get();
-        if assigned != usize::MAX {
-            return assigned;
+/// The class a checkout of `len` elements draws from: the smallest power of
+/// two holding `len`. `None` for an empty request (it needs no storage) and
+/// past the last class.
+fn checkout_class(len: usize) -> Option<usize> {
+    let class = len.checked_next_power_of_two()?.trailing_zeros() as usize;
+    (len > 0 && class < NUM_CLASSES).then_some(class)
+}
+
+/// The class a returned buffer joins: the largest power of two its
+/// capacity holds. `None` for zero capacity and past the last class.
+fn return_class(capacity: usize) -> Option<usize> {
+    let class = capacity.checked_ilog2()? as usize;
+    (class < NUM_CLASSES).then_some(class)
+}
+
+/// Pops a buffer that holds `len` elements without growing, if `lists`
+/// has one.
+fn pop<T>(lists: &mut FreeLists<T>, len: usize) -> Option<Vec<T>> {
+    lists.get_mut(checkout_class(len)?)?.pop()
+}
+
+/// Files `buf`, emptied, under its class, unless the class is full or
+/// there is none; then it falls to the allocator.
+fn file<T>(lists: &mut FreeLists<T>, mut buf: Vec<T>) {
+    let Some(free) = return_class(buf.capacity()).and_then(|class| lists.get_mut(class)) else {
+        return;
+    };
+    if free.len() < PER_CLASS_CAP {
+        if free.capacity() < PER_CLASS_CAP {
+            free.reserve_exact(PER_CLASS_CAP);
         }
-        let next = NEXT_SHARD.fetch_add(1, Ordering::Relaxed);
-        let idx = next % NUM_SHARDS;
-        s.set(idx);
-        idx
-    })
+        buf.clear();
+        free.push(buf);
+    }
 }
 
-/// Size class for a length/capacity: index of the covering power of two.
-fn class_of(len: usize) -> usize {
-    len.next_power_of_two().trailing_zeros() as usize
-}
-
-/// Allocator fallback for an `f32` pool miss (one-time per warm-up).
-fn new_f32_storage(len: usize) -> Vec<f32> {
-    Vec::with_capacity(len)
-}
-
-/// Allocator fallback for a `usize` pool miss.
-fn new_usize_storage(len: usize) -> Vec<usize> {
-    Vec::with_capacity(len)
+/// A fresh buffer for a pool miss: the whole capacity of `len`'s class.
+fn allocate<T>(len: usize) -> Vec<T> {
+    Vec::with_capacity(checkout_class(len).map_or(len, |class| 1 << class))
 }
 
 impl BufferPool {
-    /// Locks shard `idx` (poison-recovering); `None` only for an
-    /// out-of-range index, which callers treat as a pool miss.
-    fn lock_shard(&self, idx: usize) -> Option<MutexGuard<'_, Shard>> {
-        let slot = self.shards.get(idx)?;
-        Some(match slot.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        })
+    /// Runs `f` on the calling thread's shard (assigned round-robin on
+    /// first use, lock poison-recovering); `None` once the thread's shard
+    /// lookup is gone, which callers treat as a pool miss.
+    fn with_shard<R>(&self, f: impl FnOnce(&mut Shard) -> R) -> Option<R> {
+        let idx = SHARD
+            .try_with(|s| {
+                if s.get() == usize::MAX {
+                    s.set(NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % NUM_SHARDS);
+                }
+                s.get()
+            })
+            .ok()?;
+        let mut shard = self.shards.get(idx)?.lock().unwrap_or_else(PoisonError::into_inner);
+        Some(f(&mut shard))
     }
 
-    /// Checks out a zero-filled `f32` buffer of exactly `len` elements.
-    pub fn take_f32(&self, len: usize) -> Vec<f32> {
+    /// A new tensor's buffers, under one lock: an empty data buffer that
+    /// holds `len` elements without growing, and a copy of `shape`. Counts
+    /// the tensor as one checkout.
+    pub(crate) fn checkout(&self, len: usize, shape: &[usize]) -> (Vec<f32>, Vec<usize>) {
         self.balance.fetch_add(1, Ordering::Relaxed);
-        let mut buf = self.pop_f32(len);
-        buf.clear();
-        buf.resize(len, 0.0);
-        buf
+        let (data, dims) = self
+            .with_shard(|shard| (pop(&mut shard.f32s, len), pop(&mut shard.usizes, shape.len())))
+            .unwrap_or_default();
+        let mut dims = dims.unwrap_or_else(|| allocate(shape.len()));
+        dims.extend_from_slice(shape);
+        (data.unwrap_or_else(|| allocate(len)), dims)
     }
 
-    fn pop_f32(&self, len: usize) -> Vec<f32> {
-        if let Some(mut shard) = self.lock_shard(my_shard()) {
-            if let Some(free) = shard.f32s.get_mut(class_of(len)) {
-                if let Some(buf) = free.pop() {
-                    return buf;
-                }
-            }
-        }
-        new_f32_storage(len)
-    }
-
-    /// Returns an `f32` buffer to the calling thread's shard. Buffers
-    /// beyond the largest size class, or arriving at a full class, are
-    /// dropped.
-    pub fn give_f32(&self, buf: Vec<f32>) {
+    /// Takes a dropped tensor's buffers back under one lock, counting one
+    /// return.
+    pub(crate) fn give_back(&self, data: Vec<f32>, shape: Vec<usize>) {
         self.balance.fetch_sub(1, Ordering::Relaxed);
-        if let Some(mut shard) = self.lock_shard(my_shard()) {
-            if let Some(free) = shard.f32s.get_mut(class_of(buf.capacity())) {
-                if free.len() < PER_CLASS_CAP {
-                    if free.capacity() < PER_CLASS_CAP {
-                        free.reserve_exact(PER_CLASS_CAP);
-                    }
-                    free.push(buf);
-                }
-            }
-        }
+        self.with_shard(|shard| {
+            file(&mut shard.f32s, data);
+            file(&mut shard.usizes, shape);
+        });
     }
 
-    /// Checks out a zero-filled `usize` buffer of exactly `len` elements.
-    pub fn take_usize(&self, len: usize) -> Vec<usize> {
-        self.balance.fetch_add(1, Ordering::Relaxed);
-        let mut buf = self.pop_usize(len);
-        buf.clear();
-        buf.resize(len, 0);
-        buf
-    }
-
-    fn pop_usize(&self, len: usize) -> Vec<usize> {
-        if let Some(mut shard) = self.lock_shard(my_shard()) {
-            if let Some(free) = shard.usizes.get_mut(class_of(len)) {
-                if let Some(buf) = free.pop() {
-                    return buf;
-                }
-            }
-        }
-        new_usize_storage(len)
-    }
-
-    /// Returns a `usize` buffer to the calling thread's shard.
-    pub fn give_usize(&self, buf: Vec<usize>) {
-        self.balance.fetch_sub(1, Ordering::Relaxed);
-        if let Some(mut shard) = self.lock_shard(my_shard()) {
-            if let Some(free) = shard.usizes.get_mut(class_of(buf.capacity())) {
-                if free.len() < PER_CLASS_CAP {
-                    if free.capacity() < PER_CLASS_CAP {
-                        free.reserve_exact(PER_CLASS_CAP);
-                    }
-                    free.push(buf);
-                }
-            }
-        }
-    }
-
-    /// Wrapping balance of checkouts minus returns across all buffer
-    /// types. Balanced code leaves this unchanged; tests use it to prove
-    /// every checkout comes back.
+    /// Wrapping balance of tensors built minus tensors dropped: the live
+    /// tensors, from the pool's first use. Code that drops what it builds
+    /// leaves it unchanged.
     pub fn outstanding(&self) -> u64 {
         self.balance.load(Ordering::Relaxed)
     }
 }
 
-/// Checks out a zero-filled `f32` buffer from the global pool.
-pub fn take_f32_buf(len: usize) -> Vec<f32> {
-    global().take_f32(len)
-}
-
-/// Returns an `f32` buffer to the global pool.
-pub fn give_f32_buf(buf: Vec<f32>) {
-    global().give_f32(buf);
-}
-
-/// Checks out a zero-filled `usize` buffer from the global pool.
-pub fn take_usize_buf(len: usize) -> Vec<usize> {
-    global().take_usize(len)
-}
-
-/// Returns a `usize` buffer to the global pool.
-pub fn give_usize_buf(buf: Vec<usize>) {
-    global().give_usize(buf);
-}
-
-/// A zero-filled tensor of `shape` whose data and shape buffers both come
-/// from the global pool — the pooled equivalent of `Tensor::zeros`.
-pub fn pooled_zeros(shape: &[usize]) -> Tensor {
-    let pool = global();
-    let mut len = 1usize;
-    for &d in shape {
-        len = len.saturating_mul(d);
-    }
-    let data = pool.take_f32(len);
-    let mut dims = pool.take_usize(shape.len());
-    dims.copy_from_slice(shape);
-    from_parts(data, dims)
-}
-
-/// A zero-filled pooled tensor with the same shape as `t`.
-pub fn pooled_like(t: &Tensor) -> Tensor {
-    pooled_zeros(t.shape())
-}
-
-/// Recycles a tensor: both its data and shape buffers go back to the
-/// pool. Works for any tensor, pooled or not.
-pub fn recycle(t: Tensor) {
-    let (data, dims) = t.into_parts();
-    let pool = global();
-    pool.give_f32(data);
-    pool.give_usize(dims);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Tensor;
 
     #[test]
     fn class_of_covers_boundaries() {
-        assert_eq!(class_of(0), 0);
-        assert_eq!(class_of(1), 0);
-        assert_eq!(class_of(2), 1);
-        assert_eq!(class_of(3), 2);
-        assert_eq!(class_of(4), 2);
-        assert_eq!(class_of(5), 3);
-        assert_eq!(class_of(1024), 10);
+        assert_eq!(checkout_class(0), None);
+        assert_eq!(checkout_class(1), Some(0));
+        assert_eq!(checkout_class(2), Some(1));
+        assert_eq!(checkout_class(3), Some(2));
+        assert_eq!(checkout_class(4), Some(2));
+        assert_eq!(checkout_class(5), Some(3));
+        assert_eq!(checkout_class(1024), Some(10));
+        assert_eq!(checkout_class((1 << 31) + 1), None);
+        assert_eq!(return_class(0), None);
+        assert_eq!(return_class(1), Some(0));
+        assert_eq!(return_class(3), Some(1));
+        assert_eq!(return_class(4), Some(2));
+        assert_eq!(return_class(1023), Some(9));
+        assert_eq!(return_class(1024), Some(10));
+        assert_eq!(return_class(1 << 32), None);
     }
 
     #[test]
     fn checkout_is_zero_filled_even_after_dirty_return() {
-        let pool = global();
-        let mut buf = pool.take_f32(16);
-        buf.fill(7.25);
-        pool.give_f32(buf);
-        // Same thread, same shard, same class: we get the dirty buffer
-        // back, and it must come back zeroed.
-        let again = pool.take_f32(16);
+        // Same thread, same shard, same class: the dirty buffer is usually
+        // the one handed back, and it must come back zeroed.
+        drop(Tensor::full(&[16], 7.25));
+        let again = Tensor::zeros(&[16]);
         assert_eq!(again.len(), 16);
-        assert!(again.iter().all(|&v| v == 0.0));
-        pool.give_f32(again);
+        assert!(again.data().iter().all(|&v| v == 0.0));
     }
 
     #[test]
-    fn different_lengths_share_a_class_and_stay_exact() {
-        let pool = global();
-        let a = pool.take_f32(100);
-        pool.give_f32(a);
-        let b = pool.take_f32(120); // same class (128), longer request
-        assert_eq!(b.len(), 120);
-        assert!(b.iter().all(|&v| v == 0.0));
-        pool.give_f32(b);
+    fn zeros_from_a_dirty_pool_match_fresh_zeros() {
+        drop(Tensor::full(&[3, 4], 1.5));
+        let z = Tensor::zeros(&[3, 4]);
+        assert_eq!(z, Tensor::from_vec(vec![0.0; 12], &[3, 4]).unwrap());
     }
 
-    // The balance is one counter per pool, so an equality on it only holds
-    // where nothing else touches the pool: these two use a private one (the
-    // other tests in this binary share `global()` on other threads). The
-    // `global()` balance is checked in its own process by `tests/pool.rs`.
+    // The tests below that compare pointers or the balance use a private
+    // pool: the other tests in this binary share `global()` and, on other
+    // threads, possibly this thread's shard. The `global()` balance and
+    // buffer reuse through the `Tensor` API are checked in their own
+    // process by `tests/pool.rs`.
+    #[test]
+    fn different_lengths_share_a_class_and_stay_exact() {
+        let pool = new_pool();
+        let (a, dims) = pool.checkout(100, &[100]);
+        assert_eq!(a.capacity(), 128, "a miss allocates the whole class");
+        let ptr = a.as_ptr();
+        pool.give_back(a, dims);
+        let (b, _) = pool.checkout(120, &[120]); // same class (128), longer request
+        assert_eq!(b.as_ptr(), ptr, "the returned buffer serves the checkout");
+        assert_eq!(b.capacity(), 128, "without growing");
+        assert!(b.is_empty());
+    }
+
     #[test]
     fn outstanding_tracks_balance() {
         let pool = new_pool();
         let before = pool.outstanding();
-        let a = pool.take_f32(8);
-        let b = pool.take_usize(4);
-        assert_eq!(pool.outstanding(), before.wrapping_add(2));
-        pool.give_f32(a);
-        pool.give_usize(b);
+        let (data, dims) = pool.checkout(8, &[2, 4]);
+        assert_eq!(dims, [2, 4]);
+        assert_eq!(pool.outstanding(), before.wrapping_add(1), "one tensor, one checkout");
+        pool.give_back(data, dims);
         assert_eq!(pool.outstanding(), before);
     }
 
     #[test]
-    fn pooled_zeros_matches_tensor_zeros() {
-        let p = pooled_zeros(&[3, 4]);
-        let z = Tensor::zeros(&[3, 4]);
-        assert_eq!(p, z);
-        recycle(p);
-    }
-
-    #[test]
-    fn recycle_then_pooled_like_reuses_capacity() {
-        let t = pooled_zeros(&[8, 8]);
-        let cap_probe = pooled_like(&t);
-        recycle(t);
-        recycle(cap_probe);
-        let u = pooled_zeros(&[8, 8]);
-        assert_eq!(u.len(), 64);
-        assert!(u.data().iter().all(|&v| v == 0.0));
-        recycle(u);
+    fn adopted_buffers_serve_their_floor_class() {
+        let pool = new_pool();
+        // An adopted buffer of capacity 100 joins class 64: it can serve a
+        // checkout of 64 without growing, but not one of 65.
+        let adopted = vec![1.0f32; 100];
+        let ptr = adopted.as_ptr();
+        let (_, dims) = pool.checkout(0, &[100]);
+        pool.give_back(adopted, dims);
+        let (wider, _) = pool.checkout(65, &[65]);
+        assert_ne!(wider.as_ptr(), ptr);
+        let (fits, _) = pool.checkout(64, &[64]);
+        assert_eq!(fits.as_ptr(), ptr);
+        assert_eq!(fits.capacity(), 100);
     }
 
     #[test]
     fn oversized_returns_are_dropped_not_hoarded() {
         let pool = new_pool();
-        // Fill a class beyond its cap; the pool must not grow unboundedly
-        // (we can only observe that gives still balance and takes work).
-        let before = pool.outstanding();
-        let mut held = Vec::with_capacity(PER_CLASS_CAP + 3);
-        for _ in 0..PER_CLASS_CAP + 3 {
-            held.push(pool.take_f32(64));
+        let held: Vec<_> = (0..PER_CLASS_CAP + 3).map(|_| pool.checkout(64, &[64])).collect();
+        for (data, dims) in held {
+            pool.give_back(data, dims);
         }
-        for buf in held {
-            pool.give_f32(buf);
-        }
-        assert_eq!(pool.outstanding(), before);
+        // Nothing else uses this pool: one shard holds the returns.
+        let kept: usize = pool.shards.iter().map(|s| s.lock().unwrap().f32s[6].len()).sum();
+        assert_eq!(kept, PER_CLASS_CAP);
+        // Zero-capacity buffers are not pooled at all.
+        let (_, dims) = pool.checkout(0, &[0]);
+        pool.give_back(Vec::new(), dims);
+        let empty: usize = pool.shards.iter().map(|s| s.lock().unwrap().f32s[0].len()).sum();
+        assert_eq!(empty, 0);
     }
 }

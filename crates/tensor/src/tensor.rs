@@ -1,10 +1,12 @@
-use crate::{Result, TensorError};
+use crate::{pool, Result, TensorError};
 use rand::Rng;
 
 /// An owned, contiguous, row-major `f32` n-dimensional array.
 ///
 /// `Tensor` is the single data container used throughout the FedSU
-/// reproduction. Convolutional activations use the `NCHW` layout.
+/// reproduction. Convolutional activations use the `NCHW` layout. Both of
+/// its buffers come from [`crate::pool`], and dropping the tensor gives
+/// them back.
 ///
 /// ```
 /// use fedsu_tensor::Tensor;
@@ -12,7 +14,7 @@ use rand::Rng;
 /// assert_eq!(t.shape(), &[2, 3]);
 /// assert_eq!(t.len(), 6);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Vec<usize>,
@@ -24,11 +26,40 @@ impl Default for Tensor {
     }
 }
 
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Tensor::pooled(&self.shape, |data| data.extend_from_slice(&self.data))
+    }
+}
+
+impl Drop for Tensor {
+    fn drop(&mut self) {
+        pool::global().give_back(std::mem::take(&mut self.data), std::mem::take(&mut self.shape));
+    }
+}
+
 impl Tensor {
+    /// A tensor of `shape` whose pooled data buffer `fill` writes, from
+    /// empty, to exactly the shape's element count.
+    fn pooled(shape: &[usize], fill: impl FnOnce(&mut Vec<f32>)) -> Self {
+        let (mut data, shape) = pool::global().checkout(shape.iter().product(), shape);
+        fill(&mut data);
+        debug_assert_eq!(data.len(), shape.iter().product::<usize>());
+        Tensor { data, shape }
+    }
+
+    /// A tensor of `shape` around `data`, which goes to the pool when the
+    /// tensor drops; the caller guarantees `data.len()` equals the product
+    /// of `shape`.
+    fn adopt(data: Vec<f32>, shape: &[usize]) -> Self {
+        debug_assert_eq!(data.len(), shape.iter().product::<usize>());
+        let (_, shape) = pool::global().checkout(0, shape);
+        Tensor { data, shape }
+    }
+
     /// Creates a tensor of the given shape filled with zeros.
     pub fn zeros(shape: &[usize]) -> Self {
-        let len = shape.iter().product();
-        Tensor { data: vec![0.0; len], shape: shape.to_vec() }
+        Tensor::full(shape, 0.0)
     }
 
     /// Creates a tensor of the given shape filled with ones.
@@ -39,10 +70,11 @@ impl Tensor {
     /// Creates a tensor of the given shape filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
         let len = shape.iter().product();
-        Tensor { data: vec![value; len], shape: shape.to_vec() }
+        Tensor::pooled(shape, |data| data.resize(len, value))
     }
 
-    /// Creates a tensor from an existing buffer.
+    /// Creates a tensor from an existing buffer, which goes to the pool
+    /// when the tensor is dropped.
     ///
     /// # Errors
     ///
@@ -53,19 +85,18 @@ impl Tensor {
         if data.len() != expected {
             return Err(TensorError::LengthMismatch { len: data.len(), shape: shape.to_vec() });
         }
-        Ok(Tensor { data, shape: shape.to_vec() })
+        Ok(Tensor::adopt(data, shape))
     }
 
     /// Creates a rank-1 tensor from a slice.
     pub fn from_slice(data: &[f32]) -> Self {
-        Tensor { data: data.to_vec(), shape: vec![data.len()] }
+        Tensor::pooled(&[data.len()], |buf| buf.extend_from_slice(data))
     }
 
     /// Creates a tensor with entries drawn uniformly from `[lo, hi)`.
     pub fn rand_uniform<R: Rng + ?Sized>(shape: &[usize], lo: f32, hi: f32, rng: &mut R) -> Self {
         let len: usize = shape.iter().product();
-        let data = (0..len).map(|_| rng.gen_range(lo..hi)).collect();
-        Tensor { data, shape: shape.to_vec() }
+        Tensor::pooled(shape, |data| data.extend((0..len).map(|_| rng.gen_range(lo..hi))))
     }
 
     /// Creates a tensor with entries drawn from a standard normal
@@ -73,18 +104,18 @@ impl Tensor {
     /// `rand`'s uniform sampling is required.
     pub fn randn<R: Rng + ?Sized>(shape: &[usize], std: f32, rng: &mut R) -> Self {
         let len: usize = shape.iter().product();
-        let mut data = Vec::with_capacity(len);
-        while data.len() < len {
-            let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-            let u2: f32 = rng.gen_range(0.0..1.0);
-            let r = (-2.0 * u1.ln()).sqrt();
-            let theta = 2.0 * std::f32::consts::PI * u2;
-            data.push(r * theta.cos() * std);
-            if data.len() < len {
-                data.push(r * theta.sin() * std);
+        Tensor::pooled(shape, |data| {
+            while data.len() < len {
+                let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+                let u2: f32 = rng.gen_range(0.0..1.0);
+                let r = (-2.0 * u1.ln()).sqrt();
+                let theta = 2.0 * std::f32::consts::PI * u2;
+                data.push(r * theta.cos() * std);
+                if data.len() < len {
+                    data.push(r * theta.sin() * std);
+                }
             }
-        }
-        Tensor { data, shape: shape.to_vec() }
+        })
     }
 
     /// The tensor's shape.
@@ -117,12 +148,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its data and shape buffers so both
-    /// allocations can be recycled (see [`crate::pool::recycle`]).
-    pub fn into_parts(self) -> (Vec<f32>, Vec<usize>) {
-        (self.data, self.shape)
-    }
-
     /// Reinterprets the tensor with a new shape of identical element count.
     ///
     /// # Errors
@@ -133,7 +158,7 @@ impl Tensor {
         if expected != self.data.len() {
             return Err(TensorError::new_length_mismatch(self.data.len(), shape));
         }
-        Ok(Tensor { data: self.data.clone(), shape: shape.to_vec() })
+        Ok(Tensor::pooled(shape, |data| data.extend_from_slice(&self.data)))
     }
 
     fn check_same_shape(&self, other: &Tensor, op: &'static str) -> Result<()> {
@@ -150,11 +175,8 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
     pub fn add(&self, other: &Tensor) -> Result<Tensor> {
         self.check_same_shape(other, "add")?;
-        let mut out = crate::pool::pooled_like(self);
-        for ((o, a), b) in out.data.iter_mut().zip(&self.data).zip(&other.data) {
-            *o = a + b;
-        }
-        Ok(out)
+        let sums = self.data.iter().zip(&other.data).map(|(a, b)| a + b);
+        Ok(Tensor::pooled(&self.shape, |data| data.extend(sums)))
     }
 
     /// Elementwise subtraction `self - other`.
@@ -164,8 +186,8 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
     pub fn sub(&self, other: &Tensor) -> Result<Tensor> {
         self.check_same_shape(other, "sub")?;
-        let data = self.data.iter().zip(&other.data).map(|(a, b)| a - b).collect();
-        Ok(Tensor { data, shape: self.shape.clone() })
+        let diffs = self.data.iter().zip(&other.data).map(|(a, b)| a - b);
+        Ok(Tensor::pooled(&self.shape, |data| data.extend(diffs)))
     }
 
     /// In-place `self += other`.
@@ -181,23 +203,9 @@ impl Tensor {
         Ok(())
     }
 
-    /// In-place `self += alpha * other` (axpy).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) -> Result<()> {
-        self.check_same_shape(other, "axpy")?;
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-        Ok(())
-    }
-
     /// Returns `self * scalar`.
     pub fn scale(&self, scalar: f32) -> Tensor {
-        let data = self.data.iter().map(|a| a * scalar).collect();
-        Tensor { data, shape: self.shape.clone() }
+        Tensor::pooled(&self.shape, |data| data.extend(self.data.iter().map(|a| a * scalar)))
     }
 
     /// In-place scalar multiplication.
@@ -212,16 +220,6 @@ impl Tensor {
         for a in &mut self.data {
             *a = value;
         }
-    }
-
-    /// Applies a function to every element, returning a new tensor (drawn
-    /// from the buffer pool).
-    pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Tensor {
-        let mut out = crate::pool::pooled_like(self);
-        for (o, &a) in out.data.iter_mut().zip(&self.data) {
-            *o = f(a);
-        }
-        out
     }
 
     /// Applies a function to every element in place.
@@ -256,17 +254,10 @@ impl Tensor {
     }
 }
 
-/// Crate-internal constructor gluing recycled buffers into a tensor; the
-/// caller guarantees `data.len()` equals the product of `shape`.
-pub(crate) fn from_parts(data: Vec<f32>, shape: Vec<usize>) -> Tensor {
-    debug_assert_eq!(data.len(), shape.iter().product::<usize>());
-    Tensor { data, shape }
-}
-
 impl From<Vec<f32>> for Tensor {
     fn from(data: Vec<f32>) -> Self {
         let len = data.len();
-        Tensor { data, shape: vec![len] }
+        Tensor::adopt(data, &[len])
     }
 }
 
@@ -323,14 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_accumulates() {
-        let mut a = Tensor::from_vec(vec![1.0, 1.0], &[2]).unwrap();
-        let g = Tensor::from_vec(vec![2.0, 4.0], &[2]).unwrap();
-        a.axpy(-0.5, &g).unwrap();
-        assert_eq!(a.data(), &[0.0, -1.0]);
-    }
-
-    #[test]
     fn reshape_preserves_data() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[4]).unwrap();
         let b = a.reshape(&[2, 2]).unwrap();
@@ -383,8 +366,8 @@ mod tests {
     #[test]
     fn map_and_fill() {
         let mut a = Tensor::from_vec(vec![-1.0, 2.0], &[2]).unwrap();
-        let relu = a.map(|v| v.max(0.0));
-        assert_eq!(relu.data(), &[0.0, 2.0]);
+        a.map_in_place(|v| v.max(0.0));
+        assert_eq!(a.data(), &[0.0, 2.0]);
         a.fill(3.0);
         assert_eq!(a.data(), &[3.0, 3.0]);
     }
@@ -409,7 +392,9 @@ impl Tensor {
     /// Panics if `lo > hi`.
     pub fn clamp(&self, lo: f32, hi: f32) -> Tensor {
         assert!(lo <= hi, "clamp bounds out of order");
-        self.map(|v| v.clamp(lo, hi))
+        let mut out = self.clone();
+        out.map_in_place(|v| v.clamp(lo, hi));
+        out
     }
 
     /// Minimum element (`None` for an empty tensor).

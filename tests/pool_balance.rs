@@ -1,4 +1,4 @@
-//! The buffer pool's checkout balance across steady rounds of the real
+//! The buffer pool's live-tensor balance across steady rounds of the real
 //! round loop (ROADMAP item 7: `tensor.pool_outstanding_delta`).
 //!
 //! `pool::global().outstanding()` is one process-wide counter, so this is
@@ -15,7 +15,7 @@ use fedsu_repro::scenario::{ModelKind, Scenario, StrategyKind};
 use fedsu_repro::tensor::pool;
 
 /// Rounds that may still move the counter: round 0 builds the round loop's
-/// scratch and the first evaluation's buffers.
+/// state and the first evaluation's caches.
 const WARMUP: usize = 2;
 const ROUNDS: usize = 8;
 
@@ -29,14 +29,19 @@ fn balance_after_each_round(scenario: Scenario) -> Vec<u64> {
 }
 
 /// Every steady round — training, the first layer's parameter-only
-/// backward, and every other round an evaluation — returns each pooled
-/// buffer it checks out, for the CNN (a `Conv2d` first) and the MLP (a
-/// `Flatten` first, so the default `backward_params`).
+/// backward, and every other round an evaluation — drops each tensor it
+/// builds, for the CNN (a `Conv2d` first), the MLP (a `Flatten` first, so
+/// the default `backward_params`), and ResNet-18 and DenseNet (residual,
+/// dense and transition blocks, whose inner activations are reassigned and
+/// whose `?`s return early).
 #[test]
 fn steady_rounds_return_every_pooled_buffer() {
+    let tiny = |kind| Scenario::new(kind).preset(ModelPreset::Tiny).samples_per_class(6);
     let scenarios = [
-        ("cnn", Scenario::new(ModelKind::Cnn).preset(ModelPreset::Tiny).samples_per_class(6)),
+        ("cnn", tiny(ModelKind::Cnn)),
         ("mlp", Scenario::new(ModelKind::Mlp).samples_per_class(8)),
+        ("resnet18", tiny(ModelKind::ResNet18)),
+        ("densenet", tiny(ModelKind::DenseNet)),
     ];
     for (name, scenario) in scenarios {
         let scenario = scenario.clients(3).batch_size(4).local_iters(2).eval_every(2);
