@@ -1,28 +1,35 @@
-//! 2-D convolution layer (im2col formulation).
+//! 2-D convolution layer: direct kernels for stride-1 "same" convs,
+//! im2col lowering for the rest.
 
 use crate::layer::{Layer, Param};
 use crate::{NnError, Result};
 use fedsu_tensor::{
-    col2im_into, im2col_into, kaiming_uniform, matmul_into, matmul_transpose_a_into,
-    matmul_transpose_b_into, ConvDims, Tensor,
+    col2im_into, conv_same_forward, conv_same_input_grad, conv_same_weight_grad, im2col_into,
+    kaiming_uniform, matmul_into, matmul_transpose_a_into, matmul_transpose_b_into, ConvDims,
+    SameConvScratch, Tensor,
 };
 use rand::Rng;
 
 /// A 2-D convolution over `NCHW` inputs with square kernels.
 ///
-/// Weights are stored as a matrix `[out_channels, in_channels * k * k]` so
-/// the forward pass is one matmul against the im2col matrix per sample. The
-/// backward pass re-runs `im2col` on the cached input rather than caching the
-/// (much larger) column matrices. At these sizes that is faster as well as
-/// smaller: keeping each sample's columns from the forward instead was
-/// measured on roundbench's `train_cnn` (3 alternating 12 s pairs on a
-/// 2-vCPU host, results unchanged) at p50 11.64–12.08 ms against
-/// 10.95–11.30 ms, and `peak_rss_mb` 59.7 against 48.4 — the cached columns
-/// fall out of L2 before the backward reads them; that was measured before
-/// the one-span-per-tap lowering made `im2col` about three times cheaper,
-/// which only widens the margin. Column/gradient matrices
-/// live in scratch buffers owned by the layer, so steady-state
-/// forward/backward passes do no per-sample allocation.
+/// Weights are stored as a matrix `[out_channels, in_channels * k * k]`.
+/// The layer picks its path by geometry alone:
+///
+/// * a stride-1 "same" convolution ([`ConvDims::is_same`]: the CNN's two
+///   5×5 convs, every stride-1 ResNet/DenseNet conv) runs the direct
+///   kernels of `fedsu-tensor` per sample — forward, weight and bias
+///   gradient, input gradient — which read the image and `dY` through a
+///   zero-padded copy and never build a column matrix;
+/// * a strided or shrinking convolution is lowered: one matmul against the
+///   sample's `im2col` matrix forward; `dY·colsᵀ`, and `Wᵀ·dY` scattered
+///   back by `col2im`, backward.
+///
+/// Both give every element the same chain (DESIGN.md §10). The backward
+/// pass recomputes the padded copy (or the columns) from the cached input
+/// rather than caching them per sample: kept columns fell out of L2 before
+/// the backward read them, and measured slower as well as bigger on
+/// roundbench's `train_cnn` (DESIGN.md §10). Scratch lives in the layer, so
+/// steady-state forward/backward passes do no per-sample allocation.
 #[derive(Debug)]
 pub struct Conv2d {
     weight: Param,
@@ -33,11 +40,14 @@ pub struct Conv2d {
     padding: usize,
     in_channels: usize,
     cached_input: Option<Tensor>,
-    /// im2col scratch, reused across samples and calls.
+    /// The direct path's scratch.
+    same: SameConvScratch,
+    /// im2col scratch of the lowering path, reused across samples and calls.
     cols: Vec<f32>,
-    /// Column-gradient scratch for the backward pass.
+    /// Column-gradient scratch of the lowering path's backward pass.
     dcols: Vec<f32>,
-    /// Per-sample weight-gradient scratch for the backward pass.
+    /// Per-sample weight-gradient scratch of the lowering path's backward
+    /// pass.
     dw: Vec<f32>,
 }
 
@@ -71,6 +81,7 @@ impl Conv2d {
             padding,
             in_channels,
             cached_input: None,
+            same: SameConvScratch::default(),
             cols: Vec::new(),
             dcols: Vec::new(),
             dw: Vec::new(),
@@ -105,7 +116,7 @@ impl Conv2d {
 
     /// The backward pass: accumulates `dW` and `db`, and returns the input
     /// gradient only when `input_grad` is set — without it the per-sample
-    /// `Wᵀ·dY` product and `col2im` scatter are skipped.
+    /// input-gradient kernels are skipped.
     fn backward_impl(&mut self, grad_output: &Tensor, input_grad: bool) -> Result<Option<Tensor>> {
         let input = self
             .cached_input
@@ -122,42 +133,73 @@ impl Conv2d {
                 grad_output.shape(),
             ));
         }
-        let fan_in = self.in_channels * self.kernel * self.kernel;
         let sample_in = self.in_channels * dims.in_h * dims.in_w;
         let out_sample = self.out_channels * plane;
         let mut grad_in_t = input_grad.then(|| Tensor::zeros(input.shape()));
-        self.dw.resize(self.out_channels * fan_in, 0.0);
-        if input_grad {
-            self.dcols.resize(fan_in * plane, 0.0);
-        }
-
-        for n in 0..batch {
-            let img = input.data().get(n * sample_in..(n + 1) * sample_in).unwrap_or(&[]);
-            im2col_into(img, &dims, &mut self.cols)?;
-            let dy = grad_output.data().get(n * out_sample..(n + 1) * out_sample).unwrap_or(&[]);
-            // dW += dY · colsᵀ
-            matmul_transpose_b_into(dy, &self.cols, &mut self.dw, self.out_channels, plane, fan_in)?;
-            for (g, d) in self.weight.grad.data_mut().iter_mut().zip(&self.dw) {
-                *g += d;
+        let samples = input.data().chunks_exact(sample_in.max(1)).zip(grad_output.data().chunks_exact(out_sample.max(1)));
+        for (n, (img, dy)) in samples.enumerate().take(batch) {
+            let dx = grad_in_t.as_mut().and_then(|t| t.data_mut().get_mut(n * sample_in..(n + 1) * sample_in));
+            if dims.is_same() {
+                self.backward_same(img, dy, dx, &dims)?;
+            } else {
+                self.backward_lowered(img, dy, dx, &dims)?;
             }
-            // db += row-sums of dY
-            for (bg, dy_row) in self.bias.grad.data_mut().iter_mut().zip(dy.chunks_exact(plane)) {
-                *bg += dy_row.iter().sum::<f32>();
-            }
-            let Some(grad_in) = grad_in_t.as_mut() else { continue };
-            // dcols = Wᵀ · dY, then scatter back to image space.
-            matmul_transpose_a_into(
-                self.weight.value.data(),
-                dy,
-                &mut self.dcols,
-                self.out_channels,
-                fan_in,
-                plane,
-            )?;
-            let dst = grad_in.data_mut().get_mut(n * sample_in..(n + 1) * sample_in).unwrap_or_default();
-            col2im_into(&self.dcols, dst, &dims)?;
         }
         Ok(grad_in_t)
+    }
+
+    /// One sample's backward on the direct path.
+    fn backward_same(&mut self, img: &[f32], dy: &[f32], dx: Option<&mut [f32]>, dims: &ConvDims) -> Result<()> {
+        conv_same_weight_grad(img, dy, self.weight.grad.data_mut(), self.bias.grad.data_mut(), dims, &mut self.same)?;
+        if let Some(dx) = dx {
+            conv_same_input_grad(dy, self.weight.value.data(), dx, dims, &mut self.same)?;
+        }
+        Ok(())
+    }
+
+    /// One sample's backward on the lowering path.
+    fn backward_lowered(&mut self, img: &[f32], dy: &[f32], dx: Option<&mut [f32]>, dims: &ConvDims) -> Result<()> {
+        let fan_in = dims.col_rows();
+        let plane = dims.col_cols();
+        im2col_into(img, dims, &mut self.cols)?;
+        // dW += dY · colsᵀ
+        self.dw.resize(self.out_channels * fan_in, 0.0);
+        matmul_transpose_b_into(dy, &self.cols, &mut self.dw, self.out_channels, plane, fan_in)?;
+        for (g, d) in self.weight.grad.data_mut().iter_mut().zip(&self.dw) {
+            *g += d;
+        }
+        add_row_sums(self.bias.grad.data_mut(), dy, plane);
+        let Some(dx) = dx else { return Ok(()) };
+        // dcols = Wᵀ · dY, then scatter back to image space.
+        self.dcols.resize(fan_in * plane, 0.0);
+        matmul_transpose_a_into(self.weight.value.data(), dy, &mut self.dcols, self.out_channels, fan_in, plane)?;
+        col2im_into(&self.dcols, dx, dims)?;
+        Ok(())
+    }
+}
+
+/// `acc[o] += rows[o]`'s sum for each row of `len` scalars, each sum the
+/// `f32::sum` chain (ascending, from `−0.0`); four rows run side by side so
+/// their chains overlap instead of waiting on each other.
+fn add_row_sums(acc: &mut [f32], rows: &[f32], len: usize) {
+    let Some(len) = std::num::NonZeroUsize::new(len) else { return };
+    let mut quads = rows.chunks_exact(4 * len.get());
+    let mut acc4 = acc.chunks_exact_mut(4);
+    for (quad, acc) in (&mut quads).zip(&mut acc4) {
+        let mut sums = [-0.0f32; 4];
+        let (r01, r23) = quad.split_at(2 * len.get());
+        let (r0, r1) = r01.split_at(len.get());
+        let (r2, r3) = r23.split_at(len.get());
+        for (((&a, &b), &c), &d) in r0.iter().zip(r1).zip(r2).zip(r3) {
+            let [s0, s1, s2, s3] = &mut sums;
+            (*s0, *s1, *s2, *s3) = (*s0 + a, *s1 + b, *s2 + c, *s3 + d);
+        }
+        for (a, s) in acc.iter_mut().zip(sums) {
+            *a += s;
+        }
+    }
+    for (a, row) in acc4.into_remainder().iter_mut().zip(quads.remainder().chunks_exact(len.get())) {
+        *a += row.iter().sum::<f32>();
     }
 }
 
@@ -170,19 +212,21 @@ impl Layer for Conv2d {
         let (batch, dims) = self.dims_for(input)?;
         let (out_h, out_w) = (dims.out_h(), dims.out_w());
         let plane = out_h * out_w;
-        let fan_in = self.in_channels * self.kernel * self.kernel;
+        let fan_in = dims.col_rows();
         let sample_in = self.in_channels * dims.in_h * dims.in_w;
         let out_sample = self.out_channels * plane;
         let mut out_t = Tensor::zeros(&[batch, self.out_channels, out_h, out_w]);
-        let out = out_t.data_mut();
-
-        for n in 0..batch {
-            let img = input.data().get(n * sample_in..(n + 1) * sample_in).unwrap_or(&[]);
+        let (weight, bias) = (self.weight.value.data(), self.bias.value.data());
+        let samples = input.data().chunks_exact(sample_in.max(1)).zip(out_t.data_mut().chunks_exact_mut(out_sample.max(1)));
+        for (img, dst) in samples.take(batch) {
+            if dims.is_same() {
+                conv_same_forward(img, weight, bias, dst, &dims, &mut self.same)?;
+                continue;
+            }
             im2col_into(img, &dims, &mut self.cols)?;
-            let dst = out.get_mut(n * out_sample..(n + 1) * out_sample).unwrap_or_default();
             // y = W · cols, written straight into the output sample.
-            matmul_into(self.weight.value.data(), &self.cols, dst, self.out_channels, fan_in, plane)?;
-            for (drow, &b) in dst.chunks_exact_mut(plane).zip(self.bias.value.data()) {
+            matmul_into(weight, &self.cols, dst, self.out_channels, fan_in, plane)?;
+            for (drow, &b) in dst.chunks_exact_mut(plane).zip(bias) {
                 for d in drow.iter_mut() {
                     *d += b;
                 }
@@ -302,6 +346,73 @@ mod tests {
                 (numeric - got).abs() < 0.05 * (1.0 + got.abs()),
                 "input idx {idx}: numeric {numeric} vs analytic {got}"
             );
+        }
+    }
+
+    #[test]
+    fn finite_difference_gradient_check_same_5x5_wide() {
+        // The CNN's geometry class on the direct path: a 5×5 "same" conv
+        // with more output channels than one register holds.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut conv = Conv2d::new(2, 10, 5, 1, 2, &mut rng).unwrap();
+        let x = Tensor::rand_uniform(&[2, 2, 6, 7], -1.0, 1.0, &mut rng);
+        let y = conv.forward(&x, true).unwrap();
+        let dy = Tensor::rand_uniform(y.shape(), -1.0, 1.0, &mut rng);
+        let dx = conv.backward(&dy).unwrap();
+        let (analytic_w, analytic_b) = (conv.weight.grad.clone(), conv.bias.grad.clone());
+        let loss = |conv: &mut Conv2d, x: &Tensor| -> f32 {
+            let y = conv.forward(x, false).unwrap();
+            y.data().iter().zip(dy.data()).map(|(a, b)| a * b).sum()
+        };
+        let eps = 1e-2f32;
+        let close = |numeric: f32, got: f32, what: &str| {
+            assert!((numeric - got).abs() < 0.05 * (1.0 + got.abs()), "{what}: numeric {numeric} vs analytic {got}");
+        };
+        for idx in [0usize, 24, 49, 123, 250, 499] {
+            let orig = conv.weight.value.data()[idx];
+            conv.weight.value.data_mut()[idx] = orig + eps;
+            let lp = loss(&mut conv, &x);
+            conv.weight.value.data_mut()[idx] = orig - eps;
+            let lm = loss(&mut conv, &x);
+            conv.weight.value.data_mut()[idx] = orig;
+            close((lp - lm) / (2.0 * eps), analytic_w.data()[idx], &format!("weight {idx}"));
+        }
+        for idx in [0usize, 9] {
+            let orig = conv.bias.value.data()[idx];
+            conv.bias.value.data_mut()[idx] = orig + eps;
+            let lp = loss(&mut conv, &x);
+            conv.bias.value.data_mut()[idx] = orig - eps;
+            let lm = loss(&mut conv, &x);
+            conv.bias.value.data_mut()[idx] = orig;
+            close((lp - lm) / (2.0 * eps), analytic_b.data()[idx], &format!("bias {idx}"));
+        }
+        let mut x2 = x.clone();
+        for idx in [0usize, 6, 20, 41, 83, 167] {
+            let orig = x2.data()[idx];
+            x2.data_mut()[idx] = orig + eps;
+            let lp = loss(&mut conv, &x2);
+            x2.data_mut()[idx] = orig - eps;
+            let lm = loss(&mut conv, &x2);
+            x2.data_mut()[idx] = orig;
+            close((lp - lm) / (2.0 * eps), dx.data()[idx], &format!("input {idx}"));
+        }
+    }
+
+    #[test]
+    fn row_sums_keep_each_rows_sum_chain() {
+        // Seven rows: one group of four side by side, three one at a time;
+        // −0.0 rows must stay −0.0 (the chain folds from −0.0).
+        let len = 9;
+        let mut rows: Vec<f32> = (0..7 * len).map(|i| ((i * 37 % 11) as f32 - 5.0) * 0.37).collect();
+        rows[3] = f32::NAN;
+        rows[2 * len..3 * len].fill(-0.0);
+        rows[6 * len..].fill(-0.0);
+        let start: Vec<f32> = vec![-0.0, 1.5, -0.0, 2.0, f32::INFINITY, -3.0, -0.0];
+        let mut got = start.clone();
+        add_row_sums(&mut got, &rows, len);
+        for (o, (g, s)) in got.iter().zip(&start).enumerate() {
+            let want = s + rows[o * len..(o + 1) * len].iter().sum::<f32>();
+            assert!(g.to_bits() == want.to_bits() || (g.is_nan() && want.is_nan()), "row {o}: {g} vs {want}");
         }
     }
 

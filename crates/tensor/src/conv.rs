@@ -1,25 +1,24 @@
-//! im2col/col2im helpers used by the convolution layers in `fedsu-nn`.
+//! Convolution helpers used by the convolution layers in `fedsu-nn`.
 //!
-//! `im2col` unrolls sliding windows of an `NCHW` input into a matrix so that
-//! a 2-D convolution becomes a single matrix multiplication; `col2im`
-//! scatter-adds a column matrix back into image space (the adjoint of
-//! `im2col`, used in the backward pass).
+//! A stride-1 "same" convolution (odd kernel, padding `(k − 1) / 2`: the
+//! CNN's two convs and every stride-1 ResNet/DenseNet conv) runs directly:
+//! [`conv_same_forward`], [`conv_same_weight_grad`] and
+//! [`conv_same_input_grad`] read the image and `dY` in place, through a
+//! zero-padded copy in [`SameConvScratch`], on the `conv_fwd`, `conv_dw`
+//! and `conv_dx` rows of [`simd`]'s kernel table, and never build a column
+//! matrix. Every element keeps the chain the lowering below gives it, so
+//! the two paths agree bit for bit (DESIGN.md §10, §10.1).
 //!
-//! Both directions come in slice `_into` forms that write into
-//! caller-provided buffers, so per-sample forward/backward loops can reuse
-//! one scratch allocation instead of allocating a fresh column matrix per
-//! call.
-//!
-//! A stride-1 "same" conv (`out_h == in_h`, `out_w == in_w`) moves each
-//! kernel tap as one span: its im2col row is the channel plane shifted by
-//! `(ky−p)·w + (kx−p)`, so the gather is one copy and the scatter one
-//! NaN-holding add per tap, with the wrapped edge columns fixed up (zeroed,
-//! or made `−0.0` before the add). Every other geometry moves one output
-//! row at a time. Both give every element the same value and every image
-//! element the same adds in the same order (DESIGN.md §10, §10.1).
+//! Every other geometry is lowered: `im2col` unrolls sliding windows of an
+//! `NCHW` input into a matrix so that a 2-D convolution becomes a single
+//! matrix multiplication; `col2im` scatter-adds a column matrix back into
+//! image space (the adjoint of `im2col`, used in the backward pass). Both
+//! move one output row per kernel tap at a time, and both come in slice
+//! `_into` forms that write into caller-provided buffers, so per-sample
+//! loops reuse one scratch allocation.
 
+use crate::simd::SameConv;
 use crate::{simd, Result, Tensor, TensorError};
-use std::ops::Range;
 
 /// Geometry of a 2-D convolution, shared by forward and backward passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,11 +65,12 @@ impl ConvDims {
         self.out_h() * self.out_w()
     }
 
-    /// Whether every tap row is one shifted span of its channel plane:
-    /// stride 1 with "same" output (`out_h == in_h`, `out_w == in_w`).
-    /// Valid geometry only.
-    fn is_same_stride1(&self) -> bool {
-        self.stride == 1 && self.out_h() == self.in_h && self.out_w() == self.in_w
+    /// Whether this is a stride-1 "same" convolution — an odd kernel with
+    /// padding `(kernel − 1) / 2`, so the output is as large as the input —
+    /// which the direct kernels ([`conv_same_forward`] and its two
+    /// gradients) run.
+    pub fn is_same(&self) -> bool {
+        self.stride == 1 && self.kernel == 2 * self.padding + 1
     }
 
     fn validate(&self) -> Result<()> {
@@ -111,111 +111,6 @@ fn tap_col_range(dims: &ConvDims, kx: usize) -> (usize, usize) {
     let lo = if dims.padding > kx { (dims.padding - kx).div_ceil(dims.stride) } else { 0 };
     let hi = ((dims.in_w - 1 + dims.padding - kx) / dims.stride + 1).min(dims.out_w());
     (lo.min(hi), hi)
-}
-
-/// Where one tap `(ky, kx)` of a stride-1 "same" conv reads its plane.
-/// Output position `o = oy·w + ox` of the tap row reads plane element
-/// `o + lead − pad`, where `lead = ky·w + kx` and `pad = p·w + p`: the row
-/// is the plane shifted by `(ky−p)·w + (kx−p)`.
-#[derive(Debug)]
-struct TapSpan {
-    /// Output positions whose source row is inside the image:
-    /// `y0·w..y1·w`.
-    rows: Range<usize>,
-    /// The part of `rows` whose shifted source lies inside the plane.
-    span: Range<usize>,
-    /// `lead` and `pad` above; `span.start + lead ≥ pad`.
-    lead: usize,
-    pad: usize,
-    /// The output columns whose source column is outside the image: in the
-    /// rows of `rows` they read a neighbouring image row (they wrap). At
-    /// most `p` columns, on one side.
-    wrapped: Range<usize>,
-    w: usize,
-}
-
-impl TapSpan {
-    fn new(dims: &ConvDims, ky: usize, kx: usize) -> TapSpan {
-        let (h, w, p) = (dims.in_h, dims.in_w, dims.padding);
-        let y0 = p.saturating_sub(ky).min(h);
-        let y1 = (h + p).saturating_sub(ky).clamp(y0, h);
-        let (lead, pad) = (ky * w + kx, p * w + p);
-        let lo = (y0 * w).max(pad.saturating_sub(lead));
-        let hi = (y1 * w).min((h * w + pad).saturating_sub(lead)).max(lo);
-        // Columns `c0..c1` read inside the image; `kx < p` wraps on the
-        // left, `kx > p` on the right.
-        let c0 = p.saturating_sub(kx).min(w);
-        let c1 = (w + p).saturating_sub(kx).clamp(c0, w);
-        let wrapped = if c0 > 0 { 0..c0 } else { c1..w };
-        TapSpan { rows: y0 * w..y1 * w, span: lo..hi, lead, pad, wrapped, w }
-    }
-
-    /// The plane positions the output positions `o..o + len` read.
-    fn source(&self, o: usize, len: usize) -> Range<usize> {
-        let start = o + self.lead - self.pad;
-        start..start + len
-    }
-
-    /// Writes `value` at every wrapped position of `row` (a stretch of the
-    /// tap row that starts at output position `from`), one column at a time
-    /// down the rows: at most `p` strided stores per row.
-    fn fill_wrapped(&self, row: &mut [f32], from: usize, value: f32) {
-        let Some(step) = std::num::NonZeroUsize::new(self.w) else { return };
-        for c in self.wrapped.clone() {
-            // The first position of column `c` in `rows` at or after `from`.
-            let first = self.rows.start + c;
-            let first = first + from.saturating_sub(first).div_ceil(step.get()) * step.get();
-            let end = self.rows.end.min(from + row.len());
-            for pos in (first..end).step_by(step.get()) {
-                if let Some(x) = row.get_mut(pos - from) {
-                    *x = value;
-                }
-            }
-        }
-    }
-}
-
-/// Scratch length of one [`simd::scatter_add_with`] call of
-/// [`scatter_tap_span`]: a tap row longer than this is scattered in pieces
-/// (the CNN's planes, 784 and 196 long, take one).
-const SPAN_CHUNK: usize = 1024;
-
-/// [`gather_tap`] for a stride-1 "same" conv: one copy of the shifted
-/// plane, then `+0.0` over the wrapped edge columns and the out-of-image
-/// rows — every element of `out_row` is written, so the buffer needs no
-/// zero-fill first.
-fn gather_tap_span(chan: &[f32], out_row: &mut [f32], dims: &ConvDims, ky: usize, kx: usize) {
-    let tap = TapSpan::new(dims, ky, kx);
-    let span = tap.span.clone();
-    if let (Some(dst), Some(src)) = (out_row.get_mut(span.clone()), chan.get(tap.source(span.start, span.len()))) {
-        dst.copy_from_slice(src);
-    }
-    tap.fill_wrapped(out_row, 0, 0.0);
-    let (top, bottom) = out_row.split_at_mut(tap.rows.end.min(out_row.len()));
-    top.get_mut(..tap.rows.start).unwrap_or_default().fill(0.0);
-    bottom.fill(0.0);
-}
-
-/// [`scatter_tap`] for a stride-1 "same" conv: one NaN-holding
-/// [`simd::scatter_add_with`] of the tap row onto the shifted plane (per
-/// [`SPAN_CHUNK`] positions). The row goes through `buf`, a copy whose
-/// wrapped edge columns are `−0.0`: `x + (−0.0)` is `x` bit for bit for
-/// every non-NaN `x` (`+0.0` would turn `x = −0.0` into `+0.0`), and the
-/// scatter holds a NaN `x` unchanged, so the image elements those columns
-/// land on receive nothing, and every other one receives exactly the add
-/// of the per-row path.
-fn scatter_tap_span(chan: &mut [f32], in_row: &[f32], dims: &ConvDims, ky: usize, kx: usize, level: simd::SimdLevel, buf: &mut [f32; SPAN_CHUNK]) {
-    let tap = TapSpan::new(dims, ky, kx);
-    let span = tap.span.clone();
-    for start in span.clone().step_by(SPAN_CHUNK) {
-        let end = (start + SPAN_CHUNK).min(span.end);
-        let (Some(x), Some(src)) = (buf.get_mut(..end - start), in_row.get(start..end)) else { continue };
-        x.copy_from_slice(src);
-        tap.fill_wrapped(x, start, -0.0);
-        if let Some(y) = chan.get_mut(tap.source(start, end - start)) {
-            simd::scatter_add_with(level, y, x);
-        }
-    }
 }
 
 /// Copies one kernel tap `(ky, kx)` of `chan` into its im2col row:
@@ -313,12 +208,8 @@ pub fn im2col_into(image: &[f32], dims: &ConvDims, out: &mut Vec<f32>) -> Result
     dims.check_image_len(image.len())?;
     let cols = dims.col_cols();
     let rows = dims.col_rows();
-    // The span path writes every element; the per-row path only the
-    // in-image ones, over a zero-filled buffer.
-    let span = dims.is_same_stride1();
-    if !span {
-        out.clear();
-    }
+    // Only the in-image elements are written, over a zero-filled buffer.
+    out.clear();
     out.resize(rows * cols, 0.0);
     let plane = dims.in_h * dims.in_w;
     if plane > 0 {
@@ -327,11 +218,7 @@ pub fn im2col_into(image: &[f32], dims: &ConvDims, out: &mut Vec<f32>) -> Result
             for ky in 0..dims.kernel {
                 for kx in 0..dims.kernel {
                     let Some(out_row) = tap_rows.next() else { continue };
-                    if span {
-                        gather_tap_span(chan, out_row, dims, ky, kx);
-                    } else {
-                        gather_tap(chan, out_row, dims, ky, kx);
-                    }
+                    gather_tap(chan, out_row, dims, ky, kx);
                 }
             }
         }
@@ -377,19 +264,13 @@ pub fn col2im_into(cols: &[f32], image: &mut [f32], dims: &ConvDims) -> Result<(
 
     let plane = dims.in_h * dims.in_w;
     if plane > 0 && n_cols > 0 {
-        let span = dims.is_same_stride1();
         let level = simd::simd_level();
-        let mut buf = [0.0f32; SPAN_CHUNK];
         let mut tap_rows = cols.chunks_exact(n_cols);
         for chan in image.chunks_exact_mut(plane) {
             for ky in 0..dims.kernel {
                 for kx in 0..dims.kernel {
                     let Some(in_row) = tap_rows.next() else { continue };
-                    if span {
-                        scatter_tap_span(chan, in_row, dims, ky, kx, level, &mut buf);
-                    } else {
-                        scatter_tap(chan, in_row, dims, ky, kx, level);
-                    }
+                    scatter_tap(chan, in_row, dims, ky, kx, level);
                 }
             }
         }
@@ -419,6 +300,165 @@ pub fn col2im(cols: &Tensor, image: &mut [f32], dims: &ConvDims) -> Result<()> {
         });
     }
     col2im_into(cols.data(), image, dims)
+}
+
+/// Scratch of the direct stride-1 "same" convolution kernels, reused
+/// across samples and calls: after the first call at a geometry they
+/// allocate nothing. Every buffer is rewritten before it is read, so a
+/// stale value cannot leak from one call into the next.
+#[derive(Debug, Default)]
+pub struct SameConvScratch {
+    /// The zero-padded image, or the padded input gradient.
+    padded: Vec<f32>,
+    /// The input gradient's `dY` in the padded frame.
+    rows: Vec<f32>,
+    /// The weight gradient's transposed `dY`.
+    dyt: Vec<f32>,
+    /// The input gradient's tap rows.
+    taps: Vec<f32>,
+}
+
+impl ConvDims {
+    /// The direct kernels' frame for `out_channels` output channels, after
+    /// checking that this is a valid "same" geometry and that `image_len`
+    /// is one sample's input.
+    fn same_frame(&self, out_channels: usize, image_len: usize) -> Result<SameConv> {
+        self.validate()?;
+        self.check_image_len(image_len)?;
+        if !self.is_same() {
+            return Err(TensorError::InvalidArgument(format!(
+                "direct conv needs stride 1 and padding (k-1)/2, got k={} s={} p={}",
+                self.kernel, self.stride, self.padding
+            )));
+        }
+        Ok(SameConv {
+            in_channels: self.in_channels,
+            out_channels,
+            kernel: self.kernel,
+            in_h: self.in_h,
+            in_w: self.in_w,
+        })
+    }
+}
+
+fn check_buf(buf: &[f32], shape: &[usize]) -> Result<()> {
+    if buf.len() != shape.iter().product::<usize>() {
+        return Err(TensorError::LengthMismatch { len: buf.len(), shape: shape.to_vec() });
+    }
+    Ok(())
+}
+
+/// Writes `image` into `padded` as [`SameConv`]'s padded planes.
+fn pad_into(image: &[f32], g: &SameConv, padded: &mut Vec<f32>) {
+    let (plane, pw, p) = (g.plane(), g.width(), g.kernel / 2);
+    padded.clear();
+    padded.resize(g.in_channels * plane, 0.0);
+    for (dst, src) in padded.chunks_exact_mut(plane).zip(image.chunks_exact(g.in_h * g.in_w)) {
+        let interior = dst.get_mut(p * pw + p..).unwrap_or_default();
+        for (d, s) in interior.chunks_mut(pw).zip(src.chunks_exact(g.in_w)) {
+            if let Some(d) = d.get_mut(..g.in_w) {
+                d.copy_from_slice(s);
+            }
+        }
+    }
+}
+
+/// The forward of one sample of a stride-1 "same" convolution ([`ConvDims::is_same`]):
+/// `out[o]` (`[out_channels, in_h, in_w]`, flattened) becomes `W·cols + b`
+/// with `cols` the sample's `im2col` matrix, bit for bit — each element
+/// `weight[o]`'s chain over the taps `(c, ky, kx)` in ascending order from
+/// `+0.0`, a tap outside the image multiplying `+0.0`, then `+ bias[o]` —
+/// without building `cols`. `weight` is `[out_channels, in_channels·k²]`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidArgument`] when the geometry is not a
+/// valid "same" convolution and [`TensorError::LengthMismatch`] when a
+/// buffer length disagrees with it.
+pub fn conv_same_forward(image: &[f32], weight: &[f32], bias: &[f32], out: &mut [f32], dims: &ConvDims, scratch: &mut SameConvScratch) -> Result<()> {
+    let g = dims.same_frame(bias.len(), image.len())?;
+    check_buf(weight, &[g.out_channels, g.fan_in()])?;
+    check_buf(out, &[g.out_channels, g.in_h, g.in_w])?;
+    pad_into(image, &g, &mut scratch.padded);
+    simd::conv_fwd(out, weight, bias, &scratch.padded, g);
+    crate::invariant::check_op_output("conv_same_forward", &[image, weight, bias], out);
+    Ok(())
+}
+
+/// The weight and bias gradients of one sample of a stride-1 "same"
+/// convolution ([`ConvDims::is_same`]): adds `dY·colsᵀ` to `wgrad`
+/// (`[out_channels, in_channels·k²]`) and the sums of `dy`'s channel planes
+/// to `bgrad` (`[out_channels]`), bit for bit as the lowering does — each
+/// weight's chain over the output positions in ascending order from
+/// `+0.0`, each bias's `f32::sum` of its plane — without building `cols`.
+/// `dy` is `[out_channels, in_h, in_w]`, flattened.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidArgument`] when the geometry is not a
+/// valid "same" convolution and [`TensorError::LengthMismatch`] when a
+/// buffer length disagrees with it.
+pub fn conv_same_weight_grad(image: &[f32], dy: &[f32], wgrad: &mut [f32], bgrad: &mut [f32], dims: &ConvDims, scratch: &mut SameConvScratch) -> Result<()> {
+    let g = dims.same_frame(bgrad.len(), image.len())?;
+    check_buf(wgrad, &[g.out_channels, g.fan_in()])?;
+    check_buf(dy, &[g.out_channels, g.in_h, g.in_w])?;
+    // The gradients are updated in place: their pre-state is an input of
+    // the finite-kernel guard.
+    let inputs_finite = crate::invariant::enabled()
+        && [image, dy, &*wgrad, &*bgrad].iter().all(|buf| buf.iter().all(|v| v.is_finite()));
+    pad_into(image, &g, &mut scratch.padded);
+    scratch.dyt.resize(g.dyt_len(), 0.0);
+    simd::conv_dw(wgrad, bgrad, dy, &scratch.padded, &mut scratch.dyt, g);
+    if inputs_finite {
+        crate::invariant::check_op_output("conv_same_weight_grad", &[], wgrad);
+        crate::invariant::check_op_output("conv_same_weight_grad", &[], bgrad);
+    }
+    Ok(())
+}
+
+/// The input gradient of one sample of a stride-1 "same" convolution
+/// ([`ConvDims::is_same`]): overwrites `dx` (`[in_channels, in_h, in_w]`,
+/// flattened) with `col2im` of `Wᵀ·dY` scattered onto zeros, bit for bit —
+/// each tap's chain over the output channels in ascending order from
+/// `+0.0`, added in ascending tap order with `col2im`'s NaN-holding add, a
+/// tap outside the image adding nothing — without building `Wᵀ·dY`.
+/// `weight` is `[out_channels, in_channels·k²]` and `dy` `[out_channels,
+/// in_h, in_w]`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidArgument`] when the geometry is not a
+/// valid "same" convolution and [`TensorError::LengthMismatch`] when a
+/// buffer length disagrees with it.
+pub fn conv_same_input_grad(dy: &[f32], weight: &[f32], dx: &mut [f32], dims: &ConvDims, scratch: &mut SameConvScratch) -> Result<()> {
+    let fan_in = dims.col_rows();
+    let g = dims.same_frame(weight.len().checked_div(fan_in).unwrap_or(0), dx.len())?;
+    check_buf(weight, &[g.out_channels, fan_in])?;
+    check_buf(dy, &[g.out_channels, g.in_h, g.in_w])?;
+    let (lanes, plane, pw, p) = (g.lanes(), g.plane(), g.width(), g.kernel / 2);
+    scratch.rows.clear();
+    scratch.rows.resize(g.out_channels * lanes, 0.0);
+    for (row, dy_plane) in scratch.rows.chunks_exact_mut(lanes).zip(dy.chunks_exact(g.in_h * g.in_w)) {
+        for (dst, src) in row.chunks_mut(pw).zip(dy_plane.chunks_exact(g.in_w)) {
+            if let Some(dst) = dst.get_mut(..g.in_w) {
+                dst.copy_from_slice(src);
+            }
+        }
+    }
+    scratch.padded.clear();
+    scratch.padded.resize(g.in_channels * plane, 0.0);
+    scratch.taps.resize(g.taps_len(), 0.0);
+    simd::conv_dx(&mut scratch.padded, weight, &scratch.rows, &mut scratch.taps, g);
+    for (dst, src) in dx.chunks_exact_mut(g.in_h * g.in_w).zip(scratch.padded.chunks_exact(plane)) {
+        let interior = src.get(p * pw + p..).unwrap_or(&[]);
+        for (d, s) in dst.chunks_exact_mut(g.in_w).zip(interior.chunks(pw)) {
+            if let Some(s) = s.get(..g.in_w) {
+                d.copy_from_slice(s);
+            }
+        }
+    }
+    crate::invariant::check_op_output("conv_same_input_grad", &[dy, weight], dx);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -561,12 +601,11 @@ mod tests {
 
     #[test]
     fn tap_kernels_bit_identical_to_bruteforce_across_levels() {
-        // Geometry sweep covering the stride-1 "same" span path (the CNN's
-        // two convs, a plane narrower than the padding, odd widths), the
-        // per-row path (strided, and a stride-1 conv that shrinks), padding
-        // larger than kernel offsets; inputs plant NaN/±inf/-0.0, in the
-        // image col2im scatters onto too, so the copies/adds face the full
-        // IEEE surface.
+        // Geometry sweep of the per-row lowering: "same" convs (the CNN's
+        // two, a plane narrower than the padding, odd widths), strided ones,
+        // a stride-1 conv that shrinks, padding larger than kernel offsets;
+        // inputs plant NaN/±inf/-0.0, in the image col2im scatters onto
+        // too, so the copies/adds face the full IEEE surface.
         let geoms = [
             ConvDims { in_channels: 2, in_h: 5, in_w: 7, kernel: 3, stride: 1, padding: 1 },
             ConvDims { in_channels: 1, in_h: 9, in_w: 9, kernel: 3, stride: 2, padding: 1 },
@@ -623,6 +662,136 @@ mod tests {
             }
         }
         crate::set_simd_level(prior);
+    }
+
+    /// The chains the lowering gives one sample of a "same" conv, written
+    /// out per element: `(y, dW, db, dX)` with `dW`/`db` added onto
+    /// `wgrad`/`bgrad` and `dX` scattered onto zeros.
+    fn same_conv_ref(img: &[f32], w: &[f32], b: &[f32], dy: &[f32], grads: (&[f32], &[f32]), d: &ConvDims) -> [Vec<f32>; 4] {
+        let (cols, fan_in, n) = (im2col_ref(img, d), d.col_rows(), d.col_cols());
+        let cout = b.len();
+        let mut y = vec![0.0f32; cout * n];
+        let (mut wgrad, mut bgrad) = (grads.0.to_vec(), grads.1.to_vec());
+        let mut dcols = vec![0.0f32; fan_in * n];
+        for o in 0..cout {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for t in 0..fan_in {
+                    acc += w[o * fan_in + t] * cols[t * n + j];
+                }
+                y[o * n + j] = acc + b[o];
+            }
+            for t in 0..fan_in {
+                let mut acc = 0.0f32;
+                for j in 0..n {
+                    acc += dy[o * n + j] * cols[t * n + j];
+                }
+                wgrad[o * fan_in + t] += acc;
+            }
+            bgrad[o] += dy[o * n..(o + 1) * n].iter().sum::<f32>();
+        }
+        for t in 0..fan_in {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for o in 0..cout {
+                    acc += w[o * fan_in + t] * dy[o * n + j];
+                }
+                dcols[t * n + j] = acc;
+            }
+        }
+        let dx = col2im_ref(&dcols, d, vec![0.0; img.len()]);
+        [y, wgrad, bgrad, dx]
+    }
+
+    #[test]
+    fn direct_kernels_bit_identical_to_bruteforce_across_levels() {
+        // Every odd kernel the models use and one more, widths 1–33 (not
+        // multiples of 8, and planes narrower than the padding), output
+        // channel counts that are not multiples of 8, two samples
+        // accumulating into the same gradients, and NaN/±inf/−0.0 planted
+        // in the image, the weights and dY. Chains with two NaN operands
+        // may keep either payload (DESIGN.md §10.1, tier 2), so NaN matches
+        // NaN.
+        let mut geoms: Vec<(ConvDims, usize)> = (1..=33usize)
+            .map(|w| {
+                let k = [1, 3, 5, 7][w % 4];
+                let d = ConvDims { in_channels: 1 + w % 3, in_h: 1 + w * 7 % 5, in_w: w, kernel: k, stride: 1, padding: k / 2 };
+                (d, [1, 3, 6, 9, 12, 17][w % 6])
+            })
+            .collect();
+        for (cin, cout, k, h, w) in [(1, 6, 5, 28, 28), (6, 12, 5, 14, 14), (16, 16, 3, 4, 4), (8, 20, 3, 7, 7), (2, 9, 7, 2, 1), (3, 2, 5, 1, 2)] {
+            geoms.push((ConvDims { in_channels: cin, in_h: h, in_w: w, kernel: k, stride: 1, padding: k / 2 }, cout));
+        }
+        let specials = |i: usize, v: f32| match i % 29 {
+            5 => f32::NAN,
+            9 => -0.0,
+            13 => f32::INFINITY,
+            17 => f32::NEG_INFINITY,
+            _ => v,
+        };
+        let same_bits = |a: &[f32], b: &[f32], what: &str| {
+            assert_eq!(a.len(), b.len(), "{what}: length");
+            for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                assert!(x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()), "{what}: idx {i}: {x} vs {y}");
+            }
+        };
+        let prior = crate::simd_level();
+        // One scratch for every geometry and level: nothing stale may leak.
+        let mut scratch = SameConvScratch::default();
+        for (g, &(d, cout)) in geoms.iter().enumerate() {
+            assert!(d.is_same());
+            let (fan_in, n, sample) = (d.col_rows(), d.col_cols(), d.in_channels * d.in_h * d.in_w);
+            let plant = |len: usize, seed: usize, scale: f32| -> Vec<f32> {
+                (0..len).map(|i| if g % 3 == 0 { (i as f32 * 0.7 + seed as f32).sin() * scale } else { specials(i + seed, (i as f32 * 0.7 + seed as f32).sin() * scale) }).collect()
+            };
+            let imgs = plant(2 * sample, 1, 3.0);
+            let w = plant(cout * fan_in, 2, 1.0);
+            let b = plant(cout, 3, 1.0);
+            let dys = plant(2 * cout * n, 4, 2.0);
+            let grads0 = (plant(cout * fan_in, 5, 1.0), plant(cout, 6, 1.0));
+            for level in [crate::SimdLevel::Scalar, crate::SimdLevel::Avx2] {
+                if level > crate::hardware_simd_level() {
+                    continue;
+                }
+                crate::set_simd_level(level);
+                let (mut want_w, mut want_b) = grads0.clone();
+                let (mut got_w, mut got_b) = grads0.clone();
+                for (img, dy) in imgs.chunks_exact(sample).zip(dys.chunks_exact(cout * n)) {
+                    let [y, ww, wb, dx] = same_conv_ref(img, &w, &b, dy, (&want_w, &want_b), &d);
+                    (want_w, want_b) = (ww, wb);
+                    let mut got_y = vec![f32::NAN; cout * n];
+                    conv_same_forward(img, &w, &b, &mut got_y, &d, &mut scratch).unwrap();
+                    conv_same_weight_grad(img, dy, &mut got_w, &mut got_b, &d, &mut scratch).unwrap();
+                    let mut got_dx = vec![f32::NAN; sample];
+                    conv_same_input_grad(dy, &w, &mut got_dx, &d, &mut scratch).unwrap();
+                    let what = format!("{level:?} {d:?} cout {cout}");
+                    same_bits(&got_y, &y, &format!("forward {what}"));
+                    same_bits(&got_w, &want_w, &format!("weight grad {what}"));
+                    same_bits(&got_b, &want_b, &format!("bias grad {what}"));
+                    same_bits(&got_dx, &dx, &format!("input grad {what}"));
+                }
+                // −0.0 onto −0.0: a bias sum folds from −0.0, so an all-−0.0
+                // dY leaves a −0.0 bias gradient −0.0.
+                let mut zero_b = vec![-0.0f32; cout];
+                let mut zero_w = vec![-0.0f32; cout * fan_in];
+                conv_same_weight_grad(&imgs[..sample], &vec![-0.0; cout * n], &mut zero_w, &mut zero_b, &d, &mut scratch).unwrap();
+                assert!(zero_b.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()), "bias grad of -0.0 {level:?} {d:?}");
+            }
+        }
+        crate::set_simd_level(prior);
+    }
+
+    #[test]
+    fn direct_kernels_reject_other_geometry_and_lengths() {
+        let mut s = SameConvScratch::default();
+        let strided = ConvDims { in_channels: 1, in_h: 4, in_w: 4, kernel: 3, stride: 2, padding: 1 };
+        assert!(!strided.is_same());
+        assert!(conv_same_forward(&[0.0; 16], &[0.0; 9], &[0.0], &mut [0.0; 4], &strided, &mut s).is_err());
+        let d = ConvDims { in_channels: 1, in_h: 2, in_w: 2, kernel: 3, stride: 1, padding: 1 };
+        assert!(conv_same_forward(&[0.0; 4], &[0.0; 8], &[0.0], &mut [0.0; 4], &d, &mut s).is_err());
+        assert!(conv_same_forward(&[0.0; 4], &[0.0; 9], &[0.0], &mut [0.0; 3], &d, &mut s).is_err());
+        assert!(conv_same_weight_grad(&[0.0; 4], &[0.0; 5], &mut [0.0; 9], &mut [0.0], &d, &mut s).is_err());
+        assert!(conv_same_input_grad(&[0.0; 4], &[0.0; 9], &mut [0.0; 5], &d, &mut s).is_err());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! A deliberately small, dependency-light CPU tensor library backing the
 //! FedSU reproduction. It provides exactly what the neural-network substrate
 //! (`fedsu-nn`) needs: owned `f32` n-d arrays, elementwise arithmetic,
-//! reductions, 2-D matrix multiplication, im2col-based convolution helpers,
-//! and a Kaiming initializer.
+//! reductions, 2-D matrix multiplication, convolution helpers (direct
+//! kernels for stride-1 "same" convolutions, `im2col`/`col2im` lowering
+//! for the rest), and a Kaiming initializer.
 //!
 //! The library favours explicitness over cleverness: every operation
 //! validates shapes and returns a [`TensorError`] on mismatch (or provides a
@@ -39,7 +40,10 @@ pub mod simd;
 mod stats;
 mod tensor;
 
-pub use conv::{col2im, col2im_into, im2col, im2col_into, ConvDims};
+pub use conv::{
+    col2im, col2im_into, conv_same_forward, conv_same_input_grad, conv_same_weight_grad, im2col,
+    im2col_into, ConvDims, SameConvScratch,
+};
 pub use error::TensorError;
 pub use init::kaiming_uniform;
 pub use matmul::{

@@ -46,10 +46,10 @@
 //!    instead of pretending to remove it.
 //! 3. **Strict even across levels** for kernels whose accumulation chains
 //!    span multiple kernel calls with shifting vector/remainder splits
-//!    (conv's col2im scatter): those use the NaN-*holding* add
-//!    (`if !y.is_nan() { y += x }`, vectorized as an unordered-compare
-//!    blend), which never performs a double-NaN add and is therefore exact
-//!    at every level.
+//!    (conv's col2im scatter, and the direct input gradient's adds): those
+//!    use the NaN-*holding* add (`if !y.is_nan() { y += x }`, vectorized
+//!    as an unordered-compare blend), which never performs a double-NaN
+//!    add and is therefore exact at every level.
 //!
 //! The canonical scalar loops below are `#[inline(never)]` so each has one
 //! compiled instance: per level the payload choice is frozen, which is what
@@ -267,6 +267,143 @@ pub struct SweepRule {
     /// magnitude guards and has `|signed| > magnitude·ratio_bound` is not
     /// flagged. `+inf` flags every chunk past its warm-up.
     pub ratio_bound: f32,
+}
+
+/// The lanes of the widest register: the direct convolution kernels size
+/// their rows and scratch in multiples of it at every level.
+const REGISTER: usize = 8;
+
+/// The geometry of one sample of a stride-1 "same" convolution (odd
+/// `kernel`, padding `(kernel − 1) / 2`, output as large as the input), and
+/// the layouts its direct kernels ([`conv_fwd_with`], [`conv_dx_with`],
+/// [`conv_dw_with`]) read and write. All of them run in a *padded frame* of
+/// [`width`](Self::width) columns, the image's `in_w` plus `kernel − 1`:
+///
+/// * a **padded plane** ([`plane`](Self::plane) scalars) holds pixel
+///   `(y, x)` of a channel at `(y + p)·width + x + p`, and `+0.0` at every
+///   other position;
+/// * a **row** ([`lanes`](Self::lanes) scalars) holds output position
+///   `(oy, ox)` of a channel at `oy·width + ox`; the `kernel − 1` positions
+///   after each image row (and those past the last one) are gaps.
+///
+/// In that frame tap `t = (c, ky, kx)` of output position `q` reads padded
+/// position `q + c·plane + ky·width + kx`, for every `q` and tap alike — an
+/// out-of-image tap reads the `+0.0` that `im2col` writes there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SameConv {
+    /// Input channels.
+    pub in_channels: usize,
+    /// Output channels.
+    pub out_channels: usize,
+    /// Square kernel size (odd).
+    pub kernel: usize,
+    /// Image (and output) height.
+    pub in_h: usize,
+    /// Image (and output) width.
+    pub in_w: usize,
+}
+
+impl SameConv {
+    /// Columns of the padded frame: `in_w + kernel − 1`.
+    pub fn width(&self) -> usize {
+        self.in_w + self.kernel.saturating_sub(1)
+    }
+
+    /// Scalars of one row: the frame's output positions rounded up to a
+    /// register, and one register more, so that every register a kernel
+    /// loads or stores lies inside it.
+    pub fn lanes(&self) -> usize {
+        (self.in_h * self.width()).next_multiple_of(REGISTER) + REGISTER
+    }
+
+    /// Scalars of one padded plane: a row, and the farthest tap offset
+    /// `(kernel − 1)·(width + 1)` past it.
+    pub fn plane(&self) -> usize {
+        self.lanes() + self.kernel.saturating_sub(1) * (self.width() + 1)
+    }
+
+    /// Scalars of the transposed-`dY` scratch of [`conv_dw_with`]: one
+    /// register-rounded row of output channels per output position.
+    pub fn dyt_len(&self) -> usize {
+        self.in_h * self.in_w * self.out_channels.next_multiple_of(REGISTER)
+    }
+
+    /// Scalars of the tap scratch of [`conv_dx_with`]: a lane mask and one
+    /// row per kernel column.
+    pub fn taps_len(&self) -> usize {
+        (self.kernel + 1) * self.lanes()
+    }
+
+    /// Weights per output channel: `in_channels · kernel²`.
+    pub fn fan_in(&self) -> usize {
+        self.in_channels * self.kernel * self.kernel
+    }
+
+    /// Whether some dimension is zero: the kernels then do nothing.
+    fn is_empty(&self) -> bool {
+        self.in_channels == 0 || self.out_channels == 0 || self.kernel == 0 || self.in_h == 0 || self.in_w == 0
+    }
+
+    /// Offset of tap `t = (c, ky, kx)` (flat, ascending) in the padded
+    /// planes, relative to the output position reading it.
+    fn tap_offset(&self, t: usize) -> usize {
+        let k = self.kernel.max(1);
+        let (c, ky, kx) = (t / (k * k), t / k % k, t % k);
+        c * self.plane() + ky * self.width() + kx
+    }
+
+    /// The `n`-lane registers a vector kernel computes a row in (see
+    /// [`Registers`]).
+    #[cfg(target_arch = "x86_64")]
+    fn registers(&self, n: usize) -> Registers {
+        let (pw, w) = (self.width(), self.in_w);
+        let by_rows = self.in_h * w.div_ceil(n) <= (self.in_h * pw).div_ceil(n);
+        let (rows, stride, len) = if by_rows { (self.in_h, pw, w) } else { (1, 0, self.in_h * pw) };
+        Registers { n, row: 0, x: 0, rows, stride, len, out: (by_rows && w >= n).then_some(w) }
+    }
+}
+
+/// The `n`-lane registers a vector kernel computes a row of [`SameConv`]'s
+/// frame in, covering every output position: per image row, its registers
+/// (the last one ending at the row's end, overlapping the one before), or
+/// along the whole row of the frame when that takes fewer registers (planes
+/// narrower than a register). Each is its first position in the frame, and
+/// its first output index (`oy·in_w + ox`) when it lies inside one image
+/// row. A register may cover gaps; a position two registers cover gets the
+/// same value twice.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy)]
+struct Registers {
+    n: usize,
+    /// The next register's row and column.
+    row: usize,
+    x: usize,
+    rows: usize,
+    /// Frame positions per row (`0` along the whole frame row).
+    stride: usize,
+    /// Positions per row.
+    len: usize,
+    /// The output row length, when every register lies in one image row.
+    out: Option<usize>,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Iterator for Registers {
+    type Item = (usize, Option<usize>);
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.row >= self.rows {
+            return None;
+        }
+        let x = self.x.min(self.len.saturating_sub(self.n));
+        let item = (self.row * self.stride + x, self.out.map(|w| self.row * w + x));
+        self.x += self.n;
+        if self.x >= self.len {
+            (self.row, self.x) = (self.row + 1, 0);
+        }
+        Some(item)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -531,6 +668,85 @@ mod scalar {
             tb_row(c_row, a_row, b, k);
         }
     }
+
+    /// The direct "same" conv forward (see
+    /// [`conv_fwd_with`](super::conv_fwd_with)): each output plane from
+    /// `+0.0`, then `+= w·x` per tap and image row, taps in ascending order,
+    /// so every element keeps the `W·cols` chain of the lowering; then
+    /// `+ b`.
+    #[inline(never)]
+    pub(super) fn conv_fwd(out: &mut [f32], weight: &[f32], bias: &[f32], padded: &[f32], g: super::SameConv) {
+        if g.is_empty() {
+            return;
+        }
+        let (pw, w) = (g.width(), g.in_w);
+        let planes = out.chunks_exact_mut(g.in_h * w).zip(weight.chunks_exact(g.fan_in())).zip(bias);
+        for ((plane, w_row), &b) in planes {
+            plane.fill(0.0);
+            for (t, &wv) in w_row.iter().enumerate() {
+                let src = padded.get(g.tap_offset(t)..).unwrap_or(&[]);
+                for (row, x) in plane.chunks_exact_mut(w).zip(src.chunks(pw)) {
+                    for (y, &x) in row.iter_mut().zip(x) {
+                        *y += wv * x;
+                    }
+                }
+            }
+            for y in plane.iter_mut() {
+                *y += b;
+            }
+        }
+    }
+
+    /// The direct "same" conv input gradient (see
+    /// [`conv_dx_with`](super::conv_dx_with)): per tap in ascending order,
+    /// the tap's row from `+0.0` with one [`axpy`] per output channel
+    /// (`Wᵀ·dY`'s chain), then its output positions' NaN-holding adds onto
+    /// the padded planes ([`scatter_add`] per image row).
+    pub(super) fn conv_dx(dxp: &mut [f32], weight: &[f32], rows: &[f32], taps: &mut [f32], g: super::SameConv) {
+        if g.is_empty() {
+            return;
+        }
+        let (lanes, fan_in, pw) = (g.lanes(), g.fan_in(), g.width());
+        let Some(t_row) = taps.get_mut(..lanes) else { return };
+        for t in 0..fan_in {
+            t_row.fill(0.0);
+            for (dy_row, w_row) in rows.chunks_exact(lanes).zip(weight.chunks_exact(fan_in)) {
+                axpy(t_row, w_row.get(t).copied().unwrap_or(0.0), dy_row);
+            }
+            let dst = dxp.get_mut(g.tap_offset(t)..).unwrap_or_default();
+            for (d_row, t_out) in dst.chunks_mut(pw).zip(t_row.chunks(pw).take(g.in_h)) {
+                scatter_add(d_row.get_mut(..g.in_w).unwrap_or_default(), t_out);
+            }
+        }
+    }
+
+    /// The direct "same" conv weight and bias gradients (see
+    /// [`conv_dw_with`](super::conv_dw_with)): per weight one dot chain over
+    /// the output positions in ascending order from `+0.0` (`dY·colsᵀ`'s),
+    /// added to its gradient; per bias the `f32::sum` chain of its `dY`
+    /// plane (ascending, from `−0.0`), added to its gradient. `dyt` is the
+    /// vector levels' scratch.
+    #[inline(never)]
+    pub(super) fn conv_dw(wgrad: &mut [f32], bgrad: &mut [f32], dy: &[f32], padded: &[f32], _dyt: &mut [f32], g: super::SameConv) {
+        if g.is_empty() {
+            return;
+        }
+        let (pw, w) = (g.width(), g.in_w);
+        let rows = wgrad.chunks_exact_mut(g.fan_in()).zip(bgrad.iter_mut());
+        for ((g_row, bg), dy_plane) in rows.zip(dy.chunks_exact(g.in_h * w)) {
+            for (t, gv) in g_row.iter_mut().enumerate() {
+                let src = padded.get(g.tap_offset(t)..).unwrap_or(&[]);
+                let mut acc = 0.0f32;
+                for (dy_row, x_row) in dy_plane.chunks_exact(w).zip(src.chunks(pw)) {
+                    for (&d, &x) in dy_row.iter().zip(x_row.iter()) {
+                        acc += d * x;
+                    }
+                }
+                *gv += acc;
+            }
+            *bg += dy_plane.iter().fold(-0.0, |s, &x| s + x);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -547,7 +763,7 @@ mod scalar {
 /// each kernel per level.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{scalar, SweepRows, SweepRule, LANE_ON, OBSERVED_MAX};
+    use super::{scalar, SameConv, SweepRows, SweepRule, LANE_OFF, LANE_ON, OBSERVED_MAX};
     use std::ops::Range;
     use std::arch::x86_64::{
         __m256, _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_cmp_ps, _mm256_loadu_ps,
@@ -1321,6 +1537,375 @@ mod x86 {
             }
         }
     }
+
+    /// The next `U` registers from `starts`, the last group filled up
+    /// with repeats of its last register: a repeated register recomputes the
+    /// same lanes, and the conv kernels store registers, never add them.
+    #[inline(always)]
+    fn next_group<T: Copy, const U: usize>(starts: &mut impl Iterator<Item = T>) -> Option<[T; U]> {
+        let first = starts.next()?;
+        let mut group = [first; U];
+        let mut last = first;
+        for slot in group.iter_mut().skip(1) {
+            if let Some(q) = starts.next() {
+                last = q;
+            }
+            *slot = last;
+        }
+        Some(group)
+    }
+
+    /// `len` scalars of `s` from each of `starts`, if all are inside it.
+    #[inline(always)]
+    fn windows<'a, const U: usize>(s: &'a [f32], starts: [usize; U], len: usize) -> Option<[&'a [f32]; U]> {
+        let mut out: [&'a [f32]; U] = [&[]; U];
+        for (o, &q) in out.iter_mut().zip(&starts) {
+            *o = s.get(q..q + len)?;
+        }
+        Some(out)
+    }
+
+    /// The direct "same" conv forward: output channels four at a time, then
+    /// a pair, then one ([`conv_fwd_rows`]), with the kernel size a constant
+    /// for the sizes the models use.
+    #[inline(always)]
+    pub(super) unsafe fn conv_fwd<V: Lanes>(out: &mut [f32], weight: &[f32], bias: &[f32], padded: &[f32], g: SameConv) {
+        match g.kernel {
+            5 => conv_fwd_k::<V, 5>(out, weight, bias, padded, g),
+            3 => conv_fwd_k::<V, 3>(out, weight, bias, padded, g),
+            1 => conv_fwd_k::<V, 1>(out, weight, bias, padded, g),
+            _ => conv_fwd_k::<V, 0>(out, weight, bias, padded, g),
+        }
+    }
+
+    /// [`conv_fwd`] at kernel size `K` (`0`: the size in `g`).
+    #[inline(always)]
+    unsafe fn conv_fwd_k<V: Lanes, const K: usize>(out: &mut [f32], weight: &[f32], bias: &[f32], padded: &[f32], g: SameConv) {
+        if g.is_empty() {
+            return;
+        }
+        let (plane, fan_in) = (g.in_h * g.in_w, g.fan_in());
+        let mut o4 = out.chunks_exact_mut(4 * plane);
+        let mut w4 = weight.chunks_exact(4 * fan_in);
+        let mut b4 = bias.chunks_exact(4);
+        for ((o, w), b) in (&mut o4).zip(&mut w4).zip(&mut b4) {
+            conv_fwd_rows::<V, 4, 2, K>(o, w, b, padded, g);
+        }
+        let mut o2 = o4.into_remainder().chunks_exact_mut(2 * plane);
+        let mut w2 = w4.remainder().chunks_exact(2 * fan_in);
+        let mut b2 = b4.remainder().chunks_exact(2);
+        for ((o, w), b) in (&mut o2).zip(&mut w2).zip(&mut b2) {
+            conv_fwd_rows::<V, 2, 4, K>(o, w, b, padded, g);
+        }
+        let rest = o2.into_remainder().chunks_exact_mut(plane).zip(w2.remainder().chunks_exact(fan_in));
+        for ((o, w), b) in rest.zip(b2.remainder().chunks_exact(1)) {
+            conv_fwd_rows::<V, 1, 8, K>(o, w, b, padded, g);
+        }
+    }
+
+    /// `R` output channels' planes, `U` registers of each at a time: each
+    /// padded load feeds the `R` channels, each broadcast weight the `U`
+    /// registers, and every lane runs its position's chain over the taps in
+    /// ascending order from `+0.0`, then `+ b`. A kernel row's `k` taps
+    /// read one window of `k − 1 + N` padded scalars per register. A
+    /// register inside one image row is stored whole; one that is not (a
+    /// plane narrower than a register) lane by lane, its gaps dropped.
+    #[inline(always)]
+    unsafe fn conv_fwd_rows<V: Lanes, const R: usize, const U: usize, const K: usize>(out: &mut [f32], weight: &[f32], bias: &[f32], padded: &[f32], g: SameConv) {
+        let k = if K == 0 { g.kernel } else { K };
+        let (fan_in, plane, pw) = (g.fan_in(), g.plane(), g.width());
+        let Some(w_rows) = windows::<R>(weight, std::array::from_fn(|r| r * fan_in), fan_in) else { return };
+        let mut lanes = [0.0f32; MAX_N];
+        let mut starts = g.registers(V::N);
+        while let Some(regs) = next_group::<_, U>(&mut starts) {
+            let qs = regs.map(|(q, _)| q);
+            let mut acc = [[V::zero(); U]; R];
+            for c in 0..g.in_channels {
+                for ky in 0..k {
+                    let (base, t0) = (c * plane + ky * pw, (c * k + ky) * k);
+                    let xs = windows::<U>(padded, qs.map(|q| base + q), k - 1 + V::N);
+                    if let (Some(xs), Some(ws)) = (xs, windows_of::<R>(&w_rows, t0, k)) {
+                        acc = conv_fwd_taps::<V, R, U, K>(acc, xs, ws, k);
+                    }
+                }
+            }
+            for ((acc, o_plane), &b) in acc.iter().zip(out.chunks_exact_mut(g.in_h * g.in_w)).zip(bias) {
+                let b = V::splat(b);
+                for (a, &(q, at)) in acc.iter().zip(&regs) {
+                    let y = a.fadd(b);
+                    if let Some(s) = at.and_then(|at| o_plane.get_mut(at..at + V::N)) {
+                        y.store(s);
+                        continue;
+                    }
+                    y.store(lanes.get_mut(..V::N).unwrap_or_default());
+                    store_lanes(o_plane, lanes.get(..V::N).unwrap_or_default(), q, g);
+                }
+            }
+        }
+    }
+
+    /// Writes the lanes of a register that does not lie inside one image row
+    /// (frame positions from `q` on) to their output positions, dropping
+    /// the gaps. Out of line, so the register stores around it stay small
+    /// enough to unroll.
+    #[inline(never)]
+    fn store_lanes(o_plane: &mut [f32], lanes: &[f32], q: usize, g: SameConv) {
+        let pw = g.width().max(1);
+        let (mut oy, mut ox) = (q / pw, q % pw);
+        for &v in lanes {
+            if ox < g.in_w {
+                if let Some(d) = o_plane.get_mut(oy * g.in_w + ox) {
+                    *d = v;
+                }
+            }
+            ox += 1;
+            if ox == pw {
+                (oy, ox) = (oy + 1, 0);
+            }
+        }
+    }
+
+    /// One kernel row's `k` taps of [`conv_fwd_rows`]'s accumulators: `xs`
+    /// holds each register's `k − 1 + N` padded scalars, `ws` each
+    /// channel's `k` weights.
+    #[inline(always)]
+    unsafe fn conv_fwd_taps<V: Lanes, const R: usize, const U: usize, const K: usize>(mut acc: [[V; U]; R], xs: [&[f32]; U], ws: [&[f32]; R], k: usize) -> [[V; U]; R] {
+        for kx in 0..if K == 0 { k } else { K } {
+            let mut x = [V::zero(); U];
+            for (x, s) in x.iter_mut().zip(&xs) {
+                if let Some(s) = s.get(kx..kx + V::N) {
+                    *x = V::load(s);
+                }
+            }
+            for (acc, w) in acc.iter_mut().zip(&ws) {
+                let wv = V::splat(w.get(kx).copied().unwrap_or(0.0));
+                for (a, &x) in acc.iter_mut().zip(&x) {
+                    *a = a.fadd(wv.fmul(x));
+                }
+            }
+        }
+        acc
+    }
+
+    /// `len` scalars of each of `rows` from `at`, if all are long enough.
+    #[inline(always)]
+    fn windows_of<'a, const R: usize>(rows: &[&'a [f32]; R], at: usize, len: usize) -> Option<[&'a [f32]; R]> {
+        let mut out = [&[][..]; R];
+        for (o, row) in out.iter_mut().zip(rows) {
+            *o = row.get(at..at + len)?;
+        }
+        Some(out)
+    }
+
+    /// The direct "same" conv input gradient: per input channel and kernel
+    /// row, the rows of its `kernel` taps at once ([`conv_dx_taps`]: each
+    /// `dY` load feeds every tap), then each tap row's NaN-holding
+    /// [`scatter_add`] onto the padded plane, in ascending tap order. The
+    /// first `lanes` of `taps` become the output-position mask; a gap of a
+    /// tap row holds `−0.0`, which the NaN-holding add leaves every value
+    /// alone under.
+    #[inline(always)]
+    pub(super) unsafe fn conv_dx<V: Lanes>(dxp: &mut [f32], weight: &[f32], rows: &[f32], taps: &mut [f32], g: SameConv) {
+        if g.is_empty() {
+            return;
+        }
+        let (lanes, plane, pw, k) = (g.lanes(), g.plane(), g.width(), g.kernel);
+        let Some((mask, t_rows)) = taps.split_at_mut_checked(lanes) else { return };
+        mask.fill(LANE_OFF);
+        for row in mask.chunks_mut(pw).take(g.in_h) {
+            row.get_mut(..g.in_w).unwrap_or_default().fill(LANE_ON);
+        }
+        t_rows.fill(-0.0);
+        for c in 0..g.in_channels {
+            for ky in 0..k {
+                let t0 = (c * k + ky) * k;
+                match k {
+                    5 => conv_dx_taps::<V, 5, 2>(t_rows, weight, rows, mask, t0, g),
+                    3 => conv_dx_taps::<V, 3, 3>(t_rows, weight, rows, mask, t0, g),
+                    _ => {
+                        for (kx, t_row) in t_rows.chunks_exact_mut(lanes).take(k).enumerate() {
+                            conv_dx_taps::<V, 1, 8>(t_row, weight, rows, mask, t0 + kx, g);
+                        }
+                    }
+                }
+                let base = c * plane + ky * pw;
+                for (kx, t_row) in t_rows.chunks_exact(lanes).take(k).enumerate() {
+                    if let Some(dst) = dxp.get_mut(base + kx..base + kx + lanes) {
+                        scatter_add::<V>(dst, t_row);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The rows of the `KX` taps from `t0` on, `U` registers at a time: per
+    /// output channel in ascending order one load of each `dY` register and
+    /// one broadcast weight per tap, every lane's chain from `+0.0`; stored
+    /// through the mask, a gap as `−0.0`.
+    #[inline(always)]
+    unsafe fn conv_dx_taps<V: Lanes, const KX: usize, const U: usize>(t_rows: &mut [f32], weight: &[f32], rows: &[f32], mask: &[f32], t0: usize, g: SameConv) {
+        let (lanes, fan_in) = (g.lanes(), g.fan_in());
+        let gap = V::splat(-0.0);
+        let mut starts = g.registers(V::N).map(|(q, _)| q);
+        while let Some(qs) = next_group::<_, U>(&mut starts) {
+            let mut acc = [[V::zero(); U]; KX];
+            for (dy_row, w_row) in rows.chunks_exact(lanes).zip(weight.chunks_exact(fan_in)) {
+                let Some(w_taps) = w_row.get(t0..t0 + KX) else { continue };
+                let mut d = [V::zero(); U];
+                for (d, &q) in d.iter_mut().zip(&qs) {
+                    if let Some(s) = dy_row.get(q..q + V::N) {
+                        *d = V::load(s);
+                    }
+                }
+                for (acc, &wv) in acc.iter_mut().zip(w_taps) {
+                    let wv = V::splat(wv);
+                    for (a, &d) in acc.iter_mut().zip(&d) {
+                        *a = a.fadd(wv.fmul(d));
+                    }
+                }
+            }
+            for (acc, t_row) in acc.iter().zip(t_rows.chunks_exact_mut(lanes)) {
+                for (a, &q) in acc.iter().zip(&qs) {
+                    if let (Some(s), Some(m)) = (t_row.get_mut(q..q + V::N), mask.get(q..q + V::N)) {
+                        V::select(V::load(m), *a, gap).store(s);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The direct "same" conv weight and bias gradients, lanes over output
+    /// channels: `dY` is transposed into `dyt` (per output position, its
+    /// channels rounded up to a register, `+0.0` past the last), then the
+    /// taps run in groups ([`conv_dw_block`]) over one or two registers of
+    /// channels. A group is `M` runs of `K` consecutive taps — kernel rows
+    /// when `K` is the kernel size, single taps when it is 1 — with `M·K`
+    /// about eight chains per register.
+    #[inline(always)]
+    pub(super) unsafe fn conv_dw<V: Lanes>(wgrad: &mut [f32], bgrad: &mut [f32], dy: &[f32], padded: &[f32], dyt: &mut [f32], g: SameConv) {
+        if g.is_empty() {
+            return;
+        }
+        let (out_plane, cp) = (g.in_h * g.in_w, g.out_channels.next_multiple_of(V::N));
+        let Some(dyt) = dyt.get_mut(..out_plane * cp) else { return };
+        // `dyt[j][o] = dy[o][j]`, `N × N` blocks through registers, the
+        // positions after the last whole block lane by lane.
+        let whole = out_plane / V::N * V::N;
+        for o0 in (0..cp).step_by(V::N) {
+            let planes = o0..g.out_channels.min(o0 + V::N);
+            for j0 in (0..whole).step_by(V::N) {
+                let mut rows = [V::zero(); MAX_N];
+                for (r, o) in rows.iter_mut().zip(planes.clone()) {
+                    if let Some(s) = dy.get(o * out_plane + j0..o * out_plane + j0 + V::N) {
+                        *r = V::load(s);
+                    }
+                }
+                for (col, j) in V::transpose(rows).iter().take(V::N).zip(j0..) {
+                    if let Some(s) = dyt.get_mut(j * cp + o0..j * cp + o0 + V::N) {
+                        col.store(s);
+                    }
+                }
+            }
+            for j in whole..out_plane {
+                for o in o0..o0 + V::N {
+                    if let Some(d) = dyt.get_mut(j * cp + o) {
+                        *d = if o < g.out_channels { dy.get(o * out_plane + j).copied().unwrap_or(0.0) } else { 0.0 };
+                    }
+                }
+            }
+        }
+        for o0 in (0..cp).step_by(2 * V::N) {
+            let grads = (&mut *wgrad, &mut *bgrad);
+            match (cp - o0 >= 2 * V::N, g.kernel) {
+                (true, 5) => conv_dw_block::<V, 2, 1, 5>(grads, dyt, padded, o0, g),
+                (false, 5) => conv_dw_block::<V, 1, 1, 5>(grads, dyt, padded, o0, g),
+                (true, 3) => conv_dw_block::<V, 2, 1, 3>(grads, dyt, padded, o0, g),
+                (false, 3) => conv_dw_block::<V, 1, 3, 3>(grads, dyt, padded, o0, g),
+                (true, _) => conv_dw_block::<V, 2, 4, 1>(grads, dyt, padded, o0, g),
+                (false, _) => conv_dw_block::<V, 1, 8, 1>(grads, dyt, padded, o0, g),
+            }
+        }
+    }
+
+    /// The channels `o0..o0 + UO·N` of every tap, `M` runs of `K` taps at a
+    /// time (the last group filled up with repeats of its last run, whose
+    /// chains are not added), each chain added to its weight's gradient;
+    /// the first group also folds the bias sums.
+    #[inline(always)]
+    unsafe fn conv_dw_block<V: Lanes, const UO: usize, const M: usize, const K: usize>(grads: (&mut [f32], &mut [f32]), dyt: &[f32], padded: &[f32], o0: usize, g: SameConv) {
+        let (wgrad, bgrad) = grads;
+        let fan_in = g.fan_in();
+        let runs = fan_in / K;
+        let mut lanes = [0.0f32; MAX_N];
+        for r0 in (0..runs).step_by(M) {
+            let live = (runs - r0).min(M);
+            let offsets: [usize; M] = std::array::from_fn(|m| g.tap_offset((r0 + m.min(live - 1)) * K));
+            let (acc, bias) = if r0 == 0 {
+                conv_dw_chains::<V, UO, M, K, true>(offsets, dyt, padded, o0, g)
+            } else {
+                conv_dw_chains::<V, UO, M, K, false>(offsets, dyt, padded, o0, g)
+            };
+            for (run, acc) in (r0..r0 + live).zip(&acc) {
+                for (tap, acc) in (run * K..).zip(acc) {
+                    for (u, a) in acc.iter().enumerate() {
+                        a.store(lanes.get_mut(..V::N).unwrap_or_default());
+                        for (o, &v) in (o0 + u * V::N..g.out_channels).zip(&lanes) {
+                            if let Some(gv) = wgrad.get_mut(o * fan_in + tap) {
+                                *gv += v;
+                            }
+                        }
+                    }
+                }
+            }
+            if r0 == 0 {
+                for (u, b) in bias.iter().enumerate() {
+                    b.store(lanes.get_mut(..V::N).unwrap_or_default());
+                    for (bg, &v) in bgrad.iter_mut().skip(o0 + u * V::N).zip(&lanes) {
+                        *bg += v;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The dot chains of `M` runs of `K` taps (the runs at `offsets` in the
+    /// padded planes) over the channels `o0..o0 + UO·N`: per output position
+    /// in ascending order, one load of each `dY` register and one broadcast
+    /// padded scalar per tap, every chain from `+0.0`; with `BIAS`, also the
+    /// `dY` sums from `−0.0`.
+    #[inline(always)]
+    unsafe fn conv_dw_chains<V: Lanes, const UO: usize, const M: usize, const K: usize, const BIAS: bool>(offsets: [usize; M], dyt: &[f32], padded: &[f32], o0: usize, g: SameConv) -> ([[[V; UO]; K]; M], [V; UO]) {
+        let (w, pw) = (g.in_w, g.width());
+        let cp = g.out_channels.next_multiple_of(V::N);
+        let mut acc = [[[V::zero(); UO]; K]; M];
+        let mut bias = [V::splat(-0.0); UO];
+        for (oy, d_rows) in dyt.chunks_exact(w * cp).enumerate() {
+            let Some(xs) = windows::<M>(padded, offsets.map(|off| off + oy * pw), w + K - 1) else { continue };
+            for (ox, d_row) in d_rows.chunks_exact(cp).enumerate() {
+                let mut d = [V::zero(); UO];
+                for (u, d) in d.iter_mut().enumerate() {
+                    if let Some(s) = d_row.get(o0 + u * V::N..o0 + (u + 1) * V::N) {
+                        *d = V::load(s);
+                    }
+                }
+                for (acc, x) in acc.iter_mut().zip(&xs) {
+                    let Some(x) = x.get(ox..ox + K) else { continue };
+                    for (acc, &xv) in acc.iter_mut().zip(x) {
+                        let xv = V::splat(xv);
+                        for (a, &d) in acc.iter_mut().zip(&d) {
+                            *a = a.fadd(d.fmul(xv));
+                        }
+                    }
+                }
+                if BIAS {
+                    for (b, &d) in bias.iter_mut().zip(&d) {
+                        *b = b.fadd(d);
+                    }
+                }
+            }
+        }
+        (acc, bias)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1495,6 +2080,33 @@ kernels! {
     /// round (the checks due next round). Vectorized at chunk 1; a longer
     /// chunk's folds are chains across lanes, and it runs the scalar loop.
     sweep_chunks: sweep_chunks_with(rows: SweepRows<'_>, rule: SweepRule, flags: (&mut [u64], &mut [u64])) -> usize;
+
+    /// The forward of one sample of a stride-1 "same" convolution: output
+    /// position `(oy, ox)` of plane `o` of `out` (`[out_channels, in_h,
+    /// in_w]`) becomes `weight[o]`'s chain over the taps `t = (c, ky, kx)`
+    /// in ascending order from `+0.0`, `+= weight[o][t] · padded[q +
+    /// offset(t)]` with `q` its position in [`SameConv`]'s frame — the chain
+    /// `W·cols` runs on `im2col`'s columns, read in place from `padded`
+    /// (`in_channels` padded planes) — then `+ bias[o]`.
+    conv_fwd: conv_fwd_with, conv_fwd(out: &mut [f32], weight: &[f32], bias: &[f32], padded: &[f32], g: SameConv);
+
+    /// The input gradient of one sample of a stride-1 "same" convolution,
+    /// in [`SameConv`]'s frame: for every tap `t` in ascending order, each
+    /// output position `q` of `rows` (`dY`, `out_channels` rows) makes the
+    /// chain `Wᵀ·dY` runs, `Σ_o weight[o][t] · rows[o][q]` in ascending `o`
+    /// from `+0.0`, and adds it with the NaN-holding add of `col2im` to
+    /// `dxp[q + offset(t)]` (`in_channels` padded planes, zeroed by the
+    /// caller) — an out-of-image tap adds to a padding position. `taps` is
+    /// scratch of [`SameConv::taps_len`] scalars.
+    conv_dx: conv_dx_with, conv_dx(dxp: &mut [f32], weight: &[f32], rows: &[f32], taps: &mut [f32], g: SameConv);
+
+    /// The weight and bias gradients of one sample of a stride-1 "same"
+    /// convolution: `wgrad[o][t] += Σ_j dy[o][j] · padded[q(j) + offset(t)]`
+    /// over the output positions `j` (`dy` is `[out_channels, in_h·in_w]`)
+    /// in ascending order from `+0.0` — the chain of `dY·colsᵀ` — and
+    /// `bgrad[o] += dy[o]`'s sum, folded from `−0.0` as `f32::sum` folds.
+    /// `dyt` is scratch of [`SameConv::dyt_len`] scalars.
+    conv_dw: conv_dw_with, conv_dw(wgrad: &mut [f32], bgrad: &mut [f32], dy: &[f32], padded: &[f32], dyt: &mut [f32], g: SameConv);
 }
 
 #[cfg(test)]
