@@ -31,56 +31,47 @@ pub type AvailabilityFn = Arc<dyn Fn(usize, usize) -> bool + Send + Sync>;
 /// parameter vector (used by the trajectory/microscopic figures).
 pub type RoundHook<'a> = &'a mut dyn FnMut(&RoundRecord, &[f32]);
 
-/// Server-side fault-tolerance knobs.
+/// Server-side fault tolerance: a master switch and an optional round
+/// deadline.
 ///
 /// Disabled by default: with `enabled == false` the runtime behaves exactly
 /// like the legacy clean-path loop (divergence errors out, a fully-lost
 /// round is a config error), which keeps zero-fault runs bit-for-bit
-/// reproducible against old records.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// reproducible against old records. Enabled, the defenses run at one
+/// operating point: up to 2 upload retransmissions per client per round at
+/// 2 emulated seconds of backoff each, quarantine of uploads whose update
+/// norm exceeds 8× the round's lower median, 30 emulated seconds charged
+/// for a round with no usable upload, rollback to the last finite global,
+/// and [`FlError::QuarantineExhausted`] after more than 8 consecutive
+/// unusable rounds.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DefenseConfig {
-    /// Master switch for every defense below.
+    /// Master switch for every defense.
     pub enabled: bool,
-    /// Upload retransmissions allowed per client per round.
-    pub max_retries: u32,
-    /// Emulated seconds of backoff charged per retransmission.
-    pub retry_backoff_secs: f64,
-    /// Quarantine uploads whose update norm exceeds this multiple of the
-    /// round's (lower) median update norm.
-    pub outlier_norm_factor: f32,
-    /// Optional hard round deadline in emulated seconds: selected clients
-    /// finishing later are dropped from aggregation.
+    /// Optional hard round deadline in emulated seconds (positive):
+    /// selected clients finishing later are dropped from aggregation.
     pub round_deadline_secs: Option<f64>,
-    /// Emulated seconds charged when a round produces no usable upload.
-    pub lost_round_penalty_secs: f64,
-    /// Roll back to the last finite global instead of erroring `Diverged`.
-    pub rollback: bool,
-    /// Consecutive unusable rounds tolerated before
-    /// [`FlError::QuarantineExhausted`].
-    pub max_barren_rounds: usize,
-}
-
-impl Default for DefenseConfig {
-    fn default() -> Self {
-        DefenseConfig {
-            enabled: false,
-            max_retries: 2,
-            retry_backoff_secs: 2.0,
-            outlier_norm_factor: 8.0,
-            round_deadline_secs: None,
-            lost_round_penalty_secs: 30.0,
-            rollback: true,
-            max_barren_rounds: 8,
-        }
-    }
 }
 
 impl DefenseConfig {
-    /// Defenses enabled with the default knobs.
+    /// Defenses enabled, with no round deadline.
     pub fn on() -> Self {
-        DefenseConfig { enabled: true, ..DefenseConfig::default() }
+        DefenseConfig { enabled: true, round_deadline_secs: None }
     }
 }
+
+/// Upload retransmissions allowed per client per round (defenses on).
+const MAX_RETRIES: u32 = 2;
+/// Emulated seconds of backoff charged per retransmission.
+const RETRY_BACKOFF_SECS: f64 = 2.0;
+/// Quarantine uploads whose update norm exceeds this multiple of the
+/// round's (lower) median update norm.
+const OUTLIER_NORM_FACTOR: f32 = 8.0;
+/// Emulated seconds charged when a round produces no usable upload.
+const LOST_ROUND_PENALTY_SECS: f64 = 30.0;
+/// Consecutive unusable rounds tolerated before
+/// [`FlError::QuarantineExhausted`].
+const MAX_BARREN_ROUNDS: usize = 8;
 
 /// Full configuration of one emulated FL experiment.
 #[derive(Clone)]
@@ -250,7 +241,7 @@ struct RoundScratch {
     sim_time: f64,
     /// What every present client downloads at the start of the next round.
     prev_broadcast_scalars: usize,
-    /// The last finite global, kept only when rollback is on.
+    /// The last finite global, kept only when defenses are on.
     checkpoint: Option<Vec<f32>>,
     barren_streak: usize,
     // One entry per client, refilled every round.
@@ -279,12 +270,12 @@ struct RoundScratch {
 
 impl RoundScratch {
     /// Sizes the filtered members once so nothing in the loop grows past
-    /// capacity, and takes the rollback checkpoint when that defense is on.
+    /// capacity, and takes the rollback checkpoint when defenses are on.
     fn new(n: usize, global: &[f32], defense: DefenseConfig) -> Self {
         let mut scratch = RoundScratch {
             // Round-0 download: every client pulls the full initial model.
             prev_broadcast_scalars: global.len(),
-            checkpoint: (defense.enabled && defense.rollback).then(|| global.to_vec()),
+            checkpoint: defense.enabled.then(|| global.to_vec()),
             ..RoundScratch::default()
         };
         scratch.was_active.resize(n, false);
@@ -348,6 +339,17 @@ impl Experiment {
                 config.alpha
             )));
         }
+        // A negative duration runs the emulated clock backwards, and a NaN
+        // deadline marks every selected client late.
+        if !config.compute_secs.is_finite() || config.compute_secs < 0.0 {
+            return Err(FlError::BadConfig(format!(
+                "compute_secs must be finite and non-negative, got {}",
+                config.compute_secs
+            )));
+        }
+        if let Some(d) = config.defense.round_deadline_secs.filter(|d| d.is_nan() || *d <= 0.0) {
+            return Err(FlError::BadConfig(format!("round_deadline_secs must be positive, got {d}")));
+        }
         // Every client trains on at least one sample, and every evaluation
         // averages over at least one.
         if train_data.len() < n {
@@ -404,10 +406,10 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::Diverged`] when parameters become non-finite (and
-    /// rollback is unavailable), [`FlError::QuarantineExhausted`] when too
-    /// many consecutive rounds produce no usable update, or any underlying
-    /// training error.
+    /// Returns [`FlError::Diverged`] when parameters become non-finite with
+    /// defenses off (on, they roll back), [`FlError::QuarantineExhausted`]
+    /// when too many consecutive rounds produce no usable update, or any
+    /// underlying training error.
     pub fn run(&mut self, mut hook: Option<RoundHook<'_>>) -> Result<ExperimentResult> {
         let mut records = Vec::with_capacity(self.config.rounds);
         let mut scratch =
@@ -495,7 +497,7 @@ impl Experiment {
     }
 
     /// Phase 3 — deliver: mid-round dropouts and lossy uploads (retried up
-    /// to `max_retries` times with defenses on, never with them off).
+    /// to `MAX_RETRIES` times with defenses on, never with them off).
     /// Returns whether anybody delivered an upload. If nobody did there is
     /// nothing to collect, plan, time or validate: the round lasts the
     /// lost-round penalty and goes on to `aggregate_survivors` with an empty
@@ -503,7 +505,7 @@ impl Experiment {
     /// error instead).
     fn deliver_uploads(&self, round: usize, s: &mut RoundScratch) -> Result<bool> {
         let (faults, defense) = (self.config.faults, self.config.defense);
-        let retries = if defense.enabled { defense.max_retries } else { 0 };
+        let retries = if defense.enabled { MAX_RETRIES } else { 0 };
         s.tx_attempts.clear();
         s.tx_attempts.resize(self.clients.len(), 1);
         for (i, (fate, att)) in s.fate.iter_mut().zip(&mut s.tx_attempts).enumerate() {
@@ -528,7 +530,7 @@ impl Experiment {
             s.upload_bytes.clear();
             s.upload_bytes.resize(self.clients.len(), 0);
             s.survivors.clear();
-            s.duration = defense.lost_round_penalty_secs;
+            s.duration = LOST_ROUND_PENALTY_SECS;
         }
         Ok(delivered)
     }
@@ -584,9 +586,8 @@ impl Experiment {
         s.time_factor.clear();
         let slowdown = |(i, &ret): (usize, &bool)| if ret { faults.slowdown(i, round) } else { 1.0 };
         s.time_factor.extend(s.returned.iter().enumerate().map(slowdown));
-        let backoff = defense.retry_backoff_secs;
         s.extra_secs.clear();
-        let retry_secs = |&attempts: &u32| backoff * f64::from(attempts.saturating_sub(1));
+        let retry_secs = |&attempts: &u32| RETRY_BACKOFF_SECS * f64::from(attempts.saturating_sub(1));
         s.extra_secs.extend(s.tx_attempts.iter().map(retry_secs));
         let timing = self.timer.round_faulty(
             round,
@@ -615,11 +616,10 @@ impl Experiment {
     /// strategy's per-client accumulators; `valid` is who the strategy is
     /// told took part.
     fn validate_uploads(&self, s: &mut RoundScratch) {
-        let defense = self.config.defense;
-        if defense.enabled {
-            let (global, factor) = (self.server.global(), defense.outlier_norm_factor);
+        if self.config.defense.enabled {
             let RoundScratch { locals, returned, valid, update_norm, finite_norms, .. } = s;
-            validate_uploads_into(locals, global, returned, factor, valid, update_norm, finite_norms);
+            let global = self.server.global();
+            validate_uploads_into(locals, global, returned, valid, update_norm, finite_norms);
         } else {
             s.valid.clear();
             s.valid.extend_from_slice(&s.returned);
@@ -636,13 +636,13 @@ impl Experiment {
     /// the new global. An empty set makes the round barren — the global and
     /// the broadcast volume are held, the strategy is not called, and too
     /// many in a row end the run. A non-finite result is rolled back to the
-    /// last finite global when that defense is on, and ends the run if not.
+    /// last finite global when defenses are on, and ends the run if not.
     fn aggregate_survivors(&mut self, round: usize, s: &mut RoundScratch) -> Result<AggregateOutcome> {
         let total = self.param_count();
         s.rollbacks = 0;
         if s.survivors.is_empty() {
             s.barren_streak = s.barren_streak.saturating_add(1);
-            if s.barren_streak > self.config.defense.max_barren_rounds {
+            if s.barren_streak > MAX_BARREN_ROUNDS {
                 return Err(FlError::QuarantineExhausted { round });
             }
             let broadcast_scalars = s.prev_broadcast_scalars;
@@ -747,7 +747,7 @@ fn check_round_invariants(round: usize, s: &RoundScratch, tally: &Tally) {
 /// Rejects non-finite and norm-outlier uploads among the `returned` set.
 ///
 /// An upload is quarantined when it contains a non-finite scalar, or when
-/// its L2 update norm (`‖local − global‖`) exceeds `outlier_norm_factor`
+/// its L2 update norm (`‖local − global‖`) exceeds `OUTLIER_NORM_FACTOR`
 /// times the lower median of the round's finite update norms. Fills `valid`
 /// with the per-client validity mask: an upload that was returned and is not
 /// valid is quarantined. Reuses the caller's buffers, so the round loop
@@ -756,7 +756,6 @@ fn validate_uploads_into(
     locals: &[Vec<f32>],
     global: &[f32],
     returned: &[bool],
-    outlier_norm_factor: f32,
     valid: &mut Vec<bool>,
     update_norm: &mut Vec<f32>,
     finite_norms: &mut Vec<f32>,
@@ -807,7 +806,7 @@ fn validate_uploads_into(
             .unwrap_or(f32::INFINITY)
             .max(1e-6);
         for (v, &norm) in valid.iter_mut().zip(update_norm.iter()) {
-            if *v && norm > outlier_norm_factor * median {
+            if *v && norm > OUTLIER_NORM_FACTOR * median {
                 *v = false;
             }
         }
@@ -1100,10 +1099,35 @@ mod tests {
     fn bad_configs_are_rejected() {
         let mut rng = StdRng::seed_from_u64(5);
         let train = Arc::new(SyntheticConfig::new(2, 1, 4, 4).samples_per_class(5).build(&mut rng));
-        let test = Arc::clone(&train);
         let factory = probe_factory(&[16, 2]);
-        let cfg = ExperimentConfig::quick(2, 0, "probe");
-        assert!(Experiment::new(cfg, factory, train, test, Box::new(TestAvg)).is_err());
+        type Tweak = fn(&mut ExperimentConfig);
+        let cases: [(&str, Tweak); 10] = [
+            ("zero clients", |cfg| cfg.cluster.n_clients = 0),
+            ("zero rounds", |cfg| cfg.rounds = 0),
+            ("zero eval_every", |cfg| cfg.eval_every = 0),
+            ("NaN compute_secs", |cfg| cfg.compute_secs = f64::NAN),
+            ("negative compute_secs", |cfg| cfg.compute_secs = -1.0),
+            ("infinite compute_secs", |cfg| cfg.compute_secs = f64::INFINITY),
+            ("NaN deadline", |cfg| cfg.defense.round_deadline_secs = Some(f64::NAN)),
+            ("zero deadline", |cfg| cfg.defense.round_deadline_secs = Some(0.0)),
+            ("negative deadline", |cfg| cfg.defense.round_deadline_secs = Some(-2.0)),
+            ("negative deadline, defenses on", |cfg| {
+                cfg.defense = DefenseConfig { round_deadline_secs: Some(-2.0), ..DefenseConfig::on() };
+            }),
+        ];
+        for (name, tweak) in cases {
+            let mut cfg = ExperimentConfig::quick(2, 2, "probe");
+            tweak(&mut cfg);
+            let err = Experiment::new(
+                cfg,
+                Arc::clone(&factory),
+                Arc::clone(&train),
+                Arc::clone(&train),
+                Box::new(TestAvg),
+            )
+            .unwrap_err();
+            assert!(matches!(err, FlError::BadConfig(_)), "{name}: {err:?}");
+        }
     }
 
     #[test]
@@ -1258,6 +1282,19 @@ mod tests {
     }
 
     #[test]
+    fn every_upload_lost_ends_the_run_after_the_barren_budget() {
+        // Round r is the (r + 1)-th barren round in a row; the ninth one,
+        // round 8, is one more than the budget allows.
+        let err = quick_experiment_with(4, 12, |cfg| {
+            cfg.faults = FaultPlan::new(FaultConfig { upload_loss_prob: 1.0, ..FaultConfig::default() });
+            cfg.defense = DefenseConfig::on();
+        })
+        .run(None)
+        .unwrap_err();
+        assert!(matches!(err, FlError::QuarantineExhausted { round: 8 }), "{err:?}");
+    }
+
+    #[test]
     fn corrupted_uploads_are_quarantined_not_fatal() {
         let mut e = quick_experiment_with(5, 6, |cfg| {
             cfg.faults = FaultPlan::new(FaultConfig { corrupt_prob: 0.3, ..FaultConfig::default() });
@@ -1325,12 +1362,12 @@ mod tests {
             returned.iter().zip(valid).filter(|&(&r, &v)| r && !v).count()
         };
         let returned = [true, true, true, true];
-        validate_uploads_into(&locals, &global, &returned, 8.0, &mut valid, &mut norms, &mut finite);
+        validate_uploads_into(&locals, &global, &returned, &mut valid, &mut norms, &mut finite);
         assert_eq!(valid, vec![true, false, false, true]);
         assert_eq!(quarantined(&returned, &valid), 2);
         // Clients that never returned are not counted as quarantined.
         let returned = [true, false, false, true];
-        validate_uploads_into(&locals, &global, &returned, 8.0, &mut valid, &mut norms, &mut finite);
+        validate_uploads_into(&locals, &global, &returned, &mut valid, &mut norms, &mut finite);
         assert_eq!(valid, vec![true, false, false, true]);
         assert_eq!(quarantined(&returned, &valid), 0);
     }

@@ -1,6 +1,5 @@
-//! Emulated cluster: per-client links and compute heterogeneity.
+//! Emulated cluster: per-client compute heterogeneity.
 
-use crate::{BandwidthTrace, Link};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, LogNormal};
@@ -10,28 +9,17 @@ use rand_distr::{Distribution, LogNormal};
 pub struct ClusterConfig {
     /// Number of FL clients.
     pub n_clients: usize,
-    /// Link between each client and the server.
-    pub client_link: Link,
     /// Sigma of the lognormal compute-speed factor across clients
     /// (0 = homogeneous devices).
     pub compute_sigma: f64,
-    /// Per-round bandwidth variation (the paper's throttled links are
-    /// constant; traces model mobile-network dynamics).
-    pub bandwidth_trace: BandwidthTrace,
 }
 
 impl ClusterConfig {
     /// Mirrors the paper's testbed shape at a configurable client count:
-    /// FedScale-average client links and modest device heterogeneity. Only
-    /// the client link is charged: the server's side of a transfer is not
-    /// modelled.
+    /// modest device heterogeneity. Every client talks to the server over
+    /// [`Link::fedscale_client`](crate::Link::fedscale_client).
     pub fn paper_like(n_clients: usize) -> Self {
-        ClusterConfig {
-            n_clients,
-            client_link: Link::fedscale_client(),
-            compute_sigma: 0.25,
-            bandwidth_trace: BandwidthTrace::Constant,
-        }
+        ClusterConfig { n_clients, compute_sigma: 0.25 }
     }
 }
 
@@ -74,19 +62,6 @@ impl Cluster {
     /// out-of-range `i` reads as a nominal device.
     pub fn speed_factor(&self, i: usize) -> f64 {
         self.speed_factors.get(i).copied().unwrap_or(1.0)
-    }
-
-    /// The client-side link.
-    pub fn client_link(&self) -> Link {
-        self.config.client_link
-    }
-
-    /// Client `i`'s effective link at `round`, with the bandwidth trace
-    /// applied.
-    pub fn client_link_at(&self, client: usize, round: usize) -> Link {
-        let mut link = self.config.client_link;
-        link.bandwidth_mbps *= self.config.bandwidth_trace.factor(client, round);
-        link
     }
 }
 

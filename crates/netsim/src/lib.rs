@@ -45,10 +45,8 @@ mod cluster;
 mod faults;
 mod link;
 mod round;
-mod trace;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use faults::{FaultConfig, FaultPlan, WireFrame};
 pub use link::Link;
 pub use round::{FaultPenalties, RoundOutcomeTiming, RoundTimer};
-pub use trace::BandwidthTrace;

@@ -25,12 +25,6 @@ impl Link {
     }
 }
 
-impl Default for Link {
-    fn default() -> Self {
-        Link::fedscale_client()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,7 +44,6 @@ mod tests {
 
     #[test]
     fn fedscale_default() {
-        assert_eq!(Link::default(), Link::fedscale_client());
         assert!((Link::fedscale_client().bandwidth_mbps - 13.7).abs() < f64::EPSILON);
     }
 }

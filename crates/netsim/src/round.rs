@@ -1,6 +1,6 @@
 //! Round-time model with the paper's earliest-K participation rule.
 
-use crate::Cluster;
+use crate::{Cluster, Link};
 
 /// Timing outcome of one emulated round.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,8 +55,9 @@ impl RoundTimer {
         RoundTimer { cluster: cluster.clone(), select_fraction }
     }
 
-    /// Computes one round's timing at the given round index (which selects
-    /// the cluster's bandwidth-trace sample).
+    /// Computes one round's timing. Every client transfers over
+    /// [`Link::fedscale_client`], the same link in every round, so `_round`
+    /// is unused; it stays for the callers that pass it.
     ///
     /// `compute_secs[i]` is client `i`'s nominal local-training time this
     /// round (before the heterogeneity factor), and `upload_bytes` /
@@ -73,7 +74,7 @@ impl RoundTimer {
     /// Panics if the slices don't cover every client or no client is active.
     pub fn round_faulty(
         &self,
-        round: usize,
+        _round: usize,
         compute_secs: &[f64],
         upload_bytes: &[u64],
         download_bytes: &[u64],
@@ -89,6 +90,8 @@ impl RoundTimer {
         assert_eq!(time_factor.len(), n, "time_factor must cover all clients");
         assert_eq!(extra_secs.len(), n, "extra_secs must cover all clients");
 
+        let link = Link::fedscale_client();
+        let transfer = |bytes: u64| if bytes == 0 { 0.0 } else { link.transfer_secs(bytes) };
         let finish: Vec<f64> = active
             .iter()
             .zip(download_bytes)
@@ -101,9 +104,7 @@ impl RoundTimer {
                 if !is_active {
                     return f64::INFINITY;
                 }
-                let link = self.cluster.client_link_at(i, round);
-                let down = if down_bytes == 0 { 0.0 } else { link.transfer_secs(down_bytes) };
-                let up = if up_bytes == 0 { 0.0 } else { link.transfer_secs(up_bytes) };
+                let (down, up) = (transfer(down_bytes), transfer(up_bytes));
                 (down + compute * self.cluster.speed_factor(i) + up) * factor + extra
             })
             .collect();
@@ -128,13 +129,10 @@ impl RoundTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClusterConfig, Link};
+    use crate::ClusterConfig;
 
     fn homogeneous(n: usize) -> Cluster {
-        let mut cfg = ClusterConfig::paper_like(n);
-        cfg.compute_sigma = 0.0;
-        cfg.client_link = Link { bandwidth_mbps: 8.0, latency_ms: 0.0 };
-        Cluster::build(&cfg, 0)
+        Cluster::build(&ClusterConfig { n_clients: n, compute_sigma: 0.0 }, 0)
     }
 
     /// A round at index 0 with no fault penalties.
@@ -172,19 +170,18 @@ mod tests {
     fn communication_adds_time() {
         let c = homogeneous(2);
         let t = RoundTimer::new(&c, 1.0);
-        // 8 Mbps = 1 MB/s: 1 MB up adds 1 s.
+        // 1 MB up adds its transfer time on the client link.
         let with = clean_round(&t, &[1.0, 1.0], &[1_000_000, 0], &[0, 0], &[true; 2]);
-        assert!((with.finish_secs[0] - 2.0).abs() < 1e-6);
-        assert!((with.finish_secs[1] - 1.0).abs() < 1e-6);
+        let up = Link::fedscale_client().transfer_secs(1_000_000);
+        assert!(up > 0.5);
+        assert!((with.finish_secs[0] - (1.0 + up)).abs() < 1e-9);
+        assert!((with.finish_secs[1] - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_byte_transfers_cost_nothing() {
         // A fully-sparsified client pays no latency either: nothing is sent.
-        let mut cfg = ClusterConfig::paper_like(1);
-        cfg.compute_sigma = 0.0;
-        cfg.client_link = Link { bandwidth_mbps: 8.0, latency_ms: 500.0 };
-        let c = Cluster::build(&cfg, 0);
+        let c = homogeneous(1);
         let t = RoundTimer::new(&c, 1.0);
         let o = clean_round(&t, &[1.0], &[0], &[0], &[true]);
         assert!((o.finish_secs[0] - 1.0).abs() < 1e-9);
@@ -227,13 +224,10 @@ mod tests {
 mod active_tests {
     use super::tests::clean_round;
     use super::*;
-    use crate::{ClusterConfig, Link};
+    use crate::ClusterConfig;
 
     fn homogeneous(n: usize) -> Cluster {
-        let mut cfg = ClusterConfig::paper_like(n);
-        cfg.compute_sigma = 0.0;
-        cfg.client_link = Link { bandwidth_mbps: 8.0, latency_ms: 0.0 };
-        Cluster::build(&cfg, 0)
+        Cluster::build(&ClusterConfig { n_clients: n, compute_sigma: 0.0 }, 0)
     }
 
     #[test]
@@ -270,18 +264,15 @@ mod active_tests {
 #[cfg(test)]
 mod faulty_tests {
     use super::*;
-    use crate::{ClusterConfig, Link};
+    use crate::ClusterConfig;
 
     fn homogeneous(n: usize) -> Cluster {
-        let mut cfg = ClusterConfig::paper_like(n);
-        cfg.compute_sigma = 0.0;
-        cfg.client_link = Link { bandwidth_mbps: 8.0, latency_ms: 0.0 };
-        Cluster::build(&cfg, 0)
+        Cluster::build(&ClusterConfig { n_clients: n, compute_sigma: 0.0 }, 0)
     }
 
     /// Unit penalties cost nothing, bit for bit: every active finish time is
-    /// the penalty-free `download + compute·speed + upload` at that round's
-    /// trace sample (what the former `round_at` entry point computed).
+    /// the penalty-free `download + compute·speed + upload` (what the former
+    /// `round_at` entry point computed), in every round.
     #[test]
     fn unit_penalties_match_round_at_exactly() {
         let c = Cluster::build(&ClusterConfig::paper_like(6), 7);
@@ -290,6 +281,8 @@ mod faulty_tests {
         let up = [10_000u64, 0, 5_000, 20_000, 1, 999];
         let down = [7_000u64; 6];
         let active = [true, true, false, true, true, true];
+        let link = Link::fedscale_client();
+        let transfer = |bytes: u64| if bytes == 0 { 0.0 } else { link.transfer_secs(bytes) };
         for round in [0usize, 3, 17] {
             let faulty = t.round_faulty(
                 round,
@@ -300,8 +293,6 @@ mod faulty_tests {
                 FaultPenalties { time_factor: &[1.0; 6], extra_secs: &[0.0; 6] },
             );
             for i in (0..6).filter(|&i| active[i]) {
-                let link = c.client_link_at(i, round);
-                let transfer = |bytes: u64| if bytes == 0 { 0.0 } else { link.transfer_secs(bytes) };
                 let clean = transfer(down[i]) + compute[i] * c.speed_factor(i) + transfer(up[i]);
                 assert_eq!(faulty.finish_secs[i].to_bits(), clean.to_bits(), "round {round} client {i}");
             }

@@ -11,33 +11,30 @@
 use fedsu_fl::{AggregateOutcome, SyncStrategy};
 use fedsu_tensor::simd;
 
-/// APF hyper-parameters.
+/// APF hyper-parameters. The perturbation EMAs decay by 0.9 a round, and a
+/// stable parameter's freezing period grows by one round per consecutive
+/// stable check, up to 64 rounds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApfConfig {
     /// Effective-perturbation threshold below which a parameter freezes
     /// (paper default 0.05).
     pub stability_threshold: f64,
-    /// EMA decay for the perturbation statistics.
-    pub ema_decay: f32,
     /// Rounds a parameter must be observed before it may freeze.
     pub warmup_rounds: usize,
-    /// Freezing-period increment per consecutive stable check (rounds).
-    pub period_step: u16,
-    /// Upper bound on the freezing period (rounds).
-    pub max_period: u16,
 }
 
 impl Default for ApfConfig {
     fn default() -> Self {
-        ApfConfig {
-            stability_threshold: 0.05,
-            ema_decay: 0.9,
-            warmup_rounds: 3,
-            period_step: 1,
-            max_period: 64,
-        }
+        ApfConfig { stability_threshold: 0.05, warmup_rounds: 3 }
     }
 }
+
+/// EMA decay for the perturbation statistics.
+const EMA_DECAY: f32 = 0.9;
+/// Freezing-period increment per consecutive stable check (rounds).
+const PERIOD_STEP: u16 = 1;
+/// Upper bound on the freezing period (rounds).
+const MAX_PERIOD: u16 = 64;
 
 /// The APF strategy.
 #[derive(Debug, Clone)]
@@ -133,7 +130,7 @@ impl SyncStrategy for Apf {
             return AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0, total_scalars: n };
         }
         let inv = 1.0 / selected.len() as f32;
-        let theta = self.config.ema_decay;
+        let theta = EMA_DECAY;
         let mut synced = 0usize;
 
         // The mean of every scalar, one contiguous row per selected client
@@ -174,7 +171,7 @@ impl SyncStrategy for Apf {
                 };
                 if perturbation < config.stability_threshold {
                     // Stable: freeze for an additively-grown period.
-                    *period = (*period + config.period_step).min(config.max_period);
+                    *period = (*period + PERIOD_STEP).min(MAX_PERIOD);
                     *remaining = *period;
                 } else {
                     // Unstable: reset the additive-increase state.
@@ -233,7 +230,7 @@ mod tests {
     #[test]
     fn zigzagging_parameter_freezes_and_holds() {
         // Scalar 0 oscillates (converged); scalar 1 moves steadily.
-        let mut apf = Apf::new(ApfConfig { warmup_rounds: 2, stability_threshold: 0.1, ..ApfConfig::default() });
+        let mut apf = Apf::new(ApfConfig { warmup_rounds: 2, stability_threshold: 0.1 });
         let mut global = vec![0.0, 0.0];
         let mut frozen_seen = false;
         for round in 0..30 {
@@ -254,7 +251,7 @@ mod tests {
 
     #[test]
     fn freeze_period_grows_additively() {
-        let mut apf = Apf::new(ApfConfig { warmup_rounds: 1, stability_threshold: 0.1, ..ApfConfig::default() });
+        let mut apf = Apf::new(ApfConfig { warmup_rounds: 1, stability_threshold: 0.1 });
         let mut global = vec![0.0];
         // Perfectly oscillating scalar: every check passes.
         let mut freezes = Vec::new();

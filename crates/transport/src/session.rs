@@ -11,9 +11,9 @@
 //! * receivers acknowledge every accepted data frame (including duplicates
 //!   and stale frames, so a retransmitting peer always converges);
 //! * senders retransmit unacknowledged frames with a deterministic linear
-//!   backoff schedule, up to a bounded retry budget — mirroring
-//!   `DefenseConfig::{max_retries, retry_backoff_secs}` on the emulation
-//!   side;
+//!   backoff schedule, up to a bounded retry budget — mirroring the
+//!   emulation's fixed budget (2 retransmissions, 2 s of backoff each) in
+//!   `fedsu-fl`;
 //! * receivers deduplicate by `(epoch, seq)` and reject frames from past
 //!   epochs, so a round's update can never be aggregated twice and a
 //!   straggler's retransmission can never leak into a later round.

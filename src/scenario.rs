@@ -14,7 +14,7 @@ use fedsu_fl::experiment::ModelFactory;
 use fedsu_fl::{
     scalars_to_bytes, ClientConfig, DefenseConfig, Experiment, ExperimentConfig, SyncStrategy,
 };
-use fedsu_netsim::{ClusterConfig, FaultConfig, FaultPlan};
+use fedsu_netsim::{ClusterConfig, FaultConfig, FaultPlan, Link};
 use fedsu_nn::models::{self, ModelPreset};
 use fedsu_nn::Sequential;
 use fedsu_strategies::{Apf, ApfConfig, Cmfl, CmflConfig, FedAvg, Qsgd, QsgdConfig, TopK, TopKConfig};
@@ -336,13 +336,12 @@ impl Scenario {
     ///
     /// [`build`]: Scenario::build
     fn config(&self, param_count: usize) -> ExperimentConfig {
-        let cluster = ClusterConfig::paper_like(self.n_clients);
         // Two-way full-model transfer time on the client link, from which
         // the compute constant is derived via the paper-calibrated ratio.
         let full_bytes = scalars_to_bytes(param_count);
-        let comm = cluster.client_link.transfer_secs(full_bytes) * 2.0;
+        let comm = Link::fedscale_client().transfer_secs(full_bytes) * 2.0;
         ExperimentConfig {
-            cluster,
+            cluster: ClusterConfig::paper_like(self.n_clients),
             select_fraction: self.select_fraction,
             rounds: self.rounds,
             client: ClientConfig {

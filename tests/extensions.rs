@@ -1,12 +1,11 @@
 //! Integration tests for the extension features: QSGD/Top-K baselines,
-//! learning-rate schedules, gradient clipping, and bandwidth traces.
+//! learning-rate schedules and gradient clipping.
 
 // Tests and benches may unwrap: a panic here IS the failure report
 // (mirrors allow-unwrap-in-tests in clippy.toml for non-#[test] helpers).
 #![allow(clippy::unwrap_used)]
 
 use fedsu_repro::fl::LrSchedule;
-use fedsu_repro::netsim::BandwidthTrace;
 use fedsu_repro::scenario::{ModelKind, Scenario, StrategyKind};
 
 fn scenario() -> Scenario {
@@ -55,77 +54,6 @@ fn step_schedule_still_converges() {
         .unwrap();
     let r = e.run(None).unwrap();
     assert!(r.best_accuracy() > 0.7, "got {:.3}", r.best_accuracy());
-}
-
-#[test]
-fn bandwidth_jitter_changes_timing_but_not_learning() {
-    use fedsu_repro::fl::Experiment;
-
-    let build = |trace: BandwidthTrace| -> Experiment {
-        // The scenario toolkit doesn't expose traces, so construct the
-        // experiment directly from its parts.
-        let factory: fedsu_repro::fl::experiment::ModelFactory = {
-            use fedsu_repro::nn::{models, Sequential};
-            use rand::rngs::StdRng;
-            use rand::SeedableRng;
-            std::sync::Arc::new(|seed| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut m = Sequential::new("mlp");
-                m.push(fedsu_repro::nn::flatten::Flatten::new());
-                m.push_boxed(Box::new(models::mlp(&[16, 16, 3], &mut rng)?));
-                Ok(m)
-            })
-        };
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(13 ^ 0xDA7A);
-        let (train, test) = fedsu_repro::data::SyntheticConfig::new(3, 1, 4, 4)
-            .noise_std(0.4)
-            .samples_per_class(40)
-            .build_split(20, &mut rng);
-        let mut cluster = fedsu_repro::netsim::ClusterConfig::paper_like(5);
-        cluster.bandwidth_trace = trace;
-        let config = fedsu_repro::fl::ExperimentConfig {
-            cluster,
-            select_fraction: 0.7,
-            rounds: 12,
-            client: fedsu_repro::fl::ClientConfig {
-                batch_size: 16,
-                local_iters: 6,
-                lr: 0.05,
-                weight_decay: 1e-3,
-                schedule: LrSchedule::Constant,
-                clip_norm: None,
-            },
-            alpha: 1.0,
-            seed: 13,
-            eval_every: 1,
-            compute_secs: 1.0,
-            model_name: "mlp".to_string(),
-            availability: None,
-            faults: fedsu_repro::netsim::FaultPlan::none(),
-            defense: fedsu_repro::fl::DefenseConfig::default(),
-        };
-        Experiment::new(
-            config,
-            factory,
-            std::sync::Arc::new(train),
-            std::sync::Arc::new(test),
-            Box::new(fedsu_repro::strategies::FedAvg::new()),
-        )
-        .unwrap()
-    };
-
-    let steady = build(BandwidthTrace::Constant).run(None).unwrap();
-    let jittery = build(BandwidthTrace::Jitter { spread: 0.5 }).run(None).unwrap();
-    // Learning dynamics are identical (same seeds, same aggregation)...
-    for (a, b) in steady.rounds.iter().zip(&jittery.rounds) {
-        assert_eq!(a.accuracy, b.accuracy);
-    }
-    // ...but the emulated timings differ.
-    let ta: f64 = steady.rounds.iter().map(|r| r.duration_secs).sum();
-    let tb: f64 = jittery.rounds.iter().map(|r| r.duration_secs).sum();
-    assert!((ta - tb).abs() > 1e-9, "traces must affect timing");
 }
 
 #[test]
