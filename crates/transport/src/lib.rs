@@ -28,7 +28,10 @@
 //!   machine and the only path a [`Message`] takes, restore exactly-once
 //!   delivery on top with acks, bounded deterministic retransmission,
 //!   `(epoch, seq)` dedup, and stale-epoch rejection, reporting [`ReliabilityStats`] whose `retransmitted_bytes`
-//!   matches the fl runtime's per-round accounting.
+//!   matches the fl runtime's per-round accounting;
+//! * [`Star`] runs the lockstep FL round loop over all three, written once:
+//!   a broadcast, one reply per client, a fold in client-index order, and
+//!   the end-of-run linger on both sides.
 //!
 //! ```
 //! use fedsu_transport::{Message, SparseValues};
@@ -55,6 +58,7 @@ mod chaos;
 mod cursor;
 mod message;
 mod session;
+mod star;
 
 pub use bus::{BusError, ClientEndpoint, Link, LocalBus, ServerEndpoint, TransportStats};
 pub use chaos::{Chaos, ChaosStats};
@@ -64,3 +68,4 @@ pub use session::{
     ClientSession, Envelope, EnvelopeError, FrameKind, ReliabilityStats, ServerSession,
     SessionConfig, SessionError, ENVELOPE_OVERHEAD,
 };
+pub use star::{Star, StarError, StarRun, StarServer};

@@ -224,15 +224,15 @@ fn a_round_nobody_attends_is_marked() {
     assert_eq!(result.rounds[2].participants, 0, "round 2 must be the empty one");
 }
 
-/// A clean run of the wire FedAvg leg of `wire_parity.rs` measures 199
-/// allocations over 24 data frames (8.29 a frame, thread and channel setup
-/// included): each frame is written once into the buffer the link takes,
-/// and the receiver decodes the message from the frame in place. A
-/// `frame.clone()` per send or a payload `to_vec` per receive reads 9.54,
-/// a message re-encoded per attempt 10.54.
+/// A clean run of the wire FedAvg leg of `wire_parity.rs`, driven by
+/// `fedsu_transport::Star`, measures 202 allocations over 24 data frames
+/// (8.42 a frame, thread and channel setup included): each frame is written
+/// once into the buffer the link takes, and the receiver decodes the message
+/// from the frame in place. A `frame.clone()` per send or a payload `to_vec`
+/// per receive reads 9.42, a message re-encoded per attempt 9.58.
 const MAX_CLEAN_ALLOCS_PER_FRAME: f64 = 8.8;
 
-/// What a retransmission may add: the lossy run measures 2.30 (275 − 199
+/// What a retransmission may add: the lossy run measures 2.30 (278 − 202
 /// over 33 retransmits), the new frame and the receiver's ack among them.
 /// A `frame.clone()` per send reads 3.30, a message re-encoded per attempt
 /// 4.30. (A retransmission mostly lands as a duplicate, which is never

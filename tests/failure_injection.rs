@@ -229,19 +229,3 @@ fn fedsu_survives_dropout_and_corruption() {
         "FedSU accuracy drifted too far under faults: clean {clean:.3} vs faulty {faulty:.3}"
     );
 }
-
-#[test]
-fn zero_fault_plan_reproduces_fault_free_records() {
-    use fedsu_repro::netsim::FaultConfig;
-
-    let baseline = scenario().build(StrategyKind::FedSuCalibrated).unwrap().run(None).unwrap();
-    let zeroed = scenario()
-        .faults(FaultConfig { seed: 0x5EED, ..FaultConfig::default() })
-        .build(StrategyKind::FedSuCalibrated)
-        .unwrap()
-        .run(None)
-        .unwrap();
-    // A fault plan whose probabilities are all zero must be bit-for-bit
-    // indistinguishable from no fault plan at all.
-    assert_eq!(baseline.rounds, zeroed.rounds);
-}

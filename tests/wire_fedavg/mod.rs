@@ -7,29 +7,12 @@
 #![allow(dead_code)]
 
 use fedsu_repro::fl::RoundRecord;
-use fedsu_repro::netsim::{FaultConfig, FaultPlan};
-use fedsu_repro::transport::{
-    Chaos, ClientSession, LocalBus, Message, ReliabilityStats, ServerSession, SessionConfig,
-    SparseValues,
-};
-use std::time::Duration;
+use fedsu_repro::netsim::FaultConfig;
+use fedsu_repro::transport::{Message, ReliabilityStats, SparseValues, Star, StarServer};
 
 pub const PARAMS: usize = 16;
 pub const CLIENTS: usize = 3;
 pub const ROUNDS: usize = 4;
-pub const T: Duration = Duration::from_secs(20);
-/// End-of-run grace: longer than the peer's largest inter-retransmit gap
-/// (`ack_timeout + backoff × max_retries` = 95ms) so a lingering endpoint
-/// outlives every late retransmission aimed at it.
-pub const LINGER: Duration = Duration::from_millis(250);
-
-pub fn session_cfg() -> SessionConfig {
-    SessionConfig {
-        max_retries: 16,
-        ack_timeout: Duration::from_millis(15),
-        backoff: Duration::from_millis(5),
-    }
-}
 
 /// The lossy plan of `wire_parity.rs`: every kind of wire fault, within the
 /// retry budget.
@@ -62,6 +45,20 @@ pub fn pseudo_loss(model: &[f32], updates: &[Vec<f32>]) -> f32 {
     sum / (CLIENTS * PARAMS) as f32
 }
 
+/// The fold both legs share, in fixed client order: the pseudo loss
+/// against `global`, which then becomes the mean of `updates`.
+pub fn fedavg(global: &mut Vec<f32>, updates: &[Vec<f32>]) -> f32 {
+    let loss = pseudo_loss(global, updates);
+    let mut acc = vec![0.0f32; PARAMS];
+    for update in updates {
+        for (a, v) in acc.iter_mut().zip(update) {
+            *a += v / CLIENTS as f32;
+        }
+    }
+    *global = acc;
+    loss
+}
+
 pub fn record_of(round: usize, bytes: u64, loss: f32) -> RoundRecord {
     RoundRecord {
         round,
@@ -80,6 +77,9 @@ pub fn record_of(round: usize, bytes: u64, loss: f32) -> RoundRecord {
     }
 }
 
+/// FedAvg's server, filling a record per round from the payloads it sees;
+/// the session counters are filled in once the run ends.
+#[derive(Default)]
 pub struct WireRun {
     pub records: Vec<RoundRecord>,
     pub global: Vec<f32>,
@@ -89,104 +89,52 @@ pub struct WireRun {
     pub update_payload: u64,
 }
 
+impl StarServer for WireRun {
+    fn broadcast(&mut self, round: u32) -> Message {
+        let model = Message::Model { round, values: SparseValues::dense(self.global.clone()) };
+        self.model_payload = model.encode().len() as u64;
+        model
+    }
+
+    fn fold(&mut self, round: u32, uploads: Vec<Message>) {
+        let mut round_bytes = self.model_payload * CLIENTS as u64;
+        let updates: Vec<Vec<f32>> = uploads
+            .into_iter()
+            .enumerate()
+            .map(|(from, msg)| {
+                // Payload bytes as they traveled: re-encoding the delivered
+                // message reproduces the exact frame payload.
+                self.update_payload = msg.encode().len() as u64;
+                round_bytes += self.update_payload;
+                match msg {
+                    Message::Update { round: r, client, values } => {
+                        assert_eq!(r, round, "stale-epoch rejection must gate rounds");
+                        assert_eq!(client as usize, from);
+                        values.values
+                    }
+                    other => panic!("server: unexpected {other:?}"),
+                }
+            })
+            .collect();
+        let loss = fedavg(&mut self.global, &updates);
+        self.records.push(record_of(round as usize, round_bytes, loss));
+    }
+}
+
+/// FedAvg's client step: the received model plus this client's update.
+fn train(id: u32, round: u32, msg: Message) -> Result<Message, String> {
+    let Message::Model { round: r, values } = msg else { return Err(format!("unexpected {msg:?}")) };
+    assert_eq!(r, round);
+    let trained = values.values.iter().enumerate().map(|(j, v)| v + local_update(round as usize, id as usize, j));
+    Ok(Message::Update { round, client: id, values: SparseValues::dense(trained.collect()) })
+}
+
 /// Sessioned FedAvg over (chaos-decorated) endpoints, records filled from
 /// observed traffic.
 pub fn wire_leg(faults: &FaultConfig) -> WireRun {
-    let (server, clients) = LocalBus::star(CLIENTS);
-    let chaos_server = Chaos::server(server, FaultPlan::new(*faults));
-    let mut srv = ServerSession::new(chaos_server, session_cfg());
-
-    let handles: Vec<_> = clients
-        .into_iter()
-        .map(|endpoint| {
-            let id = endpoint.id();
-            let chaos = Chaos::client(endpoint, FaultPlan::new(*faults), id);
-            std::thread::spawn(move || {
-                let mut session = ClientSession::new(chaos, id as u32, session_cfg());
-                for round in 0..ROUNDS {
-                    session.begin_epoch(round as u32);
-                    let trained = match session.recv_reliable(T).unwrap() {
-                        Message::Model { round: r, values } => {
-                            assert_eq!(r as usize, round);
-                            values
-                                .values
-                                .iter()
-                                .enumerate()
-                                .map(|(j, v)| v + local_update(round, id, j))
-                                .collect::<Vec<f32>>()
-                        }
-                        other => panic!("client {id}: unexpected {other:?}"),
-                    };
-                    session
-                        .send_reliable(&Message::Update {
-                            round: round as u32,
-                            client: id as u32,
-                            values: SparseValues::dense(trained),
-                        })
-                        .unwrap();
-                }
-                // TIME_WAIT: service the server's late retransmissions
-                // (its last ack to us may have been chaos-dropped).
-                session.linger(LINGER);
-                session.stats()
-            })
-        })
-        .collect();
-
-    let mut records = Vec::with_capacity(ROUNDS);
-    let mut global = vec![0.0f32; PARAMS];
-    let mut model_payload = 0u64;
-    let mut update_payload = 0u64;
-    for round in 0..ROUNDS {
-        srv.begin_epoch(round as u32);
-        let model =
-            Message::Model { round: round as u32, values: SparseValues::dense(global.clone()) };
-        model_payload = model.encode().len() as u64;
-        srv.broadcast_reliable(&model).unwrap();
-
-        let mut per_client: Vec<Option<Vec<f32>>> = vec![None; CLIENTS];
-        let mut round_bytes = model_payload
-            .checked_mul(CLIENTS as u64)
-            .expect("round byte total fits in u64: payloads are model-sized");
-        while per_client.iter().any(Option::is_none) {
-            let (from, msg) = srv.recv_reliable(T).unwrap();
-            // Payload bytes as they traveled: re-encoding the delivered
-            // message reproduces the exact frame payload.
-            update_payload = msg.encode().len() as u64;
-            round_bytes = round_bytes
-                .checked_add(update_payload)
-                .expect("round byte total fits in u64: payloads are model-sized");
-            match msg {
-                Message::Update { round: r, client, values } => {
-                    assert_eq!(r as usize, round, "stale-epoch rejection must gate rounds");
-                    assert_eq!(client as usize, from);
-                    assert!(per_client[from].is_none(), "dedup failed: client {from} twice");
-                    per_client[from] = Some(values.values);
-                }
-                other => panic!("server: unexpected {other:?}"),
-            }
-        }
-        let updates: Vec<Vec<f32>> =
-            per_client.into_iter().map(|u| u.unwrap()).collect();
-        let loss = pseudo_loss(&global, &updates);
-        let mut acc = vec![0.0f32; PARAMS];
-        for update in &updates {
-            for (a, v) in acc.iter_mut().zip(update) {
-                *a += v / CLIENTS as f32;
-            }
-        }
-        global = acc;
-        records.push(record_of(round, round_bytes, loss));
-    }
-
-    // Server-side TIME_WAIT: keep re-acking clients' late retransmissions
-    // until every client thread has actually finished its run.
-    while handles.iter().any(|h| !h.is_finished()) {
-        srv.linger(Duration::from_millis(25));
-    }
-    let mut clients_rel = ReliabilityStats::default();
-    for h in handles {
-        clients_rel = clients_rel.merged(&h.join().unwrap());
-    }
-    WireRun { records, global, server_rel: srv.stats(), clients_rel, model_payload, update_payload }
+    let mut server = WireRun { global: vec![0.0; PARAMS], ..WireRun::default() };
+    let run = Star::new(CLIENTS, ROUNDS as u32, *faults)
+        .run(&mut server, |id| move |round, msg| train(id, round, msg))
+        .unwrap();
+    WireRun { server_rel: run.server, clients_rel: run.clients, ..server }
 }

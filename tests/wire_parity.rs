@@ -30,15 +30,9 @@
 mod wire_fedavg;
 
 use fedsu_repro::fl::{retransmitted_bytes, RoundRecord, BYTES_PER_SCALAR};
-use fedsu_repro::netsim::{FaultConfig, FaultPlan};
-use fedsu_repro::transport::{
-    Chaos, ClientSession, LocalBus, Message, ServerSession, SparseValues,
-};
-use std::time::Duration;
-use wire_fedavg::{
-    local_update, lossy_faults, pseudo_loss, record_of, session_cfg, wire_leg, CLIENTS, LINGER,
-    PARAMS, ROUNDS, T,
-};
+use fedsu_repro::netsim::FaultConfig;
+use fedsu_repro::transport::{Message, SparseValues, Star, StarServer};
+use wire_fedavg::{fedavg, local_update, lossy_faults, record_of, wire_leg, CLIENTS, PARAMS, ROUNDS};
 
 /// The analytic leg: the same records computed the emulation's way — byte
 /// formulas from scalar counts, fixed-order aggregation, no wire.
@@ -62,14 +56,7 @@ fn analytic_leg() -> (Vec<RoundRecord>, Vec<f32>) {
                     .collect()
             })
             .collect();
-        let loss = pseudo_loss(&global, &updates);
-        let mut acc = vec![0.0f32; PARAMS];
-        for update in &updates {
-            for (a, v) in acc.iter_mut().zip(update) {
-                *a += v / CLIENTS as f32;
-            }
-        }
-        global = acc;
+        let loss = fedavg(&mut global, &updates);
         let bytes = (model_payload + update_payload) * CLIENTS as u64;
         records.push(record_of(round, bytes, loss));
     }
@@ -177,95 +164,80 @@ fn qsgd_emulated_globals() -> Vec<Vec<f32>> {
     globals
 }
 
-/// Wire leg: the client quantizes to wire codes, frames them as
-/// `Message::QuantizedUpdate`, and pushes them through the reliable session
-/// over the (zero-fault) chaos bus; the server decodes, dequantizes, and
-/// applies the same one-client mean chain the emulated aggregate uses.
-fn qsgd_wire_leg() -> (Vec<Vec<f32>>, u64) {
-    let (server, clients) = LocalBus::star(1);
-    let faults = FaultConfig::default();
-    let chaos_server = Chaos::server(server, FaultPlan::new(faults));
-    let mut srv = ServerSession::new(chaos_server, session_cfg());
+/// The QSGD wire leg's server: decodes, dequantizes, and applies the same
+/// one-client mean chain the emulated aggregate uses, recording the global
+/// after every round.
+#[derive(Default)]
+struct QsgdServer {
+    global: Vec<f32>,
+    globals: Vec<Vec<f32>>,
+    payload: u64,
+    deq: Vec<f32>,
+}
 
-    let endpoint = clients.into_iter().next().unwrap();
-    let chaos = Chaos::client(endpoint, FaultPlan::new(faults), 0);
-    let handle = std::thread::spawn(move || {
-        let mut session = ClientSession::new(chaos, 0, session_cfg());
-        let mut encoder = Qsgd::new(QCFG);
-        let mut codes = Vec::new();
-        for round in 0..ROUNDS {
-            session.begin_epoch(round as u32);
-            let global = match session.recv_reliable(T).unwrap() {
-                Message::Model { round: r, values } => {
-                    assert_eq!(r as usize, round);
-                    values.values
-                }
-                other => panic!("client: unexpected {other:?}"),
-            };
-            // Same expressions as the emulated leg: local = g + drift,
-            // update = local - g (NOT just the drift — fp rounding differs).
-            let local: Vec<f32> =
-                global.iter().enumerate().map(|(j, g)| g + q_update(round, j)).collect();
-            let update: Vec<f32> = local.iter().zip(&global).map(|(l, g)| l - g).collect();
-            let scale = encoder.quantize_to_codes(&update, &mut codes).unwrap();
-            session
-                .send_reliable(&Message::QuantizedUpdate {
-                    round: round as u32,
-                    client: 0,
-                    values: QuantizedValues::new(
-                        QCFG.levels,
-                        PARAMS as u32,
-                        vec![scale],
-                        codes.clone(),
-                    ),
-                })
-                .unwrap();
-        }
-        session.linger(LINGER);
-    });
+impl StarServer for QsgdServer {
+    fn broadcast(&mut self, round: u32) -> Message {
+        Message::Model { round, values: SparseValues::dense(self.global.clone()) }
+    }
 
-    let mut globals = Vec::with_capacity(ROUNDS);
-    let mut global = vec![0.0f32; PARAMS];
-    let mut quantized_payload = 0u64;
-    let mut deq = Vec::new();
-    for round in 0..ROUNDS {
-        srv.begin_epoch(round as u32);
-        srv.broadcast_reliable(&Message::Model {
-            round: round as u32,
-            values: SparseValues::dense(global.clone()),
-        })
-        .unwrap();
-        let (from, msg) = srv.recv_reliable(T).unwrap();
-        assert_eq!(from, 0);
-        quantized_payload = msg.encode().len() as u64;
+    fn fold(&mut self, round: u32, uploads: Vec<Message>) {
+        let [msg] = <[Message; 1]>::try_from(uploads).unwrap();
+        self.payload = msg.encode().len() as u64;
         match msg {
             Message::QuantizedUpdate { round: r, client: 0, values } => {
-                assert_eq!(r as usize, round);
+                assert_eq!(r, round);
                 assert_eq!(values.levels, QCFG.levels);
                 assert_eq!(values.scales.len(), 1);
-                Qsgd::dequantize_codes_into(values.levels, values.scales[0], &values.codes, &mut deq);
+                Qsgd::dequantize_codes_into(values.levels, values.scales[0], &values.codes, &mut self.deq);
                 // One selected client: mean_q = 0 + 1·q, then global += mean_q
                 // (the exact chain `aggregate` runs; `0 + 1·(-0.0)` is `+0.0`,
                 // so the intermediate matters for bit-parity).
-                for (g, &d) in global.iter_mut().zip(&deq) {
+                for (g, &d) in self.global.iter_mut().zip(&self.deq) {
                     let mean = 0.0f32 + 1.0 * d;
                     *g += mean;
                 }
             }
             other => panic!("server: unexpected {other:?}"),
         }
-        globals.push(global.clone());
+        self.globals.push(self.global.clone());
     }
-    while !handle.is_finished() {
-        srv.linger(Duration::from_millis(25));
-    }
-    handle.join().unwrap();
-    (globals, quantized_payload)
+}
+
+/// Wire leg: the client quantizes to wire codes, frames them as
+/// `Message::QuantizedUpdate`, and pushes them through the reliable session
+/// over the (zero-fault) chaos bus to [`QsgdServer`].
+fn qsgd_wire_leg() -> QsgdServer {
+    let mut server = QsgdServer { global: vec![0.0; PARAMS], ..QsgdServer::default() };
+    Star::new(1, ROUNDS as u32, FaultConfig::default())
+        .run(&mut server, |_| {
+            let mut encoder = Qsgd::new(QCFG);
+            let mut codes = Vec::new();
+            move |round, msg| {
+                let Message::Model { round: r, values } = msg else {
+                    return Err(format!("unexpected {msg:?}"));
+                };
+                assert_eq!(r, round);
+                let global = values.values;
+                // Same expressions as the emulated leg: local = g + drift,
+                // update = local - g (NOT just the drift — fp rounding differs).
+                let local: Vec<f32> =
+                    global.iter().enumerate().map(|(j, g)| g + q_update(round as usize, j)).collect();
+                let update: Vec<f32> = local.iter().zip(&global).map(|(l, g)| l - g).collect();
+                let scale = encoder.quantize_to_codes(&update, &mut codes).unwrap();
+                Ok(Message::QuantizedUpdate {
+                    round,
+                    client: 0,
+                    values: QuantizedValues::new(QCFG.levels, PARAMS as u32, vec![scale], codes.clone()),
+                })
+            }
+        })
+        .unwrap();
+    server
 }
 
 #[test]
 fn qsgd_codes_on_the_bus_reproduce_the_emulated_strategy_bit_for_bit() {
-    let (wire, payload) = qsgd_wire_leg();
+    let QsgdServer { globals: wire, payload, .. } = qsgd_wire_leg();
     let emulated = qsgd_emulated_globals();
     assert_eq!(wire.len(), emulated.len());
     for (round, (w, e)) in wire.iter().zip(&emulated).enumerate() {
