@@ -37,7 +37,6 @@ mod matmul;
 pub mod par;
 pub mod pool;
 pub mod simd;
-mod stats;
 mod tensor;
 
 pub use conv::{
@@ -53,7 +52,6 @@ pub use matmul::{
 pub use par::{hardware_threads, kernel_threads};
 pub use simd::{hardware_simd_level, set_simd_level, simd_level, SimdLevel};
 pub use pool::BufferPool;
-pub use stats::{dot, l2_norm, max_abs};
 pub use tensor::Tensor;
 
 /// Result alias used across the crate.

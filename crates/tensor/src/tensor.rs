@@ -396,21 +396,6 @@ impl Tensor {
         out.map_in_place(|v| v.clamp(lo, hi));
         out
     }
-
-    /// Minimum element (`None` for an empty tensor).
-    pub fn min(&self) -> Option<f32> {
-        self.data.iter().copied().reduce(f32::min)
-    }
-
-    /// Maximum element (`None` for an empty tensor).
-    pub fn max(&self) -> Option<f32> {
-        self.data.iter().copied().reduce(f32::max)
-    }
-
-    /// Euclidean norm of the whole tensor.
-    pub fn l2_norm(&self) -> f32 {
-        crate::stats::l2_norm(&self.data)
-    }
 }
 
 #[cfg(test)]
@@ -427,14 +412,5 @@ mod extra_op_tests {
     #[should_panic(expected = "out of order")]
     fn clamp_bad_bounds_panics() {
         Tensor::zeros(&[1]).clamp(1.0, -1.0);
-    }
-
-    #[test]
-    fn min_max_and_norm() {
-        let a = Tensor::from_slice(&[3.0, -4.0]);
-        assert_eq!(a.min(), Some(-4.0));
-        assert_eq!(a.max(), Some(3.0));
-        assert!((a.l2_norm() - 5.0).abs() < 1e-6);
-        assert_eq!(Tensor::zeros(&[0]).min(), None);
     }
 }

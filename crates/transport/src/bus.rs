@@ -194,13 +194,10 @@ impl Link for ClientEndpoint {
 pub struct LocalBus;
 
 impl LocalBus {
-    /// Creates connected endpoints for one server and `n` clients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
+    /// Creates connected endpoints for one server and `n` clients. With
+    /// `n == 0` the server has no peers: every send to it and every receive
+    /// on it is [`BusError::Disconnected`].
     pub fn star(n: usize) -> (ServerEndpoint, Vec<ClientEndpoint>) {
-        assert!(n > 0, "need at least one client");
         let (client_tx, server_inbox) = channel::<Vec<u8>>();
         let server_counter = Arc::new(Counter::default());
         let mut to_clients = Vec::with_capacity(n);
@@ -315,8 +312,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one client")]
-    fn empty_star_panics() {
-        LocalBus::star(0);
+    fn empty_star_is_a_server_with_no_peers() {
+        let (server, clients) = LocalBus::star(0);
+        assert!(clients.is_empty());
+        assert_eq!(server.peer_count(), 0);
+        assert_eq!(server.send_bytes_to(0, vec![0]), Err(BusError::Disconnected));
+        assert_eq!(server.recv_bytes(T), Err(BusError::Disconnected));
     }
 }
