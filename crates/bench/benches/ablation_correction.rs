@@ -14,7 +14,7 @@ fn main() {
     for workload in ablation_models(scale) {
         println!("---- model: {} ----", workload.model.name());
         for correct in [false, true] {
-            let cfg = FedSuConfig { t_r: 0.1, t_s: 10.0, correct_on_exit: correct, ..FedSuConfig::default() };
+            let cfg = FedSuConfig { t_r: 0.1, t_s: 10.0, correct_on_exit: correct };
             let mut experiment =
                 workload.scenario().build_with(Box::new(FedSu::new(cfg))).expect("build");
             let result = experiment.run(None).expect("run");

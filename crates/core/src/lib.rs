@@ -26,6 +26,10 @@
 //!    (Eq. 3) either extends the period by one round (`S < T_S`) or demotes
 //!    the parameter to regular updating.
 //!
+//! `T_R`, `T_S` and an exit-correction switch are the only settings
+//! ([`FedSuConfig`]); the EMA decay, the no-checking schedule and the
+//! diagnosis warm-up are fixed constants of [`manager`].
+//!
 //! The ablation variants of Sec. VI-D are configuration points of the same
 //! manager: [`FedSu::variant_v1`] (linearity diagnosis, fixed speculation
 //! period, no error feedback) and [`FedSu::variant_v2`] (random speculation
@@ -46,7 +50,7 @@
 //! let mut uploads = Vec::new();
 //! fedsu.prepare_uploads_into(0, &locals, &global, &mut uploads);
 //! let out = fedsu.aggregate(0, &locals, &[0, 1], &[true, true], &mut global);
-//! assert_eq!(out.total_scalars, 3);
+//! assert_eq!(out.synced_scalars, 3);
 //! assert_eq!(global, vec![1.1, 2.1, 3.1]); // plain averaging until linearity appears
 //! ```
 

@@ -1,6 +1,8 @@
 //! The FedSU manager: predictability mask, speculative updating and error
 //! feedback, implemented as a [`SyncStrategy`] (the Rust analogue of the
-//! paper's `FedSU_Manager` Python module, Algorithm 1).
+//! paper's `FedSU_Manager` Python module, Algorithm 1). Algorithm 1's
+//! thresholds `T_R` and `T_S` are its settings ([`FedSuConfig`]); the EMA
+//! decay, the no-checking schedule and the warm-up are constants below.
 #![warn(clippy::too_many_lines)]
 
 use crate::diagnosis::EmaPair;
@@ -11,45 +13,41 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
 
-/// FedSU hyper-parameters (Sec. VI-A defaults).
+/// FedSU's settings: the two thresholds of Algorithm 1 (Sec. VI-A
+/// defaults) and one extension. Everything else the manager runs on is a
+/// fixed constant: the EMA decay `θ` (0.9), the no-checking schedule (a
+/// first period of 1 round, grown by one round per passed check up to
+/// 1024) and the warm-up (4 observed updates before a chunk may enter).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FedSuConfig {
     /// Predictability threshold `T_R` on the oscillation ratio (paper: 0.01).
     pub t_r: f64,
     /// Error-feedback threshold `T_S` (paper: 1.0).
     pub t_s: f64,
-    /// EMA decay `θ` for the second-order statistics (close to 1).
-    pub theta: f32,
-    /// Length of the first no-checking period, in rounds.
-    pub initial_no_check: u16,
-    /// Cap on the no-checking period.
-    pub max_no_check: u16,
-    /// Global updates a scalar must be observed for before it may enter
-    /// speculation (the diagnosis needs a few second-order samples).
-    pub warmup_updates: u16,
     /// Extension beyond the paper: apply the aggregated error as a
     /// correction when a parameter exits speculation (the aggregate is
     /// already paid for). Off by default for paper fidelity; the ablation
     /// bench measures its effect.
     pub correct_on_exit: bool,
-    /// RNG seed (used only by the random-entry ablation variant).
-    pub seed: u64,
 }
 
 impl Default for FedSuConfig {
     fn default() -> Self {
-        FedSuConfig {
-            t_r: 0.01,
-            t_s: 1.0,
-            theta: 0.9,
-            initial_no_check: 1,
-            max_no_check: 1024,
-            warmup_updates: 4,
-            correct_on_exit: false,
-            seed: 0xFED5,
-        }
+        FedSuConfig { t_r: 0.01, t_s: 1.0, correct_on_exit: false }
     }
 }
+
+/// EMA decay `θ` of the second-order statistics (close to 1).
+const THETA: f32 = 0.9;
+/// Length of the first no-checking period, in rounds.
+const INITIAL_NO_CHECK: u16 = 1;
+/// Cap on the no-checking period, in rounds.
+const MAX_NO_CHECK: u16 = 1024;
+/// Global updates a chunk must be observed for before it may enter
+/// speculation (the diagnosis needs a few second-order samples).
+const WARMUP_UPDATES: u16 = 4;
+/// Seed of the random-entry ablation variant's RNG.
+const V2_SEED: u64 = 0xFED5;
 
 /// How parameters enter speculation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,7 +116,7 @@ pub struct RoundStats {
 /// Federated Learning with Speculative Updating.
 ///
 /// See the crate docs for the algorithm summary and
-/// [`FedSuConfig`] for tunables.
+/// [`FedSuConfig`] for its settings.
 #[derive(Debug, Clone)]
 pub struct FedSu {
     config: FedSuConfig,
@@ -175,7 +173,6 @@ pub struct FedSu {
     rng: StdRng,
     tracked: Vec<usize>,
     events: Vec<MaskEvent>,
-    last_upload_scalars: u64,
     total_enters: u64,
     total_exits: u64,
     history: Vec<RoundStats>,
@@ -237,9 +234,6 @@ impl FedSu {
     fn build(config: FedSuConfig, entry: EntryPolicy, exit: ExitPolicy, name: &'static str) -> Self {
         assert!(config.t_r > 0.0, "T_R must be positive");
         assert!(config.t_s > 0.0, "T_S must be positive");
-        assert!(config.theta > 0.0 && config.theta < 1.0, "theta must be in (0, 1)");
-        assert!(config.initial_no_check >= 1, "initial no-check period must be >= 1");
-        let rng = StdRng::seed_from_u64(config.seed);
         FedSu {
             config,
             entry,
@@ -264,19 +258,13 @@ impl FedSu {
             predictable_rounds: Vec::new(),
             ticks: 0,
             rounds_seen: 0,
-            rng,
+            rng: StdRng::seed_from_u64(V2_SEED),
             tracked: Vec::new(),
             events: Vec::new(),
-            last_upload_scalars: 0,
             total_enters: 0,
             total_exits: 0,
             history: Vec::new(),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &FedSuConfig {
-        &self.config
     }
 
     /// Records mask transitions for the given scalar indices (Fig. 6).
@@ -552,7 +540,7 @@ impl FedSu {
             s.copy_from_slice(u);
         }
         let period = match self.exit {
-            ExitPolicy::ErrorFeedback => self.config.initial_no_check,
+            ExitPolicy::ErrorFeedback => INITIAL_NO_CHECK,
             ExitPolicy::FixedPeriod(p) => p.max(1),
         };
         if let (Some(l), Some(r)) = (self.no_check_len.get_mut(c), self.no_check_remaining.get_mut(c)) {
@@ -695,12 +683,11 @@ impl FedSu {
     /// Regular synchronization off the mask (the selected clients' average)
     /// and every chunk's countdown and diagnosis, in one pass over the rows.
     fn sweep(&mut self, global: &mut [f32], inv: f32) {
-        let FedSuConfig { t_r, theta, warmup_updates, .. } = self.config;
         let ratio_bound = match self.entry {
-            EntryPolicy::Oscillation => ratio_bound(t_r),
+            EntryPolicy::Oscillation => ratio_bound(self.config.t_r),
             EntryPolicy::Random { .. } => f32::INFINITY,
         };
-        let rule = SweepRule { chunk: self.chunk, inv, theta, warmup: f32::from(warmup_updates), ratio_bound };
+        let rule = SweepRule { chunk: self.chunk, inv, theta: THETA, warmup: f32::from(WARMUP_UPDATES), ratio_bound };
         let rows = SweepRows {
             global,
             prev_update: &mut self.prev_update,
@@ -814,7 +801,7 @@ impl FedSu {
         // The no-checking period expired: every selected client reported its
         // accumulated error averaged over the chunk (one scalar of
         // communication); Eq. 3 runs on their mean.
-        let FedSuConfig { t_s, max_no_check, correct_on_exit, .. } = self.config;
+        let FedSuConfig { t_s, correct_on_exit, .. } = self.config;
         let e_mean = self.sum.get(c).map_or(0.0, |&e| e * inv);
         let slopes = self.slope.get(range.clone()).unwrap_or_default();
         let slope_mean = slopes.iter().map(|s| s.abs()).sum::<f32>() / range.len() as f32;
@@ -822,7 +809,7 @@ impl FedSu {
         if s < t_s {
             // Linearity persists: extend by one round.
             if let (Some(period), Some(remaining)) = (self.no_check_len.get_mut(c), self.no_check_remaining.get_mut(c)) {
-                *period = period.saturating_add(1).min(max_no_check);
+                *period = period.saturating_add(1).min(MAX_NO_CHECK);
                 *remaining = f32::from(*period);
                 self.checks_due += usize::from(*period == 1);
             }
@@ -888,9 +875,8 @@ impl SyncStrategy for FedSu {
             ExitPolicy::ErrorFeedback => self.checks_due,
             ExitPolicy::FixedPeriod(_) => 0,
         };
-        self.last_upload_scalars = (self.unmasked + check_due) as u64;
         out.clear();
-        out.resize(locals.len(), self.last_upload_scalars);
+        out.resize(locals.len(), (self.unmasked + check_due) as u64);
     }
 
     fn aggregate(
@@ -922,7 +908,7 @@ impl SyncStrategy for FedSu {
                 enters: 0,
                 exits: 0,
             });
-            return AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0, total_scalars: n };
+            return AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0 };
         }
         let inv = 1.0 / selected.len().max(1) as f32;
         let synced = self.unmasked;
@@ -941,11 +927,7 @@ impl SyncStrategy for FedSu {
             exits: (self.total_exits - exits_before) as usize,
         });
         self.check_mask_invariants(round);
-        AggregateOutcome {
-            broadcast_scalars: synced + checked,
-            synced_scalars: synced + checked,
-            total_scalars: n,
-        }
+        AggregateOutcome { broadcast_scalars: synced + checked, synced_scalars: synced + checked }
     }
 
     fn state_bytes(&self) -> usize {
@@ -995,16 +977,12 @@ mod tests {
         fedsu.aggregate(round, &locals, &selected, &active, global)
     }
 
-    fn quick_config() -> FedSuConfig {
-        FedSuConfig { warmup_updates: 3, ..FedSuConfig::default() }
-    }
-
     #[test]
     fn empty_window_statistics_return_finite_sentinels() {
         // A fresh manager has seen nothing: every statistic's denominator is
         // zero and the bare division would be NaN. The documented sentinel
         // is 0.0.
-        let f = FedSu::new(quick_config());
+        let f = FedSu::default();
         assert_eq!(f.mean_speculation_period(), 0.0);
         assert_eq!(f.empirical_entry_probability(), 0.0);
         assert!(f.oscillation_ratio(0).is_none(), "no scalars allocated yet");
@@ -1012,7 +990,7 @@ mod tests {
 
     #[test]
     fn oscillation_ratio_is_zero_not_nan_before_any_signal() {
-        let mut f = FedSu::new(quick_config());
+        let mut f = FedSu::default();
         let mut global = vec![0.0, 0.0];
         // Identically-zero updates keep both EMA terms at zero (raw 0/0).
         drive_round(&mut f, &mut global, &[vec![0.0, 0.0]], 0);
@@ -1028,17 +1006,16 @@ mod tests {
 
     #[test]
     fn first_rounds_are_fully_synchronized() {
-        let mut f = FedSu::new(quick_config());
+        let mut f = FedSu::default();
         let mut global = vec![0.0, 0.0];
         let out = drive_round(&mut f, &mut global, &[vec![0.1, 0.2]], 0);
         assert_eq!(out.synced_scalars, 2);
-        assert_eq!(out.total_scalars, 2);
         assert!((global[0] - 0.1).abs() < 1e-6);
     }
 
     #[test]
     fn linear_parameter_enters_speculation() {
-        let mut f = FedSu::new(quick_config());
+        let mut f = FedSu::default();
         let mut global = vec![0.0];
         // Constant per-round update -> linear trajectory.
         for round in 0..6 {
@@ -1049,7 +1026,7 @@ mod tests {
 
     #[test]
     fn speculative_parameter_skips_synchronization() {
-        let mut f = FedSu::new(quick_config());
+        let mut f = FedSu::default();
         let mut global = vec![0.0];
         for round in 0..6 {
             drive_round(&mut f, &mut global, &[vec![-0.01]], round);
@@ -1065,7 +1042,7 @@ mod tests {
 
     #[test]
     fn speculation_tracks_true_linear_trajectory() {
-        let mut f = FedSu::new(quick_config());
+        let mut f = FedSu::default();
         let mut global = vec![0.0];
         let mut reference = 0.0f32;
         for round in 0..40 {
@@ -1080,7 +1057,7 @@ mod tests {
 
     #[test]
     fn no_check_period_grows_on_successful_checks() {
-        let mut f = FedSu::new(quick_config());
+        let mut f = FedSu::default();
         let mut global = vec![0.0];
         for round in 0..40 {
             drive_round(&mut f, &mut global, &[vec![-0.01]], round);
@@ -1092,8 +1069,34 @@ mod tests {
     }
 
     #[test]
+    fn no_check_period_stops_at_its_cap() {
+        // One speculating scalar on its line, its check due next round with
+        // the period one short of the cap.
+        let mut f = FedSu::default();
+        f.apply_join_state(&JoinState {
+            predictable: vec![true],
+            slope: vec![-0.01],
+            no_check_len: vec![1023],
+            no_check_remaining: vec![1],
+            prev_update: vec![-0.01],
+            ema: vec![EmaPair::default()],
+            obs: vec![4],
+            rounds_seen: 0,
+        });
+        let mut global = vec![0.0];
+        drive_round(&mut f, &mut global, &[vec![-0.01]], 0);
+        assert_eq!((f.history()[0].checks, f.no_check_len[0]), (1, 1024), "the due check reaches the cap");
+        for round in 1..=1024 {
+            drive_round(&mut f, &mut global, &[vec![-0.01]], round);
+        }
+        let checks: usize = f.history().iter().map(|h| h.checks).sum();
+        assert_eq!((checks, f.no_check_len[0]), (2, 1024), "the next check stays at the cap");
+        assert!(f.predictable_mask()[0]);
+    }
+
+    #[test]
     fn broken_linearity_triggers_exit_via_error_feedback() {
-        let mut f = FedSu::new(quick_config());
+        let mut f = FedSu::default();
         let mut global = vec![0.0];
         let mut round = 0;
         for _ in 0..8 {
@@ -1117,7 +1120,7 @@ mod tests {
     fn oscillating_errors_do_not_trigger_exit() {
         // Mini-batch-style noise that cancels around the profiled slope
         // keeps the parameter speculative (Σe stays bounded, Eq. 3).
-        let mut f = FedSu::new(quick_config());
+        let mut f = FedSu::default();
         let mut global = vec![0.0];
         // Noise-free warmup so the profiled slope is exact.
         let mut round = 0;
@@ -1139,7 +1142,7 @@ mod tests {
         // If the profiled slope bakes in one round's noise, the systematic
         // bias accumulates in Σe and the check eventually demotes the
         // parameter — exactly the safety property Sec. IV-C claims.
-        let mut f = FedSu::new(quick_config());
+        let mut f = FedSu::default();
         f.track_params(&[0]);
         let mut global = vec![0.0];
         // Promote with a biased observation (-0.013), then feed the true
@@ -1162,7 +1165,7 @@ mod tests {
 
     #[test]
     fn upload_counts_reflect_mask_and_checks() {
-        let mut f = FedSu::new(quick_config());
+        let mut f = FedSu::default();
         let mut global = vec![0.0, 0.0];
         // Scalar 0 linear; scalar 1 alternates curvature (stays regular).
         for round in 0..6 {
@@ -1181,7 +1184,7 @@ mod tests {
     #[test]
     fn v1_exits_after_fixed_period_without_checks() {
         let period = 3u16;
-        let mut f = FedSu::variant_v1(quick_config(), period);
+        let mut f = FedSu::variant_v1(FedSuConfig::default(), period);
         f.track_params(&[0]);
         let mut global = vec![0.0];
         let mut round = 0;
@@ -1217,7 +1220,7 @@ mod tests {
     fn v2_enters_randomly_without_linearity() {
         // Wildly curving parameter: oscillation diagnosis would never admit
         // it, but v2 enters by probability alone.
-        let mut f = FedSu::variant_v2(quick_config(), 0.5, 2);
+        let mut f = FedSu::variant_v2(FedSuConfig::default(), 0.5, 2);
         let mut global = vec![0.0];
         let mut entered = false;
         for round in 0..30 {
@@ -1231,7 +1234,7 @@ mod tests {
 
     #[test]
     fn mask_events_recorded_for_tracked_params() {
-        let mut f = FedSu::new(quick_config());
+        let mut f = FedSu::default();
         f.track_params(&[0]);
         let mut global = vec![0.0];
         let mut round = 0;
@@ -1256,7 +1259,7 @@ mod tests {
 
     #[test]
     fn join_state_roundtrip_preserves_decisions() {
-        let mut f = FedSu::new(quick_config());
+        let mut f = FedSu::default();
         let mut global = vec![0.0, 0.0];
         for round in 0..8 {
             let w = if round % 2 == 0 { 0.03 } else { -0.01 };
@@ -1268,7 +1271,7 @@ mod tests {
         assert_eq!(state, decoded);
 
         // A fresh manager applying the snapshot makes identical decisions.
-        let mut joiner = FedSu::new(quick_config());
+        let mut joiner = FedSu::default();
         joiner.ensure_capacity(2, 1);
         joiner.apply_join_state(&decoded);
         assert_eq!(joiner.predictable_mask(), f.predictable_mask());
@@ -1282,7 +1285,7 @@ mod tests {
 
     #[test]
     fn state_bytes_scale_with_model_and_clients() {
-        let mut f = FedSu::new(quick_config());
+        let mut f = FedSu::default();
         let mut global = vec![0.0; 10];
         drive_round(&mut f, &mut global, &[vec![0.0; 10], vec![0.0; 10]], 0);
         let per_client = f.per_client_state_bytes();
@@ -1294,7 +1297,7 @@ mod tests {
     fn stagnating_parameter_is_a_linear_special_case() {
         // Zero updates: the stagnating pattern APF exploits must also be
         // caught by FedSU (slope 0).
-        let mut f = FedSu::new(quick_config());
+        let mut f = FedSu::default();
         let mut global = vec![1.0];
         for round in 0..6 {
             drive_round(&mut f, &mut global, &[vec![0.0]], round);
@@ -1306,7 +1309,7 @@ mod tests {
 
     #[test]
     fn inactive_clients_do_not_accumulate_errors() {
-        let mut f = FedSu::new(quick_config());
+        let mut f = FedSu::default();
         let mut global = vec![0.0];
         // Promote with both clients active.
         for round in 0..6 {
@@ -1324,7 +1327,7 @@ mod tests {
 
     #[test]
     fn rejoining_client_errors_are_resynced() {
-        let mut f = FedSu::new(FedSuConfig { warmup_updates: 3, t_s: 10.0, ..FedSuConfig::default() });
+        let mut f = FedSu::new(FedSuConfig { t_s: 10.0, ..FedSuConfig::default() });
         let mut global = vec![0.0f32];
         let mut round = 0;
         while !f.predictable_mask().first().copied().unwrap_or(false) {
@@ -1362,7 +1365,7 @@ mod tests {
 
     #[test]
     fn empty_selection_holds_global_and_state() {
-        let mut f = FedSu::new(quick_config());
+        let mut f = FedSu::default();
         let mut global = vec![0.5f32, -0.25];
         let locals = vec![vec![9.0, 9.0]];
         f.prepare_uploads_into(0, &locals, &global, &mut Vec::new());
@@ -1370,7 +1373,6 @@ mod tests {
         assert_eq!(global, vec![0.5, -0.25], "a barren round must hold all values");
         assert_eq!(out.synced_scalars, 0);
         assert_eq!(out.broadcast_scalars, 0);
-        assert_eq!(out.total_scalars, 2);
         assert_eq!(f.history().len(), 1);
         assert_eq!(f.history()[0].checks, 0);
     }
@@ -1452,8 +1454,7 @@ mod tests {
         let mut global = vec![0.0f32; 7]; // chunks of 3, 3, 1
         let updates = vec![-0.01f32; 7];
         for round in 0..10 {
-            let out = drive(&mut f, &mut global, &updates, round);
-            assert_eq!(out.total_scalars, 7);
+            drive(&mut f, &mut global, &updates, round);
         }
         assert_eq!(f.obs.len(), 3);
     }
@@ -1465,7 +1466,7 @@ mod tests {
         let locals = vec![vec![9.0f32; 3]];
         let out = f.aggregate(0, &locals, &[], &[false], &mut global);
         assert_eq!(global, [1.0, 2.0, 3.0]);
-        assert_eq!((out.broadcast_scalars, out.synced_scalars, out.total_scalars), (0, 0, 3));
+        assert_eq!((out.broadcast_scalars, out.synced_scalars), (0, 0));
         assert_eq!(f.rounds_seen, 1, "the round still counts");
         assert!(f.obs.iter().all(|&o| o == 0.0), "no diagnosis ran");
     }
@@ -1505,7 +1506,7 @@ mod tests {
     /// One linear scalar and one of alternating curvature, driven until the
     /// first is speculative and the second is not.
     fn half_masked() -> FedSu {
-        let mut f = FedSu::new(quick_config());
+        let mut f = FedSu::default();
         let mut global = vec![0.0f32; 2];
         for round in 0..8 {
             let w = if round % 2 == 0 { 0.03 } else { -0.01 };
@@ -1523,7 +1524,7 @@ mod tests {
         // `promote` does not clear it later, so applying the image must.
         let mut f = half_masked();
         f.errors[0][0] = 0.5;
-        let mut fresh = FedSu::new(quick_config());
+        let mut fresh = FedSu::default();
         drive_round(&mut fresh, &mut [0.0f32; 2], &[vec![0.1, 0.2]], 0);
         f.apply_join_state(&fresh.export_join_state());
         assert_eq!(f.predictable_mask(), [false, false]);
@@ -1559,7 +1560,7 @@ mod tests {
         // the demotion must leave neither a period length nor a countdown
         // behind (the chunk-granular twin used to keep its `no_check_len`).
         for chunk in [1, 2, 3, 8] {
-            let mut f = FedSu::chunked(quick_config(), chunk);
+            let mut f = FedSu::chunked(FedSuConfig::default(), chunk);
             let mut global = vec![0.0f32; 5];
             let mut round = 0;
             while f.predictable_count() < 5 {
@@ -1578,20 +1579,21 @@ mod tests {
         }
     }
 
-    /// Twelve tracked scalars in four groups of three, two clients. Groups
-    /// 1 and 3 break their line at round 4 and exit at the check of round
-    /// 5; back on a line from round 6, they re-enter at round 8, the round
-    /// in which groups 0 and 2, broken at round 6, exit. Round 8 therefore
-    /// interleaves exits and entries in index order.
+    /// Twelve tracked scalars in four groups of three, two clients, all
+    /// speculating from round 3 with checks due at rounds 4, 6, 9 and 13.
+    /// Groups 1 and 3 break their line at round 7 and exit at the check of
+    /// round 9; back on a line from round 10, they re-enter at round 13,
+    /// the round in which groups 0 and 2, broken at round 10, exit. Round 13
+    /// therefore interleaves exits and entries in index order.
     fn interleaved_events(chunk: usize) -> Vec<MaskEvent> {
-        let mut f = FedSu::chunked(FedSuConfig { warmup_updates: 3, t_r: 0.1, t_s: 1.0, ..FedSuConfig::default() }, chunk);
+        let mut f = FedSu::chunked(FedSuConfig { t_r: 0.1, ..FedSuConfig::default() }, chunk);
         f.track_params(&(0..12).collect::<Vec<_>>());
         let mut global = vec![0.0f32; 12];
-        for round in 0..12 {
+        for round in 0..18 {
             let update = |j: usize| {
                 let step = match (j / 3 % 2, round) {
-                    (1, 0..4) | (0, 0..6) => -0.01,
-                    (1, 4..6) => 0.04,
+                    (1, 0..7) | (0, 0..10) => -0.01,
+                    (1, 7..10) => 0.04,
                     (1, _) => -0.02,
                     _ => 0.05,
                 };
@@ -1612,47 +1614,47 @@ mod tests {
         let exit =
             |round: usize, param: usize, s: f64| MaskEvent { round, param, kind: MaskEventKind::Exit { feedback: Some(s) } };
         let first_entries = [
-            -0.0074999994,
+            -0.0075000003,
             -0.008437499,
-            -0.009375,
+            -0.0093749985,
             -0.0103124995,
-            -0.011249999,
+            -0.01125,
             -0.0121875,
             -0.013124999,
             -0.014062498,
-            -0.014999999,
+            -0.015000001,
             -0.0159375,
             -0.016874999,
-            -0.017812502,
+            -0.017812505,
         ];
-        let first: Vec<MaskEvent> = first_entries.iter().enumerate().map(|(j, &slope)| enter(2, j, slope)).collect();
-        let last = [enter(11, 0, 0.0375), enter(11, 1, 0.0421875), enter(11, 2, 0.046875)];
-        let last = last.into_iter().chain([enter(11, 6, 0.065625), enter(11, 7, 0.0703125), enter(11, 8, 0.075)]);
-        let want = |exits_5: [f64; 6], exits_8: [f64; 6]| -> Vec<MaskEvent> {
-            let at_5 = [3, 4, 5, 9, 10, 11].into_iter().zip(exits_5).map(|(j, s)| exit(5, j, s));
-            let at_8 = [
-                exit(8, 0, exits_8[0]),
-                exit(8, 1, exits_8[1]),
-                exit(8, 2, exits_8[2]),
-                enter(8, 3, -0.020625003),
-                enter(8, 4, -0.0225),
-                enter(8, 5, -0.024375),
-                exit(8, 6, exits_8[3]),
-                exit(8, 7, exits_8[4]),
-                exit(8, 8, exits_8[5]),
-                enter(8, 9, -0.031875),
-                enter(8, 10, -0.033749998),
-                enter(8, 11, -0.03562501),
+        let first: Vec<MaskEvent> = first_entries.iter().enumerate().map(|(j, &slope)| enter(3, j, slope)).collect();
+        let last = [enter(17, 0, 0.0375), enter(17, 1, 0.0421875), enter(17, 2, 0.046875)];
+        let last = last.into_iter().chain([enter(17, 6, 0.065625), enter(17, 7, 0.0703125), enter(17, 8, 0.075)]);
+        let want = |exits_9: [f64; 6], exits_13: [f64; 6]| -> Vec<MaskEvent> {
+            let at_9 = [3, 4, 5, 9, 10, 11].into_iter().zip(exits_9).map(|(j, s)| exit(9, j, s));
+            let at_13 = [
+                exit(13, 0, exits_13[0]),
+                exit(13, 1, exits_13[1]),
+                exit(13, 2, exits_13[2]),
+                enter(13, 3, -0.020624995),
+                enter(13, 4, -0.022500008),
+                enter(13, 5, -0.024374992),
+                exit(13, 6, exits_13[3]),
+                exit(13, 7, exits_13[4]),
+                exit(13, 8, exits_13[5]),
+                enter(13, 9, -0.031875014),
+                enter(13, 10, -0.033749998),
+                enter(13, 11, -0.03562501),
             ];
-            first.iter().copied().chain(at_5).chain(at_8).chain(last.clone()).collect()
+            first.iter().copied().chain(at_9).chain(at_13).chain(last.clone()).collect()
         };
         let per_scalar = want(
-            [9.99999963875971, 10.000000331136958, 9.999999388670288, 10.0, 10.0, 10.000000418278171],
-            [18.00000024835271, 18.000003532127348, 17.999999602635718, 18.000002838316707, 18.000001589457447, 18.00000024835271],
+            [14.999998735658986, 15.000000993410707, 14.99999908300543, 15.000001402462257, 15.0, 14.999997490331502],
+            [24.0, 24.000003532127348, 24.00000476837234, 24.000004541306733, 24.000002119276594, 24.0],
         );
         assert_eq!(interleaved_events(1), per_scalar);
-        let (a, b) = (9.999998841020746, 9.999998896210325);
-        let (c, d) = (17.999999779242064, 18.000000397364335);
+        let (a, b) = (14.999999586078838, 15.000000110378968);
+        let (c, d) = (24.000003532127348, 24.00000264909557);
         assert_eq!(interleaved_events(3), want([a, a, a, b, b, b], [c, c, c, d, d, d]));
     }
 
@@ -1677,7 +1679,7 @@ mod history_tests {
 
     #[test]
     fn history_tracks_rounds_and_balances() {
-        let mut f = FedSu::new(FedSuConfig { warmup_updates: 3, ..FedSuConfig::default() });
+        let mut f = FedSu::default();
         let mut global = vec![0.0f32; 2];
         for round in 0..10 {
             let locals = vec![vec![global[0] - 0.01, global[1] - 0.02]];

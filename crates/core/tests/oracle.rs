@@ -5,8 +5,9 @@
 //! one loop. The reference does what the paper describes instead: every
 //! client holds a full replica, the server sees only what was uploaded and
 //! broadcasts the means, and every present replica applies the broadcast.
-//! It shares nothing with `manager.rs` but `FedSuConfig`: fresh `Vec`s every
-//! round, ascending-index sums, no scratch reuse. Each round the two must
+//! It shares nothing with `manager.rs` but `FedSuConfig` (the manager's fixed
+//! constants are written down again below, as the reference's own spec):
+//! fresh `Vec`s every round, ascending-index sums, no scratch reuse. Each round the two must
 //! agree bit for bit, and the present replicas must agree with each other —
 //! which is the claim that one shared copy is faithful to the protocol.
 
@@ -15,6 +16,17 @@ use fedsu_core::{FedSu, FedSuConfig, RoundStats};
 use fedsu_fl::{AggregateOutcome, SyncStrategy};
 use std::cell::Cell;
 use std::ops::Range;
+
+/// EMA decay `θ` of the second differences.
+const THETA: f32 = 0.9;
+/// First no-checking period, in rounds.
+const INITIAL_NO_CHECK: usize = 1;
+/// Longest no-checking period, in rounds.
+const MAX_NO_CHECK: usize = 1024;
+/// Updates a chunk is observed for before it may enter speculation.
+const WARMUP_UPDATES: usize = 4;
+/// Seed of v2's coin.
+const V2_SEED: u64 = 0xFED5;
 
 /// How speculation starts and ends (standard FedSU and Sec. VI-D's variants).
 #[derive(Clone, Copy, Debug)]
@@ -120,7 +132,7 @@ impl Rules {
                 ema_signed: vec![0.0; chunks],
                 ema_abs: vec![0.0; chunks],
                 observed: vec![0; chunks],
-                coin: StdRng::seed_from_u64(self.cfg.seed),
+                coin: StdRng::seed_from_u64(V2_SEED),
             },
             error: vec![0.0; n],
         }
@@ -190,7 +202,7 @@ impl Rules {
                     let signal = f64::from(e.abs()) / f64::from(mean(&slopes).max(f32::EPSILON));
                     keep = signal < self.cfg.t_s;
                     if keep {
-                        s.period[c] = (s.period[c] + 1).min(usize::from(self.cfg.max_no_check));
+                        s.period[c] = (s.period[c] + 1).min(MAX_NO_CHECK);
                         s.remaining[c] = s.period[c];
                     } else if self.cfg.correct_on_exit {
                         for j in range.clone() {
@@ -225,11 +237,10 @@ impl Rules {
                 if s.observed[c] == 1 {
                     continue; // the first update has no second difference yet
                 }
-                let theta = self.cfg.theta;
                 let second = mean(&seconds);
-                s.ema_signed[c] = theta * s.ema_signed[c] + (1.0 - theta) * second;
-                s.ema_abs[c] = theta * s.ema_abs[c] + (1.0 - theta) * second.abs();
-                if s.observed[c] < usize::from(self.cfg.warmup_updates) {
+                s.ema_signed[c] = THETA * s.ema_signed[c] + (1.0 - THETA) * second;
+                s.ema_abs[c] = THETA * s.ema_abs[c] + (1.0 - THETA) * second.abs();
+                if s.observed[c] < WARMUP_UPDATES {
                     continue;
                 }
                 let enter = match self.mode {
@@ -249,7 +260,7 @@ impl Rules {
                 if enter {
                     done.enters += 1;
                     s.period[c] = match self.mode {
-                        Mode::Standard => usize::from(self.cfg.initial_no_check),
+                        Mode::Standard => INITIAL_NO_CHECK,
                         Mode::V1 { period } | Mode::V2 { period, .. } => period.max(1),
                     };
                     s.remaining[c] = s.period[c];
@@ -323,7 +334,7 @@ impl Oracle {
         if selected.is_empty() {
             // Nothing arrived, nothing is broadcast: everyone holds.
             let stats = RoundStats { round, predictable: masked, checks: 0, enters: 0, exits: 0 };
-            return (AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0, total_scalars: n }, stats);
+            return (AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0 }, stats);
         }
         for &i in &present {
             self.rules.accumulate(&mut self.replicas[i], &locals[i]);
@@ -340,7 +351,7 @@ impl Oracle {
         let sent = broadcast.values.len() + broadcast.checks.len();
         assert_eq!(sent, a.synced + a.checks);
         (
-            AggregateOutcome { broadcast_scalars: sent, synced_scalars: sent, total_scalars: n },
+            AggregateOutcome { broadcast_scalars: sent, synced_scalars: sent },
             RoundStats { round, predictable: n - a.synced, checks: a.checks, enters: a.enters, exits: a.exits },
         )
     }
@@ -398,12 +409,7 @@ fn manager_matches_oracle(rng: &mut StdRng, chunk_of: ChunkOf, mode: Mode, seen:
     let cfg = FedSuConfig {
         t_r: 0.1,
         t_s: [0.5, 1.0, 10.0][rng.gen_range(0usize..3)],
-        theta: rng.gen_range(0.5f32..0.95),
-        initial_no_check: rng.gen_range(1u16..=2),
-        max_no_check: [2, 1024][rng.gen_range(0usize..2)],
-        warmup_updates: rng.gen_range(2u16..=4),
         correct_on_exit: rng.gen_bool(0.5),
-        seed: rng.gen_range(0u64..1000),
     };
     let mut manager = match mode {
         Mode::Standard => FedSu::chunked(cfg, chunk),
@@ -504,7 +510,7 @@ fn signed_zeros_travel_like_the_oracle() {
     // Halves to `-0.0` (ties to even): with a `+0.0` beside it the mean of
     // two clients is `-0.0`, which no sum started at `+0.0` reaches otherwise.
     let tiny = -f32::from_bits(1);
-    let cfg = FedSuConfig { t_r: 0.1, warmup_updates: 3, ..FedSuConfig::default() };
+    let cfg = FedSuConfig { t_r: 0.1, ..FedSuConfig::default() };
     let mut manager = FedSu::new(cfg);
     let mut global = vec![0.0f32, -0.0];
     let mut oracle = Oracle::new(Rules { cfg, mode: Mode::Standard, chunk: 1 }, &global, 2);

@@ -115,11 +115,10 @@ fn diagnosis_is_per_scalar_independent() {
 fn manager_and_standalone_diagnostic_agree_on_eq2() {
     check("manager_and_standalone_diagnostic_agree_on_eq2", CASES, |rng| {
         let n = rng.gen_range(1usize..12);
-        let theta = rng.gen_range(0.5f32..0.99);
         let slopes = vec_of(rng, n..=n, |r| r.gen_range(-0.05f32..0.05));
         let curvature = vec_of(rng, n..=n, |r| r.gen_range(0.0f32..0.01));
-        let mut manager = FedSu::new(FedSuConfig { t_r: 1e-12, theta, ..FedSuConfig::default() });
-        let mut diagnostic = OscillationDiagnostic::new(n, theta);
+        let mut manager = FedSu::new(FedSuConfig { t_r: 1e-12, ..FedSuConfig::default() });
+        let mut diagnostic = OscillationDiagnostic::new(n, 0.9); // the manager's fixed θ
         let mut global = vec_of(rng, n..=n, |r| r.gen_range(-1.0f32..1.0));
         diagnostic.observe_params(&global);
         let mut curved = false;

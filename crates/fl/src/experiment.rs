@@ -638,7 +638,6 @@ impl Experiment {
     /// many in a row end the run. A non-finite result is rolled back to the
     /// last finite global when defenses are on, and ends the run if not.
     fn aggregate_survivors(&mut self, round: usize, s: &mut RoundScratch) -> Result<AggregateOutcome> {
-        let total = self.param_count();
         s.rollbacks = 0;
         if s.survivors.is_empty() {
             s.barren_streak = s.barren_streak.saturating_add(1);
@@ -646,7 +645,7 @@ impl Experiment {
                 return Err(FlError::QuarantineExhausted { round });
             }
             let broadcast_scalars = s.prev_broadcast_scalars;
-            return Ok(AggregateOutcome { broadcast_scalars, synced_scalars: 0, total_scalars: total });
+            return Ok(AggregateOutcome { broadcast_scalars, synced_scalars: 0 });
         }
         s.barren_streak = 0;
         let global = self.server.global_mut();
@@ -663,7 +662,7 @@ impl Experiment {
                     s.rollbacks = 1;
                     // Every client must re-download the restored global in
                     // full next round.
-                    outcome.broadcast_scalars = total;
+                    outcome.broadcast_scalars = self.param_count();
                 }
                 None => return Err(FlError::Diverged { round }),
             }
@@ -710,7 +709,7 @@ impl Experiment {
             accuracy,
             test_loss,
             train_loss,
-            sparsification_ratio: 1.0 - outcome.synced_scalars as f64 / outcome.total_scalars.max(1) as f64,
+            sparsification_ratio: 1.0 - outcome.synced_scalars as f64 / self.param_count().max(1) as f64,
             bytes,
             participants: s.survivors.len(),
             dropped: tally.dropped,
@@ -917,11 +916,7 @@ mod tests {
             global: &mut [f32],
         ) -> AggregateOutcome {
             average_into(locals, selected, global);
-            AggregateOutcome {
-                broadcast_scalars: global.len(),
-                synced_scalars: global.len(),
-                total_scalars: global.len(),
-            }
+            AggregateOutcome { broadcast_scalars: global.len(), synced_scalars: global.len() }
         }
     }
 

@@ -9,8 +9,6 @@ pub struct AggregateOutcome {
     /// Scalars realistically synchronized on the upload path this round,
     /// summed over distinct scalar indices (error-feedback payloads count).
     pub synced_scalars: usize,
-    /// Total scalar parameters in the model.
-    pub total_scalars: usize,
 }
 
 /// A federated synchronization strategy.
@@ -153,7 +151,7 @@ mod tests {
 
     #[test]
     fn aggregate_outcome_is_copy_and_serializable() {
-        let o = AggregateOutcome { broadcast_scalars: 1, synced_scalars: 2, total_scalars: 3 };
+        let o = AggregateOutcome { broadcast_scalars: 1, synced_scalars: 2 };
         let o2 = o;
         assert_eq!(o, o2);
     }

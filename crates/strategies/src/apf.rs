@@ -11,24 +11,8 @@
 use fedsu_fl::{AggregateOutcome, SyncStrategy};
 use fedsu_tensor::simd;
 
-/// APF hyper-parameters. The perturbation EMAs decay by 0.9 a round, and a
-/// stable parameter's freezing period grows by one round per consecutive
-/// stable check, up to 64 rounds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ApfConfig {
-    /// Effective-perturbation threshold below which a parameter freezes
-    /// (paper default 0.05).
-    pub stability_threshold: f64,
-    /// Rounds a parameter must be observed before it may freeze.
-    pub warmup_rounds: usize,
-}
-
-impl Default for ApfConfig {
-    fn default() -> Self {
-        ApfConfig { stability_threshold: 0.05, warmup_rounds: 3 }
-    }
-}
-
+/// Rounds a parameter must be observed before it may freeze.
+const WARMUP_ROUNDS: usize = 3;
 /// EMA decay for the perturbation statistics.
 const EMA_DECAY: f32 = 0.9;
 /// Freezing-period increment per consecutive stable check (rounds).
@@ -36,10 +20,14 @@ const PERIOD_STEP: u16 = 1;
 /// Upper bound on the freezing period (rounds).
 const MAX_PERIOD: u16 = 64;
 
-/// The APF strategy.
+/// The APF strategy. Its one setting is the stability threshold; the
+/// perturbation EMAs decay by 0.9 a round, a parameter is observed for 3
+/// rounds before it may freeze, and a stable parameter's freezing period
+/// grows by one round per consecutive stable check, up to 64 rounds.
 #[derive(Debug, Clone)]
 pub struct Apf {
-    config: ApfConfig,
+    /// Effective-perturbation threshold below which a parameter freezes.
+    stability_threshold: f64,
     /// EMA of the per-round update, per scalar.
     ema_update: Vec<f32>,
     /// EMA of the absolute per-round update, per scalar.
@@ -51,24 +39,22 @@ pub struct Apf {
     /// Rounds each scalar spent frozen (skip statistics).
     frozen_rounds: Vec<u64>,
     rounds_seen: usize,
-    /// Phase-A cache: unfrozen scalar count this round.
-    unfrozen_count: usize,
     /// Scratch row of `aggregate`: the selected clients' mean, per scalar.
     mean: Vec<f32>,
 }
 
 impl Apf {
-    /// Creates APF with the given config.
-    pub fn new(config: ApfConfig) -> Self {
+    /// Creates APF freezing parameters whose effective perturbation falls
+    /// below `stability_threshold` (paper default 0.05, [`Apf::default`]).
+    pub fn new(stability_threshold: f64) -> Self {
         Apf {
-            config,
+            stability_threshold,
             ema_update: Vec::new(),
             ema_abs_update: Vec::new(),
             freeze_remaining: Vec::new(),
             freeze_period: Vec::new(),
             frozen_rounds: Vec::new(),
             rounds_seen: 0,
-            unfrozen_count: 0,
             mean: Vec::new(),
         }
     }
@@ -92,7 +78,7 @@ impl Apf {
 
 impl Default for Apf {
     fn default() -> Self {
-        Apf::new(ApfConfig::default())
+        Apf::new(0.05)
     }
 }
 
@@ -109,9 +95,9 @@ impl SyncStrategy for Apf {
         out: &mut Vec<u64>,
     ) {
         self.ensure_capacity(global.len());
-        self.unfrozen_count = self.freeze_remaining.iter().filter(|&&r| r == 0).count();
+        let unfrozen = self.freeze_remaining.iter().filter(|&&r| r == 0).count();
         out.clear();
-        out.resize(locals.len(), self.unfrozen_count as u64);
+        out.resize(locals.len(), unfrozen as u64);
     }
 
     fn aggregate(
@@ -127,7 +113,7 @@ impl SyncStrategy for Apf {
         if selected.is_empty() {
             // Nothing usable arrived: hold the global, the EMAs and the
             // freeze counters (an average over nobody is not an update).
-            return AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0, total_scalars: n };
+            return AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0 };
         }
         let inv = 1.0 / selected.len() as f32;
         let theta = EMA_DECAY;
@@ -143,8 +129,7 @@ impl SyncStrategy for Apf {
             assert_eq!(local.len(), n, "local/global length mismatch");
             simd::axpy_with(level, &mut self.mean, inv, local);
         }
-        let config = self.config;
-        let warm = self.rounds_seen >= config.warmup_rounds;
+        let warm = self.rounds_seen >= WARMUP_ROUNDS;
         let emas = self.ema_update.iter_mut().zip(self.ema_abs_update.iter_mut());
         let freeze = self.freeze_remaining.iter_mut().zip(self.freeze_period.iter_mut());
         let state = emas.zip(freeze).zip(self.frozen_rounds.iter_mut());
@@ -169,7 +154,7 @@ impl SyncStrategy for Apf {
                 } else {
                     0.0
                 };
-                if perturbation < config.stability_threshold {
+                if perturbation < self.stability_threshold {
                     // Stable: freeze for an additively-grown period.
                     *period = (*period + PERIOD_STEP).min(MAX_PERIOD);
                     *remaining = *period;
@@ -180,7 +165,7 @@ impl SyncStrategy for Apf {
             }
         }
         self.rounds_seen += 1;
-        AggregateOutcome { broadcast_scalars: synced, synced_scalars: synced, total_scalars: n }
+        AggregateOutcome { broadcast_scalars: synced, synced_scalars: synced }
     }
 
     fn state_bytes(&self) -> usize {
@@ -230,7 +215,7 @@ mod tests {
     #[test]
     fn zigzagging_parameter_freezes_and_holds() {
         // Scalar 0 oscillates (converged); scalar 1 moves steadily.
-        let mut apf = Apf::new(ApfConfig { warmup_rounds: 2, stability_threshold: 0.1 });
+        let mut apf = Apf::new(0.1);
         let mut global = vec![0.0, 0.0];
         let mut frozen_seen = false;
         for round in 0..30 {
@@ -251,7 +236,7 @@ mod tests {
 
     #[test]
     fn freeze_period_grows_additively() {
-        let mut apf = Apf::new(ApfConfig { warmup_rounds: 1, stability_threshold: 0.1 });
+        let mut apf = Apf::new(0.1);
         let mut global = vec![0.0];
         // Perfectly oscillating scalar: every check passes.
         let mut freezes = Vec::new();
@@ -274,32 +259,36 @@ mod tests {
 
     #[test]
     fn local_drift_of_frozen_params_is_discarded() {
-        let mut apf = Apf::new(ApfConfig { warmup_rounds: 0, ..ApfConfig::default() });
+        let mut apf = Apf::default();
         let mut global = vec![5.0];
-        // Round 0: zero update -> perturbation 0 -> freezes immediately.
+        // Zero updates -> perturbation 0 -> freezes in the first warm round.
         let locals = vec![vec![5.0]];
-        run_round(&mut apf, &locals, &mut global, 0);
+        for round in 0..=WARMUP_ROUNDS {
+            run_round(&mut apf, &locals, &mut global, round);
+        }
         assert_eq!(frozen(&apf), 1);
-        // Round 1: client drifts wildly; frozen scalar must hold.
+        // Next round: client drifts wildly; frozen scalar must hold.
         let locals = vec![vec![100.0]];
-        run_round(&mut apf, &locals, &mut global, 1);
+        run_round(&mut apf, &locals, &mut global, WARMUP_ROUNDS + 1);
         assert_eq!(global, vec![5.0]);
     }
 
     #[test]
     fn uploads_count_only_unfrozen() {
-        let mut apf = Apf::new(ApfConfig { warmup_rounds: 0, ..ApfConfig::default() });
+        let mut apf = Apf::default();
         let mut global = vec![1.0, 2.0];
         let locals = vec![vec![1.0, 2.0]];
-        run_round(&mut apf, &locals, &mut global, 0); // both freeze (zero updates)
+        for round in 0..=WARMUP_ROUNDS {
+            run_round(&mut apf, &locals, &mut global, round); // both freeze once warm (zero updates)
+        }
         let mut up = Vec::new();
-        apf.prepare_uploads_into(1, &locals, &global, &mut up);
+        apf.prepare_uploads_into(WARMUP_ROUNDS + 1, &locals, &global, &mut up);
         assert_eq!(up, vec![0]);
     }
 
     #[test]
     fn skip_fractions_track_frozen_time() {
-        let mut apf = Apf::new(ApfConfig { warmup_rounds: 0, ..ApfConfig::default() });
+        let mut apf = Apf::default();
         assert!(apf.skip_fractions().is_none());
         let mut global = vec![0.0];
         let locals = vec![vec![0.0]];

@@ -1,29 +1,17 @@
 //! CMFL (Communication-Mitigated Federated Learning, Luping et al.,
 //! ICDCS'19): a client transmits its round update only when a sufficient
-//! fraction of the update's element-wise signs agree with the previous
-//! round's *global* update.
+//! fraction of the update's element-wise signs (here 0.8, the paper's
+//! default) agree with the previous round's *global* update.
 
 use fedsu_fl::strategy::average_into;
 use fedsu_fl::{AggregateOutcome, SyncStrategy};
 
-/// CMFL hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CmflConfig {
-    /// Minimum fraction of sign-consistent entries required to transmit
-    /// (paper default 0.8).
-    pub relevance_threshold: f64,
-}
-
-impl Default for CmflConfig {
-    fn default() -> Self {
-        CmflConfig { relevance_threshold: 0.8 }
-    }
-}
+/// Minimum fraction of sign-consistent entries required to transmit.
+const RELEVANCE_THRESHOLD: f64 = 0.8;
 
 /// The CMFL strategy.
 #[derive(Debug, Clone)]
 pub struct Cmfl {
-    config: CmflConfig,
     /// Previous round's global update (`None` before the first aggregation:
     /// every client transmits).
     prev_global_update: Option<Vec<f32>>,
@@ -38,10 +26,9 @@ pub struct Cmfl {
 }
 
 impl Cmfl {
-    /// Creates CMFL with the given config.
-    pub fn new(config: CmflConfig) -> Self {
+    /// Creates CMFL.
+    pub fn new() -> Self {
         Cmfl {
-            config,
             prev_global_update: None,
             transmits: Vec::new(),
             update_scratch: Vec::new(),
@@ -68,7 +55,7 @@ impl Cmfl {
 
 impl Default for Cmfl {
     fn default() -> Self {
-        Cmfl::new(CmflConfig::default())
+        Cmfl::new()
     }
 }
 
@@ -94,9 +81,7 @@ impl SyncStrategy for Cmfl {
                 for local in locals {
                     update.clear();
                     update.extend(local.iter().zip(global).map(|(l, g)| l - g));
-                    self.transmits.push(
-                        Self::relevance(&update, reference) >= self.config.relevance_threshold,
-                    );
+                    self.transmits.push(Self::relevance(&update, reference) >= RELEVANCE_THRESHOLD);
                 }
                 self.update_scratch = update;
             }
@@ -116,7 +101,7 @@ impl SyncStrategy for Cmfl {
         let n = global.len();
         if selected.is_empty() {
             // Nothing usable arrived: hold the global and the reference update.
-            return AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0, total_scalars: n };
+            return AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0 };
         }
         let mut old_global = std::mem::take(&mut self.old_scratch);
         old_global.clear();
@@ -142,11 +127,7 @@ impl SyncStrategy for Cmfl {
         let frac = transmitting.len() as f64 / selected.len() as f64;
         self.old_scratch = old_global;
         self.transmitting_scratch = transmitting;
-        AggregateOutcome {
-            broadcast_scalars: n,
-            synced_scalars: (n as f64 * frac).round() as usize,
-            total_scalars: n,
-        }
+        AggregateOutcome { broadcast_scalars: n, synced_scalars: (n as f64 * frac).round() as usize }
     }
 
     fn state_bytes(&self) -> usize {
@@ -178,7 +159,7 @@ mod tests {
 
     #[test]
     fn irrelevant_client_is_withheld() {
-        let mut s = Cmfl::new(CmflConfig { relevance_threshold: 0.8 });
+        let mut s = Cmfl::new();
         // Seed the reference update: global moves by +1 on both coords.
         let locals0 = vec![vec![1.0, 1.0], vec![1.0, 1.0]];
         let mut global = vec![0.0, 0.0];
@@ -201,7 +182,7 @@ mod tests {
 
     #[test]
     fn all_withheld_leaves_global_unchanged() {
-        let mut s = Cmfl::new(CmflConfig { relevance_threshold: 1.0 });
+        let mut s = Cmfl::new();
         let locals0 = vec![vec![1.0, 1.0]];
         let mut global = vec![0.0, 0.0];
         s.prepare_uploads_into(0, &locals0, &global, &mut Vec::new());

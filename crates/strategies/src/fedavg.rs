@@ -41,10 +41,10 @@ impl SyncStrategy for FedAvg {
         let n = global.len();
         if selected.is_empty() {
             // Nothing usable arrived: hold the global.
-            return AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0, total_scalars: n };
+            return AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0 };
         }
         average_into(locals, selected, global);
-        AggregateOutcome { broadcast_scalars: n, synced_scalars: n, total_scalars: n }
+        AggregateOutcome { broadcast_scalars: n, synced_scalars: n }
     }
 }
 
@@ -70,7 +70,6 @@ mod tests {
         assert_eq!(global, vec![4.0, 6.0]);
         assert_eq!(out.synced_scalars, 2);
         assert_eq!(out.broadcast_scalars, 2);
-        assert_eq!(out.total_scalars, 2);
     }
 
     #[test]

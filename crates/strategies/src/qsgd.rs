@@ -4,9 +4,9 @@
 //! baseline beyond the paper's three comparison schemes.
 //!
 //! Each client quantizes its round update `u = local − global` to
-//! `s` levels: `Q(u_i) = ‖u‖₂ · sign(u_i) · ξ_i`, where `ξ_i ∈ {0, 1/s, …,
-//! 1}` is a stochastic rounding of `|u_i|/‖u‖₂` (unbiased). The wire cost
-//! per scalar is `log2(s+1) + 1` bits plus one norm per client — the
+//! `s` = [`Qsgd::LEVELS`] levels: `Q(u_i) = ‖u‖₂ · sign(u_i) · ξ_i`, where
+//! `ξ_i ∈ {0, 1/s, …, 1}` is a stochastic rounding of `|u_i|/‖u‖₂`
+//! (unbiased). The wire cost per scalar is `log2(s+1) + 1` bits plus one norm per client — the
 //! compression ceiling the paper calls "relatively limited".
 
 use fedsu_fl::{AggregateOutcome, SyncStrategy};
@@ -14,32 +14,16 @@ use fedsu_tensor::simd;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Largest `levels` value whose codes fit the 7 magnitude bits of the wire
-/// format (sign bit + level byte; see [`Qsgd::quantize_to_codes`]).
-pub const MAX_WIRE_LEVELS: u32 = 126;
-
-/// QSGD hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QsgdConfig {
-    /// Number of quantization levels `s` (e.g. 15 for 4-bit magnitudes).
-    pub levels: u32,
-    /// RNG seed for the stochastic rounding (shared; deterministic runs).
-    pub seed: u64,
-}
-
-impl Default for QsgdConfig {
-    fn default() -> Self {
-        QsgdConfig { levels: 15, seed: 0x45_6D }
-    }
-}
+/// Seed of the stochastic rounding (shared; deterministic runs).
+const SEED: u64 = 0x45_6D;
+/// Per-scalar wire cost in bits: a sign and a magnitude level (`⌈log2(s+1)⌉`
+/// bits, 4 at 15 levels).
+const BITS_PER_SCALAR: u32 = u32::BITS - Qsgd::LEVELS.leading_zeros() + 1;
 
 /// The QSGD strategy.
 #[derive(Debug, Clone)]
 pub struct Qsgd {
-    config: QsgdConfig,
     rng: StdRng,
-    /// Per-scalar wire cost in bits (sign + magnitude level).
-    bits_per_scalar: f64,
     /// Round scratch: one client's raw update (reused across rounds).
     update_scratch: Vec<f32>,
     /// Round scratch: one client's wire codes (reused across rounds).
@@ -51,20 +35,13 @@ pub struct Qsgd {
 }
 
 impl Qsgd {
-    /// Creates QSGD with the given config.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `levels == 0` or `levels > MAX_WIRE_LEVELS` (the codes
-    /// would not fit the wire format's 7 magnitude bits).
-    pub fn new(config: QsgdConfig) -> Self {
-        assert!(config.levels > 0, "need at least one level");
-        assert!(config.levels <= MAX_WIRE_LEVELS, "at most {MAX_WIRE_LEVELS} levels fit the wire codes");
-        let bits = ((config.levels + 1) as f64).log2().ceil() + 1.0;
+    /// Quantization levels `s`: a magnitude takes 4 bits.
+    pub const LEVELS: u32 = 15;
+
+    /// Creates QSGD.
+    pub fn new() -> Self {
         Qsgd {
-            config,
-            rng: StdRng::seed_from_u64(config.seed),
-            bits_per_scalar: bits,
+            rng: StdRng::seed_from_u64(SEED),
             update_scratch: Vec::new(),
             codes_scratch: Vec::new(),
             q_scratch: Vec::new(),
@@ -94,14 +71,14 @@ impl Qsgd {
         if !norm.is_finite() {
             return None;
         }
-        let s = self.config.levels as f32;
+        let s = Self::LEVELS as f32;
         codes.reserve(update.len());
         for &v in update {
             let scaled = v.abs() / norm * s;
             let floor = scaled.floor();
             let level = if self.rng.gen::<f32>() < scaled - floor { floor + 1.0 } else { floor };
-            // level <= s + 1 <= 127 (rounding can land one past `s`), so the
-            // cast always fits the 7 magnitude bits.
+            // level <= s + 1 (rounding can land one past `s`), so the cast
+            // always fits the 7 magnitude bits.
             let sign = if v.is_sign_negative() { 0x80u8 } else { 0 };
             codes.push(sign | (level as u8));
         }
@@ -126,7 +103,7 @@ impl Qsgd {
     /// values `aggregate` averages; a non-finite update comes out as NaN.
     fn quantize_dequantize(&mut self, update: &[f32], codes: &mut Vec<u8>, out: &mut Vec<f32>) {
         match self.quantize_to_codes(update, codes) {
-            Some(scale) => Self::dequantize_codes_into(self.config.levels, scale, codes, out),
+            Some(scale) => Self::dequantize_codes_into(Self::LEVELS, scale, codes, out),
             None => {
                 out.clear();
                 out.resize(update.len(), f32::NAN);
@@ -137,7 +114,7 @@ impl Qsgd {
 
 impl Default for Qsgd {
     fn default() -> Self {
-        Qsgd::new(QsgdConfig::default())
+        Qsgd::new()
     }
 }
 
@@ -156,7 +133,7 @@ impl SyncStrategy for Qsgd {
         // Express the compressed payload in f32-scalar equivalents so the
         // byte accounting stays uniform across strategies.
         let equivalent =
-            ((global.len() as f64 * self.bits_per_scalar / 32.0).ceil() as u64).max(1) + 1; // + the norm
+            ((global.len() as f64 * f64::from(BITS_PER_SCALAR) / 32.0).ceil() as u64).max(1) + 1; // + the norm
         out.clear();
         out.resize(locals.len(), equivalent);
     }
@@ -171,8 +148,7 @@ impl SyncStrategy for Qsgd {
     ) -> AggregateOutcome {
         if selected.is_empty() {
             // Nothing usable arrived: hold the global; no update is quantized.
-            let n = global.len();
-            return AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0, total_scalars: n };
+            return AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0 };
         }
         let inv = 1.0 / selected.len() as f32;
         let mut mean_q = std::mem::take(&mut self.mean_scratch);
@@ -197,12 +173,8 @@ impl SyncStrategy for Qsgd {
         self.update_scratch = update;
         self.codes_scratch = codes;
         self.q_scratch = q;
-        let equivalent = (global.len() as f64 * self.bits_per_scalar / 32.0).ceil() as usize;
-        AggregateOutcome {
-            broadcast_scalars: equivalent,
-            synced_scalars: equivalent,
-            total_scalars: global.len(),
-        }
+        let equivalent = (global.len() as f64 * f64::from(BITS_PER_SCALAR) / 32.0).ceil() as usize;
+        AggregateOutcome { broadcast_scalars: equivalent, synced_scalars: equivalent }
     }
 
     fn state_bytes(&self) -> usize {
@@ -224,7 +196,7 @@ mod tests {
 
     #[test]
     fn quantization_is_unbiased_in_expectation() {
-        let mut q = Qsgd::new(QsgdConfig { levels: 4, seed: 1 });
+        let mut q = Qsgd::new();
         let update = vec![0.3f32, -0.7, 0.05, 0.0];
         let trials = 4000;
         let mut mean = vec![0.0f64; update.len()];
@@ -247,12 +219,13 @@ mod tests {
 
     #[test]
     fn quantized_values_are_on_the_grid() {
-        let mut q = Qsgd::new(QsgdConfig { levels: 4, seed: 2 });
+        let mut q = Qsgd::new();
         let update = vec![0.5f32, -0.25, 0.1];
         let norm = update.iter().map(|v| v * v).sum::<f32>().sqrt();
+        let s = Qsgd::LEVELS as f32;
         for v in quantize(&mut q, &update) {
-            let level = (v.abs() / norm * 4.0).round();
-            assert!((v.abs() / norm * 4.0 - level).abs() < 1e-5, "off-grid value {v}");
+            let level = (v.abs() / norm * s).round();
+            assert!((v.abs() / norm * s - level).abs() < 1e-5, "off-grid value {v}");
         }
     }
 
@@ -260,7 +233,7 @@ mod tests {
     fn upload_volume_reflects_bit_width() {
         // 15 levels -> 4 magnitude bits + 1 sign = 5 bits/scalar.
         let mut q = Qsgd::default();
-        assert_eq!(q.bits_per_scalar, 5.0);
+        assert_eq!(BITS_PER_SCALAR, 5);
         let locals = vec![vec![0.0; 320]];
         let mut up = Vec::new();
         q.prepare_uploads_into(0, &locals, &[0.0; 320], &mut up);
@@ -285,20 +258,8 @@ mod tests {
         let locals = vec![vec![0.5f32; 32]];
         let out = q.aggregate(0, &locals, &[0], &[true], &mut global);
         // 5/32 of full volume -> ratio ~ 1 - 5/32.
-        let ratio = 1.0 - out.synced_scalars as f64 / out.total_scalars as f64;
+        let ratio = 1.0 - out.synced_scalars as f64 / global.len() as f64;
         assert!((ratio - (1.0 - 5.0 / 32.0)).abs() < 0.05, "ratio {ratio}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one level")]
-    fn zero_levels_panics() {
-        Qsgd::new(QsgdConfig { levels: 0, seed: 0 });
-    }
-
-    #[test]
-    #[should_panic(expected = "levels fit the wire codes")]
-    fn levels_past_the_wire_codes_panic() {
-        Qsgd::new(QsgdConfig { levels: MAX_WIRE_LEVELS + 1, seed: 0 });
     }
 
     #[test]
@@ -325,7 +286,7 @@ mod tests {
         assert_eq!(scale, 0.0);
         assert_eq!(codes, vec![0, 0, 0]);
         let mut out = Vec::new();
-        Qsgd::dequantize_codes_into(15, scale, &codes, &mut out);
+        Qsgd::dequantize_codes_into(Qsgd::LEVELS, scale, &codes, &mut out);
         assert!(out.iter().all(|v| v.to_bits() == 0));
     }
 

@@ -4,30 +4,19 @@
 //! *pattern-based* sparsifiers (APF's stagnation, FedSU's linearity).
 //!
 //! Each client uploads only the `k` largest-magnitude entries of its
-//! residual-corrected update; the remainder accumulates locally and is
-//! uploaded once it grows large enough (error feedback in the classical
-//! sparsification sense).
+//! residual-corrected update (`k` is a quarter of the model, rounded up);
+//! the remainder accumulates locally and is uploaded once it grows large
+//! enough (error feedback in the classical sparsification sense).
 
 use fedsu_fl::{AggregateOutcome, SyncStrategy};
 use fedsu_tensor::simd;
 
-/// Top-K hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TopKConfig {
-    /// Fraction of scalars uploaded per client per round (0 < f <= 1).
-    pub fraction: f64,
-}
-
-impl Default for TopKConfig {
-    fn default() -> Self {
-        TopKConfig { fraction: 0.25 }
-    }
-}
+/// Fraction of scalars uploaded per client per round.
+const FRACTION: f64 = 0.25;
 
 /// The Top-K strategy.
 #[derive(Debug, Clone)]
 pub struct TopK {
-    config: TopKConfig,
     /// Per-client residuals (unsent update mass).
     residuals: Vec<Vec<f32>>,
     /// Round scratch: the averaged sparse update (reused across rounds).
@@ -39,18 +28,9 @@ pub struct TopK {
 }
 
 impl TopK {
-    /// Creates Top-K with the given config.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < fraction <= 1`.
-    pub fn new(config: TopKConfig) -> Self {
-        assert!(
-            config.fraction > 0.0 && config.fraction <= 1.0,
-            "fraction must be in (0, 1]"
-        );
+    /// Creates Top-K.
+    pub fn new() -> Self {
         TopK {
-            config,
             residuals: Vec::new(),
             mean_scratch: Vec::new(),
             order_scratch: Vec::new(),
@@ -58,8 +38,8 @@ impl TopK {
         }
     }
 
-    fn k_of(&self, n: usize) -> usize {
-        ((n as f64 * self.config.fraction).ceil() as usize).clamp(1, n)
+    fn k_of(n: usize) -> usize {
+        ((n as f64 * FRACTION).ceil() as usize).clamp(1, n)
     }
 
     fn ensure_capacity(&mut self, n_clients: usize, n_params: usize) {
@@ -77,7 +57,7 @@ impl TopK {
 
 impl Default for TopK {
     fn default() -> Self {
-        TopK::new(TopKConfig::default())
+        TopK::new()
     }
 }
 
@@ -97,7 +77,7 @@ impl SyncStrategy for TopK {
         // Indices are not mask-derivable by the server, so each uploaded
         // scalar carries index + value (2 scalar-equivalents).
         out.clear();
-        out.resize(locals.len(), (self.k_of(global.len()) * 2) as u64);
+        out.resize(locals.len(), (Self::k_of(global.len()) * 2) as u64);
     }
 
     fn aggregate(
@@ -112,9 +92,9 @@ impl SyncStrategy for TopK {
         let n = global.len();
         if selected.is_empty() {
             // Nothing usable arrived: hold the global and every residual.
-            return AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0, total_scalars: n };
+            return AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0 };
         }
-        let k = self.k_of(n);
+        let k = Self::k_of(n);
         let inv = 1.0 / selected.len() as f32;
 
         let level = simd::simd_level();
@@ -156,11 +136,7 @@ impl SyncStrategy for TopK {
         self.mean_scratch = mean_sparse;
         self.order_scratch = order;
         self.mag_scratch = mags;
-        AggregateOutcome {
-            broadcast_scalars: (2 * k).min(n),
-            synced_scalars: (2 * k).min(n),
-            total_scalars: n,
-        }
+        AggregateOutcome { broadcast_scalars: (2 * k).min(n), synced_scalars: (2 * k).min(n) }
     }
 
     fn state_bytes(&self) -> usize {
@@ -181,7 +157,7 @@ mod tests {
 
     #[test]
     fn only_top_entries_move_immediately() {
-        let mut t = TopK::new(TopKConfig { fraction: 0.25 }); // k = 1 of 4
+        let mut t = TopK::new(); // k = 1 of 4
         let mut global = vec![0.0f32; 4];
         let locals = vec![vec![0.01, 1.0, 0.02, 0.03]];
         run_round(&mut t, &locals, &mut global, 0);
@@ -192,7 +168,7 @@ mod tests {
     #[test]
     fn residual_feedback_eventually_delivers_small_updates() {
         // A small but persistent update accumulates and wins a later round.
-        let mut t = TopK::new(TopKConfig { fraction: 0.25 });
+        let mut t = TopK::new();
         let mut global = vec![0.0f32; 4];
         for round in 0..20 {
             // Scalar 0 drifts steadily by 0.1; others get one-off noise.
@@ -209,26 +185,16 @@ mod tests {
 
     #[test]
     fn upload_volume_counts_index_value_pairs() {
-        let mut t = TopK::new(TopKConfig { fraction: 0.5 });
+        let mut t = TopK::new();
         let locals = vec![vec![0.0; 10]];
         let mut up = Vec::new();
         t.prepare_uploads_into(0, &locals, &[0.0; 10], &mut up);
-        assert_eq!(up, vec![10]); // k=5, 2 scalar-equivalents each
-    }
-
-    #[test]
-    fn full_fraction_equals_fedavg_delta() {
-        let mut t = TopK::new(TopKConfig { fraction: 1.0 });
-        let mut global = vec![1.0f32, 2.0];
-        let locals = vec![vec![2.0, 4.0], vec![4.0, 0.0]];
-        run_round(&mut t, &locals, &mut global, 0);
-        // Mean of (local - global) added to global = mean of locals.
-        assert_eq!(global, vec![3.0, 2.0]);
+        assert_eq!(up, vec![6]); // k = ⌈2.5⌉ = 3, 2 scalar-equivalents each
     }
 
     #[test]
     fn unselected_clients_keep_their_residuals() {
-        let mut t = TopK::new(TopKConfig { fraction: 1.0 });
+        let mut t = TopK::new(); // k = 1 of 1
         let mut global = vec![0.0f32];
         let locals = vec![vec![1.0], vec![5.0]];
         t.prepare_uploads_into(0, &locals, &global, &mut Vec::new());
@@ -236,11 +202,5 @@ mod tests {
         t.aggregate(0, &locals, &[0], &[true, true], &mut global);
         assert_eq!(global, vec![1.0]);
         assert_eq!(t.residuals[1][0], 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction must be in")]
-    fn invalid_fraction_panics() {
-        TopK::new(TopKConfig { fraction: 0.0 });
     }
 }

@@ -4,17 +4,15 @@
 use fedsu_cases::{check, ends_then_draw, Rng};
 use fedsu_core::{FedSu, FedSuConfig};
 use fedsu_fl::{AggregateOutcome, SyncStrategy};
-use fedsu_strategies::{
-    Apf, ApfConfig, Cmfl, CmflConfig, FedAvg, Qsgd, QsgdConfig, TopK, TopKConfig,
-};
+use fedsu_strategies::{Apf, Cmfl, FedAvg, Qsgd, TopK};
 
 fn strategies() -> Vec<Box<dyn SyncStrategy>> {
     vec![
         Box::new(FedAvg::new()),
-        Box::new(Cmfl::new(CmflConfig::default())),
-        Box::new(Apf::new(ApfConfig::default())),
-        Box::new(Qsgd::new(QsgdConfig::default())),
-        Box::new(TopK::new(TopKConfig::default())),
+        Box::new(Cmfl::new()),
+        Box::new(Apf::default()),
+        Box::new(Qsgd::new()),
+        Box::new(TopK::new()),
     ]
 }
 
@@ -48,9 +46,8 @@ fn contract_holds(seed: u64, n: usize, clients: usize, rounds: usize) {
                 assert!(u <= 2 * n as u64, "{} uploads {} of {}", strategy.name(), u, n);
             }
             let out = strategy.aggregate(round, &locals, &selected, &active, &mut global);
-            assert_eq!(out.total_scalars, n, "{}", strategy.name());
-            assert!(out.synced_scalars <= out.total_scalars, "{}", strategy.name());
-            assert!(out.broadcast_scalars <= out.total_scalars, "{}", strategy.name());
+            assert!(out.synced_scalars <= n, "{}", strategy.name());
+            assert!(out.broadcast_scalars <= n, "{}", strategy.name());
             assert!(global.iter().all(|v| v.is_finite()), "{}", strategy.name());
         }
         // Skip fractions, when reported, are probabilities.
@@ -126,15 +123,15 @@ fn unanimous_shift_is_applied_by_all() {
 fn empty_selection_holds_the_global_and_all_state() {
     let all = || {
         let mut all = strategies();
-        // A short warm-up, so that masks exist by the time the empty round comes.
-        all.push(Box::new(FedSu::new(FedSuConfig { warmup_updates: 2, t_r: 0.5, ..FedSuConfig::default() })));
+        // A loose `T_R`, so that masks exist by the time the empty round comes.
+        all.push(Box::new(FedSu::new(FedSuConfig { t_r: 0.5, ..FedSuConfig::default() })));
         all
     };
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
     check("empty_selection_holds_the_global_and_all_state", CASES, |rng| {
         let seed = rng.gen_range(0u64..500);
         let (n, clients, warmup) =
-            (rng.gen_range(1usize..12), rng.gen_range(1usize..6), rng.gen_range(0usize..7));
+            (rng.gen_range(1usize..12), rng.gen_range(1usize..6), rng.gen_range(0usize..9));
         // Some clients are present in the empty round; none is selected.
         let present: Vec<bool> = (0..clients).map(|_| rng.gen_range(0u8..3) > 0).collect();
         let locals_at = |round: usize, global: &[f32]| -> Vec<Vec<f32>> {
@@ -161,7 +158,7 @@ fn empty_selection_holds_the_global_and_all_state() {
             twin.prepare_uploads_into(warmup, &locals, &twin_global, &mut Vec::new());
             let out = seen.aggregate(warmup, &locals, &[], &present, &mut global);
             assert_eq!(bits(&global), bits(&twin_global), "{name}: an empty selection moved the global");
-            let held = AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0, total_scalars: n };
+            let held = AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0 };
             assert_eq!(out, held, "{name}");
 
             let locals = locals_at(warmup + 1, &global);

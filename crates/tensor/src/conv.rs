@@ -18,7 +18,7 @@
 //! loops reuse one scratch allocation.
 
 use crate::simd::SameConv;
-use crate::{simd, Result, Tensor, TensorError};
+use crate::{simd, Result, TensorError};
 
 /// Geometry of a 2-D convolution, shared by forward and backward passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -227,22 +227,9 @@ pub fn im2col_into(image: &[f32], dims: &ConvDims, out: &mut Vec<f32>) -> Result
     Ok(())
 }
 
-/// Unrolls one image (`[C, H, W]`, flattened) into an im2col matrix of shape
-/// `[C*k*k, out_h*out_w]`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::LengthMismatch`] when `image.len()` disagrees with
-/// the geometry and [`TensorError::InvalidArgument`] for degenerate geometry.
-pub fn im2col(image: &[f32], dims: &ConvDims) -> Result<Tensor> {
-    let mut out = Vec::new();
-    im2col_into(image, dims, &mut out)?;
-    Tensor::from_vec(out, &[dims.col_rows(), dims.col_cols()])
-}
-
 /// Scatter-adds an im2col-format matrix (`[C*k*k, out_h*out_w]`, flattened)
-/// back into an image buffer of `[C, H, W]`: the slice form of [`col2im`],
-/// used by hot loops that keep the column matrix in a reused scratch buffer.
+/// back into an image buffer of `[C, H, W]`. This is the adjoint of
+/// [`im2col_into`], used to propagate gradients to the convolution input.
 ///
 /// # Errors
 ///
@@ -279,27 +266,6 @@ pub fn col2im_into(cols: &[f32], image: &mut [f32], dims: &ConvDims) -> Result<(
         crate::invariant::check_op_output("col2im", &[], image);
     }
     Ok(())
-}
-
-/// Scatter-adds an im2col-format matrix (`[C*k*k, out_h*out_w]`) back into an
-/// image buffer of `[C, H, W]`. This is the adjoint of [`im2col`], used to
-/// propagate gradients to the convolution input.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when `cols` has the wrong shape and
-/// [`TensorError::LengthMismatch`] when `image` has the wrong length.
-pub fn col2im(cols: &Tensor, image: &mut [f32], dims: &ConvDims) -> Result<()> {
-    dims.validate()?;
-    let expected_shape = [dims.col_rows(), dims.col_cols()];
-    if cols.shape() != expected_shape {
-        return Err(TensorError::ShapeMismatch {
-            left: cols.shape().to_vec(),
-            right: expected_shape.to_vec(),
-            op: "col2im",
-        });
-    }
-    col2im_into(cols.data(), image, dims)
 }
 
 /// Scratch of the direct stride-1 "same" convolution kernels, reused
@@ -464,6 +430,7 @@ pub fn conv_same_input_grad(dy: &[f32], weight: &[f32], dx: &mut [f32], dims: &C
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Tensor;
 
     #[test]
     fn output_geometry() {
@@ -479,9 +446,10 @@ mod tests {
         // 1x1 kernel, stride 1, no padding: im2col is the identity layout.
         let d = ConvDims { in_channels: 2, in_h: 2, in_w: 2, kernel: 1, stride: 1, padding: 0 };
         let img: Vec<f32> = (1..=8).map(|v| v as f32).collect();
-        let cols = im2col(&img, &d).unwrap();
-        assert_eq!(cols.shape(), &[2, 4]);
-        assert_eq!(cols.data(), img.as_slice());
+        let mut cols = Vec::new();
+        im2col_into(&img, &d, &mut cols).unwrap();
+        assert_eq!((d.col_rows(), d.col_cols()), (2, 4));
+        assert_eq!(cols, img);
     }
 
     #[test]
@@ -489,14 +457,15 @@ mod tests {
         // 1 channel 2x2 image, 3x3 kernel, pad 1, stride 1 -> out 2x2.
         let d = ConvDims { in_channels: 1, in_h: 2, in_w: 2, kernel: 3, stride: 1, padding: 1 };
         let img = [1.0, 2.0, 3.0, 4.0];
-        let cols = im2col(&img, &d).unwrap();
-        assert_eq!(cols.shape(), &[9, 4]);
+        let mut cols = Vec::new();
+        im2col_into(&img, &d, &mut cols).unwrap();
+        assert_eq!((d.col_rows(), d.col_cols(), cols.len()), (9, 4, 36));
         // Center tap (ky=1,kx=1) sees the original pixels.
-        let center = &cols.data()[4 * 4..5 * 4];
+        let center = &cols[4 * 4..5 * 4];
         assert_eq!(center, &[1.0, 2.0, 3.0, 4.0]);
         // Top-left tap (ky=0,kx=0): for out (0,0) it reads padded zero,
         // for out (1,1) it reads pixel (0,0)=1.
-        let tl = &cols.data()[0..4];
+        let tl = &cols[0..4];
         assert_eq!(tl, &[0.0, 0.0, 0.0, 1.0]);
     }
 
@@ -509,8 +478,9 @@ mod tests {
         // Same buffer, different geometry: still exactly the fresh result.
         let d2 = ConvDims { in_channels: 1, in_h: 2, in_w: 2, kernel: 3, stride: 1, padding: 1 };
         im2col_into(&[1.0, 2.0, 3.0, 4.0], &d2, &mut buf).unwrap();
-        let fresh = im2col(&[1.0, 2.0, 3.0, 4.0], &d2).unwrap();
-        assert_eq!(buf.as_slice(), fresh.data());
+        let mut fresh = Vec::new();
+        im2col_into(&[1.0, 2.0, 3.0, 4.0], &d2, &mut fresh).unwrap();
+        assert_eq!(buf, fresh);
     }
 
     #[test]
@@ -522,12 +492,12 @@ mod tests {
         let cols_n = d.col_cols();
         let y: Vec<f32> = (0..rows * cols_n).map(|i| (i as f32 * 0.11).cos()).collect();
 
-        let cx = im2col(&x, &d).unwrap();
-        let lhs: f32 = cx.data().iter().zip(&y).map(|(a, b)| a * b).sum();
+        let mut cx = Vec::new();
+        im2col_into(&x, &d, &mut cx).unwrap();
+        let lhs: f32 = cx.iter().zip(&y).map(|(a, b)| a * b).sum();
 
-        let yt = Tensor::from_vec(y, &[rows, cols_n]).unwrap();
         let mut back = vec![0.0f32; x.len()];
-        col2im(&yt, &mut back, &d).unwrap();
+        col2im_into(&y, &mut back, &d).unwrap();
         let rhs: f32 = x.iter().zip(&back).map(|(a, b)| a * b).sum();
 
         assert!((lhs - rhs).abs() < 1e-3, "adjoint mismatch: {lhs} vs {rhs}");
@@ -535,14 +505,14 @@ mod tests {
 
     #[test]
     fn col2im_into_matches_tensor_form() {
+        // A column matrix held as a `[C*k*k, out_h*out_w]` tensor scatters
+        // from its data exactly as the brute-force reference does.
         let d = ConvDims { in_channels: 1, in_h: 3, in_w: 3, kernel: 2, stride: 1, padding: 0 };
         let vals: Vec<f32> = (0..d.col_rows() * d.col_cols()).map(|i| i as f32 * 0.5).collect();
-        let yt = Tensor::from_vec(vals.clone(), &[d.col_rows(), d.col_cols()]).unwrap();
-        let mut via_tensor = vec![0.0f32; 9];
-        col2im(&yt, &mut via_tensor, &d).unwrap();
+        let yt = Tensor::from_vec(vals, &[d.col_rows(), d.col_cols()]).unwrap();
         let mut via_slice = vec![0.0f32; 9];
-        col2im_into(&vals, &mut via_slice, &d).unwrap();
-        assert_eq!(via_tensor, via_slice);
+        col2im_into(yt.data(), &mut via_slice, &d).unwrap();
+        assert_eq!(via_slice, col2im_ref(yt.data(), &d, vec![0.0; 9]));
     }
 
     /// Brute-force im2col: per-element bounds checks, no range analysis.
@@ -797,18 +767,15 @@ mod tests {
     #[test]
     fn invalid_geometry_rejected() {
         let d = ConvDims { in_channels: 1, in_h: 2, in_w: 2, kernel: 5, stride: 1, padding: 0 };
-        assert!(im2col(&[0.0; 4], &d).is_err());
+        assert!(im2col_into(&[0.0; 4], &d, &mut Vec::new()).is_err());
         let d0 = ConvDims { in_channels: 1, in_h: 2, in_w: 2, kernel: 0, stride: 1, padding: 0 };
-        assert!(im2col(&[0.0; 4], &d0).is_err());
+        assert!(im2col_into(&[0.0; 4], &d0, &mut Vec::new()).is_err());
     }
 
     #[test]
     fn wrong_buffer_lengths_rejected() {
         let d = ConvDims { in_channels: 1, in_h: 2, in_w: 2, kernel: 1, stride: 1, padding: 0 };
-        assert!(im2col(&[0.0; 3], &d).is_err());
-        let cols = Tensor::zeros(&[1, 4]);
-        let mut img = vec![0.0; 3];
-        assert!(col2im(&cols, &mut img, &d).is_err());
+        assert!(im2col_into(&[0.0; 3], &d, &mut Vec::new()).is_err());
         assert!(col2im_into(&[0.0; 3], &mut [0.0; 4], &d).is_err());
         assert!(col2im_into(&[0.0; 4], &mut [0.0; 3], &d).is_err());
     }

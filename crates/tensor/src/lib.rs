@@ -40,8 +40,8 @@ pub mod simd;
 mod tensor;
 
 pub use conv::{
-    col2im, col2im_into, conv_same_forward, conv_same_input_grad, conv_same_weight_grad, im2col,
-    im2col_into, ConvDims, SameConvScratch,
+    col2im_into, conv_same_forward, conv_same_input_grad, conv_same_weight_grad, im2col_into,
+    ConvDims, SameConvScratch,
 };
 pub use error::TensorError;
 pub use init::kaiming_uniform;

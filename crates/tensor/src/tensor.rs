@@ -383,34 +383,3 @@ mod tests {
         assert_eq!(c.data(), &[1.0, 2.0, 3.0]);
     }
 }
-
-impl Tensor {
-    /// Clamps every element into `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn clamp(&self, lo: f32, hi: f32) -> Tensor {
-        assert!(lo <= hi, "clamp bounds out of order");
-        let mut out = self.clone();
-        out.map_in_place(|v| v.clamp(lo, hi));
-        out
-    }
-}
-
-#[cfg(test)]
-mod extra_op_tests {
-    use super::*;
-
-    #[test]
-    fn clamp_bounds_values() {
-        let a = Tensor::from_slice(&[-2.0, 0.5, 3.0]);
-        assert_eq!(a.clamp(-1.0, 1.0).data(), &[-1.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of order")]
-    fn clamp_bad_bounds_panics() {
-        Tensor::zeros(&[1]).clamp(1.0, -1.0);
-    }
-}

@@ -6,7 +6,7 @@
 
 use fedsu_cases::{check, ends_then_draw, vec_of, Rng, StdRng};
 use fedsu_tensor::{
-    col2im, im2col, matmul, matmul_transpose_a, matmul_transpose_b, ConvDims, Tensor,
+    col2im_into, im2col_into, matmul, matmul_transpose_a, matmul_transpose_b, ConvDims, Tensor,
 };
 
 const CASES: u64 = 256;
@@ -119,17 +119,13 @@ fn im2col_col2im_adjoint() {
             (rng.gen_range(1usize..4), rng.gen_range(1usize..3), rng.gen_range(0usize..2));
         let dims = ConvDims { in_channels: c, in_h: h, in_w: w, kernel, stride, padding };
         let x = floats(rng, c * h * w, 10.0);
-        let cols = im2col(&x, &dims).unwrap();
-        let y = Tensor::from_vec(
-            floats(rng, dims.col_rows() * dims.col_cols(), 10.0),
-            &[dims.col_rows(), dims.col_cols()],
-        )
-        .unwrap();
+        let mut cols = Vec::new();
+        im2col_into(&x, &dims, &mut cols).unwrap();
+        let y = floats(rng, dims.col_rows() * dims.col_cols(), 10.0);
 
-        let lhs: f64 =
-            cols.data().iter().zip(y.data()).map(|(a, b)| (*a as f64) * (*b as f64)).sum();
+        let lhs: f64 = cols.iter().zip(&y).map(|(a, b)| (*a as f64) * (*b as f64)).sum();
         let mut back = vec![0.0f32; x.len()];
-        col2im(&y, &mut back, &dims).unwrap();
+        col2im_into(&y, &mut back, &dims).unwrap();
         let rhs: f64 = x.iter().zip(&back).map(|(a, b)| (*a as f64) * (*b as f64)).sum();
         assert!((lhs - rhs).abs() < 1e-2 * (1.0 + rhs.abs()), "{lhs} vs {rhs}");
     });

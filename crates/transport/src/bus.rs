@@ -128,12 +128,11 @@ impl ServerEndpoint {
 
 impl Link for ServerEndpoint {
     fn send_bytes_to(&self, peer: usize, bytes: Vec<u8>) -> Result<(), BusError> {
-        self.counter.sent(bytes.len());
-        self.to_clients
-            .get(peer)
-            .ok_or(BusError::Disconnected)?
-            .send(bytes)
-            .map_err(|_| BusError::Disconnected)
+        let len = bytes.len();
+        let to_peer = self.to_clients.get(peer).ok_or(BusError::Disconnected)?;
+        to_peer.send(bytes).map_err(|_| BusError::Disconnected)?;
+        self.counter.sent(len);
+        Ok(())
     }
 
     fn recv_bytes(&self, timeout: Duration) -> Result<Vec<u8>, BusError> {
@@ -173,11 +172,13 @@ impl ClientEndpoint {
 
 impl Link for ClientEndpoint {
     fn send_bytes_to(&self, peer: usize, bytes: Vec<u8>) -> Result<(), BusError> {
-        self.counter.sent(bytes.len());
         if peer != 0 {
             return Err(BusError::Disconnected);
         }
-        self.to_server.send(bytes).map_err(|_| BusError::Disconnected)
+        let len = bytes.len();
+        self.to_server.send(bytes).map_err(|_| BusError::Disconnected)?;
+        self.counter.sent(len);
+        Ok(())
     }
 
     fn recv_bytes(&self, timeout: Duration) -> Result<Vec<u8>, BusError> {
@@ -223,6 +224,11 @@ mod tests {
 
     const T: Duration = Duration::from_millis(500);
 
+    /// The send side of an endpoint's counters: `(bytes_sent, messages_sent)`.
+    fn sent(stats: TransportStats) -> (u64, u64) {
+        (stats.bytes_sent, stats.messages_sent)
+    }
+
     #[test]
     fn client_to_server_roundtrip() {
         let (server, clients) = LocalBus::star(2);
@@ -246,9 +252,12 @@ mod tests {
         }
         assert_eq!(server.stats().messages_sent, 3);
         assert_eq!(server.stats().bytes_sent, 15);
-        // A peer index past the star is not a peer.
+        // A peer index past the star is not a peer, and a frame sent to
+        // none is not counted.
         assert_eq!(server.send_bytes_to(3, vec![0]), Err(BusError::Disconnected));
         assert_eq!(clients[0].send_bytes_to(1, vec![0]), Err(BusError::Disconnected));
+        assert_eq!(sent(server.stats()), (15, 3));
+        assert_eq!(sent(clients[0].stats()), (0, 0));
     }
 
     #[test]
@@ -261,10 +270,14 @@ mod tests {
 
     #[test]
     fn disconnect_is_detected() {
-        let (server, clients) = LocalBus::star(1);
+        let (server, mut clients) = LocalBus::star(2);
+        drop(clients.pop());
+        assert_eq!(server.send_bytes_to(1, vec![0]).unwrap_err(), BusError::Disconnected);
+        assert_eq!(sent(server.stats()), (0, 0), "a frame to a hung-up client is not counted");
         drop(server);
         assert_eq!(clients[0].send_bytes_to(0, vec![0]).unwrap_err(), BusError::Disconnected);
         assert_eq!(clients[0].recv_bytes(T).unwrap_err(), BusError::Disconnected);
+        assert_eq!(sent(clients[0].stats()), (0, 0), "a frame to a hung-up server is not counted");
     }
 
     #[test]
@@ -318,5 +331,6 @@ mod tests {
         assert_eq!(server.peer_count(), 0);
         assert_eq!(server.send_bytes_to(0, vec![0]), Err(BusError::Disconnected));
         assert_eq!(server.recv_bytes(T), Err(BusError::Disconnected));
+        assert_eq!(server.stats(), TransportStats::default(), "nothing went anywhere");
     }
 }

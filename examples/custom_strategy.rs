@@ -53,7 +53,7 @@ impl SyncStrategy for LazySync {
                 synced += 1;
             }
         }
-        AggregateOutcome { broadcast_scalars: synced, synced_scalars: synced, total_scalars: global.len() }
+        AggregateOutcome { broadcast_scalars: synced, synced_scalars: synced }
     }
 }
 

@@ -17,7 +17,7 @@ use fedsu_fl::{
 use fedsu_netsim::{ClusterConfig, FaultConfig, FaultPlan, Link};
 use fedsu_nn::models::{self, ModelPreset};
 use fedsu_nn::Sequential;
-use fedsu_strategies::{Apf, ApfConfig, Cmfl, CmflConfig, FedAvg, Qsgd, QsgdConfig, TopK, TopKConfig};
+use fedsu_strategies::{Apf, Cmfl, FedAvg, Qsgd, TopK};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -162,13 +162,11 @@ impl StrategyKind {
     pub fn build(self) -> Box<dyn SyncStrategy> {
         match self {
             StrategyKind::FedAvg => Box::new(FedAvg::new()),
-            StrategyKind::Cmfl => Box::new(Cmfl::new(CmflConfig::default())),
-            StrategyKind::Apf => Box::new(Apf::new(ApfConfig::default())),
-            StrategyKind::ApfCalibrated => {
-                Box::new(Apf::new(ApfConfig { stability_threshold: 0.15, ..ApfConfig::default() }))
-            }
-            StrategyKind::Qsgd => Box::new(Qsgd::new(QsgdConfig::default())),
-            StrategyKind::TopK => Box::new(TopK::new(TopKConfig::default())),
+            StrategyKind::Cmfl => Box::new(Cmfl::new()),
+            StrategyKind::Apf => Box::new(Apf::default()),
+            StrategyKind::ApfCalibrated => Box::new(Apf::new(0.15)),
+            StrategyKind::Qsgd => Box::new(Qsgd::new()),
+            StrategyKind::TopK => Box::new(TopK::new()),
             StrategyKind::FedSu => Box::new(FedSu::new(FedSuConfig::default())),
             StrategyKind::FedSuCalibrated => {
                 Box::new(FedSu::new(FedSuConfig { t_r: 0.1, t_s: 10.0, ..FedSuConfig::default() }))

@@ -40,11 +40,7 @@ impl SyncStrategy for Saboteur {
         if round >= self.after {
             global[0] = f32::NAN;
         }
-        AggregateOutcome {
-            broadcast_scalars: global.len(),
-            synced_scalars: global.len(),
-            total_scalars: global.len(),
-        }
+        AggregateOutcome { broadcast_scalars: global.len(), synced_scalars: global.len() }
     }
 }
 
@@ -171,7 +167,7 @@ fn strategy_contract_violation_is_detected() {
             global: &mut [f32],
         ) -> AggregateOutcome {
             average_into(locals, selected, global);
-            AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0, total_scalars: global.len() }
+            AggregateOutcome { broadcast_scalars: 0, synced_scalars: 0 }
         }
     }
     let mut e = scenario().build_with(Box::new(ShortUploads)).unwrap();

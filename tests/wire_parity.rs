@@ -132,10 +132,8 @@ fn lossy_wire_still_matches_and_retransmission_accounting_is_shared() {
 // ---------------------------------------------------------------------------
 
 use fedsu_repro::fl::SyncStrategy;
-use fedsu_repro::strategies::{Qsgd, QsgdConfig};
+use fedsu_repro::strategies::Qsgd;
 use fedsu_repro::transport::QuantizedValues;
-
-const QCFG: QsgdConfig = QsgdConfig { levels: 15, seed: 0xC0DE };
 
 /// Deterministic per-round client drift; scalar 3 lands on `-0.0` to pin the
 /// sign-bit encoding.
@@ -150,7 +148,7 @@ fn q_update(round: usize, j: usize) -> f32 {
 /// Emulated leg: the in-process `Qsgd` strategy (quantization inside
 /// `aggregate`), recording the global after every round.
 fn qsgd_emulated_globals() -> Vec<Vec<f32>> {
-    let mut strat = Qsgd::new(QCFG);
+    let mut strat = Qsgd::new();
     let mut global = vec![0.0f32; PARAMS];
     let mut globals = Vec::with_capacity(ROUNDS);
     let mut uploads = Vec::new();
@@ -186,7 +184,7 @@ impl StarServer for QsgdServer {
         match msg {
             Message::QuantizedUpdate { round: r, client: 0, values } => {
                 assert_eq!(r, round);
-                assert_eq!(values.levels, QCFG.levels);
+                assert_eq!(values.levels, Qsgd::LEVELS);
                 assert_eq!(values.scales.len(), 1);
                 Qsgd::dequantize_codes_into(values.levels, values.scales[0], &values.codes, &mut self.deq);
                 // One selected client: mean_q = 0 + 1·q, then global += mean_q
@@ -210,7 +208,7 @@ fn qsgd_wire_leg() -> QsgdServer {
     let mut server = QsgdServer { global: vec![0.0; PARAMS], ..QsgdServer::default() };
     Star::new(1, ROUNDS as u32, FaultConfig::default())
         .run(&mut server, |_| {
-            let mut encoder = Qsgd::new(QCFG);
+            let mut encoder = Qsgd::new();
             let mut codes = Vec::new();
             move |round, msg| {
                 let Message::Model { round: r, values } = msg else {
@@ -227,7 +225,7 @@ fn qsgd_wire_leg() -> QsgdServer {
                 Ok(Message::QuantizedUpdate {
                     round,
                     client: 0,
-                    values: QuantizedValues::new(QCFG.levels, PARAMS as u32, vec![scale], codes.clone()),
+                    values: QuantizedValues::new(Qsgd::LEVELS, PARAMS as u32, vec![scale], codes.clone()),
                 })
             }
         })
