@@ -1,9 +1,10 @@
 //! Channel-based endpoints connecting one server and N clients across
 //! threads, moving opaque frames (so byte counters measure the real wire
 //! volume). A [`crate::Message`] travels only inside a session's envelope.
+//! An endpoint has one owner and counts its own traffic in a plain
+//! [`TransportStats`]: [`Link`]'s send and receive take `&mut self`.
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Cumulative traffic counters of one endpoint.
@@ -17,34 +18,6 @@ pub struct TransportStats {
     pub messages_sent: u64,
     /// Messages received.
     pub messages_received: u64,
-}
-
-/// The counters are plain saturating sums, valid after every single update,
-/// so a lock poisoned by a panicking holder is recovered rather than
-/// propagated: accounting keeps working whatever happened to that thread.
-#[derive(Debug, Default)]
-struct Counter {
-    stats: Mutex<TransportStats>,
-}
-
-impl Counter {
-    fn lock(&self) -> MutexGuard<'_, TransportStats> {
-        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-    fn sent(&self, bytes: usize) {
-        let mut s = self.lock();
-        // usize -> u64 is infallible on every supported target; saturate
-        // the conversion *and* the accumulation rather than panic so
-        // accounting can never abort a transfer (a bare `+=` still aborts
-        // debug builds on overflow, contradicting that guarantee).
-        s.bytes_sent = s.bytes_sent.saturating_add(u64::try_from(bytes).unwrap_or(u64::MAX));
-        s.messages_sent = s.messages_sent.saturating_add(1);
-    }
-    fn received(&self, bytes: usize) {
-        let mut s = self.lock();
-        s.bytes_received = s.bytes_received.saturating_add(u64::try_from(bytes).unwrap_or(u64::MAX));
-        s.messages_received = s.messages_received.saturating_add(1);
-    }
 }
 
 /// Transport errors.
@@ -72,36 +45,61 @@ impl std::error::Error for BusError {}
 /// [`ServerEndpoint`]'s peers are its clients, [`ClientEndpoint`] has exactly
 /// one, the server, at index 0. [`crate::Chaos`] decorates any
 /// implementation with deterministic wire faults.
+///
+/// An endpoint has one owner, as a socket does: sending and receiving take
+/// `&mut self`, so the borrow checker, not a lock, keeps a second caller off.
 pub trait Link {
     /// Sends one opaque frame to `peer`.
     ///
     /// # Errors
     ///
     /// Returns [`BusError::Disconnected`] when the peer is gone or unknown.
-    fn send_bytes_to(&self, peer: usize, bytes: Vec<u8>) -> Result<(), BusError>;
+    fn send_bytes_to(&mut self, peer: usize, bytes: Vec<u8>) -> Result<(), BusError>;
 
     /// Receives the next frame from any peer (blocking with timeout).
     ///
     /// # Errors
     ///
     /// Returns [`BusError::Timeout`] / [`BusError::Disconnected`].
-    fn recv_bytes(&self, timeout: Duration) -> Result<Vec<u8>, BusError>;
+    fn recv_bytes(&mut self, timeout: Duration) -> Result<Vec<u8>, BusError>;
 
     /// Number of connected peers.
     fn peer_count(&self) -> usize;
 }
 
+/// A frame's length as a byte count. usize -> u64 is infallible on every
+/// supported target; the conversion saturates, as every counter's sum does,
+/// so accounting can never abort a transfer (a bare `+=` still aborts debug
+/// builds on overflow).
+fn byte_count(bytes: &[u8]) -> u64 {
+    u64::try_from(bytes.len()).unwrap_or(u64::MAX)
+}
+
+/// Sends `bytes` on `to`, counting the frame once the channel accepted it.
+fn send_counted(
+    to: Option<&Sender<Vec<u8>>>,
+    stats: &mut TransportStats,
+    bytes: Vec<u8>,
+) -> Result<(), BusError> {
+    let len = byte_count(&bytes);
+    to.ok_or(BusError::Disconnected)?.send(bytes).map_err(|_| BusError::Disconnected)?;
+    stats.bytes_sent = stats.bytes_sent.saturating_add(len);
+    stats.messages_sent = stats.messages_sent.saturating_add(1);
+    Ok(())
+}
+
 /// Takes the next frame off `inbox`, counting it.
 fn recv_counted(
     inbox: &Receiver<Vec<u8>>,
-    counter: &Counter,
+    stats: &mut TransportStats,
     timeout: Duration,
 ) -> Result<Vec<u8>, BusError> {
     let bytes = inbox.recv_timeout(timeout).map_err(|e| match e {
         RecvTimeoutError::Timeout => BusError::Timeout,
         RecvTimeoutError::Disconnected => BusError::Disconnected,
     })?;
-    counter.received(bytes.len());
+    stats.bytes_received = stats.bytes_received.saturating_add(byte_count(&bytes));
+    stats.messages_received = stats.messages_received.saturating_add(1);
     Ok(bytes)
 }
 
@@ -110,7 +108,7 @@ fn recv_counted(
 pub struct ServerEndpoint {
     inbox: Receiver<Vec<u8>>,
     to_clients: Vec<Sender<Vec<u8>>>,
-    counter: Arc<Counter>,
+    stats: TransportStats,
 }
 
 impl std::fmt::Debug for ServerEndpoint {
@@ -122,21 +120,17 @@ impl std::fmt::Debug for ServerEndpoint {
 impl ServerEndpoint {
     /// Traffic counters for this endpoint.
     pub fn stats(&self) -> TransportStats {
-        *self.counter.lock()
+        self.stats
     }
 }
 
 impl Link for ServerEndpoint {
-    fn send_bytes_to(&self, peer: usize, bytes: Vec<u8>) -> Result<(), BusError> {
-        let len = bytes.len();
-        let to_peer = self.to_clients.get(peer).ok_or(BusError::Disconnected)?;
-        to_peer.send(bytes).map_err(|_| BusError::Disconnected)?;
-        self.counter.sent(len);
-        Ok(())
+    fn send_bytes_to(&mut self, peer: usize, bytes: Vec<u8>) -> Result<(), BusError> {
+        send_counted(self.to_clients.get(peer), &mut self.stats, bytes)
     }
 
-    fn recv_bytes(&self, timeout: Duration) -> Result<Vec<u8>, BusError> {
-        recv_counted(&self.inbox, &self.counter, timeout)
+    fn recv_bytes(&mut self, timeout: Duration) -> Result<Vec<u8>, BusError> {
+        recv_counted(&self.inbox, &mut self.stats, timeout)
     }
 
     fn peer_count(&self) -> usize {
@@ -149,7 +143,7 @@ pub struct ClientEndpoint {
     id: usize,
     to_server: Sender<Vec<u8>>,
     inbox: Receiver<Vec<u8>>,
-    counter: Arc<Counter>,
+    stats: TransportStats,
 }
 
 impl std::fmt::Debug for ClientEndpoint {
@@ -166,23 +160,18 @@ impl ClientEndpoint {
 
     /// Traffic counters for this endpoint.
     pub fn stats(&self) -> TransportStats {
-        *self.counter.lock()
+        self.stats
     }
 }
 
 impl Link for ClientEndpoint {
-    fn send_bytes_to(&self, peer: usize, bytes: Vec<u8>) -> Result<(), BusError> {
-        if peer != 0 {
-            return Err(BusError::Disconnected);
-        }
-        let len = bytes.len();
-        self.to_server.send(bytes).map_err(|_| BusError::Disconnected)?;
-        self.counter.sent(len);
-        Ok(())
+    fn send_bytes_to(&mut self, peer: usize, bytes: Vec<u8>) -> Result<(), BusError> {
+        let to = (peer == 0).then_some(&self.to_server);
+        send_counted(to, &mut self.stats, bytes)
     }
 
-    fn recv_bytes(&self, timeout: Duration) -> Result<Vec<u8>, BusError> {
-        recv_counted(&self.inbox, &self.counter, timeout)
+    fn recv_bytes(&mut self, timeout: Duration) -> Result<Vec<u8>, BusError> {
+        recv_counted(&self.inbox, &mut self.stats, timeout)
     }
 
     fn peer_count(&self) -> usize {
@@ -200,7 +189,6 @@ impl LocalBus {
     /// on it is [`BusError::Disconnected`].
     pub fn star(n: usize) -> (ServerEndpoint, Vec<ClientEndpoint>) {
         let (client_tx, server_inbox) = channel::<Vec<u8>>();
-        let server_counter = Arc::new(Counter::default());
         let mut to_clients = Vec::with_capacity(n);
         let mut clients = Vec::with_capacity(n);
         for id in 0..n {
@@ -210,10 +198,11 @@ impl LocalBus {
                 id,
                 to_server: client_tx.clone(),
                 inbox: rx,
-                counter: Arc::new(Counter::default()),
+                stats: TransportStats::default(),
             });
         }
-        let server = ServerEndpoint { inbox: server_inbox, to_clients, counter: server_counter };
+        let server =
+            ServerEndpoint { inbox: server_inbox, to_clients, stats: TransportStats::default() };
         (server, clients)
     }
 }
@@ -231,7 +220,7 @@ mod tests {
 
     #[test]
     fn client_to_server_roundtrip() {
-        let (server, clients) = LocalBus::star(2);
+        let (mut server, mut clients) = LocalBus::star(2);
         clients[1].send_bytes_to(0, vec![1, 2, 3]).unwrap();
         assert_eq!(server.recv_bytes(T).unwrap(), vec![1, 2, 3]);
         assert_eq!(server.stats().messages_received, 1);
@@ -242,11 +231,11 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_every_client() {
-        let (server, clients) = LocalBus::star(3);
+        let (mut server, mut clients) = LocalBus::star(3);
         for peer in 0..server.peer_count() {
             server.send_bytes_to(peer, vec![7; 5]).unwrap();
         }
-        for c in &clients {
+        for c in &mut clients {
             assert_eq!(c.recv_bytes(T).unwrap(), vec![7; 5]);
             assert_eq!(c.stats().bytes_received, 5);
         }
@@ -262,7 +251,7 @@ mod tests {
 
     #[test]
     fn timeout_when_no_message() {
-        let (server, clients) = LocalBus::star(1);
+        let (mut server, mut clients) = LocalBus::star(1);
         assert_eq!(server.recv_bytes(Duration::from_millis(10)).unwrap_err(), BusError::Timeout);
         assert_eq!(clients[0].recv_bytes(Duration::from_millis(10)).unwrap_err(), BusError::Timeout);
         assert_eq!(server.stats().messages_received, 0, "a timeout counts nothing");
@@ -270,7 +259,7 @@ mod tests {
 
     #[test]
     fn disconnect_is_detected() {
-        let (server, mut clients) = LocalBus::star(2);
+        let (mut server, mut clients) = LocalBus::star(2);
         drop(clients.pop());
         assert_eq!(server.send_bytes_to(1, vec![0]).unwrap_err(), BusError::Disconnected);
         assert_eq!(sent(server.stats()), (0, 0), "a frame to a hung-up client is not counted");
@@ -282,10 +271,10 @@ mod tests {
 
     #[test]
     fn cross_thread_exchange() {
-        let (server, mut clients) = LocalBus::star(2);
+        let (mut server, mut clients) = LocalBus::star(2);
         let handles: Vec<_> = clients
             .drain(..)
-            .map(|c| {
+            .map(|mut c| {
                 std::thread::spawn(move || {
                     c.send_bytes_to(0, vec![u8::try_from(c.id()).unwrap()]).unwrap();
                     c.recv_bytes(T).unwrap() == [0xFF]
@@ -307,26 +296,8 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_stats_lock_still_yields_its_data() {
-        let (server, clients) = LocalBus::star(1);
-        clients[0].send_bytes_to(0, vec![0]).unwrap();
-        server.recv_bytes(T).unwrap();
-        let counter = Arc::clone(&server.counter);
-        let holder = std::thread::spawn(move || {
-            let _guard = counter.stats.lock().unwrap();
-            panic!("holder dies with the stats lock held");
-        });
-        assert!(holder.join().is_err());
-        assert!(server.counter.stats.is_poisoned());
-        assert_eq!(server.stats().messages_received, 1);
-        clients[0].send_bytes_to(0, vec![0]).unwrap();
-        server.recv_bytes(T).unwrap();
-        assert_eq!(server.stats().messages_received, 2, "counting continues after the poisoning");
-    }
-
-    #[test]
     fn empty_star_is_a_server_with_no_peers() {
-        let (server, clients) = LocalBus::star(0);
+        let (mut server, clients) = LocalBus::star(0);
         assert!(clients.is_empty());
         assert_eq!(server.peer_count(), 0);
         assert_eq!(server.send_bytes_to(0, vec![0]), Err(BusError::Disconnected));

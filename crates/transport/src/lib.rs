@@ -19,7 +19,8 @@
 //! at index 0):
 //!
 //! * [`LocalBus`] endpoints move opaque frames between threads and count
-//!   bytes ([`Link`] is the seam, and the only way bytes leave an endpoint);
+//!   bytes ([`Link`] is the seam, and the only way bytes leave an endpoint;
+//!   it takes `&mut self`, so an endpoint has one owner and no lock);
 //! * [`Chaos`] optionally decorates a link with a seeded [`FaultPlan`]'s
 //!   wire faults — drop, corruption, duplication, reordering, delay —
 //!   every decision a pure hash of `(client, round epoch, seq, attempt)`,

@@ -841,7 +841,7 @@ mod tests {
     #[test]
     fn envelope_roundtrips() {
         for env in [
-            Envelope::data(3, 7, 11, 2, Message::Pull { client: 3 }.encode()),
+            Envelope::data(3, 7, 11, 2, Message::Shutdown.encode()),
             Envelope::data(0, 0, 0, 0, Vec::new()),
             Envelope::ack(9, 1, 5, 2),
         ] {
@@ -951,7 +951,7 @@ mod tests {
     #[test]
     fn an_envelope_ends_in_the_crc32c_of_everything_before_it() {
         for env in [
-            Envelope::data(3, 7, 11, 2, Message::Pull { client: 3 }.encode()),
+            Envelope::data(3, 7, 11, 2, Message::Shutdown.encode()),
             Envelope::data(0, 0, 0, 0, Vec::new()),
             Envelope::ack(9, 1, 5, 2),
         ] {
@@ -973,15 +973,17 @@ mod tests {
         let mut srv = ServerSession::new(server, cfg());
         let c1 = clients.remove(1);
         let model = Message::Model { round: 0, values: SparseValues::dense(vec![1.0, 2.0]) };
-        let expect = model.clone();
+        let update =
+            Message::Update { round: 0, client: 1, values: SparseValues::dense(vec![3.0]) };
+        let (expect, sent) = (model.clone(), update.clone());
         let handle = std::thread::spawn(move || {
             let mut cs = ClientSession::new(c1, 1, cfg());
-            cs.send_reliable(&Message::Pull { client: 1 }).unwrap();
+            cs.send_reliable(&update).unwrap();
             assert_eq!(cs.recv_reliable(T).unwrap(), expect);
             cs.stats()
         });
         let (from, msg) = srv.recv_reliable(T).unwrap();
-        assert_eq!((from, msg), (1, Message::Pull { client: 1 }));
+        assert_eq!((from, msg), (1, sent));
         srv.send_reliable(1, &model).unwrap();
         let client_stats = handle.join().unwrap();
 
@@ -1002,14 +1004,14 @@ mod tests {
     fn duplicate_data_frames_are_delivered_once_and_reacked() {
         let (server, mut clients) = LocalBus::star(1);
         let mut srv = ServerSession::new(server, cfg());
-        let client = clients.remove(0);
+        let mut client = clients.remove(0);
         // Hand-craft the same data frame twice (a wire duplicate).
-        let payload = Message::Pull { client: 0 }.encode();
+        let payload = Message::Shutdown.encode();
         let frame = Envelope::data(0, 0, 0, 0, payload).encode();
         client.send_bytes_to(0, frame.clone()).unwrap();
         client.send_bytes_to(0, frame).unwrap();
         let (from, msg) = srv.recv_reliable(T).unwrap();
-        assert_eq!((from, msg), (0, Message::Pull { client: 0 }));
+        assert_eq!((from, msg), (0, Message::Shutdown));
         // No second delivery; the dup was dropped but still acked.
         assert!(srv.recv_reliable(Duration::from_millis(20)).is_err());
         assert_eq!(srv.stats().data_frames_delivered, 1);
@@ -1027,8 +1029,8 @@ mod tests {
         let (server, mut clients) = LocalBus::star(1);
         let mut srv = ServerSession::new(server, cfg());
         srv.begin_epoch(3);
-        let client = clients.remove(0);
-        let frame = Envelope::data(0, 2, 0, 0, Message::Pull { client: 0 }.encode()).encode();
+        let mut client = clients.remove(0);
+        let frame = Envelope::data(0, 2, 0, 0, Message::Shutdown.encode()).encode();
         client.send_bytes_to(0, frame).unwrap();
         assert!(srv.recv_reliable(Duration::from_millis(20)).is_err());
         assert_eq!(srv.stats().stale_epoch_rejected, 1);
@@ -1041,7 +1043,7 @@ mod tests {
         // Server endpoint that never sends acks: drop the server->client
         // direction by receiving raw and never replying, then check the
         // client gives up after its budget.
-        let (server, mut clients) = LocalBus::star(1);
+        let (mut server, mut clients) = LocalBus::star(1);
         let client = clients.remove(0);
         let mut cs = ClientSession::new(
             client,
@@ -1052,7 +1054,7 @@ mod tests {
                 backoff: Duration::from_millis(5),
             },
         );
-        let err = cs.send_reliable(&Message::Pull { client: 0 }).unwrap_err();
+        let err = cs.send_reliable(&Message::Shutdown).unwrap_err();
         assert_eq!(
             err,
             SessionError::RetriesExhausted { client: 0, epoch: 0, seq: 0, attempts: 3 }
@@ -1072,9 +1074,9 @@ mod tests {
     fn corrupt_frames_are_counted_and_survived() {
         let (server, mut clients) = LocalBus::star(1);
         let mut srv = ServerSession::new(server, cfg());
-        let client = clients.remove(0);
+        let mut client = clients.remove(0);
         client.send_bytes_to(0, vec![1, 2, 3, 4]).unwrap();
-        let mut good = Envelope::data(0, 0, 0, 0, Message::Pull { client: 0 }.encode()).encode();
+        let mut good = Envelope::data(0, 0, 0, 0, Message::Shutdown.encode()).encode();
         let last = good.len() - 1;
         good[last] ^= 0xFF; // break the checksum
         client.send_bytes_to(0, good).unwrap();
@@ -1120,7 +1122,7 @@ mod tests {
     fn undecodable_payload_is_rejected_unacked_and_unadmitted() {
         let (server, mut clients) = LocalBus::star(1);
         let mut srv = ServerSession::new(server, cfg());
-        let client = clients.remove(0);
+        let mut client = clients.remove(0);
         // A sound envelope checksum around a payload that is not a Message.
         let garbage = Envelope::data(0, 0, 0, 0, vec![0xAB; 9]).encode();
         client.send_bytes_to(0, garbage).unwrap();
@@ -1132,9 +1134,9 @@ mod tests {
         assert_eq!(srv.stats().acks_sent, 0);
         // Un-admitted: a good frame with the same (epoch, seq) still
         // delivers, exactly once, and is acked.
-        let good = Envelope::data(0, 0, 0, 1, Message::Pull { client: 0 }.encode()).encode();
+        let good = Envelope::data(0, 0, 0, 1, Message::Shutdown.encode()).encode();
         client.send_bytes_to(0, good).unwrap();
-        assert_eq!(srv.recv_reliable(short), Ok((0, Message::Pull { client: 0 })));
+        assert_eq!(srv.recv_reliable(short), Ok((0, Message::Shutdown)));
         assert_eq!(srv.recv_reliable(short), Err(SessionError::Bus(BusError::Timeout)));
         assert_eq!(client.recv_bytes(short), Ok(Envelope::ack(0, 0, 0, 1).encode()));
         assert_eq!(client.recv_bytes(short), Err(BusError::Timeout));
@@ -1154,22 +1156,24 @@ mod tests {
         let sends = [(5u32, 0u32), (5, 1), (6, 0)];
         let model = Message::Model { round: 5, values: SparseValues::dense(vec![0.5, -1.0, 2.0]) };
         let payload = model.encode();
-        let (server, clients) = LocalBus::star(3);
+        let (server, mut clients) = LocalBus::star(3);
         let mut srv = ServerSession::new(server, config);
         let expected = payload.clone();
         let far_end = std::thread::spawn(move || {
             for (epoch, seq) in sends {
-                for (c, raw) in clients.iter().enumerate() {
+                for c in 0..clients.len() {
                     let stamp = u32::try_from(c).unwrap();
                     for attempt in 0..2 {
                         let want = Envelope::data(stamp, epoch, seq, attempt, expected.clone());
-                        assert_eq!(raw.recv_bytes(T), Ok(want.encode()), "client {c} {epoch}/{seq}");
+                        let got = clients[c].recv_bytes(T);
+                        assert_eq!(got, Ok(want.encode()), "client {c} {epoch}/{seq}");
                     }
                     // In client order: nobody else has been sent anything yet.
-                    for other in &clients {
+                    for other in &mut clients {
                         assert_eq!(other.recv_bytes(Duration::ZERO), Err(BusError::Timeout));
                     }
-                    raw.send_bytes_to(0, Envelope::ack(stamp, epoch, seq, 1).encode()).unwrap();
+                    let ack = Envelope::ack(stamp, epoch, seq, 1).encode();
+                    clients[c].send_bytes_to(0, ack).unwrap();
                 }
             }
         });
@@ -1185,7 +1189,7 @@ mod tests {
         assert_eq!(stats.retransmitted_bytes, 9 * payload.len() as u64);
 
         // With nobody acking, the first client's failure ends the broadcast.
-        let (server, clients) = LocalBus::star(3);
+        let (server, mut clients) = LocalBus::star(3);
         let mut srv = ServerSession::new(server, unacked());
         assert_eq!(
             srv.broadcast_reliable(&model),
@@ -1199,8 +1203,8 @@ mod tests {
     fn both_facades_put_the_same_frames_on_the_wire() {
         let quick = unacked();
         let short = Duration::from_millis(20);
-        let pull = Message::Pull { client: 9 };
-        let payload = pull.encode();
+        let msg = Message::Shutdown;
+        let payload = msg.encode();
         let (server_a, mut clients_a) = LocalBus::star(3);
         let (server_b, mut clients_b) = LocalBus::star(3);
         // (facade, raw far end and the facade's index on it, client field
@@ -1224,14 +1228,14 @@ mod tests {
                 false,
             ),
         ];
-        for (mut facade, raw, to, stamp, from, unknown_slot_delivered) in cases {
+        for (mut facade, mut raw, to, stamp, from, unknown_slot_delivered) in cases {
             // Data frames: `client` is the stamp, `seq` restarts per epoch,
             // a retransmission changes the attempt field and checksum only.
             for (epoch, sends) in [(5u32, 2u32), (6, 1)] {
                 facade.begin_epoch(epoch);
                 for seq in 0..sends {
                     assert_eq!(
-                        facade.send(&pull),
+                        facade.send(&msg),
                         Err(SessionError::RetriesExhausted { client: stamp, epoch, seq, attempts: 2 })
                     );
                     let first = raw.recv_bytes(T).unwrap();
@@ -1256,7 +1260,7 @@ mod tests {
                 raw.send_bytes_to(to, data.encode()).unwrap();
                 let got = facade.recv(short);
                 if delivered {
-                    assert_eq!(got, Ok((from, pull.clone())));
+                    assert_eq!(got, Ok((from, msg.clone())));
                 } else {
                     assert_eq!(got, Err(SessionError::Bus(BusError::Timeout)));
                 }

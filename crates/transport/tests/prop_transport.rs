@@ -7,7 +7,9 @@
 #![allow(clippy::unwrap_used)]
 
 use fedsu_cases::{check, ends_then_draw, vec_of, Rng, StdRng};
-use fedsu_transport::{DecodeError, Envelope, Message, SparseValues, ENVELOPE_OVERHEAD};
+use fedsu_transport::{
+    DecodeError, Envelope, Message, QuantizedValues, SparseValues, ENVELOPE_OVERHEAD,
+};
 
 const CASES: u64 = 128;
 
@@ -29,18 +31,36 @@ fn arb_sparse(rng: &mut StdRng) -> SparseValues {
     }
 }
 
+/// A consistent quantized payload: levels 0–126, every code's level at most
+/// `levels + 1` under a random sign bit, one finite scale per `chunk_len`
+/// codes, and `chunk_len` 0 only when no codes are carried.
+fn arb_quantized(rng: &mut StdRng) -> QuantizedValues {
+    let levels = rng.gen_range(0u32..=126);
+    let codes = vec_of(rng, 0..64, |r| {
+        let level = u8::try_from(r.gen_range(0..=levels + 1)).unwrap();
+        if r.gen() { level | 0x80 } else { level }
+    });
+    let chunk_len = rng.gen_range(u32::from(!codes.is_empty())..=8);
+    let chunks = if codes.is_empty() { 0 } else { codes.len().div_ceil(chunk_len as usize) };
+    let scales = (0..chunks).map(|_| rng.gen_range(-1e6f32..1e6)).collect();
+    QuantizedValues::new(levels, chunk_len, scales, codes)
+}
+
 fn arb_message(rng: &mut StdRng) -> Message {
-    match rng.gen_range(0u8..7) {
-        0 => Message::Pull { client: any_u32(rng) },
-        1 => Message::Model { round: any_u32(rng), values: arb_sparse(rng) },
-        2 => Message::Update { round: any_u32(rng), client: any_u32(rng), values: arb_sparse(rng) },
-        3 => Message::ErrorReport {
+    match rng.gen_range(0u8..6) {
+        0 => Message::Model { round: any_u32(rng), values: arb_sparse(rng) },
+        1 => Message::Update { round: any_u32(rng), client: any_u32(rng), values: arb_sparse(rng) },
+        2 => Message::ErrorReport {
             round: any_u32(rng),
             client: any_u32(rng),
             errors: arb_sparse(rng),
         },
-        4 => Message::JoinRequest { client: any_u32(rng) },
-        5 => Message::JoinState { payload: any_bytes(rng, 256) },
+        3 => Message::JoinState { payload: any_bytes(rng, 256) },
+        4 => Message::QuantizedUpdate {
+            round: any_u32(rng),
+            client: any_u32(rng),
+            values: arb_quantized(rng),
+        },
         _ => Message::Shutdown,
     }
 }
@@ -67,6 +87,11 @@ fn any_message_roundtrips() {
             values: SparseValues::sparse(Vec::new(), Vec::new()),
         },
         Message::JoinState { payload: Vec::new() },
+        Message::QuantizedUpdate {
+            round: 0,
+            client: 0,
+            values: QuantizedValues::new(0, 0, Vec::new(), Vec::new()),
+        },
     ] {
         assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
     }

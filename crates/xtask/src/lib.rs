@@ -3,9 +3,9 @@
 //!
 //! Panics, truncating casts and unchecked accounting arithmetic are clippy
 //! denials in the library crates, a blocking `Receiver::recv` is a
-//! `clippy.toml` disallowed method, and lock order is pinned by two probe
-//! tests (`transport/src/chaos.rs`, `tensor/src/par.rs`); `tests/fixtures.rs`
-//! shows each check firing on a seeded fixture. See DESIGN.md §9.
+//! `clippy.toml` disallowed method, and a send after `drop` is a rustc
+//! error; `tests/fixtures.rs` shows each check firing on a seeded fixture.
+//! See DESIGN.md §9.
 //! Deliberately std-only: the ratchet builds in seconds offline.
 
 pub mod benchcheck;

@@ -1,7 +1,6 @@
 //! The checks that guard the accounting and concurrency hazards, run on the
 //! seeded fixtures in `crates/xtask/fixtures/` (each names its finding's
-//! line): clippy, with the workspace's `clippy.toml`, and rustc. Then the
-//! `try_lock` probe of the lock-order test, on the shapes it must see.
+//! line): clippy, with the workspace's `clippy.toml`, and rustc.
 
 // Tests may unwrap: a panic here IS the failure report.
 #![allow(clippy::unwrap_used)]
@@ -10,7 +9,6 @@ use fedsu_xtask::benchcheck::{parse_json, Json};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, TryLockError};
 
 const ARITH: &str = "clippy::arithmetic_side_effects";
 const LIB: &[&str] = &["--crate-type", "lib"];
@@ -147,46 +145,4 @@ fn removed_ratchet_flags_are_unknown_arguments() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(said), "{args:?}: {stderr}");
     }
-}
-
-/// The lock-order probe: is `lock` held right now? From the thread that
-/// holds it, `try_lock` fails rather than deadlocking.
-fn held<T>(lock: &Mutex<T>) -> bool {
-    matches!(lock.try_lock(), Err(TryLockError::WouldBlock))
-}
-
-#[test]
-fn lock_order_fires_when_the_outer_guard_spans_a_send() {
-    // A decorator that sends under its state lock: the inner guard is a
-    // temporary, the outer one is live at the send.
-    let (outer, inner) = (Mutex::new(0), Mutex::new(7));
-    let _state = outer.lock().unwrap();
-    let batch = *inner.lock().unwrap();
-    let send = |_: i32| (held(&outer), held(&inner));
-    assert_eq!(send(batch), (true, false), "the probe sees the live outer guard only");
-}
-
-#[test]
-fn lock_order_fires_on_catch_unwind_under_a_guard() {
-    // A pool worker that keeps the queue guard across `catch_unwind(job)`.
-    let queue = Mutex::new(vec![1]);
-    let guard = queue.lock().unwrap();
-    let ran_locked = std::panic::catch_unwind(|| held(&queue)).unwrap();
-    drop(guard);
-    assert!(ran_locked, "the job sees the queue locked");
-    assert!(!held(&queue), "and the worker sees it free once the guard is gone");
-}
-
-#[test]
-fn lock_order_is_silent_on_dropped_and_shadowed_guards() {
-    // A shadowed guard would stay live to the scope's end: drop it first.
-    let (first, second) = (Mutex::new(1), Mutex::new(2));
-    let g = first.lock().unwrap();
-    let a = *g;
-    drop(g);
-    let g = second.lock().unwrap();
-    let b = *g;
-    drop(g);
-    let send = |_: i32| held(&first) || held(&second);
-    assert!(!send(a.max(b)), "both guards are gone before the send");
 }

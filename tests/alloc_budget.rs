@@ -16,7 +16,7 @@
 //! Bounds cover what cannot be pinned exactly, because threads run beside
 //! the count: a four-client run (training threads) stays under ceilings
 //! about 1.25× its measured traffic without trending upward, and the wire
-//! FedAvg leg allocates at most half an allocation over its measured count
+//! FedAvg leg allocates less than one allocation over its measured count
 //! per data frame and per retransmission — a copy of each frame on send, a
 //! copy of each payload on receive, or a message re-encoded per attempt
 //! fails the first bound, and the two sender-side copies fail the second.
@@ -225,18 +225,18 @@ fn a_round_nobody_attends_is_marked() {
 }
 
 /// A clean run of the wire FedAvg leg of `wire_parity.rs`, driven by
-/// `fedsu_transport::Star`, measures 202 allocations over 24 data frames
-/// (8.42 a frame, thread and channel setup included): each frame is written
+/// `fedsu_transport::Star`, measures 197 allocations over 24 data frames
+/// (8.21 a frame, thread and channel setup included): each frame is written
 /// once into the buffer the link takes, and the receiver decodes the message
 /// from the frame in place. A `frame.clone()` per send or a payload `to_vec`
-/// per receive reads 9.42, a message re-encoded per attempt 9.58.
+/// per receive reads 9.21, a fresh `Message::encode` per attempt 10.21.
 const MAX_CLEAN_ALLOCS_PER_FRAME: f64 = 8.8;
 
-/// What a retransmission may add: the lossy run measures 2.30 (278 − 202
+/// What a retransmission may add: the lossy run measures 2.12 (267 − 197
 /// over 33 retransmits), the new frame and the receiver's ack among them.
-/// A `frame.clone()` per send reads 3.30, a message re-encoded per attempt
-/// 4.30. (A retransmission mostly lands as a duplicate, which is never
-/// decoded, so a receive-side copy shows in the bound above only.)
+/// A `frame.clone()` per send reads 3.12, a fresh `Message::encode` per
+/// attempt 4.12. (A retransmission mostly lands as a duplicate, which is
+/// never decoded, so a receive-side copy shows in the bound above only.)
 const MAX_ALLOCS_PER_RETRANSMIT: f64 = 2.8;
 
 fn the_wire_allocates_what_it_measures() {
