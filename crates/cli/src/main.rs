@@ -42,21 +42,18 @@ THREADS:    clients train concurrently, one thread per hardware thread, and
 ";
 
 fn scenario_of(a: &RunArgs) -> Scenario {
-    let mut scenario = Scenario::new(a.model)
-        .clients(a.clients)
-        .rounds(a.rounds)
-        .alpha(a.alpha)
-        .seed(a.seed);
     let faults = FaultConfig {
         dropout_prob: a.fault_dropout,
         corrupt_prob: a.fault_corrupt,
         seed: a.fault_seed,
         ..FaultConfig::default()
     };
-    if !faults.is_zero() {
-        scenario = scenario.faults(faults);
-    }
-    scenario
+    Scenario::new(a.model)
+        .clients(a.clients)
+        .rounds(a.rounds)
+        .alpha(a.alpha)
+        .seed(a.seed)
+        .faults(faults)
 }
 
 fn write_csv(path: &str, result: &ExperimentResult) -> std::io::Result<()> {

@@ -13,7 +13,7 @@ use crate::server::Server;
 use crate::strategy::{AggregateOutcome, SyncStrategy};
 use crate::{FlError, Result};
 use fedsu_data::{dirichlet_partition, Batcher, InMemoryDataset};
-use fedsu_netsim::{Cluster, ClusterConfig, FaultPenalties, FaultPlan, RoundTimer};
+use fedsu_netsim::{Cluster, ClusterConfig, FaultConfig, FaultPenalties, RoundTimer};
 use fedsu_nn::Sequential;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -99,7 +99,7 @@ pub struct ExperimentConfig {
     /// Optional per-(client, round) participation rule.
     pub availability: Option<AvailabilityFn>,
     /// Seeded fault-injection plan (default: the zero-fault plan).
-    pub faults: FaultPlan,
+    pub faults: FaultConfig,
     /// Server-side fault-tolerance configuration (default: disabled).
     pub defense: DefenseConfig,
 }
@@ -145,7 +145,7 @@ impl ExperimentConfig {
             compute_secs: 4.0,
             model_name: model_name.to_string(),
             availability: None,
-            faults: FaultPlan::none(),
+            faults: FaultConfig::default(),
             defense: DefenseConfig::default(),
         }
     }
@@ -350,6 +350,11 @@ impl Experiment {
         if let Some(d) = config.defense.round_deadline_secs.filter(|d| d.is_nan() || *d <= 0.0) {
             return Err(FlError::BadConfig(format!("round_deadline_secs must be positive, got {d}")));
         }
+        // A NaN or negative fault probability injects nothing yet reads as a
+        // faulty plan, and one above 1 always fires.
+        if let Some(p) = config.faults.probabilities().into_iter().find(|p| !(0.0..=1.0).contains(p)) {
+            return Err(FlError::BadConfig(format!("fault probabilities must be in [0, 1], got {p}")));
+        }
         // Every client trains on at least one sample, and every evaluation
         // averages over at least one.
         if train_data.len() < n {
@@ -394,7 +399,7 @@ impl Experiment {
     /// clean-path loop: it returns [`FlError::Diverged`] when parameters
     /// become non-finite and propagates any training error. With
     /// [`DefenseConfig::enabled`], faults injected by the configured
-    /// [`FaultPlan`] are absorbed: failed or dropped clients are excluded,
+    /// [`FaultConfig`] are absorbed: failed or dropped clients are excluded,
     /// corrupted uploads are quarantined, lost uploads are retried with
     /// backoff charged to sim-time, and a poisoned aggregation rolls back to
     /// the last good checkpoint.
@@ -545,9 +550,7 @@ impl Experiment {
         for (i, ((slot, client), &ret)) in s.locals.iter_mut().zip(&self.clients).zip(&s.returned).enumerate() {
             if ret {
                 client.local_params_into(slot);
-                if faults.corrupts(i, round) {
-                    faults.corrupt_upload(i, round, slot);
-                }
+                faults.corrupt_upload(i, round, slot);
             } else {
                 slot.clear();
                 slot.extend_from_slice(self.server.global());
@@ -888,7 +891,6 @@ mod tests {
     use super::*;
     use crate::strategy::{average_into, AggregateOutcome};
     use fedsu_data::SyntheticConfig;
-    use fedsu_netsim::FaultConfig;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Plain FedAvg used as the reference strategy in runtime tests.
@@ -1096,7 +1098,7 @@ mod tests {
         let train = Arc::new(SyntheticConfig::new(2, 1, 4, 4).samples_per_class(5).build(&mut rng));
         let factory = probe_factory(&[16, 2]);
         type Tweak = fn(&mut ExperimentConfig);
-        let cases: [(&str, Tweak); 10] = [
+        let cases: [(&str, Tweak); 14] = [
             ("zero clients", |cfg| cfg.cluster.n_clients = 0),
             ("zero rounds", |cfg| cfg.rounds = 0),
             ("zero eval_every", |cfg| cfg.eval_every = 0),
@@ -1109,6 +1111,10 @@ mod tests {
             ("negative deadline, defenses on", |cfg| {
                 cfg.defense = DefenseConfig { round_deadline_secs: Some(-2.0), ..DefenseConfig::on() };
             }),
+            ("NaN dropout", |cfg| cfg.faults.dropout_prob = f64::NAN),
+            ("negative crash", |cfg| cfg.faults.crash_prob = -0.1),
+            ("upload loss above one", |cfg| cfg.faults.upload_loss_prob = 1.5),
+            ("negative wire delay", |cfg| cfg.faults.wire_delay_prob = -1.0),
         ];
         for (name, tweak) in cases {
             let mut cfg = ExperimentConfig::quick(2, 2, "probe");
@@ -1212,13 +1218,13 @@ mod tests {
     #[test]
     fn faulty_run_survives_with_defenses() {
         let mut e = quick_experiment_with(6, 8, |cfg| {
-            cfg.faults = FaultPlan::new(FaultConfig {
+            cfg.faults = FaultConfig {
                 dropout_prob: 0.2,
                 upload_loss_prob: 0.15,
                 corrupt_prob: 0.1,
                 crash_prob: 0.05,
                 ..FaultConfig::default()
-            });
+            };
             cfg.defense = DefenseConfig::on();
         });
         let result = e.run(None).unwrap();
@@ -1242,7 +1248,7 @@ mod tests {
         .run(None)
         .unwrap();
         let lossy = quick_experiment_with(4, 5, |cfg| {
-            cfg.faults = FaultPlan::new(FaultConfig { upload_loss_prob: 0.4, ..FaultConfig::default() });
+            cfg.faults = FaultConfig { upload_loss_prob: 0.4, ..FaultConfig::default() };
             cfg.defense = DefenseConfig::on();
         })
         .run(None)
@@ -1259,7 +1265,7 @@ mod tests {
         // Round r is the (r + 1)-th barren round in a row; the ninth one,
         // round 8, is one more than the budget allows.
         let err = quick_experiment_with(4, 12, |cfg| {
-            cfg.faults = FaultPlan::new(FaultConfig { upload_loss_prob: 1.0, ..FaultConfig::default() });
+            cfg.faults = FaultConfig { upload_loss_prob: 1.0, ..FaultConfig::default() };
             cfg.defense = DefenseConfig::on();
         })
         .run(None)
@@ -1270,7 +1276,7 @@ mod tests {
     #[test]
     fn corrupted_uploads_are_quarantined_not_fatal() {
         let mut e = quick_experiment_with(5, 6, |cfg| {
-            cfg.faults = FaultPlan::new(FaultConfig { corrupt_prob: 0.3, ..FaultConfig::default() });
+            cfg.faults = FaultConfig { corrupt_prob: 0.3, ..FaultConfig::default() };
             cfg.defense = DefenseConfig::on();
         });
         let mut finite = true;

@@ -43,7 +43,7 @@ pub mod strategy;
 pub use client::{Client, ClientConfig};
 pub use error::FlError;
 pub use experiment::{DefenseConfig, Experiment, ExperimentConfig, RoundHook};
-pub use fedsu_netsim::{FaultConfig, FaultPlan};
+pub use fedsu_netsim::FaultConfig;
 pub use message::{bytes_with_retries, retransmitted_bytes, scalars_to_bytes, BYTES_PER_SCALAR};
 pub use record::{ExperimentResult, RoundRecord};
 pub use schedule::LrSchedule;

@@ -47,6 +47,6 @@ mod link;
 mod round;
 
 pub use cluster::{Cluster, ClusterConfig};
-pub use faults::{FaultConfig, FaultPlan, WireFrame};
+pub use faults::{FaultConfig, WireFrame, CRASH_DOWN_ROUNDS, SLOWDOWN_FACTOR, WIRE_DELAY_DEPTH};
 pub use link::Link;
 pub use round::{FaultPenalties, RoundOutcomeTiming, RoundTimer};

@@ -300,7 +300,7 @@ mod faulty_tests {
     }
 
     #[test]
-    fn slowdown_factor_multiplies_finish_time() {
+    fn time_factor_multiplies_finish_time() {
         let c = homogeneous(2);
         let t = RoundTimer::new(&c, 1.0);
         let o = t.round_faulty(

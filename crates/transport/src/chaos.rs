@@ -1,17 +1,17 @@
 //! Deterministic wire-fault injection: a decorator over any byte link.
 //!
 //! [`Chaos`] wraps a [`Link`] — a client's ([`Chaos::client`]) or the
-//! server's ([`Chaos::server`]) — and applies a [`FaultPlan`]'s wire knobs
+//! server's ([`Chaos::server`]) — and applies a [`FaultConfig`]'s wire knobs
 //! to every frame the wrapped link *sends*: drop, bit corruption,
 //! duplication, one-slot reordering, and multi-slot delay, with independent
 //! state per destination peer. Receiving passes through untouched (each
 //! direction of a link is chaos'd by its sender, so no frame is faulted
 //! twice).
 //!
-//! Every decision is a pure hash of `(seed, link, epoch, seq, attempt)` —
-//! the same splitmix-style scheme the emulation uses for client dropouts
-//! and corruption — read from the envelope header of the frame being
-//! sent. Two consequences:
+//! Every decision is a [`FaultConfig`] method over the one keyed hash the
+//! emulation's client dropouts and corruption read, keyed `(seed, link,
+//! epoch, seq, attempt)` from the envelope header of the frame being sent.
+//! Two consequences:
 //!
 //! * runs are exactly reproducible: same seed, same traffic, same faults,
 //!   regardless of thread interleaving;
@@ -34,7 +34,7 @@
 use crate::bus::Link;
 use crate::session::{Envelope, FrameKind};
 use crate::BusError;
-use fedsu_netsim::{FaultPlan, WireFrame};
+use fedsu_netsim::{FaultConfig, WireFrame};
 use std::time::Duration;
 
 /// Counters of what the chaos decorator did, kept per peer and read
@@ -54,7 +54,7 @@ pub struct ChaosStats {
     pub duplicates: u64,
     /// Frames held back one slot (delivered after their successor).
     pub reorders: u64,
-    /// Frames held back `wire_delay_depth` slots.
+    /// Frames held back [`fedsu_netsim::WIRE_DELAY_DEPTH`] slots.
     pub delays: u64,
 }
 
@@ -141,13 +141,13 @@ fn release_due<L: Link>(
     state.pending.drain(..split).try_for_each(|p| inner.send_bytes_to(peer, p.bytes))
 }
 
-/// A [`Link`] decorator injecting the plan's deterministic wire faults into
+/// A [`Link`] decorator injecting a plan's deterministic wire faults into
 /// everything the wrapped endpoint sends, with independent chaos state per
 /// destination peer.
 #[derive(Debug)]
 pub struct Chaos<L: Link> {
     inner: L,
-    plan: FaultPlan,
+    faults: FaultConfig,
     /// `Some(id)` on client `id`'s link, whose fates are keyed `(id,
     /// DIR_TO_SERVER)`; `None` on the server's, keyed `(destination peer,
     /// DIR_TO_CLIENT)`.
@@ -156,19 +156,19 @@ pub struct Chaos<L: Link> {
 }
 
 impl<L: Link> Chaos<L> {
-    /// Wraps client `client`'s link with `plan`'s wire faults.
-    pub fn client(inner: L, plan: FaultPlan, client: usize) -> Self {
-        Self::new(inner, plan, Some(u64::try_from(client).unwrap_or(u64::MAX)))
+    /// Wraps client `client`'s link with `faults`' wire knobs.
+    pub fn client(inner: L, faults: FaultConfig, client: usize) -> Self {
+        Self::new(inner, faults, Some(u64::try_from(client).unwrap_or(u64::MAX)))
     }
 
-    /// Wraps the server link with `plan`'s wire faults.
-    pub fn server(inner: L, plan: FaultPlan) -> Self {
-        Self::new(inner, plan, None)
+    /// Wraps the server link with `faults`' wire knobs.
+    pub fn server(inner: L, faults: FaultConfig) -> Self {
+        Self::new(inner, faults, None)
     }
 
-    fn new(inner: L, plan: FaultPlan, client: Option<u64>) -> Self {
+    fn new(inner: L, faults: FaultConfig, client: Option<u64>) -> Self {
         let peers = (0..inner.peer_count()).map(|_| LinkState::default()).collect();
-        Chaos { inner, plan, client, peers }
+        Chaos { inner, faults, client, peers }
     }
 
     /// Decorator counters summed over every destination peer.
@@ -199,39 +199,38 @@ impl<L: Link> Link for Chaos<L> {
     /// delivered immediately, followed by any held frames whose tick has
     /// matured.
     fn send_bytes_to(&mut self, peer: usize, mut bytes: Vec<u8>) -> Result<(), BusError> {
-        if self.plan.wire_is_zero() {
+        if self.faults.wire_is_zero() {
             return self.inner.send_bytes_to(peer, bytes);
         }
         let (client, dir) = match self.client {
             Some(id) => (id, DIR_TO_SERVER),
             None => (u64::try_from(peer).unwrap_or(u64::MAX), DIR_TO_CLIENT),
         };
-        let plan = &self.plan;
+        let faults = &self.faults;
         let state = self.peers.get_mut(peer).ok_or(BusError::Disconnected)?;
         state.tick = state.tick.wrapping_add(1);
         state.stats.frames = state.stats.frames.saturating_add(1);
         let key = frame_key(client, dir, &bytes, state);
-        if plan.wire_drops(&key) {
+        if faults.wire_drops(&key) {
             state.stats.drops = state.stats.drops.saturating_add(1);
             state.stats.dropped_bytes = state
                 .stats
                 .dropped_bytes
                 .saturating_add(u64::try_from(bytes.len()).unwrap_or(u64::MAX));
         } else {
-            if plan.wire_corrupts(&key) {
-                plan.corrupt_frame(&key, &mut bytes);
+            if faults.corrupt_frame(&key, &mut bytes) {
                 state.stats.corruptions = state.stats.corruptions.saturating_add(1);
             }
-            let duplicate = plan.wire_duplicates(&key);
+            let duplicate = faults.wire_duplicates(&key);
             if duplicate {
                 state.stats.duplicates = state.stats.duplicates.saturating_add(1);
             }
             let hold = {
-                let d = plan.wire_delay(&key);
+                let d = faults.wire_delay(&key);
                 if d > 0 {
                     state.stats.delays = state.stats.delays.saturating_add(1);
                     d
-                } else if plan.wire_reorders(&key) {
+                } else if faults.wire_reorders(&key) {
                     state.stats.reorders = state.stats.reorders.saturating_add(1);
                     1
                 } else {
@@ -270,13 +269,8 @@ impl<L: Link> Link for Chaos<L> {
 mod tests {
     use super::*;
     use crate::{LocalBus, Message, SparseValues};
-    use fedsu_netsim::FaultConfig;
 
     const T: Duration = Duration::from_millis(500);
-
-    fn plan(config: FaultConfig) -> FaultPlan {
-        FaultPlan::new(config)
-    }
 
     fn frame(seq: u32) -> Vec<u8> {
         Envelope::data(0, 0, seq, 0, Message::Shutdown.encode()).encode()
@@ -285,7 +279,7 @@ mod tests {
     #[test]
     fn zero_plan_is_fully_transparent() {
         let (mut server, mut clients) = LocalBus::star(1);
-        let mut chaos = Chaos::client(clients.remove(0), plan(FaultConfig::default()), 0);
+        let mut chaos = Chaos::client(clients.remove(0), FaultConfig::default(), 0);
         for seq in 0..8 {
             chaos.send_bytes_to(0, frame(seq)).unwrap();
         }
@@ -309,7 +303,7 @@ mod tests {
         };
         let run = || {
             let (mut server, mut clients) = LocalBus::star(1);
-            let mut chaos = Chaos::client(clients.remove(0), plan(config), 0);
+            let mut chaos = Chaos::client(clients.remove(0), config, 0);
             for seq in 0..64 {
                 chaos.send_bytes_to(0, frame(seq)).unwrap();
             }
@@ -332,7 +326,7 @@ mod tests {
         let config =
             FaultConfig { wire_drop_prob: 1.0, seed: 3, ..FaultConfig::default() };
         let (mut server, mut clients) = LocalBus::star(1);
-        let mut chaos = Chaos::client(clients.remove(0), plan(config), 0);
+        let mut chaos = Chaos::client(clients.remove(0), config, 0);
         for seq in 0..4 {
             chaos.send_bytes_to(0, frame(seq)).unwrap();
         }
@@ -348,43 +342,40 @@ mod tests {
         let config =
             FaultConfig { wire_duplicate_prob: 1.0, seed: 11, ..FaultConfig::default() };
         let (mut server, mut clients) = LocalBus::star(1);
-        let mut chaos = Chaos::client(clients.remove(0), plan(config), 0);
+        let mut chaos = Chaos::client(clients.remove(0), config, 0);
         chaos.send_bytes_to(0, frame(0)).unwrap();
         let a = server.recv_bytes(T).unwrap();
         let b = server.recv_bytes(T).unwrap();
         assert_eq!(a, frame(0));
         assert_eq!(b, frame(0));
 
-        let config = FaultConfig {
-            wire_delay_prob: 1.0,
-            wire_delay_depth: 2,
-            seed: 11,
-            ..FaultConfig::default()
-        };
+        let config = FaultConfig { wire_delay_prob: 1.0, seed: 11, ..FaultConfig::default() };
         let (mut server, mut clients) = LocalBus::star(1);
-        let mut chaos = Chaos::client(clients.remove(0), plan(config), 0);
-        // Every frame is held 2 ticks: frame 0 (sent at tick 1, release 3)
-        // must come out only after the tick-3 send.
-        chaos.send_bytes_to(0, frame(0)).unwrap();
-        chaos.send_bytes_to(0, frame(1)).unwrap();
+        let mut chaos = Chaos::client(clients.remove(0), config, 0);
+        // Every frame is held `WIRE_DELAY_DEPTH` = 3 ticks: frame 0 (sent at
+        // tick 1, release 4) must come out only after the tick-4 send.
+        for seq in 0..3 {
+            chaos.send_bytes_to(0, frame(seq)).unwrap();
+        }
         assert!(
             server.recv_bytes(Duration::from_millis(10)).is_err(),
             "nothing released before its tick"
         );
-        chaos.send_bytes_to(0, frame(2)).unwrap();
+        chaos.send_bytes_to(0, frame(3)).unwrap();
         let got = server.recv_bytes(T).unwrap();
         assert_eq!(got, frame(0), "held frame released once the clock passes its tick");
         chaos.flush().unwrap();
-        assert_eq!(server.recv_bytes(T).unwrap(), frame(1));
-        assert_eq!(server.recv_bytes(T).unwrap(), frame(2));
-        assert_eq!(chaos.stats().delays, 3);
+        for seq in 1..4 {
+            assert_eq!(server.recv_bytes(T).unwrap(), frame(seq));
+        }
+        assert_eq!(chaos.stats().delays, 4);
     }
 
     #[test]
     fn server_side_chaos_is_per_destination() {
         let config = FaultConfig { wire_drop_prob: 0.5, seed: 5, ..FaultConfig::default() };
         let (server, mut clients) = LocalBus::star(4);
-        let mut chaos = Chaos::server(server, plan(config));
+        let mut chaos = Chaos::server(server, config);
         let payload = Message::Shutdown.encode();
         for round in 0..16u32 {
             for c in 0..4 {
@@ -419,8 +410,8 @@ mod tests {
         // direction not keyed, both links would drop the same ones.
         let config = FaultConfig { wire_drop_prob: 0.5, seed: 5, ..FaultConfig::default() };
         let (server, mut clients) = LocalBus::star(3);
-        let mut up = Chaos::client(clients.remove(2), plan(config), 2);
-        let mut down = Chaos::server(server, plan(config));
+        let mut up = Chaos::client(clients.remove(2), config, 2);
+        let mut down = Chaos::server(server, config);
         fn dropped<L: Link>(chaos: &mut Chaos<L>, peer: usize) -> Vec<bool> {
             (0..64)
                 .map(|seq| {
@@ -440,7 +431,7 @@ mod tests {
     fn corruption_flips_bits_but_keeps_length() {
         let config = FaultConfig { wire_corrupt_prob: 1.0, seed: 2, ..FaultConfig::default() };
         let (mut server, mut clients) = LocalBus::star(1);
-        let mut chaos = Chaos::client(clients.remove(0), plan(config), 0);
+        let mut chaos = Chaos::client(clients.remove(0), config, 0);
         chaos.send_bytes_to(0, frame(0)).unwrap();
         let got = server.recv_bytes(T).unwrap();
         assert_eq!(got.len(), frame(0).len());
@@ -455,9 +446,8 @@ mod tests {
         // same seq at attempt=1 passes — the property that makes bounded
         // retries converge under a deterministic plan.
         let config = FaultConfig { wire_drop_prob: 0.6, seed: 13, ..FaultConfig::default() };
-        let p = plan(config);
         let (mut server, mut clients) = LocalBus::star(1);
-        let mut chaos = Chaos::client(clients.remove(0), p, 0);
+        let mut chaos = Chaos::client(clients.remove(0), config, 0);
         let mut recovered = false;
         for seq in 0..32u32 {
             chaos.send_bytes_to(0, Envelope::data(0, 0, seq, 0, Vec::new()).encode()).unwrap();
@@ -508,7 +498,7 @@ mod tests {
 
     #[test]
     fn wire_output_is_pinned_across_versions() {
-        // Every wire fault on, delay at depth 3. A frame reaches the inner
+        // Every wire fault on. A frame reaches the inner
         // link only during a send to its own peer or the flush, and each
         // peer's channel keeps order, so the far ends' inboxes read peer by
         // peer are the order the inner link received the frames in.
@@ -518,17 +508,16 @@ mod tests {
             wire_duplicate_prob: 0.2,
             wire_reorder_prob: 0.2,
             wire_delay_prob: 0.15,
-            wire_delay_depth: 3,
             seed: 47,
             ..FaultConfig::default()
         };
         let mut hash = 0xcbf2_9ce4_8422_2325;
         let (mut server, mut clients) = LocalBus::star(3);
-        let mut up = Chaos::client(clients.remove(2), plan(config), 2);
+        let mut up = Chaos::client(clients.remove(2), config, 2);
         feed(&mut up, 64, Some(2));
         let mut count = drain_into(&mut server, 0, &mut hash);
         let (server, mut clients) = LocalBus::star(3);
-        let mut down = Chaos::server(server, plan(config));
+        let mut down = Chaos::server(server, config);
         feed(&mut down, 64, None);
         for (tag, client) in (1..).zip(&mut clients) {
             count += drain_into(client, tag, &mut hash);

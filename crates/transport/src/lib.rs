@@ -21,7 +21,7 @@
 //! * [`LocalBus`] endpoints move opaque frames between threads and count
 //!   bytes ([`Link`] is the seam, and the only way bytes leave an endpoint;
 //!   it takes `&mut self`, so an endpoint has one owner and no lock);
-//! * [`Chaos`] optionally decorates a link with a seeded [`FaultPlan`]'s
+//! * [`Chaos`] optionally decorates a link with a seeded [`FaultConfig`]'s
 //!   wire faults — drop, corruption, duplication, reordering, delay —
 //!   every decision a pure hash of `(client, round epoch, seq, attempt)`,
 //!   shared with the emulator's fault model;
@@ -63,7 +63,7 @@ mod star;
 
 pub use bus::{BusError, ClientEndpoint, Link, LocalBus, ServerEndpoint, TransportStats};
 pub use chaos::{Chaos, ChaosStats};
-pub use fedsu_netsim::{FaultConfig, FaultPlan, WireFrame};
+pub use fedsu_netsim::{FaultConfig, WireFrame};
 pub use message::{DecodeError, Message, QuantizedValues, SparseValues};
 pub use session::{
     ClientSession, Envelope, EnvelopeError, FrameKind, ReliabilityStats, ServerSession,

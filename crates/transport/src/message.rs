@@ -223,11 +223,6 @@ pub enum Message {
         /// Accumulated errors for the check set.
         errors: SparseValues,
     },
-    /// Server → client: the replicated manager state for a joiner.
-    JoinState {
-        /// Opaque manager snapshot (see `fedsu-core::JoinState`).
-        payload: Vec<u8>,
-    },
     /// Server → clients: training is over.
     Shutdown,
     /// Client → server: a quantized (QSGD-style) update — 1-byte codes plus
@@ -243,14 +238,13 @@ pub enum Message {
 }
 
 impl Message {
-    /// The message's tag byte. Tags 1 and 5 are retired and must not be
+    /// The message's tag byte. Tags 1, 5 and 6 are retired and must not be
     /// reused: they decode as [`DecodeError::BadTag`].
     fn tag(&self) -> u8 {
         match self {
             Message::Model { .. } => 2,
             Message::Update { .. } => 3,
             Message::ErrorReport { .. } => 4,
-            Message::JoinState { .. } => 6,
             Message::Shutdown => 7,
             Message::QuantizedUpdate { .. } => 8,
         }
@@ -280,10 +274,6 @@ impl Message {
                 buf.extend_from_slice(&round.to_le_bytes());
                 buf.extend_from_slice(&client.to_le_bytes());
                 values.encode_into(buf);
-            }
-            Message::JoinState { payload } => {
-                put_len(buf, payload.len());
-                buf.extend_from_slice(payload);
             }
             Message::Shutdown => {}
             Message::QuantizedUpdate { round, client, values } => {
@@ -327,11 +317,6 @@ impl Message {
                 let client = take_u32(data)?;
                 let errors = SparseValues::decode_from(data)?;
                 Ok(Message::ErrorReport { round, client, errors })
-            }
-            6 => {
-                let n = take_len(data)?;
-                let payload = take(data, n)?.to_vec();
-                Ok(Message::JoinState { payload })
             }
             7 => Ok(Message::Shutdown),
             8 => {
@@ -402,7 +387,6 @@ mod tests {
             client: 1,
             errors: SparseValues::dense(vec![]),
         });
-        roundtrip(Message::JoinState { payload: vec![1, 2, 3, 4, 5] });
         roundtrip(Message::Shutdown);
     }
 
@@ -416,7 +400,6 @@ mod tests {
                 values: SparseValues::sparse(vec![0, 5, 9], vec![0.1, 0.2, 0.3]),
             },
             quantized_msg(),
-            Message::JoinState { payload: vec![1, 2, 3, 4, 5] },
             Message::Shutdown,
         ];
         for msg in variants {
@@ -449,8 +432,8 @@ mod tests {
 
     #[test]
     fn unknown_tag_rejected() {
-        // 1 and 5 are retired tags: a body behind them must not decode.
-        for tag in [0, 1, 5, 9, 200] {
+        // 1, 5 and 6 are retired tags: a body behind them must not decode.
+        for tag in [0, 1, 5, 6, 9, 200] {
             let mut bytes = Message::Shutdown.encode();
             bytes[3] = tag;
             bytes.extend_from_slice(&7u32.to_le_bytes());

@@ -8,7 +8,7 @@ use crate::bus::{BusError, ClientEndpoint, LocalBus, ServerEndpoint};
 use crate::chaos::{Chaos, ChaosStats};
 use crate::session::{ClientSession, ReliabilityStats, ServerSession, SessionConfig, SessionError};
 use crate::Message;
-use fedsu_netsim::{FaultConfig, FaultPlan};
+use fedsu_netsim::FaultConfig;
 use std::thread::ScopedJoinHandle;
 use std::time::Duration;
 
@@ -123,7 +123,6 @@ impl Star {
         if self.clients == 0 {
             return Err(StarError::NoClients);
         }
-        let plan = FaultPlan::new(self.faults);
         let (endpoint, endpoints) = LocalBus::star(self.clients);
         std::thread::scope(|scope| {
             // Client `i`'s thread sits at index `i`.
@@ -131,12 +130,12 @@ impl Star {
                 .into_iter()
                 .map(|endpoint| {
                     let (index, id) = (endpoint.id(), client_id(endpoint.id()));
-                    let session = ClientSession::new(Chaos::client(endpoint, plan, index), id, self.session);
+                    let session = ClientSession::new(Chaos::client(endpoint, self.faults, index), id, self.session);
                     let step = step_for(id);
                     scope.spawn(move || self.client_rounds(session, id, step))
                 })
                 .collect();
-            let mut srv = ServerSession::new(Chaos::server(endpoint, plan), self.session);
+            let mut srv = ServerSession::new(Chaos::server(endpoint, self.faults), self.session);
             let served = self.serve(&mut srv, server, &mut threads);
             if served.is_ok() {
                 // TIME_WAIT: re-ack the clients' late retransmissions until

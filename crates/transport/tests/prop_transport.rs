@@ -47,7 +47,7 @@ fn arb_quantized(rng: &mut StdRng) -> QuantizedValues {
 }
 
 fn arb_message(rng: &mut StdRng) -> Message {
-    match rng.gen_range(0u8..6) {
+    match rng.gen_range(0u8..5) {
         0 => Message::Model { round: any_u32(rng), values: arb_sparse(rng) },
         1 => Message::Update { round: any_u32(rng), client: any_u32(rng), values: arb_sparse(rng) },
         2 => Message::ErrorReport {
@@ -55,8 +55,7 @@ fn arb_message(rng: &mut StdRng) -> Message {
             client: any_u32(rng),
             errors: arb_sparse(rng),
         },
-        3 => Message::JoinState { payload: any_bytes(rng, 256) },
-        4 => Message::QuantizedUpdate {
+        3 => Message::QuantizedUpdate {
             round: any_u32(rng),
             client: any_u32(rng),
             values: arb_quantized(rng),
@@ -86,7 +85,6 @@ fn any_message_roundtrips() {
             client: u32::MAX,
             values: SparseValues::sparse(Vec::new(), Vec::new()),
         },
-        Message::JoinState { payload: Vec::new() },
         Message::QuantizedUpdate {
             round: 0,
             client: 0,

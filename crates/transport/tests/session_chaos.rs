@@ -194,7 +194,6 @@ fn soak_random_plans_all_converge_exactly_once() {
             wire_duplicate_prob: unit(case, 3) * 0.15,
             wire_reorder_prob: unit(case, 4) * 0.15,
             wire_delay_prob: unit(case, 5) * 0.1,
-            wire_delay_depth: 1 + (case % 3) as usize,
             seed: 0x50AC ^ case,
             ..FaultConfig::default()
         };

@@ -14,7 +14,7 @@ use fedsu_fl::experiment::ModelFactory;
 use fedsu_fl::{
     scalars_to_bytes, ClientConfig, DefenseConfig, Experiment, ExperimentConfig, SyncStrategy,
 };
-use fedsu_netsim::{ClusterConfig, FaultConfig, FaultPlan, Link};
+use fedsu_netsim::{ClusterConfig, FaultConfig, Link};
 use fedsu_nn::models::{self, ModelPreset};
 use fedsu_nn::Sequential;
 use fedsu_strategies::{Apf, Cmfl, FedAvg, Qsgd, TopK};
@@ -356,7 +356,7 @@ impl Scenario {
             compute_secs: comm * self.model.compute_ratio(),
             model_name: self.model.name().to_string(),
             availability: None,
-            faults: FaultPlan::new(self.faults),
+            faults: self.faults,
             defense: self.defense.unwrap_or_else(|| {
                 if self.faults.is_zero() {
                     DefenseConfig::default()

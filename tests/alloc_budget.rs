@@ -96,7 +96,6 @@ fn faulty() -> FaultConfig {
     FaultConfig {
         dropout_prob: 0.2,
         slowdown_prob: 0.3,
-        slowdown_factor: 2.0,
         corrupt_prob: 0.2,
         upload_loss_prob: 0.3,
         seed: 0xFA17,
@@ -232,11 +231,12 @@ fn a_round_nobody_attends_is_marked() {
 /// per receive reads 9.21, a fresh `Message::encode` per attempt 10.21.
 const MAX_CLEAN_ALLOCS_PER_FRAME: f64 = 8.8;
 
-/// What a retransmission may add: the lossy run measures 2.12 (267 − 197
-/// over 33 retransmits), the new frame and the receiver's ack among them.
-/// A `frame.clone()` per send reads 3.12, a fresh `Message::encode` per
-/// attempt 4.12. (A retransmission mostly lands as a duplicate, which is
-/// never decoded, so a receive-side copy shows in the bound above only.)
+/// What a retransmission may add: the lossy run measures 2.09 (268 − 197
+/// over 34 retransmits), the new frame and the receiver's ack among them.
+/// A `frame.clone()` per send adds one more (3.09), a fresh
+/// `Message::encode` per attempt two (4.09). (A retransmission mostly lands
+/// as a duplicate, which is never decoded, so a receive-side copy shows in
+/// the bound above only.)
 const MAX_ALLOCS_PER_RETRANSMIT: f64 = 2.8;
 
 fn the_wire_allocates_what_it_measures() {

@@ -92,7 +92,7 @@ fn gradient_clipping_keeps_aggressive_lr_stable() {
         compute_secs: 1.0,
         model_name: "mlp".to_string(),
         availability: None,
-        faults: fedsu_repro::netsim::FaultPlan::none(),
+        faults: fedsu_repro::netsim::FaultConfig::default(),
         defense: fedsu_repro::fl::DefenseConfig::default(),
     };
     // Without clipping this lr diverges (checked in failure_injection.rs

@@ -129,7 +129,7 @@ fn huge_learning_rate_diverges_cleanly() {
         compute_secs: 1.0,
         model_name: "mlp".to_string(),
         availability: None,
-        faults: fedsu_repro::netsim::FaultPlan::none(),
+        faults: fedsu_repro::netsim::FaultConfig::default(),
         defense: fedsu_repro::fl::DefenseConfig::default(),
     };
     let mut e = Experiment::new(config, factory, Arc::new(train), Arc::new(test), Box::new(FedAvg::new())).unwrap();

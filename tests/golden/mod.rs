@@ -30,9 +30,7 @@ pub fn hostile_faults() -> FaultConfig {
         upload_loss_prob: 0.2,
         corrupt_prob: 0.15,
         slowdown_prob: 0.2,
-        slowdown_factor: 3.0,
         crash_prob: 0.08,
-        crash_down_rounds: 2,
         seed: 0xFA17,
         ..FaultConfig::default()
     }
