@@ -269,8 +269,9 @@ struct RoundScratch {
 }
 
 impl RoundScratch {
-    /// Sizes the filtered members once so nothing in the loop grows past
-    /// capacity, and takes the rollback checkpoint when defenses are on.
+    /// Sizes the filtered members and the `n` upload rows once so nothing
+    /// in the loop grows past capacity, and takes the rollback checkpoint
+    /// when defenses are on.
     fn new(n: usize, global: &[f32], defense: DefenseConfig) -> Self {
         let mut scratch = RoundScratch {
             // Round-0 download: every client pulls the full initial model.
@@ -279,6 +280,10 @@ impl RoundScratch {
             ..RoundScratch::default()
         };
         scratch.was_active.resize(n, false);
+        // The rows are filled on the fan-out's threads; reserving them here
+        // keeps them in the calling thread's heap rather than growing them
+        // in each worker's allocator arena.
+        scratch.locals.resize_with(n, || Vec::with_capacity(global.len()));
         scratch.survivors.reserve(n);
         scratch.finite_norms.reserve(n);
         scratch
@@ -481,12 +486,14 @@ impl Experiment {
         }));
     }
 
-    /// Phase 2 — train: every present client pulls the current global and
-    /// trains locally, in parallel, with per-client panic capture. A failed
-    /// client is absorbed with defenses on and aborts the run with them off.
+    /// Phase 2 — train: every present client pulls the current global,
+    /// trains locally and flattens its parameters into its upload row, in
+    /// parallel, with per-client panic capture. A failed client is absorbed
+    /// with defenses on and aborts the run with them off.
     fn train_clients(&mut self, round: usize, s: &mut RoundScratch) -> Result<()> {
         let (global, threads) = (self.server.global(), fedsu_tensor::hardware_threads());
-        train_all(&mut self.clients, &s.active, global, round, threads, &mut s.train_results);
+        let (active, locals, results) = (&s.active, &mut s.locals, &mut s.train_results);
+        train_all(&mut self.clients, active, global, round, threads, locals, results);
         s.train_losses.clear();
         s.train_losses.resize(self.clients.len(), 0.0);
         for ((res, loss), fate) in s.train_results.iter_mut().zip(&mut s.train_losses).zip(&mut s.fate) {
@@ -540,16 +547,14 @@ impl Experiment {
         Ok(delivered)
     }
 
-    /// Phase 4 — collect: the local parameters of every client that
-    /// delivered; corruption hits the payload after training, on the wire.
-    /// A client whose upload never arrived contributes the unchanged global
-    /// and is never aggregated.
+    /// Phase 4 — collect: the fan-out already wrote every trained client's
+    /// local parameters into its row; corruption hits a delivered payload
+    /// after training, on the wire. A client whose upload never arrived
+    /// contributes the unchanged global and is never aggregated.
     fn collect_locals(&self, round: usize, s: &mut RoundScratch) {
         let faults = self.config.faults;
-        s.locals.resize_with(self.clients.len(), Vec::new);
-        for (i, ((slot, client), &ret)) in s.locals.iter_mut().zip(&self.clients).zip(&s.returned).enumerate() {
+        for (i, (slot, &ret)) in s.locals.iter_mut().zip(&s.returned).enumerate() {
             if ret {
-                client.local_params_into(slot);
                 faults.corrupt_upload(i, round, slot);
             } else {
                 slot.clear();
@@ -658,7 +663,7 @@ impl Experiment {
                 *fate = Fate::Aggregated;
             }
         }
-        if self.server.global().iter().any(|v| !v.is_finite()) {
+        if has_non_finite(self.server.global()) {
             match s.checkpoint.as_ref() {
                 Some(cp) => {
                     self.server.global_mut().copy_from_slice(cp);
@@ -777,17 +782,12 @@ fn validate_uploads_into(
         if !ret {
             continue;
         }
-        let mut finite = true;
-        let mut sq = 0.0f64;
-        for (a, b) in local.iter().zip(global) {
-            if !a.is_finite() {
-                finite = false;
-                break;
-            }
-            let d = f64::from(a - b);
-            sq += d * d;
-        }
-        if finite {
+        // The scan covers what the norm reads: the pairs `zip` makes.
+        if !has_non_finite(local.get(..global.len()).unwrap_or(local)) {
+            let sq = local.iter().zip(global).fold(0.0f64, |sq, (a, b)| {
+                let d = f64::from(a - b);
+                sq + d * d
+            });
             #[allow(clippy::cast_possible_truncation, reason = "an f64 norm, compared in f32")]
             let rounded = sq.sqrt() as f32;
             *norm = rounded;
@@ -815,12 +815,28 @@ fn validate_uploads_into(
     }
 }
 
-/// Pulls the global into one client and trains it for one round, converting
-/// a panic anywhere inside into [`FlError::ClientFailed`].
-fn train_one(client: &mut Client, id: usize, global: &[f32], round: usize) -> Result<f32> {
+/// Whether any scalar is NaN or infinite. Folds without short-circuiting,
+/// which vectorises: a clean row, the common case, is read whole anyway.
+fn has_non_finite(values: &[f32]) -> bool {
+    values.iter().fold(false, |any, v| any | !v.is_finite())
+}
+
+/// Pulls the global into one client, trains it for one round and, if that
+/// succeeded, flattens its parameters into `local` — on the thread that
+/// trained it, while they are still in its cache. A panic anywhere inside
+/// becomes [`FlError::ClientFailed`].
+fn train_one(
+    client: &mut Client,
+    id: usize,
+    global: &[f32],
+    round: usize,
+    local: &mut Vec<f32>,
+) -> Result<f32> {
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> Result<f32> {
         client.pull(global)?;
-        client.train_round(round)
+        let loss = client.train_round(round)?;
+        client.local_params_into(local);
+        Ok(loss)
     }));
     match caught {
         Ok(res) => res,
@@ -835,35 +851,41 @@ fn train_one(client: &mut Client, id: usize, global: &[f32], round: usize) -> Re
 /// thread. Fills `out` — reusing its allocation — with one result
 /// per client: `Ok(mean training loss)` (0.0 for inactive clients) or the
 /// client's individual failure — a panicking client never aborts the
-/// process. Each thread writes straight into its disjoint chunk of `out`, so
-/// the fan-out stages no per-thread result buffers, and a client's result
-/// never depends on `threads`.
+/// process. A client that trained writes its flattened parameters into its
+/// row of `locals` (one row per client, reusing each row's allocation); the
+/// rows of inactive and failed clients are left as they were. Each thread
+/// writes straight into its disjoint chunks of `out` and `locals`, so the
+/// fan-out stages no per-thread buffers, and a client's result never depends
+/// on `threads`.
 fn train_all(
     clients: &mut [Client],
     active: &[bool],
     global: &[f32],
     round: usize,
     threads: usize,
+    locals: &mut [Vec<f32>],
     out: &mut Vec<Result<f32>>,
 ) {
     out.clear();
     out.resize_with(clients.len(), || Ok(0.0f32));
     let chunk = clients.len().div_ceil(threads.max(1)).max(1);
-    let train_chunk = |first: usize, chunk_clients: &mut [Client], chunk_out: &mut [Result<f32>]| {
-        for (id, (client, slot)) in (first..).zip(chunk_clients.iter_mut().zip(chunk_out.iter_mut())) {
+    let train_chunk = |first: usize, clients: &mut [Client], locals: &mut [Vec<f32>], out: &mut [Result<f32>]| {
+        let rows = locals.iter_mut().zip(out.iter_mut());
+        for (id, (client, (local, slot))) in (first..).zip(clients.iter_mut().zip(rows)) {
             if active.get(id).is_some_and(|&a| a) {
-                *slot = train_one(client, id, global, round);
+                *slot = train_one(client, id, global, round, local);
             }
         }
     };
     let dead_chunks = std::thread::scope(|s| {
-        let mut chunks = clients.chunks_mut(chunk).zip(out.chunks_mut(chunk)).enumerate();
+        let rows = locals.chunks_mut(chunk).zip(out.chunks_mut(chunk));
+        let mut chunks = clients.chunks_mut(chunk).zip(rows).enumerate();
         let last = chunks.next_back();
         let handles: Vec<_> = chunks
-            .map(|(ci, (c, o))| s.spawn(move || train_chunk(ci.saturating_mul(chunk), c, o)))
+            .map(|(ci, (c, (l, o)))| s.spawn(move || train_chunk(ci.saturating_mul(chunk), c, l, o)))
             .collect();
-        if let Some((ci, (c, o))) = last {
-            train_chunk(ci.saturating_mul(chunk), c, o);
+        if let Some((ci, (c, (l, o)))) = last {
+            train_chunk(ci.saturating_mul(chunk), c, l, o);
         }
         // A chunk thread dying outside the per-client capture should be
         // unreachable; report which chunks (if any) did so the caller's
@@ -1185,34 +1207,101 @@ mod tests {
         // Kernels run serially on whichever thread trains their client, so
         // the fan-out width decides only which thread runs a client: four
         // clients on one thread and on three (two chunks of two) must agree
-        // bit for bit, round after round. Client 2 sits out, so a chunk
-        // that reads the wrong `active` slots trains the wrong clients.
+        // bit for bit, round after round, in the losses and in the rows the
+        // fan-out writes. Client 2 sits out, so a chunk that reads the wrong
+        // `active` slots trains the wrong clients, and its row must keep the
+        // marker it was handed.
+        let marker = [f32::from_bits(0x7fc0_0bad)];
         let train_at = |threads: usize| {
             let mut e = quick_experiment(4, 1);
             let global = e.server.global().to_vec();
-            let mut out = Vec::new();
-            let mut losses = Vec::new();
+            let (mut out, mut losses) = (Vec::new(), Vec::new());
+            let mut rows = Vec::new();
             for round in 0..3 {
-                train_all(&mut e.clients, &[true, true, false, true], &global, round, threads, &mut out);
+                let mut locals = vec![marker.to_vec(); 4];
+                let active = [true, true, false, true];
+                train_all(&mut e.clients, &active, &global, round, threads, &mut locals, &mut out);
                 losses.extend(out.iter().map(|r| r.as_ref().unwrap().to_bits()));
+                rows.extend(locals.iter().map(|l| l.iter().map(|v| v.to_bits()).collect::<Vec<_>>()));
             }
-            let mut local = Vec::new();
-            let locals: Vec<Vec<u32>> = e
-                .clients
-                .iter()
-                .map(|c| {
-                    c.local_params_into(&mut local);
-                    local.iter().map(|v| v.to_bits()).collect()
-                })
-                .collect();
-            (losses, locals)
+            (losses, rows)
         };
-        let (serial_losses, serial_locals) = train_at(1);
-        let (fanned_losses, fanned_locals) = train_at(3);
+        let (serial_losses, serial_rows) = train_at(1);
+        let (fanned_losses, fanned_rows) = train_at(3);
         assert_eq!(serial_losses.len(), 12);
         assert_eq!(serial_losses[2], 0.0f32.to_bits(), "client 2 sat out");
         assert_eq!(serial_losses, fanned_losses, "the fan-out width changed a training loss");
-        assert_eq!(serial_locals, fanned_locals, "the fan-out width changed a client's parameters");
+        let param_count = quick_experiment(4, 1).param_count();
+        for (i, row) in serial_rows.iter().enumerate() {
+            if i % 4 == 2 {
+                assert_eq!(row, &[marker[0].to_bits()], "inactive client 2's row was written");
+            } else {
+                assert_eq!(row.len(), param_count, "row {i} holds no flattened upload");
+            }
+        }
+        assert_eq!(serial_rows, fanned_rows, "the fan-out width changed a client's upload row");
+    }
+
+    /// Wraps [`TestAvg`] and checks, at every aggregation, each client's
+    /// `locals` row against the pre-aggregate global: bit for bit equal for
+    /// a client the fault plan dropped after training, different for one
+    /// that delivered. Counts the dropped rows it checked.
+    struct UndeliveredRowsProbe {
+        faults: FaultConfig,
+        checked: Arc<AtomicUsize>,
+    }
+    impl SyncStrategy for UndeliveredRowsProbe {
+        fn name(&self) -> &str {
+            "test-undelivered-rows"
+        }
+        fn prepare_uploads_into(
+            &mut self,
+            round: usize,
+            locals: &[Vec<f32>],
+            global: &[f32],
+            out: &mut Vec<u64>,
+        ) {
+            TestAvg.prepare_uploads_into(round, locals, global, out);
+        }
+        fn aggregate(
+            &mut self,
+            round: usize,
+            locals: &[Vec<f32>],
+            selected: &[usize],
+            active: &[bool],
+            global: &mut [f32],
+        ) -> AggregateOutcome {
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (i, (row, &valid)) in locals.iter().zip(active).enumerate() {
+                if self.faults.dropout(i, round) {
+                    assert!(!valid, "round {round}: dropped client {i} counted as valid");
+                    assert_eq!(bits(row), bits(global), "round {round}: dropped client {i}'s row");
+                    self.checked.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    assert_ne!(bits(row), bits(global), "round {round}: client {i} uploaded the global");
+                }
+            }
+            TestAvg.aggregate(round, locals, selected, active, global)
+        }
+    }
+
+    #[test]
+    fn undelivered_rows_hold_the_pre_aggregate_global() {
+        // Every client is present and trains, so the fan-out writes all six
+        // rows each round; about half then drop out before delivering, and
+        // `collect_locals` must hand the strategy the global in their place.
+        let faults = FaultConfig { dropout_prob: 0.5, ..FaultConfig::default() };
+        let checked = Arc::new(AtomicUsize::new(0));
+        let probe = Box::new(UndeliveredRowsProbe { faults, checked: Arc::clone(&checked) });
+        let result = quick_experiment_of(probe, 6, 6, |cfg| {
+            cfg.faults = faults;
+            cfg.defense = DefenseConfig::on();
+        })
+        .run(None)
+        .unwrap();
+        let dropped = checked.load(Ordering::Relaxed);
+        assert!(dropped > 0, "the plan should drop someone in an aggregated round");
+        assert!(result.total_dropped() >= dropped);
     }
 
     #[test]
@@ -1323,7 +1412,7 @@ mod tests {
                 clip_norm: None,
             },
         );
-        let err = train_one(&mut client, 0, &[], 0).unwrap_err();
+        let err = train_one(&mut client, 0, &[], 0, &mut Vec::new()).unwrap_err();
         assert_eq!(err, FlError::ClientFailed { id: 0 });
     }
 

@@ -47,6 +47,23 @@ fn max_step_numbers(best: (f32, usize), next: (f32, usize)) -> (f32, usize) {
     }
 }
 
+/// The paper CNN's 2×2 window over one NaN-free band, straight-line: the
+/// top row `r0` and bottom row `r1` into `orow` and `arow`, where `start` is
+/// `r0[0]`'s flat index. Kept out of line so its index and cursors live in
+/// registers rather than beside [`MaxPool2d::forward`]'s iterator state.
+#[inline(never)]
+fn max_pool_2x2_row(r0: &[f32], r1: &[f32], start: usize, orow: &mut [f32], arow: &mut [usize]) {
+    let w = r0.len();
+    let (top, _) = r0.as_chunks::<2>();
+    let (bottom, _) = r1.as_chunks::<2>();
+    let mut i = start;
+    for ((&[t0, t1], &[b0, b1]), (o, a)) in top.iter().zip(bottom).zip(orow.iter_mut().zip(arow)) {
+        let best = max_step_numbers(max_step_numbers((t0, i), (t1, i + 1)), (b0, i + w));
+        (*o, *a) = max_step_numbers(best, (b1, i + w + 1));
+        i += 2;
+    }
+}
+
 /// Non-overlapping max pooling with square window `k` and stride `k`.
 ///
 /// Input spatial dims must be divisible by `k`. Each window's output is its
@@ -99,14 +116,7 @@ impl Layer for MaxPool2d {
                 // `max_step` wherever no NaN is seen.
                 let nan = band.iter().fold(false, |any, v| any | v.is_nan());
                 if let (2, false, Some((r0, r1))) = (k, nan, band.split_at_checked(w)) {
-                    // The paper CNN's window, straight-line.
-                    let cells = r0.chunks_exact(2).zip(r1.chunks_exact(2)).zip(orow.iter_mut().zip(arow.iter_mut()));
-                    for (ox, ((top, bottom), (o, a))) in cells.enumerate() {
-                        let (&[t0, t1], &[b0, b1]) = (top, bottom) else { continue };
-                        let i = band_start + 2 * ox;
-                        let best = max_step_numbers(max_step_numbers((t0, i), (t1, i + 1)), (b0, i + w));
-                        (*o, *a) = max_step_numbers(best, (b1, i + w + 1));
-                    }
+                    max_pool_2x2_row(r0, r1, band_start, orow, arow);
                     continue;
                 }
                 for (ox, (o, a)) in orow.iter_mut().zip(arow.iter_mut()).enumerate() {

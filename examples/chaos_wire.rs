@@ -6,6 +6,12 @@
 //! counters. The model (and every payload column) is bit-identical across
 //! plans — only the repair-cost columns move.
 //!
+//! The repair-cost columns also vary from run to run of one binary. Every
+//! fault fate is a pure hash of its frame's keys, but a retransmission fires
+//! when an `ack_timeout` wall-clock wait runs out, so how many attempts a
+//! frame takes, and hence which attempt keys get rolled, depends on thread
+//! scheduling. The payload columns and the model do not vary.
+//!
 //! ```text
 //! cargo run --release --example chaos_wire
 //! ```
@@ -143,4 +149,8 @@ fn main() {
     println!("only the repair-cost columns (retransmitted bytes, chaos counters) respond");
     println!("to the wire faults. tests/wire_parity.rs checks the payload accounting");
     println!("against the emulator's RoundRecords.");
+    println!("The repair-cost columns vary from run to run: retransmissions fire on");
+    println!("ack_timeout wall-clock waits, so the number of attempts, and which attempt");
+    println!("keys get rolled, depend on thread scheduling. The payload columns and the");
+    println!("model are bit-identical on every run.");
 }
