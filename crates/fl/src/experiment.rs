@@ -1224,14 +1224,13 @@ mod tests {
                 losses.extend(out.iter().map(|r| r.as_ref().unwrap().to_bits()));
                 rows.extend(locals.iter().map(|l| l.iter().map(|v| v.to_bits()).collect::<Vec<_>>()));
             }
-            (losses, rows)
+            (losses, rows, global.len())
         };
-        let (serial_losses, serial_rows) = train_at(1);
-        let (fanned_losses, fanned_rows) = train_at(3);
+        let (serial_losses, serial_rows, param_count) = train_at(1);
+        let (fanned_losses, fanned_rows, _) = train_at(3);
         assert_eq!(serial_losses.len(), 12);
         assert_eq!(serial_losses[2], 0.0f32.to_bits(), "client 2 sat out");
         assert_eq!(serial_losses, fanned_losses, "the fan-out width changed a training loss");
-        let param_count = quick_experiment(4, 1).param_count();
         for (i, row) in serial_rows.iter().enumerate() {
             if i % 4 == 2 {
                 assert_eq!(row, &[marker[0].to_bits()], "inactive client 2's row was written");
